@@ -48,15 +48,18 @@ OUT_DIR_ENV = "KERNELSPECTRA_OUT_DIR"
 # ---------------------------------------------------------------------------
 # kernel registry
 
-_TERM_RE = re.compile(r"^(?:(?P<coef>[-+]?[\d.eE+-]+)\*)?h(?P<deg>[1-9]\d*)$")
+# one signed term: [+-] [coef *] h<deg>; the coefficient may carry its own sign
+_TERM_RE = re.compile(
+    r"(?P<sign>[-+]?)(?:(?P<coef>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\*)?h(?P<deg>[1-9]\d*)"
+)
 
 
 def parse_kernel(spec: str) -> KernelSpec:
     """Built-in kernel registry.
 
-    Accepted forms: sums of Hermite terms like "h1", "h2+h3",
-    "0.5*h1+2*h3"; "soft_threshold(tau)"; and "odd_poly(c1,c3,c5,...)"
-    for c1*x + c3*x^3 + ... .
+    Accepted forms: signed sums of Hermite terms like "h1", "h2+h3",
+    "0.5*h1-2*h3", "-h1+1e+2*h3"; "soft_threshold(tau)"; and
+    "odd_poly(c1,c3,c5,...)" for c1*x + c3*x^3 + ... .
     """
     text = spec.strip().replace(" ", "")
     m = re.fullmatch(r"soft_threshold\((?:tau=)?([^)]+)\)", text)
@@ -84,20 +87,20 @@ def parse_kernel(spec: str) -> KernelSpec:
             return out
 
         return KernelSpec(evaluator=evaluate, declared_parity="odd", growth_note="odd polynomial")
-    terms = text.split("+")
     coeffs: dict[int, float] = {}
-    for term in terms:
-        tm = _TERM_RE.match(term)
-        if not tm:
-            raise ConfigError(f"kernel: cannot parse term {term!r} in {spec!r}")
+    pos = 0
+    for tm in _TERM_RE.finditer(text):
+        # terms must tile the string, and every term after the first is signed
+        if tm.start() != pos or (pos and not tm.group("sign")):
+            break
+        pos = tm.end()
         deg = int(tm.group("deg"))
         if deg > 12:
             raise ConfigError(f"kernel: registry supports h1..h12, got h{deg}")
-        try:
-            coef = float(tm.group("coef")) if tm.group("coef") else 1.0
-        except ValueError as exc:
-            raise ConfigError(f"kernel: bad coefficient in term {term!r}") from exc
-        coeffs[deg] = coeffs.get(deg, 0.0) + coef
+        coef = float(tm.group("coef")) if tm.group("coef") else 1.0
+        coeffs[deg] = coeffs.get(deg, 0.0) + (-coef if tm.group("sign") == "-" else coef)
+    if not coeffs or pos != len(text):
+        raise ConfigError(f"kernel: cannot parse term {text[pos:]!r} in {spec!r}")
     top = max(coeffs)
     vec = [coeffs.get(d, 0.0) for d in range(1, top + 1)]
     return hermite_sum_kernel(vec)
@@ -109,7 +112,10 @@ def parse_kernel(spec: str) -> KernelSpec:
 
 def parse_config_file(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror or exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -204,7 +210,10 @@ def _timestamp() -> str:
     byte-reproducible runs."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is not None:
-        t = datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc)
+        try:
+            t = datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc)
+        except (ValueError, OverflowError, OSError) as exc:
+            raise ConfigError(f"SOURCE_DATE_EPOCH must be integer seconds, got {epoch!r}") from exc
     else:
         t = datetime.datetime.now(datetime.timezone.utc)
     return t.strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -337,6 +346,8 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
     degree = cfg.get_int("degree", 30)
     prefix = cfg.get_str("out", "simulate")
     cfg.reject_unknown()
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     if law_name not in _LAWS:
         raise ConfigError(f"law must be one of {sorted(_LAWS)}, got {law_name!r}")
 
@@ -530,6 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _timestamp()  # a bad SOURCE_DATE_EPOCH fails before any work
         values = parse_config_file(args.config)
         for item in args.set:
             if "=" not in item:

@@ -11,11 +11,11 @@ So h_0 = 1, h_1 = x, h_2 = (x^2 - 1)/sqrt(2), h_3 = (x^3 - 3x)/sqrt(6).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from .errors import ConfigError, MeanNotZeroError, QuadratureError
 
@@ -35,21 +35,34 @@ def hermite_eval(d: int, x, variant: str = "orthonormal"):
         raise ConfigError(f"degree must be >= 0, got {d}")
     if variant not in ("orthonormal", "monic"):
         raise ConfigError(f"unknown variant {variant!r}")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if d == 0:
-        out = prev
-        return out if out.ndim else float(out)
-    cur = x.copy()
-    if variant == "monic":
-        for k in range(1, d):
-            prev, cur = cur, x * cur - k * prev
-    else:
-        # h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1)
-        for k in range(1, d):
-            prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
-    out = cur
+    for out in _hermite_sweep(np.asarray(x, dtype=float), d, monic=variant == "monic"):
+        pass
     return out if out.ndim else float(out)
+
+
+def _hermite_sweep(x: np.ndarray, max_degree: int, monic: bool = False, scratch=None):
+    """Yield h_0(x), ..., h_max_degree(x) from one upward pass of
+    h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1), or of the monic
+    ht_{k+1} = x ht_k - k ht_{k-1}.  The pass reuses two buffers, so each
+    yielded array is overwritten two degrees later.  `scratch`, an array
+    shaped like x, holds nothing between yields, so the caller may use it
+    there too."""
+    prev = np.ones_like(x)
+    yield prev
+    if max_degree < 1:
+        return
+    cur = x.copy()
+    yield cur
+    if scratch is None:
+        scratch = np.empty_like(x)
+    for k in range(1, max_degree):
+        np.multiply(x, cur, out=scratch)
+        np.multiply(prev, k if monic else math.sqrt(k), out=prev)
+        np.subtract(scratch, prev, out=prev)
+        if not monic:
+            prev /= math.sqrt(k + 1)
+        prev, cur = cur, prev
+        yield cur
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,11 @@ def build_quadrature(order: int) -> GaussHermiteRule:
     loudly rather than returning a degraded rule."""
     if order < 1:
         raise ConfigError(f"quadrature order must be >= 1, got {order}")
+    # Imported on first use: scipy.special imports numpy.f2py, which parses
+    # SOURCE_DATE_EPOCH at import and raises ValueError on a non-integer
+    # value before the CLI can report it as a config error.
+    from scipy.special import roots_hermitenorm
+
     try:
         nodes, weights = roots_hermitenorm(int(order))
     except Exception as exc:  # pragma: no cover - scipy failure path
@@ -94,14 +112,17 @@ def build_quadrature(order: int) -> GaussHermiteRule:
 
 
 def _eval_on(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar kernel on an array, tolerating non-vectorized
-    callables."""
+    """Evaluate a kernel on an array.  Callables that only take scalars are
+    looped over 1-D inputs (quadrature nodes, parity grids) but rejected on
+    matrices, where the loop would be one Python call per entry."""
     try:
         vals = np.asarray(f(x), dtype=float)
         if vals.shape == x.shape:
             return vals
     except (TypeError, ValueError):
         pass
+    if x.ndim > 1:
+        raise ConfigError("kernel evaluator must vectorize over arrays")
     return np.asarray([float(f(float(t))) for t in np.ravel(x)]).reshape(x.shape)
 
 
@@ -110,7 +131,7 @@ class KernelSpec:
     """A kernel function together with its declared parity.
 
     The evaluator must be a pure function R -> R; array-vectorized
-    evaluators are used as-is, scalar ones are wrapped.
+    evaluators are used as-is, scalar ones are wrapped for 1-D inputs only.
     """
 
     evaluator: Callable
@@ -182,24 +203,16 @@ class KernelExpansion:
         return float(self.coefficients[d - 1])
 
     def __call__(self, x):
+        """sum_d a_d h_d(x), accumulated in increasing d during one sweep of
+        the recurrence up to the last nonzero coefficient."""
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for d in range(1, self.degree + 1):
-            c = self.coefficients[d - 1]
+        term = np.empty_like(x)
+        coeffs = np.trim_zeros(self.coefficients, "b")
+        for c, h in zip(coeffs, islice(_hermite_sweep(x, len(coeffs), scratch=term), 1, None)):
             if c != 0.0:
-                out += c * hermite_eval(d, x)
+                out += np.multiply(c, h, out=term)
         return out if out.ndim else float(out)
-
-
-def _orthonormal_table(max_degree: int, x: np.ndarray) -> np.ndarray:
-    """Rows 0..max_degree of h_d(x) for a vector x, computed in one sweep."""
-    table = np.empty((max_degree + 1, len(x)))
-    table[0] = 1.0
-    if max_degree >= 1:
-        table[1] = x
-    for k in range(1, max_degree):
-        table[k + 1] = (x * table[k] - math.sqrt(k) * table[k - 1]) / math.sqrt(k + 1)
-    return table
 
 
 def project_kernel(
@@ -226,7 +239,7 @@ def project_kernel(
     if isinstance(kernel, KernelSpec):
         kernel.check_parity()
     vals = _eval_on(kernel, rule.nodes)
-    table = _orthonormal_table(degree, rule.nodes)
+    table = np.array([h.copy() for h in _hermite_sweep(rule.nodes, degree)])
     wvals = rule.weights * vals
     a0 = float(np.dot(rule.weights, vals))
     if abs(a0) > MEAN_ZERO_TOL:

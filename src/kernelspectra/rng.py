@@ -20,9 +20,12 @@ STREAM_WISHART = 0x32
 STREAM_TRIAL = 0x41
 
 
-def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
-    """Return a Generator for the stream identified by (master_seed, *path)."""
+def derive_rng(master_seed: int, *path: int | tuple[int, ...]) -> np.random.Generator:
+    """Return a Generator for the stream identified by (master_seed, *path);
+    tuple entries of the path are spliced in, so (tag, (ti, t)) names the
+    same stream as (tag, ti, t)."""
     if not (0 <= master_seed < 2**64):
         raise ValueError(f"master seed must fit in 64 bits, got {master_seed}")
-    ss = np.random.SeedSequence([int(master_seed), *[int(x) for x in path]])
+    words = [int(x) for part in path for x in (part if isinstance(part, tuple) else (part,))]
+    ss = np.random.SeedSequence([int(master_seed), *words])
     return np.random.default_rng(ss)

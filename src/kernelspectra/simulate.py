@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError, ConsistencyError, DomainError, SizeCapError
-from .hermite import KernelExpansion, KernelSpec, hermite_eval
+from .hermite import KernelSpec, _eval_on, hermite_eval
 from .limit_law import LimitLawParams, density, support
 
 MAX_MATRIX_SIDE = 12000  # p^2 doubles; keeps a single matrix under ~1.2 GB
@@ -86,9 +86,9 @@ class DataMatrixConfig:
         return float(np.dot(probs, values**4))
 
 
-def sample_data(cfg: DataMatrixConfig, stream: int = 0) -> np.ndarray:
+def sample_data(cfg: DataMatrixConfig, stream: int | tuple[int, ...] = 0) -> np.ndarray:
     """Draw X (p x n), reproducibly from cfg.seed (and an optional extra
-    stream index for independent trials)."""
+    stream index, or tuple of indices, for independent trials)."""
     gen = rngmod.derive_rng(cfg.seed, rngmod.STREAM_DATA, stream)
     law = cfg.entry_law
     if law == "standard_gaussian":
@@ -111,16 +111,6 @@ class KernelMatrixSample:
     kernel: object = None
 
 
-def _kernel_values(kernel, g: np.ndarray) -> np.ndarray:
-    if isinstance(kernel, (KernelSpec, KernelExpansion)):
-        return kernel(g)
-    vals = kernel(g)
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape != g.shape:
-        raise ConfigError("kernel evaluator must vectorize over arrays")
-    return vals
-
-
 def build_kernel_matrix(X: np.ndarray, kernel) -> KernelMatrixSample:
     """K(X)[i,i'] = k(sqrt(n) * Sigma_hat[i,i']) / sqrt(n) off-diagonal,
     exactly zero on the diagonal.  Built from the upper triangle so the
@@ -129,7 +119,7 @@ def build_kernel_matrix(X: np.ndarray, kernel) -> KernelMatrixSample:
     if p > MAX_MATRIX_SIDE:
         raise SizeCapError(f"p={p} exceeds cap {MAX_MATRIX_SIDE}")
     g = (X @ X.T) / math.sqrt(n)
-    vals = _kernel_values(kernel, g) / math.sqrt(n)
+    vals = _eval_on(kernel, g) / math.sqrt(n)
     del g
     upper = np.triu(vals, 1)
     return KernelMatrixSample(matrix=upper + upper.T, kernel=kernel)
@@ -391,7 +381,7 @@ def concentration_probe(
         norms = []
         for t in range(trials):
             cfg = DataMatrixConfig(n=n, p=p_dim, seed=seed)
-            X = sample_data(cfg, stream=ridx * 1000 + t)
+            X = sample_data(cfg, stream=(ridx, t))
             norms.append(spectrum(build_kernel_matrix(X, kspec).matrix).spectral_norm)
         med = float(np.median(norms))
         scale = max(p_dim / n, math.sqrt(p_dim / n))

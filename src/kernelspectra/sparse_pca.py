@@ -100,7 +100,7 @@ class SpikedModelConfig:
         return v
 
 
-def sample_spiked_data(cfg: SpikedModelConfig, stream: int = 0) -> np.ndarray:
+def sample_spiked_data(cfg: SpikedModelConfig, stream: int | tuple[int, ...] = 0) -> np.ndarray:
     """X (p x n) with i.i.d. columns N(0, Id + lam v v^T), generated as
     g + sqrt(lam) * w * v with independent standard normals g, w (exact
     covariance, no matrix square root needed)."""
@@ -196,6 +196,8 @@ def sweep_tau(
     taus = np.asarray(list(taus), dtype=float)
     if taus.size == 0:
         raise ConfigError("tau grid must be nonempty")
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     if null_cfg.entry_law != "standard_gaussian":
         raise ConfigError("the null model of the sweep is standard Gaussian")
     rule = build_quadrature(200)
@@ -205,9 +207,9 @@ def sweep_tau(
     for ti, tau in enumerate(taus):
         nvals, svals = [], []
         for t in range(trials):
-            Xn = sample_data(null_cfg, stream=ti * rngmod.STREAM_TRIAL + t)
+            Xn = sample_data(null_cfg, stream=(ti, t))
             nvals.append(spectrum(thresholded_covariance(Xn, tau)).lambda_max)
-            Xs = sample_spiked_data(spiked_cfg, stream=ti * rngmod.STREAM_TRIAL + t)
+            Xs = sample_spiked_data(spiked_cfg, stream=(ti, t))
             svals.append(spectrum(thresholded_covariance(Xs, tau)).lambda_max)
         m, se = _mean_se(nvals)
         null_mean.append(m)

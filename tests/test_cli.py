@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import kernelspectra
 from kernelspectra.cli import main, parse_kernel
 from kernelspectra.errors import ConfigError
 from kernelspectra.limit_law import LimitLawParams, moment
@@ -36,9 +43,22 @@ def test_parse_kernel_registry():
     assert soft(4.0) == pytest.approx(2.0)
     poly = parse_kernel("odd_poly(1, 0.5)")
     assert poly(2.0) == pytest.approx(2.0 + 0.5 * 8.0)
-    for bad in ("wat", "h0", "h1+", "soft_threshold(two)", "odd_poly()"):
+    for bad in ("wat", "h0", "h1+", "h1h2", "h1-", "1e*h1", "", "soft_threshold(two)", "odd_poly()"):
         with pytest.raises(ConfigError):
             parse_kernel(bad)
+
+
+def test_parse_kernel_signed_terms():
+    assert list(parse_kernel("h1-0.5*h3").evaluator.coefficients) == [1.0, 0.0, -0.5]
+    assert list(parse_kernel("-h1").evaluator.coefficients) == [-1.0]
+    assert list(parse_kernel("1e+2*h1").evaluator.coefficients) == [100.0]
+    assert list(parse_kernel("h1+-0.5*h3").evaluator.coefficients) == [1.0, 0.0, -0.5]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+def test_parse_kernel_round_trip(coeffs):
+    spec = "+".join(f"{c!r}*h{d}" for d, c in enumerate(coeffs, start=1)).replace("+-", "-")
+    assert np.array_equal(parse_kernel(spec).evaluator.coefficients, coeffs)
 
 
 def test_project_kernel_command(tmp_path, capsys):
@@ -165,3 +185,36 @@ def test_missing_required_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "s.cfg", n=100, p=100)
     assert main(["simulate", cfg]) == 2
     assert "kernel" in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    assert main(["limit-law", str(tmp_path / "absent.cfg")]) == 2
+    assert "absent.cfg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epoch", ["yesterday", "1.5", "10" * 20])
+def test_bad_source_date_epoch_exits_2(tmp_path, epoch):
+    # a fresh interpreter, as from a shell: the check must run before any
+    # import that parses SOURCE_DATE_EPOCH itself
+    cfg = write_cfg(tmp_path, "l.cfg", a=0, nu=1, gamma=1)
+    src = str(Path(kernelspectra.__file__).parents[1])
+    env = dict(os.environ, SOURCE_DATE_EPOCH=epoch)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kernelspectra.cli", "limit-law", cfg],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "SOURCE_DATE_EPOCH" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "limit_law_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [("simulate", {"kernel": "h2+h3", "n": 50, "p": 50}), ("sparse-pca-sweep", {"n": 50, "taus": "1.0"})],
+)
+def test_zero_trials_exits_2_before_any_output(tmp_path, capsys, command, keys):
+    cfg = write_cfg(tmp_path, "c.cfg", **keys)
+    assert main([command, cfg, "--trials", "0"]) == 2
+    assert "trials" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))

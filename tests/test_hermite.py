@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kernelspectra.errors import ConfigError, MeanNotZeroError, QuadratureError
 from kernelspectra.hermite import (
+    KernelExpansion,
     KernelSpec,
     build_quadrature,
     hermite_eval,
@@ -12,6 +16,7 @@ from kernelspectra.hermite import (
     kernel_moments,
     project_kernel,
 )
+from kernelspectra.simulate import DataMatrixConfig, build_kernel_matrix, sample_data
 from kernelspectra.sparse_pca import ThresholdFunction
 
 
@@ -169,3 +174,44 @@ def test_parseval_residual_for_smooth_threshold():
 def test_projection_requires_adequate_rule():
     with pytest.raises(ConfigError):
         project_kernel(lambda x: x, degree=30, rule=build_quadrature(20))
+
+
+def test_scalar_only_evaluator_is_looped_on_vectors():
+    # math.tanh takes one float, so a node vector goes through the scalar loop
+    spec = KernelSpec(evaluator=math.tanh, declared_parity="odd")
+    xs = np.linspace(-3, 3, 13)
+    assert np.allclose(spec(xs), np.tanh(xs), atol=1e-15)
+    a, nu = kernel_moments(spec)
+    assert 0.0 < a < 1.0 and 0.0 < nu < 1.0
+
+
+def test_scalar_only_evaluator_is_rejected_on_matrices():
+    spec = KernelSpec(evaluator=math.tanh)
+    with pytest.raises(ConfigError, match="vectorize"):
+        spec(np.zeros((3, 3)))
+    X = sample_data(DataMatrixConfig(n=20, p=10, seed=3))
+    with pytest.raises(ConfigError, match="vectorize"):
+        build_kernel_matrix(X, spec)
+
+
+_entries = st.floats(-20.0, 20.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)), min_size=1, max_size=30),
+    x=st.one_of(
+        _entries,
+        hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=2, max_side=7), elements=_entries),
+    ),
+)
+def test_expansion_sweep_matches_per_degree_sum(coeffs, x):
+    # reference: one hermite_eval per nonzero degree, summed in increasing d
+    expected = np.zeros_like(np.asarray(x, dtype=float))
+    for d, c in enumerate(coeffs, start=1):
+        if c != 0.0:
+            expected += c * hermite_eval(d, x)
+    got = KernelExpansion(coefficients=coeffs)(x)
+    assert np.array_equal(got, expected)
+    if np.ndim(x) == 0:
+        assert type(got) is float

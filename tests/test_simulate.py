@@ -338,6 +338,23 @@ def test_concentration_probe_ratio_bounded():
     assert max(stats) / min(stats) < 3.0
 
 
+def test_concentration_probe_trial_streams_distinct(monkeypatch):
+    # 1001 trials: a stream index ridx * 1000 + t would give ratio 0's trial
+    # 1000 the data of ratio 1's trial 0
+    import kernelspectra.simulate as sim
+
+    seen = []
+
+    def sample(cfg, stream=0):
+        X = sample_data(cfg, stream=stream)
+        seen.append(X.tobytes())
+        return X
+
+    monkeypatch.setattr(sim, "sample_data", sample)
+    concentration_probe(lambda y: y, [0.5, 0.5], n=4, trials=1001, seed=2)
+    assert len(seen) == 2002 and len(set(seen)) == 2002
+
+
 def test_concentration_probe_stable_in_n():
     rows_a = concentration_probe(h3, [1.0], n=300, trials=3, seed=21)
     rows_b = concentration_probe(h3, [1.0], n=600, trials=3, seed=22)

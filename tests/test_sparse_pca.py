@@ -152,6 +152,30 @@ def test_sweep_rejects_empty_grid():
         sweep_tau(null_cfg, spiked_cfg, [], trials=1)
 
 
+def test_sweep_trial_streams_distinct_at_66_trials(monkeypatch):
+    # 66 trials: a stream index ti * 65 + t would give tau 0's trial 65 the
+    # data of tau 1's trial 0
+    import kernelspectra.sparse_pca as sp
+
+    draws = {"null": [], "spiked": []}
+
+    def recorder(kind, sampler):
+        def sample(cfg, stream=0):
+            X = sampler(cfg, stream=stream)
+            draws[kind].append(X.tobytes())
+            return X
+
+        return sample
+
+    monkeypatch.setattr(sp, "sample_data", recorder("null", sp.sample_data))
+    monkeypatch.setattr(sp, "sample_spiked_data", recorder("spiked", sp.sample_spiked_data))
+    null_cfg = DataMatrixConfig(n=4, p=4, seed=0)
+    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=1, gamma=1.0, n=4, seed=1)
+    sweep_tau(null_cfg, spiked_cfg, [1.0, 2.0], trials=66)
+    for kind, seen in draws.items():
+        assert len(seen) == 132 and len(set(seen)) == 132, kind
+
+
 def test_mean_se_scaling():
     # the reported standard error carries the 1/sqrt(trials) factor
     from kernelspectra.sparse_pca import _mean_se
