@@ -61,6 +61,7 @@ from .simulate import (
     sample_data,
     sample_deformed_model,
     spectrum,
+    top_eigenvalue,
 )
 from .sparse_pca import (
     SpikedModelConfig,

@@ -430,6 +430,12 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
     seed = cfg.get_int("seed", 0)
     out = cfg.get_str("out", "verify_report.json")
     cfg.reject_unknown()
+    # with no trials or a single n the remainder-scaling fit has nothing to
+    # fit, and its -inf fallback slope would pass the check
+    if scaling_trials < 1:
+        raise ConfigError(f"scaling_trials must be >= 1, got {scaling_trials}")
+    if len(set(scaling_ns)) < 2:
+        raise ConfigError(f"scaling_ns needs at least two distinct values, got {scaling_ns}")
 
     ok = True
     report: dict[str, object] = {}

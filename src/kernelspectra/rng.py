@@ -18,6 +18,7 @@ STREAM_SPIKE_COEF = 0x23
 STREAM_GUE = 0x31
 STREAM_WISHART = 0x32
 STREAM_TRIAL = 0x41
+STREAM_LANCZOS = 0x61
 
 
 def derive_rng(master_seed: int, *path: int | tuple[int, ...]) -> np.random.Generator:

@@ -111,18 +111,39 @@ class KernelMatrixSample:
     kernel: object = None
 
 
+_SLAB_ROWS = 256  # rows per block in the blocked passes over a p x p matrix
+
+
+def _kernel_matrix(X: np.ndarray, kernel, keep_diagonal: bool) -> np.ndarray:
+    """k(sqrt(n) * Sigma_hat) / sqrt(n) entrywise, exactly symmetric: the
+    upper triangle is mirrored into the lower one.  The diagonal is zeroed
+    or kept.  Scales the Gram in place and then works in place on the
+    kernel's output, so no p x p temporary outlives the kernel call."""
+    p, n = X.shape
+    if p > MAX_MATRIX_SIDE:
+        raise SizeCapError(f"p={p} exceeds cap {MAX_MATRIX_SIDE}")
+    root_n = math.sqrt(n)
+    g = X @ X.T
+    g /= root_n
+    m = np.require(_eval_on(kernel, g), requirements="W")
+    del g
+    m /= root_n
+    for i0 in range(0, p, _SLAB_ROWS):
+        i1 = min(i0 + _SLAB_ROWS, p)
+        m[i0:i1, :i0] = m[:i0, i0:i1].T
+        block = m[i0:i1, i0:i1]
+        block[...] = np.triu(block) + np.triu(block, 1).T
+    if not keep_diagonal:
+        np.fill_diagonal(m, 0.0)
+    m += 0.0  # -0.0 -> +0.0, as the sum of the two triangles gave
+    return m
+
+
 def build_kernel_matrix(X: np.ndarray, kernel) -> KernelMatrixSample:
     """K(X)[i,i'] = k(sqrt(n) * Sigma_hat[i,i']) / sqrt(n) off-diagonal,
     exactly zero on the diagonal.  Built from the upper triangle so the
     result is exactly symmetric."""
-    p, n = X.shape
-    if p > MAX_MATRIX_SIDE:
-        raise SizeCapError(f"p={p} exceeds cap {MAX_MATRIX_SIDE}")
-    g = (X @ X.T) / math.sqrt(n)
-    vals = _eval_on(kernel, g) / math.sqrt(n)
-    del g
-    upper = np.triu(vals, 1)
-    return KernelMatrixSample(matrix=upper + upper.T, kernel=kernel)
+    return KernelMatrixSample(matrix=_kernel_matrix(X, kernel, keep_diagonal=False), kernel=kernel)
 
 
 def build_component_matrix(X: np.ndarray, d: int, a_d: float) -> KernelMatrixSample:
@@ -155,19 +176,100 @@ class SpectrumSummary:
         return out if out.ndim else float(out)
 
 
-def spectrum(m: np.ndarray) -> SpectrumSummary:
-    """Full symmetric/Hermitian eigendecomposition, descending order."""
+def _checked_hermitian(m) -> np.ndarray:
+    """m as an array, after the checks every eigensolver here makes: square,
+    finite, and symmetric/Hermitian to 1e-10 of its largest entry.  Works
+    in row slabs, comparing each slab's upper part with its mirror, so it
+    allocates no p x p temporary."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ConfigError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    asym = float(np.max(np.abs(m - m.conj().T)))
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ConfigError(f"expected a non-empty square matrix, got shape {m.shape}")
+    p = m.shape[0]
+    hermitian = np.iscomplexobj(m)
+    scale, asym = 1.0, 0.0
+    for i0 in range(0, p, _SLAB_ROWS):
+        i1 = min(i0 + _SLAB_ROWS, p)
+        slab_max = float(np.max(np.abs(m[i0:i1])))
+        if not math.isfinite(slab_max):
+            raise ConfigError("matrix contains non-finite entries")
+        scale = max(scale, slab_max)
+        mirror = m[i0:, i0:i1].T
+        diff = m[i0:i1, i0:] - (mirror.conj() if hermitian else mirror)
+        asym = max(asym, float(np.max(np.abs(diff))))
     if asym > 1e-10 * scale:
         raise ConfigError(f"matrix is not symmetric/Hermitian (max asymmetry {asym:.3e})")
-    ev = np.linalg.eigvalsh(m)
+    return m
+
+
+def spectrum(m: np.ndarray) -> SpectrumSummary:
+    """Full symmetric/Hermitian eigendecomposition, descending order."""
+    ev = np.linalg.eigvalsh(_checked_hermitian(m))
     return SpectrumSummary(eigenvalues=ev[::-1].copy())
+
+
+LANCZOS_RTOL = 1e-15  # Ritz residual bound, relative to the largest |Ritz value|
+LANCZOS_MAX_STEPS = 1000  # cap on the Krylov basis: 8 MB per 1000 matrix rows
+
+
+def _lanczos_ends(m: np.ndarray, ends: tuple[int, ...]) -> tuple[float, ...]:
+    """Eigenvalues at the given ends of the spectrum of a checked Hermitian
+    m (indices into the ascending order: -1 the largest, 0 the smallest).
+
+    Lanczos with full reorthogonalisation (two Gram-Schmidt passes per
+    step), started from a fixed Gaussian vector: an all-ones start would be
+    orthogonal to balanced +-1 spikes.  It stops when every requested Ritz
+    value has residual bound |beta_k s_k| <= LANCZOS_RTOL * max|Ritz|; when
+    the Krylov space is invariant, that is beta_k <= LANCZOS_RTOL * |m v_k|
+    after reorthogonalisation (what is left of w is rounding, and scaling
+    it up would lose orthogonality); or on reaching k = p steps, where the
+    Krylov space is all of C^p.  A run that hits the step cap first raises
+    ConsistencyError rather than returning an unconverged value.
+    """
+    p = m.shape[0]
+    steps = min(p, LANCZOS_MAX_STEPS)
+    # grown by doubling: most runs stop after tens of steps, far below p
+    basis = np.empty((min(steps, 64), p), dtype=np.result_type(m.dtype, float))
+    alpha = np.empty(steps)
+    beta = np.empty(steps)
+    start = rngmod.derive_rng(0, rngmod.STREAM_LANCZOS, p).standard_normal(p)
+    basis[0] = start / np.linalg.norm(start)
+    next_check = 8
+    for k in range(steps):
+        w = m @ basis[k]
+        alpha[k] = np.vdot(basis[k], w).real
+        image_norm = np.linalg.norm(w)
+        done = basis[: k + 1]
+        for _ in range(2):
+            w -= np.conj(done @ np.conj(w)) @ done
+        beta[k] = np.linalg.norm(w)
+        size = k + 1
+        invariant = beta[k] <= LANCZOS_RTOL * image_norm
+        # the dense k x k Ritz solve costs O(k^3): check every 8 steps at
+        # first, then every k/8 steps
+        if size >= next_check or size == steps or invariant:
+            next_check = size + max(8, size // 8)
+            off = beta[: size - 1]
+            tri = np.diag(alpha[:size]) + np.diag(off, 1) + np.diag(off, -1)
+            ritz, vecs = np.linalg.eigh(tri)
+            bounds = beta[k] * np.abs(vecs[-1, list(ends)])
+            if size == p or invariant or np.all(bounds <= LANCZOS_RTOL * np.max(np.abs(ritz))):
+                return tuple(float(ritz[e]) for e in ends)
+            if size == steps:
+                raise ConsistencyError(
+                    f"Lanczos did not converge in {steps} steps at p={p} "
+                    f"(residual bounds {bounds.tolist()})"
+                )
+        if size == len(basis):
+            grown = np.empty((min(steps, 2 * size), p), dtype=basis.dtype)
+            grown[:size] = basis
+            basis = grown
+        basis[size] = w / beta[k]
+
+
+def top_eigenvalue(m: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric/Hermitian matrix, for callers that
+    read only lambda_max; `spectrum` gives all of them."""
+    return _lanczos_ends(_checked_hermitian(m), (-1,))[0]
 
 
 def limit_cdf(p: LimitLawParams, xs: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
@@ -382,7 +484,9 @@ def concentration_probe(
         for t in range(trials):
             cfg = DataMatrixConfig(n=n, p=p_dim, seed=seed)
             X = sample_data(cfg, stream=(ridx, t))
-            norms.append(spectrum(build_kernel_matrix(X, kspec).matrix).spectral_norm)
+            K = _checked_hermitian(build_kernel_matrix(X, kspec).matrix)
+            lowest, highest = _lanczos_ends(K, (0, -1))
+            norms.append(max(abs(lowest), abs(highest)))
         med = float(np.median(norms))
         scale = max(p_dim / n, math.sqrt(p_dim / n))
         rows.append(

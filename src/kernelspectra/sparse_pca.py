@@ -18,7 +18,7 @@ from . import rng as rngmod
 from .errors import ConfigError
 from .hermite import GaussHermiteRule, KernelSpec, build_quadrature, kernel_moments
 from .limit_law import LimitLawParams, support
-from .simulate import DataMatrixConfig, sample_data, spectrum
+from .simulate import DataMatrixConfig, _kernel_matrix, sample_data, top_eigenvalue
 
 INNER_FRACTION = 0.8
 OUTER_FRACTION = 1.2
@@ -31,14 +31,16 @@ def smoothed_soft_threshold(x, tau: float):
     if not tau > 0:
         raise ConfigError(f"tau must be > 0, got {tau}")
     x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    quad = (1.25 / tau) * (ax - INNER_FRACTION * tau) ** 2
-    out = np.where(
-        ax <= INNER_FRACTION * tau,
-        0.0,
-        np.where(ax >= OUTER_FRACTION * tau, ax - tau, quad),
-    )
-    out = np.sign(x) * out
+    out = np.abs(x, out=np.empty_like(x))
+    band = np.flatnonzero((out > INNER_FRACTION * tau) & (out < OUTER_FRACTION * tau))
+    quad = np.take(out, band)
+    quad -= INNER_FRACTION * tau
+    np.square(quad, out=quad)
+    quad *= 1.25 / tau
+    out -= tau
+    np.maximum(out, 0.0, out=out)  # zeroes the inner zone, where |x| - tau < 0
+    np.put(out, band, quad)
+    np.copysign(out, x, out=out)
     return out if out.ndim else float(out)
 
 
@@ -108,18 +110,15 @@ def sample_spiked_data(cfg: SpikedModelConfig, stream: int | tuple[int, ...] = 0
     v = cfg.spike_vector()
     g = gen.standard_normal((cfg.p, cfg.n))
     w = gen.standard_normal(cfg.n)
-    return g + math.sqrt(cfg.lam) * np.outer(v, w)
+    rows = np.flatnonzero(v)  # the spike's support; other rows stay g
+    g[rows] += math.sqrt(cfg.lam) * np.outer(v[rows], w)
+    return g
 
 
 def thresholded_covariance(X: np.ndarray, tau: float) -> np.ndarray:
     """M_tau(X) = k_tau(sqrt(n) Sigma_hat)/sqrt(n) entrywise, including the
     diagonal (unlike the zero-diagonal kernel matrix)."""
-    p, n = X.shape
-    g = (X @ X.T) / math.sqrt(n)
-    vals = smoothed_soft_threshold(g, tau) / math.sqrt(n)
-    del g
-    upper = np.triu(vals, 1)
-    return upper + upper.T + np.diag(np.diag(vals))
+    return _kernel_matrix(X, ThresholdFunction(tau), keep_diagonal=True)
 
 
 def null_prediction(
@@ -208,9 +207,9 @@ def sweep_tau(
         nvals, svals = [], []
         for t in range(trials):
             Xn = sample_data(null_cfg, stream=(ti, t))
-            nvals.append(spectrum(thresholded_covariance(Xn, tau)).lambda_max)
+            nvals.append(top_eigenvalue(thresholded_covariance(Xn, tau)))
             Xs = sample_spiked_data(spiked_cfg, stream=(ti, t))
-            svals.append(spectrum(thresholded_covariance(Xs, tau)).lambda_max)
+            svals.append(top_eigenvalue(thresholded_covariance(Xs, tau)))
         m, se = _mean_se(nvals)
         null_mean.append(m)
         null_se.append(se)

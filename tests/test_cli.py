@@ -181,6 +181,19 @@ def test_verify_detects_injected_oracle_mismatch(tmp_path, monkeypatch, capsys):
     assert "verification" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [{"scaling_trials": 0}, {"scaling_ns": "100"}, {"scaling_ns": "100,100"}],
+    ids=["no-trials", "one-n", "repeated-n"],
+)
+def test_verify_without_a_scaling_fit_exits_2(tmp_path, capsys, keys):
+    # with nothing to fit, the -inf fallback slope used to pass the check
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, trace_trials=100, **keys)
+    assert main(["verify", cfg]) == 2
+    assert "scaling_" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 def test_missing_required_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "s.cfg", n=100, p=100)
     assert main(["simulate", cfg]) == 2

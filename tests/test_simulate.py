@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kernelspectra.errors import ConfigError, DomainError, SizeCapError
+import kernelspectra.simulate as sim
+from kernelspectra.errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 from kernelspectra.limit_law import LimitLawParams, support
 from kernelspectra.simulate import (
     DataMatrixConfig,
@@ -20,6 +23,7 @@ from kernelspectra.simulate import (
     sample_data,
     sample_deformed_model,
     spectrum,
+    top_eigenvalue,
 )
 
 
@@ -133,6 +137,74 @@ def test_spectrum_rejects_asymmetric():
     m = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])
     with pytest.raises(ConfigError):
         spectrum(m)
+
+
+def _test_matrix(kind: str, p: int, seed: int) -> np.ndarray:
+    gen = np.random.default_rng(seed)
+    if kind == "dense":
+        a = gen.standard_normal((p, p))
+        return (a + a.T) / 2
+    if kind == "hermitian":
+        a = gen.standard_normal((p, p)) + 1j * gen.standard_normal((p, p))
+        return (a + a.conj().T) / 2
+    if kind == "repeated_diagonal":
+        return np.diag(gen.choice([-2.0, 0.5, 3.0], size=p))
+    if kind == "zero":
+        return np.zeros((p, p))
+    # rank-one spike with balanced +-1/sqrt(s) entries: orthogonal to all-ones
+    s = 2 * (p // 2)
+    v = np.zeros(p)
+    v[gen.permutation(p)[:s]] = np.repeat([1.0, -1.0], s // 2) / math.sqrt(s)
+    return 3.0 * np.outer(v, v)
+
+
+@settings(max_examples=150)
+@given(
+    p=st.integers(2, 80),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["dense", "hermitian", "repeated_diagonal", "zero", "balanced_spike"]),
+)
+@example(p=8, seed=0, kind="balanced_spike")  # breaks down at step 2: w is rounding only
+def test_top_eigenvalue_matches_eigvalsh(p, seed, kind):
+    m = _test_matrix(kind, p, seed)
+    ev = np.linalg.eigvalsh(m)
+    norm = max(abs(ev[0]), abs(ev[-1]))
+    assert abs(top_eigenvalue(m) - ev[-1]) <= 1e-12 * max(1.0, norm)
+    lowest, highest = sim._lanczos_ends(m, (0, -1))
+    assert max(abs(lowest - ev[0]), abs(highest - ev[-1])) <= 1e-12 * max(1.0, norm)
+
+
+def test_top_eigenvalue_is_repeatable():
+    X = sample_data(DataMatrixConfig(n=400, p=300, seed=9))
+    K = build_kernel_matrix(X, h3).matrix
+    first = top_eigenvalue(K)
+    assert top_eigenvalue(K) == first
+    assert first == pytest.approx(np.linalg.eigvalsh(K)[-1], rel=1e-12)
+
+
+def test_top_eigenvalue_raises_when_not_converged(monkeypatch):
+    monkeypatch.setattr(sim, "LANCZOS_MAX_STEPS", 5)
+    with pytest.raises(ConsistencyError):
+        top_eigenvalue(_test_matrix("dense", 60, 1))
+
+
+@pytest.mark.parametrize("solver", [spectrum, top_eigenvalue])
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.ones((2, 3)),
+        np.ones(3),
+        np.zeros((0, 0)),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[1.0, np.inf], [np.inf, 1.0]]),
+        np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]),
+        np.array([[0.0, 1j], [1j, 0.0]]),
+    ],
+    ids=["non-square", "1-d", "empty", "nan", "inf", "asymmetric", "non-hermitian"],
+)
+def test_solvers_reject_bad_input(solver, m):
+    with pytest.raises(ConfigError):
+        solver(m)
 
 
 def test_esd_cdf():
@@ -353,6 +425,17 @@ def test_concentration_probe_trial_streams_distinct(monkeypatch):
     monkeypatch.setattr(sim, "sample_data", sample)
     concentration_probe(lambda y: y, [0.5, 0.5], n=4, trials=1001, seed=2)
     assert len(seen) == 2002 and len(set(seen)) == 2002
+
+
+def test_concentration_probe_norm_matches_full_spectrum():
+    rows = concentration_probe(h3, [0.5, 2.0], n=60, trials=2, seed=3)
+    for ridx, row in enumerate(rows):
+        cfg = DataMatrixConfig(n=60, p=row["p"], seed=3)
+        norms = []
+        for t in range(2):
+            K = build_kernel_matrix(sample_data(cfg, stream=(ridx, t)), h3).matrix
+            norms.append(spectrum(K).spectral_norm)
+        assert row["median_norm"] == pytest.approx(np.median(norms), rel=1e-12)
 
 
 def test_concentration_probe_stable_in_n():

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from kernelspectra import rng as rngmod
 from kernelspectra.errors import ConfigError
-from kernelspectra.hermite import kernel_moments
+from kernelspectra.hermite import hermite_sum_kernel, kernel_moments
 from kernelspectra.limit_law import LimitLawParams, support
-from kernelspectra.simulate import DataMatrixConfig, build_kernel_matrix, sample_data, spectrum
+from kernelspectra.simulate import (
+    DataMatrixConfig,
+    _kernel_matrix,
+    build_kernel_matrix,
+    sample_data,
+    spectrum,
+)
 from kernelspectra.sparse_pca import (
     SpikedModelConfig,
     SweepResult,
@@ -36,6 +43,58 @@ def test_threshold_is_c1():
         right = (smoothed_soft_threshold(x0 + h, tau) - smoothed_soft_threshold(x0, tau)) / h
         assert left == pytest.approx(slope, abs=1e-5)
         assert right == pytest.approx(slope, abs=1e-5)
+
+
+def _reference_threshold(x, tau):
+    """The smoothed soft-threshold as three np.where branches and a sign."""
+    ax = np.abs(x)
+    quad = (1.25 / tau) * (ax - 0.8 * tau) ** 2
+    return np.sign(x) * np.where(ax <= 0.8 * tau, 0.0, np.where(ax >= 1.2 * tau, ax - tau, quad))
+
+
+def _reference_kernel_matrix(X, kernel, keep_diagonal):
+    """The kernel matrix summed from its two triangles, as both builders
+    formed it before they shared one in-place builder."""
+    n = X.shape[1]
+    g = (X @ X.T) / math.sqrt(n)
+    vals = kernel(g) / math.sqrt(n)
+    upper = np.triu(vals, 1)
+    if keep_diagonal:
+        return upper + upper.T + np.diag(np.diag(vals))
+    return upper + upper.T
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.375, 2.25, 3.125, 4.0])
+def test_threshold_matches_reference(tau):
+    xs = np.concatenate([
+        np.linspace(-6.0, 6.0, 4001),
+        [s * f * tau for s in (-1.0, 1.0) for f in (0.0, 0.8, 1.0, 1.2)],
+        np.random.default_rng(0).standard_normal(5000) * tau,
+    ])
+    assert np.array_equal(smoothed_soft_threshold(xs, tau), _reference_threshold(xs, tau))
+    grid = xs.reshape(-1, 3)
+    assert np.array_equal(smoothed_soft_threshold(grid, tau), _reference_threshold(grid, tau))
+    for x in xs[::97]:
+        assert smoothed_soft_threshold(float(x), tau) == _reference_threshold(float(x), tau)
+
+
+@pytest.mark.parametrize("keep_diagonal", [False, True])
+@pytest.mark.parametrize("p, n", [(600, 300), (97, 150)])
+def test_kernel_matrix_builder_matches_reference(p, n, keep_diagonal):
+    X = sample_data(DataMatrixConfig(n=n, p=p, seed=p))
+    for kernel, reference in [
+        (hermite_sum_kernel([0.0, 1.0, 1.0]), None),  # h2 + h3
+        (hermite_sum_kernel([4.0 ** (1 - d) for d in range(1, 13)]), None),
+        (ThresholdFunction(1.5), lambda y: _reference_threshold(y, 1.5)),
+    ]:
+        expected = _reference_kernel_matrix(X, reference or kernel, keep_diagonal)
+        assert np.array_equal(_kernel_matrix(X, kernel, keep_diagonal), expected)
+    if keep_diagonal:
+        public = thresholded_covariance(X, 1.5)
+    else:
+        public = build_kernel_matrix(X, ThresholdFunction(1.5)).matrix
+    expected = _reference_kernel_matrix(X, lambda y: _reference_threshold(y, 1.5), keep_diagonal)
+    assert np.array_equal(public, expected)
 
 
 def test_threshold_odd_and_close_to_identity():
@@ -94,6 +153,17 @@ def test_spiked_data_covariance_along_spike():
     assert not np.array_equal(X, sample_spiked_data(cfg, stream=1))
 
 
+@pytest.mark.parametrize("stream", [0, (3, 1)])
+@pytest.mark.parametrize("sparsity, gamma, n", [(1, 0.5, 40), (7, 2.0, 50), (9, 1.0, 300)])
+def test_spiked_data_matches_full_outer_product(sparsity, gamma, n, stream):
+    cfg = SpikedModelConfig(lam=0.9, sparsity=sparsity, gamma=gamma, n=n, seed=5)
+    gen = rngmod.derive_rng(cfg.seed, rngmod.STREAM_SPIKE_COEF, stream)
+    g = gen.standard_normal((cfg.p, cfg.n))
+    w = gen.standard_normal(cfg.n)
+    expected = g + math.sqrt(cfg.lam) * np.outer(cfg.spike_vector(), w)
+    assert np.array_equal(sample_spiked_data(cfg, stream=stream), expected)
+
+
 def test_thresholded_covariance_structure():
     X = sample_data(DataMatrixConfig(n=400, p=300, seed=5))
     tau = 1.5
@@ -143,6 +213,24 @@ def test_sweep_structure_and_signal():
     assert np.max(np.abs(res.null_mean - res.prediction)) < 0.2
     # the spiked model separates somewhere on the grid
     assert np.any(res.spiked_mean - res.null_mean > 3 * np.sqrt(res.spiked_se**2 + res.null_se**2))
+
+
+def test_sweep_lambda_max_matches_full_spectrum():
+    n = 60
+    null_cfg = DataMatrixConfig(n=n, p=n, seed=12)
+    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, gamma=1.0, n=n, seed=13)
+    taus = [0.5, 2.0]
+    res = sweep_tau(null_cfg, spiked_cfg, taus, trials=2)
+    for ti, tau in enumerate(taus):
+        for sampler, cfg, means in (
+            (sample_data, null_cfg, res.null_mean),
+            (sample_spiked_data, spiked_cfg, res.spiked_mean),
+        ):
+            tops = [
+                spectrum(thresholded_covariance(sampler(cfg, stream=(ti, t)), tau)).lambda_max
+                for t in range(2)
+            ]
+            assert means[ti] == pytest.approx(np.mean(tops), rel=1e-12)
 
 
 def test_sweep_rejects_empty_grid():
