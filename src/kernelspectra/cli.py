@@ -29,7 +29,7 @@ from .lgraphs import (
     sample_trace_moment,
     verify_lemmas,
 )
-from .limit_law import LimitLawParams, density, moment, support
+from .limit_law import MAX_MOMENT_ORDER, LimitLawParams, density, moment, support
 from .rng import derive_rng
 from .simulate import (
     DataMatrixConfig,
@@ -304,7 +304,12 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
     lmax = cfg.get_int("moments_lmax", 8)
     prefix = cfg.get_str("out", "limit_law")
     cfg.reject_unknown()
+    if lmax < 1:
+        raise ConfigError(f"moments_lmax must be >= 1, got {lmax}")
+    if lmax > MAX_MOMENT_ORDER:
+        raise SizeCapError(f"moments_lmax must be <= {MAX_MOMENT_ORDER}, got {lmax}")
 
+    moments = [(l, moment(params, l)) for l in range(1, lmax + 1)]
     sup = support(params)
     xs = np.linspace(sup.min_edge - 1.0, sup.max_edge + 1.0, points)
     dens = density(params, xs, epsilon=eps)
@@ -314,11 +319,7 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
         ("interval", "lo", "hi"),
         [(i, lo, hi) for i, (lo, hi) in enumerate(sup.intervals)],
     )
-    write_csv(
-        f"{prefix}_moments.csv",
-        ("l", "moment"),
-        [(l, moment(params, l)) for l in range(1, lmax + 1)],
-    )
+    write_csv(f"{prefix}_moments.csv", ("l", "moment"), moments)
     payload = {
         "support": [[lo, hi] for lo, hi in sup.intervals],
         "norm": sup.norm,

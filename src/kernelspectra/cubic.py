@@ -1,122 +1,35 @@
-"""Closed-form roots of quadratic and cubic polynomials with complex
-coefficients (Cardano), plus a vectorized variant used for dense grids.
+"""Roots of families of cubic polynomials with complex coefficients,
+vectorized over dense grids.
 
-Roots are polished with a few Newton steps so that the residual of the
-original polynomial at each returned root is at machine-precision level.
+The roots of c3*x^3 + c2*x^2 + c1*x + c0 (c0 != 0) are the reciprocals of
+the roots of the reversed polynomial c0*w^3 + c1*w^2 + c2*w + c3, taken
+as the eigenvalues of its companion matrix.  Nothing is divided by c3, so
+a small leading coefficient costs no accuracy on the other roots, and
+c3 = 0 gives w = 0, an infinite root.  The eigensolver is backward stable,
+and three Newton steps on the original polynomial then take each finite
+root to a residual at machine-precision level.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_OMEGA = complex(-0.5, np.sqrt(3.0) / 2.0)  # primitive cube root of unity
 
-
-def solve_quadratic(c2: complex, c1: complex, c0: complex) -> tuple[complex, complex]:
-    """Roots of c2*x^2 + c1*x + c0 with c2 != 0, numerically stable form."""
-    if c2 == 0:
-        raise ZeroDivisionError("leading coefficient is zero")
-    disc = np.sqrt(complex(c1 * c1 - 4.0 * c2 * c0))
-    # pick the sign that avoids cancellation in -c1 +/- disc
-    if (np.conj(c1) * disc).real > 0.0:
-        disc = -disc
-    q = -0.5 * (c1 + disc)
-    r1 = q / c2
-    r2 = (c0 / q) if q != 0 else (-c1 / c2 - r1)
-    return complex(r1), complex(r2)
-
-
-def solve_cubic(c3: complex, c2: complex, c1: complex, c0: complex) -> tuple[complex, complex, complex]:
-    """All three roots of c3*x^3 + c2*x^2 + c1*x + c0 = 0, c3 != 0.
-
-    Cardano's method on the depressed cubic t^3 + p t + q, followed by two
-    Newton polishing steps per root.
-    """
-    if c3 == 0:
-        raise ZeroDivisionError("leading coefficient is zero")
-    b = c2 / c3
-    c = c1 / c3
-    d = c0 / c3
-
-    p = c - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-
-    sq = np.sqrt(complex(0.25 * q * q + p**3 / 27.0))
-    u3 = -0.5 * q + sq
-    if abs(u3) < abs(-0.5 * q - sq):
-        u3 = -0.5 * q - sq
-    if u3 == 0:
-        # p == q == 0: triple root at t = 0
-        t_roots = (0j, 0j, 0j)
-    else:
-        u = u3 ** (1.0 / 3.0)
-        roots = []
-        for k in range(3):
-            uk = u * _OMEGA**k
-            roots.append(uk - p / (3.0 * uk))
-        t_roots = tuple(roots)
-
-    out = []
-    for t in t_roots:
-        x = t - b / 3.0
-        for _ in range(2):  # Newton polish on the original polynomial
-            f = ((c3 * x + c2) * x + c1) * x + c0
-            df = (3.0 * c3 * x + 2.0 * c2) * x + c1
-            if df != 0:
-                x -= f / df
-        out.append(complex(x))
-    return tuple(out)
-
-
-def solve_cubic_many(c3: complex, c2: np.ndarray, c1: np.ndarray, c0: complex) -> np.ndarray:
-    """Vectorized Cardano for a family of cubics sharing c3 and c0.
-
-    `c2` and `c1` are arrays of equal shape (the use case is a grid of
-    spectral arguments z entering the coefficients linearly).  Returns an
-    array of shape (3,) + c2.shape.
-    """
-    c2 = np.asarray(c2, dtype=complex)
-    c1 = np.asarray(c1, dtype=complex)
-    if c3 == 0:
-        raise ZeroDivisionError("leading coefficient is zero")
-    b = c2 / c3
-    c = c1 / c3
-    d = c0 / c3
-
-    p = c - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-
-    sq = np.sqrt(0.25 * q * q + p**3 / 27.0)
-    u3a = -0.5 * q + sq
-    u3b = -0.5 * q - sq
-    u3 = np.where(np.abs(u3a) >= np.abs(u3b), u3a, u3b)
-
-    degenerate = u3 == 0
-    u3_safe = np.where(degenerate, 1.0, u3)
-    u = u3_safe ** (1.0 / 3.0)
-
-    roots = np.empty((3,) + b.shape, dtype=complex)
-    for k in range(3):
-        uk = u * _OMEGA**k
-        t = uk - p / (3.0 * uk)
-        roots[k] = np.where(degenerate, 0.0, t) - b / 3.0
-
-    for _ in range(3):  # Newton polish, vectorized
-        f = ((c3 * roots + c2) * roots + c1) * roots + c0
-        df = (3.0 * c3 * roots + 2.0 * c2) * roots + c1
-        step = np.where(df != 0, f / np.where(df == 0, 1.0, df), 0.0)
-        roots = roots - step
-    return roots
-
-
-def solve_quadratic_many(c2: complex, c1: np.ndarray, c0: complex) -> np.ndarray:
-    """Vectorized stable quadratic solve; returns shape (2,) + c1.shape."""
-    c1 = np.asarray(c1, dtype=complex)
-    disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
-    flip = (np.conj(c1) * disc).real > 0.0
-    disc = np.where(flip, -disc, disc)
-    qq = -0.5 * (c1 + disc)
-    r1 = qq / c2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(qq != 0, c0 / np.where(qq == 0, 1.0, qq), -c1 / c2 - r1)
-    return np.stack([r1, r2])
+def solve_cubic_many(c3, c2, c1, c0) -> np.ndarray:
+    """All three roots of c3*x^3 + c2*x^2 + c1*x + c0 = 0 for coefficients
+    that broadcast together, c0 nonzero.  Returns an array of shape
+    (3,) + the broadcast shape; a vanishing c3 gives a root at inf, as
+    does a root too large for the polish to evaluate in double precision."""
+    c3, c2, c1, c0 = np.broadcast_arrays(*(np.asarray(c, dtype=complex) for c in (c3, c2, c1, c0)))
+    companion = np.zeros(c0.shape + (3, 3), dtype=complex)
+    companion[..., 0, :] = -np.stack([c1, c2, c3], axis=-1) / c0[..., None]
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    w = np.moveaxis(np.linalg.eigvals(companion), -1, 0)
+    finite = w != 0
+    roots = 1.0 / np.where(finite, w, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge roots overflow f and df
+        for _ in range(3):  # Newton polish on the original polynomial
+            f = ((c3 * roots + c2) * roots + c1) * roots + c0
+            df = (3.0 * c3 * roots + 2.0 * c2) * roots + c1
+            roots = roots - np.where(df != 0, f / np.where(df == 0, 1.0, df), 0.0)
+    return np.where(finite & np.isfinite(roots), roots, np.inf)

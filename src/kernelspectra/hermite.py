@@ -261,22 +261,14 @@ def project_kernel(
 
 
 def kernel_moments(kernel, rule: GaussHermiteRule | None = None) -> tuple[float, float]:
-    """(a, nu) = (E[xi k(xi)], E[k(xi)^2]) by quadrature.
+    """(a, nu) = (E[xi k(xi)], E[k(xi)^2]) by quadrature: the degree-1
+    projection, with nu its a^2 plus the L2 mass it leaves out.
 
-    Applies the same mean-zero gate as project_kernel: a nonzero constant
-    component would silently shift the limit law.
+    Applies project_kernel's mean-zero gate: a nonzero constant component
+    would silently shift the limit law.
     """
-    if rule is None:
-        rule = build_quadrature(DEFAULT_QUAD_ORDER)
-    if isinstance(kernel, KernelSpec):
-        kernel.check_parity()
-    vals = _eval_on(kernel, rule.nodes)
-    a0 = float(np.dot(rule.weights, vals))
-    if abs(a0) > MEAN_ZERO_TOL:
-        raise MeanNotZeroError(f"kernel has E[k(xi)] = {a0:.3e}; center it first")
-    a = float(np.dot(rule.weights, rule.nodes * vals))
-    nu = float(np.dot(rule.weights, vals * vals))
-    return a, nu
+    e = project_kernel(kernel, 1, rule)
+    return e.a, e.nu + e.residual
 
 
 def hermite_sum_kernel(coeffs: Sequence[float]) -> KernelSpec:

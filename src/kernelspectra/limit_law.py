@@ -9,11 +9,12 @@ Clearing denominators turns this into a cubic in m,
 
     (a*g^2*(nu-a^2)) m^3 + ((z+a)*a*g + g*(nu-a^2)) m^2 + (z + a*g) m + 1 = 0
 
-with g = gamma, which this module solves in closed form.  The law is the
+with g = gamma, whose upper-half-plane root is m(z).  The law is the
 free additive convolution of a centered, a-scaled Marcenko-Pastur law and
 a semicircle law of variance gamma*(nu - a^2); that identity fixes the
-R-transform, the free cumulants, and (through non-crossing partitions)
-every moment, all of which are exposed here.
+R-transform and the free cumulants, and through the moment-cumulant
+relation every moment, all of which are exposed here.  The support edges
+are the real roots of the cubic's discriminant, a quartic in z.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .cubic import solve_cubic, solve_cubic_many, solve_quadratic, solve_quadratic_many
+from .cubic import solve_cubic_many
 from .errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 
-MAX_MOMENT_ORDER = 14  # Catalan growth cap for partition enumeration
+MAX_MOMENT_ORDER = 100
+MAX_PARTITION_ORDER = 14  # Catalan growth cap for partition enumeration
 _MP_DEGENERACY_RTOL = 1e-12
 
 
@@ -130,74 +132,13 @@ def _cubic_coefficients(z, p: LimitLawParams):
     return c3, c2, c1, 1.0
 
 
-def _negligible_leading(c3: float, c2) -> bool:
-    """A cubic coefficient far below the quadratic's scale makes Cardano
-    cancel catastrophically on the two physical roots; the third root then
-    sits near -c2/c3 in the lower half-plane and can be dropped.  Solve the
-    quadratic instead and Newton-polish against the full cubic."""
-    scale = float(np.max(np.abs(c2)))
-    return abs(c3) <= 1e-10 * max(scale, 1e-300)
-
-
-def _polish(roots, c3, c2, c1, c0, iters: int = 3):
-    for _ in range(iters):
-        f = ((c3 * roots + c2) * roots + c1) * roots + c0
-        df = (3.0 * c3 * roots + 2.0 * c2) * roots + c1
-        step = np.where(df != 0, f / np.where(df == 0, 1.0, df), 0.0)
-        roots = roots - step
-    return roots
-
-
-def _roots_at(z: complex, p: LimitLawParams) -> list[complex]:
-    c3, c2, c1, c0 = _cubic_coefficients(z, p)
-    if c3 != 0.0 and not _negligible_leading(c3, c2):
-        return list(solve_cubic(c3, c2, c1, c0))
-    if c2 != 0.0:
-        roots = np.asarray(solve_quadratic(c2, c1, c0))
-        roots = _polish(roots, c3, c2, c1, c0)
-        return [complex(r) for r in roots]
-    return [complex(-c0 / c1)]
-
-
-def _poly_residual(m: complex, z: complex, p: LimitLawParams) -> float:
-    c3, c2, c1, c0 = _cubic_coefficients(z, p)
-    return float(abs(((c3 * m + c2) * m + c1) * m + c0))
-
-
 def stieltjes(z: complex, p: LimitLawParams) -> StieltjesSolution:
-    """Stieltjes transform m(z) for a single z in the upper half-plane.
-
-    All roots of the defining polynomial are computed in closed form and
-    the unique root with Im m > 0 is selected.  If roundoff leaves more
-    than one candidate near the real axis, the root is disambiguated by
-    continuity along a vertical homotopy from high above the real axis,
-    where m ~ -1/z identifies the physical branch.
-    """
+    """Stieltjes transform m(z) for a single z in the upper half-plane,
+    with the residual of the defining cubic at m."""
     z = complex(z)
-    if not z.imag > 0:
-        raise DomainError(f"stieltjes requires Im z > 0, got z = {z}")
-    roots = _roots_at(z, p)
-    upper = [r for r in roots if r.imag > 0]
-    if len(upper) == 1:
-        m = upper[0]
-    elif len(upper) == 0:
-        raise ConsistencyError(f"no upper-half-plane root at z = {z}; roots = {roots}")
-    else:
-        m = _homotopy_root(z, p)
-    return StieltjesSolution(z=z, m=m, residual=_poly_residual(m, z, p))
-
-
-def _homotopy_root(z: complex, p: LimitLawParams) -> complex:
-    top = max(10.0, 4.0 * math.sqrt(p.gamma * p.nu), 2.0 * abs(z))
-    heights = np.geomspace(top, z.imag, 60)
-    zt = complex(z.real, heights[0])
-    m = min(_roots_at(zt, p), key=lambda r: abs(r - (-1.0 / zt)))
-    for h in heights[1:]:
-        zt = complex(z.real, h)
-        m = min(_roots_at(zt, p), key=lambda r: abs(r - m))
-    if not m.imag > 0:
-        raise ConsistencyError(f"homotopy terminated off the upper half-plane at z = {z}")
-    return m
+    m = complex(stieltjes_grid(np.array([z]), p)[0])
+    c3, c2, c1, c0 = _cubic_coefficients(z, p)
+    return StieltjesSolution(z=z, m=m, residual=float(abs(((c3 * m + c2) * m + c1) * m + c0)))
 
 
 def stieltjes_grid(zs: np.ndarray, p: LimitLawParams) -> np.ndarray:
@@ -205,16 +146,12 @@ def stieltjes_grid(zs: np.ndarray, p: LimitLawParams) -> np.ndarray:
 
     Selects, per point, the root with the largest imaginary part; the two
     spurious branches of the cubic lie in the closed lower half-plane up
-    to roundoff, so this matches the scalar path.
+    to roundoff.
     """
     zs = np.asarray(zs, dtype=complex)
     if not np.all(zs.imag > 0):
         raise DomainError("stieltjes_grid requires Im z > 0 everywhere")
-    c3, c2, c1, c0 = _cubic_coefficients(zs, p)
-    if c3 != 0.0 and not _negligible_leading(c3, c2):
-        roots = solve_cubic_many(c3, c2, c1, c0)
-    else:
-        roots = _polish(solve_quadratic_many(c2, c1, c0), c3, c2, c1, c0)
+    roots = solve_cubic_many(*_cubic_coefficients(zs, p))
     pick = np.argmax(roots.imag, axis=0)
     m = np.take_along_axis(roots, pick[None, ...], axis=0)[0]
     if not np.all(m.imag > 0):
@@ -262,22 +199,25 @@ def _support_discriminant(x: np.ndarray, p: LimitLawParams) -> np.ndarray:
     return c1 * c1 - 4.0 * c2 * c0
 
 
-def _bisect_edge(p: LimitLawParams, lo: float, hi: float, xtol: float = 1e-12) -> float:
-    flo = float(_support_discriminant(np.asarray([lo]), p)[0])
-    for _ in range(200):
-        if hi - lo <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = float(_support_discriminant(np.asarray([mid]), p)[0])
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _discriminant_polynomial(p: LimitLawParams) -> np.ndarray:
+    """_support_discriminant as a polynomial in x, highest power first: c2
+    and c1 are linear in x and c3, c0 constant, so it has degree <= 4."""
+    b, c = p.a * p.gamma, p.semicircle_variance
+    c3 = b * c
+    c2 = np.array([b, p.a * b + c])
+    c1 = np.array([1.0, b])
+    if c3 == 0.0:
+        return np.polyadd(np.polymul(c1, c1), -4.0 * c2)
+    c22, c11 = np.polymul(c2, c2), np.polymul(c1, c1)
+    disc = np.polyadd(18.0 * c3 * np.polymul(c2, c1), -4.0 * np.polymul(c22, c2))
+    disc = np.polyadd(disc, np.polymul(c22, c11))
+    disc = np.polyadd(disc, -4.0 * c3 * np.polymul(c11, c1))
+    return np.polyadd(disc, [-27.0 * c3 * c3])
 
 
-def support(p: LimitLawParams, scan_points: int = 2000) -> SupportIntervals:
-    """Support intervals, edges refined to ~1e-10.
+def support(p: LimitLawParams) -> SupportIntervals:
+    """Support intervals: the edges are the real roots of the discriminant
+    at which it changes sign, Newton-polished on its direct form.
 
     The degenerate case nu == a^2 (pure rescaled Marcenko-Pastur) is
     returned in closed form; for gamma > 1 it carries a point mass of
@@ -296,29 +236,31 @@ def support(p: LimitLawParams, scan_points: int = 2000) -> SupportIntervals:
             )
         return SupportIntervals(intervals=(cont,))
 
+    # The support lies within the Minkowski sum of the Marcenko-Pastur part
+    # (atom included) and the semicircle; roots past this bound are spurious
+    # (a small a puts two of them near (nu - a^2) / a).
     g = p.gamma
-    window = abs(p.a) * (g + 2.0 * math.sqrt(g) + 1.0) + 2.0 * math.sqrt(p.semicircle_variance) + 1.0
-    for _ in range(8):
-        xs = np.linspace(-window, window, scan_points + 1)
-        disc = _support_discriminant(xs, p)
-        if disc[0] < 0 or disc[-1] < 0:
-            window *= 2.0
-            continue
-        neg = disc < 0
-        if not np.any(neg):
-            window *= 2.0  # support thinner than the scan can see; widen & retry
-            continue
-        edges = []
-        for i in range(scan_points):
-            if neg[i] != neg[i + 1]:
-                edges.append(_bisect_edge(p, xs[i], xs[i + 1]))
-        if len(edges) % 2 != 0:
-            raise ConsistencyError(f"odd number of support edges found: {edges}")
-        intervals = tuple((edges[i], edges[i + 1]) for i in range(0, len(edges), 2))
-        if not 1 <= len(intervals) <= 2:
-            raise ConsistencyError(f"expected 1 or 2 support intervals, found {intervals}")
-        return SupportIntervals(intervals=intervals)
-    raise ConsistencyError(f"support scan failed to bracket the spectrum for {p}")
+    bound = abs(p.a) * (g + 2.0 * math.sqrt(g) + 1.0) + 2.0 * math.sqrt(p.semicircle_variance) + 1.0
+    quartic = _discriminant_polynomial(p)
+    # Leading terms below roundoff on the window only push np.roots off scale.
+    size = np.abs(quartic) * bound ** np.arange(len(quartic) - 1, -1, -1)
+    quartic = quartic[np.argmax(size > np.finfo(float).eps * size.max()):]
+    slope = np.polyder(quartic)
+    roots = np.roots(quartic)
+    xs = roots.real[(np.abs(roots.imag) <= 1e-6 * bound) & (np.abs(roots.real) < bound)]
+    for _ in range(6):
+        d = np.polyval(slope, xs)
+        xs = xs - np.where(d != 0, _support_discriminant(xs, p) / np.where(d == 0, 1.0, d), 0.0)
+    # Roots closer than roundoff are one root; the discriminant's sign
+    # between neighbouring roots and past the outer ones picks the edges.
+    xs = np.sort(xs[np.abs(xs) < bound])
+    xs = xs[np.diff(xs, prepend=-np.inf) > 1e-13 * bound]
+    probes = np.concatenate(([-bound], 0.5 * (xs[1:] + xs[:-1]), [bound]))
+    inside = _support_discriminant(probes, p) < 0
+    edges = xs[inside[1:] != inside[:-1]]
+    if inside[0] or inside[-1] or not 2 <= len(edges) <= 4:
+        raise ConsistencyError(f"expected 1 or 2 support intervals for {p}, found edges {edges}")
+    return SupportIntervals(intervals=tuple(zip(edges[::2].tolist(), edges[1::2].tolist())))
 
 
 def r_transform(z: complex, p: LimitLawParams) -> complex:
@@ -376,15 +318,11 @@ def _nc_partitions(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ..
                 yield tuple(sorted((block,) + sub, key=lambda b: b[0]))
 
 
-def iter_nc_partitions(l: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not 1 <= l <= MAX_MOMENT_ORDER:
-        raise SizeCapError(f"l must be in [1, {MAX_MOMENT_ORDER}], got {l}")
-    return _nc_partitions(tuple(range(1, l + 1)))
-
-
 def enumerate_nc_partitions(l: int) -> list[tuple[tuple[int, ...], ...]]:
     """All non-crossing partitions of {1..l}; the count is Catalan(l)."""
-    return list(iter_nc_partitions(l))
+    if not 1 <= l <= MAX_PARTITION_ORDER:
+        raise SizeCapError(f"l must be in [1, {MAX_PARTITION_ORDER}], got {l}")
+    return list(_nc_partitions(tuple(range(1, l + 1))))
 
 
 def catalan(l: int) -> int:
@@ -392,29 +330,30 @@ def catalan(l: int) -> int:
 
 
 def moment(p: LimitLawParams, l: int) -> float:
-    """The l-th moment as the cumulant sum over non-crossing partitions.
+    """The l-th moment from the moment-cumulant relation
+    M(t) = 1 + sum_s kappa_s t^s M(t)^s of the moment series M, i.e.
 
-    Partitions with a singleton block drop out (kappa_1 = 0).  Terms are
-    combined with Kahan compensation; Catalan(14) ~ 2.7e6 of them at the
-    size cap.
+        m_n = sum_{s=1..n} kappa_s [t^(n-s)] M(t)^s,   m_0 = 1,
+
+    which sums the free cumulants over the non-crossing partitions of
+    {1..n} without listing them.
     """
     if not 1 <= l <= MAX_MOMENT_ORDER:
         raise SizeCapError(f"l must be in [1, {MAX_MOMENT_ORDER}], got {l}")
     kap = free_cumulants(p, l).kappas
-    total = 0.0
-    comp = 0.0
-    for part in iter_nc_partitions(l):
-        term = 1.0
-        for block in part:
-            if len(block) == 1:
-                term = 0.0
-                break
-            term *= kap[len(block) - 1]
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    m = np.zeros(l + 1)
+    m[0] = 1.0
+    powers = np.zeros((l + 1, l + 1))  # powers[s, k] = [t^k] M(t)^s
+    powers[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, l + 1):
+            s = np.arange(1, n + 1)
+            m[n] = np.dot(kap[:n], powers[s, n - s])
+            # [t^n] M^s = [t^n] M^(s-1) + sum_{j<n} [t^j] M^(s-1) m_(n-j)
+            powers[1:, n] = np.cumsum(powers[:-1, :n] @ m[n:0:-1])
+    if not math.isfinite(m[l]):
+        raise DomainError(f"moment {l} of {p} overflows double precision")
+    return float(m[l])
 
 
 def check_sign_property(p: LimitLawParams, tol: float = 1e-9) -> bool:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import kernelspectra
 from kernelspectra.cli import main, parse_kernel
 from kernelspectra.errors import ConfigError
-from kernelspectra.limit_law import LimitLawParams, moment
+from kernelspectra.limit_law import MAX_MOMENT_ORDER, LimitLawParams, moment
 
 
 @pytest.fixture(autouse=True)
@@ -99,6 +99,22 @@ def test_limit_law_command(tmp_path):
     for row in (tmp_path / "limit_law_moments.csv").read_text().splitlines()[1:]:
         l_str, m_str = row.split(",")
         assert float(m_str) == pytest.approx(moment(params, int(l_str)), abs=1e-12)
+
+
+@pytest.mark.parametrize("lmax, code", [(MAX_MOMENT_ORDER + 1, 3), (0, 2), (-3, 2)])
+def test_limit_law_bad_moments_lmax_writes_nothing(tmp_path, capsys, lmax, code):
+    cfg = write_cfg(tmp_path, "l.cfg", a=1, nu=2, gamma=0.5, moments_lmax=lmax)
+    assert main(["limit-law", cfg]) == code
+    assert "moments_lmax" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
+def test_limit_law_moments_to_the_cap(tmp_path):
+    cfg = write_cfg(tmp_path, "l.cfg", a=1, nu=2, gamma=0.5, moments_lmax=MAX_MOMENT_ORDER)
+    assert main(["limit-law", cfg]) == 0
+    rows = (tmp_path / "limit_law_moments.csv").read_text().splitlines()[1:]
+    assert len(rows) == MAX_MOMENT_ORDER
+    assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
 
 
 def test_limit_law_rejects_gamma_zero(tmp_path, capsys):

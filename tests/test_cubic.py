@@ -1,11 +1,13 @@
-import numpy as np
+import itertools
 
-from kernelspectra.cubic import (
-    solve_cubic,
-    solve_cubic_many,
-    solve_quadratic,
-    solve_quadratic_many,
-)
+import numpy as np
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+
+from kernelspectra.cubic import solve_cubic_many
+
+coefficient = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+nonzero = coefficient.filter(lambda c: abs(c) >= 0.25)
 
 
 def poly_val(coeffs, x):
@@ -15,44 +17,61 @@ def poly_val(coeffs, x):
     return out
 
 
-def test_quadratic_roots_random():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        for r in solve_quadratic(*c):
-            assert abs(poly_val(c, r)) < 1e-10 * max(1.0, *np.abs(c))
+def assert_matches_oracle(roots, coeffs):
+    """Each root has a tiny residual, and the roots match np.roots (the
+    companion-matrix oracle) where the roots are well separated."""
+    scale = max(1.0, *np.abs(coeffs))
+    for r in roots:
+        assert abs(poly_val(coeffs, r)) < 1e-9 * scale * max(1.0, abs(r)) ** 3
+    ref = np.roots(coeffs)
+    gap = min(abs(x - y) for x, y in itertools.combinations(ref, 2)) if len(ref) > 1 else 1.0
+    assume(gap > 1e-3 * max(1.0, *np.abs(ref)))
+    for x in ref:
+        assert np.min(np.abs(np.asarray(roots) - x)) < 1e-8 * max(1.0, abs(x))
 
 
-def test_cubic_roots_random():
-    rng = np.random.default_rng(1)
-    for _ in range(300):
-        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        roots = solve_cubic(*c)
-        assert len(roots) == 3
-        for r in roots:
-            assert abs(poly_val(c, r)) < 1e-9 * max(1.0, *np.abs(c))
-        # compare against the companion-matrix solver as an oracle
-        ref = np.sort_complex(np.roots(c))
-        assert np.allclose(np.sort_complex(np.array(roots)), ref, atol=1e-7)
+@given(nonzero, coefficient, nonzero)
+@example(0.25, 1e-300, 0.25)  # the polish steps overflow at the w = 0 placeholder
+def test_quadratic_roots_random(c2, c1, c0):
+    # a vanishing leading coefficient leaves the quadratic's roots and inf
+    roots = solve_cubic_many(0.0, c2, c1, c0)
+    assert np.sum(np.isinf(roots)) == 1
+    assert_matches_oracle(roots[np.isfinite(roots)], [c2, c1, c0])
+
+
+@given(nonzero, coefficient, coefficient, nonzero)
+def test_cubic_roots_random(c3, c2, c1, c0):
+    roots = solve_cubic_many(c3, c2, c1, c0)
+    assert roots.shape == (3,)
+    assert_matches_oracle(roots, [c3, c2, c1, c0])
 
 
 def test_cubic_repeated_roots():
     # (x - 1)^3 = x^3 - 3x^2 + 3x - 1
-    roots = np.array(solve_cubic(1.0, -3.0, 3.0, -1.0))
+    roots = solve_cubic_many(1.0, -3.0, 3.0, -1.0)
     assert np.allclose(roots, 1.0, atol=1e-5)
 
 
+def test_small_leading_coefficient_keeps_the_other_roots():
+    # x^2 - 3x + 2 plus a 1e-9 cubic term: roots near 1 and 2 stay exact
+    # to roundoff, and the third sits near -1e9
+    c3 = 1e-9
+    roots = np.sort_complex(solve_cubic_many(c3, 1.0, -3.0, 2.0))
+    for r in roots:
+        assert abs(poly_val([c3, 1.0, -3.0, 2.0], r)) < 1e-12 * max(1.0, c3 * abs(r) ** 3)
+    assert abs(roots[0] + 1e9) < 10.0
+    assert np.allclose(roots[1:], [1.0, 2.0], rtol=1e-14)
+
+
 def test_vectorized_matches_scalar():
+    # each column of a batched solve matches the oracle on that cubic alone
     rng = np.random.default_rng(2)
     c3 = 0.7 - 0.2j
     c0 = 1.0 + 0.0j
     c2 = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     c1 = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     many = solve_cubic_many(c3, c2, c1, c0)
+    assert many.shape == (3, 50)
     for i in range(50):
-        ref = np.sort_complex(np.array(solve_cubic(c3, c2[i], c1[i], c0)))
+        ref = np.sort_complex(np.roots([c3, c2[i], c1[i], c0]))
         assert np.allclose(np.sort_complex(many[:, i]), ref, atol=1e-8)
-    many_q = solve_quadratic_many(c2[0], c1, c0)
-    for i in range(50):
-        ref = np.sort_complex(np.array(solve_quadratic(c2[0], c1[i], c0)))
-        assert np.allclose(np.sort_complex(many_q[:, i]), ref, atol=1e-8)

@@ -1,12 +1,18 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kernelspectra.errors import ConfigError, DomainError, SizeCapError
 from kernelspectra.limit_law import (
+    MAX_MOMENT_ORDER,
     LimitLawParams,
+    _cubic_coefficients,
+    _support_discriminant,
     catalan,
     check_sign_property,
     density,
@@ -20,6 +26,16 @@ from kernelspectra.limit_law import (
 )
 
 SEMICIRCLE = LimitLawParams(a=0.0, nu=1.0, gamma=1.0)
+
+
+@st.composite
+def laws(draw):
+    """Laws off the Marcenko-Pastur degeneracy: nu - a^2 spans seven decades,
+    so near-atomic splits and narrow gaps are drawn as well as broad laws."""
+    a = draw(st.floats(-2.0, 2.0))
+    excess = 10.0 ** draw(st.floats(-6.0, 1.0))
+    gamma = 10.0 ** draw(st.floats(-1.5, 1.2))
+    return LimitLawParams(a, a * a + excess, gamma)
 
 
 def test_stieltjes_decays_like_minus_one_over_z():
@@ -41,25 +57,22 @@ def test_stieltjes_rejects_lower_half_plane():
         stieltjes(1.0, SEMICIRCLE)
 
 
-def test_herglotz_property_randomized():
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        a = rng.uniform(-2, 2)
-        nu = a * a + rng.uniform(1e-3, 4.0)
-        gamma = rng.uniform(0.05, 10.0)
-        p = LimitLawParams(a, nu, gamma)
-        z = complex(rng.uniform(-10, 10), 10 ** rng.uniform(-6, 1))
-        sol = stieltjes(z, p)
-        assert sol.m.imag > 0
-        assert sol.residual < 1e-10
+@given(laws(), st.floats(-10.0, 10.0), st.floats(-6.0, 1.0))
+def test_herglotz_property_randomized(p, x, log_eta):
+    sol = stieltjes(complex(x, 10.0**log_eta), p)
+    assert sol.m.imag > 0
+    assert sol.residual < 1e-10
 
 
 def test_grid_matches_scalar_path():
+    # oracle: the companion-matrix roots of the same cubic, upper root taken
     p = LimitLawParams(0.8, 1.5, 2.0)
     zs = np.linspace(-6, 6, 101) + 1e-5j
     grid = stieltjes_grid(zs, p)
     for i in (0, 17, 50, 83, 100):
-        assert grid[i] == pytest.approx(stieltjes(zs[i], p).m, abs=1e-10)
+        roots = np.roots(_cubic_coefficients(zs[i], p))
+        assert grid[i] == pytest.approx(roots[np.argmax(roots.imag)], abs=1e-10)
+        assert stieltjes(zs[i], p).m == grid[i]
 
 
 def test_density_semicircle_center():
@@ -139,6 +152,45 @@ def test_support_two_intervals_near_degeneracy():
     sup = support(LimitLawParams(1.0, 1.02, 4.0))
     assert len(sup.intervals) == 2
     assert sup.intervals[0][0] < -1.0 < sup.intervals[0][1] < sup.intervals[1][0]
+
+
+def test_support_splits_off_a_narrow_interval():
+    # half of the mass sits in [-1.002, -0.998]; a 2000-point scan missed it
+    sup = support(LimitLawParams(1.0, 1.0 + 1e-6, 2.0))
+    assert len(sup.intervals) == 2
+    assert sup.min_edge == pytest.approx(-1.002, abs=1e-5)
+    assert sup.intervals[0][1] == pytest.approx(-0.998, abs=1e-5)
+
+
+def test_support_finds_a_narrow_gap():
+    sup = support(LimitLawParams(-0.5402433251001955, 0.31572191471686284, 3.0352727974143043))
+    assert len(sup.intervals) == 2
+    assert 0.1310 < sup.intervals[0][1] < sup.intervals[1][0] < 0.1339
+
+
+@given(laws())
+def test_support_edges_are_discriminant_sign_changes(p):
+    sup = support(p)
+    edges = [x for iv in sup.intervals for x in iv]
+    widths = np.diff(edges)
+    assert np.all(widths > 0)
+    # every edge is a sign change, probed well inside its neighbouring pieces
+    delta = 1e-3 * float(np.min(widths))
+    minus = _support_discriminant(np.array(edges) - delta, p)
+    plus = _support_discriminant(np.array(edges) + delta, p)
+    assert np.all(np.sign(minus) == -np.sign(plus)) and np.all(minus != 0)
+
+    # With eps = 1e-6 d^2, the smoothed density at distance d from all mass
+    # is at most eps / (pi d^2) = 1e-6 / pi; mid-interval it is far above.
+    def smoothed_at_midpoint(lo, hi):
+        d = 0.5 * (hi - lo)
+        return density(p, np.array([lo + d]), epsilon=1e-6 * d * d).density[0]
+
+    gaps = [(hi, lo) for (_, hi), (lo, _) in zip(sup.intervals, sup.intervals[1:])]
+    span = edges[-1] - edges[0]
+    outside = gaps + [(edges[0] - span, edges[0]), (edges[-1], edges[-1] + span)]
+    assert all(smoothed_at_midpoint(lo, hi) <= 1.000001e-6 / math.pi for lo, hi in outside)
+    assert all(smoothed_at_midpoint(lo, hi) > 1e-3 / math.pi for lo, hi in sup.intervals)
 
 
 def test_support_reflection():
@@ -265,7 +317,44 @@ def test_nc_partitions_cap():
     with pytest.raises(SizeCapError):
         enumerate_nc_partitions(15)
     with pytest.raises(SizeCapError):
-        moment(SEMICIRCLE, 15)
+        moment(SEMICIRCLE, MAX_MOMENT_ORDER + 1)
+    with pytest.raises(SizeCapError):
+        moment(SEMICIRCLE, 0)
+
+
+@functools.cache
+def _block_sizes(l):
+    return [[len(b) for b in part] for part in enumerate_nc_partitions(l)]
+
+
+def _partition_sum(p, l):
+    """Kahan-summed free-cumulant products over the non-crossing partitions."""
+    kap = free_cumulants(p, l).kappas
+    total = comp = 0.0
+    for sizes in _block_sizes(l):
+        y = math.prod(kap[s - 1] for s in sizes) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+@given(laws(), st.integers(1, 10))
+def test_moment_matches_partition_sum(p, l):
+    # 1e-290 absorbs the roundoff of cumulants that a tiny |a| makes subnormal
+    expected = _partition_sum(p, l)
+    assert abs(moment(p, l) - expected) <= 1e-13 * abs(expected) + 1e-290
+
+
+def test_semicircle_moments_are_catalan_to_the_cap():
+    for k in range(1, MAX_MOMENT_ORDER // 2 + 1):
+        assert moment(SEMICIRCLE, 2 * k) == pytest.approx(catalan(k), rel=1e-13)
+        assert moment(SEMICIRCLE, 2 * k - 1) == 0.0
+
+
+def test_moment_overflow_is_a_domain_error():
+    with pytest.raises(DomainError):
+        moment(LimitLawParams(1e3, 1e7, 1e3), MAX_MOMENT_ORDER)
 
 
 def test_moment_closed_forms():
