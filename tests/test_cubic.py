@@ -1,13 +1,6 @@
-import itertools
-
 import numpy as np
-from hypothesis import assume, example, given
-from hypothesis import strategies as st
 
 from kernelspectra.cubic import solve_cubic_many
-
-coefficient = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
-nonzero = coefficient.filter(lambda c: abs(c) >= 0.25)
 
 
 def poly_val(coeffs, x):
@@ -17,33 +10,39 @@ def poly_val(coeffs, x):
     return out
 
 
-def assert_matches_oracle(roots, coeffs):
-    """Each root has a tiny residual, and the roots match np.roots (the
-    companion-matrix oracle) where the roots are well separated."""
-    scale = max(1.0, *np.abs(coeffs))
-    for r in roots:
-        assert abs(poly_val(coeffs, r)) < 1e-9 * scale * max(1.0, abs(r)) ** 3
-    ref = np.roots(coeffs)
-    gap = min(abs(x - y) for x, y in itertools.combinations(ref, 2)) if len(ref) > 1 else 1.0
-    assume(gap > 1e-3 * max(1.0, *np.abs(ref)))
-    for x in ref:
-        assert np.min(np.abs(np.asarray(roots) - x)) < 1e-8 * max(1.0, abs(x))
+def test_quadratic_roots_random():
+    # a vanishing leading coefficient leaves the quadratic's two roots and inf
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        roots = solve_cubic_many(0.0, *c)
+        assert np.sum(np.isinf(roots)) == 1
+        finite = roots[np.isfinite(roots)]
+        for r in finite:
+            assert abs(poly_val(c, r)) < 1e-10 * max(1.0, *np.abs(c))
+        # compare against the companion-matrix solver as an oracle
+        ref = np.sort_complex(np.roots(c))
+        assert np.allclose(np.sort_complex(finite), ref, atol=1e-7)
 
 
-@given(nonzero, coefficient, nonzero)
-@example(0.25, 1e-300, 0.25)  # the polish steps overflow at the w = 0 placeholder
-def test_quadratic_roots_random(c2, c1, c0):
-    # a vanishing leading coefficient leaves the quadratic's roots and inf
-    roots = solve_cubic_many(0.0, c2, c1, c0)
+def test_quadratic_polish_overflow_gives_inf_not_nan():
+    # the Newton polish at the placeholder of the infinite root overflows
+    roots = solve_cubic_many(0.0, 0.25, 1e-300, 0.25)
     assert np.sum(np.isinf(roots)) == 1
-    assert_matches_oracle(roots[np.isfinite(roots)], [c2, c1, c0])
+    assert np.allclose(np.sort_complex(roots[np.isfinite(roots)]), [-1j, 1j], atol=1e-15)
 
 
-@given(nonzero, coefficient, coefficient, nonzero)
-def test_cubic_roots_random(c3, c2, c1, c0):
-    roots = solve_cubic_many(c3, c2, c1, c0)
-    assert roots.shape == (3,)
-    assert_matches_oracle(roots, [c3, c2, c1, c0])
+def test_cubic_roots_random():
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        roots = solve_cubic_many(*c)
+        assert roots.shape == (3,)
+        for r in roots:
+            assert abs(poly_val(c, r)) < 1e-9 * max(1.0, *np.abs(c))
+        # compare against the companion-matrix solver as an oracle
+        ref = np.sort_complex(np.roots(c))
+        assert np.allclose(np.sort_complex(roots), ref, atol=1e-7)
 
 
 def test_cubic_repeated_roots():
@@ -75,3 +74,8 @@ def test_vectorized_matches_scalar():
     for i in range(50):
         ref = np.sort_complex(np.roots([c3, c2[i], c1[i], c0]))
         assert np.allclose(np.sort_complex(many[:, i]), ref, atol=1e-8)
+    many_q = solve_cubic_many(0.0, c2[0], c1, c0)
+    for i in range(50):
+        finite = many_q[:, i][np.isfinite(many_q[:, i])]
+        ref = np.sort_complex(np.roots([c2[0], c1[i], c0]))
+        assert np.allclose(np.sort_complex(finite), ref, atol=1e-8)

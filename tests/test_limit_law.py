@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelspectra.errors import ConfigError, DomainError, SizeCapError
@@ -57,6 +57,7 @@ def test_stieltjes_rejects_lower_half_plane():
         stieltjes(1.0, SEMICIRCLE)
 
 
+@settings(max_examples=1000)
 @given(laws(), st.floats(-10.0, 10.0), st.floats(-6.0, 1.0))
 def test_herglotz_property_randomized(p, x, log_eta):
     sol = stieltjes(complex(x, 10.0**log_eta), p)
