@@ -48,6 +48,7 @@ from .limit_law import (
 from .simulate import (
     DataMatrixConfig,
     DeformedModelSample,
+    EntryLaw,
     HermiteSumDecomposition,
     KernelMatrixSample,
     SpectrumSummary,

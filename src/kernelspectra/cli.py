@@ -30,7 +30,7 @@ from .lgraphs import (
     verify_lemmas,
 )
 from .limit_law import MAX_MOMENT_ORDER, LimitLawParams, density, moment, support
-from .rng import derive_rng
+from .rng import STREAM_SCALING, derive_rng
 from .simulate import (
     DataMatrixConfig,
     build_kernel_matrix,
@@ -426,7 +426,7 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
     l_max = cfg.get_int("l_max", 4)
     d_max = cfg.get_int("d_max", 3)
     scaling_ns = [int(x) for x in cfg.get_floats("scaling_ns", [100.0, 400.0, 1600.0])]
-    scaling_trials = cfg.get_int("scaling_trials", 100)
+    scaling_trials = cfg.get_int("scaling_trials", 200)
     trace_trials = cfg.get_int("trace_trials", 20000)
     seed = cfg.get_int("seed", 0)
     out = cfg.get_str("out", "verify_report.json")
@@ -437,6 +437,8 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
         raise ConfigError(f"scaling_trials must be >= 1, got {scaling_trials}")
     if len(set(scaling_ns)) < 2:
         raise ConfigError(f"scaling_ns needs at least two distinct values, got {scaling_ns}")
+    if trace_trials < 2:
+        raise ConfigError(f"trace_trials must be >= 2 for a standard error, got {trace_trials}")
 
     ok = True
     report: dict[str, object] = {}
@@ -479,7 +481,7 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
     for d in (2, 3, 4):
         med_s = []
         for ni, nn in enumerate(scaling_ns):
-            gen = derive_rng(seed, 0x51, d, ni)
+            gen = derive_rng(seed, STREAM_SCALING, d, ni)
             svals = []
             for _ in range(scaling_trials):
                 dec = decompose_hermite_sum(gen.standard_normal(nn), d)

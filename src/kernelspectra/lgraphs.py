@@ -27,6 +27,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError, ConsistencyError, SizeCapError
+from .simulate import EntryLaw, elementary_symmetric
 
 MAX_CYCLE_LEN = 6  # enumeration is exhaustive; growth beyond this is untested
 DEFAULT_STATE_CAP = 10**7
@@ -40,6 +41,21 @@ TRACE_D_CAP = 3
 def _as_excess(value: Fraction):
     """Excesses are half-integers; return int when integral."""
     return int(value) if value.denominator == 1 else value
+
+
+def _canonical_key(p_labels, n_label_sets):
+    """Complete invariant of a labeling's equivalence class under
+    independent relabelings of p-labels and n-labels, given the set of
+    n-labels at each n-vertex (order within a set quotiented out): the
+    cycle length, the first-appearance-renamed p-sequence, and the sorted
+    multiset of per-label occurrence lists."""
+    rename: dict[int, int] = {}
+    p_key = tuple(rename.setdefault(i, len(rename) + 1) for i in p_labels)
+    occ: dict[int, list[int]] = {}
+    for s, labels in enumerate(n_label_sets):
+        for j in labels:
+            occ.setdefault(j, []).append(s)
+    return (len(p_labels), p_key, tuple(sorted(tuple(v) for v in occ.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -148,22 +164,7 @@ class MultiLabeling:
         return not self.validate()
 
     def canonical_key(self):
-        """Complete invariant of the equivalence class under independent
-        relabelings of p-labels and n-labels (tuple order quotiented out):
-        the first-appearance-renamed p-sequence plus the multiset of
-        per-label occurrence sets."""
-        rename: dict[int, int] = {}
-        p_key = []
-        for i in self.p_labels:
-            if i not in rename:
-                rename[i] = len(rename) + 1
-            p_key.append(rename[i])
-        occ: dict[int, list[int]] = {}
-        for s, t in enumerate(self.n_tuples):
-            for j in t:
-                occ.setdefault(j, []).append(s)
-        n_key = tuple(sorted(tuple(v) for v in occ.values()))
-        return (self.l, tuple(p_key), n_key)
+        return _canonical_key(self.p_labels, self.n_tuples)
 
     def canonical(self) -> "MultiLabeling":
         """The canonical representative: labels renumbered 1.. in a
@@ -251,18 +252,7 @@ class SimpleLabeling:
         return not self.validate()
 
     def canonical_key(self):
-        rename: dict[int, int] = {}
-        p_key = []
-        for i in self.p_labels:
-            if i not in rename:
-                rename[i] = len(rename) + 1
-            p_key.append(rename[i])
-        occ: dict[int, list[int]] = {}
-        for s, j in enumerate(self.n_labels):
-            if j is not None:
-                occ.setdefault(j, []).append(s)
-        n_key = tuple(sorted(tuple(v) for v in occ.values()))
-        return (self.l, tuple(p_key), n_key)
+        return _canonical_key(self.p_labels, [() if j is None else (j,) for j in self.n_labels])
 
     def canonical(self) -> "SimpleLabeling":
         l, p_key, n_key = self.canonical_key()
@@ -593,27 +583,6 @@ def label_simplifying_map(ml: MultiLabeling) -> SimpleLabeling:
 # exact trace moments (oracle)
 
 
-def _entry_moment_fn(entry_law):
-    if entry_law == "standard_gaussian":
-
-        def mom(k: int) -> float:
-            if k % 2 == 1:
-                return 0.0
-            out = 1.0
-            for t in range(k - 1, 0, -2):
-                out *= t
-            return out
-
-        return mom
-    if entry_law == "symmetric_rademacher":
-        return lambda k: 0.0 if k % 2 == 1 else 1.0
-    if isinstance(entry_law, tuple) and entry_law[0] == "symmetric_discrete":
-        values = np.asarray(entry_law[1], dtype=float)
-        probs = np.asarray(entry_law[2], dtype=float)
-        return lambda k: float(np.dot(probs, values**k))
-    raise ConfigError(f"unknown entry law {entry_law!r}")
-
-
 def exact_trace_moment(l: int, n: int, p: int, coeffs, entry_law="standard_gaussian") -> float:
     """E[Tr Q(X)^l] for the dominant (distinct-index) matrix Q of the
     kernel sum_d coeffs[d-1] h_d, evaluated exactly.
@@ -631,7 +600,7 @@ def exact_trace_moment(l: int, n: int, p: int, coeffs, entry_law="standard_gauss
         raise SizeCapError(f"(n, p) must be within ({TRACE_N_CAP}, {TRACE_P_CAP}), got {(n, p)}")
     if not 1 <= D <= TRACE_D_CAP:
         raise SizeCapError(f"need 1 <= len(coeffs) <= {TRACE_D_CAP}, got {D}")
-    mom = _entry_moment_fn(entry_law)
+    mom = EntryLaw(entry_law).moment
 
     total = 0.0
     for pattern in _canonical_p_sequences(l, min(l, p)):
@@ -685,25 +654,30 @@ def exact_trace_moment(l: int, n: int, p: int, coeffs, entry_law="standard_gauss
 
 
 def first_order_matrix(X: np.ndarray, coeffs) -> np.ndarray:
-    """The dominant matrix Q(X): entries are the distinct-index symmetric
-    sums of the entry products, weighted by the kernel coefficients."""
-    p, n = X.shape
-    coeffs = np.asarray(coeffs, dtype=float)
-    D = len(coeffs)
-    scale = np.array(
-        [coeffs[d - 1] * math.sqrt(math.factorial(d) / float(n) ** d) for d in range(1, D + 1)]
-    )
-    Q = np.zeros((p, p))
-    for i in range(p):
-        for i2 in range(i + 1, p):
-            z = X[i] * X[i2]
-            e = np.zeros(D + 1)
-            e[0] = 1.0
-            for zj in z:
-                for k in range(D, 0, -1):
-                    e[k] += zj * e[k - 1]
-            Q[i, i2] = Q[i2, i] = np.dot(scale, e[1:]) / math.sqrt(n)
-    return Q
+    """The dominant matrix Q(X) for X of shape (..., p, n), whose leading
+    axes are a batch.  Off the diagonal,
+    Q[i, i'] = sum_d coeffs[d-1] sqrt(d!/n^d) e_d(z) / sqrt(n), where z holds
+    the entry products X[i, j] X[i', j] over the n columns; the diagonal is
+    zero.  One sweep over the columns updates every pair at once, holding
+    one p x p product (per batch entry) at a time."""
+    X = np.asarray(X, dtype=float)
+    *batch, p, n = X.shape
+    scale = [
+        float(c) * math.sqrt(math.factorial(d) / float(n) ** d)
+        for d, c in enumerate(coeffs, start=1)
+    ]
+    if not scale:
+        raise ConfigError("need at least one kernel coefficient")
+    # batch axes innermost: the products then run over long contiguous rows
+    Xt = np.moveaxis(X, (-2, -1), (0, 1)).copy()
+    products = (Xt[:, None, j] * Xt[None, :, j] for j in range(n))
+    e = elementary_symmetric(products, len(scale), shape=(p, p, *batch))
+    Q = scale[0] * e[1]
+    for d in range(2, len(scale) + 1):
+        Q += scale[d - 1] * e[d]
+    Q /= math.sqrt(n)
+    Q[range(p), range(p)] = 0.0
+    return np.moveaxis(Q, (0, 1), (-2, -1)).copy()
 
 
 def sample_trace_moment(
@@ -719,36 +693,16 @@ def sample_trace_moment(
     exact_trace_moment."""
     if not 2 <= l <= TRACE_L_CAP:
         raise SizeCapError(f"l must be in [2, {TRACE_L_CAP}], got {l}")
-    coeffs = np.asarray(coeffs, dtype=float)
-    D = len(coeffs)
+    if trials < 2:
+        raise ConfigError(f"trials must be >= 2 for a standard error, got {trials}")
+    law = EntryLaw(entry_law)
     gen = rngmod.derive_rng(seed, rngmod.STREAM_TRIAL)
-    scale = np.array(
-        [coeffs[d - 1] * math.sqrt(math.factorial(d) / float(n) ** d) for d in range(1, D + 1)]
-    )
     values = np.empty(trials)
-    batch = max(1, min(trials, 20000))
+    batch = min(trials, 20000)
     done = 0
     while done < trials:
         b = min(batch, trials - done)
-        if entry_law == "standard_gaussian":
-            X = gen.standard_normal((b, p, n))
-        elif entry_law == "symmetric_rademacher":
-            X = gen.integers(0, 2, size=(b, p, n)).astype(float) * 2.0 - 1.0
-        else:
-            vals = np.asarray(entry_law[1], dtype=float)
-            probs = np.asarray(entry_law[2], dtype=float)
-            X = vals[gen.choice(len(vals), size=(b, p, n), p=probs)]
-        Q = np.zeros((b, p, p))
-        for i in range(p):
-            for i2 in range(i + 1, p):
-                z = X[:, i, :] * X[:, i2, :]
-                e = np.zeros((b, D + 1))
-                e[:, 0] = 1.0
-                for j in range(n):
-                    for k in range(D, 0, -1):
-                        e[:, k] += z[:, j] * e[:, k - 1]
-                q = e[:, 1:] @ scale / math.sqrt(n)
-                Q[:, i, i2] = Q[:, i2, i] = q
+        Q = first_order_matrix(law.sample(gen, (b, p, n)), coeffs)
         if l == 2:
             tr = np.einsum("bij,bji->b", Q, Q)
         elif l == 3:

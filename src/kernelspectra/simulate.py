@@ -11,7 +11,7 @@ limit law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,76 +29,91 @@ MAX_MATRIX_SIDE = 12000  # p^2 doubles; keeps a single matrix under ~1.2 GB
 
 
 @dataclass(frozen=True)
+class EntryLaw:
+    """Law of the i.i.d. entries of X, parsed from its spec:
+    "standard_gaussian", "symmetric_rademacher", or
+    ("symmetric_discrete", values, probs).  The law must be symmetric with
+    mean 0 and variance 1."""
+
+    spec: object = "standard_gaussian"
+
+    def __post_init__(self):
+        spec = self.spec
+        if spec in ("standard_gaussian", "symmetric_rademacher"):
+            return
+        if not (isinstance(spec, tuple) and len(spec) == 3 and spec[0] == "symmetric_discrete"):
+            raise ConfigError(f"unknown entry law {spec!r}")
+        values, probs = self._atoms()
+        if values.shape != probs.shape or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+            raise ConfigError("symmetric_discrete needs matching values/probs summing to 1")
+        mean = float(np.dot(probs, values))
+        var = float(np.dot(probs, values**2))
+        order = np.argsort(values)
+        order_neg = np.argsort(-values)
+        symmetric = np.allclose(values[order], -values[order_neg], atol=1e-12) and np.allclose(
+            probs[order], probs[order_neg], atol=1e-12
+        )
+        if abs(mean) > 1e-12 or abs(var - 1.0) > 1e-12 or not symmetric:
+            raise ConfigError(
+                f"entry law must be symmetric with mean 0 and variance 1 "
+                f"(got mean {mean:.3e}, variance {var:.6f}, symmetric={symmetric})"
+            )
+
+    def _atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.asarray(self.spec[1], dtype=float), np.asarray(self.spec[2], dtype=float)
+
+    def sample(self, gen: np.random.Generator, shape) -> np.ndarray:
+        """An array of the given shape of i.i.d. draws from gen."""
+        if self.spec == "standard_gaussian":
+            return gen.standard_normal(shape)
+        if self.spec == "symmetric_rademacher":
+            return gen.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+        values, probs = self._atoms()
+        return values[gen.choice(len(values), size=shape, p=probs)]
+
+    def moment(self, k: int) -> float:
+        """E[x^k] for an integer k >= 0."""
+        if k < 0:
+            raise ConfigError(f"moment order must be >= 0, got {k}")
+        if self.spec == "standard_gaussian":
+            return 0.0 if k % 2 else float(math.prod(range(k - 1, 0, -2)))  # (k-1)!!
+        if self.spec == "symmetric_rademacher":
+            return 0.0 if k % 2 else 1.0
+        values, probs = self._atoms()
+        return float(np.dot(probs, values**k))
+
+
+@dataclass(frozen=True)
 class DataMatrixConfig:
     """Shape, entry law, and seed of the data matrix X (p rows, n columns).
 
-    Supported laws: "standard_gaussian", "symmetric_rademacher", or
-    ("symmetric_discrete", values, probs).  The law must be symmetric with
-    mean 0 and variance 1; the fourth moment is recorded for the spike
-    prediction.
+    `entry_law` is an EntryLaw spec, validated on construction; the parsed
+    law is `law`, whose fourth moment is recorded for the spike prediction.
     """
 
     n: int
     p: int
     entry_law: object = "standard_gaussian"
     seed: int = 0
+    law: EntryLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2 or self.p < 2:
             raise ConfigError(f"need n, p >= 2, got n={self.n}, p={self.p}")
         if self.p > MAX_MATRIX_SIDE:
             raise SizeCapError(f"p={self.p} exceeds cap {MAX_MATRIX_SIDE}")
-        self._law_spec()  # validate eagerly
-
-    def _law_spec(self):
-        law = self.entry_law
-        if law in ("standard_gaussian", "symmetric_rademacher"):
-            return law
-        if isinstance(law, tuple) and len(law) == 3 and law[0] == "symmetric_discrete":
-            values = np.asarray(law[1], dtype=float)
-            probs = np.asarray(law[2], dtype=float)
-            if values.shape != probs.shape or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-                raise ConfigError("symmetric_discrete needs matching values/probs summing to 1")
-            mean = float(np.dot(probs, values))
-            var = float(np.dot(probs, values**2))
-            order = np.argsort(values)
-            order_neg = np.argsort(-values)
-            symmetric = np.allclose(values[order], -values[order_neg], atol=1e-12) and np.allclose(
-                probs[order], probs[order_neg], atol=1e-12
-            )
-            if abs(mean) > 1e-12 or abs(var - 1.0) > 1e-12 or not symmetric:
-                raise ConfigError(
-                    f"entry law must be symmetric with mean 0 and variance 1 "
-                    f"(got mean {mean:.3e}, variance {var:.6f}, symmetric={symmetric})"
-                )
-            return law
-        raise ConfigError(f"unknown entry law {law!r}")
+        object.__setattr__(self, "law", EntryLaw(self.entry_law))
 
     @property
     def fourth_moment(self) -> float:
-        law = self.entry_law
-        if law == "standard_gaussian":
-            return 3.0
-        if law == "symmetric_rademacher":
-            return 1.0
-        values = np.asarray(law[1], dtype=float)
-        probs = np.asarray(law[2], dtype=float)
-        return float(np.dot(probs, values**4))
+        return self.law.moment(4)
 
 
 def sample_data(cfg: DataMatrixConfig, stream: int | tuple[int, ...] = 0) -> np.ndarray:
     """Draw X (p x n), reproducibly from cfg.seed (and an optional extra
     stream index, or tuple of indices, for independent trials)."""
     gen = rngmod.derive_rng(cfg.seed, rngmod.STREAM_DATA, stream)
-    law = cfg.entry_law
-    if law == "standard_gaussian":
-        return gen.standard_normal((cfg.p, cfg.n))
-    if law == "symmetric_rademacher":
-        return gen.integers(0, 2, size=(cfg.p, cfg.n)).astype(float) * 2.0 - 1.0
-    values = np.asarray(law[1], dtype=float)
-    probs = np.asarray(law[2], dtype=float)
-    idx = gen.choice(len(values), size=(cfg.p, cfg.n), p=probs)
-    return values[idx]
+    return cfg.law.sample(gen, (cfg.p, cfg.n))
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +337,16 @@ class HermiteSumDecomposition:
     h_value: float
 
 
-def _esp_row(z: np.ndarray, kmax: int) -> np.ndarray:
-    """Elementary symmetric polynomials e_0..e_kmax of the entries of z."""
-    e = np.zeros(kmax + 1, dtype=z.dtype)
+def elementary_symmetric(
+    terms, kmax: int, shape: tuple[int, ...] = (), dtype=np.float64
+) -> np.ndarray:
+    """Elementary symmetric polynomials e_0..e_kmax of the terms z_j, by the
+    recurrence e_k += z_j e_{k-1}.  The terms are the first axis of an
+    array, or any iterable of arrays of the given shape (so the caller need
+    not hold all of them at once); e[k] has that shape."""
+    e = np.zeros((kmax + 1, *shape), dtype=dtype)
     e[0] = 1.0
-    for zj in z:
+    for zj in terms:
         for k in range(kmax, 0, -1):
             e[k] += zj * e[k - 1]
     return e
@@ -355,7 +375,7 @@ def decompose_hermite_sum(z: Sequence[float], d: int) -> HermiteSumDecomposition
     work_dtype = np.longdouble if (n >= 10_000 and d >= 5) else np.float64
     zz = z.astype(work_dtype)
 
-    e = _esp_row(zz, d)
+    e = elementary_symmetric(zz, d, dtype=work_dtype)
     q = math.sqrt(math.factorial(d) / float(n) ** d) * float(e[d])
 
     if d == 1:

@@ -210,6 +210,43 @@ def test_verify_without_a_scaling_fit_exits_2(tmp_path, capsys, keys):
     assert not (tmp_path / "verify_report.json").exists()
 
 
+@pytest.mark.parametrize("trace_trials", [0, 1])
+def test_verify_too_few_trace_trials_exits_2(tmp_path, capsys, trace_trials):
+    # one trial has no standard error: the oracle summary used to read NaN
+    cfg = write_cfg(
+        tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, trace_trials=trace_trials
+    )
+    assert main(["verify", cfg]) == 2
+    assert "trace_trials" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_verify_defaults_pass_on_a_seed_that_100_scaling_trials_failed(tmp_path):
+    # at scaling_trials = 100 this seed's d = 3 remainder slope was -0.795,
+    # over the -0.8 limit, though the true slope is -1
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1)
+    assert main(["verify", cfg, "--seed", "1949364979"]) == 0
+    payload = json.loads((tmp_path / "verify_report.json").read_text())["payload"]
+    assert payload["ok"] is True
+    assert [row["d"] for row in payload["remainder_scaling"]] == [2, 3, 4]
+    assert all(row["slope"] <= -0.8 for row in payload["remainder_scaling"])
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("simulate", {"kernel": "h1", "n": 20, "p": 20, "degree": 4}),
+        ("verify", {"l_max": 2, "d_max": 1, "scaling_trials": 5, "trace_trials": 100}),
+    ],
+)
+def test_out_of_range_seed_exits_2(tmp_path, capsys, command, keys, seed):
+    cfg = write_cfg(tmp_path, "c.cfg", **keys)
+    assert main([command, cfg, "--seed", seed]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
 def test_missing_required_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "s.cfg", n=100, p=100)
     assert main(["simulate", cfg]) == 2

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kernelspectra.errors import ConfigError, SizeCapError
 from kernelspectra.lgraphs import (
@@ -316,6 +319,47 @@ def test_first_order_matrix_matches_decomposition_scale():
     expected = X @ X.T / 6
     np.fill_diagonal(expected, 0.0)
     assert np.max(np.abs(Q - expected)) < 1e-12
+
+
+def per_pair_first_order_matrix(X, coeffs):
+    """Q(X) entry by entry, from the distinct-index sums e_d(z) over the
+    column subsets of size d."""
+    p, n = X.shape
+    Q = np.zeros((p, p))
+    for i, i2 in itertools.permutations(range(p), 2):
+        z = X[i] * X[i2]
+        for d, c in enumerate(coeffs, start=1):
+            subsets = itertools.combinations(range(n), d)
+            e_d = math.fsum(math.prod(z[list(cols)]) for cols in subsets)
+            Q[i, i2] += c * math.sqrt(math.factorial(d) / n**d) * e_d / math.sqrt(n)
+    return Q
+
+
+@given(
+    hnp.arrays(
+        float,
+        st.tuples(st.integers(1, 3), st.integers(2, 5), st.integers(1, 6)),
+        elements=st.floats(-3.0, 3.0),
+    ),
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+)
+def test_first_order_matrix_against_per_pair_sums(X, coeffs):
+    Q = first_order_matrix(X, coeffs)
+    assert Q.shape == X.shape[:1] + (X.shape[1],) * 2
+    for b in range(X.shape[0]):
+        # the batch axis changes nothing: each slice is its own Q exactly
+        assert np.array_equal(Q[b], first_order_matrix(X[b], coeffs))
+        assert np.array_equal(Q[b], Q[b].T)
+        assert np.all(np.diag(Q[b]) == 0.0)
+        expected = per_pair_first_order_matrix(X[b], coeffs)
+        bound = per_pair_first_order_matrix(np.abs(X[b]), np.abs(coeffs))
+        assert np.all(np.abs(Q[b] - expected) <= 1e-13 * bound + 1e-300)
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_sample_trace_moment_needs_two_trials(trials):
+    with pytest.raises(ConfigError, match="trials"):
+        sample_trace_moment(2, 4, 4, [1.0], trials=trials)
 
 
 def test_trace_moment_size_caps():

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 import kernelspectra.simulate as sim
 from kernelspectra.errors import ConfigError, ConsistencyError, DomainError, SizeCapError
+from kernelspectra.lgraphs import exact_trace_moment, sample_trace_moment
 from kernelspectra.limit_law import LimitLawParams, support
 from kernelspectra.simulate import (
     DataMatrixConfig,
+    EntryLaw,
     SpectrumSummary,
     build_component_matrix,
     build_kernel_matrix,
     concentration_probe,
     decompose_hermite_sum,
+    elementary_symmetric,
     ks_distance,
     limit_cdf,
     rank_two_correction,
@@ -58,19 +61,92 @@ def test_gaussian_moments_within_five_sigma():
     assert abs((X**4).mean() - 3.0) < 5 * math.sqrt(96 / N)
 
 
+INVALID_LAWS = {
+    "variance-4": ("symmetric_discrete", (-2.0, 2.0), (0.5, 0.5)),
+    "asymmetric": ("symmetric_discrete", (-2.0, 0.5), (0.2, 0.8)),
+    "unknown": "cauchy",
+}
+
+
 def test_discrete_law_validation():
     ok = ("symmetric_discrete", (-math.sqrt(2), 0.0, math.sqrt(2)), (0.25, 0.5, 0.25))
     cfg = DataMatrixConfig(n=20, p=20, entry_law=ok, seed=0)
     assert cfg.fourth_moment == pytest.approx(2.0)
-    with pytest.raises(ConfigError):  # variance != 1
-        DataMatrixConfig(n=20, p=20, entry_law=("symmetric_discrete", (-2.0, 2.0), (0.5, 0.5)))
-    with pytest.raises(ConfigError):  # asymmetric
-        DataMatrixConfig(
-            n=20, p=20,
-            entry_law=("symmetric_discrete", (-2.0, 0.5), (0.2, 0.8)),
-        )
+    for law in INVALID_LAWS.values():
+        with pytest.raises(ConfigError):
+            DataMatrixConfig(n=20, p=20, entry_law=law)
+
+
+@pytest.mark.parametrize("law", INVALID_LAWS.values(), ids=INVALID_LAWS.keys())
+def test_trace_moments_reject_invalid_laws(law):
+    # the trace-moment oracles parse the entry law as DataMatrixConfig does
     with pytest.raises(ConfigError):
-        DataMatrixConfig(n=20, p=20, entry_law="cauchy")
+        exact_trace_moment(2, 4, 4, [1.0], law)
+    with pytest.raises(ConfigError):
+        sample_trace_moment(2, 4, 4, [1.0], law, trials=100)
+
+
+@st.composite
+def symmetric_discrete_laws(draw):
+    """A symmetric law on +-atoms (and possibly 0), rescaled to variance 1:
+    its spec and the closed form of its even moments."""
+    atoms = draw(st.lists(st.floats(0.1, 5.0), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms), max_size=len(atoms)))
+    zero_weight = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    total = zero_weight + sum(weights)
+    mass = [w / total for w in weights]  # mass at +-a, split evenly
+    zero_mass = zero_weight / total
+    scale = math.sqrt(sum(m * a * a for m, a in zip(mass, atoms)))
+    atoms = [a / scale for a in atoms]
+    values = [-a for a in atoms] + ([0.0] if zero_mass else []) + atoms
+    probs = [m / 2 for m in mass] + ([zero_mass] if zero_mass else []) + [m / 2 for m in mass]
+
+    def even_moment(k):
+        return zero_mass * 0.0**k + sum(m * a**k for m, a in zip(mass, atoms))
+
+    return ("symmetric_discrete", tuple(values), tuple(probs)), even_moment
+
+
+@given(symmetric_discrete_laws(), st.integers(0, 8))
+def test_entry_law_moments_match_closed_forms(law_and_moment, k):
+    spec, even_moment = law_and_moment
+    assert EntryLaw("standard_gaussian").moment(k) == (
+        0.0 if k % 2 else math.factorial(k) / (2 ** (k // 2) * math.factorial(k // 2))
+    )
+    assert EntryLaw("symmetric_rademacher").moment(k) == (0.0 if k % 2 else 1.0)
+    got = EntryLaw(spec).moment(k)
+    values, probs = np.array(spec[1]), np.array(spec[2])
+    if k % 2:
+        assert abs(got) <= 1e-13 * float(np.dot(probs, np.abs(values) ** k))
+    else:
+        assert got == pytest.approx(even_moment(k), rel=1e-12)
+    if k == 2:
+        assert got == pytest.approx(1.0, rel=1e-12)
+
+
+def test_entry_law_rejects_negative_moment_order():
+    with pytest.raises(ConfigError):
+        EntryLaw().moment(-1)
+
+
+@given(
+    st.lists(st.floats(-3.0, 3.0), max_size=8),
+    st.integers(0, 5),
+    st.integers(1, 4),
+    st.randoms(use_true_random=False),
+)
+def test_elementary_symmetric_against_combinations(z, kmax, batch, rnd):
+    e = elementary_symmetric(np.array(z), kmax)
+    for k in range(kmax + 1):
+        brute = math.fsum(math.prod(c) for c in itertools.combinations(z, k))
+        bound = math.fsum(math.prod(map(abs, c)) for c in itertools.combinations(z, k))
+        assert abs(e[k] - brute) <= 1e-13 * bound + 1e-300  # subnormal products: absolute
+    # a batch of rows, swept together down the first axis, gives each row's
+    # own result exactly
+    Z = np.array([[rnd.uniform(-3, 3) for _ in z] for _ in range(batch)])
+    batched = elementary_symmetric(Z.T, kmax, shape=(batch,))
+    rows = np.stack([elementary_symmetric(row, kmax) for row in Z], axis=1)
+    assert np.array_equal(batched, rows)
 
 
 def test_size_cap():
