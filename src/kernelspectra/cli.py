@@ -482,11 +482,8 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
         med_s = []
         for ni, nn in enumerate(scaling_ns):
             gen = derive_rng(seed, STREAM_SCALING, d, ni)
-            svals = []
-            for _ in range(scaling_trials):
-                dec = decompose_hermite_sum(gen.standard_normal(nn), d)
-                svals.append(abs(dec.s))
-            med_s.append(float(np.median(svals)))
+            dec = decompose_hermite_sum(gen.standard_normal((scaling_trials, nn)), d)
+            med_s.append(float(np.median(np.abs(dec.s))))
         nonzero = [(math.log(nn), math.log(mv)) for nn, mv in zip(scaling_ns, med_s) if mv > 1e-12]
         if len(nonzero) >= 2:
             xs = np.array([t[0] for t in nonzero])

@@ -290,87 +290,114 @@ def _canonical_p_sequences(l: int, cap: int) -> list[tuple[int, ...]]:
 def enumerate_multilabelings(
     l: int,
     max_tuple_size: int,
-    p_label_cap: int | None = None,
-    n_label_cap: int | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[MultiLabeling]:
     """All multi-labeling equivalence classes of the 2l-cycle with tuple
-    sizes up to max_tuple_size, as canonical representatives.
+    sizes up to max_tuple_size, as canonical representatives sorted by
+    canonical key.
 
-    Backtracking search in canonical form (fresh labels take consecutive
-    numbers) with parity pruning on the even-incidence condition; the
-    final n-vertex is forced, since its tuple must repair every odd
-    incidence pair exactly.  Raises SizeCapError when the visited state
-    count passes state_cap.
+    Backtracking search in canonical form: fresh n-labels take consecutive
+    numbers.  The search state is one int per n-label j, odd[j], the
+    bitmask of p-labels that meet j an odd number of times.  N-vertex s has
+    the edge mask em[s] with the bits of its two p-labels, so putting j in
+    its tuple is odd[j] ^= em[s].  A running count of the inclusions the
+    odd rows still need (one inclusion repairs at most two rows of a
+    label), updated with int.bit_count per flipped label, prunes every
+    prefix the remaining vertices cannot repair.
+
+    The last two n-vertices are forced.  Vertex l-1 must hold exactly the
+    labels whose state equals em[l-1] after vertex l-2, and every other
+    state must then be 0.  So at vertex l-2 a label may stay out only if
+    odd[j] is 0 or em[l-1], and may come in only if odd[j] ^ em[l-2] is;
+    only labels for which both hold branch, and fresh labels may come in
+    only when em[l-2] == em[l-1].
+
+    Every emitted labeling passes MultiLabeling.validate(max_tuple_size),
+    or ConsistencyError is raised.  SizeCapError is raised when the count
+    of visited states (search nodes and vertex l-2 tuples) passes
+    state_cap.
     """
     if not 2 <= l <= MAX_CYCLE_LEN:
         raise SizeCapError(f"cycle length must be in [2, {MAX_CYCLE_LEN}], got {l}")
     if max_tuple_size < 1:
         raise ConfigError(f"max_tuple_size must be >= 1, got {max_tuple_size}")
-    p_cap = p_label_cap if p_label_cap is not None else l
-    n_cap = n_label_cap if n_label_cap is not None else max_tuple_size * l
-
+    dmax = max_tuple_size
     found: dict[tuple, MultiLabeling] = {}
     states = 0
 
-    for pseq in _canonical_p_sequences(l, p_cap):
+    def visit():
+        nonlocal states
+        states += 1
+        if states > state_cap:
+            raise SizeCapError(
+                f"enumeration exceeded the state cap {state_cap} at l={l}, "
+                f"max_tuple_size={dmax}; raise state_cap"
+            )
+
+    for pseq in _canonical_p_sequences(l, l):
+        em = [(1 << pseq[s]) | (1 << pseq[(s + 1) % l]) for s in range(l)]
+        em2, em1 = em[l - 2], em[l - 1]  # the two forced vertices
         tuples: list[tuple[int, ...]] = []
-        odd_rows: dict[int, set[int]] = {}  # n-label -> p-labels with odd incidence
+        odd = [0]  # odd[j] for n-label j >= 1; slot 0 unused
 
-        def toggle(s: int, labels: tuple[int, ...]):
-            for i in (pseq[s], pseq[(s + 1) % l]):
-                for j in labels:
-                    rows = odd_rows.setdefault(j, set())
-                    rows.symmetric_difference_update({i})
-                    if not rows:
-                        del odd_rows[j]
-
-        def candidates(s: int, used: int):
-            if s == l - 1:
-                needed = set(odd_rows)
-                if not 1 <= len(needed) <= max_tuple_size:
+        def close(used: int):
+            """Every tuple at vertex l-2, each with its forced vertex l-1."""
+            forced, free = [], []
+            for j in range(1, used + 1):
+                stay_ok = odd[j] in (0, em1)
+                if (odd[j] ^ em2) in (0, em1):
+                    (free if stay_ok else forced).append(j)
+                elif not stay_ok:
                     return
-                rows = {pseq[s], pseq[(s + 1) % l]}
-                if all(odd_rows[j] == rows for j in needed):
-                    yield tuple(sorted(needed)), used
-                return
-            for size in range(1, max_tuple_size + 1):
-                for n_old in range(0, min(size, used) + 1):
-                    n_new = size - n_old
-                    if used + n_new > n_cap:
-                        continue
-                    fresh = tuple(range(used + 1, used + n_new + 1))
-                    for old in itertools.combinations(range(1, used + 1), n_old):
-                        yield old + fresh, used + n_new
+            room = dmax - len(forced)
+            max_fresh = room if em2 == em1 else 0
+            for r in range(min(len(free), room) + 1):
+                for picked in itertools.combinations(free, r):
+                    inside = set(forced).union(picked)
+                    old = tuple(sorted(inside))
+                    after = [odd[j] ^ (em2 if j in inside else 0) for j in range(used + 1)]
+                    last = tuple(j for j in range(1, used + 1) if after[j] == em1)
+                    for n_new in range(0 if old else 1, max_fresh - r + 1):
+                        if not 1 <= len(last) + n_new <= dmax:
+                            continue
+                        visit()
+                        fresh = tuple(range(used + 1, used + n_new + 1))
+                        n_tuples = (*tuples, old + fresh, last + fresh)
+                        ml = MultiLabeling(p_labels=pseq, n_tuples=n_tuples)
+                        if ml.validate(dmax):
+                            raise ConsistencyError(f"search emitted an invalid labeling {ml}")
+                        key = ml.canonical_key()
+                        if key not in found:
+                            found[key] = ml.canonical()
 
-        def search(s: int, used: int):
-            nonlocal states
-            states += 1
-            if states > state_cap:
-                raise SizeCapError(
-                    f"enumeration exceeded the state cap {state_cap}; tighten the label caps"
-                )
-            if s == l:
-                if odd_rows:
-                    return
-                ml = MultiLabeling(p_labels=pseq, n_tuples=tuple(tuples))
-                if ml.validate(max_tuple_size):
-                    raise ConsistencyError(f"search emitted an invalid labeling {ml}")
-                canon = ml.canonical()
-                found.setdefault(canon.canonical_key(), canon)
+        def search(s: int, used: int, need: int):
+            visit()
+            if s == l - 2:
+                close(used)
                 return
-            remaining = l - s - 1
-            for labels, used_after in candidates(s, used):
-                toggle(s, labels)
-                # one future inclusion of j repairs at most two of its odd rows
-                need = sum((len(rows) + 1) // 2 for rows in odd_rows.values())
-                if need <= max_tuple_size * remaining:
-                    tuples.append(labels)
-                    search(s + 1, used_after)
-                    tuples.pop()
-                toggle(s, labels)
+            mask = em[s]
+            bound = dmax * (l - s - 1)
+            # change in need when each old label comes into this tuple
+            gain = [0] + [
+                ((x ^ mask).bit_count() + 1) // 2 - (x.bit_count() + 1) // 2 for x in odd[1:]
+            ]
+            for n_old in range(min(dmax, used) + 1):
+                for old in itertools.combinations(range(1, used + 1), n_old):
+                    base = need + sum(gain[j] for j in old)
+                    for n_new in range(0 if n_old else 1, dmax - n_old + 1):
+                        if base + n_new > bound:  # each fresh label adds one
+                            break
+                        for j in old:
+                            odd[j] ^= mask
+                        odd.extend([mask] * n_new)
+                        tuples.append(old + tuple(range(used + 1, used + n_new + 1)))
+                        search(s + 1, used + n_new, base + n_new)
+                        tuples.pop()
+                        del odd[used + 1 :]
+                        for j in old:
+                            odd[j] ^= mask
 
-        search(0, 0)
+        search(0, 0, 0)
 
     return [found[k] for k in sorted(found)]
 

@@ -72,13 +72,16 @@ class EntryLaw:
         return values[gen.choice(len(values), size=shape, p=probs)]
 
     def moment(self, k: int) -> float:
-        """E[x^k] for an integer k >= 0."""
+        """E[x^k] for an integer k >= 0; exactly 0.0 for odd k, since every
+        law here is symmetric."""
         if k < 0:
             raise ConfigError(f"moment order must be >= 0, got {k}")
+        if k % 2:
+            return 0.0
         if self.spec == "standard_gaussian":
-            return 0.0 if k % 2 else float(math.prod(range(k - 1, 0, -2)))  # (k-1)!!
+            return float(math.prod(range(k - 1, 0, -2)))  # (k-1)!!
         if self.spec == "symmetric_rademacher":
-            return 0.0 if k % 2 else 1.0
+            return 1.0
         values, probs = self._atoms()
         return float(np.dot(probs, values**k))
 
@@ -328,13 +331,14 @@ def ks_distance(s: SpectrumSummary, p: LimitLawParams, grid_points: int = 4001) 
 class HermiteSumDecomposition:
     """h_d(S) = q + r + s with S = sum(z)/sqrt(n): q is the O(1)
     distinct-index part, r the O(n^-1/2) second-order part, s the
-    remainder (defined as the residual, so the identity is exact)."""
+    remainder (defined as the residual, so the identity is exact).  Each
+    field is a float for one z, or an array of the batch shape."""
 
     d: int
-    q: float
-    r: float
-    s: float
-    h_value: float
+    q: float | np.ndarray
+    r: float | np.ndarray
+    s: float | np.ndarray
+    h_value: float | np.ndarray
 
 
 def elementary_symmetric(
@@ -352,7 +356,7 @@ def elementary_symmetric(
     return e
 
 
-def decompose_hermite_sum(z: Sequence[float], d: int) -> HermiteSumDecomposition:
+def decompose_hermite_sum(z: Sequence[float] | np.ndarray, d: int) -> HermiteSumDecomposition:
     """Split h_d(sum(z)/sqrt(n)) into its distinct-index symmetric part q,
     the variance-correction part r, and the residual s.
 
@@ -362,37 +366,47 @@ def decompose_hermite_sum(z: Sequence[float], d: int) -> HermiteSumDecomposition
     using that the ordered distinct-tuple sum with one marked slot equals
     (d-2)! times the leave-one-out symmetric polynomial; and r = 0, s = 0
     identically for d = 1 (and s = 0 for d = 2).
+
+    z has shape (..., n): the leading axes are a batch, and every field of
+    the result has the batch shape (floats for a 1-D z).  The loops over
+    the n samples run once for the whole batch, and each batch entry sees
+    exactly the floating-point operations of its own 1-D call.
     """
     if d < 1:
         raise ConfigError(f"degree must be >= 1, got {d}")
     z = np.asarray(z, dtype=float)
-    n = len(z)
+    if z.ndim < 1:
+        raise ConfigError("z needs an axis of samples, got a scalar")
+    z = np.ascontiguousarray(z)  # rows sum in the same order as 1-D calls
+    *batch, n = z.shape
     if n < d:
         raise SizeCapError(f"need at least d={d} samples, got n={n}")
 
     # compensated path: higher degrees on long vectors lose digits to
     # cancellation in the e_k recurrences
     work_dtype = np.longdouble if (n >= 10_000 and d >= 5) else np.float64
-    zz = z.astype(work_dtype)
+    zz = np.ascontiguousarray(np.moveaxis(z, -1, 0), dtype=work_dtype)  # samples first
 
-    e = elementary_symmetric(zz, d, dtype=work_dtype)
-    q = math.sqrt(math.factorial(d) / float(n) ** d) * float(e[d])
+    e = elementary_symmetric(zz, d, shape=tuple(batch), dtype=work_dtype)
+    q = math.sqrt(math.factorial(d) / float(n) ** d) * e[d].astype(float)
 
     if d == 1:
-        r = 0.0
+        r = np.zeros(batch)
     else:
         kmax = d - 2
-        acc = work_dtype(0.0)
-        eloo = np.zeros(kmax + 1, dtype=work_dtype)
+        acc = np.zeros(batch, dtype=work_dtype)
+        eloo = np.zeros((kmax + 1, *batch), dtype=work_dtype)
         for zj in zz:
             eloo[0] = 1.0
             for k in range(1, kmax + 1):
                 eloo[k] = e[k] - zj * eloo[k - 1]
             acc += (zj * zj - 1.0) * eloo[kmax]
-        r = math.sqrt(math.factorial(d)) / (2.0 * float(n) ** (d / 2.0)) * float(acc)
+        r = math.sqrt(math.factorial(d)) / (2.0 * float(n) ** (d / 2.0)) * acc.astype(float)
 
-    h_value = float(hermite_eval(d, float(z.sum() / math.sqrt(n))))
-    s = 0.0 if d == 1 else h_value - q - r
+    h_value = np.asarray(hermite_eval(d, z.sum(axis=-1) / math.sqrt(n)))
+    s = np.zeros(batch) if d == 1 else h_value - q - r
+    if not batch:
+        q, r, s, h_value = float(q), float(r), float(s), float(h_value)
     return HermiteSumDecomposition(d=d, q=q, r=r, s=s, h_value=h_value)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -230,6 +231,25 @@ def test_verify_defaults_pass_on_a_seed_that_100_scaling_trials_failed(tmp_path)
     assert payload["ok"] is True
     assert [row["d"] for row in payload["remainder_scaling"]] == [2, 3, 4]
     assert all(row["slope"] <= -0.8 for row in payload["remainder_scaling"])
+
+
+# sha256 of json.dumps(payload, indent=2, sort_keys=True) for verify at
+# l_max = 5, d_max = 3, scaling_trials = 200, written by the per-trial
+# decomposition loop and the backtracking census that came before the
+# batched decomposition and the forced-tail census
+VERIFY_PAYLOAD_SHA256 = {
+    0: "dbf03999aa5015034f2fc4644703de6ed46d64d26c59a95a2e65be423ec01f77",
+    7: "4a9e9e306a6f44715f9420dd3d49ddf56e80bac4183960a4233e49b23563fc61",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_PAYLOAD_SHA256))
+def test_verify_payload_matches_golden_hash(tmp_path, seed):
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=5, d_max=3, scaling_trials=200, seed=seed)
+    assert main(["verify", cfg]) == 0
+    payload = json.loads((tmp_path / "verify_report.json").read_text())["payload"]
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_PAYLOAD_SHA256[seed]
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kernelspectra.errors import ConfigError, SizeCapError
+from kernelspectra.errors import ConfigError, ConsistencyError, SizeCapError
 from kernelspectra.lgraphs import (
     MultiLabeling,
     SimpleLabeling,
+    _canonical_p_sequences,
     enumerate_multilabelings,
     enumerate_simplelabelings,
     exact_trace_moment,
@@ -103,6 +104,86 @@ def test_enumeration_respects_state_cap():
         enumerate_multilabelings(4, 3, state_cap=10)
     with pytest.raises(SizeCapError):
         enumerate_multilabelings(7, 1)
+
+
+def backtracking_multilabelings(l, max_tuple_size):
+    """Census oracle: a plain backtracking search in canonical form (fresh
+    labels take consecutive numbers) over dict-of-set odd-incidence rows,
+    with parity pruning; only the final n-vertex is forced.  Keyed and
+    sorted like enumerate_multilabelings."""
+    found = {}
+    for pseq in _canonical_p_sequences(l, l):
+        tuples = []
+        odd_rows = {}  # n-label -> p-labels with odd incidence
+
+        def toggle(s, labels):
+            for i in (pseq[s], pseq[(s + 1) % l]):
+                for j in labels:
+                    rows = odd_rows.setdefault(j, set())
+                    rows.symmetric_difference_update({i})
+                    if not rows:
+                        del odd_rows[j]
+
+        def candidates(s, used):
+            if s == l - 1:
+                needed = set(odd_rows)
+                if not 1 <= len(needed) <= max_tuple_size:
+                    return
+                rows = {pseq[s], pseq[(s + 1) % l]}
+                if all(odd_rows[j] == rows for j in needed):
+                    yield tuple(sorted(needed)), used
+                return
+            for size in range(1, max_tuple_size + 1):
+                for n_old in range(0, min(size, used) + 1):
+                    n_new = size - n_old
+                    fresh = tuple(range(used + 1, used + n_new + 1))
+                    for old in itertools.combinations(range(1, used + 1), n_old):
+                        yield old + fresh, used + n_new
+
+        def search(s, used):
+            if s == l:
+                if odd_rows:
+                    return
+                ml = MultiLabeling(p_labels=pseq, n_tuples=tuple(tuples))
+                assert naive_validate(ml, max_tuple_size)
+                canon = ml.canonical()
+                found.setdefault(canon.canonical_key(), canon)
+                return
+            remaining = l - s - 1
+            for labels, used_after in candidates(s, used):
+                toggle(s, labels)
+                # one future inclusion of j repairs at most two of its odd rows
+                need = sum((len(rows) + 1) // 2 for rows in odd_rows.values())
+                if need <= max_tuple_size * remaining:
+                    tuples.append(labels)
+                    search(s + 1, used_after)
+                    tuples.pop()
+                toggle(s, labels)
+
+        search(0, 0)
+    return [found[k] for k in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "l, depth", [(l, d) for l in range(2, 6) for d in (1, 2, 3)] + [(6, 1)]
+)
+def test_enumeration_matches_backtracking_oracle(l, depth):
+    # same classes, same representatives, same order
+    assert enumerate_multilabelings(l, depth) == backtracking_multilabelings(l, depth)
+
+
+@pytest.mark.parametrize(
+    "l, depth, count",
+    [(4, 1, 9), (4, 2, 58), (4, 3, 259), (5, 1, 31), (5, 2, 237), (5, 3, 1168), (6, 2, 7897)],
+)
+def test_census_class_counts(l, depth, count):
+    assert len(enumerate_multilabelings(l, depth)) == count
+
+
+def test_enumeration_validates_every_emitted_labeling(monkeypatch):
+    monkeypatch.setattr(MultiLabeling, "validate", lambda self, cap=None: ["planted problem"])
+    with pytest.raises(ConsistencyError, match="invalid labeling"):
+        enumerate_multilabelings(3, 1)
 
 
 def test_validation_matches_naive_checker_on_random_candidates():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import kernelspectra.simulate as sim
 from kernelspectra.errors import ConfigError, ConsistencyError, DomainError, SizeCapError
@@ -115,13 +116,21 @@ def test_entry_law_moments_match_closed_forms(law_and_moment, k):
     )
     assert EntryLaw("symmetric_rademacher").moment(k) == (0.0 if k % 2 else 1.0)
     got = EntryLaw(spec).moment(k)
-    values, probs = np.array(spec[1]), np.array(spec[2])
     if k % 2:
-        assert abs(got) <= 1e-13 * float(np.dot(probs, np.abs(values) ** k))
+        assert got == 0.0
     else:
         assert got == pytest.approx(even_moment(k), rel=1e-12)
     if k == 2:
         assert got == pytest.approx(1.0, rel=1e-12)
+
+
+def test_odd_moments_of_a_discrete_law_are_exactly_zero():
+    # listed in this order, the atoms leave np.dot(probs, values**3) at
+    # -4.2e-17 instead of cancelling
+    law = EntryLaw(("symmetric_discrete", (-0.5, -2.0, 2.0, 0.5), (0.4, 0.1, 0.1, 0.4)))
+    for k in (1, 3, 5, 7, 9):
+        assert law.moment(k) == 0.0
+    assert law.moment(4) == pytest.approx(0.4 * 0.5**4 * 2 + 0.1 * 2.0**4 * 2, rel=1e-15)
 
 
 def test_entry_law_rejects_negative_moment_order():
@@ -396,6 +405,42 @@ def test_decomposition_scale_separation_quick():
 def test_decomposition_size_error():
     with pytest.raises(SizeCapError):
         decompose_hermite_sum(np.ones(3), 4)
+    with pytest.raises(ConfigError):
+        decompose_hermite_sum(1.0, 1)
+
+
+def assert_batch_matches_rows(Z, d):
+    """decompose_hermite_sum on a batch equals its per-row 1-D calls bit
+    for bit in every field; the 1-D calls return floats."""
+    dec = decompose_hermite_sum(Z, d)
+    fields = ("q", "r", "s", "h_value")
+    for f in fields:
+        assert np.shape(getattr(dec, f)) == Z.shape[:-1]
+    for idx in np.ndindex(*Z.shape[:-1]):
+        row = decompose_hermite_sum(Z[idx], d)
+        for f in fields:
+            assert type(getattr(row, f)) is float
+            batched = np.float64(np.asarray(getattr(dec, f))[idx])
+            assert batched.tobytes() == np.float64(getattr(row, f)).tobytes(), (f, idx)
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(0, 40),
+    st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    st.data(),
+)
+def test_batched_decomposition_equals_row_calls(d, extra, batch, data):
+    Z = data.draw(
+        hnp.arrays(float, (*batch, d + extra), elements=st.floats(-4.0, 4.0, width=64))
+    )
+    assert_batch_matches_rows(Z, d)
+
+
+def test_batched_decomposition_on_the_longdouble_path():
+    # n >= 10000 and d >= 5 run the recurrences in long double
+    Z = np.random.default_rng(13).standard_normal((2, 10_000))
+    assert_batch_matches_rows(Z, 5)
 
 
 # ---------------------------------------------------------------------------
