@@ -31,7 +31,6 @@ from .hermite import (
     project_kernel,
 )
 from .limit_law import (
-    CumulantSequence,
     DensityGrid,
     LimitLawParams,
     StieltjesSolution,
@@ -50,7 +49,6 @@ from .simulate import (
     DeformedModelSample,
     EntryLaw,
     HermiteSumDecomposition,
-    KernelMatrixSample,
     SpectrumSummary,
     SpikePrediction,
     build_component_matrix,
@@ -80,7 +78,6 @@ from .lgraphs import (
     enumerate_multilabelings,
     enumerate_simplelabelings,
     exact_trace_moment,
-    excess,
     label_simplifying_map,
     verify_lemmas,
 )

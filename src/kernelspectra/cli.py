@@ -86,7 +86,7 @@ def parse_kernel(spec: str) -> KernelSpec:
                 out += c * x ** (2 * i + 1)
             return out
 
-        return KernelSpec(evaluator=evaluate, declared_parity="odd", growth_note="odd polynomial")
+        return KernelSpec(evaluator=evaluate, declared_parity="odd")
     coeffs: dict[int, float] = {}
     pos = 0
     for tm in _TERM_RE.finditer(text):
@@ -304,6 +304,8 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
     lmax = cfg.get_int("moments_lmax", 8)
     prefix = cfg.get_str("out", "limit_law")
     cfg.reject_unknown()
+    if points < 2:
+        raise ConfigError(f"density_points must be >= 2, got {points}")
     if lmax < 1:
         raise ConfigError(f"moments_lmax must be >= 1, got {lmax}")
     if lmax > MAX_MOMENT_ORDER:
@@ -362,7 +364,7 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
     trial_summaries = []
     for t in range(trials):
         X = sample_data(data_cfg, stream=t)
-        summ = spectrum(build_kernel_matrix(X, kernel).matrix)
+        summ = spectrum(build_kernel_matrix(X, kernel))
         rows.extend((t, i, ev) for i, ev in enumerate(summ.eigenvalues))
         spikes = rank_two_correction(X, a2, fourth_moment=data_cfg.fourth_moment)
         entry = {
@@ -435,6 +437,8 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
     # fit, and its -inf fallback slope would pass the check
     if scaling_trials < 1:
         raise ConfigError(f"scaling_trials must be >= 1, got {scaling_trials}")
+    if any(nn < 1 for nn in scaling_ns):
+        raise ConfigError(f"scaling_ns entries must be >= 1, got {scaling_ns}")
     if len(set(scaling_ns)) < 2:
         raise ConfigError(f"scaling_ns needs at least two distinct values, got {scaling_ns}")
     if trace_trials < 2:

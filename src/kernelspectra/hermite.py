@@ -1,11 +1,11 @@
-"""Hermite basis machinery: orthonormal/monic polynomial evaluation,
+"""Hermite basis machinery: orthonormal polynomial evaluation,
 Gauss-Hermite quadrature against the standard normal weight, and
 projection of kernel functions onto the basis.
 
 Conventions.  h_d denotes the orthonormal polynomials with respect to
-<f, g> = E[f(xi) g(xi)], xi ~ N(0,1); the monic variants are
-ht_d = sqrt(d!) h_d and satisfy ht_{d+1}(x) = x ht_d(x) - d ht_{d-1}(x).
-So h_0 = 1, h_1 = x, h_2 = (x^2 - 1)/sqrt(2), h_3 = (x^3 - 3x)/sqrt(6).
+<f, g> = E[f(xi) g(xi)], xi ~ N(0,1), so h_0 = 1, h_1 = x,
+h_2 = (x^2 - 1)/sqrt(2), h_3 = (x^3 - 3x)/sqrt(6).  The monic
+(probabilists') polynomial of degree d is sqrt(d!) h_d.
 """
 
 from __future__ import annotations
@@ -24,29 +24,23 @@ DEFAULT_DEGREE = 30
 MEAN_ZERO_TOL = 1e-8
 
 
-def hermite_eval(d: int, x, variant: str = "orthonormal"):
-    """Evaluate the degree-d Hermite polynomial at x (scalar or array).
-
-    variant "orthonormal" gives h_d (unit norm under the standard normal);
-    "monic" gives ht_d = sqrt(d!) h_d with leading coefficient 1.  Computed
-    by upward recurrence, which is numerically stable on the real line.
-    """
+def hermite_eval(d: int, x):
+    """Evaluate h_d, the degree-d orthonormal Hermite polynomial, at x
+    (scalar or array), by upward recurrence, which is numerically stable
+    on the real line."""
     if d < 0:
         raise ConfigError(f"degree must be >= 0, got {d}")
-    if variant not in ("orthonormal", "monic"):
-        raise ConfigError(f"unknown variant {variant!r}")
-    for out in _hermite_sweep(np.asarray(x, dtype=float), d, monic=variant == "monic"):
+    for out in _hermite_sweep(np.asarray(x, dtype=float), d):
         pass
     return out if out.ndim else float(out)
 
 
-def _hermite_sweep(x: np.ndarray, max_degree: int, monic: bool = False, scratch=None):
+def _hermite_sweep(x: np.ndarray, max_degree: int, scratch=None):
     """Yield h_0(x), ..., h_max_degree(x) from one upward pass of
-    h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1), or of the monic
-    ht_{k+1} = x ht_k - k ht_{k-1}.  The pass reuses two buffers, so each
-    yielded array is overwritten two degrees later.  `scratch`, an array
-    shaped like x, holds nothing between yields, so the caller may use it
-    there too."""
+    h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1).  The pass reuses two
+    buffers, so each yielded array is overwritten two degrees later.
+    `scratch`, an array shaped like x, holds nothing between yields, so the
+    caller may use it there too."""
     prev = np.ones_like(x)
     yield prev
     if max_degree < 1:
@@ -57,10 +51,9 @@ def _hermite_sweep(x: np.ndarray, max_degree: int, monic: bool = False, scratch=
         scratch = np.empty_like(x)
     for k in range(1, max_degree):
         np.multiply(x, cur, out=scratch)
-        np.multiply(prev, k if monic else math.sqrt(k), out=prev)
+        np.multiply(prev, math.sqrt(k), out=prev)
         np.subtract(scratch, prev, out=prev)
-        if not monic:
-            prev /= math.sqrt(k + 1)
+        prev /= math.sqrt(k + 1)
         prev, cur = cur, prev
         yield cur
 
@@ -136,7 +129,6 @@ class KernelSpec:
 
     evaluator: Callable
     declared_parity: str = "general"  # "odd" or "general"
-    growth_note: str = ""
 
     def __post_init__(self):
         if self.declared_parity not in ("odd", "general"):
@@ -277,8 +269,4 @@ def hermite_sum_kernel(coeffs: Sequence[float]) -> KernelSpec:
     coeffs = np.asarray(coeffs, dtype=float)
     odd = all(coeffs[d - 1] == 0.0 for d in range(2, len(coeffs) + 1, 2))
     expansion = KernelExpansion(coefficients=coeffs)
-    return KernelSpec(
-        evaluator=expansion,
-        declared_parity="odd" if odd else "general",
-        growth_note=f"polynomial of degree {len(coeffs)}",
-    )
+    return KernelSpec(evaluator=expansion, declared_parity="odd" if odd else "general")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -38,33 +38,109 @@ TRACE_P_CAP = 6
 TRACE_D_CAP = 3
 
 
-def _as_excess(value: Fraction):
-    """Excesses are half-integers; return int when integral."""
-    return int(value) if value.denominator == 1 else value
-
-
-def _canonical_key(p_labels, n_label_sets):
-    """Complete invariant of a labeling's equivalence class under
-    independent relabelings of p-labels and n-labels, given the set of
-    n-labels at each n-vertex (order within a set quotiented out): the
-    cycle length, the first-appearance-renamed p-sequence, and the sorted
-    multiset of per-label occurrence lists."""
-    rename: dict[int, int] = {}
-    p_key = tuple(rename.setdefault(i, len(rename) + 1) for i in p_labels)
-    occ: dict[int, list[int]] = {}
-    for s, labels in enumerate(n_label_sets):
-        for j in labels:
-            occ.setdefault(j, []).append(s)
-    return (len(p_labels), p_key, tuple(sorted(tuple(v) for v in occ.values())))
-
-
 # ---------------------------------------------------------------------------
-# multi-labelings
+# labelings
 
 
 @dataclass(frozen=True)
-class MultiLabeling:
+class _LabeledCycle:
+    """What both labeling families share, defined once on p_labels and the
+    per-vertex view label_sets: label_sets[s] holds the n-labels at
+    n-vertex s, an empty tuple for the empty label.  A family sets
+    label_sets from its own n-labels on construction, and builds itself
+    back from such sets in _from_label_sets."""
+
     p_labels: tuple[int, ...]
+    label_sets: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    @property
+    def l(self) -> int:
+        return len(self.p_labels)
+
+    @property
+    def distinct_p(self) -> int:
+        return len(set(self.p_labels))
+
+    @property
+    def distinct_n(self) -> int:
+        return len({j for t in self.label_sets for j in t})
+
+    @property
+    def m(self) -> int:
+        """Total distinct labels; p-labels and n-labels never identified."""
+        return self.distinct_p + self.distinct_n
+
+    @property
+    def excess(self):
+        """(l + sum of n-label counts)/2 + 1 - m: nonnegative for valid
+        labelings, and a half-integer, returned as a Fraction, when the
+        numerator is odd."""
+        value = Fraction(self.l + sum(map(len, self.label_sets)), 2) + 1 - self.m
+        return int(value) if value.denominator == 1 else value
+
+    def _ends(self):
+        """The p-labels on either side of each n-vertex, in cycle order."""
+        p = self.p_labels
+        return zip(p, p[1:] + p[:1])
+
+    def edge_pair_counts(self) -> dict[tuple[int, int], int]:
+        """b[i, j]: edges whose p-endpoint is labeled i and whose n-endpoint
+        carries j.  Each n-vertex has two incident edges."""
+        b: dict[tuple[int, int], int] = {}
+        for (i1, i2), t in zip(self._ends(), self.label_sets):
+            for j in t:
+                b[(i1, j)] = b.get((i1, j), 0) + 1
+                b[(i2, j)] = b.get((i2, j), 0) + 1
+        return b
+
+    def validate(self) -> list[str]:
+        """Condition-by-condition check of what both families require:
+        distinct neighbouring p-labels, and an even number of edges between
+        each p-label and each n-label.  An empty list means valid."""
+        problems = [
+            f"adjacent p-vertices {s} and {(s + 1) % self.l} share label"
+            for s, (i, i2) in enumerate(self._ends())
+            if i == i2
+        ]
+        problems += [
+            f"label pair ({i}, {j}) meets an odd number of edges ({count})"
+            for (i, j), count in self.edge_pair_counts().items()
+            if count % 2 != 0
+        ]
+        return problems
+
+    @property
+    def is_valid(self) -> bool:
+        return not self.validate()
+
+    def canonical_key(self):
+        """Complete invariant of the labeling's equivalence class under
+        independent relabelings of p-labels and n-labels: the cycle length,
+        the first-appearance-renamed p-sequence, and the sorted multiset of
+        per-n-label occurrence lists."""
+        rename: dict[int, int] = {}
+        p_key = tuple(rename.setdefault(i, len(rename) + 1) for i in self.p_labels)
+        occ: dict[int, list[int]] = {}
+        for s, labels in enumerate(self.label_sets):
+            for j in labels:
+                occ.setdefault(j, []).append(s)
+        return (self.l, p_key, tuple(sorted(tuple(v) for v in occ.values())))
+
+    def canonical(self):
+        """The canonical representative: labels renumbered 1.. in the order
+        of the canonical key, so each vertex's labels come out sorted."""
+        l, p_key, n_key = self.canonical_key()
+        sets: list[list[int]] = [[] for _ in range(l)]
+        for new_j, occ in enumerate(n_key, start=1):
+            for s in occ:
+                sets[s].append(new_j)
+        return self._from_label_sets(p_key, sets)
+
+
+@dataclass(frozen=True)
+class MultiLabeling(_LabeledCycle):
+    """Each n-vertex carries a nonempty tuple of distinct n-labels."""
+
     n_tuples: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -77,53 +153,22 @@ class MultiLabeling:
                 raise ConfigError("n-tuples must be nonempty")
             if len(set(t)) != len(t):
                 raise ConfigError(f"n-tuple {t} has repeated labels")
+        object.__setattr__(self, "label_sets", self.n_tuples)
 
-    @property
-    def l(self) -> int:
-        return len(self.p_labels)
+    @classmethod
+    def _from_label_sets(cls, p_labels, label_sets):
+        return cls(p_labels=p_labels, n_tuples=tuple(map(tuple, label_sets)))
 
     @property
     def tuple_sizes(self) -> tuple[int, ...]:
         return tuple(len(t) for t in self.n_tuples)
 
     @property
-    def total_n_labels(self) -> int:
-        return sum(self.tuple_sizes)
-
-    @property
-    def distinct_p(self) -> int:
-        return len(set(self.p_labels))
-
-    @property
-    def distinct_n(self) -> int:
-        return len({j for t in self.n_tuples for j in t})
-
-    @property
-    def m(self) -> int:
-        """Total distinct labels; p-labels and n-labels never identified."""
-        return self.distinct_p + self.distinct_n
-
-    @property
-    def excess(self):
-        return _as_excess(Fraction(self.l + self.total_n_labels, 2) + 1 - self.m)
-
-    @property
     def parity_ok(self) -> bool:
         """Whether l + sum(d_s) is even, making the excess an integer.
         Half-integer excesses occur on valid labelings; they are flagged,
         not rejected."""
-        return (self.l + self.total_n_labels) % 2 == 0
-
-    def edge_pair_counts(self) -> dict[tuple[int, int], int]:
-        """b[i, j]: edges whose p-endpoint is labeled i and whose n-endpoint
-        tuple contains j.  Each n-vertex has two incident edges."""
-        b: dict[tuple[int, int], int] = {}
-        l = self.l
-        for s, t in enumerate(self.n_tuples):
-            for i in (self.p_labels[s], self.p_labels[(s + 1) % l]):
-                for j in t:
-                    b[(i, j)] = b.get((i, j), 0) + 1
-        return b
+        return (self.l + sum(self.tuple_sizes)) % 2 == 0
 
     def n_label_counts(self) -> dict[int, int]:
         """N[j]: number of n-vertices whose tuple contains j."""
@@ -133,134 +178,48 @@ class MultiLabeling:
                 counts[j] = counts.get(j, 0) + 1
         return counts
 
-    def consecutive_p_pair_counts(self) -> dict[tuple[int, int], int]:
-        """P[i, i']: occurrences of {i, i'} as consecutive p-labels."""
-        counts: dict[tuple[int, int], int] = {}
-        l = self.l
-        for s in range(l):
-            i1, i2 = self.p_labels[s], self.p_labels[(s + 1) % l]
-            key = (min(i1, i2), max(i1, i2))
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     def validate(self, max_tuple_size: int | None = None) -> list[str]:
-        """Condition-by-condition check; empty list means valid."""
-        problems = []
-        l = self.l
-        for s in range(l):
-            if self.p_labels[s] == self.p_labels[(s + 1) % l]:
-                problems.append(f"adjacent p-vertices {s} and {(s + 1) % l} share label")
+        """The shared conditions, plus tuple sizes of at most
+        max_tuple_size when it is given."""
+        problems = super().validate()
         if max_tuple_size is not None:
             for s, t in enumerate(self.n_tuples):
                 if len(t) > max_tuple_size:
                     problems.append(f"n-vertex {s} has {len(t)} labels > cap {max_tuple_size}")
-        for (i, j), count in self.edge_pair_counts().items():
-            if count % 2 != 0:
-                problems.append(f"label pair ({i}, {j}) meets an odd number of edges ({count})")
         return problems
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.validate()
-
-    def canonical_key(self):
-        return _canonical_key(self.p_labels, self.n_tuples)
-
-    def canonical(self) -> "MultiLabeling":
-        """The canonical representative: labels renumbered 1.. in a
-        deterministic order, tuples sorted."""
-        l, p_key, n_key = self.canonical_key()
-        tuples: list[list[int]] = [[] for _ in range(l)]
-        for new_j, occ in enumerate(n_key, start=1):
-            for s in occ:
-                tuples[s].append(new_j)
-        return MultiLabeling(p_labels=p_key, n_tuples=tuple(tuple(sorted(t)) for t in tuples))
-
-
-def excess(ml: MultiLabeling):
-    """(l + sum d_s)/2 + 1 - m; nonnegative for valid labelings, integer
-    exactly when l + sum d_s is even (see MultiLabeling.parity_ok)."""
-    return ml.excess
-
-
-# ---------------------------------------------------------------------------
-# simple labelings
 
 
 @dataclass(frozen=True)
-class SimpleLabeling:
-    p_labels: tuple[int, ...]
-    n_labels: tuple[int | None, ...]  # None is the empty label
+class SimpleLabeling(_LabeledCycle):
+    """Each n-vertex carries one n-label or the empty label (None)."""
+
+    n_labels: tuple[int | None, ...]
 
     def __post_init__(self):
         if len(self.p_labels) != len(self.n_labels):
             raise ConfigError("need one n-label slot per p-vertex")
+        sets = tuple(() if j is None else (j,) for j in self.n_labels)
+        object.__setattr__(self, "label_sets", sets)
 
-    @property
-    def l(self) -> int:
-        return len(self.p_labels)
-
-    @property
-    def filled(self) -> int:
-        """Number of n-vertices with a non-empty label."""
-        return sum(1 for j in self.n_labels if j is not None)
-
-    @property
-    def distinct_p(self) -> int:
-        return len(set(self.p_labels))
-
-    @property
-    def distinct_n(self) -> int:
-        return len({j for j in self.n_labels if j is not None})
-
-    @property
-    def m(self) -> int:
-        return self.distinct_p + self.distinct_n
-
-    @property
-    def excess(self):
-        return _as_excess(Fraction(self.l + self.filled, 2) + 1 - self.m)
+    @classmethod
+    def _from_label_sets(cls, p_labels, label_sets):
+        return cls(p_labels=p_labels, n_labels=tuple(t[0] if t else None for t in label_sets))
 
     def validate(self) -> list[str]:
-        problems = []
-        l = self.l
-        for s in range(l):
-            if self.p_labels[s] == self.p_labels[(s + 1) % l]:
-                problems.append(f"adjacent p-vertices {s} and {(s + 1) % l} share label")
-        b: dict[tuple[int, int], int] = {}
-        triples: dict[tuple[int, int], int] = {}
-        for s, j in enumerate(self.n_labels):
-            i1, i2 = self.p_labels[s], self.p_labels[(s + 1) % l]
+        """The shared conditions, plus as many empty runs (i, -, i') as
+        reversed runs (i', -, i) for every ordered pair of p-labels."""
+        problems = super().validate()
+        runs: dict[tuple[int, int], int] = {}
+        for ends, j in zip(self._ends(), self.n_labels):
             if j is None:
-                triples[(i1, i2)] = triples.get((i1, i2), 0) + 1
-            else:
-                b[(i1, j)] = b.get((i1, j), 0) + 1
-                b[(i2, j)] = b.get((i2, j), 0) + 1
-        for (i, j), count in b.items():
-            if count % 2 != 0:
-                problems.append(f"label pair ({i}, {j}) meets an odd number of edges ({count})")
-        for (i1, i2), count in triples.items():
-            if triples.get((i2, i1), 0) != count:
+                runs[ends] = runs.get(ends, 0) + 1
+        for (i1, i2), count in runs.items():
+            if runs.get((i2, i1), 0) != count:
                 problems.append(
                     f"empty-label runs ({i1}, -, {i2}) occur {count} times but "
-                    f"({i2}, -, {i1}) occur {triples.get((i2, i1), 0)}"
+                    f"({i2}, -, {i1}) occur {runs.get((i2, i1), 0)}"
                 )
         return problems
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.validate()
-
-    def canonical_key(self):
-        return _canonical_key(self.p_labels, [() if j is None else (j,) for j in self.n_labels])
-
-    def canonical(self) -> "SimpleLabeling":
-        l, p_key, n_key = self.canonical_key()
-        labels: list[int | None] = [None] * l
-        for new_j, occ in enumerate(n_key, start=1):
-            for s in occ:
-                labels[s] = new_j
-        return SimpleLabeling(p_labels=p_key, n_labels=tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +456,6 @@ def _classify(ml: MultiLabeling):
 
     tags: list[object] = [None] * ml.l
     pair_id = 0
-    pairs: dict[int, tuple[int, int]] = {}
     for s, t in enumerate(ml.n_tuples):
         if tags[s] is not None:
             continue
@@ -512,12 +470,11 @@ def _classify(ml: MultiLabeling):
         mates = by_set[frozenset(t)]
         if len(mates) == 2 and all(counts[j] == 2 for j in t):
             a, b = mates
-            pairs[pair_id] = (a, b)
             tags[a] = tags[b] = ("pair", pair_id)
             pair_id += 1
         else:
             tags[s] = "bad"
-    return tags, pairs
+    return tags
 
 
 def label_simplifying_map(ml: MultiLabeling) -> SimpleLabeling:
@@ -534,7 +491,7 @@ def label_simplifying_map(ml: MultiLabeling) -> SimpleLabeling:
     if ml.validate():
         raise ConfigError(f"label-simplifying map needs a valid labeling: {ml.validate()}")
     l = ml.l
-    tags, _ = _classify(ml)
+    tags = _classify(ml)
 
     # cycle slots: even index 2s = p-vertex s, odd index 2s+1 = n-vertex s
     slots: list[object] = []

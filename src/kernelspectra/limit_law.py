@@ -110,17 +110,6 @@ class DensityGrid:
         return float(np.trapezoid(self.density, self.xs))
 
 
-@dataclass(frozen=True)
-class CumulantSequence:
-    kappas: np.ndarray  # kappas[l-1] holds kappa_l
-
-    def __getitem__(self, l: int) -> float:
-        return float(self.kappas[l - 1])
-
-    def __len__(self) -> int:
-        return len(self.kappas)
-
-
 def _cubic_coefficients(z, p: LimitLawParams):
     """Coefficients (c3, c2, c1, c0) of the polynomial in m; c2, c1 follow
     the shape of z."""
@@ -160,25 +149,12 @@ def stieltjes_grid(zs: np.ndarray, p: LimitLawParams) -> np.ndarray:
     return m
 
 
-def density(
-    p: LimitLawParams,
-    xs: np.ndarray,
-    epsilon: float = 1e-6,
-    richardson: bool = False,
-) -> DensityGrid:
-    """Density by Stieltjes inversion: Im m(x + i*eps) / pi on a grid.
-
-    With richardson=True a two-point extrapolation eps -> 0 is applied,
-    rho = 2*rho(eps) - rho(2*eps), which removes the leading linear bias
-    of the smoothing at interior points.
-    """
+def density(p: LimitLawParams, xs: np.ndarray, epsilon: float = 1e-6) -> DensityGrid:
+    """Density by Stieltjes inversion: Im m(x + i*eps) / pi on a grid."""
     if not epsilon > 0:
         raise DomainError(f"epsilon must be > 0, got {epsilon}")
     xs = np.asarray(xs, dtype=float)
     rho = stieltjes_grid(xs + 1j * epsilon, p).imag / np.pi
-    if richardson:
-        rho2 = stieltjes_grid(xs + 2j * epsilon, p).imag / np.pi
-        rho = 2.0 * rho - rho2
     return DensityGrid(xs=xs, density=np.maximum(rho, 0.0), epsilon=epsilon)
 
 
@@ -272,9 +248,9 @@ def r_transform(z: complex, p: LimitLawParams) -> complex:
     return -p.a * (1.0 - 1.0 / denom) + p.semicircle_variance * z
 
 
-def free_cumulants(p: LimitLawParams, order: int) -> CumulantSequence:
-    """kappa_1..kappa_order: kappa_1 = 0, kappa_2 = gamma*nu, and
-    kappa_l = a^l gamma^(l-1) for l >= 3."""
+def free_cumulants(p: LimitLawParams, order: int) -> np.ndarray:
+    """kappa_1..kappa_order, with kappa_l at index l-1: kappa_1 = 0,
+    kappa_2 = gamma*nu, and kappa_l = a^l gamma^(l-1) for l >= 3."""
     if order < 1:
         raise ConfigError(f"order must be >= 1, got {order}")
     kap = np.zeros(order)
@@ -282,7 +258,7 @@ def free_cumulants(p: LimitLawParams, order: int) -> CumulantSequence:
         kap[1] = p.gamma * p.nu
     for l in range(3, order + 1):
         kap[l - 1] = p.a**l * p.gamma ** (l - 1)
-    return CumulantSequence(kappas=kap)
+    return kap
 
 
 def _nc_partitions(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -340,7 +316,7 @@ def moment(p: LimitLawParams, l: int) -> float:
     """
     if not 1 <= l <= MAX_MOMENT_ORDER:
         raise SizeCapError(f"l must be in [1, {MAX_MOMENT_ORDER}], got {l}")
-    kap = free_cumulants(p, l).kappas
+    kap = free_cumulants(p, l)
     m = np.zeros(l + 1)
     m[0] = 1.0
     powers = np.zeros((l + 1, l + 1))  # powers[s, k] = [t^k] M(t)^s

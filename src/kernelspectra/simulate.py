@@ -21,7 +21,12 @@ from .errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 from .hermite import KernelSpec, _eval_on, hermite_eval
 from .limit_law import LimitLawParams, density, support
 
-MAX_MATRIX_SIDE = 12000  # p^2 doubles; keeps a single matrix under ~1.2 GB
+# Peak RSS of build_kernel_matrix + spectrum, measured with ru_maxrss in a
+# fresh process at p = 1500 and 3000: 40 MB + 8 B * (5.1 p^2 + p n), i.e.
+# 5.1 p x p float64 arrays (the Gram, the kernel's output and the Hermite
+# sweep's three buffers) besides X.  At n = p and this cap that is 5.9 GB,
+# which leaves about 1 GB of a 7 GB host to everything else.
+MAX_MATRIX_SIDE = 11000
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +128,6 @@ def sample_data(cfg: DataMatrixConfig, stream: int | tuple[int, ...] = 0) -> np.
 # kernel matrices
 
 
-@dataclass(frozen=True)
-class KernelMatrixSample:
-    matrix: np.ndarray
-    kernel: object = None
-
-
 _SLAB_ROWS = 256  # rows per block in the blocked passes over a p x p matrix
 
 
@@ -157,14 +156,14 @@ def _kernel_matrix(X: np.ndarray, kernel, keep_diagonal: bool) -> np.ndarray:
     return m
 
 
-def build_kernel_matrix(X: np.ndarray, kernel) -> KernelMatrixSample:
+def build_kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
     """K(X)[i,i'] = k(sqrt(n) * Sigma_hat[i,i']) / sqrt(n) off-diagonal,
     exactly zero on the diagonal.  Built from the upper triangle so the
     result is exactly symmetric."""
-    return KernelMatrixSample(matrix=_kernel_matrix(X, kernel, keep_diagonal=False), kernel=kernel)
+    return _kernel_matrix(X, kernel, keep_diagonal=False)
 
 
-def build_component_matrix(X: np.ndarray, d: int, a_d: float) -> KernelMatrixSample:
+def build_component_matrix(X: np.ndarray, d: int, a_d: float) -> np.ndarray:
     """Kernel matrix for the single-degree kernel a_d * h_d."""
     if d < 1:
         raise ConfigError(f"degree must be >= 1, got {d}")
@@ -518,7 +517,7 @@ def concentration_probe(
         for t in range(trials):
             cfg = DataMatrixConfig(n=n, p=p_dim, seed=seed)
             X = sample_data(cfg, stream=(ridx, t))
-            K = _checked_hermitian(build_kernel_matrix(X, kspec).matrix)
+            K = _checked_hermitian(build_kernel_matrix(X, kspec))
             lowest, highest = _lanczos_ends(K, (0, -1))
             norms.append(max(abs(lowest), abs(highest)))
         med = float(np.median(norms))

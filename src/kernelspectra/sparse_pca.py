@@ -49,8 +49,6 @@ class ThresholdFunction:
     """Callable form of the smoothed soft-threshold at a fixed tau."""
 
     tau: float
-    inner_fraction: float = INNER_FRACTION
-    outer_fraction: float = OUTER_FRACTION
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -60,11 +58,7 @@ class ThresholdFunction:
         return smoothed_soft_threshold(x, self.tau)
 
     def as_kernel_spec(self) -> KernelSpec:
-        return KernelSpec(
-            evaluator=self,
-            declared_parity="odd",
-            growth_note="|k(x)| <= |x|; globally Lipschitz with slope <= 1",
-        )
+        return KernelSpec(evaluator=self, declared_parity="odd")
 
 
 @dataclass(frozen=True)

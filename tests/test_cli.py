@@ -12,9 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kernelspectra
+import kernelspectra.cli as cli_module
+from kernelspectra import sparse_pca
 from kernelspectra.cli import main, parse_kernel
 from kernelspectra.errors import ConfigError
 from kernelspectra.limit_law import MAX_MOMENT_ORDER, LimitLawParams, moment
+from kernelspectra.simulate import MAX_MATRIX_SIDE
 
 
 @pytest.fixture(autouse=True)
@@ -110,6 +113,15 @@ def test_limit_law_bad_moments_lmax_writes_nothing(tmp_path, capsys, lmax, code)
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("points", [-3, 0, 1])
+def test_limit_law_bad_density_points_exits_2(tmp_path, capsys, points):
+    # a negative count used to end in numpy's ValueError from linspace
+    cfg = write_cfg(tmp_path, "l.cfg", a=1, nu=2, gamma=0.5, density_points=points)
+    assert main(["limit-law", cfg]) == 2
+    assert "density_points" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
 def test_limit_law_moments_to_the_cap(tmp_path):
     cfg = write_cfg(tmp_path, "l.cfg", a=1, nu=2, gamma=0.5, moments_lmax=MAX_MOMENT_ORDER)
     assert main(["limit-law", cfg]) == 0
@@ -162,6 +174,25 @@ def test_simulate_size_cap_exits_3(tmp_path):
     assert main(["simulate", cfg]) == 3
 
 
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("simulate", {"kernel": "h1", "n": 4, "p": MAX_MATRIX_SIDE + 1}),
+        ("sparse-pca-sweep", {"n": MAX_MATRIX_SIDE + 1, "taus": "1.0"}),
+    ],
+)
+def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch, command, keys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled data past the size cap")
+
+    for module in (cli_module, sparse_pca):
+        monkeypatch.setattr(module, "sample_data", no_sampling)
+    monkeypatch.setattr(sparse_pca, "sample_spiked_data", no_sampling)
+    cfg = write_cfg(tmp_path, "c.cfg", **keys)
+    assert main([command, cfg]) == 3
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
 def test_sweep_command(tmp_path):
     cfg = write_cfg(
         tmp_path, "w.cfg", n=150, taus="1.0,2.0", trials=1, lam=0.9, sparsity_coeff=0.3
@@ -208,6 +239,17 @@ def test_verify_without_a_scaling_fit_exits_2(tmp_path, capsys, keys):
     cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, trace_trials=100, **keys)
     assert main(["verify", cfg]) == 2
     assert "scaling_" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("ns", ["-5,10", "0,100"])
+def test_verify_nonpositive_scaling_n_exits_2(tmp_path, capsys, ns):
+    # a negative n used to end in numpy's "negative dimensions" ValueError
+    cfg = write_cfg(
+        tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, trace_trials=100, scaling_ns=ns
+    )
+    assert main(["verify", cfg]) == 2
+    assert "scaling_ns" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
 
 

@@ -46,26 +46,26 @@ def test_eval_matches_closed_forms_pointwise():
 def test_eval_examples():
     # h_2(sqrt(2)) = (2 - 1)/sqrt(2)
     assert hermite_eval(2, math.sqrt(2)) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-    # odd monic polynomials vanish at 0
+    # odd polynomials vanish at 0
     for d in (1, 3, 5, 7):
-        assert hermite_eval(d, 0.0, variant="monic") == 0.0
-    # monic cubic at 2: x^3 - 3x = 8 - 6
-    assert hermite_eval(3, 2.0, variant="monic") == pytest.approx(2.0, abs=1e-12)
+        assert hermite_eval(d, 0.0) == 0.0
+    # the monic cubic at 2: sqrt(3!) h_3(2) = x^3 - 3x = 8 - 6
+    assert math.sqrt(6) * hermite_eval(3, 2.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_monic_orthonormal_scaling():
+    # sqrt(d!) h_d is the monic probabilists' polynomial He_d
     xs = np.linspace(-3, 3, 13)
     for d in range(8):
-        monic = hermite_eval(d, xs, variant="monic")
-        ortho = hermite_eval(d, xs)
-        assert np.allclose(monic, math.sqrt(math.factorial(d)) * ortho, atol=1e-10)
+        monic = np.polynomial.hermite_e.hermeval(xs, [0.0] * d + [1.0])
+        scaled = math.sqrt(math.factorial(d)) * hermite_eval(d, xs)
+        assert np.allclose(scaled, monic, atol=1e-10)
+    assert np.allclose(math.sqrt(6) * hermite_eval(3, xs), xs**3 - 3 * xs, atol=1e-12)
 
 
 def test_eval_rejects_bad_args():
     with pytest.raises(ConfigError):
         hermite_eval(-1, 0.0)
-    with pytest.raises(ConfigError):
-        hermite_eval(2, 0.0, variant="weird")
 
 
 def test_quadrature_normal_moments():

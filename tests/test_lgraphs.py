@@ -16,7 +16,6 @@ from kernelspectra.lgraphs import (
     enumerate_multilabelings,
     enumerate_simplelabelings,
     exact_trace_moment,
-    excess,
     first_order_matrix,
     label_simplifying_map,
     sample_trace_moment,
@@ -49,6 +48,24 @@ def naive_validate(ml: MultiLabeling, max_tuple_size=None) -> bool:
             for i in (ml.p_labels[s], ml.p_labels[(s + 1) % l]):
                 incidences[(i, j)] = incidences.get((i, j), 0) + 1
     return all(c % 2 == 0 for c in incidences.values())
+
+
+def naive_simple_validate(sl: SimpleLabeling) -> bool:
+    """Independent checker for simple labelings, written from scratch:
+    distinct neighbouring p-labels, an even number of edges between every
+    p-label and every non-empty n-label, and as many empty runs (i, -, i')
+    as reversed runs (i', -, i) for every ordered pair of p-labels."""
+    l = len(sl.p_labels)
+    around = [(sl.p_labels[s], sl.p_labels[(s + 1) % l]) for s in range(l)]
+    if any(i == i2 for i, i2 in around):
+        return False
+    for j in {j for j in sl.n_labels if j is not None}:
+        for i in set(sl.p_labels):
+            edges = sum((i1 == i) + (i2 == i) for (i1, i2), k in zip(around, sl.n_labels) if k == j)
+            if edges % 2:
+                return False
+    runs = [pair for pair, k in zip(around, sl.n_labels) if k is None]
+    return all(runs.count(pair) == runs.count(pair[::-1]) for pair in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +242,16 @@ def test_canonicalization_idempotent():
 
 
 def test_excess_examples():
-    assert excess(ZERO_EXCESS_EXAMPLE) == 0
+    assert ZERO_EXCESS_EXAMPLE.excess == 0
     assert ZERO_EXCESS_EXAMPLE.m == 7
-    assert excess(MultiLabeling(p_labels=(1, 2), n_tuples=((1,), (1,)))) == 0
+    assert MultiLabeling(p_labels=(1, 2), n_tuples=((1,), (1,))).excess == 0
 
 
 def test_excess_half_integer_is_flagged_not_rejected():
     ml = MultiLabeling(p_labels=(1, 2, 3), n_tuples=((1, 2), (1, 2), (1, 2)))
     assert not ml.validate(2)  # valid labeling
     assert not ml.parity_ok
-    assert excess(ml) == Fraction(1, 2)
+    assert ml.excess == Fraction(1, 2)
 
 
 def test_lemma_census_is_clean():
@@ -272,7 +289,7 @@ def test_map_zero_excess_example():
     assert image.p_labels == (1, 2, 1, 3)
     assert image.n_labels == (None, None, 4, 4)
     assert image.excess == 0
-    assert image.filled == 2
+    assert sum(j is not None for j in image.n_labels) == 2  # filled n-vertices
     assert image.is_valid
 
 
@@ -337,6 +354,55 @@ def test_simple_labeling_enumeration_and_validation():
 def test_simple_labeling_rejects_unbalanced_empty_runs():
     sl = SimpleLabeling(p_labels=(1, 2, 3), n_labels=(None, None, None))
     assert sl.validate()  # (1,-,2) occurs once but (2,-,1) never
+
+
+def test_simple_validation_matches_naive_checker_on_random_candidates():
+    rng = np.random.default_rng(7)
+    valid = 0
+    for _ in range(10_000):
+        l = int(rng.integers(2, 6))
+        p_labels = tuple(int(x) for x in rng.integers(1, 4, size=l))
+        n_labels = tuple(None if x == 0 else int(x) for x in rng.integers(0, 3, size=l))
+        sl = SimpleLabeling(p_labels=p_labels, n_labels=n_labels)
+        ok = naive_simple_validate(sl)
+        assert (not sl.validate()) == ok
+        assert sl.is_valid == ok
+        valid += ok
+    assert 500 < valid < 9_500  # both outcomes are well represented
+    # the empty-run balance alone decides these two
+    assert not naive_simple_validate(SimpleLabeling((1, 2, 3), (None,) * 3))
+    balanced = SimpleLabeling(p_labels=(1, 2, 1, 3), n_labels=(None, None, 4, 4))
+    assert naive_simple_validate(balanced) and balanced.is_valid
+
+
+def test_simple_canonicalization_idempotent_and_relabeling_invariant():
+    rng = np.random.default_rng(8)
+    for l in (4, 5):
+        for c in enumerate_simplelabelings(l):
+            once = c.canonical()
+            assert once == c  # the enumeration returns canonical representatives
+            assert once.canonical_key() == c.canonical_key()
+            assert once.canonical() == once
+            p_perm = {i: int(v) for i, v in zip(range(1, 9), rng.permutation(np.arange(10, 18)))}
+            n_perm = {j: int(v) for j, v in zip(range(1, 9), rng.permutation(np.arange(20, 28)))}
+            shuffled = SimpleLabeling(
+                p_labels=tuple(p_perm[i] for i in c.p_labels),
+                n_labels=tuple(None if j is None else n_perm[j] for j in c.n_labels),
+            )
+            assert shuffled.canonical_key() == c.canonical_key()
+            assert shuffled.canonical() == once
+            assert shuffled.is_valid
+    # idempotence off the enumerated classes too, valid or not
+    for _ in range(500):
+        l = int(rng.integers(2, 6))
+        sl = SimpleLabeling(
+            p_labels=tuple(int(x) for x in rng.integers(5, 9, size=l)),
+            n_labels=tuple(None if x == 0 else int(x) for x in rng.integers(0, 9, size=l)),
+        )
+        once = sl.canonical()
+        assert once.canonical() == once
+        assert once.canonical_key() == sl.canonical_key()
+        assert once.is_valid == sl.is_valid
 
 
 # ---------------------------------------------------------------------------

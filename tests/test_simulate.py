@@ -169,7 +169,7 @@ def test_size_cap():
 
 def test_linear_kernel_matrix_identity():
     X = sample_data(DataMatrixConfig(n=30, p=20, seed=3))
-    K = build_kernel_matrix(X, lambda y: y).matrix
+    K = build_kernel_matrix(X, lambda y: y)
     expected = X @ X.T / 30
     np.fill_diagonal(expected, 0.0)
     assert np.max(np.abs(K - expected)) < 1e-12
@@ -177,7 +177,7 @@ def test_linear_kernel_matrix_identity():
 
 def test_kernel_matrix_shape_invariants():
     X = sample_data(DataMatrixConfig(n=25, p=35, seed=4))
-    K = build_kernel_matrix(X, h3).matrix
+    K = build_kernel_matrix(X, h3)
     assert np.array_equal(K, K.T)
     assert np.all(np.diag(K) == 0.0)
 
@@ -186,23 +186,23 @@ def test_kernel_negation_identities():
     # the Gram matrix is invariant under X -> -X, so K is too; negating
     # the kernel itself negates K entrywise
     X = sample_data(DataMatrixConfig(n=20, p=15, seed=5))
-    K = build_kernel_matrix(X, h3).matrix
-    assert np.max(np.abs(build_kernel_matrix(-X, h3).matrix - K)) < 1e-12
-    K_neg = build_kernel_matrix(X, lambda y: -h3(y)).matrix
+    K = build_kernel_matrix(X, h3)
+    assert np.max(np.abs(build_kernel_matrix(-X, h3) - K)) < 1e-12
+    K_neg = build_kernel_matrix(X, lambda y: -h3(y))
     assert np.max(np.abs(K_neg + K)) < 1e-12
 
 
 def test_component_matrix_degree_one():
     X = sample_data(DataMatrixConfig(n=20, p=15, seed=6))
-    K1 = build_component_matrix(X, 1, 1.0).matrix
-    K_lin = build_kernel_matrix(X, lambda y: y).matrix
+    K1 = build_component_matrix(X, 1, 1.0)
+    K_lin = build_kernel_matrix(X, lambda y: y)
     assert np.max(np.abs(K1 - K_lin)) < 1e-12
 
 
 def test_component_matrix_semicircle_esd():
     X = sample_data(DataMatrixConfig(n=1000, p=1000, seed=7))
     for d in (2, 3):
-        s = spectrum(build_component_matrix(X, d, 1.0).matrix)
+        s = spectrum(build_component_matrix(X, d, 1.0))
         assert ks_distance(s, LimitLawParams(0.0, 1.0, 1.0)) < 0.06
 
 
@@ -261,7 +261,7 @@ def test_top_eigenvalue_matches_eigvalsh(p, seed, kind):
 
 def test_top_eigenvalue_is_repeatable():
     X = sample_data(DataMatrixConfig(n=400, p=300, seed=9))
-    K = build_kernel_matrix(X, h3).matrix
+    K = build_kernel_matrix(X, h3)
     first = top_eigenvalue(K)
     assert top_eigenvalue(K) == first
     assert first == pytest.approx(np.linalg.eigvalsh(K)[-1], rel=1e-12)
@@ -310,7 +310,7 @@ def test_ks_synthetic_quantiles():
 
 def test_ks_negative_control():
     X = sample_data(DataMatrixConfig(n=500, p=500, seed=8))
-    s = spectrum(build_kernel_matrix(X, h3).matrix)
+    s = spectrum(build_kernel_matrix(X, h3))
     assert ks_distance(s, LimitLawParams(0.0, 1.0, 1.0)) < 0.06
     # doubling nu compares semicircles of radius 2 and 2*sqrt(2); their CDF
     # sup-gap is 1 - F_{2sqrt2}(2) = 1/2 - (1/2 + pi/4)/pi ~ 0.0909
@@ -554,7 +554,7 @@ def test_concentration_probe_norm_matches_full_spectrum():
         cfg = DataMatrixConfig(n=60, p=row["p"], seed=3)
         norms = []
         for t in range(2):
-            K = build_kernel_matrix(sample_data(cfg, stream=(ridx, t)), h3).matrix
+            K = build_kernel_matrix(sample_data(cfg, stream=(ridx, t)), h3)
             norms.append(spectrum(K).spectral_norm)
         assert row["median_norm"] == pytest.approx(np.median(norms), rel=1e-12)
 
@@ -569,7 +569,7 @@ def test_concentration_probe_stable_in_n():
 def test_component_sum_matches_free_convolution():
     # K_1 + K_2 + K_3 with unit coefficients has the law of (a=1, nu=3)
     X = sample_data(DataMatrixConfig(n=1000, p=1000, seed=23))
-    K = sum(build_component_matrix(X, d, 1.0).matrix for d in (1, 2, 3))
+    K = sum(build_component_matrix(X, d, 1.0) for d in (1, 2, 3))
     s = spectrum(K)
     assert ks_distance(s, LimitLawParams(1.0, 3.0, 1.0)) < 0.06
 
@@ -580,7 +580,7 @@ def test_rademacher_null_spikes_stay_in_bulk():
     cfg = DataMatrixConfig(n=1000, p=1000, entry_law="symmetric_rademacher", seed=24)
     X = sample_data(cfg)
     k23 = lambda y: (y**2 - 1) / math.sqrt(2) + h3(y)
-    s = spectrum(build_kernel_matrix(X, k23).matrix)
+    s = spectrum(build_kernel_matrix(X, k23))
     bulk_edge = 2 * math.sqrt(2.0)
     assert s.spectral_norm <= bulk_edge + 0.3
     assert rank_two_correction(X, 1.0, fourth_moment=cfg.fourth_moment).locations == (0.0, 0.0)

@@ -92,7 +92,7 @@ def test_kernel_matrix_builder_matches_reference(p, n, keep_diagonal):
     if keep_diagonal:
         public = thresholded_covariance(X, 1.5)
     else:
-        public = build_kernel_matrix(X, ThresholdFunction(1.5)).matrix
+        public = build_kernel_matrix(X, ThresholdFunction(1.5))
     expected = _reference_kernel_matrix(X, lambda y: _reference_threshold(y, 1.5), keep_diagonal)
     assert np.array_equal(public, expected)
 
@@ -170,7 +170,7 @@ def test_thresholded_covariance_structure():
     M = thresholded_covariance(X, tau)
     assert np.array_equal(M, M.T)
     # off-diagonal agrees with the zero-diagonal kernel matrix by definition
-    K = build_kernel_matrix(X, ThresholdFunction(tau)).matrix
+    K = build_kernel_matrix(X, ThresholdFunction(tau))
     off = ~np.eye(300, dtype=bool)
     assert np.max(np.abs((M - K)[off])) == 0.0
     # diagonal concentrates at the soft-threshold of sqrt(n): 1 - tau/sqrt(n)
