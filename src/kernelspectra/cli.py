@@ -29,7 +29,14 @@ from .lgraphs import (
     sample_trace_moment,
     verify_lemmas,
 )
-from .limit_law import MAX_MOMENT_ORDER, LimitLawParams, density, moment, support
+from .limit_law import (
+    MAX_DENSITY_POINTS,
+    MAX_MOMENT_ORDER,
+    LimitLawParams,
+    density,
+    moment,
+    support,
+)
 from .rng import STREAM_SCALING, derive_rng
 from .simulate import (
     DataMatrixConfig,
@@ -43,6 +50,11 @@ from .simulate import (
 from .sparse_pca import SpikedModelConfig, ThresholdFunction, sweep_tau
 
 OUT_DIR_ENV = "KERNELSPECTRA_OUT_DIR"
+# Normals per remainder-scaling draw, scaling_trials x n: drawing them and
+# decomposing them at d = 2, 3, 4 peaks at 25 B per entry (ru_maxrss at
+# 1e7 and 2e7 entries), so 5.9 GB at this cap, about 1 GB short of a 7 GB
+# host.
+MAX_SCALING_ENTRIES = 5_900_000_000 // 25
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +318,8 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
     cfg.reject_unknown()
     if points < 2:
         raise ConfigError(f"density_points must be >= 2, got {points}")
+    if points > MAX_DENSITY_POINTS:
+        raise SizeCapError(f"density_points={points} exceeds cap {MAX_DENSITY_POINTS}")
     if lmax < 1:
         raise ConfigError(f"moments_lmax must be >= 1, got {lmax}")
     if lmax > MAX_MOMENT_ORDER:
@@ -427,7 +441,7 @@ def cmd_sparse_pca_sweep(cfg: Config, raw: dict[str, str]) -> int:
 def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
     l_max = cfg.get_int("l_max", 4)
     d_max = cfg.get_int("d_max", 3)
-    scaling_ns = [int(x) for x in cfg.get_floats("scaling_ns", [100.0, 400.0, 1600.0])]
+    scaling_ns = cfg.get_floats("scaling_ns", [100.0, 400.0, 1600.0])
     scaling_trials = cfg.get_int("scaling_trials", 200)
     trace_trials = cfg.get_int("trace_trials", 20000)
     seed = cfg.get_int("seed", 0)
@@ -437,12 +451,20 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
     # fit, and its -inf fallback slope would pass the check
     if scaling_trials < 1:
         raise ConfigError(f"scaling_trials must be >= 1, got {scaling_trials}")
+    if not all(nn.is_integer() for nn in scaling_ns):
+        raise ConfigError(f"scaling_ns entries must be integers, got {scaling_ns}")
+    scaling_ns = [int(nn) for nn in scaling_ns]
     if any(nn < 1 for nn in scaling_ns):
         raise ConfigError(f"scaling_ns entries must be >= 1, got {scaling_ns}")
     if len(set(scaling_ns)) < 2:
         raise ConfigError(f"scaling_ns needs at least two distinct values, got {scaling_ns}")
     if trace_trials < 2:
         raise ConfigError(f"trace_trials must be >= 2 for a standard error, got {trace_trials}")
+    if scaling_trials * max(scaling_ns) > MAX_SCALING_ENTRIES:
+        raise SizeCapError(
+            f"scaling_trials * max(scaling_ns) = {scaling_trials * max(scaling_ns)} "
+            f"exceeds cap {MAX_SCALING_ENTRIES}"
+        )
 
     ok = True
     report: dict[str, object] = {}

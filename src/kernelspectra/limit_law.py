@@ -31,6 +31,10 @@ from .cubic import solve_cubic_many
 from .errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 
 MAX_MOMENT_ORDER = 100
+# Grid points of `density`: its batched cubic solves peak at 500 B per
+# point (ru_maxrss at 2e5 and 1e6 points), so 5.9 GB at this cap, about
+# 1 GB short of a 7 GB host.
+MAX_DENSITY_POINTS = 5_900_000_000 // 500
 MAX_PARTITION_ORDER = 14  # Catalan growth cap for partition enumeration
 _MP_DEGENERACY_RTOL = 1e-12
 
@@ -154,6 +158,8 @@ def density(p: LimitLawParams, xs: np.ndarray, epsilon: float = 1e-6) -> Density
     if not epsilon > 0:
         raise DomainError(f"epsilon must be > 0, got {epsilon}")
     xs = np.asarray(xs, dtype=float)
+    if xs.size > MAX_DENSITY_POINTS:
+        raise SizeCapError(f"{xs.size} density points exceed cap {MAX_DENSITY_POINTS}")
     rho = stieltjes_grid(xs + 1j * epsilon, p).imag / np.pi
     return DensityGrid(xs=xs, density=np.maximum(rho, 0.0), epsilon=epsilon)
 

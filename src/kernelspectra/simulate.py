@@ -27,6 +27,20 @@ from .limit_law import LimitLawParams, density, support
 # sweep's three buffers) besides X.  At n = p and this cap that is 5.9 GB,
 # which leaves about 1 GB of a 7 GB host to everything else.
 MAX_MATRIX_SIDE = 11000
+# Entries of X.  Drawing X peaks at 16 B per entry for sample_data plus
+# rank_two_correction and 28 B for sample_spiked_data at sparsity = p
+# (ru_maxrss at p = 2, n = 5e6 and 1e7), so 3.4 GB at this cap; and with
+# p <= MAX_MATRIX_SIDE, the build's 5.1 p^2 + p n arrays stay within the
+# 5.9 GB above.
+MAX_DATA_ENTRIES = MAX_MATRIX_SIDE**2
+
+
+def check_data_size(p: int, n: int) -> None:
+    """SizeCapError unless a p x n data matrix is within both caps."""
+    if p > MAX_MATRIX_SIDE:
+        raise SizeCapError(f"p={p} exceeds cap {MAX_MATRIX_SIDE}")
+    if p * n > MAX_DATA_ENTRIES:
+        raise SizeCapError(f"p * n = {p * n} data entries exceeds cap {MAX_DATA_ENTRIES}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +122,7 @@ class DataMatrixConfig:
     def __post_init__(self):
         if self.n < 2 or self.p < 2:
             raise ConfigError(f"need n, p >= 2, got n={self.n}, p={self.p}")
-        if self.p > MAX_MATRIX_SIDE:
-            raise SizeCapError(f"p={self.p} exceeds cap {MAX_MATRIX_SIDE}")
+        check_data_size(self.p, self.n)
         object.__setattr__(self, "law", EntryLaw(self.entry_law))
 
     @property
@@ -131,20 +144,28 @@ def sample_data(cfg: DataMatrixConfig, stream: int | tuple[int, ...] = 0) -> np.
 _SLAB_ROWS = 256  # rows per block in the blocked passes over a p x p matrix
 
 
-def _kernel_matrix(X: np.ndarray, kernel, keep_diagonal: bool) -> np.ndarray:
-    """k(sqrt(n) * Sigma_hat) / sqrt(n) entrywise, exactly symmetric: the
-    upper triangle is mirrored into the lower one.  The diagonal is zeroed
-    or kept.  Scales the Gram in place and then works in place on the
-    kernel's output, so no p x p temporary outlives the kernel call."""
+def _scaled_gram(X: np.ndarray) -> np.ndarray:
+    """sqrt(n) * Sigma_hat = X X^T / sqrt(n), scaled in place."""
     p, n = X.shape
     if p > MAX_MATRIX_SIDE:
         raise SizeCapError(f"p={p} exceeds cap {MAX_MATRIX_SIDE}")
-    root_n = math.sqrt(n)
     g = X @ X.T
-    g /= root_n
+    g /= math.sqrt(n)
+    return g
+
+
+def _apply_kernel(g: np.ndarray, kernel, n: int, keep_diagonal: bool) -> np.ndarray:
+    """k(g) / sqrt(n) entrywise for a scaled Gram g of n samples, exactly
+    symmetric: the upper triangle is mirrored into the lower one.  The
+    diagonal is zeroed or kept.  Works in place on the kernel's output and
+    never writes into g, so one Gram can serve many kernels; a kernel that
+    returns g itself, or a view of it, gets a copy."""
     m = np.require(_eval_on(kernel, g), requirements="W")
-    del g
-    m /= root_n
+    if np.shares_memory(m, g):
+        m = m.copy()
+    p = m.shape[0]
+    del g  # the Gram is freed here when the caller passed its only reference
+    m /= math.sqrt(n)
     for i0 in range(0, p, _SLAB_ROWS):
         i1 = min(i0 + _SLAB_ROWS, p)
         m[i0:i1, :i0] = m[:i0, i0:i1].T
@@ -154,6 +175,13 @@ def _kernel_matrix(X: np.ndarray, kernel, keep_diagonal: bool) -> np.ndarray:
         np.fill_diagonal(m, 0.0)
     m += 0.0  # -0.0 -> +0.0, as the sum of the two triangles gave
     return m
+
+
+def _kernel_matrix(X: np.ndarray, kernel, keep_diagonal: bool) -> np.ndarray:
+    """k(sqrt(n) * Sigma_hat) / sqrt(n) entrywise, exactly symmetric, with
+    the diagonal zeroed or kept.  No p x p temporary outlives the kernel
+    call: the Gram is passed on as the only reference to it."""
+    return _apply_kernel(_scaled_gram(X), kernel, X.shape[1], keep_diagonal)
 
 
 def build_kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:

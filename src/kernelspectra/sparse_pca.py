@@ -18,7 +18,15 @@ from . import rng as rngmod
 from .errors import ConfigError
 from .hermite import GaussHermiteRule, KernelSpec, build_quadrature, kernel_moments
 from .limit_law import LimitLawParams, support
-from .simulate import DataMatrixConfig, _kernel_matrix, sample_data, top_eigenvalue
+from .simulate import (
+    DataMatrixConfig,
+    _apply_kernel,
+    _kernel_matrix,
+    _scaled_gram,
+    check_data_size,
+    sample_data,
+    top_eigenvalue,
+)
 
 INNER_FRACTION = 0.8
 OUTER_FRACTION = 1.2
@@ -79,6 +87,7 @@ class SpikedModelConfig:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
         if self.n < 2:
             raise ConfigError(f"need n >= 2, got {self.n}")
+        check_data_size(self.p, self.n)
         if not 1 <= self.sparsity <= self.p:
             raise ConfigError(f"sparsity must be in [1, p={self.p}], got {self.sparsity}")
 
@@ -170,7 +179,7 @@ class SweepResult:
         ]
 
 
-def _mean_se(values: list[float]) -> tuple[float, float]:
+def _mean_se(values) -> tuple[float, float]:
     arr = np.asarray(values)
     if len(arr) == 1:
         return float(arr[0]), 0.0
@@ -184,8 +193,19 @@ def sweep_tau(
     trials: int = 5,
 ) -> SweepResult:
     """Mean largest eigenvalue of M_tau over trials, per tau, under both
-    models, against the null prediction.  Trials are seeded by (tau index,
-    trial index) so the merge order is deterministic."""
+    models, against the null prediction.
+
+    Trial t draws one null X (stream t) and one spiked X (stream t), and
+    each X's scaled Gram serves every tau: common random numbers across
+    the grid.  So the rows are correlated across tau, while each row's
+    mean and standard error are still those of `trials` independent draws
+    at that tau.  The null and spiked draws share no noise, so the pooled
+    standard error sqrt(null_se^2 + spiked_se^2) of their difference holds
+    per tau, and the largest z over positively correlated rows exceeds a
+    given level no more often than over independent rows: reading "z > 3
+    somewhere" stays conservative.  One Gram is held at a time, and each X
+    is freed once its Gram exists.
+    """
     taus = np.asarray(list(taus), dtype=float)
     if taus.size == 0:
         raise ConfigError("tau grid must be nonempty")
@@ -193,29 +213,30 @@ def sweep_tau(
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if null_cfg.entry_law != "standard_gaussian":
         raise ConfigError("the null model of the sweep is standard Gaussian")
+    thresholds = [ThresholdFunction(tau) for tau in taus]
     rule = build_quadrature(200)
     gamma = null_cfg.p / null_cfg.n
 
-    null_mean, null_se, spiked_mean, spiked_se, preds = [], [], [], [], []
-    for ti, tau in enumerate(taus):
-        nvals, svals = [], []
-        for t in range(trials):
-            Xn = sample_data(null_cfg, stream=(ti, t))
-            nvals.append(top_eigenvalue(thresholded_covariance(Xn, tau)))
-            Xs = sample_spiked_data(spiked_cfg, stream=(ti, t))
-            svals.append(top_eigenvalue(thresholded_covariance(Xs, tau)))
-        m, se = _mean_se(nvals)
-        null_mean.append(m)
-        null_se.append(se)
-        m, se = _mean_se(svals)
-        spiked_mean.append(m)
-        spiked_se.append(se)
-        preds.append(null_prediction(tau, gamma, rule))
+    null_tops = np.empty((trials, len(taus)))
+    spiked_tops = np.empty((trials, len(taus)))
+    for t in range(trials):
+        for sampler, cfg, tops in (
+            (sample_data, null_cfg, null_tops),
+            (sample_spiked_data, spiked_cfg, spiked_tops),
+        ):
+            X = sampler(cfg, stream=t)
+            g = _scaled_gram(X)
+            del X
+            for ti, kernel in enumerate(thresholds):
+                tops[t, ti] = top_eigenvalue(_apply_kernel(g, kernel, cfg.n, keep_diagonal=True))
+            del g
+    null_mean, null_se = np.array([_mean_se(col) for col in null_tops.T]).T
+    spiked_mean, spiked_se = np.array([_mean_se(col) for col in spiked_tops.T]).T
     return SweepResult(
         taus=taus,
-        null_mean=np.asarray(null_mean),
-        null_se=np.asarray(null_se),
-        spiked_mean=np.asarray(spiked_mean),
-        spiked_se=np.asarray(spiked_se),
-        prediction=np.asarray(preds),
+        null_mean=null_mean,
+        null_se=null_se,
+        spiked_mean=spiked_mean,
+        spiked_se=spiked_se,
+        prediction=np.asarray([null_prediction(tau, gamma, rule) for tau in taus]),
     )

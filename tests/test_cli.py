@@ -16,8 +16,9 @@ import kernelspectra.cli as cli_module
 from kernelspectra import sparse_pca
 from kernelspectra.cli import main, parse_kernel
 from kernelspectra.errors import ConfigError
-from kernelspectra.limit_law import MAX_MOMENT_ORDER, LimitLawParams, moment
-from kernelspectra.simulate import MAX_MATRIX_SIDE
+from kernelspectra.lgraphs import SimpleLabeling
+from kernelspectra.limit_law import MAX_DENSITY_POINTS, MAX_MOMENT_ORDER, LimitLawParams, moment
+from kernelspectra.simulate import MAX_DATA_ENTRIES, MAX_MATRIX_SIDE
 
 
 @pytest.fixture(autouse=True)
@@ -193,6 +194,35 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("simulate", {"kernel": "h1", "n": MAX_DATA_ENTRIES // 2 + 1, "p": 2}),
+        ("sparse-pca-sweep", {"n": MAX_DATA_ENTRIES // 2 + 1, "p": 2, "taus": "1.0"}),
+        ("limit-law", {"a": 1, "nu": 2, "gamma": 0.5, "density_points": MAX_DENSITY_POINTS + 1}),
+        ("verify", {"l_max": 2, "d_max": 1, "scaling_ns": "10,1000",
+                    "scaling_trials": cli_module.MAX_SCALING_ENTRIES // 1000 + 1}),
+    ],
+    ids=["simulate-n", "sweep-n", "density-points", "scaling-entries"],
+)
+def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys, command, keys):
+    # these sizes used to end in numpy's _ArrayMemoryError traceback
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work past a size cap")
+
+    for module, names in (
+        (cli_module, ("sample_data", "moment", "support", "density", "enumerate_multilabelings",
+                      "decompose_hermite_sum")),
+        (sparse_pca, ("sample_data", "sample_spiked_data")),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, no_work)
+    cfg = write_cfg(tmp_path, "c.cfg", **keys)
+    assert main([command, cfg]) == 3
+    assert "cap" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
 def test_sweep_command(tmp_path):
     cfg = write_cfg(
         tmp_path, "w.cfg", n=150, taus="1.0,2.0", trials=1, lam=0.9, sparsity_coeff=0.3
@@ -251,6 +281,34 @@ def test_verify_nonpositive_scaling_n_exits_2(tmp_path, capsys, ns):
     assert main(["verify", cfg]) == 2
     assert "scaling_ns" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("ns", ["100.7,400.2", "100,inf", "nan,100"])
+def test_verify_non_integer_scaling_n_exits_2(tmp_path, capsys, ns):
+    # int() used to truncate 100.7 to 100 without a word
+    cfg = write_cfg(
+        tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, trace_trials=100, scaling_ns=ns
+    )
+    assert main(["verify", cfg]) == 2
+    assert "scaling_ns" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_verify_reports_an_invalid_map_image_and_exits_4(tmp_path, monkeypatch, capsys):
+    # a failing image check used to raise out of the census: exit 2, no report
+    monkeypatch.setattr(SimpleLabeling, "validate", lambda self: ["planted problem"])
+    cfg = write_cfg(
+        tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=10, trace_trials=2000,
+        scaling_ns="100,200",
+    )
+    assert main(["verify", cfg]) == 4
+    assert "verification" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "verify_report.json").read_text())["payload"]
+    assert payload["ok"] is False
+    (row,) = payload["lemma_census"]
+    assert row["classes"] > 0
+    planted = {"check": "image_validity", "detail": "['planted problem']"}
+    assert row["violations"] == [planted] * row["classes"]
 
 
 @pytest.mark.parametrize("trace_trials", [0, 1])

@@ -280,6 +280,16 @@ def test_invalid_labeling_rejected_before_lemma_checks():
     assert len(report) == 1 and report[0]["check"] == "validity"
 
 
+def test_invalid_image_is_reported_as_a_violation(monkeypatch):
+    # the map used to raise on its own image check, so the census never
+    # saw an image_validity violation
+    classes = enumerate_multilabelings(3, 2)
+    monkeypatch.setattr(SimpleLabeling, "validate", lambda self: ["planted problem"])
+    report = verify_lemmas(classes, 2)
+    assert [v["check"] for v in report] == ["image_validity"] * len(classes)
+    assert all(v["detail"] == ["planted problem"] for v in report)
+
+
 # ---------------------------------------------------------------------------
 # label-simplifying map
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kernelspectra.errors import ConfigError, DomainError, SizeCapError
 from kernelspectra.limit_law import (
+    MAX_DENSITY_POINTS,
     MAX_MOMENT_ORDER,
     LimitLawParams,
     _cubic_coefficients,
@@ -74,6 +75,12 @@ def test_grid_matches_scalar_path():
         roots = np.roots(_cubic_coefficients(zs[i], p))
         assert grid[i] == pytest.approx(roots[np.argmax(roots.imag)], abs=1e-10)
         assert stieltjes(zs[i], p).m == grid[i]
+
+
+def test_density_points_over_the_cap_raise_size_cap_error():
+    xs = np.broadcast_to(0.0, (MAX_DENSITY_POINTS + 1,))  # no memory behind it
+    with pytest.raises(SizeCapError):
+        density(SEMICIRCLE, xs)
 
 
 def test_density_semicircle_center():

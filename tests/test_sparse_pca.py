@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from kernelspectra import rng as rngmod
-from kernelspectra.errors import ConfigError
+from kernelspectra.errors import ConfigError, SizeCapError
 from kernelspectra.hermite import hermite_sum_kernel, kernel_moments
 from kernelspectra.limit_law import LimitLawParams, support
 from kernelspectra.simulate import (
+    MAX_DATA_ENTRIES,
+    MAX_MATRIX_SIDE,
     DataMatrixConfig,
+    _apply_kernel,
     _kernel_matrix,
+    _scaled_gram,
     build_kernel_matrix,
     sample_data,
     spectrum,
@@ -216,6 +220,7 @@ def test_sweep_structure_and_signal():
 
 
 def test_sweep_lambda_max_matches_full_spectrum():
+    # trial t's one draw per model serves every tau
     n = 60
     null_cfg = DataMatrixConfig(n=n, p=n, seed=12)
     spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, gamma=1.0, n=n, seed=13)
@@ -227,10 +232,18 @@ def test_sweep_lambda_max_matches_full_spectrum():
             (sample_spiked_data, spiked_cfg, res.spiked_mean),
         ):
             tops = [
-                spectrum(thresholded_covariance(sampler(cfg, stream=(ti, t)), tau)).lambda_max
+                spectrum(thresholded_covariance(sampler(cfg, stream=t), tau)).lambda_max
                 for t in range(2)
             ]
             assert means[ti] == pytest.approx(np.mean(tops), rel=1e-12)
+
+
+def test_spiked_model_size_caps():
+    with pytest.raises(SizeCapError):
+        SpikedModelConfig(lam=0.9, sparsity=1, gamma=(MAX_MATRIX_SIDE + 1) / 4, n=4)
+    n = MAX_DATA_ENTRIES // 2 + 1
+    with pytest.raises(SizeCapError):
+        SpikedModelConfig(lam=0.9, sparsity=1, gamma=2 / n, n=n)
 
 
 def test_sweep_rejects_empty_grid():
@@ -241,8 +254,8 @@ def test_sweep_rejects_empty_grid():
 
 
 def test_sweep_trial_streams_distinct_at_66_trials(monkeypatch):
-    # 66 trials: a stream index ti * 65 + t would give tau 0's trial 65 the
-    # data of tau 1's trial 0
+    # one draw per trial and model, whatever the grid's length, and no two
+    # trials share a stream
     import kernelspectra.sparse_pca as sp
 
     draws = {"null": [], "spiked": []}
@@ -261,7 +274,29 @@ def test_sweep_trial_streams_distinct_at_66_trials(monkeypatch):
     spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=1, gamma=1.0, n=4, seed=1)
     sweep_tau(null_cfg, spiked_cfg, [1.0, 2.0], trials=66)
     for kind, seen in draws.items():
-        assert len(seen) == 132 and len(set(seen)) == 132, kind
+        assert len(seen) == 66 and len(set(seen)) == 66, kind
+
+
+def test_apply_kernel_leaves_the_shared_gram_unchanged():
+    # a kernel returning its input (or a view of it) must not let the
+    # in-place scaling and mirroring reach the Gram the next kernel reads
+    X = sample_data(DataMatrixConfig(n=40, p=30, seed=7))
+    g = _scaled_gram(X)
+    g[np.tril_indices(30, -1)] += 1.0  # asymmetric, so mirroring g would show
+    before = g.copy()
+    for kernel, keep_diagonal in (
+        (lambda y: y, True),
+        (lambda y: y.T, False),
+        (lambda y: y[:, :], True),
+        (ThresholdFunction(0.5), True),
+        (lambda y: y, False),
+    ):
+        m = _apply_kernel(g, kernel, 40, keep_diagonal)
+        assert np.array_equal(g, before)
+        assert not np.shares_memory(m, g)
+        assert np.array_equal(m, m.T)
+    expected = np.triu(before) / math.sqrt(40)
+    assert np.array_equal(_apply_kernel(g, lambda y: y, 40, True), expected + np.triu(expected, 1).T)
 
 
 def test_mean_se_scaling():
