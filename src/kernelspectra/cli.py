@@ -55,6 +55,10 @@ OUT_DIR_ENV = "KERNELSPECTRA_OUT_DIR"
 # 1e7 and 2e7 entries), so 5.9 GB at this cap, about 1 GB short of a 7 GB
 # host.
 MAX_SCALING_ENTRIES = 5_900_000_000 // 25
+# Trials of the trace-moment oracle: sample_trace_moment keeps 8 B per trial
+# besides its fixed batch workspace (ru_maxrss at 1e6 and 2e6 trials: 87
+# and 95 MB), so 5.8 GB at this cap and 5.9 GB with the rest of verify.
+MAX_TRACE_TRIALS = 5_800_000_000 // 8
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +464,8 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
         raise ConfigError(f"scaling_ns needs at least two distinct values, got {scaling_ns}")
     if trace_trials < 2:
         raise ConfigError(f"trace_trials must be >= 2 for a standard error, got {trace_trials}")
+    if trace_trials > MAX_TRACE_TRIALS:
+        raise SizeCapError(f"trace_trials={trace_trials} exceeds cap {MAX_TRACE_TRIALS}")
     if scaling_trials * max(scaling_ns) > MAX_SCALING_ENTRIES:
         raise SizeCapError(
             f"scaling_trials * max(scaling_ns) = {scaling_trials * max(scaling_ns)} "

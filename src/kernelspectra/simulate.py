@@ -22,17 +22,17 @@ from .hermite import KernelSpec, _eval_on, hermite_eval
 from .limit_law import LimitLawParams, density, support
 
 # Peak RSS of build_kernel_matrix + spectrum, measured with ru_maxrss in a
-# fresh process at p = 1500 and 3000: 40 MB + 8 B * (5.1 p^2 + p n), i.e.
-# 5.1 p x p float64 arrays (the Gram, the kernel's output and the Hermite
-# sweep's three buffers) besides X.  At n = p and this cap that is 5.9 GB,
-# which leaves about 1 GB of a 7 GB host to everything else.
-MAX_MATRIX_SIDE = 11000
-# Entries of X.  Drawing X peaks at 16 B per entry for sample_data plus
-# rank_two_correction and 28 B for sample_spiked_data at sparsity = p
-# (ru_maxrss at p = 2, n = 5e6 and 1e7), so 3.4 GB at this cap; and with
-# p <= MAX_MATRIX_SIDE, the build's 5.1 p^2 + p n arrays stay within the
-# 5.9 GB above.
-MAX_DATA_ENTRIES = MAX_MATRIX_SIDE**2
+# fresh process at p = 1500 and 3000: 40 MB + 8 B * (2.3 p^2 + p n), i.e.
+# 2.3 p x p float64 arrays besides X: the kernel matrix, which is written
+# into the Gram in place, and the eigensolver's copy of it.  At n = p and
+# this cap that is 5.8 GB, which leaves about 1 GB of a 7 GB host to
+# everything else.
+MAX_MATRIX_SIDE = 14800
+# Entries of X.  Drawing X peaks at 16 B per entry, for sample_data plus
+# rank_two_correction and for sample_spiked_data at sparsity = p alike
+# (ru_maxrss at p = 2, n = 5e6 and 1e7), so 3.6 GB at this cap; and with
+# p <= MAX_MATRIX_SIDE the build's 2.3 p^2 + p n arrays stay within 5.9 GB.
+MAX_DATA_ENTRIES = 228_000_000
 
 
 def check_data_size(p: int, n: int) -> None:
@@ -142,6 +142,9 @@ def sample_data(cfg: DataMatrixConfig, stream: int | tuple[int, ...] = 0) -> np.
 
 
 _SLAB_ROWS = 256  # rows per block in the blocked passes over a p x p matrix
+# Gram entries per kernel tile: the Hermite sweep's buffers for one tile
+# stay in cache (8192 and 131072 were slower at n = p = 2000).
+_TILE_ENTRIES = 32768
 
 
 def _scaled_gram(X: np.ndarray) -> np.ndarray:
@@ -154,34 +157,42 @@ def _scaled_gram(X: np.ndarray) -> np.ndarray:
     return g
 
 
-def _apply_kernel(g: np.ndarray, kernel, n: int, keep_diagonal: bool) -> np.ndarray:
-    """k(g) / sqrt(n) entrywise for a scaled Gram g of n samples, exactly
-    symmetric: the upper triangle is mirrored into the lower one.  The
-    diagonal is zeroed or kept.  Works in place on the kernel's output and
-    never writes into g, so one Gram can serve many kernels; a kernel that
-    returns g itself, or a view of it, gets a copy."""
-    m = np.require(_eval_on(kernel, g), requirements="W")
-    if np.shares_memory(m, g):
-        m = m.copy()
-    p = m.shape[0]
-    del g  # the Gram is freed here when the caller passed its only reference
-    m /= math.sqrt(n)
+def _apply_kernel(
+    g: np.ndarray, kernel, n: int, keep_diagonal: bool, out: np.ndarray
+) -> np.ndarray:
+    """k(g) / sqrt(n) entrywise for a scaled Gram g of n samples, written
+    into out (g itself, or a p x p buffer that keeps g intact for the next
+    kernel) and returned.  The kernel runs on row slabs g[i0:i1, i0:] of
+    about _TILE_ENTRIES entries, so on the upper triangle only, and the
+    result is made exactly symmetric by mirroring it into the lower one.
+    The diagonal is zeroed or kept.  Each tile's quotient is written into
+    out, never into the kernel's result, so a kernel that returns its
+    input or a view of it leaves g intact when out is a separate buffer;
+    when out is g, numpy buffers the overlap."""
+    p = g.shape[0]
+    s = math.sqrt(n)
+    i0 = 0
+    while i0 < p:
+        i1 = min(p, i0 + max(1, _TILE_ENTRIES // (p - i0)))
+        np.divide(_eval_on(kernel, g[i0:i1, i0:]), s, out=out[i0:i1, i0:])
+        i0 = i1
     for i0 in range(0, p, _SLAB_ROWS):
         i1 = min(i0 + _SLAB_ROWS, p)
-        m[i0:i1, :i0] = m[:i0, i0:i1].T
-        block = m[i0:i1, i0:i1]
+        out[i0:i1, :i0] = out[:i0, i0:i1].T
+        block = out[i0:i1, i0:i1]
         block[...] = np.triu(block) + np.triu(block, 1).T
     if not keep_diagonal:
-        np.fill_diagonal(m, 0.0)
-    m += 0.0  # -0.0 -> +0.0, as the sum of the two triangles gave
-    return m
+        np.fill_diagonal(out, 0.0)
+    out += 0.0  # -0.0 -> +0.0, as the sum of the two triangles gave
+    return out
 
 
 def _kernel_matrix(X: np.ndarray, kernel, keep_diagonal: bool) -> np.ndarray:
     """k(sqrt(n) * Sigma_hat) / sqrt(n) entrywise, exactly symmetric, with
-    the diagonal zeroed or kept.  No p x p temporary outlives the kernel
-    call: the Gram is passed on as the only reference to it."""
-    return _apply_kernel(_scaled_gram(X), kernel, X.shape[1], keep_diagonal)
+    the diagonal zeroed or kept.  The kernel is written into the Gram in
+    place, so the build holds one p x p array."""
+    g = _scaled_gram(X)
+    return _apply_kernel(g, kernel, X.shape[1], keep_diagonal, out=g)
 
 
 def build_kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:

@@ -113,8 +113,8 @@ def sample_spiked_data(cfg: SpikedModelConfig, stream: int | tuple[int, ...] = 0
     v = cfg.spike_vector()
     g = gen.standard_normal((cfg.p, cfg.n))
     w = gen.standard_normal(cfg.n)
-    rows = np.flatnonzero(v)  # the spike's support; other rows stay g
-    g[rows] += math.sqrt(cfg.lam) * np.outer(v[rows], w)
+    for r in np.flatnonzero(v):  # the spike's support; other rows stay g
+        g[r] += math.sqrt(cfg.lam) * (v[r] * w)
     return g
 
 
@@ -203,8 +203,9 @@ def sweep_tau(
     standard error sqrt(null_se^2 + spiked_se^2) of their difference holds
     per tau, and the largest z over positively correlated rows exceeds a
     given level no more often than over independent rows: reading "z > 3
-    somewhere" stays conservative.  One Gram is held at a time, and each X
-    is freed once its Gram exists.
+    somewhere" stays conservative.  One Gram and one output buffer, which
+    every tau's M_tau overwrites, are held at a time, and each X is freed
+    once its Gram exists.
     """
     taus = np.asarray(list(taus), dtype=float)
     if taus.size == 0:
@@ -227,9 +228,11 @@ def sweep_tau(
             X = sampler(cfg, stream=t)
             g = _scaled_gram(X)
             del X
+            m = np.empty_like(g)
             for ti, kernel in enumerate(thresholds):
-                tops[t, ti] = top_eigenvalue(_apply_kernel(g, kernel, cfg.n, keep_diagonal=True))
-            del g
+                _apply_kernel(g, kernel, cfg.n, keep_diagonal=True, out=m)
+                tops[t, ti] = top_eigenvalue(m)
+            del g, m
     null_mean, null_se = np.array([_mean_se(col) for col in null_tops.T]).T
     spiked_mean, spiked_se = np.array([_mean_se(col) for col in spiked_tops.T]).T
     return SweepResult(

@@ -171,7 +171,7 @@ def test_simulate_seed_override_changes_output(tmp_path):
 
 
 def test_simulate_size_cap_exits_3(tmp_path):
-    cfg = write_cfg(tmp_path, "s.cfg", kernel="h1", n=4, p=13000)
+    cfg = write_cfg(tmp_path, "s.cfg", kernel="h1", n=4, p=MAX_MATRIX_SIDE + 1)
     assert main(["simulate", cfg]) == 3
 
 
@@ -202,8 +202,9 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
         ("limit-law", {"a": 1, "nu": 2, "gamma": 0.5, "density_points": MAX_DENSITY_POINTS + 1}),
         ("verify", {"l_max": 2, "d_max": 1, "scaling_ns": "10,1000",
                     "scaling_trials": cli_module.MAX_SCALING_ENTRIES // 1000 + 1}),
+        ("verify", {"l_max": 2, "d_max": 1, "trace_trials": cli_module.MAX_TRACE_TRIALS + 1}),
     ],
-    ids=["simulate-n", "sweep-n", "density-points", "scaling-entries"],
+    ids=["simulate-n", "sweep-n", "density-points", "scaling-entries", "trace-trials"],
 )
 def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys, command, keys):
     # these sizes used to end in numpy's _ArrayMemoryError traceback
@@ -212,7 +213,7 @@ def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, cap
 
     for module, names in (
         (cli_module, ("sample_data", "moment", "support", "density", "enumerate_multilabelings",
-                      "decompose_hermite_sum")),
+                      "decompose_hermite_sum", "sample_trace_moment")),
         (sparse_pca, ("sample_data", "sample_spiked_data")),
     ):
         for name in names:
@@ -350,6 +351,44 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
     payload = json.loads((tmp_path / "verify_report.json").read_text())["payload"]
     text = json.dumps(payload, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_PAYLOAD_SHA256[seed]
+
+
+# sha256 of every output file of two numpy-heavy commands at
+# SOURCE_DATE_EPOCH = 0, written by the untiled kernel builder that
+# evaluated k on every Gram entry.  They hold for the numpy 2.4 wheel's
+# OpenBLAS 0.3.31 build with its Haswell kernels: the Gram's and the
+# eigensolver's rounding depend on the BLAS.  A change to derive_rng's
+# stream paths changes these bytes and must say so.
+CLI_OUTPUT_SHA256 = {
+    "simulate": (
+        {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2},
+        {
+            "simulate_eigenvalues.csv": "65362b0ff84d53f58a7b816f65a1b6eeec7a018c71ef477be257bc7f767f6043",
+            "simulate_summary.json": "a22ae6126844d996d43648aa7045fe5c9c86c7298246ad6d1d86a809761cdef0",
+        },
+    ),
+    "sparse-pca-sweep": (
+        {"n": 300, "taus": "1.0,2.0,3.0", "trials": 2},
+        {
+            "sweep.csv": "9639e3b0bff75164bbab18e354ea36f8bd93621a2ea589008e2a19527967ad29",
+            "sweep_summary.json": "01b3d5e3df4745689ebd558430387f91c17a839ce98c52cef598448962395cfc",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_OUTPUT_SHA256))
+def test_cli_outputs_match_golden_hashes(tmp_path, monkeypatch, command):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    keys, expected = CLI_OUTPUT_SHA256[command]
+    cfg = write_cfg(tmp_path, "c.cfg", **keys)
+    assert main([command, cfg]) == 0
+    written = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in tmp_path.iterdir()
+        if f.name != "c.cfg"
+    }
+    assert written == expected
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

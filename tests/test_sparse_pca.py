@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kernelspectra import rng as rngmod
+from kernelspectra import simulate
 from kernelspectra.errors import ConfigError, SizeCapError
 from kernelspectra.hermite import hermite_sum_kernel, kernel_moments
 from kernelspectra.limit_law import LimitLawParams, support
@@ -84,21 +85,47 @@ def test_threshold_matches_reference(tau):
 
 @pytest.mark.parametrize("keep_diagonal", [False, True])
 @pytest.mark.parametrize("p, n", [(600, 300), (97, 150)])
-def test_kernel_matrix_builder_matches_reference(p, n, keep_diagonal):
+def test_kernel_matrix_builder_matches_reference(p, n, keep_diagonal, monkeypatch):
+    # tiles of one row, of many rows, and with a ragged last tile give the
+    # same bits as the default tiling and the untiled reference
     X = sample_data(DataMatrixConfig(n=n, p=p, seed=p))
-    for kernel, reference in [
+    cases = [
         (hermite_sum_kernel([0.0, 1.0, 1.0]), None),  # h2 + h3
         (hermite_sum_kernel([4.0 ** (1 - d) for d in range(1, 13)]), None),
         (ThresholdFunction(1.5), lambda y: _reference_threshold(y, 1.5)),
-    ]:
-        expected = _reference_kernel_matrix(X, reference or kernel, keep_diagonal)
-        assert np.array_equal(_kernel_matrix(X, kernel, keep_diagonal), expected)
-    if keep_diagonal:
-        public = thresholded_covariance(X, 1.5)
-    else:
-        public = build_kernel_matrix(X, ThresholdFunction(1.5))
-    expected = _reference_kernel_matrix(X, lambda y: _reference_threshold(y, 1.5), keep_diagonal)
-    assert np.array_equal(public, expected)
+    ]
+    expected = [_reference_kernel_matrix(X, ref or kernel, keep_diagonal) for kernel, ref in cases]
+    for tile_entries in (simulate._TILE_ENTRIES, 1, 64, 1000):
+        monkeypatch.setattr(simulate, "_TILE_ENTRIES", tile_entries)
+        for (kernel, _), want in zip(cases, expected):
+            assert np.array_equal(_kernel_matrix(X, kernel, keep_diagonal), want), tile_entries
+        if keep_diagonal:
+            public = thresholded_covariance(X, 1.5)
+        else:
+            public = build_kernel_matrix(X, ThresholdFunction(1.5))
+        assert np.array_equal(public, expected[-1]), tile_entries
+
+
+@pytest.mark.parametrize("tile_entries", [1, 64, 1000, 32768])
+@pytest.mark.parametrize("p", [97, 600])
+def test_kernel_builder_evaluates_the_upper_triangle_in_bounded_tiles(p, tile_entries, monkeypatch):
+    # the kernel sees each upper-triangle entry once, plus the lower part
+    # of each tile's diagonal block, and never more than one tile at a time
+    monkeypatch.setattr(simulate, "_TILE_ENTRIES", tile_entries)
+    shapes = []
+
+    def counting_kernel(y):
+        shapes.append(y.shape)
+        return _reference_threshold(y, 1.5)
+
+    X = sample_data(DataMatrixConfig(n=150, p=p, seed=p))
+    expected = _reference_kernel_matrix(X, lambda y: _reference_threshold(y, 1.5), False)
+    assert np.array_equal(build_kernel_matrix(X, counting_kernel), expected)
+    evaluated = sum(rows * cols for rows, cols in shapes)
+    largest_rows = max(rows for rows, _ in shapes)
+    assert p * (p + 1) // 2 <= evaluated <= p * (p + 1) // 2 + p * largest_rows
+    assert max(rows * cols for rows, cols in shapes) <= max(tile_entries, p)
+    assert sum(rows for rows, _ in shapes) == p  # the row slabs cover the rows once
 
 
 def test_threshold_odd_and_close_to_identity():
@@ -158,14 +185,23 @@ def test_spiked_data_covariance_along_spike():
 
 
 @pytest.mark.parametrize("stream", [0, (3, 1)])
-@pytest.mark.parametrize("sparsity, gamma, n", [(1, 0.5, 40), (7, 2.0, 50), (9, 1.0, 300)])
+@pytest.mark.parametrize(
+    "sparsity, gamma, n", [(1, 0.5, 40), (7, 2.0, 50), (9, 1.0, 300), (20, 0.5, 40)]
+)
 def test_spiked_data_matches_full_outer_product(sparsity, gamma, n, stream):
+    # the row-by-row spike gives the bits of both outer-product forms, at
+    # sparsity = p too
     cfg = SpikedModelConfig(lam=0.9, sparsity=sparsity, gamma=gamma, n=n, seed=5)
     gen = rngmod.derive_rng(cfg.seed, rngmod.STREAM_SPIKE_COEF, stream)
     g = gen.standard_normal((cfg.p, cfg.n))
     w = gen.standard_normal(cfg.n)
-    expected = g + math.sqrt(cfg.lam) * np.outer(cfg.spike_vector(), w)
-    assert np.array_equal(sample_spiked_data(cfg, stream=stream), expected)
+    v = cfg.spike_vector()
+    expected = g + math.sqrt(cfg.lam) * np.outer(v, w)
+    X = sample_spiked_data(cfg, stream=stream)
+    assert np.array_equal(X, expected)
+    rows = np.flatnonzero(v)
+    g[rows] += math.sqrt(cfg.lam) * np.outer(v[rows], w)
+    assert np.array_equal(X, g)
 
 
 def test_thresholded_covariance_structure():
@@ -291,12 +327,16 @@ def test_apply_kernel_leaves_the_shared_gram_unchanged():
         (ThresholdFunction(0.5), True),
         (lambda y: y, False),
     ):
-        m = _apply_kernel(g, kernel, 40, keep_diagonal)
+        m = _apply_kernel(g, kernel, 40, keep_diagonal, out=np.empty_like(g))
         assert np.array_equal(g, before)
         assert not np.shares_memory(m, g)
         assert np.array_equal(m, m.T)
+        # written into the Gram itself, as _kernel_matrix does, the bits agree
+        in_place = before.copy()
+        assert np.array_equal(_apply_kernel(in_place, kernel, 40, keep_diagonal, out=in_place), m)
     expected = np.triu(before) / math.sqrt(40)
-    assert np.array_equal(_apply_kernel(g, lambda y: y, 40, True), expected + np.triu(expected, 1).T)
+    m = _apply_kernel(g, lambda y: y, 40, True, out=np.empty_like(g))
+    assert np.array_equal(m, expected + np.triu(expected, 1).T)
 
 
 def test_mean_se_scaling():
