@@ -157,6 +157,17 @@ def _scaled_gram(X: np.ndarray) -> np.ndarray:
     return g
 
 
+def _upper_tiles(p: int):
+    """(i0, i1) of the row slabs [i0:i1, i0:] of about _TILE_ENTRIES
+    entries that cover the upper triangle of a p x p matrix, each row
+    once."""
+    i0 = 0
+    while i0 < p:
+        i1 = min(p, i0 + max(1, _TILE_ENTRIES // (p - i0)))
+        yield i0, i1
+        i0 = i1
+
+
 def _apply_kernel(
     g: np.ndarray, kernel, n: int, keep_diagonal: bool, out: np.ndarray
 ) -> np.ndarray:
@@ -171,11 +182,8 @@ def _apply_kernel(
     when out is g, numpy buffers the overlap."""
     p = g.shape[0]
     s = math.sqrt(n)
-    i0 = 0
-    while i0 < p:
-        i1 = min(p, i0 + max(1, _TILE_ENTRIES // (p - i0)))
+    for i0, i1 in _upper_tiles(p):
         np.divide(_eval_on(kernel, g[i0:i1, i0:]), s, out=out[i0:i1, i0:])
-        i0 = i1
     for i0 in range(0, p, _SLAB_ROWS):
         i1 = min(i0 + _SLAB_ROWS, p)
         out[i0:i1, :i0] = out[:i0, i0:i1].T
@@ -232,6 +240,9 @@ class SpectrumSummary:
         return out if out.ndim else float(out)
 
 
+SYMMETRY_RTOL = 1e-10  # largest asymmetry an eigensolver accepts, relative to max|m|
+
+
 def _checked_hermitian(m) -> np.ndarray:
     """m as an array, after the checks every eigensolver here makes: square,
     finite, and symmetric/Hermitian to 1e-10 of its largest entry.  Works
@@ -252,8 +263,24 @@ def _checked_hermitian(m) -> np.ndarray:
         mirror = m[i0:, i0:i1].T
         diff = m[i0:i1, i0:] - (mirror.conj() if hermitian else mirror)
         asym = max(asym, float(np.max(np.abs(diff))))
-    if asym > 1e-10 * scale:
+    if asym > SYMMETRY_RTOL * scale:
         raise ConfigError(f"matrix is not symmetric/Hermitian (max asymmetry {asym:.3e})")
+    return m
+
+
+def _checked_symmetric_sparse(m):
+    """A real scipy.sparse matrix after the checks of _checked_hermitian:
+    square, finite, and symmetric to 1e-10 of its largest entry.  Its
+    temporaries are as large as its stored entries, never p x p."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ConfigError(f"expected a non-empty square matrix, got shape {m.shape}")
+    largest = float(np.max(np.abs(m.data), initial=0.0))
+    if not math.isfinite(largest):
+        raise ConfigError("matrix contains non-finite entries")
+    scale = max(1.0, largest)
+    asym = float(abs(m - m.T).max())
+    if asym > SYMMETRY_RTOL * scale:
+        raise ConfigError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     return m
 
 

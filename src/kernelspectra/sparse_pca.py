@@ -22,7 +22,10 @@ from .simulate import (
     DataMatrixConfig,
     _apply_kernel,
     _kernel_matrix,
+    _checked_symmetric_sparse,
+    _lanczos_ends,
     _scaled_gram,
+    _upper_tiles,
     check_data_size,
     sample_data,
     top_eigenvalue,
@@ -30,6 +33,11 @@ from .simulate import (
 
 INNER_FRACTION = 0.8
 OUTER_FRACTION = 1.2
+# Share of the upper triangle (diagonal included) outside the threshold's
+# zero set up to which sweep_tau builds M_tau sparse.  The sparse build,
+# check and Lanczos took as long as the dense apply, check and Lanczos at
+# 16% (p = 1000) and 18-20% (p = 2000), at n = p with two BLAS threads.
+SPARSE_DENSITY_CUT = 0.15
 
 
 def smoothed_soft_threshold(x, tau: float):
@@ -124,6 +132,45 @@ def thresholded_covariance(X: np.ndarray, tau: float) -> np.ndarray:
     return _kernel_matrix(X, ThresholdFunction(tau), keep_diagonal=True)
 
 
+def _thresholded_sparse(g: np.ndarray, threshold: ThresholdFunction, n: int, max_entries: float):
+    """M_tau of a scaled Gram g of n samples as a CSR matrix, or None as
+    soon as more than max_entries entries of g's upper triangle (diagonal
+    included) lie outside the threshold's zero set |g| <= INNER_FRACTION *
+    tau.  The upper triangle is read in the kernel builder's tiles and the
+    kept entries are mirrored, so nothing p x p is allocated; each kept
+    entry gets the dense builder's bits, k_tau(g) / sqrt(n)."""
+    # imported on first use, as in build_quadrature: importing scipy.sparse
+    # parses SOURCE_DATE_EPOCH, which the CLI must check first
+    from scipy.sparse import csr_array
+
+    p = g.shape[0]
+    zero_edge = INNER_FRACTION * threshold.tau
+    rows, cols = [], []
+    count = 0
+    for i0, i1 in _upper_tiles(p):
+        # "not <=" also keeps NaN, which the check then rejects, as the dense path does
+        r, c = np.divmod(np.flatnonzero(~(np.abs(g[i0:i1, i0:]) <= zero_edge)), p - i0)
+        upper = c >= r  # a tile's diagonal block reaches below the diagonal
+        count += np.count_nonzero(upper)
+        if count > max_entries:
+            return None
+        rows.append(r[upper] + i0)
+        cols.append(c[upper] + i0)
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.divide(threshold(g[rows, cols]), math.sqrt(n))
+    off = rows != cols
+    # the mirrored lower triangle first: each row's columns then ascend, so
+    # the conversion to CSR needs no sort
+    return csr_array(
+        (
+            np.concatenate([vals[off], vals]),
+            (np.concatenate([cols[off], rows]), np.concatenate([rows[off], cols])),
+        ),
+        shape=(p, p),
+    )
+
+
 def null_prediction(
     tau: float,
     gamma: float,
@@ -203,9 +250,19 @@ def sweep_tau(
     standard error sqrt(null_se^2 + spiked_se^2) of their difference holds
     per tau, and the largest z over positively correlated rows exceeds a
     given level no more often than over independent rows: reading "z > 3
-    somewhere" stays conservative.  One Gram and one output buffer, which
-    every tau's M_tau overwrites, are held at a time, and each X is freed
-    once its Gram exists.
+    somewhere" stays conservative.  One Gram and one p x p output buffer
+    are held at a time, and each X is freed once its Gram exists.
+
+    Each Gram visits the taus in descending order, so the supports of
+    M_tau (the entries outside the zero set |g| <= INNER_FRACTION * tau)
+    only grow.  While a support holds at most SPARSE_DENSITY_CUT of the
+    upper triangle, M_tau is built as a CSR matrix and its lambda_max comes
+    from the same Lanczos solve, run on scipy's sparse product.  The first
+    support past the cut abandons its sparse build, and from there on every
+    M_tau is written densely into the output buffer.  The cut is the density
+    at which the two paths took equal time at p = 1000 and 2000.  The CSR
+    holds the dense matrix's bits, but its product sums in another order,
+    so lambda_max can differ from the dense solve's in the last bits.
     """
     taus = np.asarray(list(taus), dtype=float)
     if taus.size == 0:
@@ -217,6 +274,7 @@ def sweep_tau(
     thresholds = [ThresholdFunction(tau) for tau in taus]
     rule = build_quadrature(200)
     gamma = null_cfg.p / null_cfg.n
+    descending = np.argsort(-taus, kind="stable")
 
     null_tops = np.empty((trials, len(taus)))
     spiked_tops = np.empty((trials, len(taus)))
@@ -228,9 +286,19 @@ def sweep_tau(
             X = sampler(cfg, stream=t)
             g = _scaled_gram(X)
             del X
+            max_sparse = SPARSE_DENSITY_CUT * cfg.p * (cfg.p + 1) / 2
+            # allocated before the sparse builds' temporaries, which would
+            # otherwise split the freed X's memory that the buffer reuses
             m = np.empty_like(g)
-            for ti, kernel in enumerate(thresholds):
-                _apply_kernel(g, kernel, cfg.n, keep_diagonal=True, out=m)
+            dense = False  # set by the first support past the cut
+            for ti in descending:
+                if not dense:
+                    sparse = _thresholded_sparse(g, thresholds[ti], cfg.n, max_sparse)
+                    if sparse is not None:
+                        tops[t, ti] = _lanczos_ends(_checked_symmetric_sparse(sparse), (-1,))[0]
+                        continue
+                    dense = True
+                _apply_kernel(g, thresholds[ti], cfg.n, keep_diagonal=True, out=m)
                 tops[t, ti] = top_eigenvalue(m)
             del g, m
     null_mean, null_se = np.array([_mean_se(col) for col in null_tops.T]).T

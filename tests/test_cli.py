@@ -355,10 +355,12 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
 
 # sha256 of every output file of two numpy-heavy commands at
 # SOURCE_DATE_EPOCH = 0, written by the untiled kernel builder that
-# evaluated k on every Gram entry.  They hold for the numpy 2.4 wheel's
-# OpenBLAS 0.3.31 build with its Haswell kernels: the Gram's and the
-# eigensolver's rounding depend on the BLAS.  A change to derive_rng's
-# stream paths changes these bytes and must say so.
+# evaluated k on every Gram entry; sweep.csv since the sweep's sparse path,
+# whose products sum in another order (its standard errors changed in the
+# last bits).  They hold for the numpy 2.4 wheel's OpenBLAS 0.3.31 build
+# with its Haswell kernels: the Gram's and the eigensolver's rounding
+# depend on the BLAS.  A change to derive_rng's stream paths changes these
+# bytes and must say so.
 CLI_OUTPUT_SHA256 = {
     "simulate": (
         {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2},
@@ -370,7 +372,7 @@ CLI_OUTPUT_SHA256 = {
     "sparse-pca-sweep": (
         {"n": 300, "taus": "1.0,2.0,3.0", "trials": 2},
         {
-            "sweep.csv": "9639e3b0bff75164bbab18e354ea36f8bd93621a2ea589008e2a19527967ad29",
+            "sweep.csv": "30b986069abf280d88d9f878eae62ad0592b908a62f6f4371696e87cb287f2e1",
             "sweep_summary.json": "01b3d5e3df4745689ebd558430387f91c17a839ce98c52cef598448962395cfc",
         },
     ),

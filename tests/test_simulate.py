@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse import csr_array
 
 import kernelspectra.simulate as sim
 from kernelspectra.errors import ConfigError, ConsistencyError, DomainError, SizeCapError
@@ -257,6 +258,10 @@ def test_top_eigenvalue_matches_eigvalsh(p, seed, kind):
     assert abs(top_eigenvalue(m) - ev[-1]) <= 1e-12 * max(1.0, norm)
     lowest, highest = sim._lanczos_ends(m, (0, -1))
     assert max(abs(lowest - ev[0]), abs(highest - ev[-1])) <= 1e-12 * max(1.0, norm)
+    if not np.iscomplexobj(m):  # the same solve on a CSR, as the sweep's sparse path runs it
+        csr = sim._checked_symmetric_sparse(csr_array(m))
+        lowest, highest = sim._lanczos_ends(csr, (0, -1))
+        assert max(abs(lowest - ev[0]), abs(highest - ev[-1])) <= 1e-12 * max(1.0, norm)
 
 
 def test_top_eigenvalue_is_repeatable():
@@ -290,6 +295,24 @@ def test_top_eigenvalue_raises_when_not_converged(monkeypatch):
 def test_solvers_reject_bad_input(solver, m):
     with pytest.raises(ConfigError):
         solver(m)
+
+
+@pytest.mark.parametrize("defect", ["nan", "inf", "perturbed mirror", "non-square"])
+def test_sparse_check_rejects_bad_input(defect):
+    m = _test_matrix("dense", 12, 3)
+    m[np.abs(m) < 0.5] = 0.0
+    assert sim._checked_symmetric_sparse(csr_array(m)).nnz == np.count_nonzero(m)
+    i, j = np.argwhere(np.triu(m, 1))[0]  # a stored entry and its stored mirror
+    if defect == "nan":
+        m[i, j] = m[j, i] = np.nan
+    elif defect == "inf":
+        m[i, i] = np.inf
+    elif defect == "perturbed mirror":
+        m[i, j] = m[j, i] + 1e-6
+    else:
+        m = m[:, :-1]
+    with pytest.raises(ConfigError):
+        sim._checked_symmetric_sparse(csr_array(m))
 
 
 def test_esd_cdf():

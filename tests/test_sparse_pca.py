@@ -20,9 +20,11 @@ from kernelspectra.simulate import (
     spectrum,
 )
 from kernelspectra.sparse_pca import (
+    SPARSE_DENSITY_CUT,
     SpikedModelConfig,
     SweepResult,
     ThresholdFunction,
+    _thresholded_sparse,
     null_prediction,
     sample_spiked_data,
     smoothed_soft_threshold,
@@ -104,6 +106,26 @@ def test_kernel_matrix_builder_matches_reference(p, n, keep_diagonal, monkeypatc
         else:
             public = build_kernel_matrix(X, ThresholdFunction(1.5))
         assert np.array_equal(public, expected[-1]), tile_entries
+
+
+@pytest.mark.parametrize("p, n", [(600, 300), (97, 150)])
+def test_sparse_threshold_builder_matches_reference(p, n, monkeypatch):
+    # the CSR holds every tile's entries, their mirror and the diagonal with
+    # the dense builder's bits, at any tiling, and is abandoned only for a
+    # support past the density cut
+    X = sample_data(DataMatrixConfig(n=n, p=p, seed=p))
+    g = _scaled_gram(X)
+    max_sparse = SPARSE_DENSITY_CUT * p * (p + 1) / 2
+    cases = [(0.5, False), (2.0, True), (3.5, True)]  # (tau, below the cut)
+    expected = [thresholded_covariance(X, tau) for tau, _ in cases]
+    for tile_entries in (simulate._TILE_ENTRIES, 1, 64, 1000):
+        monkeypatch.setattr(simulate, "_TILE_ENTRIES", tile_entries)
+        for (tau, below_cut), want in zip(cases, expected):
+            csr = _thresholded_sparse(g, ThresholdFunction(tau), n, math.inf)
+            assert np.array_equal(csr.toarray(), want), (tile_entries, tau)
+            assert csr.nnz == np.count_nonzero(want)
+            within_cut = _thresholded_sparse(g, ThresholdFunction(tau), n, max_sparse)
+            assert (within_cut is not None) == below_cut, (tile_entries, tau)
 
 
 @pytest.mark.parametrize("tile_entries", [1, 64, 1000, 32768])
@@ -255,13 +277,31 @@ def test_sweep_structure_and_signal():
     assert np.any(res.spiked_mean - res.null_mean > 3 * np.sqrt(res.spiked_se**2 + res.null_se**2))
 
 
-def test_sweep_lambda_max_matches_full_spectrum():
-    # trial t's one draw per model serves every tau
+def test_sweep_lambda_max_matches_full_spectrum(monkeypatch):
+    # trial t's one draw per model serves every tau, on the dense path
+    # (tau = 0.5) and on the sparse one (tau = 3.5)
+    import kernelspectra.sparse_pca as sp
+
+    calls = {"dense": 0, "sparse": 0}
+
+    def counted(path, solver_step):
+        def step(m):
+            calls[path] += 1
+            return solver_step(m)
+
+        return step
+
+    monkeypatch.setattr(sp, "top_eigenvalue", counted("dense", sp.top_eigenvalue))
+    monkeypatch.setattr(
+        sp, "_checked_symmetric_sparse", counted("sparse", sp._checked_symmetric_sparse)
+    )
     n = 60
     null_cfg = DataMatrixConfig(n=n, p=n, seed=12)
     spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, gamma=1.0, n=n, seed=13)
-    taus = [0.5, 2.0]
+    taus = [0.5, 2.0, 3.5]
     res = sweep_tau(null_cfg, spiked_cfg, taus, trials=2)
+    assert calls["dense"] > 0 and calls["sparse"] > 0, calls
+    assert calls["dense"] + calls["sparse"] == 2 * 2 * len(taus)
     for ti, tau in enumerate(taus):
         for sampler, cfg, means in (
             (sample_data, null_cfg, res.null_mean),
