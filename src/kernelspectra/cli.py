@@ -254,23 +254,18 @@ def _out_path(name: str) -> Path:
     return path
 
 
-def write_csv(name: str, header: tuple[str, ...], rows) -> Path:
-    """CSV with 17 significant digits and LF terminators: lossless float
-    round-trips, byte-stable across runs."""
+def write_csv(name: str, header: tuple[str, ...], columns) -> Path:
+    """CSV of equal-length columns with LF terminators: integer columns as
+    integers, the others with 17 significant digits (lossless float
+    round-trips), byte-stable across runs.  Each row is one %-format over
+    Python scalars."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     path = _out_path(name)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
     return path
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
 
 
 def write_json(name: str, doc: dict) -> Path:
@@ -329,17 +324,19 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
     if lmax > MAX_MOMENT_ORDER:
         raise SizeCapError(f"moments_lmax must be <= {MAX_MOMENT_ORDER}, got {lmax}")
 
-    moments = [(l, moment(params, l)) for l in range(1, lmax + 1)]
+    orders = range(1, lmax + 1)
+    moments = [moment(params, l) for l in orders]
     sup = support(params)
     xs = np.linspace(sup.min_edge - 1.0, sup.max_edge + 1.0, points)
     dens = density(params, xs, epsilon=eps)
-    write_csv(f"{prefix}_density.csv", ("x", "density"), zip(xs, dens.density))
+    write_csv(f"{prefix}_density.csv", ("x", "density"), (xs, dens.density))
+    edges = np.array(sup.intervals, dtype=float).reshape(-1, 2)
     write_csv(
         f"{prefix}_support.csv",
         ("interval", "lo", "hi"),
-        [(i, lo, hi) for i, (lo, hi) in enumerate(sup.intervals)],
+        (np.arange(len(edges)), edges[:, 0], edges[:, 1]),
     )
-    write_csv(f"{prefix}_moments.csv", ("l", "moment"), moments)
+    write_csv(f"{prefix}_moments.csv", ("l", "moment"), (orders, moments))
     payload = {
         "support": [[lo, hi] for lo, hi in sup.intervals],
         "norm": sup.norm,
@@ -378,12 +375,12 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
     a2 = exp.a2 if abs(exp.a2) > 1e-10 else 0.0  # quadrature noise is not a spike
     data_cfg = DataMatrixConfig(n=n, p=p, entry_law=_LAWS[law_name], seed=seed)
 
-    rows = []
+    eigenvalues = []
     trial_summaries = []
     for t in range(trials):
         X = sample_data(data_cfg, stream=t)
         summ = spectrum(build_kernel_matrix(X, kernel))
-        rows.extend((t, i, ev) for i, ev in enumerate(summ.eigenvalues))
+        eigenvalues.append(summ.eigenvalues)
         spikes = rank_two_correction(X, a2, fourth_moment=data_cfg.fourth_moment)
         entry = {
             "trial": t,
@@ -396,7 +393,11 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
             entry["ks_distance"] = ks_distance(summ, params)
         trial_summaries.append(entry)
 
-    write_csv(f"{prefix}_eigenvalues.csv", ("trial", "index", "eigenvalue"), rows)
+    write_csv(
+        f"{prefix}_eigenvalues.csv",
+        ("trial", "index", "eigenvalue"),
+        (np.repeat(np.arange(trials), p), np.tile(np.arange(p), trials), np.concatenate(eigenvalues)),
+    )
     payload = {
         "kernel": cfg.values.get("kernel"),
         "a": exp.a,
@@ -428,7 +429,7 @@ def cmd_sparse_pca_sweep(cfg: Config, raw: dict[str, str]) -> int:
     null_cfg = DataMatrixConfig(n=n, p=p, seed=seed)
     spiked_cfg = SpikedModelConfig(lam=lam, sparsity=sparsity, gamma=p / n, n=n, seed=seed + 1)
     result = sweep_tau(null_cfg, spiked_cfg, taus, trials=trials)
-    write_csv(f"{out}.csv", result.CSV_COLUMNS, result.rows())
+    write_csv(f"{out}.csv", result.CSV_COLUMNS, result.columns())
     payload = {
         "n": n,
         "p": p,

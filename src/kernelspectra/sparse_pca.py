@@ -212,18 +212,9 @@ class SweepResult:
         if not np.all(np.isfinite(self.prediction)) or np.any(self.prediction <= 0):
             raise ConfigError("predictions must be finite and positive")
 
-    def rows(self) -> list[tuple[float, ...]]:
-        return [
-            (
-                float(self.taus[i]),
-                float(self.null_mean[i]),
-                float(self.null_se[i]),
-                float(self.spiked_mean[i]),
-                float(self.spiked_se[i]),
-                float(self.prediction[i]),
-            )
-            for i in range(len(self.taus))
-        ]
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The CSV_COLUMNS, in order."""
+        return (self.taus, self.null_mean, self.null_se, self.spiked_mean, self.spiked_se, self.prediction)
 
 
 def _mean_se(values) -> tuple[float, float]:

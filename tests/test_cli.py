@@ -353,15 +353,28 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_PAYLOAD_SHA256[seed]
 
 
-# sha256 of every output file of two numpy-heavy commands at
-# SOURCE_DATE_EPOCH = 0, written by the untiled kernel builder that
-# evaluated k on every Gram entry; sweep.csv since the sweep's sparse path,
-# whose products sum in another order (its standard errors changed in the
-# last bits).  They hold for the numpy 2.4 wheel's OpenBLAS 0.3.31 build
-# with its Haswell kernels: the Gram's and the eigensolver's rounding
-# depend on the BLAS.  A change to derive_rng's stream paths changes these
-# bytes and must say so.
+# sha256 of every output file of three commands at SOURCE_DATE_EPOCH = 0.
+# limit-law's files were written by the per-value CSV formatter that came
+# before the one-%-format rows; the two numpy-heavy commands' by the
+# untiled kernel builder that evaluated k on every Gram entry, except the
+# sweep's, written since Lanczos reorthogonalises after the three-term
+# recurrence, takes its Ritz values from LAPACK's tridiagonal bisection
+# and stops at the scheduled checks (the means and max_null_gap changed
+# in the last bits, the standard errors in the last three).  They hold
+# for the numpy 2.4 wheel's OpenBLAS 0.3.31 build with its Haswell
+# kernels: the Gram's and the eigensolver's rounding depend on the BLAS.
+# A change to derive_rng's stream paths changes these bytes and must say
+# so.
 CLI_OUTPUT_SHA256 = {
+    "limit-law": (
+        {"a": 1, "nu": 2, "gamma": 0.5, "moments_lmax": 11},
+        {
+            "limit_law_density.csv": "ac1c4e6d7420cf3897f3682d31746e65d0d0803b104c9c0c773af7be70556034",
+            "limit_law_moments.csv": "2d7df942b905e50a1ecf4eba94379994fdd7290ec0262394ae6b164a44a7af5a",
+            "limit_law_summary.json": "e348293ddf2da12c64c2ccdbee23d7eb2f8a5c341dac1c79d14258229b8334ae",
+            "limit_law_support.csv": "ffd0756ce6350cebe03125868782aafbcee4615085866ac50d2d1e3faf41bcdf",
+        },
+    ),
     "simulate": (
         {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2},
         {
@@ -372,8 +385,8 @@ CLI_OUTPUT_SHA256 = {
     "sparse-pca-sweep": (
         {"n": 300, "taus": "1.0,2.0,3.0", "trials": 2},
         {
-            "sweep.csv": "30b986069abf280d88d9f878eae62ad0592b908a62f6f4371696e87cb287f2e1",
-            "sweep_summary.json": "01b3d5e3df4745689ebd558430387f91c17a839ce98c52cef598448962395cfc",
+            "sweep.csv": "230e217be4378c7f93ffd5c626da23e84d73fa0bbdd66aa6efebe3343ba705ea",
+            "sweep_summary.json": "a09344e906476db9be3e0b025c81c89dbd36b112d0927ba06fe770ddfe5b0bc0",
         },
     ),
 }

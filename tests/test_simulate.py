@@ -237,6 +237,23 @@ def _test_matrix(kind: str, p: int, seed: int) -> np.ndarray:
         return np.diag(gen.choice([-2.0, 0.5, 3.0], size=p))
     if kind == "zero":
         return np.zeros((p, p))
+    if kind in ("clustered_top", "tiny_gap"):
+        # a random rotation of a diagonal whose two (tiny_gap) or two to
+        # five (clustered_top) entries at each end lie within a relative
+        # width of 1e-14 to 1e-4 (tiny_gap) or 1e-8 to 1e-2 (clustered_top)
+        d = np.sort(gen.standard_normal(p))
+        top = np.max(np.abs(d)) + 1.0
+        if kind == "tiny_gap":
+            width, count = 10.0 ** gen.uniform(-14, -4), 2
+        else:
+            width, count = 10.0 ** gen.uniform(-8, -2), int(gen.integers(2, 6))
+        count = min(count, p)
+        cluster = top * (1.0 - width * np.linspace(0.0, 1.0, count))
+        d[-count:] = cluster[::-1]
+        d[:count] = -cluster  # overwrites part of the top cluster when p < 2 * count
+        q, _ = np.linalg.qr(gen.standard_normal((p, p)))
+        m = (q * d) @ q.T
+        return (m + m.T) / 2
     # rank-one spike with balanced +-1/sqrt(s) entries: orthogonal to all-ones
     s = 2 * (p // 2)
     v = np.zeros(p)
@@ -248,9 +265,28 @@ def _test_matrix(kind: str, p: int, seed: int) -> np.ndarray:
 @given(
     p=st.integers(2, 80),
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["dense", "hermitian", "repeated_diagonal", "zero", "balanced_spike"]),
+    kind=st.sampled_from(
+        [
+            "dense",
+            "hermitian",
+            "repeated_diagonal",
+            "zero",
+            "balanced_spike",
+            "clustered_top",
+            "tiny_gap",
+        ]
+    ),
 )
 @example(p=8, seed=0, kind="balanced_spike")  # breaks down at step 2: w is rounding only
+# top two eigenvalues 2.7e-7 apart (relative), and the start vector's part
+# along the top eigenvector 59x smaller than along the next: the gap-aware
+# stop "r^2 / gap <= 1e-15 |theta| and r <= 1e-7 |theta|" returns lambda_max
+# 2.7e-7 low.  The Ritz value has converged to the second eigenvalue, and
+# the gap to the next Ritz value is not the true gap.
+@example(p=60, seed=55, kind="tiny_gap")
+# 2.7e-12 apart, start part 20x smaller: the same stop guarded by
+# r <= 1e-12 max|Ritz| returns lambda_max 2.7e-12 low
+@example(p=80, seed=25, kind="tiny_gap")
 def test_top_eigenvalue_matches_eigvalsh(p, seed, kind):
     m = _test_matrix(kind, p, seed)
     ev = np.linalg.eigvalsh(m)
@@ -580,6 +616,16 @@ def test_concentration_probe_norm_matches_full_spectrum():
             K = build_kernel_matrix(sample_data(cfg, stream=(ridx, t)), h3)
             norms.append(spectrum(K).spectral_norm)
         assert row["median_norm"] == pytest.approx(np.median(norms), rel=1e-12)
+
+
+def test_concentration_probe_lanczos_and_eigvalsh_agree(monkeypatch):
+    # the same norms from the two-ended Lanczos solve, which the probe runs
+    # from p = PROBE_EIGVALSH_BELOW on, and from eigvalsh below it
+    rows = concentration_probe(h3, [0.5, 2.0], n=60, trials=2, seed=3)
+    monkeypatch.setattr(sim, "PROBE_EIGVALSH_BELOW", 0)
+    lanczos = concentration_probe(h3, [0.5, 2.0], n=60, trials=2, seed=3)
+    for row, other in zip(rows, lanczos):
+        assert other["median_norm"] == pytest.approx(row["median_norm"], rel=1e-12)
 
 
 def test_concentration_probe_stable_in_n():

@@ -268,8 +268,8 @@ def test_sweep_structure_and_signal():
     taus = [1.0, 1.5, 2.0]
     res = sweep_tau(null_cfg, spiked_cfg, taus, trials=3)
     assert res.CSV_COLUMNS == ("tau", "null_mean", "null_se", "spiked_mean", "spiked_se", "prediction")
-    rows = res.rows()
-    assert len(rows) == 3 and all(len(r) == 6 for r in rows)
+    columns = res.columns()
+    assert len(columns) == 6 and all(len(c) == 3 for c in columns)
     assert np.all(res.prediction > 0) and np.all(np.isfinite(res.prediction))
     # null curve already tracks the prediction loosely at n=500
     assert np.max(np.abs(res.null_mean - res.prediction)) < 0.2
@@ -312,6 +312,39 @@ def test_sweep_lambda_max_matches_full_spectrum(monkeypatch):
                 for t in range(2)
             ]
             assert means[ti] == pytest.approx(np.mean(tops), rel=1e-12)
+
+
+class _CountedMatrix:
+    """The shape, dtype and product of m, counting the products."""
+
+    def __init__(self, m):
+        self.m, self.shape, self.dtype, self.matvecs = m, m.shape, m.dtype, 0
+
+    def __matmul__(self, v):
+        self.matvecs += 1
+        return self.m @ v
+
+
+# Lanczos checked its Ritz values every 8 steps up to 64, then every k/8
+# steps, and took 64 products at both taus; the checks scheduled from the
+# residuals' fall stop at the first step that passes
+@pytest.mark.parametrize(
+    "tau, sparse, max_matvecs", [(0.5, False, 64), (2.0, True, 62)], ids=["dense", "csr"]
+)
+def test_sweep_lanczos_matvecs(tau, sparse, max_matvecs):
+    # a null M_tau at n = p = 400, built as the sweep builds it: dense at
+    # tau = 0.5 (69% non-zero), CSR at tau = 2.0 (11%)
+    X = sample_data(DataMatrixConfig(n=400, p=400, seed=0))
+    if sparse:
+        m = _thresholded_sparse(_scaled_gram(X), ThresholdFunction(tau), 400, math.inf)
+        m = simulate._checked_symmetric_sparse(m)
+        expected = np.linalg.eigvalsh(m.toarray())[-1]
+    else:
+        m = thresholded_covariance(X, tau)
+        expected = np.linalg.eigvalsh(m)[-1]
+    counted = _CountedMatrix(m)
+    assert simulate._lanczos_ends(counted, (-1,))[0] == pytest.approx(expected, rel=1e-12)
+    assert counted.matvecs <= max_matvecs
 
 
 def test_spiked_model_size_caps():
