@@ -22,7 +22,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, KernelSpectraError, SizeCapError, VerificationError
-from .hermite import KernelSpec, build_quadrature, hermite_sum_kernel, project_kernel
+from .hermite import (
+    KernelSpec,
+    build_quadrature,
+    check_projection_size,
+    hermite_sum_kernel,
+    project_kernel,
+)
 from .lgraphs import (
     enumerate_multilabelings,
     exact_trace_moment,
@@ -287,6 +293,7 @@ def cmd_project_kernel(cfg: Config, raw: dict[str, str]) -> int:
     center = cfg.get_bool("center", False)
     out = cfg.get_str("out", "kernel_expansion.json")
     cfg.reject_unknown()
+    check_projection_size(degree, order)
 
     rule = build_quadrature(order)
     exp = project_kernel(kernel, degree=degree, rule=rule, center=center)
@@ -368,12 +375,13 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if law_name not in _LAWS:
         raise ConfigError(f"law must be one of {sorted(_LAWS)}, got {law_name!r}")
+    check_projection_size(degree=degree)
+    data_cfg = DataMatrixConfig(n=n, p=p, entry_law=_LAWS[law_name], seed=seed)
 
     exp = project_kernel(kernel, degree=degree)
     gamma = p / n
     params = LimitLawParams(a=exp.a, nu=exp.nu, gamma=gamma) if exp.nu > 0 else None
     a2 = exp.a2 if abs(exp.a2) > 1e-10 else 0.0  # quadrature noise is not a spike
-    data_cfg = DataMatrixConfig(n=n, p=p, entry_law=_LAWS[law_name], seed=seed)
 
     eigenvalues = []
     trial_summaries = []
@@ -423,6 +431,8 @@ def cmd_sparse_pca_sweep(cfg: Config, raw: dict[str, str]) -> int:
     seed = cfg.get_int("seed", 0)
     out = cfg.get_str("out", "sweep")
     cfg.reject_unknown()
+    if not math.isfinite(coeff):
+        raise ConfigError(f"sparsity_coeff must be finite, got {coeff}")
 
     if sparsity <= 0:
         sparsity = max(1, math.floor(coeff * math.sqrt(n)))

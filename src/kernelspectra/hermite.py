@@ -17,11 +17,30 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MeanNotZeroError, QuadratureError
+from .errors import ConfigError, MeanNotZeroError, QuadratureError, SizeCapError
 
 DEFAULT_QUAD_ORDER = 200
 DEFAULT_DEGREE = 30
 MEAN_ZERO_TOL = 1e-8
+# Past degree ~280, most of E[h_d^2] lies where |x| > 37.5 and the N(0,1)
+# weights underflow, so no double-precision rule can project onto h_d:
+# at orders 504-4004, E[h_d^2] comes out within 1e-14 of 1 through d = 270
+# and 0.6 at d = 500.
+MAX_DEGREE = 250
+# build_quadrature takes O(order^2) time and O(order) memory: 0.72 s and
+# 1.2 MB of peak RSS at this cap on a 2-vCPU host.  With degree <=
+# MAX_DEGREE the projection table adds at most 251 x 8 B per kept node:
+# 6 MB here, where 3130 of the 20000 nodes are kept.
+MAX_QUAD_ORDER = 20_000
+NEWTON_TOL = math.sqrt(np.finfo(float).eps)
+NEWTON_MAX_PASSES = 10
+RESCALE_EVERY = 16  # steps between rescalings of the running He_{order-1}
+# Zeros of the Airy function Ai, negated (to double precision)
+_AIRY_ZEROS = np.array([
+    2.338107410459767, 4.08794944413097, 5.520559828095551, 6.786708090071759,
+    7.944133587120853, 9.02265085334098, 10.040174341558085, 11.008524303733262,
+    11.936015563236262, 12.828776752865757,
+])
 
 
 def hermite_eval(d: int, x):
@@ -61,7 +80,8 @@ def _hermite_sweep(x: np.ndarray, max_degree: int, scratch=None):
 @dataclass(frozen=True)
 class GaussHermiteRule:
     """Quadrature nodes/weights normalized against the standard normal
-    density: sum(weights) == 1 and sum(w * f(x)) ~ E[f(xi)]."""
+    density: sum(weights) == 1 and sum(w * f(x)) ~ E[f(xi)].  From order
+    370 on there are fewer nodes than `order` (see build_quadrature)."""
 
     order: int
     nodes: np.ndarray
@@ -72,25 +92,133 @@ class GaussHermiteRule:
         return float(np.dot(self.weights, vals))
 
 
+def check_projection_size(degree: int = 0, order: int = 0) -> None:
+    """Reject a projection degree or a quadrature order over its cap."""
+    if degree > MAX_DEGREE:
+        raise SizeCapError(f"projection degree {degree} exceeds cap {MAX_DEGREE}")
+    if order > MAX_QUAD_ORDER:
+        raise SizeCapError(f"quadrature order {order} exceeds cap {MAX_QUAD_ORDER}")
+
+
+def _airy_zeros(k: np.ndarray) -> np.ndarray:
+    """|a_k| for the k-th zero a_k of the Airy function Ai: tabulated
+    through k = 10, past it the large-k expansion (error 1.5e-13 at k = 10)."""
+    t = 3.0 * math.pi / 8.0 * (4.0 * k - 1.0)
+    t2 = t**-2.0
+    out = t ** (2 / 3) * (
+        1 + t2 * (5 / 48 + t2 * (-5 / 36 + t2 * (77125 / 82944 - t2 * 108056875 / 6967296)))
+    )
+    small = k <= len(_AIRY_ZEROS)
+    out[small] = np.take(_AIRY_ZEROS, k[small].astype(int) - 1)
+    return out
+
+
+def _initial_nodes(order: int) -> np.ndarray:
+    """The order // 2 positive zeros of He_order, ascending, to an absolute
+    error of 3e-3 at order 2, under 1e-4 from order 5 and under 3e-6 from
+    order 100 (Townsend, Trogdon and Olver 2016, lemmas 3.1 and 3.2):
+    Tricomi's expansion in the bulk, Gatteschi's Airy-zero expansion for
+    the round(0.4 sqrt(order)) largest, where it is the more accurate."""
+    m = order // 2
+    nu = 2.0 * order + 1.0
+    edge = min(m, max(1, round(0.4 * math.sqrt(order))))
+    k = np.arange(1, m - edge + 1, dtype=float)
+    c = (4 * m - 4 * k + 3) * math.pi / nu
+    tau = np.full_like(c, 0.5 * math.pi)  # tau - sin(tau) = c by Newton
+    for _ in range(6):
+        tau -= (tau - np.sin(tau) - c) / (1.0 - np.cos(tau))
+    sig = np.cos(0.5 * tau) ** 2
+    bulk = nu * sig - (5.0 / (4.0 * (1.0 - sig) ** 2) - 1.0 / (1.0 - sig) - 0.25) / (3.0 * nu)
+    a = -_airy_zeros(np.arange(edge, 0, -1, dtype=float))
+    tail = (
+        nu
+        + 2 ** (2 / 3) * a * nu ** (1 / 3)
+        + 0.2 * 2 ** (4 / 3) * a**2 * nu ** (-1 / 3)
+        + (9 / 140 - 12 / 175 * a**3) / nu
+        + (16 / 1575 * a + 92 / 7875 * a**4) * 2 ** (2 / 3) * nu ** (-5 / 3)
+        - (15152 / 3031875 * a**5 + 1088 / 121275 * a**2) * 2 ** (1 / 3) * nu ** (-7 / 3)
+    )
+    # both expansions give the squared zeros of H_order; He's are sqrt(2) times H's
+    return np.sqrt(2.0 * np.concatenate([bulk, tail]))
+
+
+def _hermite_ratios(x: np.ndarray, order: int):
+    """He_order(x) / He_{order-1}(x), He_{order-1}(x) / He_{order-2}(x), and
+    He_{order-1}(x) as a mantissa in [0.5, 1) and a power of two, for
+    order >= 2.  Runs the ratio form of He_{k+1} = x He_k - k He_{k-1}: two
+    ufunc calls a step for the ratio, one for the running product, which
+    is brought back to [0.5, 1) every RESCALE_EVERY steps so that it
+    cannot overflow."""
+    ratio = x.copy()  # He_1 / He_0
+    mantissa = x.copy()  # He_1
+    exponent = np.zeros(x.shape, dtype=np.int64)
+    scratch = np.empty_like(x)
+    for k in range(1, order - 1):
+        np.divide(k, ratio, out=scratch)
+        np.subtract(x, scratch, out=ratio)  # He_{k+1} / He_k
+        mantissa *= ratio
+        if k % RESCALE_EVERY == 0:
+            mantissa, step = np.frexp(mantissa)
+            exponent += step
+    mantissa, step = np.frexp(mantissa)
+    return x - (order - 1) / ratio, ratio, mantissa, exponent + step
+
+
+def _positive_half(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positive nodes of the order-point rule, ascending, and their
+    weights before normalisation (a common factor is left out).
+
+    Newton's method on He_order from _initial_nodes, all nodes at once.
+    At a zero, He'' = x He', so a step of dx leaves an error of about
+    x dx^2 / 2: once every |dx| <= sqrt(eps) that is below half an ulp of
+    x, and the loop stops.  The weights are the Christoffel numbers
+    1 / (order h_{order-1}(x)^2); the last pass evaluated He_{order-1} one
+    step behind the nodes, so it is moved along to first order by
+    He'_{order-1} = (order - 1) He_{order-2}."""
+    x = _initial_nodes(order)
+    with np.errstate(divide="ignore"):  # an exact zero of some He_k gives a ratio of inf
+        for _ in range(NEWTON_MAX_PASSES):
+            ratio, prev, mantissa, exponent = _hermite_ratios(x, order)
+            dx = ratio / order  # He / He' = He_order / (order He_{order-1})
+            x = x - dx
+            if np.max(np.abs(dx)) <= NEWTON_TOL:
+                break
+        else:
+            raise QuadratureError(f"Newton iteration for the order-{order} nodes did not converge")
+    mantissa *= 1.0 - dx * (order - 1) / prev
+    return x, np.ldexp(1.0 / (mantissa * mantissa), 2 * (exponent.min() - exponent))
+
+
 def build_quadrature(order: int) -> GaussHermiteRule:
     """Gauss-Hermite rule for the N(0,1) weight, exact for polynomials of
     degree <= 2*order - 1.  Self-checks the low even moments and fails
-    loudly rather than returning a degraded rule."""
+    loudly rather than returning a degraded rule.
+
+    Built in numpy without LAPACK (see _positive_half): the positive half
+    of the rule is computed and mirrored, so the rule is exactly
+    symmetric, and for odd order the middle weight is the exact
+    4^m / (order C(2m, m)), m = order // 2.  Nodes whose weight is below the
+    smallest normal double are left out: from order 370 on the rule has
+    fewer than `order` nodes, and the mass they carry is below 1e-300."""
     if order < 1:
         raise ConfigError(f"quadrature order must be >= 1, got {order}")
-    # Imported on first use: scipy.special imports numpy.f2py, which parses
-    # SOURCE_DATE_EPOCH at import and raises ValueError on a non-integer
-    # value before the CLI can report it as a config error.
-    from scipy.special import roots_hermitenorm
-
-    try:
-        nodes, weights = roots_hermitenorm(int(order))
-    except Exception as exc:  # pragma: no cover - scipy failure path
-        raise QuadratureError(f"rule construction failed at order {order}: {exc}") from exc
-    weights = weights / np.sqrt(2.0 * np.pi)
+    check_projection_size(order=order)
+    order = int(order)
+    half = order // 2
+    middle = 4**half / (order * math.comb(2 * half, half)) if order % 2 else 0.0
+    x = w = np.empty(0)
+    if half:
+        x, w = _positive_half(order)
+        w *= (1.0 - middle) / (2.0 * w.sum())
+        keep = w >= np.finfo(float).tiny
+        x, w = x[keep], w[keep]
+    nodes = np.concatenate([-x[::-1], [0.0] if order % 2 else [], x])
+    weights = np.concatenate([w[::-1], [middle] if order % 2 else [], w])
 
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights)) and np.all(weights > 0)):
         raise QuadratureError(f"non-finite or non-positive weights at order {order}")
+    if not np.all(np.diff(nodes) > 0):  # two starts that converged to one zero
+        raise QuadratureError(f"repeated or unordered nodes at order {order}")
     if abs(weights.sum() - 1.0) > 1e-12:
         raise QuadratureError(f"weights sum to {weights.sum()!r} at order {order}")
     # double factorial moments E[x^{2m}] = (2m-1)!!
@@ -222,6 +350,7 @@ def project_kernel(
     """
     if degree < 1:
         raise ConfigError(f"degree must be >= 1, got {degree}")
+    check_projection_size(degree=degree)
     if rule is None:
         rule = build_quadrature(max(DEFAULT_QUAD_ORDER, 2 * degree + 4))
     if rule.order < 2 * degree + 4:
@@ -231,7 +360,9 @@ def project_kernel(
     if isinstance(kernel, KernelSpec):
         kernel.check_parity()
     vals = _eval_on(kernel, rule.nodes)
-    table = np.array([h.copy() for h in _hermite_sweep(rule.nodes, degree)])
+    table = np.empty((degree + 1, len(rule.nodes)))
+    for row, h in zip(table, _hermite_sweep(rule.nodes, degree)):
+        row[:] = h
     wvals = rule.weights * vals
     a0 = float(np.dot(rule.weights, vals))
     if abs(a0) > MEAN_ZERO_TOL:

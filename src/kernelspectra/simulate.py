@@ -309,7 +309,8 @@ def _ritz_ends(alpha: np.ndarray, off: np.ndarray, ends: tuple[int, ...]):
     solves at these sizes."""
     if len(alpha) == 1:  # the wrappers reject an empty off-diagonal
         return [float(alpha[0])] * len(ends), [1.0] * len(ends), abs(float(alpha[0]))
-    # imported on first use, as in build_quadrature
+    # imported on first use: of the CLI commands only the sweep gets here,
+    # and importing scipy would add to every other command's startup
     from scipy.linalg.lapack import dstebz, dstein
 
     # inverse iteration overflows to NaN on entries near 1e147; scaling by

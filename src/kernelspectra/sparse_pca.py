@@ -44,8 +44,8 @@ def smoothed_soft_threshold(x, tau: float):
     """Odd C^1 threshold: 0 for |x| <= 0.8*tau, sign(x)*(|x|-tau) for
     |x| >= 1.2*tau, and the unique slope-matching quadratic
     (1.25/tau)*(|x|-0.8*tau)^2 on the transition bands."""
-    if not tau > 0:
-        raise ConfigError(f"tau must be > 0, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ConfigError(f"tau must be finite and > 0, got {tau}")
     x = np.asarray(x, dtype=float)
     out = np.abs(x, out=np.empty_like(x))
     band = np.flatnonzero((out > INNER_FRACTION * tau) & (out < OUTER_FRACTION * tau))
@@ -67,8 +67,8 @@ class ThresholdFunction:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
 
     def __call__(self, x):
         return smoothed_soft_threshold(x, self.tau)
@@ -89,8 +89,8 @@ class SpikedModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ConfigError(f"spike strength lambda must be > 0, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ConfigError(f"spike strength lambda must be finite and > 0, got {self.lam}")
         if not self.gamma > 0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
         if self.n < 2:
@@ -139,8 +139,9 @@ def _thresholded_sparse(g: np.ndarray, threshold: ThresholdFunction, n: int, max
     tau.  The upper triangle is read in the kernel builder's tiles and the
     kept entries are mirrored, so nothing p x p is allocated; each kept
     entry gets the dense builder's bits, k_tau(g) / sqrt(n)."""
-    # imported on first use, as in build_quadrature: importing scipy.sparse
-    # parses SOURCE_DATE_EPOCH, which the CLI must check first
+    # imported on first use: importing scipy.sparse parses SOURCE_DATE_EPOCH,
+    # which the CLI must check first, and would add to the startup of every
+    # command but the sweep
     from scipy.sparse import csr_array
 
     p = g.shape[0]

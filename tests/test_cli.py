@@ -16,6 +16,7 @@ import kernelspectra.cli as cli_module
 from kernelspectra import sparse_pca
 from kernelspectra.cli import main, parse_kernel
 from kernelspectra.errors import ConfigError
+from kernelspectra.hermite import MAX_DEGREE, MAX_QUAD_ORDER
 from kernelspectra.lgraphs import SimpleLabeling
 from kernelspectra.limit_law import MAX_DENSITY_POINTS, MAX_MOMENT_ORDER, LimitLawParams, moment
 from kernelspectra.simulate import MAX_DATA_ENTRIES, MAX_MATRIX_SIDE
@@ -203,8 +204,12 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
         ("verify", {"l_max": 2, "d_max": 1, "scaling_ns": "10,1000",
                     "scaling_trials": cli_module.MAX_SCALING_ENTRIES // 1000 + 1}),
         ("verify", {"l_max": 2, "d_max": 1, "trace_trials": cli_module.MAX_TRACE_TRIALS + 1}),
+        ("project-kernel", {"kernel": "h1", "degree": MAX_DEGREE + 1, "order": 20}),
+        ("project-kernel", {"kernel": "h1", "degree": 1, "order": MAX_QUAD_ORDER + 1}),
+        ("simulate", {"kernel": "h1", "n": 20, "p": 20, "degree": 20000}),
     ],
-    ids=["simulate-n", "sweep-n", "density-points", "scaling-entries", "trace-trials"],
+    ids=["simulate-n", "sweep-n", "density-points", "scaling-entries", "trace-trials",
+         "projection-degree", "quadrature-order", "simulate-degree"],
 )
 def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys, command, keys):
     # these sizes used to end in numpy's _ArrayMemoryError traceback
@@ -213,7 +218,8 @@ def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, cap
 
     for module, names in (
         (cli_module, ("sample_data", "moment", "support", "density", "enumerate_multilabelings",
-                      "decompose_hermite_sum", "sample_trace_moment")),
+                      "decompose_hermite_sum", "sample_trace_moment", "build_quadrature",
+                      "project_kernel")),
         (sparse_pca, ("sample_data", "sample_spiked_data")),
     ):
         for name in names:
@@ -221,6 +227,32 @@ def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, cap
     cfg = write_cfg(tmp_path, "c.cfg", **keys)
     assert main([command, cfg]) == 3
     assert "cap" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "keys, key",
+    [
+        ({"sparsity_coeff": "nan"}, "sparsity_coeff"),
+        ({"sparsity_coeff": "inf"}, "sparsity_coeff"),
+        ({"lam": "inf"}, "lambda"),
+        ({"taus": "inf"}, "tau"),
+        ({"taus": "1.0,inf"}, "tau"),
+    ],
+    ids=["coeff-nan", "coeff-inf", "lam-inf", "tau-inf", "one-tau-inf"],
+)
+def test_sweep_non_finite_inputs_exit_2_before_sampling(tmp_path, monkeypatch, capsys, keys, key):
+    # these used to end in a ValueError or OverflowError traceback, or to
+    # fail only after sampling every X
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled data for a bad config")
+
+    monkeypatch.setattr(sparse_pca, "sample_data", no_sampling)
+    monkeypatch.setattr(sparse_pca, "sample_spiked_data", no_sampling)
+    cfg = write_cfg(tmp_path, "c.cfg", **{"n": 50, "taus": "1.0", "trials": 1, **keys})
+    assert main(["sparse-pca-sweep", cfg]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err and "Traceback" not in err
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
 
 
@@ -360,7 +392,10 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
 # sweep's, written since Lanczos reorthogonalises after the three-term
 # recurrence, takes its Ritz values from LAPACK's tridiagonal bisection
 # and stops at the scheduled checks (the means and max_null_gap changed
-# in the last bits, the standard errors in the last three).  They hold
+# in the last bits, the standard errors in the last three).  The
+# quadrature-derived bytes (simulate_summary.json, the sweep's prediction
+# column and sweep_summary.json) were re-recorded when the Gauss-Hermite
+# rule moved from scipy to numpy; the eigenvalue CSV stayed.  They hold
 # for the numpy 2.4 wheel's OpenBLAS 0.3.31 build with its Haswell
 # kernels: the Gram's and the eigensolver's rounding depend on the BLAS.
 # A change to derive_rng's stream paths changes these bytes and must say
@@ -379,14 +414,14 @@ CLI_OUTPUT_SHA256 = {
         {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2},
         {
             "simulate_eigenvalues.csv": "65362b0ff84d53f58a7b816f65a1b6eeec7a018c71ef477be257bc7f767f6043",
-            "simulate_summary.json": "a22ae6126844d996d43648aa7045fe5c9c86c7298246ad6d1d86a809761cdef0",
+            "simulate_summary.json": "606ce61549d75690c89ee37c7e0fe750e556ed9dd9758ea96ede031890f6dec5",
         },
     ),
     "sparse-pca-sweep": (
         {"n": 300, "taus": "1.0,2.0,3.0", "trials": 2},
         {
-            "sweep.csv": "230e217be4378c7f93ffd5c626da23e84d73fa0bbdd66aa6efebe3343ba705ea",
-            "sweep_summary.json": "a09344e906476db9be3e0b025c81c89dbd36b112d0927ba06fe770ddfe5b0bc0",
+            "sweep.csv": "2f4cc81a831bc7ba961c1e339d6a4de841810db9e9d737a901687e953edcc3fe",
+            "sweep_summary.json": "3875139a003bd2cdb2872dc73edd2ad6724617d41c2edc796d0340c5d18d2d4d",
         },
     ),
 }
@@ -447,6 +482,33 @@ def test_bad_source_date_epoch_exits_2(tmp_path, epoch):
     assert proc.returncode == 2, proc.stderr
     assert "SOURCE_DATE_EPOCH" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "limit_law_summary.json").exists()
+
+
+def test_commands_but_the_sweep_import_no_scipy(tmp_path):
+    # scipy costs a quarter of a second to import; only the sweep needs it
+    configs = {
+        "simulate": {"kernel": "h1+0.5*h2", "n": 30, "p": 20, "degree": 4},
+        "project-kernel": {"kernel": "soft_threshold(1.5)", "degree": 6},
+        "limit-law": {"a": 1, "nu": 2, "gamma": 0.5, "density_points": 101, "moments_lmax": 3},
+        "verify": {"l_max": 3, "d_max": 2, "scaling_trials": 25, "trace_trials": 4000,
+                   "scaling_ns": "100,400"},
+    }
+    runs = [[command, write_cfg(tmp_path, f"{command}.cfg", **keys)] for command, keys in configs.items()]
+    script = (
+        "import json, sys\n"
+        "from kernelspectra.cli import main\n"
+        f"codes = [main(args) for args in {runs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    src = str(Path(kernelspectra.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert scipy_modules == []
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kernelspectra.errors import ConfigError, MeanNotZeroError, QuadratureError
+from kernelspectra.errors import ConfigError, MeanNotZeroError, QuadratureError, SizeCapError
 from kernelspectra.hermite import (
+    MAX_DEGREE,
+    MAX_QUAD_ORDER,
     KernelExpansion,
     KernelSpec,
     build_quadrature,
@@ -88,6 +91,88 @@ def test_quadrature_exact_through_degree_2n_minus_1():
 def test_quadrature_rejects_order_zero():
     with pytest.raises(ConfigError):
         build_quadrature(0)
+
+
+def _decimal_polish(order, x):
+    """A node of the order-point rule, polished from x by Newton's method in
+    40-digit decimal arithmetic on the orthonormal recurrence, and its
+    weight 1 / (order h_{order-1}^2): an oracle independent of both rules."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        roots = [Decimal(k).sqrt() for k in range(order + 1)]
+        t = Decimal(float(x))
+        for _ in range(3):
+            prev, cur = Decimal(0), Decimal(1)
+            for k in range(order):
+                prev, cur = cur, (t * cur - roots[k] * prev) / roots[k + 1]
+            if t != 0:  # the middle node of an odd rule is exactly 0
+                t -= cur / (roots[order] * prev)
+        return float(t), float(1 / (order * prev * prev))
+
+
+# Orders where scipy's rule misses the bounds of test_rule_matches_oracles
+# by its own error, as _decimal_polish shows: its Golub-Welsch weights (up to
+# order 150) and its asymptotic nodes near 0 and weights (from order 151)
+# drift as the order grows.  At order 150 its worst weight is 1.8e-12 off,
+# this rule's 6.5e-15; at order 20000 its nodes are 9.4e-12 and its weights
+# 6.7e-12 off.  There the bounds are scipy's own error.
+SCIPY_OWN_ERROR = {150: (2e-13, 3e-12), MAX_QUAD_ORDER: (2e-11, 2e-11)}
+ORACLE_ORDERS = [*range(1, 13), 30, 64, 100, 150, 151, 200, 300, 500, 1000, MAX_QUAD_ORDER]
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_rule_matches_oracles(order):
+    from scipy.special import roots_hermitenorm
+
+    rule = build_quadrature(order)
+    nodes, weights = roots_hermitenorm(order)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    # the rule leaves out the nodes whose weights underflow, symmetrically
+    cut = (order - len(rule.nodes)) // 2
+    assert np.all(np.delete(weights, np.s_[cut : order - cut]) < np.finfo(float).tiny)
+    nodes, weights = nodes[cut : order - cut], weights[cut : order - cut]
+    node_err = np.abs(rule.nodes - nodes) / np.where(nodes == 0.0, 1.0, np.abs(nodes))
+    kept = weights >= 1e-200
+    weight_err = np.abs(rule.weights - weights)[kept] / weights[kept]
+    node_tol, weight_tol = SCIPY_OWN_ERROR.get(order, (2e-13, 1e-12))
+    assert node_err.max() <= node_tol
+    assert weight_err.max() <= weight_tol
+    # the worst disagreements, the smallest and the largest node, to the same
+    # bounds against the decimal oracle
+    for i in {int(np.argmax(node_err)), int(np.flatnonzero(kept)[np.argmax(weight_err)]),
+              len(nodes) // 2, len(nodes) - 1}:
+        x, w = _decimal_polish(order, rule.nodes[i])
+        assert rule.nodes[i] == pytest.approx(x, rel=2e-13, abs=1e-300)
+        assert rule.weights[i] == pytest.approx(w, rel=1e-12)
+    table = np.array([hermite_eval(d, rule.nodes) for d in range(min(order - 1, 60) + 1)])
+    gram = (table * rule.weights) @ table.T
+    assert np.max(np.abs(gram - np.eye(len(table)))) <= 1e-14
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+
+
+def test_rule_weights_finite_and_positive_up_to_the_cap():
+    # every order through 600, past where nodes start to be left out (370),
+    # then about 5% apart up to the cap
+    orders = list(range(1, 601))
+    while orders[-1] < MAX_QUAD_ORDER:
+        orders.append(min(MAX_QUAD_ORDER, int(orders[-1] * 1.05)))
+    for order in orders:
+        rule = build_quadrature(order)
+        assert np.all(np.isfinite(rule.nodes)) and np.all(np.isfinite(rule.weights))
+        assert np.all(rule.weights >= np.finfo(float).tiny)
+        assert (len(rule.nodes) < order) == (order >= 370)
+
+
+def test_quadrature_and_projection_caps():
+    with pytest.raises(SizeCapError, match="cap"):
+        build_quadrature(MAX_QUAD_ORDER + 1)
+    with pytest.raises(SizeCapError, match="cap"):
+        project_kernel(lambda x: x, degree=MAX_DEGREE + 1)
+    # at the degree cap the default rule still integrates h_d^2 to 1
+    exp = project_kernel(hermite_sum_kernel([0.0] * (MAX_DEGREE - 1) + [1.0]), degree=MAX_DEGREE)
+    assert exp.coefficient(MAX_DEGREE) == pytest.approx(1.0, abs=1e-13)
+    assert exp.residual < 1e-13
 
 
 def test_orthonormality_matrix():
