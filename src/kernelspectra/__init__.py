@@ -33,15 +33,10 @@ from .hermite import (
 from .limit_law import (
     DensityGrid,
     LimitLawParams,
-    StieltjesSolution,
     SupportIntervals,
-    check_sign_property,
     density,
-    enumerate_nc_partitions,
     free_cumulants,
     moment,
-    r_transform,
-    stieltjes,
     support,
 )
 from .simulate import (
@@ -51,7 +46,6 @@ from .simulate import (
     HermiteSumDecomposition,
     SpectrumSummary,
     SpikePrediction,
-    build_component_matrix,
     build_kernel_matrix,
     concentration_probe,
     decompose_hermite_sum,
@@ -68,7 +62,6 @@ from .sparse_pca import (
     ThresholdFunction,
     null_prediction,
     sample_spiked_data,
-    smoothed_soft_threshold,
     sweep_tau,
     thresholded_covariance,
 )
@@ -76,7 +69,6 @@ from .lgraphs import (
     MultiLabeling,
     SimpleLabeling,
     enumerate_multilabelings,
-    enumerate_simplelabelings,
     exact_trace_moment,
     label_simplifying_map,
     verify_lemmas,

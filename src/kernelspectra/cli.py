@@ -65,6 +65,10 @@ MAX_SCALING_ENTRIES = 5_900_000_000 // 25
 # besides its fixed batch workspace (ru_maxrss at 1e6 and 2e6 trials: 87
 # and 95 MB), so 5.8 GB at this cap and 5.9 GB with the rest of verify.
 MAX_TRACE_TRIALS = 5_800_000_000 // 8
+# Entries of a lo:hi:count list.  Parsing one holds 48 B per entry (ru_maxrss
+# at 2e6-8e6 entries), and a one-trial sweep over that many taus 390 B
+# (ru_maxrss at n = p = 4 with 8000 and 16000 taus), so 5.9 GB at this cap.
+MAX_LIST_ENTRIES = 5_900_000_000 // 400
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +212,10 @@ class Config:
         try:
             if m:
                 lo, hi, count = float(m.group(1)), float(m.group(2)), int(m.group(3))
+                if count > MAX_LIST_ENTRIES:
+                    raise SizeCapError(
+                        f"config key {key!r} asks for {count} entries, over the cap {MAX_LIST_ENTRIES}"
+                    )
                 return [float(x) for x in np.linspace(lo, hi, count)]
             return [float(x) for x in v.split(",") if x.strip()]
         except ValueError as exc:
@@ -437,7 +445,7 @@ def cmd_sparse_pca_sweep(cfg: Config, raw: dict[str, str]) -> int:
     if sparsity <= 0:
         sparsity = max(1, math.floor(coeff * math.sqrt(n)))
     null_cfg = DataMatrixConfig(n=n, p=p, seed=seed)
-    spiked_cfg = SpikedModelConfig(lam=lam, sparsity=sparsity, gamma=p / n, n=n, seed=seed + 1)
+    spiked_cfg = SpikedModelConfig(lam=lam, sparsity=sparsity, n=n, p=p, seed=seed + 1)
     result = sweep_tau(null_cfg, spiked_cfg, taus, trials=trials)
     write_csv(f"{out}.csv", result.CSV_COLUMNS, result.columns())
     payload = {

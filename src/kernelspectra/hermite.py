@@ -87,10 +87,6 @@ class GaussHermiteRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        vals = _eval_on(f, self.nodes)
-        return float(np.dot(self.weights, vals))
-
 
 def check_projection_size(degree: int = 0, order: int = 0) -> None:
     """Reject a projection degree or a quadrature order over its cap."""
@@ -265,25 +261,24 @@ class KernelSpec:
     def __call__(self, x):
         return _eval_on(self.evaluator, np.asarray(x, dtype=float))
 
-    def check_parity(self, grid: np.ndarray | None = None, tol: float = 1e-12) -> None:
+    def _parity_defect(self) -> float:
+        """max|k(-x) + k(x)| / max(1, max|k(x)|) over x in [0, 6]."""
+        grid = np.linspace(0.0, 6.0, 241)
+        right = self(grid)
+        err = float(np.max(np.abs(self(-grid) + right)))
+        return err / max(1.0, float(np.max(np.abs(right))))
+
+    def check_parity(self) -> None:
         """For kernels declared odd, verify k(-x) = -k(x) on a sample grid."""
         if self.declared_parity != "odd":
             return
-        if grid is None:
-            grid = np.linspace(0.0, 6.0, 241)
-        left = self(-grid)
-        right = -self(grid)
-        scale = max(1.0, float(np.max(np.abs(right))))
-        err = float(np.max(np.abs(left - right)))
-        if err > tol * scale:
-            raise ConfigError(f"kernel declared odd but k(-x)+k(x) deviates by {err:.3e}")
+        defect = self._parity_defect()
+        if defect > 1e-12:
+            raise ConfigError(f"kernel declared odd but k(-x)+k(x) deviates by {defect:.3e} of max|k|")
 
-    def is_odd(self, tol: float = 1e-10) -> bool:
-        if self.declared_parity == "odd":
-            return True
-        grid = np.linspace(0.0, 6.0, 241)
-        err = float(np.max(np.abs(self(-grid) + self(grid))))
-        return err <= tol * max(1.0, float(np.max(np.abs(self(grid)))))
+    def is_odd(self) -> bool:
+        """Declared odd, or odd to 1e-10 on check_parity's grid."""
+        return self.declared_parity == "odd" or self._parity_defect() <= 1e-10
 
 
 @dataclass(frozen=True)
@@ -317,11 +312,6 @@ class KernelExpansion:
     def nu(self) -> float:
         return float(np.dot(self.coefficients, self.coefficients))
 
-    def coefficient(self, d: int) -> float:
-        if not 1 <= d <= self.degree:
-            return 0.0
-        return float(self.coefficients[d - 1])
-
     def __call__(self, x):
         """sum_d a_d h_d(x), accumulated in increasing d during one sweep of
         the recurrence up to the last nonzero coefficient."""
@@ -344,9 +334,11 @@ def project_kernel(
     """Project a kernel onto h_1..h_D by quadrature.
 
     The constant coefficient a_0 = E[k(xi)] must vanish (the limit-law
-    theory assumes a mean-zero kernel).  If |a_0| exceeds the tolerance the
-    call fails unless `center=True`, in which case the kernel is replaced
-    by k - a_0 and the shift is recorded on the result.
+    theory assumes a mean-zero kernel).  If |a_0| exceeds MEAN_ZERO_TOL *
+    max(1, sqrt(E[k^2])), a tolerance that grows with the kernel as the
+    quadrature's rounding does, the call fails unless `center=True`, in
+    which case the kernel is replaced by k - a_0 and the shift is recorded
+    on the result.
     """
     if degree < 1:
         raise ConfigError(f"degree must be >= 1, got {degree}")
@@ -365,21 +357,24 @@ def project_kernel(
         row[:] = h
     wvals = rule.weights * vals
     a0 = float(np.dot(rule.weights, vals))
-    if abs(a0) > MEAN_ZERO_TOL:
+    nu_quad = float(np.dot(rule.weights, vals * vals))
+    tol = MEAN_ZERO_TOL * max(1.0, math.sqrt(nu_quad))
+    shifted = abs(a0) > tol
+    if shifted:
         if not center:
             raise MeanNotZeroError(
-                f"kernel has E[k(xi)] = {a0:.3e} (tolerance {MEAN_ZERO_TOL}); "
+                f"kernel has E[k(xi)] = {a0:.3e} (tolerance {tol:.3e}); "
                 "pass center=True to subtract it"
             )
         vals = vals - a0
         wvals = rule.weights * vals
+        nu_quad = float(np.dot(rule.weights, vals * vals))
     coeffs = table[1:] @ wvals
-    nu_quad = float(np.dot(rule.weights, vals * vals))
     residual = max(0.0, nu_quad - float(np.dot(coeffs, coeffs)))
     return KernelExpansion(
         coefficients=coeffs,
         residual=residual,
-        centered_by=a0 if (center and abs(a0) > MEAN_ZERO_TOL) else 0.0,
+        centered_by=a0 if shifted else 0.0,
     )
 
 

@@ -5,8 +5,8 @@ it index the nonzero terms in trace-moment expansions of the dominant
 kernel-matrix component (multi-labelings: each n-vertex carries a tuple
 of distinct labels) and of the deformed-GUE comparison model
 (simple labelings: one label or the empty label per n-vertex).  This
-module enumerates the labeling equivalence classes at small cycle length,
-computes their combinatorial statistics, applies the label-simplifying
+module enumerates the multi-labeling equivalence classes at small cycle
+length, computes their combinatorial statistics, applies the label-simplifying
 map between the two families, machine-checks the counting lemmas the
 moment comparison rests on, and evaluates small trace moments exactly as
 an independent oracle.
@@ -30,7 +30,7 @@ from .errors import ConfigError, ConsistencyError, SizeCapError
 from .simulate import EntryLaw, elementary_symmetric
 
 MAX_CYCLE_LEN = 6  # enumeration is exhaustive; growth beyond this is untested
-DEFAULT_STATE_CAP = 10**7
+STATE_CAP = 10**7  # search states of one enumerate_multilabelings call
 
 TRACE_L_CAP = 4
 TRACE_N_CAP = 6
@@ -109,10 +109,6 @@ class _LabeledCycle:
         ]
         return problems
 
-    @property
-    def is_valid(self) -> bool:
-        return not self.validate()
-
     def canonical_key(self):
         """Complete invariant of the labeling's equivalence class under
         independent relabelings of p-labels and n-labels: the cycle length,
@@ -162,13 +158,6 @@ class MultiLabeling(_LabeledCycle):
     @property
     def tuple_sizes(self) -> tuple[int, ...]:
         return tuple(len(t) for t in self.n_tuples)
-
-    @property
-    def parity_ok(self) -> bool:
-        """Whether l + sum(d_s) is even, making the excess an integer.
-        Half-integer excesses occur on valid labelings; they are flagged,
-        not rejected."""
-        return (self.l + sum(self.tuple_sizes)) % 2 == 0
 
     def n_label_counts(self) -> dict[int, int]:
         """N[j]: number of n-vertices whose tuple contains j."""
@@ -246,11 +235,7 @@ def _canonical_p_sequences(l: int, cap: int) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_multilabelings(
-    l: int,
-    max_tuple_size: int,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> list[MultiLabeling]:
+def enumerate_multilabelings(l: int, max_tuple_size: int) -> list[MultiLabeling]:
     """All multi-labeling equivalence classes of the 2l-cycle with tuple
     sizes up to max_tuple_size, as canonical representatives sorted by
     canonical key.
@@ -274,7 +259,7 @@ def enumerate_multilabelings(
     Every emitted labeling passes MultiLabeling.validate(max_tuple_size),
     or ConsistencyError is raised.  SizeCapError is raised when the count
     of visited states (search nodes and vertex l-2 tuples) passes
-    state_cap.
+    STATE_CAP.
     """
     if not 2 <= l <= MAX_CYCLE_LEN:
         raise SizeCapError(f"cycle length must be in [2, {MAX_CYCLE_LEN}], got {l}")
@@ -287,10 +272,9 @@ def enumerate_multilabelings(
     def visit():
         nonlocal states
         states += 1
-        if states > state_cap:
+        if states > STATE_CAP:
             raise SizeCapError(
-                f"enumeration exceeded the state cap {state_cap} at l={l}, "
-                f"max_tuple_size={dmax}; raise state_cap"
+                f"enumeration exceeded the state cap {STATE_CAP} at l={l}, max_tuple_size={dmax}"
             )
 
     for pseq in _canonical_p_sequences(l, l):
@@ -358,41 +342,6 @@ def enumerate_multilabelings(
 
         search(0, 0, 0)
 
-    return [found[k] for k in sorted(found)]
-
-
-def enumerate_simplelabelings(
-    l: int,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> list[SimpleLabeling]:
-    """All simple-labeling equivalence classes of the 2l-cycle (canonical
-    representatives).  Small search: each n-vertex takes one label from a
-    first-appearance alphabet or the empty label; full validation filters
-    the candidates."""
-    if not 2 <= l <= MAX_CYCLE_LEN:
-        raise SizeCapError(f"cycle length must be in [2, {MAX_CYCLE_LEN}], got {l}")
-    found: dict[tuple, SimpleLabeling] = {}
-    states = 0
-    for pseq in _canonical_p_sequences(l, l):
-        stack: list[int | None] = []
-
-        def search(s: int, used: int):
-            nonlocal states
-            states += 1
-            if states > state_cap:
-                raise SizeCapError(f"enumeration exceeded the state cap {state_cap}")
-            if s == l:
-                sl = SimpleLabeling(p_labels=pseq, n_labels=tuple(stack))
-                if sl.is_valid:
-                    canon = sl.canonical()
-                    found.setdefault(canon.canonical_key(), canon)
-                return
-            for choice in [None, *range(1, min(used + 1, l) + 1)]:
-                stack.append(choice)
-                search(s + 1, used + 1 if choice == used + 1 else used)
-                stack.pop()
-
-        search(0, 0)
     return [found[k] for k in sorted(found)]
 
 

@@ -12,18 +12,15 @@ Clearing denominators turns this into a cubic in m,
 with g = gamma, whose upper-half-plane root is m(z).  The law is the
 free additive convolution of a centered, a-scaled Marcenko-Pastur law and
 a semicircle law of variance gamma*(nu - a^2); that identity fixes the
-R-transform and the free cumulants, and through the moment-cumulant
-relation every moment, all of which are exposed here.  The support edges
-are the real roots of the cubic's discriminant, a quartic in z.
+free cumulants, and through the moment-cumulant relation every moment.
+The support edges are the real roots of the cubic's discriminant, a
+quartic in z.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +32,6 @@ MAX_MOMENT_ORDER = 100
 # point (ru_maxrss at 2e5 and 1e6 points), so 5.9 GB at this cap, about
 # 1 GB short of a 7 GB host.
 MAX_DENSITY_POINTS = 5_900_000_000 // 500
-MAX_PARTITION_ORDER = 14  # Catalan growth cap for partition enumeration
 _MP_DEGENERACY_RTOL = 1e-12
 
 
@@ -52,6 +48,8 @@ class LimitLawParams:
     gamma: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.a, self.nu, self.gamma)):
+            raise ConfigError(f"a, nu and gamma must be finite, got {self}")
         if not (self.gamma > 0):
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
         if not (self.nu > 0):
@@ -69,13 +67,6 @@ class LimitLawParams:
     def is_marcenko_pastur(self) -> bool:
         """True when nu == a^2, i.e. the semicircle component vanishes."""
         return abs(self.nu - self.a * self.a) <= _MP_DEGENERACY_RTOL * self.nu
-
-
-@dataclass(frozen=True)
-class StieltjesSolution:
-    z: complex
-    m: complex
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -100,15 +91,11 @@ class SupportIntervals:
     def norm(self) -> float:
         return max(abs(self.min_edge), abs(self.max_edge))
 
-    def __contains__(self, x: float) -> bool:
-        return any(lo <= x <= hi for lo, hi in self.intervals)
-
 
 @dataclass(frozen=True)
 class DensityGrid:
     xs: np.ndarray
     density: np.ndarray
-    epsilon: float
 
     def integral(self) -> float:
         return float(np.trapezoid(self.density, self.xs))
@@ -123,15 +110,6 @@ def _cubic_coefficients(z, p: LimitLawParams):
     c2 = (z + p.a) * b + c
     c1 = z + b
     return c3, c2, c1, 1.0
-
-
-def stieltjes(z: complex, p: LimitLawParams) -> StieltjesSolution:
-    """Stieltjes transform m(z) for a single z in the upper half-plane,
-    with the residual of the defining cubic at m."""
-    z = complex(z)
-    m = complex(stieltjes_grid(np.array([z]), p)[0])
-    c3, c2, c1, c0 = _cubic_coefficients(z, p)
-    return StieltjesSolution(z=z, m=m, residual=float(abs(((c3 * m + c2) * m + c1) * m + c0)))
 
 
 def stieltjes_grid(zs: np.ndarray, p: LimitLawParams) -> np.ndarray:
@@ -155,13 +133,13 @@ def stieltjes_grid(zs: np.ndarray, p: LimitLawParams) -> np.ndarray:
 
 def density(p: LimitLawParams, xs: np.ndarray, epsilon: float = 1e-6) -> DensityGrid:
     """Density by Stieltjes inversion: Im m(x + i*eps) / pi on a grid."""
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be finite and > 0, got {epsilon}")
     xs = np.asarray(xs, dtype=float)
     if xs.size > MAX_DENSITY_POINTS:
         raise SizeCapError(f"{xs.size} density points exceed cap {MAX_DENSITY_POINTS}")
     rho = stieltjes_grid(xs + 1j * epsilon, p).imag / np.pi
-    return DensityGrid(xs=xs, density=np.maximum(rho, 0.0), epsilon=epsilon)
+    return DensityGrid(xs=xs, density=np.maximum(rho, 0.0))
 
 
 def _support_discriminant(x: np.ndarray, p: LimitLawParams) -> np.ndarray:
@@ -220,10 +198,16 @@ def support(p: LimitLawParams) -> SupportIntervals:
 
     # The support lies within the Minkowski sum of the Marcenko-Pastur part
     # (atom included) and the semicircle; roots past this bound are spurious
-    # (a small a puts two of them near (nu - a^2) / a).
+    # (a small a puts two of them near (nu - a^2) / a).  At a = 0 the edges
+    # lie on the sum's own edges, so the bound's margin is relative as well
+    # as absolute: past 1e16 the absolute one is below an ulp.
     g = p.gamma
-    bound = abs(p.a) * (g + 2.0 * math.sqrt(g) + 1.0) + 2.0 * math.sqrt(p.semicircle_variance) + 1.0
-    quartic = _discriminant_polynomial(p)
+    reach = abs(p.a) * (g + 2.0 * math.sqrt(g) + 1.0) + 2.0 * math.sqrt(p.semicircle_variance)
+    bound = reach * (1.0 + 1e-6) + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        quartic = _discriminant_polynomial(p)
+    if not np.all(np.isfinite(quartic)):
+        raise DomainError(f"the support discriminant of {p} overflows double precision")
     # Leading terms below roundoff on the window only push np.roots off scale.
     size = np.abs(quartic) * bound ** np.arange(len(quartic) - 1, -1, -1)
     quartic = quartic[np.argmax(size > np.finfo(float).eps * size.max()):]
@@ -237,21 +221,14 @@ def support(p: LimitLawParams) -> SupportIntervals:
     # between neighbouring roots and past the outer ones picks the edges.
     xs = np.sort(xs[np.abs(xs) < bound])
     xs = xs[np.diff(xs, prepend=-np.inf) > 1e-13 * bound]
+    if not xs.size:
+        raise ConsistencyError(f"no support edge of {p} within |x| < {bound}")
     probes = np.concatenate(([-bound], 0.5 * (xs[1:] + xs[:-1]), [bound]))
     inside = _support_discriminant(probes, p) < 0
     edges = xs[inside[1:] != inside[:-1]]
     if inside[0] or inside[-1] or not 2 <= len(edges) <= 4:
         raise ConsistencyError(f"expected 1 or 2 support intervals for {p}, found edges {edges}")
     return SupportIntervals(intervals=tuple(zip(edges[::2].tolist(), edges[1::2].tolist())))
-
-
-def r_transform(z: complex, p: LimitLawParams) -> complex:
-    """R(z) = -a*(1 - 1/(1 - a*gamma*z)) + gamma*(nu - a^2)*z."""
-    z = complex(z)
-    denom = 1.0 - p.a * p.gamma * z
-    if abs(denom) < 1e-12 * (1.0 + abs(p.a * p.gamma * z)):
-        raise DomainError(f"R-transform pole at z = 1/(a*gamma); got z = {z}")
-    return -p.a * (1.0 - 1.0 / denom) + p.semicircle_variance * z
 
 
 def free_cumulants(p: LimitLawParams, order: int) -> np.ndarray:
@@ -265,50 +242,6 @@ def free_cumulants(p: LimitLawParams, order: int) -> np.ndarray:
     for l in range(3, order + 1):
         kap[l - 1] = p.a**l * p.gamma ** (l - 1)
     return kap
-
-
-def _nc_partitions(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Stream all non-crossing partitions of a sorted tuple of labels.
-
-    Decomposition: the block containing the first element splits the rest
-    into independent gaps, each partitioned non-crossingly.
-    """
-    if not elems:
-        yield ()
-        return
-    first, rest = elems[0], elems[1:]
-    for r in range(len(rest) + 1):
-        for comb in itertools.combinations(rest, r):
-            block = (first,) + comb
-            gaps: list[list[int]] = [[] for _ in range(r + 1)]
-            ci = 0
-            for e in rest:
-                if ci < r and e == comb[ci]:
-                    ci += 1
-                    continue
-                gaps[bisect_left(comb, e)].append(e)
-
-            def emit(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-                if i == len(gaps):
-                    yield ()
-                    return
-                for head in _nc_partitions(tuple(gaps[i])):
-                    for tail in emit(i + 1):
-                        yield head + tail
-
-            for sub in emit(0):
-                yield tuple(sorted((block,) + sub, key=lambda b: b[0]))
-
-
-def enumerate_nc_partitions(l: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All non-crossing partitions of {1..l}; the count is Catalan(l)."""
-    if not 1 <= l <= MAX_PARTITION_ORDER:
-        raise SizeCapError(f"l must be in [1, {MAX_PARTITION_ORDER}], got {l}")
-    return list(_nc_partitions(tuple(range(1, l + 1))))
-
-
-def catalan(l: int) -> int:
-    return math.comb(2 * l, l) // (l + 1)
 
 
 def moment(p: LimitLawParams, l: int) -> float:
@@ -336,15 +269,3 @@ def moment(p: LimitLawParams, l: int) -> float:
     if not math.isfinite(m[l]):
         raise DomainError(f"moment {l} of {p} overflows double precision")
     return float(m[l])
-
-
-def check_sign_property(p: LimitLawParams, tol: float = 1e-9) -> bool:
-    """Does the sign of a push the support the right way?  For a >= 0 the
-    top edge dominates in magnitude, for a <= 0 the bottom edge does."""
-    sup = support(p)
-    slack = tol * max(1.0, sup.norm)
-    if p.a >= 0 and sup.max_edge + slack < -sup.min_edge:
-        return False
-    if p.a <= 0 and -sup.min_edge + slack < sup.max_edge:
-        return False
-    return True

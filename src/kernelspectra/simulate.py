@@ -1,11 +1,10 @@
 """Sampling and spectral analysis of kernel random matrices.
 
 Covers: data-matrix sampling with symmetric entry laws, the kernel matrix
-K(X) with entries k(sqrt(n) * Sigma_hat) / sqrt(n) off the diagonal, its
-per-degree Hermite components, the three-scale decomposition of Hermite
-polynomials of normalized sums, the rank-two spike correction for
-non-odd kernels, and the deformed-GUE comparison ensemble that shares the
-limit law.
+K(X) with entries k(sqrt(n) * Sigma_hat) / sqrt(n) off the diagonal, the
+three-scale decomposition of Hermite polynomials of normalized sums, the
+rank-two spike correction for non-odd kernels, and the deformed-GUE
+comparison ensemble that shares the limit law.
 """
 
 from __future__ import annotations
@@ -210,13 +209,6 @@ def build_kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
     return _kernel_matrix(X, kernel, keep_diagonal=False)
 
 
-def build_component_matrix(X: np.ndarray, d: int, a_d: float) -> np.ndarray:
-    """Kernel matrix for the single-degree kernel a_d * h_d."""
-    if d < 1:
-        raise ConfigError(f"degree must be >= 1, got {d}")
-    return build_kernel_matrix(X, lambda y: a_d * hermite_eval(d, y))
-
-
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -232,12 +224,6 @@ class SpectrumSummary:
     @property
     def spectral_norm(self) -> float:
         return max(abs(float(self.eigenvalues[0])), abs(float(self.eigenvalues[-1])))
-
-    def esd_cdf(self, x) -> np.ndarray:
-        """Empirical spectral CDF evaluated at x (scalar or array)."""
-        ascending = self.eigenvalues[::-1]
-        out = np.searchsorted(ascending, np.asarray(x, dtype=float), side="right") / len(ascending)
-        return out if out.ndim else float(out)
 
 
 SYMMETRY_RTOL = 1e-10  # largest asymmetry an eigensolver accepts, relative to max|m|
@@ -434,13 +420,13 @@ def top_eigenvalue(m: np.ndarray) -> float:
     return _lanczos_ends(_checked_hermitian(m), (-1,))[0]
 
 
-def limit_cdf(p: LimitLawParams, xs: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
+def limit_cdf(p: LimitLawParams, xs: np.ndarray) -> np.ndarray:
     """CDF of the limit law on a grid, by integrating the inverted density.
 
     Normalized so the last grid value is exactly 1; the grid must cover
     the support (truncation error would otherwise bias every quantile).
     """
-    dg = density(p, xs, epsilon=epsilon)
+    dg = density(p, xs)
     steps = np.diff(xs) * 0.5 * (dg.density[1:] + dg.density[:-1])
     cdf = np.concatenate([[0.0], np.cumsum(steps)])
     total = cdf[-1]
@@ -449,15 +435,15 @@ def limit_cdf(p: LimitLawParams, xs: np.ndarray, epsilon: float = 1e-6) -> np.nd
     return cdf / total
 
 
-def ks_distance(s: SpectrumSummary, p: LimitLawParams, grid_points: int = 4001) -> float:
+def ks_distance(s: SpectrumSummary, p: LimitLawParams) -> float:
     """Kolmogorov-Smirnov distance between the empirical spectral CDF and
-    the limit law's CDF."""
+    the limit law's CDF, interpolated from 4001 points spanning both."""
     if p.is_marcenko_pastur and p.gamma > 1.0:
         raise DomainError("limit law has an atom; KS comparison undefined here")
     sup = support(p)
     lo = min(sup.min_edge, float(s.eigenvalues[-1])) - 0.5
     hi = max(sup.max_edge, float(s.eigenvalues[0])) + 0.5
-    xs = np.linspace(lo, hi, grid_points)
+    xs = np.linspace(lo, hi, 4001)
     cdf = limit_cdf(p, xs)
     ev = np.sort(s.eigenvalues)
     fx = np.interp(ev, xs, cdf)
@@ -587,14 +573,6 @@ def rank_two_correction(X: np.ndarray, a2: float, fourth_moment: float = 3.0) ->
     roots = tuple(sorted(((b - disc) / 2.0, (b + disc) / 2.0)))
     mag = abs(a2) * gamma * math.sqrt(max(fourth_moment - 1.0, 0.0) / 2.0)
     return SpikePrediction(locations=(-mag, mag), empirical=roots)
-
-
-def rank_two_matrix(X: np.ndarray, a2: float) -> np.ndarray:
-    """The realized rank-two correction matrix itself (for oracle checks)."""
-    p, n = X.shape
-    v = (X * X - 1.0).sum(axis=1) / math.sqrt(n)
-    ones = np.ones(p)
-    return a2 / (n * math.sqrt(2.0)) * (np.outer(v, ones) + np.outer(ones, v))
 
 
 # ---------------------------------------------------------------------------

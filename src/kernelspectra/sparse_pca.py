@@ -40,29 +40,12 @@ OUTER_FRACTION = 1.2
 SPARSE_DENSITY_CUT = 0.15
 
 
-def smoothed_soft_threshold(x, tau: float):
-    """Odd C^1 threshold: 0 for |x| <= 0.8*tau, sign(x)*(|x|-tau) for
-    |x| >= 1.2*tau, and the unique slope-matching quadratic
-    (1.25/tau)*(|x|-0.8*tau)^2 on the transition bands."""
-    if not 0 < tau < math.inf:
-        raise ConfigError(f"tau must be finite and > 0, got {tau}")
-    x = np.asarray(x, dtype=float)
-    out = np.abs(x, out=np.empty_like(x))
-    band = np.flatnonzero((out > INNER_FRACTION * tau) & (out < OUTER_FRACTION * tau))
-    quad = np.take(out, band)
-    quad -= INNER_FRACTION * tau
-    np.square(quad, out=quad)
-    quad *= 1.25 / tau
-    out -= tau
-    np.maximum(out, 0.0, out=out)  # zeroes the inner zone, where |x| - tau < 0
-    np.put(out, band, quad)
-    np.copysign(out, x, out=out)
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class ThresholdFunction:
-    """Callable form of the smoothed soft-threshold at a fixed tau."""
+    """The smoothed soft-threshold k_tau, an odd C^1 function: 0 for
+    |x| <= 0.8*tau, sign(x)*(|x|-tau) for |x| >= 1.2*tau, and the unique
+    slope-matching quadratic (1.25/tau)*(|x|-0.8*tau)^2 on the transition
+    bands."""
 
     tau: float
 
@@ -71,7 +54,19 @@ class ThresholdFunction:
             raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
 
     def __call__(self, x):
-        return smoothed_soft_threshold(x, self.tau)
+        tau = self.tau
+        x = np.asarray(x, dtype=float)
+        out = np.abs(x, out=np.empty_like(x))
+        band = np.flatnonzero((out > INNER_FRACTION * tau) & (out < OUTER_FRACTION * tau))
+        quad = np.take(out, band)
+        quad -= INNER_FRACTION * tau
+        np.square(quad, out=quad)
+        quad *= 1.25 / tau
+        out -= tau
+        np.maximum(out, 0.0, out=out)  # zeroes the inner zone, where |x| - tau < 0
+        np.put(out, band, quad)
+        np.copysign(out, x, out=out)
+        return out if out.ndim else float(out)
 
     def as_kernel_spec(self) -> KernelSpec:
         return KernelSpec(evaluator=self, declared_parity="odd")
@@ -84,24 +79,22 @@ class SpikedModelConfig:
 
     lam: float
     sparsity: int
-    gamma: float
     n: int
+    p: int
     seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
             raise ConfigError(f"spike strength lambda must be finite and > 0, got {self.lam}")
-        if not self.gamma > 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if self.n < 2:
-            raise ConfigError(f"need n >= 2, got {self.n}")
+        if self.n < 2 or self.p < 2:
+            raise ConfigError(f"need n, p >= 2, got n={self.n}, p={self.p}")
         check_data_size(self.p, self.n)
         if not 1 <= self.sparsity <= self.p:
             raise ConfigError(f"sparsity must be in [1, p={self.p}], got {self.sparsity}")
 
     @property
-    def p(self) -> int:
-        return int(round(self.gamma * self.n))
+    def gamma(self) -> float:
+        return self.p / self.n
 
     def spike_vector(self) -> np.ndarray:
         """The unit vector v, deterministic given the seed."""
@@ -263,6 +256,11 @@ def sweep_tau(
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if null_cfg.entry_law != "standard_gaussian":
         raise ConfigError("the null model of the sweep is standard Gaussian")
+    if (spiked_cfg.n, spiked_cfg.p) != (null_cfg.n, null_cfg.p):
+        raise ConfigError(
+            f"spiked model shape (n={spiked_cfg.n}, p={spiked_cfg.p}) differs from the "
+            f"null model's (n={null_cfg.n}, p={null_cfg.p})"
+        )
     thresholds = [ThresholdFunction(tau) for tau in taus]
     rule = build_quadrature(200)
     gamma = null_cfg.p / null_cfg.n

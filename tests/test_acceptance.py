@@ -307,7 +307,7 @@ def test_criterion_09_sparse_pca_null_tracking():
     taus = [1.0, 1.5, 2.0, 2.5, 3.0]
     null_cfg = DataMatrixConfig(n=n, p=n, seed=31)
     spiked_cfg = SpikedModelConfig(
-        lam=0.9, sparsity=math.floor(0.3 * math.sqrt(n)), gamma=1.0, n=n, seed=32
+        lam=0.9, sparsity=math.floor(0.3 * math.sqrt(n)), n=n, p=n, seed=32
     )
     res = sweep_tau(null_cfg, spiked_cfg, taus, trials=5)
     gaps = np.abs(res.null_mean - res.prediction)

@@ -16,7 +16,7 @@ import kernelspectra.cli as cli_module
 from kernelspectra import sparse_pca
 from kernelspectra.cli import main, parse_kernel
 from kernelspectra.errors import ConfigError
-from kernelspectra.hermite import MAX_DEGREE, MAX_QUAD_ORDER
+from kernelspectra.hermite import MAX_DEGREE, MAX_QUAD_ORDER, KernelSpec
 from kernelspectra.lgraphs import SimpleLabeling
 from kernelspectra.limit_law import MAX_DENSITY_POINTS, MAX_MOMENT_ORDER, LimitLawParams, moment
 from kernelspectra.simulate import MAX_DATA_ENTRIES, MAX_MATRIX_SIDE
@@ -87,6 +87,24 @@ def test_soft_threshold_projection_command(tmp_path):
     assert payload["a"] > 0
 
 
+@pytest.mark.parametrize("kernel", ["1e12*h3", "odd_poly(0,1e9)"])
+def test_scaled_mean_zero_kernels_pass_the_mean_gate(tmp_path, kernel):
+    # E[k] = 0 exactly, but the quadrature's rounding grows with the kernel:
+    # an absolute 1e-8 gate exited 2 here, at E[k] = -2.2e-5 and 3.0e-8
+    cfg = write_cfg(tmp_path, "k.cfg", kernel=kernel)
+    assert main(["project-kernel", cfg]) == 0
+    payload = json.loads((tmp_path / "kernel_expansion.json").read_text())["payload"]
+    assert payload["centered_by"] == 0.0
+
+
+def test_kernel_with_a_constant_part_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "parse_kernel", lambda spec: KernelSpec(lambda x: x + 1e-3))
+    cfg = write_cfg(tmp_path, "k.cfg", kernel="h1")
+    assert main(["project-kernel", cfg]) == 2
+    assert "E[k(xi)]" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.json"))
+
+
 def test_malformed_kernel_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "k.cfg", kernel="frobnicate", degree=8)
     assert main(["project-kernel", cfg]) == 2
@@ -136,6 +154,44 @@ def test_limit_law_rejects_gamma_zero(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "l.cfg", a=0, nu=1, gamma=0)
     assert main(["limit-law", cfg]) == 2
     assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        {"a": "nan", "moments_lmax": 1},
+        {"a": "nan"},
+        {"gamma": "inf", "moments_lmax": 1},
+        {"gamma": "inf"},
+        {"epsilon": "inf"},
+    ],
+    ids=["a-nan-lmax-1", "a-nan", "gamma-inf-lmax-1", "gamma-inf", "epsilon-inf"],
+)
+def test_limit_law_non_finite_inputs_exit_2(tmp_path, capsys, keys):
+    # these ended in a LinAlgError traceback, or reported that moment 2
+    # overflows
+    cfg = write_cfg(tmp_path, "l.cfg", **{"a": 0, "nu": 1, "gamma": 1, **keys})
+    assert main(["limit-law", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "overflows" not in err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("a, nu, gamma", [(0, 1e150, 1), (0, 1e150, 3), (1, 1e100, 1)])
+def test_limit_law_of_a_huge_law(tmp_path, a, nu, gamma):
+    # an absolute margin on the root window fell below an ulp of the edges
+    # and dropped them all: an IndexError traceback
+    cfg = write_cfg(tmp_path, "l.cfg", a=a, nu=nu, gamma=gamma, moments_lmax=1)
+    assert main(["limit-law", cfg]) == 0
+    payload = json.loads((tmp_path / "limit_law_summary.json").read_text())["payload"]
+    radius = 2 * math.sqrt(gamma * nu)
+    assert payload["support"] == [[pytest.approx(-radius, rel=1e-15), pytest.approx(radius, rel=1e-15)]]
+
+
+def test_limit_law_discriminant_overflow_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "l.cfg", a=1, nu=1e103, gamma=1, moments_lmax=1)
+    assert main(["limit-law", cfg]) == 2
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -207,9 +263,12 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
         ("project-kernel", {"kernel": "h1", "degree": MAX_DEGREE + 1, "order": 20}),
         ("project-kernel", {"kernel": "h1", "degree": 1, "order": MAX_QUAD_ORDER + 1}),
         ("simulate", {"kernel": "h1", "n": 20, "p": 20, "degree": 20000}),
+        ("sparse-pca-sweep", {"n": 50, "taus": f"0.5:4.0:{cli_module.MAX_LIST_ENTRIES + 1}"}),
+        ("verify", {"l_max": 2, "d_max": 1,
+                    "scaling_ns": f"10:1000:{cli_module.MAX_LIST_ENTRIES + 1}"}),
     ],
     ids=["simulate-n", "sweep-n", "density-points", "scaling-entries", "trace-trials",
-         "projection-degree", "quadrature-order", "simulate-degree"],
+         "projection-degree", "quadrature-order", "simulate-degree", "sweep-taus", "scaling-ns"],
 )
 def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys, command, keys):
     # these sizes used to end in numpy's _ArrayMemoryError traceback
@@ -520,3 +579,23 @@ def test_zero_trials_exits_2_before_any_output(tmp_path, capsys, command, keys):
     assert main([command, cfg, "--trials", "0"]) == 2
     assert "trials" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
+def test_public_surface_is_pinned():
+    # a new public name is added here in the same change that exports it
+    assert kernelspectra.__all__ == [
+        "ConfigError", "ConsistencyError", "DataMatrixConfig", "DeformedModelSample",
+        "DensityGrid", "DomainError", "EntryLaw", "GaussHermiteRule",
+        "HermiteSumDecomposition", "KernelExpansion", "KernelSpec", "KernelSpectraError",
+        "LimitLawParams", "MeanNotZeroError", "MultiLabeling", "QuadratureError",
+        "SimpleLabeling", "SizeCapError", "SpectrumSummary", "SpikePrediction",
+        "SpikedModelConfig", "SupportIntervals", "SweepResult", "ThresholdFunction",
+        "VerificationError", "build_kernel_matrix", "build_quadrature", "concentration_probe",
+        "cubic", "decompose_hermite_sum", "density", "enumerate_multilabelings", "errors",
+        "exact_trace_moment", "free_cumulants", "hermite", "hermite_eval", "hermite_sum_kernel",
+        "kernel_moments", "ks_distance", "label_simplifying_map", "lgraphs", "limit_law",
+        "moment", "null_prediction", "project_kernel", "rank_two_correction", "rng",
+        "sample_data", "sample_deformed_model", "sample_spiked_data", "simulate", "sparse_pca",
+        "spectrum", "support", "sweep_tau", "thresholded_covariance", "top_eigenvalue",
+        "verify_lemmas",
+    ]

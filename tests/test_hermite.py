@@ -74,9 +74,9 @@ def test_eval_rejects_bad_args():
 def test_quadrature_normal_moments():
     rule = build_quadrature(10)
     assert abs(rule.weights.sum() - 1.0) < 1e-12
-    assert rule.integrate(lambda x: x**2) == pytest.approx(1.0, abs=1e-12)
-    assert rule.integrate(lambda x: x**4) == pytest.approx(3.0, abs=1e-12)
-    assert rule.integrate(lambda x: x) == pytest.approx(0.0, abs=1e-12)
+    assert rule.weights @ rule.nodes**2 == pytest.approx(1.0, abs=1e-12)
+    assert rule.weights @ rule.nodes**4 == pytest.approx(3.0, abs=1e-12)
+    assert rule.weights @ rule.nodes == pytest.approx(0.0, abs=1e-12)
 
 
 def test_quadrature_exact_through_degree_2n_minus_1():
@@ -84,8 +84,8 @@ def test_quadrature_exact_through_degree_2n_minus_1():
     for k in range(0, 24):
         exact = 0.0 if k % 2 else float(double_factorial(k - 1))
         # cancellation scale: odd moments are sums of +-|x|^k pairs
-        scale = rule.integrate(lambda x: np.abs(x) ** k)
-        assert rule.integrate(lambda x: x**k) == pytest.approx(exact, abs=1e-13 * max(1.0, scale))
+        scale = rule.weights @ np.abs(rule.nodes) ** k
+        assert rule.weights @ rule.nodes**k == pytest.approx(exact, abs=1e-13 * max(1.0, scale))
 
 
 def test_quadrature_rejects_order_zero():
@@ -171,7 +171,7 @@ def test_quadrature_and_projection_caps():
         project_kernel(lambda x: x, degree=MAX_DEGREE + 1)
     # at the degree cap the default rule still integrates h_d^2 to 1
     exp = project_kernel(hermite_sum_kernel([0.0] * (MAX_DEGREE - 1) + [1.0]), degree=MAX_DEGREE)
-    assert exp.coefficient(MAX_DEGREE) == pytest.approx(1.0, abs=1e-13)
+    assert exp.coefficients[MAX_DEGREE - 1] == pytest.approx(1.0, abs=1e-13)
     assert exp.residual < 1e-13
 
 
@@ -192,10 +192,10 @@ def test_project_linear_kernel():
 def test_project_cubic_kernel():
     # x^3 = 3*h_1 + sqrt(6)*h_3 since x^3 - 3x = sqrt(6) h_3
     exp = project_kernel(lambda x: x**3, degree=5, rule=build_quadrature(40))
-    assert exp.coefficient(1) == pytest.approx(3.0, abs=1e-10)
-    assert exp.coefficient(3) == pytest.approx(math.sqrt(6), abs=1e-10)
+    assert exp.coefficients[0] == pytest.approx(3.0, abs=1e-10)
+    assert exp.coefficients[2] == pytest.approx(math.sqrt(6), abs=1e-10)
     assert exp.nu == pytest.approx(15.0, abs=1e-9)
-    assert abs(exp.coefficient(2)) < 1e-10 and abs(exp.coefficient(4)) < 1e-10
+    assert abs(exp.coefficients[1]) < 1e-10 and abs(exp.coefficients[3]) < 1e-10
 
 
 def test_project_h2_plus_h3():
@@ -208,7 +208,7 @@ def test_project_h2_plus_h3():
 def test_project_odd_kernel_has_no_even_coefficients():
     exp = project_kernel(ThresholdFunction(1.5).as_kernel_spec(), degree=20)
     for d in range(2, 21, 2):
-        assert abs(exp.coefficient(d)) < 1e-8
+        assert abs(exp.coefficients[d - 1]) < 1e-8
 
 
 def test_mean_zero_gate_and_centering():
@@ -219,11 +219,26 @@ def test_mean_zero_gate_and_centering():
     assert exp.a == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(MeanNotZeroError):
         kernel_moments(lambda x: x + 0.5)
+    # the bound grows with sqrt(E[k^2]), so a scaled shift is still caught
+    with pytest.raises(MeanNotZeroError):
+        project_kernel(lambda x: 1e12 * (x + 1e-6), degree=4)
 
 
 def test_declared_odd_parity_is_checked():
     with pytest.raises(ConfigError):
         project_kernel(KernelSpec(evaluator=lambda x: x**2 - 1, declared_parity="odd"), degree=4)
+
+
+def test_parity_defect_against_both_bounds():
+    # one defect, max|k(-x) + k(x)| / max(1, max|k|) on [0, 6], read against
+    # 1e-12 for a declared-odd kernel and 1e-10 for is_odd
+    near_odd = lambda x: x + 1e-12 * x**2  # defect 1.2e-11
+    assert KernelSpec(evaluator=near_odd).is_odd()
+    with pytest.raises(ConfigError):
+        KernelSpec(evaluator=near_odd, declared_parity="odd").check_parity()
+    assert not KernelSpec(evaluator=lambda x: x + 1e-9 * x**2).is_odd()
+    KernelSpec(evaluator=np.tanh, declared_parity="odd").check_parity()
+    assert KernelSpec(evaluator=lambda x: x**2 - 1, declared_parity="odd").is_odd()
 
 
 def test_kernel_moments_examples():

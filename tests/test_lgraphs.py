@@ -8,13 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kernelspectra import lgraphs
 from kernelspectra.errors import ConfigError, ConsistencyError, SizeCapError
 from kernelspectra.lgraphs import (
     MultiLabeling,
     SimpleLabeling,
     _canonical_p_sequences,
     enumerate_multilabelings,
-    enumerate_simplelabelings,
     exact_trace_moment,
     first_order_matrix,
     label_simplifying_map,
@@ -116,11 +116,12 @@ def test_enumeration_is_complete_for_l2_brute_force():
     assert raw_count == 12 + 24
 
 
-def test_enumeration_respects_state_cap():
-    with pytest.raises(SizeCapError):
-        enumerate_multilabelings(4, 3, state_cap=10)
+def test_enumeration_respects_state_cap(monkeypatch):
     with pytest.raises(SizeCapError):
         enumerate_multilabelings(7, 1)
+    monkeypatch.setattr(lgraphs, "STATE_CAP", 10)
+    with pytest.raises(SizeCapError):
+        enumerate_multilabelings(4, 3)
 
 
 def backtracking_multilabelings(l, max_tuple_size):
@@ -250,7 +251,6 @@ def test_excess_examples():
 def test_excess_half_integer_is_flagged_not_rejected():
     ml = MultiLabeling(p_labels=(1, 2, 3), n_tuples=((1, 2), (1, 2), (1, 2)))
     assert not ml.validate(2)  # valid labeling
-    assert not ml.parity_ok
     assert ml.excess == Fraction(1, 2)
 
 
@@ -300,7 +300,7 @@ def test_map_zero_excess_example():
     assert image.n_labels == (None, None, 4, 4)
     assert image.excess == 0
     assert sum(j is not None for j in image.n_labels) == 2  # filled n-vertices
-    assert image.is_valid
+    assert not image.validate()
 
 
 def test_map_all_good_singles_is_identity_up_to_relabeling():
@@ -315,7 +315,7 @@ def test_map_reverses_improper_pairs():
     ml = MultiLabeling(p_labels=(1, 2, 1, 2), n_tuples=((1, 2), (3,), (1, 2), (3,)))
     assert not ml.validate(2)
     image = label_simplifying_map(ml)
-    assert image.is_valid
+    assert not image.validate()
     assert image.distinct_p == ml.distinct_p
     assert sorted(image.n_labels, key=str) == sorted([None, None, 3, 3], key=str)
 
@@ -325,7 +325,7 @@ def test_map_preserves_p_count_and_bounds_excess():
     for depth in (1, 2, 3):
         for c in enumerate_multilabelings(4, depth):
             image = label_simplifying_map(c)
-            assert image.is_valid
+            assert not image.validate()
             assert image.distinct_p == c.distinct_p
             assert Fraction(image.excess) <= 97 * depth * Fraction(c.excess)
 
@@ -348,16 +348,32 @@ def test_map_rejects_invalid_input():
         label_simplifying_map(MultiLabeling(p_labels=(1, 2), n_tuples=((1,), (2,))))
 
 
+def simple_labelings(l):
+    """Simple-labeling classes of the 2l-cycle as canonical representatives,
+    sorted by canonical key: every valid labeling of a canonical p-sequence
+    whose n-labels first appear in the order 1, 2, ..."""
+    first_appearance = [
+        t for t in itertools.product([None, *range(1, l + 1)], repeat=l)
+        if list(dict.fromkeys(j for j in t if j)) == list(range(1, len(set(t) - {None}) + 1))
+    ]
+    found = {}
+    for pseq, n_labels in itertools.product(_canonical_p_sequences(l, l), first_appearance):
+        sl = SimpleLabeling(p_labels=pseq, n_labels=n_labels)
+        if not sl.validate():
+            found.setdefault(sl.canonical_key(), sl.canonical())
+    return [found[k] for k in sorted(found)]
+
+
 def test_simple_labeling_enumeration_and_validation():
-    classes = enumerate_simplelabelings(4)
+    classes = simple_labelings(4)
     assert classes  # nonempty
     for c in classes:
-        assert c.is_valid
+        assert not c.validate()
         assert Fraction(c.excess) >= 0
     # the all-empty labeling at l=4 needs matched reversals: (1,2,1,2) works
     keys = {c.canonical_key() for c in classes}
     alternating = SimpleLabeling(p_labels=(1, 2, 1, 2), n_labels=(None,) * 4)
-    assert alternating.is_valid
+    assert not alternating.validate()
     assert alternating.canonical_key() in keys
 
 
@@ -376,19 +392,18 @@ def test_simple_validation_matches_naive_checker_on_random_candidates():
         sl = SimpleLabeling(p_labels=p_labels, n_labels=n_labels)
         ok = naive_simple_validate(sl)
         assert (not sl.validate()) == ok
-        assert sl.is_valid == ok
         valid += ok
     assert 500 < valid < 9_500  # both outcomes are well represented
     # the empty-run balance alone decides these two
     assert not naive_simple_validate(SimpleLabeling((1, 2, 3), (None,) * 3))
     balanced = SimpleLabeling(p_labels=(1, 2, 1, 3), n_labels=(None, None, 4, 4))
-    assert naive_simple_validate(balanced) and balanced.is_valid
+    assert naive_simple_validate(balanced) and not balanced.validate()
 
 
 def test_simple_canonicalization_idempotent_and_relabeling_invariant():
     rng = np.random.default_rng(8)
     for l in (4, 5):
-        for c in enumerate_simplelabelings(l):
+        for c in simple_labelings(l):
             once = c.canonical()
             assert once == c  # the enumeration returns canonical representatives
             assert once.canonical_key() == c.canonical_key()
@@ -401,7 +416,7 @@ def test_simple_canonicalization_idempotent_and_relabeling_invariant():
             )
             assert shuffled.canonical_key() == c.canonical_key()
             assert shuffled.canonical() == once
-            assert shuffled.is_valid
+            assert not shuffled.validate()
     # idempotence off the enumerated classes too, valid or not
     for _ in range(500):
         l = int(rng.integers(2, 6))
@@ -412,7 +427,7 @@ def test_simple_canonicalization_idempotent_and_relabeling_invariant():
         once = sl.canonical()
         assert once.canonical() == once
         assert once.canonical_key() == sl.canonical_key()
-        assert once.is_valid == sl.is_valid
+        assert bool(once.validate()) == bool(sl.validate())
 
 
 # ---------------------------------------------------------------------------

@@ -7,26 +7,40 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernelspectra.errors import ConfigError, DomainError, SizeCapError
+import kernelspectra.limit_law as limit_law
+from kernelspectra.errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 from kernelspectra.limit_law import (
     MAX_DENSITY_POINTS,
     MAX_MOMENT_ORDER,
     LimitLawParams,
     _cubic_coefficients,
     _support_discriminant,
-    catalan,
-    check_sign_property,
     density,
-    enumerate_nc_partitions,
     free_cumulants,
     moment,
-    r_transform,
-    stieltjes,
     stieltjes_grid,
     support,
 )
 
 SEMICIRCLE = LimitLawParams(a=0.0, nu=1.0, gamma=1.0)
+
+
+def stieltjes(z, p):
+    """m(z) at one point, from stieltjes_grid, and the residual of the
+    defining cubic at m."""
+    m = complex(stieltjes_grid(np.array([z]), p)[0])
+    c3, c2, c1, c0 = _cubic_coefficients(complex(z), p)
+    return m, abs(((c3 * m + c2) * m + c1) * m + c0)
+
+
+def r_transform(z, p):
+    """R(z) = -a*(1 - 1/(1 - a*gamma*z)) + gamma*(nu - a^2)*z: the oracle
+    whose Taylor coefficients are the free cumulants."""
+    z = complex(z)
+    denom = 1.0 - p.a * p.gamma * z
+    if abs(denom) < 1e-12 * (1.0 + abs(p.a * p.gamma * z)):
+        raise DomainError(f"R-transform pole at z = 1/(a*gamma); got z = {z}")
+    return -p.a * (1.0 - 1.0 / denom) + p.semicircle_variance * z
 
 
 @st.composite
@@ -41,14 +55,14 @@ def laws(draw):
 
 def test_stieltjes_decays_like_minus_one_over_z():
     for p in (SEMICIRCLE, LimitLawParams(1.0, 2.0, 3.0), LimitLawParams(-0.5, 1.0, 0.5)):
-        sol = stieltjes(100j, p)
-        assert abs(sol.m - (-1 / 100j)) < 1e-3 * abs(sol.m)
+        m, _ = stieltjes(100j, p)
+        assert abs(m - (-1 / 100j)) < 1e-3 * abs(m)
 
 
 def test_stieltjes_semicircle_center():
     # semicircle density at 0 is 1/pi, so Im m(0 + i eps) -> 1
-    sol = stieltjes(0.0 + 1e-6j, SEMICIRCLE)
-    assert sol.m.imag == pytest.approx(1.0, abs=1e-3)
+    m, _ = stieltjes(0.0 + 1e-6j, SEMICIRCLE)
+    assert m.imag == pytest.approx(1.0, abs=1e-3)
 
 
 def test_stieltjes_rejects_lower_half_plane():
@@ -61,9 +75,9 @@ def test_stieltjes_rejects_lower_half_plane():
 @settings(max_examples=1000)
 @given(laws(), st.floats(-10.0, 10.0), st.floats(-6.0, 1.0))
 def test_herglotz_property_randomized(p, x, log_eta):
-    sol = stieltjes(complex(x, 10.0**log_eta), p)
-    assert sol.m.imag > 0
-    assert sol.residual < 1e-10
+    m, residual = stieltjes(complex(x, 10.0**log_eta), p)
+    assert m.imag > 0
+    assert residual < 1e-10
 
 
 def test_grid_matches_scalar_path():
@@ -74,7 +88,6 @@ def test_grid_matches_scalar_path():
     for i in (0, 17, 50, 83, 100):
         roots = np.roots(_cubic_coefficients(zs[i], p))
         assert grid[i] == pytest.approx(roots[np.argmax(roots.imag)], abs=1e-10)
-        assert stieltjes(zs[i], p).m == grid[i]
 
 
 def test_density_points_over_the_cap_raise_size_cap_error():
@@ -216,6 +229,16 @@ def test_params_validation():
         LimitLawParams(0.0, 0.0, 1.0)
     with pytest.raises(ConfigError):
         LimitLawParams(2.0, 1.0, 1.0)  # nu < a^2
+    for bad in ((math.nan, 1.0, 1.0), (0.0, math.inf, 1.0), (0.0, 1.0, math.inf)):
+        with pytest.raises(ConfigError, match="finite"):
+            LimitLawParams(*bad)
+
+
+def test_support_without_an_edge_raises_consistency_error(monkeypatch):
+    # a discriminant with no real root in the window: no edge survives
+    monkeypatch.setattr(limit_law, "_discriminant_polynomial", lambda p: np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ConsistencyError, match="no support edge"):
+        support(LimitLawParams(1.0, 2.0, 1.0))
 
 
 def test_r_transform_examples():
@@ -297,15 +320,12 @@ def brute_force_noncrossing(l):
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
 def test_nc_partitions_against_brute_force(l):
-    got = {tuple(sorted(part)) for part in enumerate_nc_partitions(l)}
-    expected = brute_force_noncrossing(l)
-    assert got == expected
-    assert len(got) == catalan(l)
+    assert len(brute_force_noncrossing(l)) == math.comb(2 * l, l) // (l + 1)
 
 
 def test_nc_pair_partitions_at_l4():
     pairings = [
-        part for part in enumerate_nc_partitions(4) if all(len(b) == 2 for b in part)
+        part for part in brute_force_noncrossing(4) if all(len(b) == 2 for b in part)
     ]
     assert sorted(pairings) == [
         (((1, 2), (3, 4))),
@@ -313,9 +333,7 @@ def test_nc_pair_partitions_at_l4():
     ]
 
 
-def test_nc_partitions_cap():
-    with pytest.raises(SizeCapError):
-        enumerate_nc_partitions(15)
+def test_moment_order_cap():
     with pytest.raises(SizeCapError):
         moment(SEMICIRCLE, MAX_MOMENT_ORDER + 1)
     with pytest.raises(SizeCapError):
@@ -324,7 +342,7 @@ def test_nc_partitions_cap():
 
 @functools.cache
 def _block_sizes(l):
-    return [[len(b) for b in part] for part in enumerate_nc_partitions(l)]
+    return [[len(b) for b in part] for part in sorted(brute_force_noncrossing(l))]
 
 
 def _partition_sum(p, l):
@@ -348,7 +366,8 @@ def test_moment_matches_partition_sum(p, l):
 
 def test_semicircle_moments_are_catalan_to_the_cap():
     for k in range(1, MAX_MOMENT_ORDER // 2 + 1):
-        assert moment(SEMICIRCLE, 2 * k) == pytest.approx(catalan(k), rel=1e-13)
+        catalan = math.comb(2 * k, k) // (k + 1)
+        assert moment(SEMICIRCLE, 2 * k) == pytest.approx(catalan, rel=1e-13)
         assert moment(SEMICIRCLE, 2 * k - 1) == 0.0
 
 
@@ -421,11 +440,17 @@ def test_moments_match_density_integrals_over_drawn_laws(p):
 
 
 def test_sign_property():
-    assert check_sign_property(LimitLawParams(1.0, 1.0, 1.0))
-    assert check_sign_property(LimitLawParams(0.0, 1.0, 1.0))
-    assert check_sign_property(LimitLawParams(-1.0, 1.0, 1.0))
+    # the sign of a pushes the support its way: for a >= 0 the top edge
+    # dominates in magnitude, for a <= 0 the bottom edge does
+    params = [LimitLawParams(a, 1.0, 1.0) for a in (1.0, 0.0, -1.0)]
     rng = np.random.default_rng(3)
     for _ in range(25):
         a = rng.uniform(-2, 2)
-        p = LimitLawParams(a, a * a + rng.uniform(0.05, 2), rng.uniform(0.1, 6))
-        assert check_sign_property(p)
+        params.append(LimitLawParams(a, a * a + rng.uniform(0.05, 2), rng.uniform(0.1, 6)))
+    for p in params:
+        sup = support(p)
+        slack = 1e-9 * max(1.0, sup.norm)
+        if p.a >= 0:
+            assert sup.max_edge + slack >= -sup.min_edge, p
+        if p.a <= 0:
+            assert -sup.min_edge + slack >= sup.max_edge, p

@@ -10,13 +10,13 @@ from scipy.sparse import csr_array
 
 import kernelspectra.simulate as sim
 from kernelspectra.errors import ConfigError, ConsistencyError, DomainError, SizeCapError
+from kernelspectra.hermite import hermite_eval
 from kernelspectra.lgraphs import exact_trace_moment, sample_trace_moment
 from kernelspectra.limit_law import LimitLawParams, support
 from kernelspectra.simulate import (
     DataMatrixConfig,
     EntryLaw,
     SpectrumSummary,
-    build_component_matrix,
     build_kernel_matrix,
     concentration_probe,
     decompose_hermite_sum,
@@ -24,7 +24,6 @@ from kernelspectra.simulate import (
     ks_distance,
     limit_cdf,
     rank_two_correction,
-    rank_two_matrix,
     sample_data,
     sample_deformed_model,
     spectrum,
@@ -34,6 +33,11 @@ from kernelspectra.simulate import (
 
 def h3(y):
     return (y**3 - 3 * y) / math.sqrt(6)
+
+
+def component_matrix(X, d):
+    """The kernel matrix of the single-degree kernel h_d."""
+    return build_kernel_matrix(X, lambda y: hermite_eval(d, y))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +199,7 @@ def test_kernel_negation_identities():
 
 def test_component_matrix_degree_one():
     X = sample_data(DataMatrixConfig(n=20, p=15, seed=6))
-    K1 = build_component_matrix(X, 1, 1.0)
+    K1 = component_matrix(X, 1)
     K_lin = build_kernel_matrix(X, lambda y: y)
     assert np.max(np.abs(K1 - K_lin)) < 1e-12
 
@@ -203,7 +207,7 @@ def test_component_matrix_degree_one():
 def test_component_matrix_semicircle_esd():
     X = sample_data(DataMatrixConfig(n=1000, p=1000, seed=7))
     for d in (2, 3):
-        s = spectrum(build_component_matrix(X, d, 1.0))
+        s = spectrum(component_matrix(X, d))
         assert ks_distance(s, LimitLawParams(0.0, 1.0, 1.0)) < 0.06
 
 
@@ -349,12 +353,6 @@ def test_sparse_check_rejects_bad_input(defect):
         m = m[:, :-1]
     with pytest.raises(ConfigError):
         sim._checked_symmetric_sparse(csr_array(m))
-
-
-def test_esd_cdf():
-    s = SpectrumSummary(eigenvalues=np.array([2.0, 1.0, -1.0]))
-    assert s.esd_cdf(0.0) == pytest.approx(1 / 3)
-    assert s.esd_cdf(5.0) == 1.0
 
 
 def test_ks_synthetic_quantiles():
@@ -512,6 +510,14 @@ def test_rank_two_disabled_for_odd_kernels():
     assert sp.locations == () and sp.empirical == ()
 
 
+def rank_two_matrix(X, a2):
+    """The realized rank-two correction matrix itself."""
+    p, n = X.shape
+    v = (X * X - 1.0).sum(axis=1) / math.sqrt(n)
+    ones = np.ones(p)
+    return a2 / (n * math.sqrt(2.0)) * (np.outer(v, ones) + np.outer(ones, v))
+
+
 def test_rank_two_roots_match_eigendecomposition():
     X = sample_data(DataMatrixConfig(n=200, p=200, seed=14))
     sp = rank_two_correction(X, 1.0)
@@ -638,7 +644,7 @@ def test_concentration_probe_stable_in_n():
 def test_component_sum_matches_free_convolution():
     # K_1 + K_2 + K_3 with unit coefficients has the law of (a=1, nu=3)
     X = sample_data(DataMatrixConfig(n=1000, p=1000, seed=23))
-    K = sum(build_component_matrix(X, d, 1.0) for d in (1, 2, 3))
+    K = sum(component_matrix(X, d) for d in (1, 2, 3))
     s = spectrum(K)
     assert ks_distance(s, LimitLawParams(1.0, 3.0, 1.0)) < 0.06
 

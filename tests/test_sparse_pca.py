@@ -27,7 +27,6 @@ from kernelspectra.sparse_pca import (
     _thresholded_sparse,
     null_prediction,
     sample_spiked_data,
-    smoothed_soft_threshold,
     sweep_tau,
     thresholded_covariance,
 )
@@ -35,19 +34,21 @@ from kernelspectra.sparse_pca import (
 
 def test_threshold_piecewise_values():
     tau = 2.0
-    assert smoothed_soft_threshold(0.5 * tau, tau) == 0.0
-    assert smoothed_soft_threshold(2 * tau, tau) == pytest.approx(tau, abs=1e-14)
+    k = ThresholdFunction(tau)
+    assert k(0.5 * tau) == 0.0
+    assert k(2 * tau) == pytest.approx(tau, abs=1e-14)
     # band endpoint: the unique C^1 quadratic gives k(1.2 tau) = 0.2 tau
-    assert smoothed_soft_threshold(1.2 * tau, tau) == pytest.approx(0.2 * tau, abs=1e-12)
-    assert smoothed_soft_threshold(-2 * tau, tau) == pytest.approx(-tau, abs=1e-14)
+    assert k(1.2 * tau) == pytest.approx(0.2 * tau, abs=1e-12)
+    assert k(-2 * tau) == pytest.approx(-tau, abs=1e-14)
 
 
 def test_threshold_is_c1():
     tau = 1.3
+    k = ThresholdFunction(tau)
     h = 1e-7
     for x0, slope in ((0.8 * tau, 0.0), (1.2 * tau, 1.0)):
-        left = (smoothed_soft_threshold(x0, tau) - smoothed_soft_threshold(x0 - h, tau)) / h
-        right = (smoothed_soft_threshold(x0 + h, tau) - smoothed_soft_threshold(x0, tau)) / h
+        left = (k(x0) - k(x0 - h)) / h
+        right = (k(x0 + h) - k(x0)) / h
         assert left == pytest.approx(slope, abs=1e-5)
         assert right == pytest.approx(slope, abs=1e-5)
 
@@ -78,11 +79,12 @@ def test_threshold_matches_reference(tau):
         [s * f * tau for s in (-1.0, 1.0) for f in (0.0, 0.8, 1.0, 1.2)],
         np.random.default_rng(0).standard_normal(5000) * tau,
     ])
-    assert np.array_equal(smoothed_soft_threshold(xs, tau), _reference_threshold(xs, tau))
+    k = ThresholdFunction(tau)
+    assert np.array_equal(k(xs), _reference_threshold(xs, tau))
     grid = xs.reshape(-1, 3)
-    assert np.array_equal(smoothed_soft_threshold(grid, tau), _reference_threshold(grid, tau))
+    assert np.array_equal(k(grid), _reference_threshold(grid, tau))
     for x in xs[::97]:
-        assert smoothed_soft_threshold(float(x), tau) == _reference_threshold(float(x), tau)
+        assert k(float(x)) == _reference_threshold(float(x), tau)
 
 
 @pytest.mark.parametrize("keep_diagonal", [False, True])
@@ -153,17 +155,16 @@ def test_kernel_builder_evaluates_the_upper_triangle_in_bounded_tiles(p, tile_en
 def test_threshold_odd_and_close_to_identity():
     tau = 0.9
     xs = np.linspace(-8, 8, 2001)
-    k = smoothed_soft_threshold(xs, tau)
-    assert np.max(np.abs(k + smoothed_soft_threshold(-xs, tau))) == 0.0
+    k = ThresholdFunction(tau)(xs)
+    assert np.max(np.abs(k + ThresholdFunction(tau)(-xs))) == 0.0
     outer = np.abs(xs) >= 1.2 * tau
     assert np.max(np.abs(k[outer] - xs[outer])) <= tau + 1e-14
 
 
 def test_threshold_rejects_bad_tau():
-    with pytest.raises(ConfigError):
-        smoothed_soft_threshold(1.0, 0.0)
-    with pytest.raises(ConfigError):
-        ThresholdFunction(-1.0)
+    for tau in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            ThresholdFunction(tau)
 
 
 def test_threshold_moments_nonnegative_a_and_edge_equals_norm():
@@ -177,13 +178,13 @@ def test_threshold_moments_nonnegative_a_and_edge_equals_norm():
 
 def test_spiked_config_validation():
     with pytest.raises(ConfigError):
-        SpikedModelConfig(lam=0.0, sparsity=3, gamma=1.0, n=100)
+        SpikedModelConfig(lam=0.0, sparsity=3, n=100, p=100)
     with pytest.raises(ConfigError):
-        SpikedModelConfig(lam=1.0, sparsity=200, gamma=1.0, n=100)
+        SpikedModelConfig(lam=1.0, sparsity=200, n=100, p=100)
 
 
 def test_spike_vector_shape():
-    cfg = SpikedModelConfig(lam=0.9, sparsity=7, gamma=2.0, n=50, seed=3)
+    cfg = SpikedModelConfig(lam=0.9, sparsity=7, n=50, p=100, seed=3)
     v = cfg.spike_vector()
     assert v.shape == (100,)
     assert np.count_nonzero(v) == 7
@@ -194,7 +195,7 @@ def test_spike_vector_shape():
 
 
 def test_spiked_data_covariance_along_spike():
-    cfg = SpikedModelConfig(lam=0.8, sparsity=5, gamma=1.0, n=4000, seed=4)
+    cfg = SpikedModelConfig(lam=0.8, sparsity=5, n=4000, p=4000, seed=4)
     X = sample_spiked_data(cfg)
     v = cfg.spike_vector()
     proj = v @ X
@@ -213,7 +214,7 @@ def test_spiked_data_covariance_along_spike():
 def test_spiked_data_matches_full_outer_product(sparsity, gamma, n, stream):
     # the row-by-row spike gives the bits of both outer-product forms, at
     # sparsity = p too
-    cfg = SpikedModelConfig(lam=0.9, sparsity=sparsity, gamma=gamma, n=n, seed=5)
+    cfg = SpikedModelConfig(lam=0.9, sparsity=sparsity, n=n, p=round(gamma * n), seed=5)
     gen = rngmod.derive_rng(cfg.seed, rngmod.STREAM_SPIKE_COEF, stream)
     g = gen.standard_normal((cfg.p, cfg.n))
     w = gen.standard_normal(cfg.n)
@@ -264,7 +265,7 @@ def test_null_prediction_limits():
 def test_sweep_structure_and_signal():
     n = 500
     null_cfg = DataMatrixConfig(n=n, p=n, seed=10)
-    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=int(0.3 * math.sqrt(n)), gamma=1.0, n=n, seed=11)
+    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=int(0.3 * math.sqrt(n)), n=n, p=n, seed=11)
     taus = [1.0, 1.5, 2.0]
     res = sweep_tau(null_cfg, spiked_cfg, taus, trials=3)
     assert res.CSV_COLUMNS == ("tau", "null_mean", "null_se", "spiked_mean", "spiked_se", "prediction")
@@ -297,7 +298,7 @@ def test_sweep_lambda_max_matches_full_spectrum(monkeypatch):
     )
     n = 60
     null_cfg = DataMatrixConfig(n=n, p=n, seed=12)
-    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, gamma=1.0, n=n, seed=13)
+    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, n=n, p=n, seed=13)
     taus = [0.5, 2.0, 3.5]
     res = sweep_tau(null_cfg, spiked_cfg, taus, trials=2)
     assert calls["dense"] > 0 and calls["sparse"] > 0, calls
@@ -349,17 +350,35 @@ def test_sweep_lanczos_matvecs(tau, sparse, max_matvecs):
 
 def test_spiked_model_size_caps():
     with pytest.raises(SizeCapError):
-        SpikedModelConfig(lam=0.9, sparsity=1, gamma=(MAX_MATRIX_SIDE + 1) / 4, n=4)
+        SpikedModelConfig(lam=0.9, sparsity=1, n=4, p=MAX_MATRIX_SIDE + 1)
     n = MAX_DATA_ENTRIES // 2 + 1
     with pytest.raises(SizeCapError):
-        SpikedModelConfig(lam=0.9, sparsity=1, gamma=2 / n, n=n)
+        SpikedModelConfig(lam=0.9, sparsity=1, n=n, p=2)
 
 
 def test_sweep_rejects_empty_grid():
     null_cfg = DataMatrixConfig(n=100, p=100, seed=0)
-    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, gamma=1.0, n=100, seed=1)
+    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, n=100, p=100, seed=1)
     with pytest.raises(ConfigError):
         sweep_tau(null_cfg, spiked_cfg, [], trials=1)
+
+
+@pytest.mark.parametrize("n, p", [(100, 50), (50, 100), (200, 200)])
+def test_sweep_rejects_a_spiked_model_of_another_shape(n, p, monkeypatch):
+    # its lambda_max used to be compared with the null prediction at the
+    # null model's gamma
+    import kernelspectra.sparse_pca as sp
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled data for mismatched models")
+
+    monkeypatch.setattr(sp, "sample_data", no_sampling)
+    monkeypatch.setattr(sp, "sample_spiked_data", no_sampling)
+    null_cfg = DataMatrixConfig(n=100, p=100, seed=0)
+    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, n=n, p=p, seed=1)
+    assert spiked_cfg.gamma == p / n
+    with pytest.raises(ConfigError, match="shape"):
+        sweep_tau(null_cfg, spiked_cfg, [1.0], trials=1)
 
 
 def test_sweep_trial_streams_distinct_at_66_trials(monkeypatch):
@@ -380,7 +399,7 @@ def test_sweep_trial_streams_distinct_at_66_trials(monkeypatch):
     monkeypatch.setattr(sp, "sample_data", recorder("null", sp.sample_data))
     monkeypatch.setattr(sp, "sample_spiked_data", recorder("spiked", sp.sample_spiked_data))
     null_cfg = DataMatrixConfig(n=4, p=4, seed=0)
-    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=1, gamma=1.0, n=4, seed=1)
+    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=1, n=4, p=4, seed=1)
     sweep_tau(null_cfg, spiked_cfg, [1.0, 2.0], trials=66)
     for kind, seen in draws.items():
         assert len(seen) == 66 and len(set(seen)) == 66, kind
