@@ -69,6 +69,12 @@ MAX_TRACE_TRIALS = 5_800_000_000 // 8
 # at 2e6-8e6 entries), and a one-trial sweep over that many taus 390 B
 # (ru_maxrss at n = p = 4 with 8000 and 16000 taus), so 5.9 GB at this cap.
 MAX_LIST_ENTRIES = 5_900_000_000 // 400
+# Eigenvalues a simulate run keeps, trials x p, for its CSV.  With each
+# trial's summary that peaks at 117-129 B an eigenvalue at p = 200 and 1000
+# and 257 B at p = 4 (ru_maxrss at two trial counts each), about 125 B plus
+# 530 B a trial, so at most 400 B an eigenvalue from p = 2 up: 5.9 GB at
+# this cap.
+MAX_SPECTRUM_ENTRIES = 5_900_000_000 // 400
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +387,8 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
     cfg.reject_unknown()
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if trials * p > MAX_SPECTRUM_ENTRIES:
+        raise SizeCapError(f"trials * p = {trials * p} eigenvalues exceeds cap {MAX_SPECTRUM_ENTRIES}")
     if law_name not in _LAWS:
         raise ConfigError(f"law must be one of {sorted(_LAWS)}, got {law_name!r}")
     check_projection_size(degree=degree)
@@ -439,10 +447,12 @@ def cmd_sparse_pca_sweep(cfg: Config, raw: dict[str, str]) -> int:
     seed = cfg.get_int("seed", 0)
     out = cfg.get_str("out", "sweep")
     cfg.reject_unknown()
-    if not math.isfinite(coeff):
-        raise ConfigError(f"sparsity_coeff must be finite, got {coeff}")
+    if not (math.isfinite(coeff) and coeff > 0):
+        raise ConfigError(f"sparsity_coeff must be finite and > 0, got {coeff}")
+    if sparsity < 0:
+        raise ConfigError(f"sparsity must be >= 0 (0: floor(sparsity_coeff * sqrt(n))), got {sparsity}")
 
-    if sparsity <= 0:
+    if sparsity == 0:
         sparsity = max(1, math.floor(coeff * math.sqrt(n)))
     null_cfg = DataMatrixConfig(n=n, p=p, seed=seed)
     spiked_cfg = SpikedModelConfig(lam=lam, sparsity=sparsity, n=n, p=p, seed=seed + 1)

@@ -276,148 +276,59 @@ def spectrum(m: np.ndarray) -> SpectrumSummary:
     return SpectrumSummary(eigenvalues=ev[::-1].copy())
 
 
-# The stop is on the Ritz residual, not on the error bound residual^2 / gap:
-# that bound trusts the gap to the next Ritz value, which overstates the
-# true gap while two close eigenvalues are unresolved.
-LANCZOS_RTOL = 1e-15  # Ritz residual bound, relative to the largest |Ritz value|
-LANCZOS_MAX_STEPS = 1000  # cap on the Krylov basis: 8 MB per 1000 matrix rows
-LANCZOS_DGKS_RATIO = 1 / math.sqrt(2)  # a Gram-Schmidt pass keeping more of |w| is the last
+# Restarts allowed to one ARPACK solve (eigsh's maxiter): about 10 products
+# each at the default ncv of 20, so about 3000 products.  The sweep's and
+# the probe's solves at n = p = 1000 and p <= 2000 needed at most 12.
+ARPACK_MAX_RESTARTS = 300
 
 
-def _ritz_ends(alpha: np.ndarray, off: np.ndarray, ends: tuple[int, ...]):
-    """Ritz values of the Lanczos tridiagonal (diagonal alpha, off-diagonal
-    off) at the given ends, the last entries of their unit eigenvectors,
-    and the largest |Ritz value|.  LAPACK bisection (stebz) and inverse
-    iteration (stein) on the selected eigenvalues only: O(k) each, where a
-    dense k x k eigh costs O(k^3) and, at two BLAS threads, milliseconds
-    from k = 32 on.  The calls go to LAPACK directly because
-    scipy.linalg.eigh_tridiagonal's argument checks cost more than the
-    solves at these sizes."""
-    if len(alpha) == 1:  # the wrappers reject an empty off-diagonal
-        return [float(alpha[0])] * len(ends), [1.0] * len(ends), abs(float(alpha[0]))
+def _extreme_eigenvalue(m, which: str) -> float:
+    """The largest ("LA") or the largest-magnitude ("LM") eigenvalue of a
+    checked symmetric/Hermitian m, dense or scipy.sparse.
+
+    ARPACK's implicitly restarted Lanczos (scipy.sparse.linalg.eigsh),
+    started from a fixed Gaussian vector, so runs repeat: an all-ones start
+    would be orthogonal to balanced +-1 spikes.  It stops when the Ritz
+    value's residual is at most machine epsilon times |Ritz value|.  A stop
+    on residual^2 / gap would come earlier, but returns the second
+    eigenvalue when the top two are closer than the Krylov space resolves
+    and the start vector has the smaller part along the top one.  A solve
+    that runs out of restarts, or that ARPACK rejects, raises
+    ConsistencyError rather than returning an unconverged value.
+    """
     # imported on first use: of the CLI commands only the sweep gets here,
     # and importing scipy would add to every other command's startup
-    from scipy.linalg.lapack import dstebz, dstein
+    from scipy.sparse import issparse
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
-    # inverse iteration overflows to NaN on entries near 1e147; scaling by
-    # a power of two is exact
-    largest = max(np.max(np.abs(alpha)), np.max(np.abs(off), initial=0.0))
-    unit = math.ldexp(1.0, math.frexp(largest)[1] - 1)
-    alpha, off = alpha / unit, off / unit
-    size = len(alpha)
-
-    def solve(i: int, order: str):
-        # range 2: eigenvalues il..iu, 1-based; tol 0: LAPACK's default
-        count, w, iblock, isplit, info = dstebz(alpha, off, 2, 0.0, 0.0, i + 1, i + 1, 0.0, order)
-        if info or count != 1:
-            raise ConsistencyError(f"tridiagonal bisection failed (info {info})")
-        return w[:1], iblock, isplit
-
-    values, lasts = [], []
-    for i in [e % size for e in ends]:
-        w, iblock, isplit = solve(i, "B")  # stein takes the block order
-        vec, info = dstein(alpha, off, w, iblock, isplit)
-        if info:
-            raise ConsistencyError(f"tridiagonal inverse iteration failed (info {info})")
-        values.append(float(w[0]) * unit)
-        lasts.append(float(vec[-1, 0]))
-    scale = max(abs(v) for v in values)
-    for i in {0, size - 1} - {e % size for e in ends}:
-        scale = max(scale, abs(float(solve(i, "E")[0][0])) * unit)
-    return values, lasts, scale
-
-
-def _lanczos_ends(m: np.ndarray, ends: tuple[int, ...]) -> tuple[float, ...]:
-    """Eigenvalues at the given ends of the spectrum of a checked Hermitian
-    m (indices into the ascending order: -1 the largest, 0 the smallest).
-
-    Lanczos with full reorthogonalisation (the three-term recurrence, then
-    one Gram-Schmidt pass against the whole basis and a second where the
-    first removed more than half of w's square norm), started from a fixed
-    Gaussian vector: an all-ones start would be orthogonal to balanced +-1
-    spikes.  It stops when every requested Ritz value has residual bound
-    |beta_k s_k| <= LANCZOS_RTOL * max|Ritz|; when the Krylov space is
-    invariant, that is beta_k <= LANCZOS_RTOL * |m v_k| after
-    reorthogonalisation (what is left of w is rounding, and scaling it up
-    would lose orthogonality); or on reaching k = p steps, where the
-    Krylov space is all of C^p.  A run that hits the step cap first raises
-    ConsistencyError rather than returning an unconverged value.
-
-    The bounds are checked every max(8, k/8) steps, or sooner where their
-    geometric fall since the previous check predicts that they pass then:
-    the stop comes within a step or two of the first step whose bounds
-    pass, with about as few checks as a fixed schedule.  A stop on
-    residual^2 / gap would come earlier, but returns the second eigenvalue
-    when the top two are closer than the Krylov space resolves and the
-    start vector has the smaller part along the top one.
-    """
     p = m.shape[0]
-    steps = min(p, LANCZOS_MAX_STEPS)
-    # grown by doubling: most runs stop after tens of steps, far below p
-    basis = np.empty((min(steps, 64), p), dtype=np.result_type(m.dtype, float))
-    real = not np.iscomplexobj(basis)
-    alpha = np.empty(steps)
-    beta = np.empty(steps)
+    if p <= 2:  # eigsh needs k = 1 < p, and < p - 1 for a complex m
+        ev = np.linalg.eigvalsh(m.toarray() if issparse(m) else m)
+        return float(ev[-1] if which == "LA" else ev[np.argmax(np.abs(ev))])
     start = rngmod.derive_rng(0, rngmod.STREAM_LANCZOS, p).standard_normal(p)
-    basis[0] = start / np.linalg.norm(start)
-    next_check = 8
-    last_size, last_bounds = 0, None
-    for k in range(steps):
-        w = m @ basis[k]
-        alpha[k] = np.vdot(basis[k], w).real
-        image_norm = np.linalg.norm(w)
-        w -= alpha[k] * basis[k]
-        if k:
-            w -= beta[k - 1] * basis[k - 1]
-        done = basis[: k + 1]
-        before = np.linalg.norm(w)
-        for _ in range(2):
-            if real:
-                w -= (done @ w) @ done
-            else:
-                w -= np.conj(done @ np.conj(w)) @ done
-            beta[k] = np.linalg.norm(w)
-            if beta[k] > LANCZOS_DGKS_RATIO * before:
-                break
-            before = beta[k]
-        size = k + 1
-        invariant = beta[k] <= LANCZOS_RTOL * image_norm
-        if size >= next_check or size == steps or invariant:
-            values, lasts, scale = _ritz_ends(alpha[:size], beta[: size - 1], ends)
-            bounds = [beta[k] * abs(s) for s in lasts]
-            tol = LANCZOS_RTOL * scale
-            if size == p or invariant or all(b <= tol for b in bounds):
-                return tuple(values)
-            if size == steps:
-                raise ConsistencyError(
-                    f"Lanczos did not converge in {steps} steps at p={p} "
-                    f"(residual bounds {bounds})"
-                )
-            # a check costs up to half a dense step at p = 1000; where
-            # every pending bound fell since the last check, check again
-            # when falling at that rate takes the slowest of them past tol
-            wait = max(8, size // 8)
-            if last_bounds is not None:
-                pending = [(b, b0) for b, b0 in zip(bounds, last_bounds) if b > tol]
-                if pending and all(b0 > b for b, b0 in pending):
-                    # intervals of size - last_size steps still needed
-                    intervals = [math.log(b / tol) / math.log(b0 / b) for b, b0 in pending]
-                    left = max(intervals) * (size - last_size)
-                    if left < wait:
-                        wait = max(1, math.ceil(left))
-            last_size, last_bounds = size, bounds
-            next_check = size + wait
-        if size == len(basis):
-            grown = np.empty((min(steps, 2 * size), p), dtype=basis.dtype)
-            grown[:size] = basis
-            basis = grown
-        basis[size] = w / beta[k]
+    try:
+        ev = eigsh(
+            m, k=1, which=which, v0=start, tol=0, maxiter=ARPACK_MAX_RESTARTS,
+            return_eigenvectors=False,
+        )
+    except ArpackNoConvergence as exc:
+        raise ConsistencyError(
+            f"ARPACK did not converge in {ARPACK_MAX_RESTARTS} restarts at p={p}"
+        ) from exc
+    except ArpackError as exc:
+        # the zero matrix maps every vector to 0, which ARPACK reports as
+        # error -9, a zero starting vector; checked only here, off the
+        # path of every converged solve
+        if abs(m).max() == 0:
+            return 0.0
+        raise ConsistencyError(f"ARPACK failed at p={p}: {exc}") from exc
+    return float(ev[0])
 
 
 def top_eigenvalue(m: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric/Hermitian matrix, for callers that
     read only lambda_max; `spectrum` gives all of them."""
-    return _lanczos_ends(_checked_hermitian(m), (-1,))[0]
+    return _extreme_eigenvalue(_checked_hermitian(m), "LA")
 
 
 def limit_cdf(p: LimitLawParams, xs: np.ndarray) -> np.ndarray:
@@ -616,15 +527,6 @@ def sample_deformed_model(p_dim: int, n_dim: int, params: LimitLawParams, seed: 
 # concentration probe
 
 
-# Below this side concentration_probe takes both ends of the spectrum from
-# eigvalsh: on its kernel matrices the bottom end sits on a dense cluster
-# and Lanczos needs 90-360 steps.  Measured at n = 500 (h1 kernel, two BLAS
-# threads), the two-ended Lanczos solve against eigvalsh took 4 vs 1 ms at
-# p = 125, 55 vs 14 ms at 500, 112-139 vs 60-63 ms at 1000, 231-269 vs
-# 204-207 ms at 1500 and 264-383 vs 460-471 ms at 2000.
-PROBE_EIGVALSH_BELOW = 2000
-
-
 def concentration_probe(
     kernel,
     aspect_ratios: Sequence[float],
@@ -650,12 +552,7 @@ def concentration_probe(
             cfg = DataMatrixConfig(n=n, p=p_dim, seed=seed)
             X = sample_data(cfg, stream=(ridx, t))
             K = _checked_hermitian(build_kernel_matrix(X, kspec))
-            if p_dim < PROBE_EIGVALSH_BELOW:
-                ev = np.linalg.eigvalsh(K)
-                lowest, highest = ev[0], ev[-1]
-            else:
-                lowest, highest = _lanczos_ends(K, (0, -1))
-            norms.append(max(abs(lowest), abs(highest)))
+            norms.append(abs(_extreme_eigenvalue(K, "LM")))
         med = float(np.median(norms))
         scale = max(p_dim / n, math.sqrt(p_dim / n))
         rows.append(

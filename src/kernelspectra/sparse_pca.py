@@ -15,15 +15,15 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError
+from .errors import ConfigError, SizeCapError
 from .hermite import GaussHermiteRule, KernelSpec, build_quadrature, kernel_moments
 from .limit_law import LimitLawParams, support
 from .simulate import (
     DataMatrixConfig,
     _apply_kernel,
-    _kernel_matrix,
     _checked_symmetric_sparse,
-    _lanczos_ends,
+    _extreme_eigenvalue,
+    _kernel_matrix,
     _scaled_gram,
     _upper_tiles,
     check_data_size,
@@ -38,6 +38,11 @@ OUTER_FRACTION = 1.2
 # check and Lanczos took as long as the dense apply, check and Lanczos at
 # 16% (p = 1000) and 18-20% (p = 2000), at n = p with two BLAS threads.
 SPARSE_DENSITY_CUT = 0.15
+# Cells of a sweep, trials x len(taus).  sweep_tau keeps two float64 tables
+# of them, 16 B a cell, and the standard error of a column adds a temporary
+# as long as the column: ru_maxrss gave 15.2 B a cell over 1000 taus (5e6
+# to 2e7 cells) and 27 B at one tau (2e6 cells), so 5.9 GB at this cap.
+MAX_SWEEP_CELLS = 5_900_000_000 // 27
 
 
 @dataclass(frozen=True)
@@ -242,7 +247,7 @@ def sweep_tau(
     M_tau (the entries outside the zero set |g| <= INNER_FRACTION * tau)
     only grow.  While a support holds at most SPARSE_DENSITY_CUT of the
     upper triangle, M_tau is built as a CSR matrix and its lambda_max comes
-    from the same Lanczos solve, run on scipy's sparse product.  The first
+    from the same eigsh solve, run on scipy's sparse product.  The first
     support past the cut abandons its sparse build, and from there on every
     M_tau is written densely into the output buffer.  The cut is the density
     at which the two paths took equal time at p = 1000 and 2000.  The CSR
@@ -254,6 +259,8 @@ def sweep_tau(
         raise ConfigError("tau grid must be nonempty")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if trials * taus.size > MAX_SWEEP_CELLS:
+        raise SizeCapError(f"trials * len(taus) = {trials * taus.size} exceeds cap {MAX_SWEEP_CELLS}")
     if null_cfg.entry_law != "standard_gaussian":
         raise ConfigError("the null model of the sweep is standard Gaussian")
     if (spiked_cfg.n, spiked_cfg.p) != (null_cfg.n, null_cfg.p):
@@ -285,7 +292,7 @@ def sweep_tau(
                 if not dense:
                     sparse = _thresholded_sparse(g, thresholds[ti], cfg.n, max_sparse)
                     if sparse is not None:
-                        tops[t, ti] = _lanczos_ends(_checked_symmetric_sparse(sparse), (-1,))[0]
+                        tops[t, ti] = _extreme_eigenvalue(_checked_symmetric_sparse(sparse), "LA")
                         continue
                     dense = True
                 _apply_kernel(g, thresholds[ti], cfg.n, keep_diagonal=True, out=m)

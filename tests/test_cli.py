@@ -266,9 +266,13 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
         ("sparse-pca-sweep", {"n": 50, "taus": f"0.5:4.0:{cli_module.MAX_LIST_ENTRIES + 1}"}),
         ("verify", {"l_max": 2, "d_max": 1,
                     "scaling_ns": f"10:1000:{cli_module.MAX_LIST_ENTRIES + 1}"}),
+        ("simulate", {"kernel": "h1", "n": 4, "p": 4,
+                      "trials": cli_module.MAX_SPECTRUM_ENTRIES // 4 + 1}),
+        ("sparse-pca-sweep", {"n": 4, "taus": "1.0,2.0", "trials": sparse_pca.MAX_SWEEP_CELLS // 2 + 1}),
     ],
     ids=["simulate-n", "sweep-n", "density-points", "scaling-entries", "trace-trials",
-         "projection-degree", "quadrature-order", "simulate-degree", "sweep-taus", "scaling-ns"],
+         "projection-degree", "quadrature-order", "simulate-degree", "sweep-taus", "scaling-ns",
+         "simulate-trials", "sweep-trials"],
 )
 def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys, command, keys):
     # these sizes used to end in numpy's _ArrayMemoryError traceback
@@ -312,6 +316,24 @@ def test_sweep_non_finite_inputs_exit_2_before_sampling(tmp_path, monkeypatch, c
     assert main(["sparse-pca-sweep", cfg]) == 2
     err = capsys.readouterr().err
     assert key in err and "finite" in err and "Traceback" not in err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "keys", [{"sparsity": -5}, {"sparsity_coeff": -0.3}, {"sparsity_coeff": 0}],
+    ids=["sparsity-negative", "coeff-negative", "coeff-zero"],
+)
+def test_sweep_bad_sparsity_exits_2_before_sampling(tmp_path, monkeypatch, capsys, keys):
+    # these used to run and report "sparsity": 1
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled data for a bad config")
+
+    monkeypatch.setattr(sparse_pca, "sample_data", no_sampling)
+    monkeypatch.setattr(sparse_pca, "sample_spiked_data", no_sampling)
+    cfg = write_cfg(tmp_path, "c.cfg", **{"n": 40, "taus": "1.0", "trials": 1, **keys})
+    assert main(["sparse-pca-sweep", cfg]) == 2
+    err = capsys.readouterr().err
+    assert next(iter(keys)) in err and "Traceback" not in err
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
 
 
@@ -448,10 +470,9 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
 # limit-law's files were written by the per-value CSV formatter that came
 # before the one-%-format rows; the two numpy-heavy commands' by the
 # untiled kernel builder that evaluated k on every Gram entry, except the
-# sweep's, written since Lanczos reorthogonalises after the three-term
-# recurrence, takes its Ritz values from LAPACK's tridiagonal bisection
-# and stops at the scheduled checks (the means and max_null_gap changed
-# in the last bits, the standard errors in the last three).  The
+# sweep's, written since lambda_max comes from ARPACK's eigsh in place of
+# a hand-written Lanczos (the means changed by at most 8.1e-16 relative,
+# the standard errors by 1.0e-13 and max_null_gap by 1.4e-14).  The
 # quadrature-derived bytes (simulate_summary.json, the sweep's prediction
 # column and sweep_summary.json) were re-recorded when the Gauss-Hermite
 # rule moved from scipy to numpy; the eigenvalue CSV stayed.  They hold
@@ -479,8 +500,8 @@ CLI_OUTPUT_SHA256 = {
     "sparse-pca-sweep": (
         {"n": 300, "taus": "1.0,2.0,3.0", "trials": 2},
         {
-            "sweep.csv": "2f4cc81a831bc7ba961c1e339d6a4de841810db9e9d737a901687e953edcc3fe",
-            "sweep_summary.json": "3875139a003bd2cdb2872dc73edd2ad6724617d41c2edc796d0340c5d18d2d4d",
+            "sweep.csv": "9a884edff9ac4e59a53c118fdf33d09c8cb40d7f1600683880bb86dbddbea2c0",
+            "sweep_summary.json": "01b3d5e3df4745689ebd558430387f91c17a839ce98c52cef598448962395cfc",
         },
     ),
 }

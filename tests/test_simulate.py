@@ -296,12 +296,12 @@ def test_top_eigenvalue_matches_eigvalsh(p, seed, kind):
     ev = np.linalg.eigvalsh(m)
     norm = max(abs(ev[0]), abs(ev[-1]))
     assert abs(top_eigenvalue(m) - ev[-1]) <= 1e-12 * max(1.0, norm)
-    lowest, highest = sim._lanczos_ends(m, (0, -1))
-    assert max(abs(lowest - ev[0]), abs(highest - ev[-1])) <= 1e-12 * max(1.0, norm)
-    if not np.iscomplexobj(m):  # the same solve on a CSR, as the sweep's sparse path runs it
-        csr = sim._checked_symmetric_sparse(csr_array(m))
-        lowest, highest = sim._lanczos_ends(csr, (0, -1))
-        assert max(abs(lowest - ev[0]), abs(highest - ev[-1])) <= 1e-12 * max(1.0, norm)
+    # the probe's norm solve, and both solves on a CSR, as the sweep's
+    # sparse path runs them
+    forms = [m] if np.iscomplexobj(m) else [m, sim._checked_symmetric_sparse(csr_array(m))]
+    for form in forms:
+        assert abs(sim._extreme_eigenvalue(form, "LA") - ev[-1]) <= 1e-12 * max(1.0, norm)
+        assert abs(abs(sim._extreme_eigenvalue(form, "LM")) - norm) <= 1e-12 * max(1.0, norm)
 
 
 def test_top_eigenvalue_is_repeatable():
@@ -313,9 +313,29 @@ def test_top_eigenvalue_is_repeatable():
 
 
 def test_top_eigenvalue_raises_when_not_converged(monkeypatch):
-    monkeypatch.setattr(sim, "LANCZOS_MAX_STEPS", 5)
-    with pytest.raises(ConsistencyError):
+    monkeypatch.setattr(sim, "ARPACK_MAX_RESTARTS", 1)
+    with pytest.raises(ConsistencyError, match="converge"):
         top_eigenvalue(_test_matrix("dense", 60, 1))
+
+
+@pytest.mark.parametrize("p", [3, 50])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_extreme_eigenvalue_of_the_zero_matrix_is_zero(p, sparse):
+    # ARPACK rejects the zero matrix with its error -9
+    m = csr_array((p, p)) if sparse else np.zeros((p, p))
+    assert sim._extreme_eigenvalue(m, "LA") == 0.0
+    assert sim._extreme_eigenvalue(m, "LM") == 0.0
+
+
+def test_arpack_errors_raise_consistency_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    def failing(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackError(-8)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+    with pytest.raises(ConsistencyError, match="ARPACK"):
+        top_eigenvalue(_test_matrix("dense", 20, 1))
 
 
 @pytest.mark.parametrize("solver", [spectrum, top_eigenvalue])
@@ -622,16 +642,6 @@ def test_concentration_probe_norm_matches_full_spectrum():
             K = build_kernel_matrix(sample_data(cfg, stream=(ridx, t)), h3)
             norms.append(spectrum(K).spectral_norm)
         assert row["median_norm"] == pytest.approx(np.median(norms), rel=1e-12)
-
-
-def test_concentration_probe_lanczos_and_eigvalsh_agree(monkeypatch):
-    # the same norms from the two-ended Lanczos solve, which the probe runs
-    # from p = PROBE_EIGVALSH_BELOW on, and from eigvalsh below it
-    rows = concentration_probe(h3, [0.5, 2.0], n=60, trials=2, seed=3)
-    monkeypatch.setattr(sim, "PROBE_EIGVALSH_BELOW", 0)
-    lanczos = concentration_probe(h3, [0.5, 2.0], n=60, trials=2, seed=3)
-    for row, other in zip(rows, lanczos):
-        assert other["median_norm"] == pytest.approx(row["median_norm"], rel=1e-12)
 
 
 def test_concentration_probe_stable_in_n():
