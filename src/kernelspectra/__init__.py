@@ -31,9 +31,9 @@ from .hermite import (
     project_kernel,
 )
 from .limit_law import (
-    DensityGrid,
     LimitLawParams,
     SupportIntervals,
+    cdf,
     density,
     free_cumulants,
     moment,

@@ -39,6 +39,7 @@ from .limit_law import (
     MAX_DENSITY_POINTS,
     MAX_MOMENT_ORDER,
     LimitLawParams,
+    cdf,
     density,
     moment,
     support,
@@ -349,8 +350,7 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
     moments = [moment(params, l) for l in orders]
     sup = support(params)
     xs = np.linspace(sup.min_edge - 1.0, sup.max_edge + 1.0, points)
-    dens = density(params, xs, epsilon=eps)
-    write_csv(f"{prefix}_density.csv", ("x", "density"), (xs, dens.density))
+    write_csv(f"{prefix}_density.csv", ("x", "density"), (xs, density(params, xs, epsilon=eps)))
     edges = np.array(sup.intervals, dtype=float).reshape(-1, 2)
     write_csv(
         f"{prefix}_support.csv",
@@ -358,6 +358,7 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
         (np.arange(len(edges)), edges[:, 0], edges[:, 1]),
     )
     write_csv(f"{prefix}_moments.csv", ("l", "moment"), (orders, moments))
+    below, above = cdf(params, [sup.min_edge - 1.0, sup.max_edge + 1.0], epsilon=eps)
     payload = {
         "support": [[lo, hi] for lo, hi in sup.intervals],
         "norm": sup.norm,
@@ -365,7 +366,7 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
         "min_edge": sup.min_edge,
         "atom_location": sup.atom_location,
         "atom_mass": sup.atom_mass,
-        "density_mass": dens.integral(),
+        "density_mass": float(above - below - (sup.atom_mass or 0.0)),
     }
     path = write_json(f"{prefix}_summary.json", envelope(raw, payload))
     print(f"wrote {path}")

@@ -28,9 +28,9 @@ from .cubic import solve_cubic_many
 from .errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 
 MAX_MOMENT_ORDER = 100
-# Grid points of `density`: its batched cubic solves peak at 500 B per
-# point (ru_maxrss at 2e5 and 1e6 points), so 5.9 GB at this cap, about
-# 1 GB short of a 7 GB host.
+# Points of `density` and `cdf`: their batched cubic solves peak at 500 B
+# per point (ru_maxrss at 2e5 and 1e6 points, alike for both), so 5.9 GB
+# at this cap, about 1 GB short of a 7 GB host.
 MAX_DENSITY_POINTS = 5_900_000_000 // 500
 _MP_DEGENERACY_RTOL = 1e-12
 
@@ -92,15 +92,6 @@ class SupportIntervals:
         return max(abs(self.min_edge), abs(self.max_edge))
 
 
-@dataclass(frozen=True)
-class DensityGrid:
-    xs: np.ndarray
-    density: np.ndarray
-
-    def integral(self) -> float:
-        return float(np.trapezoid(self.density, self.xs))
-
-
 def _cubic_coefficients(z, p: LimitLawParams):
     """Coefficients (c3, c2, c1, c0) of the polynomial in m; c2, c1 follow
     the shape of z."""
@@ -131,15 +122,41 @@ def stieltjes_grid(zs: np.ndarray, p: LimitLawParams) -> np.ndarray:
     return m
 
 
-def density(p: LimitLawParams, xs: np.ndarray, epsilon: float = 1e-6) -> DensityGrid:
-    """Density by Stieltjes inversion: Im m(x + i*eps) / pi on a grid."""
+def _stieltjes_line(p: LimitLawParams, xs: np.ndarray, epsilon: float):
+    """z = x + i*eps and m(z) over the points xs."""
     if not 0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be finite and > 0, got {epsilon}")
     xs = np.asarray(xs, dtype=float)
     if xs.size > MAX_DENSITY_POINTS:
         raise SizeCapError(f"{xs.size} density points exceed cap {MAX_DENSITY_POINTS}")
-    rho = stieltjes_grid(xs + 1j * epsilon, p).imag / np.pi
-    return DensityGrid(xs=xs, density=np.maximum(rho, 0.0))
+    zs = xs + 1j * epsilon
+    return zs, stieltjes_grid(zs, p)
+
+
+def density(p: LimitLawParams, xs: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
+    """Density by Stieltjes inversion: Im m(x + i*eps) / pi at the points xs."""
+    _, m = _stieltjes_line(p, xs, epsilon)
+    return np.maximum(m.imag / np.pi, 0.0)
+
+
+def cdf(p: LimitLawParams, xs: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
+    """CDF of the law that `density` samples (the law convolved with a
+    Cauchy law of scale eps) at the points xs, in closed form.
+
+    The inverse of m(z) is z(m) = -1/m - a + a/(1 + a*g*m) - c*m with
+    c = gamma*(nu - a^2), so H(z) = z*m - integral of z(m) dm,
+
+        H = z*m + log m + a*m - log(1 + a*g*m)/g + (c/2)*m^2,
+
+    has H' = m(z) = integral of dmu(t)/(t - z), and Im H(x + i*eps)/pi is
+    the smoothed mass below x.  m stays in the upper half-plane and
+    1 + a*g*m off the negative axis, so the principal logs are continuous
+    along the line, and Im H -> 0 as x -> -inf.
+    """
+    zs, m = _stieltjes_line(p, xs, epsilon)
+    g, c = p.gamma, p.semicircle_variance
+    h = zs * m + np.log(m) + p.a * m - np.log1p(p.a * g * m) / g + 0.5 * c * m * m
+    return h.imag / np.pi
 
 
 def _support_discriminant(x: np.ndarray, p: LimitLawParams) -> np.ndarray:
@@ -199,11 +216,10 @@ def support(p: LimitLawParams) -> SupportIntervals:
     # The support lies within the Minkowski sum of the Marcenko-Pastur part
     # (atom included) and the semicircle; roots past this bound are spurious
     # (a small a puts two of them near (nu - a^2) / a).  At a = 0 the edges
-    # lie on the sum's own edges, so the bound's margin is relative as well
-    # as absolute: past 1e16 the absolute one is below an ulp.
+    # lie on the sum's own edges, so the bound keeps a relative margin.
     g = p.gamma
     reach = abs(p.a) * (g + 2.0 * math.sqrt(g) + 1.0) + 2.0 * math.sqrt(p.semicircle_variance)
-    bound = reach * (1.0 + 1e-6) + 1.0
+    bound = reach * (1.0 + 1e-6)
     with np.errstate(over="ignore", invalid="ignore"):
         quartic = _discriminant_polynomial(p)
     if not np.all(np.isfinite(quartic)):

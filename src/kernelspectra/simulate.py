@@ -18,7 +18,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 from .hermite import KernelSpec, _eval_on, hermite_eval
-from .limit_law import LimitLawParams, density, support
+from .limit_law import LimitLawParams, cdf
 
 # Peak RSS of build_kernel_matrix + spectrum, measured with ru_maxrss in a
 # fresh process at p = 1500 and 3000: 40 MB + 8 B * (2.3 p^2 + p n), i.e.
@@ -331,34 +331,13 @@ def top_eigenvalue(m: np.ndarray) -> float:
     return _extreme_eigenvalue(_checked_hermitian(m), "LA")
 
 
-def limit_cdf(p: LimitLawParams, xs: np.ndarray) -> np.ndarray:
-    """CDF of the limit law on a grid, by integrating the inverted density.
-
-    Normalized so the last grid value is exactly 1; the grid must cover
-    the support (truncation error would otherwise bias every quantile).
-    """
-    dg = density(p, xs)
-    steps = np.diff(xs) * 0.5 * (dg.density[1:] + dg.density[:-1])
-    cdf = np.concatenate([[0.0], np.cumsum(steps)])
-    total = cdf[-1]
-    if total <= 0.9:
-        raise ConsistencyError(f"density mass {total:.3f} on grid; grid does not cover the support")
-    return cdf / total
-
-
 def ks_distance(s: SpectrumSummary, p: LimitLawParams) -> float:
     """Kolmogorov-Smirnov distance between the empirical spectral CDF and
-    the limit law's CDF, interpolated from 4001 points spanning both."""
+    the limit law's CDF, evaluated in closed form at the eigenvalues."""
     if p.is_marcenko_pastur and p.gamma > 1.0:
         raise DomainError("limit law has an atom; KS comparison undefined here")
-    sup = support(p)
-    lo = min(sup.min_edge, float(s.eigenvalues[-1])) - 0.5
-    hi = max(sup.max_edge, float(s.eigenvalues[0])) + 0.5
-    xs = np.linspace(lo, hi, 4001)
-    cdf = limit_cdf(p, xs)
-    ev = np.sort(s.eigenvalues)
-    fx = np.interp(ev, xs, cdf)
-    k = len(ev)
+    fx = cdf(p, np.sort(s.eigenvalues))
+    k = len(fx)
     upper = np.max(np.arange(1, k + 1) / k - fx)
     lower = np.max(fx - np.arange(0, k) / k)
     return float(max(upper, lower))

@@ -139,7 +139,7 @@ def test_criterion_04_moment_consistency():
         p = LimitLawParams(a, nu, gamma)
         sup = support(p)
         xs = np.linspace(sup.min_edge - 0.2, sup.max_edge + 0.2, 20001)
-        rho = density(p, xs, epsilon=1e-7).density
+        rho = density(p, xs, epsilon=1e-7)
         for l in range(1, 9):
             nc = moment(p, l)
             numeric = float(np.trapezoid(rho * xs**l, xs))

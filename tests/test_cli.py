@@ -188,6 +188,16 @@ def test_limit_law_of_a_huge_law(tmp_path, a, nu, gamma):
     assert payload["support"] == [[pytest.approx(-radius, rel=1e-15), pytest.approx(radius, rel=1e-15)]]
 
 
+@pytest.mark.parametrize("a, nu, gamma", [(1, 1.000001, 2), (0, 1.08e-6, 1), (0, 1e-30, 1), (1e-100, 1e-100, 1)])
+def test_limit_law_mass_of_a_narrow_law(tmp_path, a, nu, gamma):
+    # on the plotting grid the first two came out at 1.116 and 1.007; the
+    # last two, narrower than about 1e-13, found no support edge
+    cfg = write_cfg(tmp_path, "l.cfg", a=a, nu=nu, gamma=gamma, moments_lmax=1)
+    assert main(["limit-law", cfg]) == 0
+    payload = json.loads((tmp_path / "limit_law_summary.json").read_text())["payload"]
+    assert payload["density_mass"] == pytest.approx(1.0, abs=1e-5)
+
+
 def test_limit_law_discriminant_overflow_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "l.cfg", a=1, nu=1e103, gamma=1, moments_lmax=1)
     assert main(["limit-law", cfg]) == 2
@@ -475,7 +485,11 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
 # the standard errors by 1.0e-13 and max_null_gap by 1.4e-14).  The
 # quadrature-derived bytes (simulate_summary.json, the sweep's prediction
 # column and sweep_summary.json) were re-recorded when the Gauss-Hermite
-# rule moved from scipy to numpy; the eigenvalue CSV stayed.  They hold
+# rule moved from scipy to numpy; the eigenvalue CSV stayed.  The two
+# summaries of limit-law and simulate were re-recorded when density_mass
+# and ks_distance moved from grid trapezoids to the closed-form CDF
+# (density_mass 0.9999925 -> 0.9999998, each ks_distance by at most 6e-5
+# relative); every CSV stayed.  They hold
 # for the numpy 2.4 wheel's OpenBLAS 0.3.31 build with its Haswell
 # kernels: the Gram's and the eigensolver's rounding depend on the BLAS.
 # A change to derive_rng's stream paths changes these bytes and must say
@@ -486,7 +500,7 @@ CLI_OUTPUT_SHA256 = {
         {
             "limit_law_density.csv": "ac1c4e6d7420cf3897f3682d31746e65d0d0803b104c9c0c773af7be70556034",
             "limit_law_moments.csv": "2d7df942b905e50a1ecf4eba94379994fdd7290ec0262394ae6b164a44a7af5a",
-            "limit_law_summary.json": "e348293ddf2da12c64c2ccdbee23d7eb2f8a5c341dac1c79d14258229b8334ae",
+            "limit_law_summary.json": "f7be06b4eb88c37e304813432cb76150b375419c6f4db41c6042736301c014b0",
             "limit_law_support.csv": "ffd0756ce6350cebe03125868782aafbcee4615085866ac50d2d1e3faf41bcdf",
         },
     ),
@@ -494,7 +508,7 @@ CLI_OUTPUT_SHA256 = {
         {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2},
         {
             "simulate_eigenvalues.csv": "65362b0ff84d53f58a7b816f65a1b6eeec7a018c71ef477be257bc7f767f6043",
-            "simulate_summary.json": "606ce61549d75690c89ee37c7e0fe750e556ed9dd9758ea96ede031890f6dec5",
+            "simulate_summary.json": "add9254eac4ce5cdda8ffb785b0555053d76a989dc4ac1666676ee28fc8ee1a7",
         },
     ),
     "sparse-pca-sweep": (
@@ -606,17 +620,16 @@ def test_public_surface_is_pinned():
     # a new public name is added here in the same change that exports it
     assert kernelspectra.__all__ == [
         "ConfigError", "ConsistencyError", "DataMatrixConfig", "DeformedModelSample",
-        "DensityGrid", "DomainError", "EntryLaw", "GaussHermiteRule",
-        "HermiteSumDecomposition", "KernelExpansion", "KernelSpec", "KernelSpectraError",
-        "LimitLawParams", "MeanNotZeroError", "MultiLabeling", "QuadratureError",
-        "SimpleLabeling", "SizeCapError", "SpectrumSummary", "SpikePrediction",
-        "SpikedModelConfig", "SupportIntervals", "SweepResult", "ThresholdFunction",
-        "VerificationError", "build_kernel_matrix", "build_quadrature", "concentration_probe",
-        "cubic", "decompose_hermite_sum", "density", "enumerate_multilabelings", "errors",
-        "exact_trace_moment", "free_cumulants", "hermite", "hermite_eval", "hermite_sum_kernel",
-        "kernel_moments", "ks_distance", "label_simplifying_map", "lgraphs", "limit_law",
-        "moment", "null_prediction", "project_kernel", "rank_two_correction", "rng",
-        "sample_data", "sample_deformed_model", "sample_spiked_data", "simulate", "sparse_pca",
-        "spectrum", "support", "sweep_tau", "thresholded_covariance", "top_eigenvalue",
-        "verify_lemmas",
+        "DomainError", "EntryLaw", "GaussHermiteRule", "HermiteSumDecomposition",
+        "KernelExpansion", "KernelSpec", "KernelSpectraError", "LimitLawParams",
+        "MeanNotZeroError", "MultiLabeling", "QuadratureError", "SimpleLabeling", "SizeCapError",
+        "SpectrumSummary", "SpikePrediction", "SpikedModelConfig", "SupportIntervals",
+        "SweepResult", "ThresholdFunction", "VerificationError", "build_kernel_matrix",
+        "build_quadrature", "cdf", "concentration_probe", "cubic", "decompose_hermite_sum",
+        "density", "enumerate_multilabelings", "errors", "exact_trace_moment", "free_cumulants",
+        "hermite", "hermite_eval", "hermite_sum_kernel", "kernel_moments", "ks_distance",
+        "label_simplifying_map", "lgraphs", "limit_law", "moment", "null_prediction",
+        "project_kernel", "rank_two_correction", "rng", "sample_data", "sample_deformed_model",
+        "sample_spiked_data", "simulate", "sparse_pca", "spectrum", "support", "sweep_tau",
+        "thresholded_covariance", "top_eigenvalue", "verify_lemmas",
     ]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
 
 import kernelspectra.limit_law as limit_law
 from kernelspectra.errors import ConfigError, ConsistencyError, DomainError, SizeCapError
@@ -15,6 +16,7 @@ from kernelspectra.limit_law import (
     LimitLawParams,
     _cubic_coefficients,
     _support_discriminant,
+    cdf,
     density,
     free_cumulants,
     moment,
@@ -97,28 +99,28 @@ def test_density_points_over_the_cap_raise_size_cap_error():
 
 
 def test_density_semicircle_center():
-    dg = density(SEMICIRCLE, np.array([0.0]), epsilon=1e-6)
-    assert dg.density[0] == pytest.approx(1 / math.pi, abs=1e-3)
+    rho = density(SEMICIRCLE, np.array([0.0]), epsilon=1e-6)
+    assert rho[0] == pytest.approx(1 / math.pi, abs=1e-3)
 
 
 def test_density_scaled_semicircle():
     # gamma*nu = 4: radius 4 semicircle has density 1/(2 pi) at the center
-    dg = density(LimitLawParams(0.0, 1.0, 4.0), np.array([0.0]), epsilon=1e-6)
-    assert dg.density[0] == pytest.approx(1 / (2 * math.pi), abs=1e-3)
+    rho = density(LimitLawParams(0.0, 1.0, 4.0), np.array([0.0]), epsilon=1e-6)
+    assert rho[0] == pytest.approx(1 / (2 * math.pi), abs=1e-3)
 
 
 def test_density_vanishes_outside_support():
     for p in (SEMICIRCLE, LimitLawParams(1.0, 3.0, 2.0)):
         edge = support(p).norm
-        dg = density(p, np.array([edge + 1.0, -edge - 1.0]))
-        assert np.all(dg.density < 1e-4)
+        rho = density(p, np.array([edge + 1.0, -edge - 1.0]))
+        assert np.all(rho < 1e-4)
 
 
 def test_density_integrates_to_one():
     for p in (SEMICIRCLE, LimitLawParams(0.7, 1.1, 3.0), LimitLawParams(-1.0, 2.5, 0.3)):
         sup = support(p)
         xs = np.linspace(sup.min_edge - 0.5, sup.max_edge + 0.5, 6001)
-        assert density(p, xs).integral() == pytest.approx(1.0, abs=1e-3)
+        assert np.trapezoid(density(p, xs), xs) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_support_semicircle():
@@ -181,6 +183,13 @@ def test_support_finds_a_narrow_gap():
     assert 0.1310 < sup.intervals[0][1] < sup.intervals[1][0] < 0.1339
 
 
+@pytest.mark.parametrize("a, nu, edge", [(0.0, 1e-30, 2e-15), (1e-100, 1e-100, 2e-50)])
+def test_support_of_a_tiny_law(a, nu, edge):
+    # an absolute margin on the root window swamped edges below about 1e-13
+    sup = support(LimitLawParams(a, nu, 1.0))
+    assert sup.intervals == ((pytest.approx(-edge, rel=1e-12), pytest.approx(edge, rel=1e-12)),)
+
+
 @given(laws())
 def test_support_edges_are_discriminant_sign_changes(p):
     sup = support(p)
@@ -197,7 +206,7 @@ def test_support_edges_are_discriminant_sign_changes(p):
     # is at most eps / (pi d^2) = 1e-6 / pi; mid-interval it is far above.
     def smoothed_at_midpoint(lo, hi):
         d = 0.5 * (hi - lo)
-        return density(p, np.array([lo + d]), epsilon=1e-6 * d * d).density[0]
+        return density(p, np.array([lo + d]), epsilon=1e-6 * d * d)[0]
 
     gaps = [(hi, lo) for (_, hi), (lo, _) in zip(sup.intervals, sup.intervals[1:])]
     span = edges[-1] - edges[0]
@@ -395,7 +404,7 @@ def test_moments_match_density_integrals():
     ):
         sup = support(p)
         xs = np.linspace(sup.min_edge - 0.2, sup.max_edge + 0.2, 20001)
-        rho = density(p, xs, epsilon=1e-7).density
+        rho = density(p, xs, epsilon=1e-7)
         scale = max(1.0, sup.norm)
         for l in range(1, 9):
             numeric = float(np.trapezoid(rho * xs**l, xs))
@@ -406,37 +415,102 @@ def _cosine_density(p, lo, hi, points=2001):
     """Density on a grid over [lo, hi] that is dense at both ends, at an
     epsilon scaled to the width."""
     xs = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, points)))
-    return xs, density(p, xs, epsilon=1e-11 * (hi - lo)).density
+    return xs, density(p, xs, epsilon=1e-11 * (hi - lo))
 
 
-@given(laws())
-@example(LimitLawParams(1.0, 2.0, 7.9968344565068605))  # dips to 0.0036 near x = 4
-def test_moments_match_density_integrals_over_drawn_laws(p):
-    """Criterion 4's rule: for l <= 6 the density integral of x^l, plus any
-    atom, matches moment(p, l) to 1e-4 relative to max(|m_l|, 0.05 norm^l).
+def _dip_cut_pieces(p, points=2001):
+    """(xs, rho) grids that tile the support in order, for quadrature.
 
-    The drawn laws have components 1e-3 wide and near-gaps where the density
+    Drawn laws have components 1e-3 wide and near-gaps where the density
     dips almost to 0, which one grid across the whole support does not
     resolve.  So each support interval is cut at the dips a first grid
-    shows, and each piece is integrated on its own grid, dense at its ends:
-    at the square-root edges and at the dips."""
-    sup = support(p)
-    numeric = np.zeros(6)
-    for lo, hi in sup.intervals:
+    shows, and each piece gets its own grid, dense at its ends: at the
+    square-root edges and at the dips."""
+    pieces = []
+    for lo, hi in support(p).intervals:
         if hi <= lo:
             continue
         xs, rho = _cosine_density(p, lo, hi)
         inner = rho[1:-1]
         dips = (inner < rho[:-2]) & (inner <= rho[2:]) & (inner < 0.5 * rho.max())
         cuts = [lo, *xs[1:-1][dips], hi]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            xs, rho = _cosine_density(p, a, b)
-            numeric += [np.trapezoid(rho * xs**l, xs) for l in range(1, 7)]
+        pieces += [_cosine_density(p, a, b, points) for a, b in zip(cuts[:-1], cuts[1:])]
+    return pieces
+
+
+@given(laws())
+@example(LimitLawParams(1.0, 2.0, 7.9968344565068605))  # dips to 0.0036 near x = 4
+def test_moments_match_density_integrals_over_drawn_laws(p):
+    """Criterion 4's rule: for l <= 6 the density integral of x^l, plus any
+    atom, matches moment(p, l) to 1e-4 relative to max(|m_l|, 0.05 norm^l),
+    integrated piece by piece over `_dip_cut_pieces`."""
+    sup = support(p)
+    numeric = np.zeros(6)
+    for xs, rho in _dip_cut_pieces(p):
+        numeric += [np.trapezoid(rho * xs**l, xs) for l in range(1, 7)]
     if sup.atom_mass:
         numeric += [sup.atom_mass * sup.atom_location**l for l in range(1, 7)]
     for l in range(1, 7):
         expected = moment(p, l)
         assert abs(expected - numeric[l - 1]) < 1e-4 * max(abs(expected), 0.05 * sup.norm**l)
+
+
+@given(laws())
+@example(LimitLawParams(1.0, 2.0, 7.9968344565068605))
+@example(LimitLawParams(1.0, 1.000001, 2.0))  # half the mass in a component 4e-3 wide
+@example(LimitLawParams(0.0, 1.08e-6, 1.0))  # support 4e-3 wide
+@example(LimitLawParams(1.0, 1.000001, 10.0))  # 0.9 of the mass in a component 0.012 wide
+@example(LimitLawParams(1.0, 1.00001, 1.0))  # a near-gap by -1
+@settings(max_examples=30)
+def test_cdf_matches_the_dip_cut_quadrature(p):
+    """The closed-form CDF agrees with the cumulative Simpson rule over
+    `_dip_cut_pieces` at 8001 points a piece to 1e-6, rises monotonically,
+    and leaves below 1e-8 of mass outside the support widened by its width
+    on each side.  At 2001 points Simpson is off by up to 1.3e-6 next to a
+    near-gap, and the trapezoid rule by up to 1.5e-5.
+
+    Smoothing moves the CDF by about (eps / pi) Re m(x), and next to a
+    narrow component |Re m| grows like its mass over its width, so eps is
+    1e-9 times the narrowest support interval's width."""
+    sup = support(p)
+    width = sup.max_edge - sup.min_edge
+    eps = 1e-9 * min(hi - lo for lo, hi in sup.intervals)
+    xs, oracle, below = [], [], 0.0
+    for x, rho in _dip_cut_pieces(p, points=8001):
+        xs.append(x)
+        oracle.append(below + cumulative_simpson(rho, x=x, initial=0.0))
+        below = oracle[-1][-1]
+    xs, oracle = np.concatenate(xs), np.concatenate(oracle)
+    fx = cdf(p, xs, epsilon=eps)
+    assert np.max(np.abs(fx - oracle)) < 1e-6
+    assert np.all(np.diff(fx) >= 0.0)
+    lo, hi = cdf(p, [sup.min_edge - width, sup.max_edge + width], epsilon=eps)
+    assert lo < 1e-8 and hi > 1 - 1e-8
+
+
+def test_cdf_of_marcenko_pastur_with_an_atom():
+    # nu = a^2 and gamma = 2: half the mass sits on the atom at -a
+    p = LimitLawParams(1.0, 1.0, 2.0)
+    sup = support(p)
+    lo, hi = cdf(p, [sup.min_edge - 1.0, sup.max_edge + 1.0])
+    assert hi - lo - sup.atom_mass == pytest.approx(1 / p.gamma, abs=1e-5)
+
+
+def test_cdf_far_out_is_the_cauchy_tail():
+    # the eps-smoothed law puts eps / (pi |x|) of its mass beyond a far |x|
+    eps = 1e-6
+    tail = eps / (math.pi * 1e8)
+    for p in (SEMICIRCLE, LimitLawParams(1.5, 2.5, 3.0), LimitLawParams(1.0, 1.0, 2.0)):
+        lo, hi = cdf(p, [-1e8, 1e8], epsilon=eps)
+        assert lo == pytest.approx(tail, rel=1e-6)
+        assert 1.0 - hi == pytest.approx(tail, abs=1e-15)
+
+
+def test_cdf_checks_epsilon_and_the_point_cap():
+    with pytest.raises(DomainError):
+        cdf(SEMICIRCLE, [0.0], epsilon=0.0)
+    with pytest.raises(SizeCapError):
+        cdf(SEMICIRCLE, np.broadcast_to(0.0, (MAX_DENSITY_POINTS + 1,)))
 
 
 def test_sign_property():

@@ -12,7 +12,7 @@ import kernelspectra.simulate as sim
 from kernelspectra.errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 from kernelspectra.hermite import hermite_eval
 from kernelspectra.lgraphs import exact_trace_moment, sample_trace_moment
-from kernelspectra.limit_law import LimitLawParams, support
+from kernelspectra.limit_law import LimitLawParams, cdf, support
 from kernelspectra.simulate import (
     DataMatrixConfig,
     EntryLaw,
@@ -22,7 +22,6 @@ from kernelspectra.simulate import (
     decompose_hermite_sum,
     elementary_symmetric,
     ks_distance,
-    limit_cdf,
     rank_two_correction,
     sample_data,
     sample_deformed_model,
@@ -378,9 +377,8 @@ def test_sparse_check_rejects_bad_input(defect):
 def test_ks_synthetic_quantiles():
     p = LimitLawParams(0.0, 1.0, 1.0)
     xs = np.linspace(-2.5, 2.5, 8001)
-    cdf = limit_cdf(p, xs)
     k = 400
-    quantiles = np.interp((np.arange(k) + 0.5) / k, cdf, xs)
+    quantiles = np.interp((np.arange(k) + 0.5) / k, cdf(p, xs), xs)
     s = SpectrumSummary(eigenvalues=np.sort(quantiles)[::-1])
     assert ks_distance(s, p) <= 1.0 / k + 1e-3
 
@@ -392,6 +390,12 @@ def test_ks_negative_control():
     # doubling nu compares semicircles of radius 2 and 2*sqrt(2); their CDF
     # sup-gap is 1 - F_{2sqrt2}(2) = 1/2 - (1/2 + pi/4)/pi ~ 0.0909
     assert ks_distance(s, LimitLawParams(0.0, 2.0, 1.0)) > 0.08
+
+
+def test_ks_far_out_eigenvalues():
+    # the CDF at -1e8, 0 and 1e8 is 0, 1/2 and 1 up to the eps-tails
+    s = SpectrumSummary(eigenvalues=np.array([1e8, 0.0, -1e8]))
+    assert ks_distance(s, LimitLawParams(0.0, 1.0, 1.0)) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_ks_rejects_atomic_law():
