@@ -20,24 +20,22 @@ from .hermite import GaussHermiteRule, KernelSpec, build_quadrature, kernel_mome
 from .limit_law import LimitLawParams, support
 from .simulate import (
     DataMatrixConfig,
-    _apply_kernel,
     _checked_symmetric_sparse,
     _extreme_eigenvalue,
     _kernel_matrix,
-    _scaled_gram,
+    _kernel_tiles,
     _upper_tiles,
     check_data_size,
     sample_data,
-    top_eigenvalue,
 )
 
 INNER_FRACTION = 0.8
 OUTER_FRACTION = 1.2
 # Share of the upper triangle (diagonal included) outside the threshold's
 # zero set up to which sweep_tau builds M_tau sparse.  The sparse build,
-# check and Lanczos took as long as the dense apply, check and Lanczos at
-# 16% (p = 1000) and 18-20% (p = 2000), at n = p with two BLAS threads.
-SPARSE_DENSITY_CUT = 0.15
+# check and eigsh took as long as the dense tile pass and dsymv eigsh at
+# 6% (p = 1000) and 6.5% (p = 2000), at n = p with two BLAS threads.
+SPARSE_DENSITY_CUT = 0.06
 # Cells of a sweep, trials x len(taus).  sweep_tau keeps two float64 tables
 # of them, 16 B a cell, and the standard error of a column adds a temporary
 # as long as the column: ru_maxrss gave 15.2 B a cell over 1000 taus (5e6
@@ -128,6 +126,28 @@ def thresholded_covariance(X: np.ndarray, tau: float) -> np.ndarray:
     """M_tau(X) = k_tau(sqrt(n) Sigma_hat)/sqrt(n) entrywise, including the
     diagonal (unlike the zero-diagonal kernel matrix)."""
     return _kernel_matrix(X, ThresholdFunction(tau), keep_diagonal=True)
+
+
+def _upper_gram(X: np.ndarray) -> np.ndarray:
+    """X X^T / sqrt(n) for X (p x n) on the upper triangle of a C-ordered
+    p x p array, with _scaled_gram's bits there; the lower triangle holds
+    zeros.
+
+    The same Gram as _scaled_gram, built by scipy's BLAS dsyrk rather than
+    numpy's: numpy and scipy each load their own OpenBLAS, with a thread
+    pool each, and the sweep's dsymv products run on scipy's.  After a
+    Gram on numpy's pool, numpy's threads still spin while scipy's wait for
+    a core.  In four benchmark sweep ops (n = p = 1000, 5 taus, 2 trials)
+    on a 2-vCPU host, dsymv products behind numpy's Gram took 0.71-0.74 s,
+    numpy's Gram and m @ v products 0.54-0.61 s, and this Gram with dsymv
+    0.41-0.45 s."""
+    from scipy.linalg.blas import dsyrk  # imported on first use, as in _thresholded_sparse
+
+    # dsyrk of X^T (Fortran-ordered, so not copied) fills the lower triangle
+    # of X X^T in Fortran order, which is the upper one of its C-ordered .T
+    c = dsyrk(1.0, X.T, trans=1, lower=1)
+    c /= math.sqrt(X.shape[1])
+    return c.T
 
 
 def _thresholded_sparse(g: np.ndarray, threshold: ThresholdFunction, n: int, max_entries: float):
@@ -249,10 +269,16 @@ def sweep_tau(
     upper triangle, M_tau is built as a CSR matrix and its lambda_max comes
     from the same eigsh solve, run on scipy's sparse product.  The first
     support past the cut abandons its sparse build, and from there on every
-    M_tau is written densely into the output buffer.  The cut is the density
+    M_tau is written densely into the output buffer, on its upper triangle
+    only, and the solve reads that triangle alone.  The cut is the density
     at which the two paths took equal time at p = 1000 and 2000.  The CSR
     holds the dense matrix's bits, but its product sums in another order,
     so lambda_max can differ from the dense solve's in the last bits.
+
+    Every p x p BLAS call runs on one thread pool, scipy's: the Gram is
+    scipy's dsyrk (_upper_gram) and the dense products are scipy's dsymv.
+    numpy loads another OpenBLAS with its own threads, and BLAS work split
+    between the two pools makes each wait on the other's spinning threads.
     """
     taus = np.asarray(list(taus), dtype=float)
     if taus.size == 0:
@@ -281,7 +307,7 @@ def sweep_tau(
             (sample_spiked_data, spiked_cfg, spiked_tops),
         ):
             X = sampler(cfg, stream=t)
-            g = _scaled_gram(X)
+            g = _upper_gram(X)
             del X
             max_sparse = SPARSE_DENSITY_CUT * cfg.p * (cfg.p + 1) / 2
             # allocated before the sparse builds' temporaries, which would
@@ -295,8 +321,9 @@ def sweep_tau(
                         tops[t, ti] = _extreme_eigenvalue(_checked_symmetric_sparse(sparse), "LA")
                         continue
                     dense = True
-                _apply_kernel(g, thresholds[ti], cfg.n, keep_diagonal=True, out=m)
-                tops[t, ti] = top_eigenvalue(m)
+                # M_tau on the upper triangle only: the solve reads no other
+                _kernel_tiles(g, thresholds[ti], cfg.n, out=m)
+                tops[t, ti] = _extreme_eigenvalue(m, "LA")
             del g, m
     null_mean, null_se = np.array([_mean_se(col) for col in null_tops.T]).T
     spiked_mean, spiked_se = np.array([_mean_se(col) for col in spiked_tops.T]).T

@@ -489,9 +489,18 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
 # summaries of limit-law and simulate were re-recorded when density_mass
 # and ks_distance moved from grid trapezoids to the closed-form CDF
 # (density_mass 0.9999925 -> 0.9999998, each ks_distance by at most 6e-5
-# relative); every CSV stayed.  They hold
-# for the numpy 2.4 wheel's OpenBLAS 0.3.31 build with its Haswell
-# kernels: the Gram's and the eigensolver's rounding depend on the BLAS.
+# relative); every CSV stayed.  Both sweep files were re-recorded when the
+# sweep's dense cells moved to scipy's dsyrk Gram and dsymv products on
+# one triangle, and SPARSE_DENSITY_CUT from 0.15 to 0.06: the Gram kept
+# its bits, the tau = 1 and 2 cells (tau = 2 went from CSR to dense) moved
+# by at most 1.7e-15 relative in lambda_max and the tau = 3 cells, still
+# CSR, not at all.  So the means moved by at most 6.6e-16 relative, the
+# standard errors by 5.0e-13 and max_null_gap by 9.4e-15.  They hold for
+# the numpy 2.4 wheel's OpenBLAS 0.3.31 build and scipy 1.17's OpenBLAS
+# 0.3.30, with their Haswell kernels, at two BLAS threads: the Gram's and
+# the eigensolver's rounding depend on the BLAS and on its thread count
+# (both sweep files already differed under OPENBLAS_NUM_THREADS=1 before
+# dsymv, whose sums also depend on the thread count).
 # A change to derive_rng's stream paths changes these bytes and must say
 # so.
 CLI_OUTPUT_SHA256 = {
@@ -514,8 +523,8 @@ CLI_OUTPUT_SHA256 = {
     "sparse-pca-sweep": (
         {"n": 300, "taus": "1.0,2.0,3.0", "trials": 2},
         {
-            "sweep.csv": "9a884edff9ac4e59a53c118fdf33d09c8cb40d7f1600683880bb86dbddbea2c0",
-            "sweep_summary.json": "01b3d5e3df4745689ebd558430387f91c17a839ce98c52cef598448962395cfc",
+            "sweep.csv": "158dd52618fc5cfd7808b544b12001455de498fb808a47386dc37fd9b0859bfb",
+            "sweep_summary.json": "31703728447a5597e16d22a23e59c1cdc6feed34cea3df20a19fcf6abb6e3654",
         },
     ),
 }

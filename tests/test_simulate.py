@@ -326,6 +326,18 @@ def test_extreme_eigenvalue_of_the_zero_matrix_is_zero(p, sparse):
     assert sim._extreme_eigenvalue(m, "LM") == 0.0
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 50])
+@pytest.mark.parametrize("kind", ["dense", "zero"])
+def test_extreme_eigenvalue_reads_the_upper_triangle_only(p, kind):
+    # the sweep writes a dense M_tau's upper triangle only
+    m = _test_matrix(kind, p, p)
+    ev = np.linalg.eigvalsh(m)
+    norm = max(abs(ev[0]), abs(ev[-1]))
+    m[np.tril_indices(p, -1)] = np.nan
+    assert abs(sim._extreme_eigenvalue(m, "LA") - ev[-1]) <= 1e-12 * max(1.0, norm)
+    assert abs(abs(sim._extreme_eigenvalue(m, "LM")) - norm) <= 1e-12 * max(1.0, norm)
+
+
 def test_arpack_errors_raise_consistency_error(monkeypatch):
     import scipy.sparse.linalg
 

@@ -15,6 +15,7 @@ from kernelspectra.simulate import (
     DataMatrixConfig,
     _apply_kernel,
     _kernel_matrix,
+    _kernel_tiles,
     _scaled_gram,
     build_kernel_matrix,
     sample_data,
@@ -26,6 +27,7 @@ from kernelspectra.sparse_pca import (
     SweepResult,
     ThresholdFunction,
     _thresholded_sparse,
+    _upper_gram,
     null_prediction,
     sample_spiked_data,
     sweep_tau,
@@ -119,7 +121,7 @@ def test_sparse_threshold_builder_matches_reference(p, n, monkeypatch):
     X = sample_data(DataMatrixConfig(n=n, p=p, seed=p))
     g = _scaled_gram(X)
     max_sparse = SPARSE_DENSITY_CUT * p * (p + 1) / 2
-    cases = [(0.5, False), (2.0, True), (3.5, True)]  # (tau, below the cut)
+    cases = [(0.5, False), (2.0, False), (3.0, True), (3.5, True)]  # (tau, below the cut)
     expected = [thresholded_covariance(X, tau) for tau, _ in cases]
     for tile_entries in (simulate._TILE_ENTRIES, 1, 64, 1000):
         monkeypatch.setattr(simulate, "_TILE_ENTRIES", tile_entries)
@@ -279,31 +281,30 @@ def test_sweep_structure_and_signal():
     assert np.any(res.spiked_mean - res.null_mean > 3 * np.sqrt(res.spiked_se**2 + res.null_se**2))
 
 
-def test_sweep_lambda_max_matches_full_spectrum(monkeypatch):
-    # trial t's one draw per model serves every tau, on the dense path
-    # (tau = 0.5) and on the sparse one (tau = 3.5)
+def _count_sweep_paths(monkeypatch) -> dict:
+    """Counts of the sweep's dense and CSR cells, by the call that builds
+    each cell's M_tau."""
     import kernelspectra.sparse_pca as sp
 
     calls = {"dense": 0, "sparse": 0}
 
-    def counted(path, solver_step):
-        def step(m):
+    def counted(path, builder_step):
+        def step(*args, **kwargs):
             calls[path] += 1
-            return solver_step(m)
+            return builder_step(*args, **kwargs)
 
         return step
 
-    monkeypatch.setattr(sp, "top_eigenvalue", counted("dense", sp.top_eigenvalue))
+    monkeypatch.setattr(sp, "_kernel_tiles", counted("dense", sp._kernel_tiles))
     monkeypatch.setattr(
         sp, "_checked_symmetric_sparse", counted("sparse", sp._checked_symmetric_sparse)
     )
-    n = 60
-    null_cfg = DataMatrixConfig(n=n, p=n, seed=12)
-    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, n=n, p=n, seed=13)
-    taus = [0.5, 2.0, 3.5]
-    res = sweep_tau(null_cfg, spiked_cfg, taus, trials=2)
-    assert calls["dense"] > 0 and calls["sparse"] > 0, calls
-    assert calls["dense"] + calls["sparse"] == 2 * 2 * len(taus)
+    return calls
+
+
+def _assert_means_of_full_spectra(res, null_cfg, spiked_cfg, taus, trials):
+    """Each sweep mean is the mean over trials of the full spectrum's
+    lambda_max of thresholded_covariance, to 1e-12 relative."""
     for ti, tau in enumerate(taus):
         for sampler, cfg, means in (
             (sample_data, null_cfg, res.null_mean),
@@ -311,17 +312,59 @@ def test_sweep_lambda_max_matches_full_spectrum(monkeypatch):
         ):
             tops = [
                 spectrum(thresholded_covariance(sampler(cfg, stream=t), tau)).lambda_max
-                for t in range(2)
+                for t in range(trials)
             ]
             assert means[ti] == pytest.approx(np.mean(tops), rel=1e-12)
+
+
+def test_sweep_lambda_max_matches_full_spectrum(monkeypatch):
+    # trial t's one draw per model serves every tau, on the dense path
+    # (tau = 0.5) and on the sparse one (tau = 3.5)
+    calls = _count_sweep_paths(monkeypatch)
+    n = 60
+    null_cfg = DataMatrixConfig(n=n, p=n, seed=12)
+    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, n=n, p=n, seed=13)
+    taus = [0.5, 2.0, 3.5]
+    res = sweep_tau(null_cfg, spiked_cfg, taus, trials=2)
+    assert calls["dense"] > 0 and calls["sparse"] > 0, calls
+    assert calls["dense"] + calls["sparse"] == 2 * 2 * len(taus)
+    _assert_means_of_full_spectra(res, null_cfg, spiked_cfg, taus, trials=2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sweep_lambda_max_at_tiny_p(p, monkeypatch):
+    # at p <= 2 the solve is LAPACK's, which must read the upper triangle
+    # the sweep writes; at tau = 5 an M_tau is the zero CSR, which ARPACK
+    # rejects at p = 3, unless a diagonal entry |x|^2 / sqrt(p) passes 4
+    calls = _count_sweep_paths(monkeypatch)
+    null_cfg = DataMatrixConfig(n=p, p=p, seed=12)
+    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=1, n=p, p=p, seed=13)
+    taus = [0.01, 5.0]
+    res = sweep_tau(null_cfg, spiked_cfg, taus, trials=2)
+    assert calls["dense"] >= 4 and calls["sparse"] > 0, calls
+    assert calls["dense"] + calls["sparse"] == 8
+    _assert_means_of_full_spectra(res, null_cfg, spiked_cfg, taus, trials=2)
+
+
+@pytest.mark.parametrize("n, p", [(50, 120), (80, 80), (300, 70), (5, 2)])
+def test_sweep_gram_matches_the_numpy_gram(n, p):
+    # the sweep's dsyrk Gram has _scaled_gram's bits on the upper triangle
+    X = sample_data(DataMatrixConfig(n=n, p=p, seed=n + p))
+    g = _upper_gram(X)
+    want = _scaled_gram(X)
+    assert g.flags.c_contiguous and g.shape == (p, p)
+    upper = np.triu_indices(p)
+    assert np.array_equal(g[upper], want[upper])
+    assert not np.any(g[np.tril_indices(p, -1)])
 
 
 # eigsh takes 71 products at both taus: 21 to build ARPACK's first
 # Lanczos factorisation at its default ncv of 20, then 10 a restart
 @pytest.mark.parametrize("tau, sparse", [(0.5, False), (2.0, True)], ids=["dense", "csr"])
 def test_sweep_lanczos_matvecs(tau, sparse):
-    # a null M_tau at n = p = 400, built as the sweep builds it: dense at
-    # tau = 0.5 (69% non-zero), CSR at tau = 2.0 (11%)
+    # a null M_tau at n = p = 400, on both of the sweep's paths: dense at
+    # tau = 0.5 (69% non-zero), CSR at tau = 2.0 (11%; past the density
+    # cut, so the sweep itself would build this one dense)
     X = sample_data(DataMatrixConfig(n=400, p=400, seed=0))
     if sparse:
         m = _thresholded_sparse(_scaled_gram(X), ThresholdFunction(tau), 400, math.inf)
@@ -420,9 +463,25 @@ def test_apply_kernel_leaves_the_shared_gram_unchanged():
         # written into the Gram itself, as _kernel_matrix does, the bits agree
         in_place = before.copy()
         assert np.array_equal(_apply_kernel(in_place, kernel, 40, keep_diagonal, out=in_place), m)
+        # the sweep's tile pass alone writes the same upper triangle
+        upper = _kernel_tiles(g, kernel, 40, out=np.full_like(g, np.nan))
+        assert np.array_equal(g, before)
+        assert np.array_equal(np.triu(upper, 1), np.triu(m, 1))
     expected = np.triu(before) / math.sqrt(40)
     m = _apply_kernel(g, lambda y: y, 40, True, out=np.empty_like(g))
     assert np.array_equal(m, expected + np.triu(expected, 1).T)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kernel_tiles_reject_non_finite_entries(bad):
+    # the sweep's dense cells get no other check
+    X = sample_data(DataMatrixConfig(n=40, p=30, seed=7))
+    g = _scaled_gram(X)
+    g[3, 20] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        _kernel_tiles(g, ThresholdFunction(0.5), 40, out=np.empty_like(g))
+    with pytest.raises(ConfigError, match="non-finite"):
+        build_kernel_matrix(X, lambda y: np.where(y > 2.0, bad, y))
 
 
 def test_mean_se_scaling():
