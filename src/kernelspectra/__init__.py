@@ -54,7 +54,6 @@ from .simulate import (
     sample_data,
     sample_deformed_model,
     spectrum,
-    top_eigenvalue,
 )
 from .sparse_pca import (
     SpikedModelConfig,

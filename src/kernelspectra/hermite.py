@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MeanNotZeroError, QuadratureError, SizeCapError
+from .errors import ConfigError, DomainError, MeanNotZeroError, QuadratureError, SizeCapError
 
 DEFAULT_QUAD_ORDER = 200
 DEFAULT_DEGREE = 30
@@ -352,6 +352,8 @@ def project_kernel(
     if isinstance(kernel, KernelSpec):
         kernel.check_parity()
     vals = _eval_on(kernel, rule.nodes)
+    if not np.isfinite(vals).all():
+        raise ConfigError("kernel is not finite at every quadrature node")
     table = np.empty((degree + 1, len(rule.nodes)))
     for row, h in zip(table, _hermite_sweep(rule.nodes, degree)):
         row[:] = h
@@ -370,7 +372,10 @@ def project_kernel(
         wvals = rule.weights * vals
         nu_quad = float(np.dot(rule.weights, vals * vals))
     coeffs = table[1:] @ wvals
-    residual = max(0.0, nu_quad - float(np.dot(coeffs, coeffs)))
+    captured = float(np.dot(coeffs, coeffs))
+    if not (math.isfinite(nu_quad) and math.isfinite(captured)):
+        raise DomainError(f"E[k(xi)^2] or a Hermite coefficient overflows (E[k^2] = {nu_quad})")
+    residual = max(0.0, nu_quad - captured)
     return KernelExpansion(
         coefficients=coeffs,
         residual=residual,

@@ -187,31 +187,23 @@ def _kernel_tiles(g: np.ndarray, kernel, n: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_kernel(
-    g: np.ndarray, kernel, n: int, keep_diagonal: bool, out: np.ndarray
-) -> np.ndarray:
-    """_kernel_tiles' upper triangle, made exactly symmetric by mirroring
-    it into the lower one, with the diagonal zeroed or kept; written into
-    out and returned."""
-    _kernel_tiles(g, kernel, n, out)
-    p = g.shape[0]
-    for i0 in range(0, p, _SLAB_ROWS):
-        i1 = min(i0 + _SLAB_ROWS, p)
-        out[i0:i1, :i0] = out[:i0, i0:i1].T
-        block = out[i0:i1, i0:i1]
-        block[...] = np.triu(block) + np.triu(block, 1).T
-    if not keep_diagonal:
-        np.fill_diagonal(out, 0.0)
-    out += 0.0  # -0.0 -> +0.0, as the sum of the two triangles gave
-    return out
-
-
 def _kernel_matrix(X: np.ndarray, kernel, keep_diagonal: bool) -> np.ndarray:
     """k(sqrt(n) * Sigma_hat) / sqrt(n) entrywise, exactly symmetric, with
     the diagonal zeroed or kept.  The kernel is written into the Gram in
-    place, so the build holds one p x p array."""
+    place, on its upper triangle (_kernel_tiles), which is then mirrored
+    into the lower one, so the build holds one p x p array."""
     g = _scaled_gram(X)
-    return _apply_kernel(g, kernel, X.shape[1], keep_diagonal, out=g)
+    _kernel_tiles(g, kernel, X.shape[1], out=g)
+    p = g.shape[0]
+    for i0 in range(0, p, _SLAB_ROWS):
+        i1 = min(i0 + _SLAB_ROWS, p)
+        g[i0:i1, :i0] = g[:i0, i0:i1].T
+        block = g[i0:i1, i0:i1]
+        block[...] = np.triu(block) + np.triu(block, 1).T
+    if not keep_diagonal:
+        np.fill_diagonal(g, 0.0)
+    g += 0.0  # -0.0 -> +0.0, as the sum of the two triangles gave
+    return g
 
 
 def build_kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
@@ -238,11 +230,11 @@ class SpectrumSummary:
         return max(abs(float(self.eigenvalues[0])), abs(float(self.eigenvalues[-1])))
 
 
-SYMMETRY_RTOL = 1e-10  # largest asymmetry an eigensolver accepts, relative to max|m|
+SYMMETRY_RTOL = 1e-10  # largest asymmetry spectrum accepts, relative to max|m|
 
 
 def _checked_hermitian(m) -> np.ndarray:
-    """m as an array, after the checks of the public eigensolvers: square,
+    """m as an array, after spectrum's checks of a caller's matrix: square,
     finite, and symmetric/Hermitian to 1e-10 of its largest entry.  Works
     in row slabs, comparing each slab's upper part with its mirror, so it
     allocates no p x p temporary."""
@@ -266,22 +258,6 @@ def _checked_hermitian(m) -> np.ndarray:
     return m
 
 
-def _checked_symmetric_sparse(m):
-    """A real scipy.sparse matrix after the checks of _checked_hermitian:
-    square, finite, and symmetric to 1e-10 of its largest entry.  Its
-    temporaries are as large as its stored entries, never p x p."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ConfigError(f"expected a non-empty square matrix, got shape {m.shape}")
-    largest = float(np.max(np.abs(m.data), initial=0.0))
-    if not math.isfinite(largest):
-        raise ConfigError("matrix contains non-finite entries")
-    scale = max(1.0, largest)
-    asym = float(abs(m - m.T).max())
-    if asym > SYMMETRY_RTOL * scale:
-        raise ConfigError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    return m
-
-
 def spectrum(m: np.ndarray) -> SpectrumSummary:
     """Full symmetric/Hermitian eigendecomposition, descending order."""
     ev = np.linalg.eigvalsh(_checked_hermitian(m))
@@ -296,8 +272,10 @@ ARPACK_MAX_RESTARTS = 300
 
 def _extreme_eigenvalue(m, which: str) -> float:
     """The largest ("LA") or the largest-magnitude ("LM") eigenvalue of a
-    finite symmetric/Hermitian m, dense or scipy.sparse.  A dense m is read
-    on its upper triangle only, so its lower one may hold anything.
+    finite real symmetric m, dense or scipy.sparse: the sweep's M_tau cells
+    and the probe's K, which their builders make finite and symmetric, so
+    m is not checked here.  A dense m is read on its upper triangle only,
+    so its lower one may hold anything.
 
     ARPACK's implicitly restarted Lanczos (scipy.sparse.linalg.eigsh),
     started from a fixed Gaussian vector, so runs repeat: an all-ones start
@@ -309,7 +287,7 @@ def _extreme_eigenvalue(m, which: str) -> float:
     that runs out of restarts, or that ARPACK rejects, raises
     ConsistencyError rather than returning an unconverged value.
 
-    A real dense m's products are BLAS dsymv calls on that triangle, which
+    A dense m's products are BLAS dsymv calls on that triangle, which
     read half the matrix: a median 0.08 ms against 0.18 ms for m @ v at
     p = 1000, and 0.39 ms against 0.74 ms at p = 2000, with two BLAS
     threads on a 2-vCPU Xeon.  They run on scipy's BLAS, whose thread pool
@@ -322,11 +300,11 @@ def _extreme_eigenvalue(m, which: str) -> float:
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
     p = m.shape[0]
-    if p <= 2:  # eigsh needs k = 1 < p, and < p - 1 for a complex m
+    if p <= 2:  # eigsh needs k = 1 < p
         ev = np.linalg.eigvalsh(m.toarray() if issparse(m) else m, UPLO="U")
         return float(ev[-1] if which == "LA" else ev[np.argmax(np.abs(ev))])
     op = m
-    if isinstance(m, np.ndarray) and not np.iscomplexobj(m):
+    if isinstance(m, np.ndarray):
         # m's upper triangle is the lower one of m.T, which for a C-ordered
         # float64 m is a Fortran-ordered view: dsymv copies nothing
         upper = np.asfortranarray(m.T, dtype=np.float64)
@@ -351,12 +329,6 @@ def _extreme_eigenvalue(m, which: str) -> float:
             return 0.0
         raise ConsistencyError(f"ARPACK failed at p={p}: {exc}") from exc
     return float(ev[0])
-
-
-def top_eigenvalue(m: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric/Hermitian matrix, for callers that
-    read only lambda_max; `spectrum` gives all of them."""
-    return _extreme_eigenvalue(_checked_hermitian(m), "LA")
 
 
 def ks_distance(s: SpectrumSummary, p: LimitLawParams) -> float:
@@ -548,6 +520,10 @@ def concentration_probe(
     normalized statistic; boundedness of the statistic across ratios is
     the checkable content.
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if not all(0 < ratio < math.inf for ratio in aspect_ratios):
+        raise ConfigError(f"aspect ratios must be finite and > 0, got {list(aspect_ratios)}")
     kspec = kernel if isinstance(kernel, KernelSpec) else KernelSpec(evaluator=kernel)
     if not kspec.is_odd():
         raise ConfigError("concentration probe requires an odd kernel")

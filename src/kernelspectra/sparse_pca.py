@@ -20,7 +20,6 @@ from .hermite import GaussHermiteRule, KernelSpec, build_quadrature, kernel_mome
 from .limit_law import LimitLawParams, support
 from .simulate import (
     DataMatrixConfig,
-    _checked_symmetric_sparse,
     _extreme_eigenvalue,
     _kernel_matrix,
     _kernel_tiles,
@@ -33,8 +32,9 @@ INNER_FRACTION = 0.8
 OUTER_FRACTION = 1.2
 # Share of the upper triangle (diagonal included) outside the threshold's
 # zero set up to which sweep_tau builds M_tau sparse.  The sparse build,
-# check and eigsh took as long as the dense tile pass and dsymv eigsh at
-# 6% (p = 1000) and 6.5% (p = 2000), at n = p with two BLAS threads.
+# a symmetry check since dropped, and eigsh took as long as the dense tile
+# pass and dsymv eigsh at 6% (p = 1000) and 6.5% (p = 2000), at n = p with
+# two BLAS threads.
 SPARSE_DENSITY_CUT = 0.06
 # Cells of a sweep, trials x len(taus).  sweep_tau keeps two float64 tables
 # of them, 16 B a cell, and the standard error of a column adds a temporary
@@ -156,7 +156,9 @@ def _thresholded_sparse(g: np.ndarray, threshold: ThresholdFunction, n: int, max
     included) lie outside the threshold's zero set |g| <= INNER_FRACTION *
     tau.  The upper triangle is read in the kernel builder's tiles and the
     kept entries are mirrored, so nothing p x p is allocated; each kept
-    entry gets the dense builder's bits, k_tau(g) / sqrt(n)."""
+    entry gets the dense builder's bits, k_tau(g) / sqrt(n).  One value
+    array fills both triangles, so the CSR is exactly symmetric, and a
+    non-finite kept value raises ConfigError, as _kernel_tiles does."""
     # imported on first use: importing scipy.sparse parses SOURCE_DATE_EPOCH,
     # which the CLI must check first, and would add to the startup of every
     # command but the sweep
@@ -167,7 +169,7 @@ def _thresholded_sparse(g: np.ndarray, threshold: ThresholdFunction, n: int, max
     rows, cols = [], []
     count = 0
     for i0, i1 in _upper_tiles(p):
-        # "not <=" also keeps NaN, which the check then rejects, as the dense path does
+        # "not <=" also keeps NaN, which the guard below rejects
         r, c = np.divmod(np.flatnonzero(~(np.abs(g[i0:i1, i0:]) <= zero_edge)), p - i0)
         upper = c >= r  # a tile's diagonal block reaches below the diagonal
         count += np.count_nonzero(upper)
@@ -178,6 +180,8 @@ def _thresholded_sparse(g: np.ndarray, threshold: ThresholdFunction, n: int, max
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.divide(threshold(g[rows, cols]), math.sqrt(n))
+    if not np.isfinite(vals).all():
+        raise ConfigError("kernel matrix contains non-finite entries")
     off = rows != cols
     # the mirrored lower triangle first: each row's columns then ascend, so
     # the conversion to CSR needs no sort
@@ -318,7 +322,7 @@ def sweep_tau(
                 if not dense:
                     sparse = _thresholded_sparse(g, thresholds[ti], cfg.n, max_sparse)
                     if sparse is not None:
-                        tops[t, ti] = _extreme_eigenvalue(_checked_symmetric_sparse(sparse), "LA")
+                        tops[t, ti] = _extreme_eigenvalue(sparse, "LA")
                         continue
                     dense = True
                 # M_tau on the upper triangle only: the solve reads no other

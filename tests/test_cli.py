@@ -105,6 +105,31 @@ def test_kernel_with_a_constant_part_exits_2(tmp_path, monkeypatch, capsys):
     assert not any(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize(
+    "kernel, message",
+    [
+        ("odd_poly(nan)", "not finite"),
+        ("odd_poly(inf)", "not finite"),
+        ("odd_poly(1e300,1e300)", "overflows"),  # finite, but E[k^2] is not
+    ],
+)
+@pytest.mark.parametrize(
+    "command, keys", [("project-kernel", {}), ("simulate", {"n": 20, "p": 20})]
+)
+def test_non_finite_kernel_moments_exit_2_before_sampling(
+    tmp_path, monkeypatch, capsys, kernel, message, command, keys
+):
+    # project-kernel used to exit 0 with NaN or Infinity in its payload
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled data for a kernel without finite moments")
+
+    monkeypatch.setattr(cli_module, "sample_data", no_sampling)
+    cfg = write_cfg(tmp_path, "k.cfg", kernel=kernel, **keys)
+    assert main([command, cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
 def test_malformed_kernel_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "k.cfg", kernel="frobnicate", degree=8)
     assert main(["project-kernel", cfg]) == 2
@@ -500,7 +525,12 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
 # 0.3.30, with their Haswell kernels, at two BLAS threads: the Gram's and
 # the eigensolver's rounding depend on the BLAS and on its thread count
 # (both sweep files already differed under OPENBLAS_NUM_THREADS=1 before
-# dsymv, whose sums also depend on the thread count).
+# dsymv, whose sums also depend on the thread count).  So each command runs
+# in a fresh interpreter with both OpenBLAS pools pinned to two threads,
+# and the hashes hold on hosts with more cores (at one thread the sweep's
+# files hash to f4f798... and dbf234... instead).  They still depend on the CPU
+# kernel OpenBLAS picks, and they cannot hold on a 1-CPU host, where
+# OpenBLAS runs one thread whatever it is asked for.
 # A change to derive_rng's stream paths changes these bytes and must say
 # so.
 CLI_OUTPUT_SHA256 = {
@@ -530,12 +560,24 @@ CLI_OUTPUT_SHA256 = {
 }
 
 
+def _fresh_interpreter_env(**extra) -> dict[str, str]:
+    """os.environ with the package on PYTHONPATH, for a subprocess."""
+    src = str(Path(kernelspectra.__file__).parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize("command", sorted(CLI_OUTPUT_SHA256))
-def test_cli_outputs_match_golden_hashes(tmp_path, monkeypatch, command):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+def test_cli_outputs_match_golden_hashes(tmp_path, command):
     keys, expected = CLI_OUTPUT_SHA256[command]
     cfg = write_cfg(tmp_path, "c.cfg", **keys)
-    assert main([command, cfg]) == 0
+    env = _fresh_interpreter_env(
+        SOURCE_DATE_EPOCH="0", OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2"
+    )
+    proc = subprocess.run([sys.executable, "-m", "kernelspectra.cli", command, cfg],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     written = {
         f.name: hashlib.sha256(f.read_bytes()).hexdigest()
         for f in tmp_path.iterdir()
@@ -575,12 +617,10 @@ def test_bad_source_date_epoch_exits_2(tmp_path, epoch):
     # a fresh interpreter, as from a shell: the check must run before any
     # import that parses SOURCE_DATE_EPOCH itself
     cfg = write_cfg(tmp_path, "l.cfg", a=0, nu=1, gamma=1)
-    src = str(Path(kernelspectra.__file__).parents[1])
-    env = dict(os.environ, SOURCE_DATE_EPOCH=epoch)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "kernelspectra.cli", "limit-law", cfg],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_fresh_interpreter_env(SOURCE_DATE_EPOCH=epoch), capture_output=True, text=True,
+        timeout=60,
     )
     assert proc.returncode == 2, proc.stderr
     assert "SOURCE_DATE_EPOCH" in proc.stderr and "Traceback" not in proc.stderr
@@ -603,11 +643,8 @@ def test_commands_but_the_sweep_import_no_scipy(tmp_path):
         f"codes = [main(args) for args in {runs!r}]\n"
         "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
     )
-    src = str(Path(kernelspectra.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_interpreter_env(),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
@@ -640,5 +677,5 @@ def test_public_surface_is_pinned():
         "label_simplifying_map", "lgraphs", "limit_law", "moment", "null_prediction",
         "project_kernel", "rank_two_correction", "rng", "sample_data", "sample_deformed_model",
         "sample_spiked_data", "simulate", "sparse_pca", "spectrum", "support", "sweep_tau",
-        "thresholded_covariance", "top_eigenvalue", "verify_lemmas",
+        "thresholded_covariance", "verify_lemmas",
     ]

@@ -26,7 +26,6 @@ from kernelspectra.simulate import (
     sample_data,
     sample_deformed_model,
     spectrum,
-    top_eigenvalue,
 )
 
 
@@ -222,20 +221,11 @@ def test_spectrum_small_matrices():
     assert np.allclose(spectrum(np.array([[0.0, 1.0], [1.0, 0.0]])).eigenvalues, [1, -1])
 
 
-def test_spectrum_rejects_asymmetric():
-    m = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])
-    with pytest.raises(ConfigError):
-        spectrum(m)
-
-
 def _test_matrix(kind: str, p: int, seed: int) -> np.ndarray:
     gen = np.random.default_rng(seed)
     if kind == "dense":
         a = gen.standard_normal((p, p))
         return (a + a.T) / 2
-    if kind == "hermitian":
-        a = gen.standard_normal((p, p)) + 1j * gen.standard_normal((p, p))
-        return (a + a.conj().T) / 2
     if kind == "repeated_diagonal":
         return np.diag(gen.choice([-2.0, 0.5, 3.0], size=p))
     if kind == "zero":
@@ -271,7 +261,6 @@ def _test_matrix(kind: str, p: int, seed: int) -> np.ndarray:
     kind=st.sampled_from(
         [
             "dense",
-            "hermitian",
             "repeated_diagonal",
             "zero",
             "balanced_spike",
@@ -290,31 +279,29 @@ def _test_matrix(kind: str, p: int, seed: int) -> np.ndarray:
 # 2.7e-12 apart, start part 20x smaller: the same stop guarded by
 # r <= 1e-12 max|Ritz| returns lambda_max 2.7e-12 low
 @example(p=80, seed=25, kind="tiny_gap")
-def test_top_eigenvalue_matches_eigvalsh(p, seed, kind):
+def test_extreme_eigenvalue_matches_eigvalsh(p, seed, kind):
     m = _test_matrix(kind, p, seed)
     ev = np.linalg.eigvalsh(m)
     norm = max(abs(ev[0]), abs(ev[-1]))
-    assert abs(top_eigenvalue(m) - ev[-1]) <= 1e-12 * max(1.0, norm)
-    # the probe's norm solve, and both solves on a CSR, as the sweep's
-    # sparse path runs them
-    forms = [m] if np.iscomplexobj(m) else [m, sim._checked_symmetric_sparse(csr_array(m))]
-    for form in forms:
+    # the sweep's and the probe's solves on a dense m, and both on a CSR, as
+    # the sweep's sparse path runs them
+    for form in (m, csr_array(m)):
         assert abs(sim._extreme_eigenvalue(form, "LA") - ev[-1]) <= 1e-12 * max(1.0, norm)
         assert abs(abs(sim._extreme_eigenvalue(form, "LM")) - norm) <= 1e-12 * max(1.0, norm)
 
 
-def test_top_eigenvalue_is_repeatable():
+def test_extreme_eigenvalue_is_repeatable():
     X = sample_data(DataMatrixConfig(n=400, p=300, seed=9))
     K = build_kernel_matrix(X, h3)
-    first = top_eigenvalue(K)
-    assert top_eigenvalue(K) == first
+    first = sim._extreme_eigenvalue(K, "LA")
+    assert sim._extreme_eigenvalue(K, "LA") == first
     assert first == pytest.approx(np.linalg.eigvalsh(K)[-1], rel=1e-12)
 
 
-def test_top_eigenvalue_raises_when_not_converged(monkeypatch):
+def test_extreme_eigenvalue_raises_when_not_converged(monkeypatch):
     monkeypatch.setattr(sim, "ARPACK_MAX_RESTARTS", 1)
     with pytest.raises(ConsistencyError, match="converge"):
-        top_eigenvalue(_test_matrix("dense", 60, 1))
+        sim._extreme_eigenvalue(_test_matrix("dense", 60, 1), "LA")
 
 
 @pytest.mark.parametrize("p", [3, 50])
@@ -346,10 +333,9 @@ def test_arpack_errors_raise_consistency_error(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
     with pytest.raises(ConsistencyError, match="ARPACK"):
-        top_eigenvalue(_test_matrix("dense", 20, 1))
+        sim._extreme_eigenvalue(_test_matrix("dense", 20, 1), "LA")
 
 
-@pytest.mark.parametrize("solver", [spectrum, top_eigenvalue])
 @pytest.mark.parametrize(
     "m",
     [
@@ -363,27 +349,9 @@ def test_arpack_errors_raise_consistency_error(monkeypatch):
     ],
     ids=["non-square", "1-d", "empty", "nan", "inf", "asymmetric", "non-hermitian"],
 )
-def test_solvers_reject_bad_input(solver, m):
+def test_spectrum_rejects_bad_input(m):
     with pytest.raises(ConfigError):
-        solver(m)
-
-
-@pytest.mark.parametrize("defect", ["nan", "inf", "perturbed mirror", "non-square"])
-def test_sparse_check_rejects_bad_input(defect):
-    m = _test_matrix("dense", 12, 3)
-    m[np.abs(m) < 0.5] = 0.0
-    assert sim._checked_symmetric_sparse(csr_array(m)).nnz == np.count_nonzero(m)
-    i, j = np.argwhere(np.triu(m, 1))[0]  # a stored entry and its stored mirror
-    if defect == "nan":
-        m[i, j] = m[j, i] = np.nan
-    elif defect == "inf":
-        m[i, i] = np.inf
-    elif defect == "perturbed mirror":
-        m[i, j] = m[j, i] + 1e-6
-    else:
-        m = m[:, :-1]
-    with pytest.raises(ConfigError):
-        sim._checked_symmetric_sparse(csr_array(m))
+        spectrum(m)
 
 
 def test_ks_synthetic_quantiles():
@@ -624,6 +592,19 @@ def test_deformed_model_norm_tracks_limit_law():
 def test_concentration_probe_rejects_even_kernel():
     with pytest.raises(ConfigError):
         concentration_probe(lambda y: y**2 - 1, [1.0], n=50)
+
+
+@pytest.mark.parametrize(
+    "ratios, trials",
+    [([1.0], 0), ([1.0], -1), ([math.nan], 1), ([math.inf], 1), ([-0.5], 1), ([0.0], 1),
+     ([1.0, math.nan], 2)],
+    ids=["zero-trials", "negative-trials", "nan", "inf", "negative", "zero", "one-bad-ratio"],
+)
+def test_concentration_probe_rejects_bad_input(ratios, trials):
+    # zero trials gave NaN medians, a NaN or inf ratio a raw ValueError or
+    # OverflowError, and a negative ratio ran silently at p = 2
+    with pytest.raises(ConfigError):
+        concentration_probe(lambda y: y, ratios, n=20, trials=trials)
 
 
 def test_concentration_probe_ratio_bounded():

@@ -13,7 +13,6 @@ from kernelspectra.simulate import (
     MAX_DATA_ENTRIES,
     MAX_MATRIX_SIDE,
     DataMatrixConfig,
-    _apply_kernel,
     _kernel_matrix,
     _kernel_tiles,
     _scaled_gram,
@@ -129,6 +128,7 @@ def test_sparse_threshold_builder_matches_reference(p, n, monkeypatch):
             csr = _thresholded_sparse(g, ThresholdFunction(tau), n, math.inf)
             assert np.array_equal(csr.toarray(), want), (tile_entries, tau)
             assert csr.nnz == np.count_nonzero(want)
+            assert (csr != csr.T).nnz == 0, (tile_entries, tau)  # no runtime check
             within_cut = _thresholded_sparse(g, ThresholdFunction(tau), n, max_sparse)
             assert (within_cut is not None) == below_cut, (tile_entries, tau)
 
@@ -283,22 +283,22 @@ def test_sweep_structure_and_signal():
 
 def _count_sweep_paths(monkeypatch) -> dict:
     """Counts of the sweep's dense and CSR cells, by the call that builds
-    each cell's M_tau."""
+    each cell's M_tau: _kernel_tiles for a dense cell, a CSR returned by
+    _thresholded_sparse for a sparse one."""
     import kernelspectra.sparse_pca as sp
 
     calls = {"dense": 0, "sparse": 0}
 
     def counted(path, builder_step):
         def step(*args, **kwargs):
-            calls[path] += 1
-            return builder_step(*args, **kwargs)
+            built = builder_step(*args, **kwargs)
+            calls[path] += built is not None
+            return built
 
         return step
 
     monkeypatch.setattr(sp, "_kernel_tiles", counted("dense", sp._kernel_tiles))
-    monkeypatch.setattr(
-        sp, "_checked_symmetric_sparse", counted("sparse", sp._checked_symmetric_sparse)
-    )
+    monkeypatch.setattr(sp, "_thresholded_sparse", counted("sparse", sp._thresholded_sparse))
     return calls
 
 
@@ -368,7 +368,6 @@ def test_sweep_lanczos_matvecs(tau, sparse):
     X = sample_data(DataMatrixConfig(n=400, p=400, seed=0))
     if sparse:
         m = _thresholded_sparse(_scaled_gram(X), ThresholdFunction(tau), 400, math.inf)
-        m = simulate._checked_symmetric_sparse(m)
         expected = np.linalg.eigvalsh(m.toarray())[-1]
     else:
         m = thresholded_covariance(X, tau)
@@ -442,12 +441,12 @@ def test_sweep_trial_streams_distinct_at_66_trials(monkeypatch):
         assert len(seen) == 66 and len(set(seen)) == 66, kind
 
 
-def test_apply_kernel_leaves_the_shared_gram_unchanged():
+def test_kernel_tiles_leave_the_shared_gram_unchanged():
     # a kernel returning its input (or a view of it) must not let the
-    # in-place scaling and mirroring reach the Gram the next kernel reads
+    # in-place scaling reach the Gram the next kernel reads
     X = sample_data(DataMatrixConfig(n=40, p=30, seed=7))
     g = _scaled_gram(X)
-    g[np.tril_indices(30, -1)] += 1.0  # asymmetric, so mirroring g would show
+    g[np.tril_indices(30, -1)] += 1.0  # asymmetric, so a kernel reading the lower triangle shows
     before = g.copy()
     for kernel, keep_diagonal in (
         (lambda y: y, True),
@@ -456,20 +455,34 @@ def test_apply_kernel_leaves_the_shared_gram_unchanged():
         (ThresholdFunction(0.5), True),
         (lambda y: y, False),
     ):
-        m = _apply_kernel(g, kernel, 40, keep_diagonal, out=np.empty_like(g))
+        m = _kernel_tiles(g, kernel, 40, out=np.full_like(g, np.nan))
         assert np.array_equal(g, before)
         assert not np.shares_memory(m, g)
-        assert np.array_equal(m, m.T)
         # written into the Gram itself, as _kernel_matrix does, the bits agree
         in_place = before.copy()
-        assert np.array_equal(_apply_kernel(in_place, kernel, 40, keep_diagonal, out=in_place), m)
-        # the sweep's tile pass alone writes the same upper triangle
-        upper = _kernel_tiles(g, kernel, 40, out=np.full_like(g, np.nan))
-        assert np.array_equal(g, before)
-        assert np.array_equal(np.triu(upper, 1), np.triu(m, 1))
+        in_place = _kernel_tiles(in_place, kernel, 40, out=in_place)
+        assert np.array_equal(np.triu(in_place), np.triu(m))
+        # _kernel_matrix mirrors that upper triangle, with the diagonal zeroed or kept
+        sym = _scaled_gram(X)
+        upper = np.triu(_kernel_tiles(sym, kernel, 40, out=np.empty_like(sym)))
+        if not keep_diagonal:
+            np.fill_diagonal(upper, 0.0)
+        assert np.array_equal(_kernel_matrix(X, kernel, keep_diagonal), upper + np.triu(upper, 1).T)
     expected = np.triu(before) / math.sqrt(40)
-    m = _apply_kernel(g, lambda y: y, 40, True, out=np.empty_like(g))
-    assert np.array_equal(m, expected + np.triu(expected, 1).T)
+    m = _kernel_tiles(g, lambda y: y, 40, out=np.empty_like(g))
+    assert np.array_equal(np.triu(m), expected)
+    expected = np.triu(_scaled_gram(X)) / math.sqrt(40)
+    assert np.array_equal(_kernel_matrix(X, lambda y: y, True), expected + np.triu(expected, 1).T)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("cell", [(3, 20), (5, 5)], ids=["off-diagonal", "diagonal"])
+def test_thresholded_sparse_rejects_non_finite_entries(bad, cell):
+    # the sweep's CSR cells get no other check
+    g = _scaled_gram(sample_data(DataMatrixConfig(n=40, p=30, seed=7)))
+    g[cell] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        _thresholded_sparse(g, ThresholdFunction(0.5), 40, math.inf)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
