@@ -221,6 +221,12 @@ def test_spectrum_small_matrices():
     assert np.allclose(spectrum(np.array([[0.0, 1.0], [1.0, 0.0]])).eigenvalues, [1, -1])
 
 
+def test_spectrum_rejects_asymmetric():
+    m = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])
+    with pytest.raises(ConfigError):
+        spectrum(m)
+
+
 def _test_matrix(kind: str, p: int, seed: int) -> np.ndarray:
     gen = np.random.default_rng(seed)
     if kind == "dense":
@@ -279,7 +285,7 @@ def _test_matrix(kind: str, p: int, seed: int) -> np.ndarray:
 # 2.7e-12 apart, start part 20x smaller: the same stop guarded by
 # r <= 1e-12 max|Ritz| returns lambda_max 2.7e-12 low
 @example(p=80, seed=25, kind="tiny_gap")
-def test_extreme_eigenvalue_matches_eigvalsh(p, seed, kind):
+def test_top_eigenvalue_matches_eigvalsh(p, seed, kind):
     m = _test_matrix(kind, p, seed)
     ev = np.linalg.eigvalsh(m)
     norm = max(abs(ev[0]), abs(ev[-1]))
@@ -290,7 +296,7 @@ def test_extreme_eigenvalue_matches_eigvalsh(p, seed, kind):
         assert abs(abs(sim._extreme_eigenvalue(form, "LM")) - norm) <= 1e-12 * max(1.0, norm)
 
 
-def test_extreme_eigenvalue_is_repeatable():
+def test_top_eigenvalue_is_repeatable():
     X = sample_data(DataMatrixConfig(n=400, p=300, seed=9))
     K = build_kernel_matrix(X, h3)
     first = sim._extreme_eigenvalue(K, "LA")
@@ -298,7 +304,7 @@ def test_extreme_eigenvalue_is_repeatable():
     assert first == pytest.approx(np.linalg.eigvalsh(K)[-1], rel=1e-12)
 
 
-def test_extreme_eigenvalue_raises_when_not_converged(monkeypatch):
+def test_top_eigenvalue_raises_when_not_converged(monkeypatch):
     monkeypatch.setattr(sim, "ARPACK_MAX_RESTARTS", 1)
     with pytest.raises(ConsistencyError, match="converge"):
         sim._extreme_eigenvalue(_test_matrix("dense", 60, 1), "LA")
@@ -336,6 +342,11 @@ def test_arpack_errors_raise_consistency_error(monkeypatch):
         sim._extreme_eigenvalue(_test_matrix("dense", 20, 1), "LA")
 
 
+# a caller reads lambda_max of its own matrix as spectrum(m).lambda_max,
+# under spectrum's checks
+@pytest.mark.parametrize(
+    "solver", [spectrum, lambda m: spectrum(m).lambda_max], ids=["spectrum", "top_eigenvalue"]
+)
 @pytest.mark.parametrize(
     "m",
     [
@@ -349,9 +360,24 @@ def test_arpack_errors_raise_consistency_error(monkeypatch):
     ],
     ids=["non-square", "1-d", "empty", "nan", "inf", "asymmetric", "non-hermitian"],
 )
-def test_spectrum_rejects_bad_input(m):
+def test_solvers_reject_bad_input(solver, m):
     with pytest.raises(ConfigError):
-        spectrum(m)
+        solver(m)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_sparse_check_rejects_bad_input(bad):
+    # the sweep's CSR cells get no check but the one _thresholded_sparse
+    # makes as it builds them: every kept value is finite
+    from kernelspectra.sparse_pca import ThresholdFunction, _thresholded_sparse
+
+    g = sim._scaled_gram(sample_data(DataMatrixConfig(n=40, p=30, seed=7)))
+    assert _thresholded_sparse(g, ThresholdFunction(0.5), 40, math.inf) is not None
+    for cell in ((3, 20), (5, 5)):  # an off-diagonal and a diagonal entry
+        bad_g = g.copy()
+        bad_g[cell] = bad
+        with pytest.raises(ConfigError, match="non-finite"):
+            _thresholded_sparse(bad_g, ThresholdFunction(0.5), 40, math.inf)
 
 
 def test_ks_synthetic_quantiles():

@@ -441,7 +441,9 @@ def test_sweep_trial_streams_distinct_at_66_trials(monkeypatch):
         assert len(seen) == 66 and len(set(seen)) == 66, kind
 
 
-def test_kernel_tiles_leave_the_shared_gram_unchanged():
+def test_apply_kernel_leaves_the_shared_gram_unchanged():
+    # named for the removed _apply_kernel: its tile pass is _kernel_tiles,
+    # its mirror-and-diagonal pass now sits in _kernel_matrix
     # a kernel returning its input (or a view of it) must not let the
     # in-place scaling reach the Gram the next kernel reads
     X = sample_data(DataMatrixConfig(n=40, p=30, seed=7))
@@ -473,16 +475,6 @@ def test_kernel_tiles_leave_the_shared_gram_unchanged():
     assert np.array_equal(np.triu(m), expected)
     expected = np.triu(_scaled_gram(X)) / math.sqrt(40)
     assert np.array_equal(_kernel_matrix(X, lambda y: y, True), expected + np.triu(expected, 1).T)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("cell", [(3, 20), (5, 5)], ids=["off-diagonal", "diagonal"])
-def test_thresholded_sparse_rejects_non_finite_entries(bad, cell):
-    # the sweep's CSR cells get no other check
-    g = _scaled_gram(sample_data(DataMatrixConfig(n=40, p=30, seed=7)))
-    g[cell] = bad
-    with pytest.raises(ConfigError, match="non-finite"):
-        _thresholded_sparse(g, ThresholdFunction(0.5), 40, math.inf)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
