@@ -557,6 +557,12 @@ CLI_OUTPUT_SHA256 = {
             "sweep_summary.json": "31703728447a5597e16d22a23e59c1cdc6feed34cea3df20a19fcf6abb6e3654",
         },
     ),
+    "verify": (
+        {"l_max": 5, "d_max": 3},
+        {
+            "verify_report.json": "53bf912294a5e710096e950985e77cc4588ed8c184b330f4ddf773e531797f15",
+        },
+    ),
 }
 
 
