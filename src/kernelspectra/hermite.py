@@ -264,8 +264,9 @@ class KernelSpec:
     def _parity_defect(self) -> float:
         """max|k(-x) + k(x)| / max(1, max|k(x)|) over x in [0, 6]."""
         grid = np.linspace(0.0, 6.0, 241)
-        right = self(grid)
-        err = float(np.max(np.abs(self(-grid) + right)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            right = self(grid)
+            err = float(np.max(np.abs(self(-grid) + right)))
         return err / max(1.0, float(np.max(np.abs(right))))
 
     def check_parity(self) -> None:
@@ -351,28 +352,30 @@ def project_kernel(
         )
     if isinstance(kernel, KernelSpec):
         kernel.check_parity()
-    vals = _eval_on(kernel, rule.nodes)
-    if not np.isfinite(vals).all():
-        raise ConfigError("kernel is not finite at every quadrature node")
-    table = np.empty((degree + 1, len(rule.nodes)))
-    for row, h in zip(table, _hermite_sweep(rule.nodes, degree)):
-        row[:] = h
-    wvals = rule.weights * vals
-    a0 = float(np.dot(rule.weights, vals))
-    nu_quad = float(np.dot(rule.weights, vals * vals))
-    tol = MEAN_ZERO_TOL * max(1.0, math.sqrt(nu_quad))
-    shifted = abs(a0) > tol
-    if shifted:
-        if not center:
-            raise MeanNotZeroError(
-                f"kernel has E[k(xi)] = {a0:.3e} (tolerance {tol:.3e}); "
-                "pass center=True to subtract it"
-            )
-        vals = vals - a0
+    # overflow and NaN surface as the typed errors of the finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _eval_on(kernel, rule.nodes)
+        if not np.isfinite(vals).all():
+            raise ConfigError("kernel is not finite at every quadrature node")
+        table = np.empty((degree + 1, len(rule.nodes)))
+        for row, h in zip(table, _hermite_sweep(rule.nodes, degree)):
+            row[:] = h
         wvals = rule.weights * vals
+        a0 = float(np.dot(rule.weights, vals))
         nu_quad = float(np.dot(rule.weights, vals * vals))
-    coeffs = table[1:] @ wvals
-    captured = float(np.dot(coeffs, coeffs))
+        tol = MEAN_ZERO_TOL * max(1.0, math.sqrt(nu_quad))
+        shifted = abs(a0) > tol
+        if shifted:
+            if not center:
+                raise MeanNotZeroError(
+                    f"kernel has E[k(xi)] = {a0:.3e} (tolerance {tol:.3e}); "
+                    "pass center=True to subtract it"
+                )
+            vals = vals - a0
+            wvals = rule.weights * vals
+            nu_quad = float(np.dot(rule.weights, vals * vals))
+        coeffs = table[1:] @ wvals
+        captured = float(np.dot(coeffs, coeffs))
     if not (math.isfinite(nu_quad) and math.isfinite(captured)):
         raise DomainError(f"E[k(xi)^2] or a Hermite coefficient overflows (E[k^2] = {nu_quad})")
     residual = max(0.0, nu_quad - captured)

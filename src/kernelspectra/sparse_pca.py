@@ -302,6 +302,8 @@ def sweep_tau(
     rule = build_quadrature(200)
     gamma = null_cfg.p / null_cfg.n
     descending = np.argsort(-taus, kind="stable")
+    # before any sampling: a tau whose null law has no support fails here
+    prediction = np.asarray([null_prediction(tau, gamma, rule) for tau in taus])
 
     null_tops = np.empty((trials, len(taus)))
     spiked_tops = np.empty((trials, len(taus)))
@@ -337,5 +339,5 @@ def sweep_tau(
         null_se=null_se,
         spiked_mean=spiked_mean,
         spiked_se=spiked_se,
-        prediction=np.asarray([null_prediction(tau, gamma, rule) for tau in taus]),
+        prediction=prediction,
     )

@@ -130,6 +130,19 @@ def test_non_finite_kernel_moments_exit_2_before_sampling(
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("kernel", ["odd_poly(inf)", "odd_poly(1e300,1e300)"])
+def test_non_finite_kernel_stderr_is_the_error_line_alone(tmp_path, kernel):
+    # numpy's overflow and invalid-value RuntimeWarnings used to come first;
+    # a fresh interpreter, since pytest would capture them itself
+    cfg = write_cfg(tmp_path, "k.cfg", kernel=kernel)
+    proc = subprocess.run([sys.executable, "-m", "kernelspectra.cli", "project-kernel", cfg],
+                          env=_fresh_interpreter_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 def test_malformed_kernel_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "k.cfg", kernel="frobnicate", degree=8)
     assert main(["project-kernel", cfg]) == 2
@@ -372,6 +385,27 @@ def test_sweep_bad_sparsity_exits_2_before_sampling(tmp_path, monkeypatch, capsy
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize(
+    "tau, message", [(30, "support intervals"), (35, "nu must be > 0")], ids=["30", "35"]
+)
+def test_sweep_tau_without_a_null_law_exits_2_before_sampling(
+    tmp_path, monkeypatch, capsys, tau, message
+):
+    # the null prediction used to fail only after every trial's eigensolves;
+    # at tau = 30 the law (a, nu) = (2.5e-129, 4.9e-134) has no edges found,
+    # and from tau = 34.5 the zero set covers every quadrature node
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled data for a tau without a null prediction")
+
+    monkeypatch.setattr(sparse_pca, "sample_data", no_sampling)
+    monkeypatch.setattr(sparse_pca, "sample_spiked_data", no_sampling)
+    cfg = write_cfg(tmp_path, "c.cfg", n=40, taus=f"1.0,{tau}", trials=1)
+    assert main(["sparse-pca-sweep", cfg]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
 def test_sweep_command(tmp_path):
     cfg = write_cfg(
         tmp_path, "w.cfg", n=150, taus="1.0,2.0", trials=1, lam=0.9, sparsity_coeff=0.3
@@ -501,7 +535,7 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_PAYLOAD_SHA256[seed]
 
 
-# sha256 of every output file of three commands at SOURCE_DATE_EPOCH = 0.
+# sha256 of every output file of four commands at SOURCE_DATE_EPOCH = 0.
 # limit-law's files were written by the per-value CSV formatter that came
 # before the one-%-format rows; the two numpy-heavy commands' by the
 # untiled kernel builder that evaluated k on every Gram entry, except the
@@ -531,6 +565,8 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
 # files hash to f4f798... and dbf234... instead).  They still depend on the CPU
 # kernel OpenBLAS picks, and they cannot hold on a 1-CPU host, where
 # OpenBLAS runs one thread whatever it is asked for.
+# verify's report was written by the labeling-by-labeling census with
+# the forced tail, before the census enumerated classes directly.
 # A change to derive_rng's stream paths changes these bytes and must say
 # so.
 CLI_OUTPUT_SHA256 = {

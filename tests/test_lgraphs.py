@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -183,7 +184,7 @@ def backtracking_multilabelings(l, max_tuple_size):
 
 
 @pytest.mark.parametrize(
-    "l, depth", [(l, d) for l in range(2, 6) for d in (1, 2, 3)] + [(6, 1)]
+    "l, depth", [(l, d) for l in range(2, 6) for d in (1, 2, 3)] + [(6, 1), (6, 2)]
 )
 def test_enumeration_matches_backtracking_oracle(l, depth):
     # same classes, same representatives, same order
@@ -192,10 +193,23 @@ def test_enumeration_matches_backtracking_oracle(l, depth):
 
 @pytest.mark.parametrize(
     "l, depth, count",
-    [(4, 1, 9), (4, 2, 58), (4, 3, 259), (5, 1, 31), (5, 2, 237), (5, 3, 1168), (6, 2, 7897)],
+    [
+        (4, 1, 9), (4, 2, 58), (4, 3, 259), (5, 1, 31), (5, 2, 237), (5, 3, 1168),
+        (6, 2, 7897), (6, 3, 234880),
+    ],
 )
 def test_census_class_counts(l, depth, count):
     assert len(enumerate_multilabelings(l, depth)) == count
+
+
+def test_census_6_3_matches_the_labeling_search_census():
+    # past the oracle's reach: SHA-256 of the canonical-key list that the
+    # earlier labeling-by-labeling search built, which canonicalised every
+    # labeling it found and sorted the distinct keys
+    keys = [c.canonical_key() for c in enumerate_multilabelings(6, 3)]
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == (
+        "c7cb7d26714067b8143642a5e6dcfa179eff6d3f75a021f56146f27f336623e4"
+    )
 
 
 def test_enumeration_validates_every_emitted_labeling(monkeypatch):
