@@ -357,6 +357,20 @@ def test_map_respects_equivalence():
         assert label_simplifying_map(twin).canonical_key() == base_key
 
 
+def test_map_images_match_the_slot_list_map():
+    # SHA-256 of every class's key and image for l <= 5 at d <= 3 and for
+    # (6, 2), recorded from the map that reversed runs of tagged slot tuples
+    rows = []
+    for l, depth in [(2, 3), (3, 3), (4, 3), (5, 3), (6, 2)]:
+        for c in enumerate_multilabelings(l, depth):
+            image = label_simplifying_map(c)
+            rows.append((c.canonical_key(), image.p_labels, image.n_labels))
+    assert len(rows) == 9330
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "3f43b5bde55a5c8ef19cc5427e9450919df2306338cb298511b145fb0beaf0a9"
+    )
+
+
 def test_map_rejects_invalid_input():
     with pytest.raises(ConfigError):
         label_simplifying_map(MultiLabeling(p_labels=(1, 2), n_tuples=((1,), (2,))))
