@@ -511,7 +511,7 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
     for l in range(2, l_max + 1):
         for dmax in range(1, d_max + 1):
             classes = enumerate_multilabelings(l, dmax)
-            violations = verify_lemmas(classes, dmax)
+            violations = verify_lemmas(classes)
             violation_count += len(violations)
             census.append(
                 {

@@ -73,12 +73,10 @@ class _LabeledCycle:
         return self.distinct_p + self.distinct_n
 
     @property
-    def excess(self):
+    def excess(self) -> Fraction:
         """(l + sum of n-label counts)/2 + 1 - m: nonnegative for valid
-        labelings, and a half-integer, returned as a Fraction, when the
-        numerator is odd."""
-        value = Fraction(self.l + sum(map(len, self.label_sets)), 2) + 1 - self.m
-        return int(value) if value.denominator == 1 else value
+        labelings, and a half-integer when the numerator is odd."""
+        return Fraction(self.l + sum(map(len, self.label_sets)), 2) + 1 - self.m
 
     def _ends(self):
         """The p-labels on either side of each n-vertex, in cycle order."""
@@ -257,14 +255,15 @@ def enumerate_multilabelings(l: int, max_tuple_size: int) -> list[MultiLabeling]
     holds the lowest uncovered n-vertex.
 
     A search state is one node of this walk, one multiset.  SizeCapError is
-    raised past STATE_CAP states, ConsistencyError when an emitted class
-    fails MultiLabeling.validate(max_tuple_size).
+    raised past STATE_CAP states, before any class is built.  The classes
+    are built once every walk has ended, and ConsistencyError is raised
+    when one fails MultiLabeling.validate(max_tuple_size).
     """
     if not 2 <= l <= MAX_CYCLE_LEN:
         raise SizeCapError(f"cycle length must be in [2, {MAX_CYCLE_LEN}], got {l}")
     if max_tuple_size < 1:
         raise ConfigError(f"max_tuple_size must be >= 1, got {max_tuple_size}")
-    out: list[MultiLabeling] = []
+    keys: list[tuple] = []
     states = 0
     for pseq in _canonical_p_sequences(l, l):
         em = [(1 << pseq[s]) | (1 << pseq[(s + 1) % l]) for s in range(l)]
@@ -281,10 +280,7 @@ def enumerate_multilabelings(l: int, max_tuple_size: int) -> list[MultiLabeling]
                 )
             low = (*cover, 0).index(0)  # the lowest uncovered n-vertex, or l
             if low == l:
-                ml = MultiLabeling._from_key(pseq, chosen)
-                if ml.validate(max_tuple_size):
-                    raise ConsistencyError(f"search emitted an invalid labeling {ml}")
-                out.append(ml)
+                keys.append((pseq, chosen))
             for i, S in enumerate(sets[start:], start):
                 if S[0] > low:  # the sets are sorted: none after S holds low
                     break
@@ -292,6 +288,10 @@ def enumerate_multilabelings(l: int, max_tuple_size: int) -> list[MultiLabeling]
                     search(i, (*chosen, S), [c + (s in S) for s, c in enumerate(cover)])
 
         search(0, (), [0] * l)
+    out = [MultiLabeling._from_key(*key) for key in keys]
+    for ml in out:
+        if ml.validate(max_tuple_size):
+            raise ConsistencyError(f"search emitted an invalid labeling {ml}")
     return out
 
 
@@ -299,22 +299,22 @@ def enumerate_multilabelings(l: int, max_tuple_size: int) -> list[MultiLabeling]
 # lemma census
 
 
-def verify_lemmas(classes: list[MultiLabeling], max_tuple_size: int) -> list[dict]:
+def verify_lemmas(classes: list[MultiLabeling]) -> list[dict]:
     """Machine-check the counting lemmas over an enumerated class census.
 
-    Checks, per class: the label-count bound (excess >= 0); the bound
-    sum_{b_ij > 2} b_ij <= 12 * excess; that every n-label appears on at
-    least two n-vertices; and that the label-simplifying image is a valid
-    simple labeling with excess >= 0 (the simple-labeling label-count
-    bound).  Violations are returned as data, one dict per failure.
+    The classes are taken as enumerate_multilabelings returns them, each
+    already checked with validate(max_tuple_size), and are not validated
+    again; an invalid one raises ConfigError from label_simplifying_map's
+    entry check.  Checks, per class: the label-count bound (excess >= 0);
+    the bound sum_{b_ij > 2} b_ij <= 12 * excess; that every n-label
+    appears on at least two n-vertices; and that the label-simplifying
+    image is a valid simple labeling with excess >= 0 (the simple-labeling
+    label-count bound).  Violations are returned as data, one dict per
+    failure.
     """
     violations = []
     for ml in classes:
-        problems = ml.validate(max_tuple_size)
-        if problems:
-            violations.append({"labeling": ml, "check": "validity", "detail": problems})
-            continue
-        delta = Fraction(ml.excess)
+        delta = ml.excess
         if delta < 0:
             violations.append({"labeling": ml, "check": "label_count_bound", "detail": delta})
         heavy = sum(b for b in ml.edge_pair_counts().values() if b > 2)
@@ -333,7 +333,7 @@ def verify_lemmas(classes: list[MultiLabeling], max_tuple_size: int) -> list[dic
             violations.append(
                 {"labeling": ml, "check": "image_validity", "detail": image_problems}
             )
-        elif Fraction(image.excess) < 0:
+        elif image.excess < 0:
             violations.append(
                 {"labeling": ml, "check": "simple_label_count_bound", "detail": image.excess}
             )
@@ -348,7 +348,6 @@ def _classify(ml: MultiLabeling):
     """Tag every n-vertex: 'good_single', 'bad' (single or not), or a good
     pair id shared by exactly two vertices."""
     counts = ml.n_label_counts()
-    single = [len(t) == 1 for t in ml.n_tuples]
     by_set: dict[frozenset, list[int]] = {}
     for s, t in enumerate(ml.n_tuples):
         by_set.setdefault(frozenset(t), []).append(s)
@@ -358,16 +357,11 @@ def _classify(ml: MultiLabeling):
     for s, t in enumerate(ml.n_tuples):
         if tags[s] is not None:
             continue
-        if single[s]:
-            j = t[0]
-            vertices = by_set.get(frozenset((j,)), [])
-            if counts[j] == len(vertices) and all(single[v] for v in vertices):
-                tags[s] = "good_single"
-            else:
-                tags[s] = "bad"
-            continue
         mates = by_set[frozenset(t)]
-        if len(mates) == 2 and all(counts[j] == 2 for j in t):
+        if len(t) == 1:
+            # mates carry exactly {j}: j is a good single iff it is on no other vertex
+            tags[s] = "good_single" if counts[t[0]] == len(mates) else "bad"
+        elif len(mates) == 2 and all(counts[j] == 2 for j in t):
             a, b = mates
             tags[a] = tags[b] = ("pair", pair_id)
             pair_id += 1
@@ -390,71 +384,46 @@ def label_simplifying_map(ml: MultiLabeling) -> SimpleLabeling:
     """
     if ml.validate():
         raise ConfigError(f"label-simplifying map needs a valid labeling: {ml.validate()}")
-    l = ml.l
     tags = _classify(ml)
-
-    # cycle slots: even index 2s = p-vertex s, odd index 2s+1 = n-vertex s
-    slots: list[object] = []
-    for s in range(l):
-        slots.append(("p", ml.p_labels[s]))
-        slots.append(("n", ml.n_tuples[s], tags[s]))
-
-    def pair_positions() -> dict[int, list[int]]:
-        pos: dict[int, list[int]] = {}
-        for idx in range(1, 2 * l, 2):
-            tag = slots[idx][2]
-            if isinstance(tag, tuple):
-                pos.setdefault(tag[1], []).append(idx)
-        return pos
-
-    def improper_pairs() -> list[tuple[tuple, int]]:
-        out = []
-        for pid, (ia, ib) in sorted(pair_positions().items()):
-            before_a = slots[(ia - 1) % (2 * l)][1]
-            after_a = slots[(ia + 1) % (2 * l)][1]
-            before_b = slots[(ib - 1) % (2 * l)][1]
-            after_b = slots[(ib + 1) % (2 * l)][1]
-            if before_a == after_b and before_b == after_a:
+    # the 2l-cycle: place 2s holds p-vertex s's label, place 2s + 1 n-vertex s's index
+    cycle = [x for s, i in enumerate(ml.p_labels) for x in (i, s)]
+    size = len(cycle)
+    pairs = sum(isinstance(tag, tuple) for tag in tags) // 2
+    # pairs + 2 reversals may run; a pair still parallel after them raises
+    for _ in range(pairs + 3):
+        places: dict[tuple, list[int]] = {}
+        for k in range(1, size, 2):
+            if isinstance(tags[cycle[k]], tuple):
+                places.setdefault(tags[cycle[k]], []).append(k)
+        improper = []
+        for tag, (a, b) in sorted(places.items()):
+            ends_a = cycle[a - 1], cycle[(a + 1) % size]
+            ends_b = cycle[b - 1], cycle[(b + 1) % size]
+            if ends_a == ends_b[::-1]:
                 continue  # antiparallel: nothing to do
-            if before_a == before_b and after_a == after_b:
-                out.append((tuple(sorted(slots[ia][1])), pid))
-            else:
+            if ends_a != ends_b:
                 raise ConsistencyError(
-                    f"good pair {pid} has mismatched surrounding p-labels; "
+                    f"good pair {tag[1]} has mismatched surrounding p-labels; "
                     "input cannot satisfy the even-incidence condition"
                 )
-        return out
-
-    guard = len(pair_positions()) + 2
-    while True:
-        todo = improper_pairs()
-        if not todo:
+            improper.append((tuple(sorted(ml.n_tuples[cycle[a]])), tag, a, b))
+        if not improper:
             break
-        guard -= 1
-        if guard < 0:
-            raise ConsistencyError("segment reversals failed to terminate")
-        _, pid = min(todo)
-        ia, ib = pair_positions()[pid]
-        start, end = (ia + 1) % (2 * l), (ib + 1) % (2 * l)
-        run = [start]
-        while run[-1] != end:
-            run.append((run[-1] + 1) % (2 * l))
-        values = [slots[i] for i in run]
-        for i, v in zip(run, reversed(values)):
-            slots[i] = v
+        _, _, a, b = min(improper)
+        run = [k % size for k in range(a + 1, b + 2)]
+        for k, x in zip(run, [cycle[k] for k in reversed(run)]):
+            cycle[k] = x
+    else:
+        raise ConsistencyError("segment reversals failed to terminate")
 
     fresh = max(j for t in ml.n_tuples for j in t) + 1
-    p_labels = tuple(slots[2 * s][1] for s in range(l))
-    n_labels: list[int | None] = []
-    for s in range(l):
-        _, t, tag = slots[2 * s + 1]
-        if isinstance(tag, tuple):
-            n_labels.append(None)
-        elif tag == "good_single":
-            n_labels.append(t[0])
-        else:
-            n_labels.append(fresh)
-    out = SimpleLabeling(p_labels=p_labels, n_labels=tuple(n_labels))
+    n_labels = tuple(
+        None if isinstance(tags[s], tuple)
+        else ml.n_tuples[s][0] if tags[s] == "good_single"
+        else fresh
+        for s in cycle[1::2]
+    )
+    out = SimpleLabeling(p_labels=tuple(cycle[::2]), n_labels=n_labels)
     if out.distinct_p != ml.distinct_p:
         raise ConsistencyError("label-simplifying map changed the distinct p-label count")
     return out

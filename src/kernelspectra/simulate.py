@@ -187,11 +187,11 @@ def _kernel_tiles(g: np.ndarray, kernel, n: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_matrix(X: np.ndarray, kernel, keep_diagonal: bool) -> np.ndarray:
-    """k(sqrt(n) * Sigma_hat) / sqrt(n) entrywise, exactly symmetric, with
-    the diagonal zeroed or kept.  The kernel is written into the Gram in
-    place, on its upper triangle (_kernel_tiles), which is then mirrored
-    into the lower one, so the build holds one p x p array."""
+def _kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
+    """k(sqrt(n) * Sigma_hat) / sqrt(n) entrywise, exactly symmetric, the
+    diagonal included.  The kernel is written into the Gram in place, on
+    its upper triangle (_kernel_tiles), which is then mirrored into the
+    lower one, so the build holds one p x p array."""
     g = _scaled_gram(X)
     _kernel_tiles(g, kernel, X.shape[1], out=g)
     p = g.shape[0]
@@ -200,8 +200,6 @@ def _kernel_matrix(X: np.ndarray, kernel, keep_diagonal: bool) -> np.ndarray:
         g[i0:i1, :i0] = g[:i0, i0:i1].T
         block = g[i0:i1, i0:i1]
         block[...] = np.triu(block) + np.triu(block, 1).T
-    if not keep_diagonal:
-        np.fill_diagonal(g, 0.0)
     g += 0.0  # -0.0 -> +0.0, as the sum of the two triangles gave
     return g
 
@@ -210,7 +208,9 @@ def build_kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
     """K(X)[i,i'] = k(sqrt(n) * Sigma_hat[i,i']) / sqrt(n) off-diagonal,
     exactly zero on the diagonal.  Built from the upper triangle so the
     result is exactly symmetric."""
-    return _kernel_matrix(X, kernel, keep_diagonal=False)
+    K = _kernel_matrix(X, kernel)
+    np.fill_diagonal(K, 0.0)
+    return K
 
 
 # ---------------------------------------------------------------------------

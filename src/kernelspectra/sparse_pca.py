@@ -125,7 +125,7 @@ def sample_spiked_data(cfg: SpikedModelConfig, stream: int | tuple[int, ...] = 0
 def thresholded_covariance(X: np.ndarray, tau: float) -> np.ndarray:
     """M_tau(X) = k_tau(sqrt(n) Sigma_hat)/sqrt(n) entrywise, including the
     diagonal (unlike the zero-diagonal kernel matrix)."""
-    return _kernel_matrix(X, ThresholdFunction(tau), keep_diagonal=True)
+    return _kernel_matrix(X, ThresholdFunction(tau))
 
 
 def _upper_gram(X: np.ndarray) -> np.ndarray:

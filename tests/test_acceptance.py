@@ -270,7 +270,7 @@ def test_criterion_07_combinatorial_lemmas():
         for depth in (1, 2, 3):
             classes = enumerate_multilabelings(l, depth)
             total_classes += len(classes)
-            total_violations += len(verify_lemmas(classes, depth))
+            total_violations += len(verify_lemmas(classes))
             for c in classes:
                 image = label_simplifying_map(c)
                 if image.validate() or image.distinct_p != c.distinct_p:

@@ -212,6 +212,18 @@ def test_census_6_3_matches_the_labeling_search_census():
     )
 
 
+def test_state_cap_trips_before_any_class_is_built(monkeypatch):
+    # (5, 3) emits classes within its first thousand states; none is built
+    # until every walk has ended inside the cap
+    def build(cls, p_key, n_key):
+        raise AssertionError("a class was built before the state cap tripped")
+
+    monkeypatch.setattr(lgraphs, "STATE_CAP", 1000)
+    monkeypatch.setattr(MultiLabeling, "_from_key", classmethod(build))
+    with pytest.raises(SizeCapError, match="state cap 1000"):
+        enumerate_multilabelings(5, 3)
+
+
 def test_enumeration_validates_every_emitted_labeling(monkeypatch):
     monkeypatch.setattr(MultiLabeling, "validate", lambda self, cap=None: ["planted problem"])
     with pytest.raises(ConsistencyError, match="invalid labeling"):
@@ -269,10 +281,8 @@ def test_excess_half_integer_is_flagged_not_rejected():
 
 
 def test_lemma_census_is_clean():
-    for l in (2, 3, 4):
-        for depth in (1, 2, 3):
-            classes = enumerate_multilabelings(l, depth)
-            assert verify_lemmas(classes, depth) == []
+    for l, depth in [(l, d) for l in (2, 3, 4) for d in (1, 2, 3)] + [(5, 3), (6, 2)]:
+        assert verify_lemmas(enumerate_multilabelings(l, depth)) == []
 
 
 def test_every_enumerated_class_has_nonnegative_excess():
@@ -288,10 +298,12 @@ def test_zero_excess_classes_have_flat_incidences():
 
 def test_invalid_labeling_rejected_before_lemma_checks():
     # odd incidence count: label 1 appears once only
+    # the census validates every class it returns, so the lemma check does
+    # not; the map's entry check still stops a class from elsewhere
     bad = MultiLabeling(p_labels=(1, 2), n_tuples=((1,), (2,)))
     assert bad.validate(2)
-    report = verify_lemmas([bad], 2)
-    assert len(report) == 1 and report[0]["check"] == "validity"
+    with pytest.raises(ConfigError, match="valid labeling"):
+        verify_lemmas([bad])
 
 
 def test_invalid_image_is_reported_as_a_violation(monkeypatch):
@@ -299,7 +311,7 @@ def test_invalid_image_is_reported_as_a_violation(monkeypatch):
     # saw an image_validity violation
     classes = enumerate_multilabelings(3, 2)
     monkeypatch.setattr(SimpleLabeling, "validate", lambda self: ["planted problem"])
-    report = verify_lemmas(classes, 2)
+    report = verify_lemmas(classes)
     assert [v["check"] for v in report] == ["image_validity"] * len(classes)
     assert all(v["detail"] == ["planted problem"] for v in report)
 
@@ -369,6 +381,14 @@ def test_map_images_match_the_slot_list_map():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "3f43b5bde55a5c8ef19cc5427e9450919df2306338cb298511b145fb0beaf0a9"
     )
+
+
+def test_map_rejects_a_pair_with_mismatched_surroundings(monkeypatch):
+    # tagged as a good pair, vertices 0 and 1 sit between (1, 2) and (2, 3)
+    ml = MultiLabeling(p_labels=(1, 2, 3), n_tuples=((1,), (1,), (1,)))
+    monkeypatch.setattr(lgraphs, "_classify", lambda ml: [("pair", 0), ("pair", 0), "bad"])
+    with pytest.raises(ConsistencyError, match="mismatched surrounding"):
+        label_simplifying_map(ml)
 
 
 def test_map_rejects_invalid_input():

@@ -101,10 +101,11 @@ def test_kernel_matrix_builder_matches_reference(p, n, keep_diagonal, monkeypatc
         (ThresholdFunction(1.5), lambda y: _reference_threshold(y, 1.5)),
     ]
     expected = [_reference_kernel_matrix(X, ref or kernel, keep_diagonal) for kernel, ref in cases]
+    builder = _kernel_matrix if keep_diagonal else build_kernel_matrix
     for tile_entries in (simulate._TILE_ENTRIES, 1, 64, 1000):
         monkeypatch.setattr(simulate, "_TILE_ENTRIES", tile_entries)
         for (kernel, _), want in zip(cases, expected):
-            assert np.array_equal(_kernel_matrix(X, kernel, keep_diagonal), want), tile_entries
+            assert np.array_equal(builder(X, kernel), want), tile_entries
         if keep_diagonal:
             public = thresholded_covariance(X, 1.5)
         else:
@@ -464,17 +465,21 @@ def test_apply_kernel_leaves_the_shared_gram_unchanged():
         in_place = before.copy()
         in_place = _kernel_tiles(in_place, kernel, 40, out=in_place)
         assert np.array_equal(np.triu(in_place), np.triu(m))
-        # _kernel_matrix mirrors that upper triangle, with the diagonal zeroed or kept
+        # _kernel_matrix mirrors that upper triangle with the diagonal kept;
+        # build_kernel_matrix then zeroes the diagonal
         sym = _scaled_gram(X)
         upper = np.triu(_kernel_tiles(sym, kernel, 40, out=np.empty_like(sym)))
-        if not keep_diagonal:
+        if keep_diagonal:
+            built = _kernel_matrix(X, kernel)
+        else:
             np.fill_diagonal(upper, 0.0)
-        assert np.array_equal(_kernel_matrix(X, kernel, keep_diagonal), upper + np.triu(upper, 1).T)
+            built = build_kernel_matrix(X, kernel)
+        assert np.array_equal(built, upper + np.triu(upper, 1).T)
     expected = np.triu(before) / math.sqrt(40)
     m = _kernel_tiles(g, lambda y: y, 40, out=np.empty_like(g))
     assert np.array_equal(np.triu(m), expected)
     expected = np.triu(_scaled_gram(X)) / math.sqrt(40)
-    assert np.array_equal(_kernel_matrix(X, lambda y: y, True), expected + np.triu(expected, 1).T)
+    assert np.array_equal(_kernel_matrix(X, lambda y: y), expected + np.triu(expected, 1).T)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
