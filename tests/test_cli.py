@@ -535,6 +535,23 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_PAYLOAD_SHA256[seed]
 
 
+# the same payload hash without lemma_census: the remainder-scaling fit,
+# the trace oracle and ok, whatever form the census report takes
+VERIFY_CHECKS_SHA256 = {
+    0: "0f242000bc14bb0f5d3450d1b41f95ab9c0139e979abf0c933ed7f51625d7b1a",
+    7: "b2f68f9b37cc135fc6ecbe72e36af0c2857b5294f8988697c79f4435f1364b82",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_CHECKS_SHA256))
+def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=5, d_max=3, scaling_trials=200, seed=seed)
+    assert main(["verify", cfg]) == 0
+    payload = json.loads((tmp_path / "verify_report.json").read_text())["payload"]
+    text = json.dumps({k: v for k, v in payload.items() if k != "lemma_census"}, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_CHECKS_SHA256[seed]
+
+
 # sha256 of every output file of four commands at SOURCE_DATE_EPOCH = 0.
 # limit-law's files were written by the per-value CSV formatter that came
 # before the one-%-format rows; the two numpy-heavy commands' by the
