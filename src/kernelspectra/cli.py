@@ -30,6 +30,7 @@ from .hermite import (
     project_kernel,
 )
 from .lgraphs import (
+    MAX_CYCLE_LEN,
     enumerate_multilabelings,
     exact_trace_moment,
     sample_trace_moment,
@@ -501,42 +502,34 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
             f"scaling_trials * max(scaling_ns) = {scaling_trials * max(scaling_ns)} "
             f"exceeds cap {MAX_SCALING_ENTRIES}"
         )
+    if l_max < 2 or d_max < 1:
+        raise ConfigError(f"verify needs l_max >= 2 and d_max >= 1, got {l_max} and {d_max}")
+    if l_max > MAX_CYCLE_LEN:
+        raise SizeCapError(f"l_max={l_max} exceeds cap {MAX_CYCLE_LEN}")
 
     ok = True
     report: dict[str, object] = {}
 
-    # 1. labeled-cycle lemma census
+    # 1. labeled-cycle lemma census.  Every census runs before any check, so
+    # one past the state cap exits 3 first.  The census at d < d_max is the
+    # d_max census's classes with no tuple over d, so each class is checked
+    # once and counted by its largest tuple.
+    censuses = {l: enumerate_multilabelings(l, d_max) for l in range(2, l_max + 1)}
     census = []
-    violation_count = 0
-    for l in range(2, l_max + 1):
-        for dmax in range(1, d_max + 1):
-            classes = enumerate_multilabelings(l, dmax)
-            violations = verify_lemmas(classes)
-            violation_count += len(violations)
-            census.append(
-                {
-                    "l": l,
-                    "max_tuple_size": dmax,
-                    "classes": len(classes),
-                    "class_records": [
-                        {
-                            "p_labels": list(c.p_labels),
-                            "n_tuples": [list(t) for t in c.n_tuples],
-                            "tuple_sizes": list(c.tuple_sizes),
-                            "distinct_labels": c.m,
-                            "distinct_p_labels": c.distinct_p,
-                            "excess": float(c.excess),
-                        }
-                        for c in classes
-                    ],
-                    "violations": [
-                        {"check": v["check"], "detail": str(v["detail"])} for v in violations
-                    ],
-                }
-            )
+    for l, classes in censuses.items():
+        by_size = [0] * d_max
+        for c in classes:
+            by_size[max(c.tuple_sizes) - 1] += 1
+        keys = repr([c.canonical_key() for c in classes])
+        violations = [
+            {"check": v["check"], "detail": str(v["detail"]), "p_labels": list(v["labeling"].p_labels),
+             "n_tuples": [list(t) for t in v["labeling"].n_tuples]}
+            for v in verify_lemmas(classes)
+        ]
+        ok = ok and not violations
+        census.append({"l": l, "classes_by_max_tuple_size": by_size, "violations": violations,
+                       "census_sha256": hashlib.sha256(keys.encode()).hexdigest()})
     report["lemma_census"] = census
-    if violation_count:
-        ok = False
 
     # 2. decomposition scale separation
     scaling = []

@@ -76,7 +76,7 @@ class _LabeledCycle:
     def excess(self) -> Fraction:
         """(l + sum of n-label counts)/2 + 1 - m: nonnegative for valid
         labelings, and a half-integer when the numerator is odd."""
-        return Fraction(self.l + sum(map(len, self.label_sets)), 2) + 1 - self.m
+        return Fraction(self.l + sum(map(len, self.label_sets)) + 2 - 2 * self.m, 2)
 
     def _ends(self):
         """The p-labels on either side of each n-vertex, in cycle order."""

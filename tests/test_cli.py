@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 
 import kernelspectra
 import kernelspectra.cli as cli_module
-from kernelspectra import sparse_pca
+from kernelspectra import lgraphs, sparse_pca
 from kernelspectra.cli import main, parse_kernel
 from kernelspectra.errors import ConfigError
 from kernelspectra.hermite import MAX_DEGREE, MAX_QUAD_ORDER, KernelSpec
-from kernelspectra.lgraphs import SimpleLabeling
+from kernelspectra.lgraphs import SimpleLabeling, enumerate_multilabelings
 from kernelspectra.limit_law import MAX_DENSITY_POINTS, MAX_MOMENT_ORDER, LimitLawParams, moment
 from kernelspectra.simulate import MAX_DATA_ENTRIES, MAX_MATRIX_SIDE
 
@@ -489,9 +490,61 @@ def test_verify_reports_an_invalid_map_image_and_exits_4(tmp_path, monkeypatch, 
     payload = json.loads((tmp_path / "verify_report.json").read_text())["payload"]
     assert payload["ok"] is False
     (row,) = payload["lemma_census"]
-    assert row["classes"] > 0
-    planted = {"check": "image_validity", "detail": "['planted problem']"}
-    assert row["violations"] == [planted] * row["classes"]
+    classes = enumerate_multilabelings(2, 1)
+    assert classes and row["classes_by_max_tuple_size"] == [len(classes)]
+    # each violation names its class
+    assert row["violations"] == [
+        {"check": "image_validity", "detail": "['planted problem']",
+         "p_labels": list(c.p_labels), "n_tuples": [list(t) for t in c.n_tuples]}
+        for c in classes
+    ]
+
+
+@pytest.mark.parametrize(
+    "keys, code",
+    [({"l_max": 1}, 2), ({"l_max": -3}, 2), ({"d_max": 0}, 2), ({"l_max": 7}, 3)],
+    ids=["l_max-1", "l_max-negative", "d_max-0", "l_max-over-cap"],
+)
+def test_verify_census_bounds_fail_before_any_work(tmp_path, monkeypatch, capsys, keys, code):
+    # l_max = 1 or d_max = 0 used to check nothing and pass; l_max = 7 used
+    # to exit 3 only after every smaller census had run
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work on a census out of bounds")
+
+    for name in ("enumerate_multilabelings", "decompose_hermite_sum", "sample_trace_moment"):
+        monkeypatch.setattr(cli_module, name, no_work)
+    cfg = write_cfg(tmp_path, "v.cfg", **{"l_max": 2, "d_max": 1, **keys})
+    assert main(["verify", cfg]) == code
+    err = capsys.readouterr().err
+    assert next(iter(keys)) in err and "Traceback" not in err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_verify_census_past_the_state_cap_exits_3_before_any_lemma_check(tmp_path, monkeypatch):
+    # the smaller censuses used to be checked, and written up, before
+    # (5, 3) tripped the cap
+    def no_check(classes):
+        raise AssertionError("checked the lemmas before every census had run")
+
+    monkeypatch.setattr(lgraphs, "STATE_CAP", 1000)
+    monkeypatch.setattr(cli_module, "verify_lemmas", no_check)
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=5, d_max=3, scaling_trials=5, trace_trials=100)
+    assert main(["verify", cfg]) == 3
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_verify_census_report_matches_the_enumeration(tmp_path):
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=5, d_max=3, scaling_trials=200)
+    assert main(["verify", cfg]) == 0
+    census = json.loads((tmp_path / "verify_report.json").read_text())["payload"]["lemma_census"]
+    assert [row["l"] for row in census] == [2, 3, 4, 5]
+    for row in census:
+        keys = repr([c.canonical_key() for c in enumerate_multilabelings(row["l"], 3)])
+        assert row["census_sha256"] == hashlib.sha256(keys.encode()).hexdigest()
+        # the censuses nest: the d census counts the classes with no tuple over d
+        counts = [len(enumerate_multilabelings(row["l"], d)) for d in (1, 2, 3)]
+        assert list(itertools.accumulate(row["classes_by_max_tuple_size"])) == counts
+        assert row["violations"] == []
 
 
 @pytest.mark.parametrize("trace_trials", [0, 1])
@@ -517,12 +570,13 @@ def test_verify_defaults_pass_on_a_seed_that_100_scaling_trials_failed(tmp_path)
 
 
 # sha256 of json.dumps(payload, indent=2, sort_keys=True) for verify at
-# l_max = 5, d_max = 3, scaling_trials = 200, written by the per-trial
-# decomposition loop and the backtracking census that came before the
-# batched decomposition and the forced-tail census
+# l_max = 5, d_max = 3, scaling_trials = 200.  Re-recorded when the census
+# went from one entry per (l, d) with every class record to one entry per
+# l with class counts and a key digest: only lemma_census moved, as
+# VERIFY_CHECKS_SHA256 below shows, and its violation lists stayed empty.
 VERIFY_PAYLOAD_SHA256 = {
-    0: "dbf03999aa5015034f2fc4644703de6ed46d64d26c59a95a2e65be423ec01f77",
-    7: "4a9e9e306a6f44715f9420dd3d49ddf56e80bac4183960a4233e49b23563fc61",
+    0: "b44f808c400e980bed50c5f54d3d94a08de95cecf96b90bae3b4d0cfb3c3306e",
+    7: "2e83faf6e3c0c3bb5ff6fb077ff1ffea85b1de64038b25af1ad6962494bafd1e",
 }
 
 
@@ -582,8 +636,9 @@ def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
 # files hash to f4f798... and dbf234... instead).  They still depend on the CPU
 # kernel OpenBLAS picks, and they cannot hold on a 1-CPU host, where
 # OpenBLAS runs one thread whatever it is asked for.
-# verify's report was written by the labeling-by-labeling census with
-# the forced tail, before the census enumerated classes directly.
+# verify's report was re-recorded when its census went from every class
+# record of every (l, d) to class counts and a key digest per l; only
+# lemma_census moved.
 # A change to derive_rng's stream paths changes these bytes and must say
 # so.
 CLI_OUTPUT_SHA256 = {
@@ -613,7 +668,7 @@ CLI_OUTPUT_SHA256 = {
     "verify": (
         {"l_max": 5, "d_max": 3},
         {
-            "verify_report.json": "53bf912294a5e710096e950985e77cc4588ed8c184b330f4ddf773e531797f15",
+            "verify_report.json": "b535bbd3956339be2ea8cf35e30104596b91ba02b2c6b9419f36e9c71f8fc328",
         },
     ),
 }

@@ -212,6 +212,15 @@ def test_census_6_3_matches_the_labeling_search_census():
     )
 
 
+@pytest.mark.parametrize("l, top", [(2, 4), (3, 4), (4, 4), (5, 4), (6, 2)])
+def test_censuses_nest(l, top):
+    # the census at d is the classes of a larger census with no tuple over
+    # d, in the same order, so verify enumerates and checks each l once
+    larger = enumerate_multilabelings(l, top)
+    for d in range(1, top):
+        assert enumerate_multilabelings(l, d) == [c for c in larger if max(c.tuple_sizes) <= d]
+
+
 def test_state_cap_trips_before_any_class_is_built(monkeypatch):
     # (5, 3) emits classes within its first thousand states; none is built
     # until every walk has ended inside the cap
@@ -272,6 +281,16 @@ def test_excess_examples():
     assert ZERO_EXCESS_EXAMPLE.excess == 0
     assert ZERO_EXCESS_EXAMPLE.m == 7
     assert MultiLabeling(p_labels=(1, 2), n_tuples=((1,), (1,))).excess == 0
+
+
+def test_excess_matches_the_two_step_form():
+    # excess is one Fraction; (l + sum of n-label counts)/2 + 1 - m built
+    # step by step gives the same value and type
+    for l, depth in [(5, 3), (6, 2)]:
+        for c in enumerate_multilabelings(l, depth):
+            for labeling in (c, label_simplifying_map(c)):
+                two_step = Fraction(labeling.l + sum(map(len, labeling.label_sets)), 2) + 1 - labeling.m
+                assert type(labeling.excess) is Fraction and labeling.excess == two_step
 
 
 def test_excess_half_integer_is_flagged_not_rejected():
