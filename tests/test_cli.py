@@ -639,8 +639,10 @@ def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
 # verify's report was re-recorded when its census went from every class
 # record of every (l, d) to class counts and a key digest per l; only
 # lemma_census moved.
+# "simulate/rademacher" pins the one non-Gaussian entry law, recorded
+# before sample_data could fill a caller's buffer.
 # A change to derive_rng's stream paths changes these bytes and must say
-# so.
+# so.  Each key is the command, or the command and a label after a "/".
 CLI_OUTPUT_SHA256 = {
     "limit-law": (
         {"a": 1, "nu": 2, "gamma": 0.5, "moments_lmax": 11},
@@ -656,6 +658,13 @@ CLI_OUTPUT_SHA256 = {
         {
             "simulate_eigenvalues.csv": "65362b0ff84d53f58a7b816f65a1b6eeec7a018c71ef477be257bc7f767f6043",
             "simulate_summary.json": "add9254eac4ce5cdda8ffb785b0555053d76a989dc4ac1666676ee28fc8ee1a7",
+        },
+    ),
+    "simulate/rademacher": (
+        {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2, "law": "rademacher"},
+        {
+            "simulate_eigenvalues.csv": "581df261c0da32c6faaf2653da7a9f93809132c0751543291ca5c036d8dc9f4e",
+            "simulate_summary.json": "fb45f3e5df5faa08e86a5b7cb530331912f7e122d4e475576dec31add5129046",
         },
     ),
     "sparse-pca-sweep": (
@@ -689,7 +698,7 @@ def test_cli_outputs_match_golden_hashes(tmp_path, command):
     env = _fresh_interpreter_env(
         SOURCE_DATE_EPOCH="0", OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2"
     )
-    proc = subprocess.run([sys.executable, "-m", "kernelspectra.cli", command, cfg],
+    proc = subprocess.run([sys.executable, "-m", "kernelspectra.cli", command.split("/")[0], cfg],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     written = {
