@@ -270,8 +270,11 @@ def enumerate_multilabelings(l: int, max_tuple_size: int) -> list[MultiLabeling]
         subsets = (S for r in range(1, l + 1) for S in itertools.combinations(range(l), r))
         sets = sorted(S for S in subsets if not functools.reduce(operator.xor, (em[s] for s in S)))
 
-        def search(start: int, chosen: tuple[tuple[int, ...], ...], cover: list[int]):
-            nonlocal states
+        # (start, chosen, cover) nodes; children are pushed in reverse, so
+        # they pop in order, each subtree before the next child: pre-order
+        stack: list[tuple[int, tuple[tuple[int, ...], ...], list[int]]] = [(0, (), [0] * l)]
+        while stack:
+            start, chosen, cover = stack.pop()
             states += 1
             if states > STATE_CAP:
                 raise SizeCapError(
@@ -281,13 +284,13 @@ def enumerate_multilabelings(l: int, max_tuple_size: int) -> list[MultiLabeling]
             low = (*cover, 0).index(0)  # the lowest uncovered n-vertex, or l
             if low == l:
                 keys.append((pseq, chosen))
+            children = []
             for i, S in enumerate(sets[start:], start):
                 if S[0] > low:  # the sets are sorted: none after S holds low
                     break
                 if all(cover[s] < max_tuple_size for s in S):
-                    search(i, (*chosen, S), [c + (s in S) for s, c in enumerate(cover)])
-
-        search(0, (), [0] * l)
+                    children.append((i, (*chosen, S), [c + (s in S) for s, c in enumerate(cover)]))
+            stack.extend(reversed(children))
     out = [MultiLabeling._from_key(*key) for key in keys]
     for ml in out:
         if ml.validate(max_tuple_size):

@@ -20,18 +20,23 @@ from .errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 from .hermite import KernelSpec, _eval_on, hermite_eval
 from .limit_law import LimitLawParams, cdf
 
-# Peak RSS of build_kernel_matrix + spectrum, measured with ru_maxrss in a
-# fresh process at p = 1500 and 3000: 40 MB + 8 B * (2.3 p^2 + p n), i.e.
-# 2.3 p x p float64 arrays besides X: the kernel matrix, which is written
-# into the Gram in place, and the eigensolver's copy of it.  At n = p and
-# this cap that is 5.8 GB, which leaves about 1 GB of a 7 GB host to
-# everything else.
-MAX_MATRIX_SIDE = 14800
-# Entries of X.  Drawing X peaks at 16 B per entry, for sample_data plus
-# rank_two_correction and for sample_spiked_data at sparsity = p alike
-# (ru_maxrss at p = 2, n = 5e6 and 1e7), so 3.6 GB at this cap; and with
-# p <= MAX_MATRIX_SIDE the build's 2.3 p^2 + p n arrays stay within 5.9 GB.
-MAX_DATA_ENTRIES = 228_000_000
+# Both caps are checked by simulate and by sparse-pca-sweep; peaks are
+# ru_maxrss in a fresh process.  simulate peaks at 56 MB + 8 B * 2.1 p^2
+# while the eigensolver copies K (X is freed by then; p = n = 1500 to
+# 5000), and at 69 MB + 8 B * (p^2 + p n) while X and K coexist (p = 3000
+# and 4000, n up to 2p).  The sweep peaks at 74 MB + 8 B * 2.3 p^2 while
+# its Gram, output buffer and a CSR cell just under SPARSE_DENSITY_CUT
+# coexist (p = n = 3000 and 5000), and at 80 MB + 8 B * (1.1 p^2 + p n)
+# while X and its Gram do (p = 3000 and 4000, n = 2p).  The sweep binds:
+# at n = p and this cap it holds 5.8 GB, which leaves about 1 GB of a
+# 7 GB host to everything else.
+MAX_MATRIX_SIDE = 17600
+# Entries of X.  Drawing X peaks at 16 B per entry, for simulate's
+# sample_data plus rank_two_correction at p <= 256 (one row slab) and the
+# sweep at p = 2 alike (p * n = 1e7 and 2e7), so 5.8 GB at this cap, which
+# binds; with p <= MAX_MATRIX_SIDE the sweep's 1.1 p^2 + p n stays within
+# 5.7 GB and simulate's p^2 + p n within 5.4 GB.
+MAX_DATA_ENTRIES = 360_000_000
 
 
 def check_data_size(p: int, n: int) -> None:
@@ -80,14 +85,20 @@ class EntryLaw:
     def _atoms(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.spec[1], dtype=float), np.asarray(self.spec[2], dtype=float)
 
-    def sample(self, gen: np.random.Generator, shape) -> np.ndarray:
-        """An array of the given shape of i.i.d. draws from gen."""
+    def sample(self, gen: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
+        """An array of the given shape of i.i.d. draws from gen, written
+        into out (a C-ordered float64 array of that shape) if given.  The
+        draws and their bits do not depend on out."""
         if self.spec == "standard_gaussian":
-            return gen.standard_normal(shape)
+            return gen.standard_normal(shape, out=out)
         if self.spec == "symmetric_rademacher":
-            return gen.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-        values, probs = self._atoms()
-        return values[gen.choice(len(values), size=shape, p=probs)]
+            values, index = np.array([-1.0, 1.0]), gen.integers(0, 2, size=shape)
+        else:
+            values, probs = self._atoms()
+            index = gen.choice(len(values), size=shape, p=probs)
+        # every index is in range, so "clip" never acts; it spares the
+        # copy of out that the default mode would buffer through
+        return np.take(values, index, out=out, mode="clip")
 
     def moment(self, k: int) -> float:
         """E[x^k] for an integer k >= 0; exactly 0.0 for odd k, since every
@@ -129,11 +140,14 @@ class DataMatrixConfig:
         return self.law.moment(4)
 
 
-def sample_data(cfg: DataMatrixConfig, stream: int | tuple[int, ...] = 0) -> np.ndarray:
+def sample_data(
+    cfg: DataMatrixConfig, stream: int | tuple[int, ...] = 0, out: np.ndarray | None = None
+) -> np.ndarray:
     """Draw X (p x n), reproducibly from cfg.seed (and an optional extra
-    stream index, or tuple of indices, for independent trials)."""
+    stream index, or tuple of indices, for independent trials), into out
+    (a C-ordered p x n float64 array) if given."""
     gen = rngmod.derive_rng(cfg.seed, rngmod.STREAM_DATA, stream)
-    return cfg.law.sample(gen, (cfg.p, cfg.n))
+    return cfg.law.sample(gen, (cfg.p, cfg.n), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +468,13 @@ def rank_two_correction(X: np.ndarray, a2: float, fourth_moment: float = 3.0) ->
         return SpikePrediction(locations=(), empirical=())
     p, n = X.shape
     gamma = p / n
-    v = (X * X - 1.0).sum(axis=1) / math.sqrt(n)
+    # row slabs of (x_ij^2 - 1): each row sums as it would in one pass
+    # over X, with a temporary of _SLAB_ROWS rows, not of p
+    v = np.empty(p)
+    for i0 in range(0, p, _SLAB_ROWS):
+        slab = X[i0:i0 + _SLAB_ROWS]
+        v[i0:i0 + _SLAB_ROWS] = (slab * slab - 1.0).sum(axis=1)
+    v /= math.sqrt(n)
     v1 = float(v.sum())
     vv = float(np.dot(v, v))
     b = a2 * math.sqrt(2.0) / n * v1

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from kernelspectra.errors import ConfigError
 from kernelspectra.hermite import MAX_DEGREE, MAX_QUAD_ORDER, KernelSpec
 from kernelspectra.lgraphs import SimpleLabeling, enumerate_multilabelings
 from kernelspectra.limit_law import MAX_DENSITY_POINTS, MAX_MOMENT_ORDER, LimitLawParams, moment
-from kernelspectra.simulate import MAX_DATA_ENTRIES, MAX_MATRIX_SIDE
+from kernelspectra.simulate import MAX_DATA_ENTRIES, MAX_MATRIX_SIDE, sample_data, spectrum
 
 
 @pytest.fixture(autouse=True)
@@ -274,6 +275,27 @@ def test_simulate_seed_override_changes_output(tmp_path):
     first = (tmp_path / "simulate_eigenvalues.csv").read_bytes()
     assert main(["simulate", cfg, "--seed", "99"]) == 0
     assert (tmp_path / "simulate_eigenvalues.csv").read_bytes() != first
+
+
+def test_simulate_frees_x_before_the_eigensolve(tmp_path, monkeypatch):
+    # X used to stay alive through spectrum, beside K and the eigensolver's
+    # copy of it
+    drawn = []
+
+    def sample(*args, **kwargs):
+        X = sample_data(*args, **kwargs)
+        drawn.append(weakref.ref(X))
+        return X
+
+    def solve(m):
+        assert drawn[-1]() is None, "X is alive at the eigensolve"
+        return spectrum(m)
+
+    monkeypatch.setattr(cli_module, "sample_data", sample)
+    monkeypatch.setattr(cli_module, "spectrum", solve)
+    cfg = write_cfg(tmp_path, "s.cfg", kernel="h2+h3", n=60, p=40, trials=2, degree=8)
+    assert main(["simulate", cfg]) == 0
+    assert len(drawn) == 2
 
 
 def test_simulate_size_cap_exits_3(tmp_path):
@@ -545,6 +567,16 @@ def test_verify_census_report_matches_the_enumeration(tmp_path):
         counts = [len(enumerate_multilabelings(row["l"], d)) for d in (1, 2, 3)]
         assert list(itertools.accumulate(row["classes_by_max_tuple_size"])) == counts
         assert row["violations"] == []
+
+
+def test_verify_census_deeper_than_the_recursion_limit_exits_0(tmp_path, capsys):
+    # the census walk used to recurse once per chosen set and end in a
+    # RecursionError traceback past max_tuple_size of about 990
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=2000)
+    assert main(["verify", cfg]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    census = json.loads((tmp_path / "verify_report.json").read_text())["payload"]["lemma_census"]
+    assert sum(census[0]["classes_by_max_tuple_size"]) == 2000
 
 
 @pytest.mark.parametrize("trace_trials", [0, 1])

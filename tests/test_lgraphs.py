@@ -125,6 +125,12 @@ def test_enumeration_respects_state_cap(monkeypatch):
         enumerate_multilabelings(4, 3)
 
 
+def test_enumeration_walks_past_the_recursion_limit():
+    # l = 2 has one class per tuple size, and its walk is max_tuple_size
+    # sets deep: past about 990, a recursive walk exceeds Python's limit
+    assert len(enumerate_multilabelings(2, 2000)) == 2000
+
+
 def backtracking_multilabelings(l, max_tuple_size):
     """Census oracle: a plain backtracking search in canonical form (fresh
     labels take consecutive numbers) over dict-of-set odd-incidence rows,
@@ -593,6 +599,30 @@ def test_first_order_matrix_against_per_pair_sums(X, coeffs):
         expected = per_pair_first_order_matrix(X[b], coeffs)
         bound = per_pair_first_order_matrix(np.abs(X[b]), np.abs(coeffs))
         assert np.all(np.abs(Q[b] - expected) <= 1e-13 * bound + 1e-300)
+
+
+def sign_matrix_trace_moment(l, n, p, coeffs):
+    """E[Tr Q(X)^l] over Rademacher X as the average over all 2^(np) sign
+    matrices, with the mean |Tr Q(X)^l| as the scale of the terms."""
+    bits = (np.arange(2 ** (n * p))[:, None] >> np.arange(n * p)) & 1
+    Q = first_order_matrix((bits * 2.0 - 1.0).reshape(-1, p, n), coeffs)
+    traces = np.trace(np.linalg.matrix_power(Q, l), axis1=-2, axis2=-1)
+    return traces.mean(), np.abs(traces).mean()
+
+
+@given(
+    st.sampled_from([3, 4]),
+    st.tuples(st.integers(2, 6), st.integers(2, 6)).filter(lambda shape: shape[0] * shape[1] <= 16),
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(0.1, 2.0), st.floats(-2.0, -0.1)), min_size=1, max_size=3
+    ).filter(any),
+)
+def test_trace_moment_matches_the_sign_matrix_average(l, shape, coeffs):
+    n, p = shape
+    exact = exact_trace_moment(l, n, p, coeffs, entry_law="symmetric_rademacher")
+    brute, scale = sign_matrix_trace_moment(l, n, p, coeffs)
+    # relative to the terms' scale: an odd moment may cancel to about 0
+    assert abs(exact - brute) <= 1e-12 * max(abs(exact), scale)
 
 
 @pytest.mark.parametrize("trials", [0, 1])

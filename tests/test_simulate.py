@@ -48,6 +48,22 @@ def test_sample_data_deterministic():
     assert not np.array_equal(sample_data(cfg), sample_data(cfg, stream=1))
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        "standard_gaussian",
+        "symmetric_rademacher",
+        ("symmetric_discrete", (-0.5, -2.0, 2.0, 0.5), (0.4, 0.1, 0.1, 0.4)),
+    ],
+)
+def test_sample_data_into_a_given_array_draws_the_same_bits(law):
+    cfg = DataMatrixConfig(n=70, p=30, entry_law=law, seed=8)
+    out = np.full((30, 70), np.nan)
+    X = sample_data(cfg, stream=(2, 1), out=out)
+    assert X is out
+    assert np.array_equal(X, sample_data(cfg, stream=(2, 1)))
+
+
 def test_rademacher_entries():
     cfg = DataMatrixConfig(n=100, p=100, entry_law="symmetric_rademacher", seed=1)
     X = sample_data(cfg)
@@ -546,6 +562,17 @@ def rank_two_matrix(X, a2):
     v = (X * X - 1.0).sum(axis=1) / math.sqrt(n)
     ones = np.ones(p)
     return a2 / (n * math.sqrt(2.0)) * (np.outer(v, ones) + np.outer(ones, v))
+
+
+@pytest.mark.parametrize("p, n", [(2, 9), (255, 40), (257, 300), (600, 130)])
+def test_rank_two_correction_on_row_slabs_keeps_the_one_pass_bits(p, n):
+    X = sample_data(DataMatrixConfig(n=n, p=p, seed=17))
+    v = (X * X - 1.0).sum(axis=1) / math.sqrt(n)  # the one-pass form
+    v1, vv, a2 = float(v.sum()), float(np.dot(v, v)), 1.0
+    b = a2 * math.sqrt(2.0) / n * v1
+    c = a2 * a2 / (2.0 * n * n) * (v1 * v1 - p * vv)
+    disc = math.sqrt(max(b * b - 4.0 * c, 0.0))
+    assert rank_two_correction(X, 1.0).empirical == ((b - disc) / 2.0, (b + disc) / 2.0)
 
 
 def test_rank_two_roots_match_eigendecomposition():
