@@ -272,7 +272,7 @@ def enumerate_multilabelings(l: int, max_tuple_size: int) -> list[MultiLabeling]
 
         # (start, chosen, cover) nodes; children are pushed in reverse, so
         # they pop in order, each subtree before the next child: pre-order
-        stack: list[tuple[int, tuple[tuple[int, ...], ...], list[int]]] = [(0, (), [0] * l)]
+        stack = [(0, (), [0] * l)]
         while stack:
             start, chosen, cover = stack.pop()
             states += 1
