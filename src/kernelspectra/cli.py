@@ -103,7 +103,7 @@ def parse_kernel(spec: str) -> KernelSpec:
             tau = float(m.group(1))
         except ValueError as exc:
             raise ConfigError(f"kernel: bad soft_threshold argument {m.group(1)!r}") from exc
-        return ThresholdFunction(tau).as_kernel_spec()
+        return KernelSpec(evaluator=ThresholdFunction(tau))
     m = re.fullmatch(r"odd_poly\(([^)]*)\)", text)
     if m:
         try:
@@ -121,7 +121,7 @@ def parse_kernel(spec: str) -> KernelSpec:
                 out += c * x ** (2 * i + 1)
             return out
 
-        return KernelSpec(evaluator=evaluate, declared_parity="odd")
+        return KernelSpec(evaluator=evaluate)
     coeffs: dict[int, float] = {}
     pos = 0
     for tm in _TERM_RE.finditer(text):
@@ -159,6 +159,8 @@ def parse_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key in {raw!r}")
         if key in cfg:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         cfg[key] = value.strip()
@@ -237,6 +239,16 @@ class Config:
 
 
 _REQUIRED = object()
+
+
+def _get_seed(cfg: Config, offset: int = 0) -> int:
+    """The seed key, checked before any work: the command draws streams
+    from master seeds seed to seed + offset, and each must fit in 64 bits."""
+    seed = cfg.get_int("seed", 0)
+    if not 0 <= seed < 2**64 - offset:
+        rule = f", as streams are also drawn from seed + {offset}" if offset else ""
+        raise ConfigError(f"config key 'seed' must be in [0, 2^64 - {offset + 1}]{rule}; got {seed}")
+    return seed
 
 
 def config_hash(values: dict[str, str]) -> str:
@@ -399,7 +411,7 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
     n = cfg.get_int("n", _REQUIRED)
     p = cfg.get_int("p", _REQUIRED)
     law_name = cfg.get_str("law", "gaussian")
-    seed = cfg.get_int("seed", 0)
+    seed = _get_seed(cfg)
     trials = cfg.get_int("trials", 1)
     degree = cfg.get_int("degree", 30)
     prefix = cfg.get_str("out", "simulate")
@@ -468,7 +480,7 @@ def cmd_sparse_pca_sweep(cfg: Config, raw: dict[str, str]) -> int:
     sparsity = cfg.get_int("sparsity", 0)
     coeff = cfg.get_float("sparsity_coeff", 0.3)
     trials = cfg.get_int("trials", 5)
-    seed = cfg.get_int("seed", 0)
+    seed = _get_seed(cfg, offset=1)  # the spiked model draws from seed + 1
     out = cfg.get_str("out", "sweep")
     cfg.reject_unknown()
     if not (math.isfinite(coeff) and coeff > 0):
@@ -501,7 +513,7 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
     scaling_ns = cfg.get_floats("scaling_ns", [100.0, 400.0, 1600.0])
     scaling_trials = cfg.get_int("scaling_trials", 200)
     trace_trials = cfg.get_int("trace_trials", 20000)
-    seed = cfg.get_int("seed", 0)
+    seed = _get_seed(cfg)
     out = cfg.get_str("out", "verify_report.json")
     cfg.reject_unknown()
     # with no trials or a single n the remainder-scaling fit has nothing to
@@ -627,9 +639,9 @@ def main(argv=None) -> int:
         _timestamp()  # a bad SOURCE_DATE_EPOCH fails before any work
         values = parse_config_file(args.config)
         for item in args.set:
-            if "=" not in item:
+            key, eq, val = item.partition("=")
+            if not (eq and key.strip()):
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-            key, val = item.split("=", 1)
             values[key.strip()] = val.strip()
         if args.seed is not None:
             values["seed"] = str(args.seed)

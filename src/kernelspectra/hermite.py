@@ -245,41 +245,24 @@ def _eval_on(f: Callable, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel function together with its declared parity.
+    """A kernel function, odd or not: is_odd measures which.
 
     The evaluator must be a pure function R -> R; array-vectorized
     evaluators are used as-is, scalar ones are wrapped for 1-D inputs only.
     """
 
     evaluator: Callable
-    declared_parity: str = "general"  # "odd" or "general"
-
-    def __post_init__(self):
-        if self.declared_parity not in ("odd", "general"):
-            raise ConfigError(f"declared_parity must be 'odd' or 'general', got {self.declared_parity!r}")
 
     def __call__(self, x):
         return _eval_on(self.evaluator, np.asarray(x, dtype=float))
 
-    def _parity_defect(self) -> float:
-        """max|k(-x) + k(x)| / max(1, max|k(x)|) over x in [0, 6]."""
+    def is_odd(self) -> bool:
+        """max|k(-x) + k(x)| / max(1, max|k(x)|) <= 1e-10 over x in [0, 6]."""
         grid = np.linspace(0.0, 6.0, 241)
         with np.errstate(over="ignore", invalid="ignore"):
             right = self(grid)
             err = float(np.max(np.abs(self(-grid) + right)))
-        return err / max(1.0, float(np.max(np.abs(right))))
-
-    def check_parity(self) -> None:
-        """For kernels declared odd, verify k(-x) = -k(x) on a sample grid."""
-        if self.declared_parity != "odd":
-            return
-        defect = self._parity_defect()
-        if defect > 1e-12:
-            raise ConfigError(f"kernel declared odd but k(-x)+k(x) deviates by {defect:.3e} of max|k|")
-
-    def is_odd(self) -> bool:
-        """Declared odd, or odd to 1e-10 on check_parity's grid."""
-        return self.declared_parity == "odd" or self._parity_defect() <= 1e-10
+        return err / max(1.0, float(np.max(np.abs(right)))) <= 1e-10
 
 
 @dataclass(frozen=True)
@@ -350,8 +333,6 @@ def project_kernel(
         raise ConfigError(
             f"quadrature order {rule.order} too small for degree {degree} (need >= {2 * degree + 4})"
         )
-    if isinstance(kernel, KernelSpec):
-        kernel.check_parity()
     # overflow and NaN surface as the typed errors of the finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _eval_on(kernel, rule.nodes)
@@ -398,9 +379,5 @@ def kernel_moments(kernel, rule: GaussHermiteRule | None = None) -> tuple[float,
 
 
 def hermite_sum_kernel(coeffs: Sequence[float]) -> KernelSpec:
-    """KernelSpec for sum_d coeffs[d-1] * h_d.  Parity is declared odd when
-    all even-degree coefficients vanish."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    odd = all(coeffs[d - 1] == 0.0 for d in range(2, len(coeffs) + 1, 2))
-    expansion = KernelExpansion(coefficients=coeffs)
-    return KernelSpec(evaluator=expansion, declared_parity="odd" if odd else "general")
+    """KernelSpec for sum_d coeffs[d-1] * h_d."""
+    return KernelSpec(evaluator=KernelExpansion(coefficients=coeffs))

@@ -31,11 +31,13 @@ from .limit_law import LimitLawParams, cdf
 # at n = p and this cap it holds 5.8 GB, which leaves about 1 GB of a
 # 7 GB host to everything else.
 MAX_MATRIX_SIDE = 17600
-# Entries of X.  Drawing X peaks at 16 B per entry, for simulate's
-# sample_data plus rank_two_correction at p <= 256 (one row slab) and the
-# sweep at p = 2 alike (p * n = 1e7 and 2e7), so 5.8 GB at this cap, which
-# binds; with p <= MAX_MATRIX_SIDE the sweep's 1.1 p^2 + p n stays within
-# 5.7 GB and simulate's p^2 + p n within 5.4 GB.
+# Entries of X.  Drawing X peaks at 16 B per entry for the sweep at p = 2
+# and for simulate's Rademacher law, whose int64 draw sits beside X, alike
+# (p * n = 1e7 and 2e7; simulate at p = 2 and 64).  simulate's Gaussian
+# law costs 7.5 B an entry at p = 64 and 11.4 B at p = 2, where
+# rank_two_correction's one-row slab is half of X.  So 5.8 GB at this cap,
+# which binds; with p <= MAX_MATRIX_SIDE the sweep's 1.1 p^2 + p n stays
+# within 5.7 GB and simulate's p^2 + p n within 5.4 GB.
 MAX_DATA_ENTRIES = 360_000_000
 
 
@@ -468,12 +470,14 @@ def rank_two_correction(X: np.ndarray, a2: float, fourth_moment: float = 3.0) ->
         return SpikePrediction(locations=(), empirical=())
     p, n = X.shape
     gamma = p / n
-    # row slabs of (x_ij^2 - 1): each row sums as it would in one pass
-    # over X, with a temporary of _SLAB_ROWS rows, not of p
+    # row slabs of (x_ij^2 - 1) of at most 2^19 entries (one row if n is
+    # larger): each row sums as it would in one pass over X, with a
+    # temporary of a few MB, not of X
+    rows = max(1, min(_SLAB_ROWS, 2**19 // n))
     v = np.empty(p)
-    for i0 in range(0, p, _SLAB_ROWS):
-        slab = X[i0:i0 + _SLAB_ROWS]
-        v[i0:i0 + _SLAB_ROWS] = (slab * slab - 1.0).sum(axis=1)
+    for i0 in range(0, p, rows):
+        slab = X[i0:i0 + rows]
+        v[i0:i0 + rows] = (slab * slab - 1.0).sum(axis=1)
     v /= math.sqrt(n)
     v1 = float(v.sum())
     vv = float(np.dot(v, v))

@@ -71,9 +71,6 @@ class ThresholdFunction:
         np.copysign(out, x, out=out)
         return out if out.ndim else float(out)
 
-    def as_kernel_spec(self) -> KernelSpec:
-        return KernelSpec(evaluator=self, declared_parity="odd")
-
 
 @dataclass(frozen=True)
 class SpikedModelConfig:
@@ -208,7 +205,7 @@ def null_prediction(
     """
     if rule is None:
         rule = build_quadrature(200)
-    a, nu = kernel_moments(ThresholdFunction(tau).as_kernel_spec(), rule)
+    a, nu = kernel_moments(KernelSpec(evaluator=ThresholdFunction(tau)), rule)
     sup = support(LimitLawParams(a=a, nu=nu, gamma=gamma))
     return sup.max_edge + 1.0
 

@@ -47,13 +47,22 @@ def test_parse_kernel_registry():
     scaled = parse_kernel("0.5*h1+2*h3")
     assert scaled(x) == pytest.approx(0.5 * x + 2 * (x**3 - 3 * x) / math.sqrt(6), abs=1e-14)
     soft = parse_kernel("soft_threshold(2.0)")
-    assert soft.declared_parity == "odd"
     assert soft(4.0) == pytest.approx(2.0)
     poly = parse_kernel("odd_poly(1, 0.5)")
     assert poly(2.0) == pytest.approx(2.0 + 0.5 * 8.0)
     for bad in ("wat", "h0", "h1+", "h1h2", "h1-", "1e*h1", "", "soft_threshold(two)", "odd_poly()"):
         with pytest.raises(ConfigError):
             parse_kernel(bad)
+
+
+@pytest.mark.parametrize(
+    "spec, odd",
+    [("h1", True), ("h1+h3", True), ("-h1+1e+2*h3", True), ("0.5*h1-2*h3+0*h2", True),
+     ("soft_threshold(2.0)", True), ("odd_poly(1,0.5)", True), ("h2+h3", False), ("h1+0.5*h2", False)],
+)
+def test_registry_kernels_measure_their_parity(spec, odd):
+    # every registry family measures the parity it used to declare
+    assert parse_kernel(spec).is_odd() is odd
 
 
 def test_parse_kernel_signed_terms():
@@ -741,19 +750,54 @@ def test_cli_outputs_match_golden_hashes(tmp_path, command):
     assert written == expected
 
 
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("a seeded command did work before checking its seed")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every census, projection and sampling entry of the CLI fail."""
+    for name in ("enumerate_multilabelings", "project_kernel", "sample_data", "sweep_tau"):
+        monkeypatch.setattr(cli_module, name, _fail_if_called)
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 @pytest.mark.parametrize(
     "command, keys",
     [
         ("simulate", {"kernel": "h1", "n": 20, "p": 20, "degree": 4}),
-        ("verify", {"l_max": 2, "d_max": 1, "scaling_trials": 5, "trace_trials": 100}),
+        ("verify", {"l_max": 6, "d_max": 3, "scaling_trials": 5, "trace_trials": 100}),
+        ("sparse-pca-sweep", {"n": 20, "taus": "1.0", "trials": 1}),
     ],
 )
-def test_out_of_range_seed_exits_2(tmp_path, capsys, command, keys, seed):
+def test_out_of_range_seed_exits_2(tmp_path, capsys, no_work, command, keys, seed):
     cfg = write_cfg(tmp_path, "c.cfg", **keys)
     assert main([command, cfg, "--seed", seed]) == 2
     assert "seed" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
+def test_sweep_rejects_the_last_64_bit_seed_before_sampling(tmp_path, capsys, no_work):
+    # the spiked model draws from seed + 1, which must fit in 64 bits too
+    cfg = write_cfg(tmp_path, "c.cfg", n=20, taus="1.0", trials=1)
+    assert main(["sparse-pca-sweep", cfg, "--seed", str(2**64 - 1)]) == 2
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "seed + 1" in err and str(2**64) not in err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
+def test_empty_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "l.cfg"
+    cfg.write_text("a = 0\n = 5\n")
+    assert main(["limit-law", str(cfg)]) == 2
+    assert f"{cfg}:2: empty key" in capsys.readouterr().err
+
+
+def test_empty_set_key_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "l.cfg", a=0, nu=1, gamma=1)
+    assert main(["limit-law", cfg, "--set", " =3"]) == 2
+    assert "--set expects KEY=VALUE, got ' =3'" in capsys.readouterr().err
+    assert not (tmp_path / "limit_law_summary.json").exists()
 
 
 def test_missing_required_key(tmp_path, capsys):

@@ -206,7 +206,7 @@ def test_project_h2_plus_h3():
 
 
 def test_project_odd_kernel_has_no_even_coefficients():
-    exp = project_kernel(ThresholdFunction(1.5).as_kernel_spec(), degree=20)
+    exp = project_kernel(KernelSpec(evaluator=ThresholdFunction(1.5)), degree=20)
     for d in range(2, 21, 2):
         assert abs(exp.coefficients[d - 1]) < 1e-8
 
@@ -224,21 +224,33 @@ def test_mean_zero_gate_and_centering():
         project_kernel(lambda x: 1e12 * (x + 1e-6), degree=4)
 
 
-def test_declared_odd_parity_is_checked():
-    with pytest.raises(ConfigError):
-        project_kernel(KernelSpec(evaluator=lambda x: x**2 - 1, declared_parity="odd"), degree=4)
+def test_parity_defect_against_one_bound():
+    # one defect, max|k(-x) + k(x)| / max(1, max|k|) on [0, 6], read against 1e-10
+    assert KernelSpec(evaluator=lambda x: x + 1e-12 * x**2).is_odd()  # defect 1.2e-11
+    assert not KernelSpec(evaluator=lambda x: x + 1e-9 * x**2).is_odd()  # 1.2e-9
+    assert KernelSpec(evaluator=np.tanh).is_odd()
+    assert KernelSpec(evaluator=math.tanh).is_odd()  # scalar-only, looped over the grid
+    assert not KernelSpec(evaluator=lambda x: x**2 - 1).is_odd()
 
 
-def test_parity_defect_against_both_bounds():
-    # one defect, max|k(-x) + k(x)| / max(1, max|k|) on [0, 6], read against
-    # 1e-12 for a declared-odd kernel and 1e-10 for is_odd
-    near_odd = lambda x: x + 1e-12 * x**2  # defect 1.2e-11
-    assert KernelSpec(evaluator=near_odd).is_odd()
-    with pytest.raises(ConfigError):
-        KernelSpec(evaluator=near_odd, declared_parity="odd").check_parity()
-    assert not KernelSpec(evaluator=lambda x: x + 1e-9 * x**2).is_odd()
-    KernelSpec(evaluator=np.tanh, declared_parity="odd").check_parity()
-    assert KernelSpec(evaluator=lambda x: x**2 - 1, declared_parity="odd").is_odd()
+_odd_degrees = st.integers(1, 6).map(lambda m: 2 * m - 1)  # 1, 3, ..., 11
+_coefficients = st.floats(-100.0, 100.0, allow_nan=False).filter(lambda c: abs(c) >= 1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    odd=st.dictionaries(_odd_degrees, _coefficients, min_size=1),
+    even_degree=st.integers(1, 6).map(lambda m: 2 * m),
+    even_share=st.floats(1e-3, 1.0),
+)
+def test_hermite_sums_are_odd_exactly_when_their_even_coefficients_vanish(odd, even_degree, even_share):
+    coeffs = np.zeros(12)
+    for d, c in odd.items():
+        coeffs[d - 1] = c
+    assert hermite_sum_kernel(coeffs).is_odd()
+    # one even coefficient of at least 1e-3 of the largest |coefficient|
+    coeffs[even_degree - 1] = even_share * np.max(np.abs(coeffs))
+    assert not hermite_sum_kernel(coeffs).is_odd()
 
 
 def test_kernel_moments_examples():
@@ -251,7 +263,7 @@ def test_kernel_moments_examples():
 
 def test_threshold_moments_match_monte_carlo():
     # oracle: 1e7-sample Monte Carlo of E[xi k(xi)] and E[k(xi)^2]
-    a, nu = kernel_moments(ThresholdFunction(2.0).as_kernel_spec())
+    a, nu = kernel_moments(KernelSpec(evaluator=ThresholdFunction(2.0)))
     assert 0.0 < a < 1.0
     rng = np.random.default_rng(7)
     xi = rng.standard_normal(10**7)
@@ -265,8 +277,8 @@ def test_threshold_moments_match_monte_carlo():
 
 
 def test_parseval_residual_for_smooth_threshold():
-    exp = project_kernel(ThresholdFunction(2.0).as_kernel_spec(), degree=30)
-    a, nu = kernel_moments(ThresholdFunction(2.0).as_kernel_spec())
+    exp = project_kernel(KernelSpec(evaluator=ThresholdFunction(2.0)), degree=30)
+    a, nu = kernel_moments(KernelSpec(evaluator=ThresholdFunction(2.0)))
     assert abs(nu - exp.nu) < 1e-4  # degree-30 truncation captures nu to 1e-4
     assert exp.residual < 1e-4
 
@@ -278,7 +290,7 @@ def test_projection_requires_adequate_rule():
 
 def test_scalar_only_evaluator_is_looped_on_vectors():
     # math.tanh takes one float, so a node vector goes through the scalar loop
-    spec = KernelSpec(evaluator=math.tanh, declared_parity="odd")
+    spec = KernelSpec(evaluator=math.tanh)
     xs = np.linspace(-3, 3, 13)
     assert np.allclose(spec(xs), np.tanh(xs), atol=1e-15)
     a, nu = kernel_moments(spec)

@@ -10,7 +10,7 @@ from scipy.sparse import csr_array
 
 import kernelspectra.simulate as sim
 from kernelspectra.errors import ConfigError, ConsistencyError, DomainError, SizeCapError
-from kernelspectra.hermite import hermite_eval
+from kernelspectra.hermite import KernelSpec, hermite_eval
 from kernelspectra.lgraphs import exact_trace_moment, sample_trace_moment
 from kernelspectra.limit_law import LimitLawParams, cdf, support
 from kernelspectra.simulate import (
@@ -564,7 +564,11 @@ def rank_two_matrix(X, a2):
     return a2 / (n * math.sqrt(2.0)) * (np.outer(v, ones) + np.outer(ones, v))
 
 
-@pytest.mark.parametrize("p, n", [(2, 9), (255, 40), (257, 300), (600, 130)])
+@pytest.mark.parametrize(
+    "p, n",
+    # wide X: slabs of one row, of 3 rows and of 127 rows; and 256-row slabs at n = 2000
+    [(2, 9), (255, 40), (257, 300), (600, 130), (2, 300001), (64, 150001), (257, 4099), (600, 2000)],
+)
 def test_rank_two_correction_on_row_slabs_keeps_the_one_pass_bits(p, n):
     X = sample_data(DataMatrixConfig(n=n, p=p, seed=17))
     v = (X * X - 1.0).sum(axis=1) / math.sqrt(n)  # the one-pass form
@@ -645,6 +649,9 @@ def test_deformed_model_norm_tracks_limit_law():
 def test_concentration_probe_rejects_even_kernel():
     with pytest.raises(ConfigError):
         concentration_probe(lambda y: y**2 - 1, [1.0], n=50)
+    # a KernelSpec's oddness is measured too: no wrapper makes this kernel odd
+    with pytest.raises(ConfigError, match="odd"):
+        concentration_probe(KernelSpec(evaluator=lambda y: y**2 - 1), [1.0], n=50, trials=1)
 
 
 @pytest.mark.parametrize(

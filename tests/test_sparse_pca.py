@@ -7,7 +7,7 @@ from scipy.sparse.linalg import LinearOperator
 from kernelspectra import rng as rngmod
 from kernelspectra import simulate
 from kernelspectra.errors import ConfigError, SizeCapError
-from kernelspectra.hermite import hermite_sum_kernel, kernel_moments
+from kernelspectra.hermite import KernelSpec, hermite_sum_kernel, kernel_moments
 from kernelspectra.limit_law import LimitLawParams, support
 from kernelspectra.simulate import (
     MAX_DATA_ENTRIES,
@@ -174,7 +174,7 @@ def test_threshold_rejects_bad_tau():
 def test_threshold_moments_nonnegative_a_and_edge_equals_norm():
     # odd increasing kernel: a >= 0, so the top support edge is the norm
     for tau in (0.5, 1.0, 2.0, 3.0):
-        a, nu = kernel_moments(ThresholdFunction(tau).as_kernel_spec())
+        a, nu = kernel_moments(KernelSpec(evaluator=ThresholdFunction(tau)))
         assert a >= 0.0
         sup = support(LimitLawParams(a=a, nu=nu, gamma=1.0))
         assert sup.max_edge == pytest.approx(sup.norm, abs=1e-9)
