@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, KernelSpectraError, SizeCapError, VerificationError
 from .hermite import (
+    ODD_TOL,
     KernelSpec,
     build_quadrature,
     check_projection_size,
@@ -413,7 +414,6 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
     law_name = cfg.get_str("law", "gaussian")
     seed = _get_seed(cfg)
     trials = cfg.get_int("trials", 1)
-    degree = cfg.get_int("degree", 30)
     prefix = cfg.get_str("out", "simulate")
     cfg.reject_unknown()
     if trials < 1:
@@ -422,13 +422,12 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
         raise SizeCapError(f"trials * p = {trials * p} eigenvalues exceeds cap {MAX_SPECTRUM_ENTRIES}")
     if law_name not in _LAWS:
         raise ConfigError(f"law must be one of {sorted(_LAWS)}, got {law_name!r}")
-    check_projection_size(degree=degree)
     data_cfg = DataMatrixConfig(n=n, p=p, entry_law=_LAWS[law_name], seed=seed)
 
-    exp = project_kernel(kernel, degree=degree)
+    exp = project_kernel(kernel, degree=2)  # a, a2 and nu = E[k^2]
     gamma = p / n
     params = LimitLawParams(a=exp.a, nu=exp.nu, gamma=gamma) if exp.nu > 0 else None
-    a2 = exp.a2 if abs(exp.a2) > 1e-10 else 0.0  # quadrature noise is not a spike
+    a2 = exp.a2 if abs(exp.a2) > ODD_TOL * max(1.0, math.sqrt(exp.nu)) else 0.0
 
     eigenvalues = []
     trial_summaries = []

@@ -22,6 +22,7 @@ from .errors import ConfigError, DomainError, MeanNotZeroError, QuadratureError,
 DEFAULT_QUAD_ORDER = 200
 DEFAULT_DEGREE = 30
 MEAN_ZERO_TOL = 1e-8
+ODD_TOL = 1e-10  # scale-relative bound of is_odd, and of simulate's a_2 cut
 # Past degree ~280, most of E[h_d^2] lies where |x| > 37.5 and the N(0,1)
 # weights underflow, so no double-precision rule can project onto h_d:
 # at orders 504-4004, E[h_d^2] comes out within 1e-14 of 1 through d = 270
@@ -257,20 +258,20 @@ class KernelSpec:
         return _eval_on(self.evaluator, np.asarray(x, dtype=float))
 
     def is_odd(self) -> bool:
-        """max|k(-x) + k(x)| / max(1, max|k(x)|) <= 1e-10 over x in [0, 6]."""
+        """max|k(-x) + k(x)| / max(1, max|k(x)|) <= ODD_TOL over x in [0, 6]."""
         grid = np.linspace(0.0, 6.0, 241)
         with np.errstate(over="ignore", invalid="ignore"):
             right = self(grid)
             err = float(np.max(np.abs(self(-grid) + right)))
-        return err / max(1.0, float(np.max(np.abs(right)))) <= 1e-10
+        return err / max(1.0, float(np.max(np.abs(right)))) <= ODD_TOL
 
 
 @dataclass(frozen=True)
 class KernelExpansion:
     """Hermite coefficients a_1..a_D of a mean-zero kernel.
 
-    `residual` is the L2 mass left out by the degree-D truncation,
-    E[k^2] - sum(a_d^2), as measured by the projection quadrature.
+    `residual` is E[k^2] - sum(a_d^2), the L2 mass the degree-D truncation
+    leaves out, and `nu` is E[k^2], both as the projection quadrature measures.
     """
 
     coefficients: np.ndarray  # index d-1 holds a_d
@@ -294,7 +295,7 @@ class KernelExpansion:
 
     @property
     def nu(self) -> float:
-        return float(np.dot(self.coefficients, self.coefficients))
+        return float(np.dot(self.coefficients, self.coefficients)) + self.residual
 
     def __call__(self, x):
         """sum_d a_d h_d(x), accumulated in increasing d during one sweep of
@@ -368,14 +369,13 @@ def project_kernel(
 
 
 def kernel_moments(kernel, rule: GaussHermiteRule | None = None) -> tuple[float, float]:
-    """(a, nu) = (E[xi k(xi)], E[k(xi)^2]) by quadrature: the degree-1
-    projection, with nu its a^2 plus the L2 mass it leaves out.
+    """(a, nu) = (E[xi k(xi)], E[k(xi)^2]) from the degree-1 projection.
 
     Applies project_kernel's mean-zero gate: a nonzero constant component
     would silently shift the limit law.
     """
     e = project_kernel(kernel, 1, rule)
-    return e.a, e.nu + e.residual
+    return e.a, e.nu
 
 
 def hermite_sum_kernel(coeffs: Sequence[float]) -> KernelSpec:

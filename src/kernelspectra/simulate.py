@@ -32,13 +32,13 @@ from .limit_law import LimitLawParams, cdf
 # 7 GB host to everything else.
 MAX_MATRIX_SIDE = 17600
 # Entries of X.  Drawing X peaks at 16 B per entry for the sweep at p = 2
-# and for simulate's Rademacher law, whose int64 draw sits beside X, alike
-# (p * n = 1e7 and 2e7; simulate at p = 2 and 64).  simulate's Gaussian
-# law costs 7.5 B an entry at p = 64 and 11.4 B at p = 2, where
-# rank_two_correction's one-row slab is half of X.  So 5.8 GB at this cap,
-# which binds; with p <= MAX_MATRIX_SIDE the sweep's 1.1 p^2 + p n stays
-# within 5.7 GB and simulate's p^2 + p n within 5.4 GB.
+# (ru_maxrss at p * n = 1e7 and 2e7).  simulate costs 7.6 B an entry at
+# p = 64 and 11.4 B at p = 2, where rank_two_correction's one-row slab is
+# half of X, under every entry law.  So 5.8 GB at this cap, which binds;
+# with p <= MAX_MATRIX_SIDE the sweep's 1.1 p^2 + p n stays within 5.7 GB
+# and simulate's p^2 + p n within 5.4 GB.
 MAX_DATA_ENTRIES = 360_000_000
+_DRAW_BLOCK = 2**19  # entries per index draw of a discrete entry law
 
 
 def check_data_size(p: int, n: int) -> None:
@@ -94,13 +94,16 @@ class EntryLaw:
         if self.spec == "standard_gaussian":
             return gen.standard_normal(shape, out=out)
         if self.spec == "symmetric_rademacher":
-            values, index = np.array([-1.0, 1.0]), gen.integers(0, 2, size=shape)
+            values, probs = np.array([-1.0, 1.0]), None  # choice(2) draws integers(0, 2)
         else:
             values, probs = self._atoms()
-            index = gen.choice(len(values), size=shape, p=probs)
-        # every index is in range, so "clip" never acts; it spares the
-        # copy of out that the default mode would buffer through
-        return np.take(values, index, out=out, mode="clip")
+        out = np.empty(shape) if out is None else out
+        # blocks of the int64 index draw give the one-draw stream and never sit
+        # beside all of out; "clip" never acts (every index is in range) and
+        # spares the copy of each block that the default mode buffers through
+        for block in np.split(out.reshape(-1), range(_DRAW_BLOCK, out.size, _DRAW_BLOCK)):
+            np.take(values, gen.choice(len(values), block.size, p=probs), out=block, mode="clip")
+        return out
 
     def moment(self, k: int) -> float:
         """E[x^k] for an integer k >= 0; exactly 0.0 for odd k, since every

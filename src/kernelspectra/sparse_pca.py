@@ -203,8 +203,6 @@ def null_prediction(
     The threshold kernel is odd and increasing, so a(tau) >= 0 and the top
     edge equals the spectral norm; max_edge + 1 and norm + 1 coincide.
     """
-    if rule is None:
-        rule = build_quadrature(200)
     a, nu = kernel_moments(KernelSpec(evaluator=ThresholdFunction(tau)), rule)
     sup = support(LimitLawParams(a=a, nu=nu, gamma=gamma))
     return sup.max_edge + 1.0

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernelspectra
@@ -18,7 +18,7 @@ import kernelspectra.cli as cli_module
 from kernelspectra import lgraphs, sparse_pca
 from kernelspectra.cli import main, parse_kernel
 from kernelspectra.errors import ConfigError
-from kernelspectra.hermite import MAX_DEGREE, MAX_QUAD_ORDER, KernelSpec
+from kernelspectra.hermite import MAX_DEGREE, MAX_QUAD_ORDER, KernelSpec, kernel_moments
 from kernelspectra.lgraphs import SimpleLabeling, enumerate_multilabelings
 from kernelspectra.limit_law import MAX_DENSITY_POINTS, MAX_MOMENT_ORDER, LimitLawParams, moment
 from kernelspectra.simulate import MAX_DATA_ENTRIES, MAX_MATRIX_SIDE, sample_data, spectrum
@@ -260,7 +260,7 @@ def test_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_simulate_command_odd_kernel_no_spikes(tmp_path):
-    cfg = write_cfg(tmp_path, "s.cfg", kernel="h3", n=150, p=150, trials=1, degree=8)
+    cfg = write_cfg(tmp_path, "s.cfg", kernel="h3", n=150, p=150, trials=1)
     assert main(["simulate", cfg]) == 0
     payload = json.loads((tmp_path / "simulate_summary.json").read_text())["payload"]
     assert payload["trials"][0]["spike_empirical"] == []
@@ -268,8 +268,52 @@ def test_simulate_command_odd_kernel_no_spikes(tmp_path):
     assert "ks_distance" in payload["trials"][0]
 
 
+@pytest.mark.parametrize("kernel", ["1e12*h3", "1e8*h1+1e8*h3"])
+def test_simulate_scaled_odd_kernel_no_spikes(tmp_path, kernel):
+    # a2 is quadrature rounding here (6.4e-6 and 4.4e-10 at degree 30,
+    # -4.5e-5 and 5.5e-9 at degree 2), which an absolute 1e-10 cut took for
+    # spikes
+    cfg = write_cfg(tmp_path, "s.cfg", kernel=kernel, n=100, p=80)
+    assert main(["simulate", cfg]) == 0
+    trial = json.loads((tmp_path / "simulate_summary.json").read_text())["payload"]["trials"][0]
+    assert trial["spike_locations"] == [] and trial["spike_empirical"] == []
+
+
+def test_simulate_rejects_a_degree_key(tmp_path, capsys):
+    # simulate reads a, nu = E[k^2] and a2 off one degree-2 projection
+    cfg = write_cfg(tmp_path, "s.cfg", kernel="h2+h3", n=20, p=20, degree=30)
+    assert main(["simulate", cfg]) == 2
+    assert "degree" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
+_hermite_sums = st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=12).filter(
+    lambda cs: max(map(abs, cs)) >= 1e-3
+)
+
+
+@settings(max_examples=40)
+@given(st.one_of(_hermite_sums, st.floats(0.5, 4.0)))
+def test_every_command_reads_one_nu(kernel):
+    # simulate's nu used to be sum_{d <= degree} a_d^2, below E[k^2]
+    if isinstance(kernel, list):
+        spec = "+".join(f"{c!r}*h{d}" for d, c in enumerate(kernel, start=1)).replace("+-", "-")
+    else:
+        spec = f"soft_threshold({kernel!r})"
+    out = Path(os.environ["KERNELSPECTRA_OUT_DIR"])
+    nus = []
+    for command, keys, name in (("simulate", {"n": 4, "p": 4}, "simulate_summary.json"),
+                                ("project-kernel", {}, "kernel_expansion.json")):
+        assert main([command, write_cfg(out, "c.cfg", kernel=spec, **keys)]) == 0
+        nus.append(json.loads((out / name).read_text())["payload"]["nu"])
+    _, nu = kernel_moments(parse_kernel(spec))
+    assert nus == [pytest.approx(nu, rel=1e-14, abs=0)] * 2
+    if isinstance(kernel, list):
+        assert nu == pytest.approx(sum(c * c for c in kernel), rel=1e-13, abs=0)
+
+
 def test_simulate_byte_identical_reruns(tmp_path):
-    cfg = write_cfg(tmp_path, "s.cfg", kernel="h2+h3", n=100, p=120, trials=2, degree=8, seed=5)
+    cfg = write_cfg(tmp_path, "s.cfg", kernel="h2+h3", n=100, p=120, trials=2, seed=5)
     assert main(["simulate", cfg]) == 0
     first_csv = (tmp_path / "simulate_eigenvalues.csv").read_bytes()
     first_json = (tmp_path / "simulate_summary.json").read_bytes()
@@ -279,7 +323,7 @@ def test_simulate_byte_identical_reruns(tmp_path):
 
 
 def test_simulate_seed_override_changes_output(tmp_path):
-    cfg = write_cfg(tmp_path, "s.cfg", kernel="h3", n=100, p=100, trials=1, degree=8)
+    cfg = write_cfg(tmp_path, "s.cfg", kernel="h3", n=100, p=100, trials=1)
     assert main(["simulate", cfg]) == 0
     first = (tmp_path / "simulate_eigenvalues.csv").read_bytes()
     assert main(["simulate", cfg, "--seed", "99"]) == 0
@@ -302,7 +346,7 @@ def test_simulate_frees_x_before_the_eigensolve(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_module, "sample_data", sample)
     monkeypatch.setattr(cli_module, "spectrum", solve)
-    cfg = write_cfg(tmp_path, "s.cfg", kernel="h2+h3", n=60, p=40, trials=2, degree=8)
+    cfg = write_cfg(tmp_path, "s.cfg", kernel="h2+h3", n=60, p=40, trials=2)
     assert main(["simulate", cfg]) == 0
     assert len(drawn) == 2
 
@@ -342,7 +386,6 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
         ("verify", {"l_max": 2, "d_max": 1, "trace_trials": cli_module.MAX_TRACE_TRIALS + 1}),
         ("project-kernel", {"kernel": "h1", "degree": MAX_DEGREE + 1, "order": 20}),
         ("project-kernel", {"kernel": "h1", "degree": 1, "order": MAX_QUAD_ORDER + 1}),
-        ("simulate", {"kernel": "h1", "n": 20, "p": 20, "degree": 20000}),
         ("sparse-pca-sweep", {"n": 50, "taus": f"0.5:4.0:{cli_module.MAX_LIST_ENTRIES + 1}"}),
         ("verify", {"l_max": 2, "d_max": 1,
                     "scaling_ns": f"10:1000:{cli_module.MAX_LIST_ENTRIES + 1}"}),
@@ -351,7 +394,7 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
         ("sparse-pca-sweep", {"n": 4, "taus": "1.0,2.0", "trials": sparse_pca.MAX_SWEEP_CELLS // 2 + 1}),
     ],
     ids=["simulate-n", "sweep-n", "density-points", "scaling-entries", "trace-trials",
-         "projection-degree", "quadrature-order", "simulate-degree", "sweep-taus", "scaling-ns",
+         "projection-degree", "quadrature-order", "sweep-taus", "scaling-ns",
          "simulate-trials", "sweep-trials"],
 )
 def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys, command, keys):
@@ -682,6 +725,9 @@ def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
 # lemma_census moved.
 # "simulate/rademacher" pins the one non-Gaussian entry law, recorded
 # before sample_data could fill a caller's buffer.
+# Both simulate summaries were re-recorded when simulate took a, nu = E[k^2]
+# and a2 off one degree-2 projection: a, nu, a2, the spikes and the KS
+# distances moved in their last bits, and no eigenvalue did.
 # A change to derive_rng's stream paths changes these bytes and must say
 # so.  Each key is the command, or the command and a label after a "/".
 CLI_OUTPUT_SHA256 = {
@@ -698,14 +744,14 @@ CLI_OUTPUT_SHA256 = {
         {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2},
         {
             "simulate_eigenvalues.csv": "65362b0ff84d53f58a7b816f65a1b6eeec7a018c71ef477be257bc7f767f6043",
-            "simulate_summary.json": "add9254eac4ce5cdda8ffb785b0555053d76a989dc4ac1666676ee28fc8ee1a7",
+            "simulate_summary.json": "25fb7bdb91b8d7873ac850044e916b321c1f372c36f579488f2faf5eb99f55b1",
         },
     ),
     "simulate/rademacher": (
         {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2, "law": "rademacher"},
         {
             "simulate_eigenvalues.csv": "581df261c0da32c6faaf2653da7a9f93809132c0751543291ca5c036d8dc9f4e",
-            "simulate_summary.json": "fb45f3e5df5faa08e86a5b7cb530331912f7e122d4e475576dec31add5129046",
+            "simulate_summary.json": "3f140f85ed5b3b20e7e73f69fc112910bae0ffa87e99581f2e17782396d469f0",
         },
     ),
     "sparse-pca-sweep": (
@@ -765,7 +811,7 @@ def no_work(monkeypatch):
 @pytest.mark.parametrize(
     "command, keys",
     [
-        ("simulate", {"kernel": "h1", "n": 20, "p": 20, "degree": 4}),
+        ("simulate", {"kernel": "h1", "n": 20, "p": 20}),
         ("verify", {"l_max": 6, "d_max": 3, "scaling_trials": 5, "trace_trials": 100}),
         ("sparse-pca-sweep", {"n": 20, "taus": "1.0", "trials": 1}),
     ],
@@ -829,7 +875,7 @@ def test_bad_source_date_epoch_exits_2(tmp_path, epoch):
 def test_commands_but_the_sweep_import_no_scipy(tmp_path):
     # scipy costs a quarter of a second to import; only the sweep needs it
     configs = {
-        "simulate": {"kernel": "h1+0.5*h2", "n": 30, "p": 20, "degree": 4},
+        "simulate": {"kernel": "h1+0.5*h2", "n": 30, "p": 20},
         "project-kernel": {"kernel": "soft_threshold(1.5)", "degree": 6},
         "limit-law": {"a": 1, "nu": 2, "gamma": 0.5, "density_points": 101, "moments_lmax": 3},
         "verify": {"l_max": 3, "d_max": 2, "scaling_trials": 25, "trace_trials": 4000,

@@ -279,8 +279,10 @@ def test_threshold_moments_match_monte_carlo():
 def test_parseval_residual_for_smooth_threshold():
     exp = project_kernel(KernelSpec(evaluator=ThresholdFunction(2.0)), degree=30)
     a, nu = kernel_moments(KernelSpec(evaluator=ThresholdFunction(2.0)))
-    assert abs(nu - exp.nu) < 1e-4  # degree-30 truncation captures nu to 1e-4
+    # degree-30 truncation captures nu to 1e-4, and nu is E[k^2] at any degree
+    assert abs(nu - float(np.dot(exp.coefficients, exp.coefficients))) < 1e-4
     assert exp.residual < 1e-4
+    assert exp.nu == pytest.approx(nu, rel=1e-14, abs=0)
 
 
 def test_projection_requires_adequate_rule():

@@ -64,6 +64,31 @@ def test_sample_data_into_a_given_array_draws_the_same_bits(law):
     assert np.array_equal(X, sample_data(cfg, stream=(2, 1)))
 
 
+@pytest.mark.parametrize("block", [1, 7, 2**19])
+@pytest.mark.parametrize("shape", [(30, 71), (5, 6, 7)])
+@pytest.mark.parametrize(
+    "values, probs",
+    [((-1.0, 1.0), None), ((-0.5, -2.0, 2.0, 0.5), (0.4, 0.1, 0.1, 0.4))],
+)
+def test_discrete_laws_draw_in_blocks_as_in_one_draw(monkeypatch, block, shape, values, probs):
+    # the index array used to be drawn whole, beside X; a Rademacher index
+    # was drawn with integers(0, 2), which choice(2) draws too
+    law = EntryLaw("symmetric_rademacher" if probs is None else ("symmetric_discrete", values, probs))
+    gen = np.random.default_rng(3)
+    if probs is None:
+        index = gen.integers(0, 2, size=shape)
+    else:
+        index = gen.choice(len(values), size=shape, p=probs)
+    expected, after = np.take(values, index), gen.standard_normal(4)
+    monkeypatch.setattr(sim, "_DRAW_BLOCK", block)
+    gen = np.random.default_rng(3)
+    out = np.full(shape, np.nan)
+    assert law.sample(gen, shape, out=out) is out
+    assert np.array_equal(out, expected)
+    assert np.array_equal(gen.standard_normal(4), after)
+    assert np.array_equal(law.sample(np.random.default_rng(3), shape), expected)
+
+
 def test_rademacher_entries():
     cfg = DataMatrixConfig(n=100, p=100, entry_law="symmetric_rademacher", seed=1)
     X = sample_data(cfg)
