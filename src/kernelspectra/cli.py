@@ -13,7 +13,6 @@ import datetime
 import hashlib
 import json
 import math
-import mmap
 import os
 import re
 import sys
@@ -50,6 +49,7 @@ from .limit_law import (
 from .rng import STREAM_SCALING, derive_rng
 from .simulate import (
     DataMatrixConfig,
+    _mapped_empty,
     build_kernel_matrix,
     decompose_hermite_sum,
     ks_distance,
@@ -391,22 +391,6 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
 _LAWS = {"gaussian": "standard_gaussian", "rademacher": "symmetric_rademacher"}
 
 
-def _mapped_empty(shape: tuple[int, int]) -> np.ndarray:
-    """An uninitialised float64 array over its own anonymous mapping, which
-    goes back to the OS when the last reference to the array is dropped.
-    glibc serves a large array from its heap once a freed one of that size
-    has raised its mmap threshold, and keeps the pages when the array is
-    freed, so a freed X would still count towards the eigensolve's peak.
-    The mapping is advised MADV_HUGEPAGE where the platform has it, as
-    numpy does for its own large arrays, so that filling it faults in
-    huge pages, not 4 KB ones."""
-    count = math.prod(shape)
-    buf = mmap.mmap(-1, 8 * count)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
-
-
 def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
     kernel = parse_kernel(cfg.get_str("kernel", _REQUIRED))
     n = cfg.get_int("n", _REQUIRED)
@@ -432,13 +416,13 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
     eigenvalues = []
     trial_summaries = []
     for t in range(trials):
-        # at most two p x p-sized arrays at a time: X and K, then K and the
-        # eigensolver's copy of it
-        X = sample_data(data_cfg, stream=t, out=_mapped_empty((p, n)))
+        # one p x p-sized array at a time, and a slab: the build gives X's
+        # pages back as it fills K, and the solve overwrites K
+        X = sample_data(data_cfg, stream=t, out=_mapped_empty((p, n), disposable=True))
         spikes = rank_two_correction(X, a2, fourth_moment=data_cfg.fourth_moment)
         K = build_kernel_matrix(X, kernel)
         del X
-        summ = spectrum(K)
+        summ = spectrum(K, overwrite=True)
         del K
         eigenvalues.append(summ.eigenvalues)
         entry = {

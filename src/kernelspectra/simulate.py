@@ -9,7 +9,10 @@ comparison ensemble that shares the limit law.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,22 +24,22 @@ from .hermite import KernelSpec, _eval_on, hermite_eval
 from .limit_law import LimitLawParams, cdf
 
 # Both caps are checked by simulate and by sparse-pca-sweep; peaks are
-# ru_maxrss in a fresh process.  simulate peaks at 56 MB + 8 B * 2.1 p^2
-# while the eigensolver copies K (X is freed by then; p = n = 1500 to
-# 5000), and at 69 MB + 8 B * (p^2 + p n) while X and K coexist (p = 3000
-# and 4000, n up to 2p).  The sweep peaks at 74 MB + 8 B * 2.3 p^2 while
-# its Gram, output buffer and a CSR cell just under SPARSE_DENSITY_CUT
-# coexist (p = n = 3000 and 5000), and at 80 MB + 8 B * (1.1 p^2 + p n)
-# while X and its Gram do (p = 3000 and 4000, n = 2p).  The sweep binds:
-# at n = p and this cap it holds 5.8 GB, which leaves about 1 GB of a
-# 7 GB host to everything else.
+# ru_maxrss in a fresh process.  simulate holds X or K, and a slab, and
+# peaks at most at 47 MB + 8 B * 1.06 max(p^2, p n): 44 MB + 8 B * 1.06
+# p^2 at n <= p (p = n = 1500 to 5000, and p = 4000, n = 2000) and 46 MB
+# + 8 B * p n at n > p (p = 3000, n = 6000, and p = 2000, n = 8000).  The
+# sweep peaks at 74 MB + 8 B * 2.3 p^2 while its Gram, output buffer and a
+# CSR cell just under SPARSE_DENSITY_CUT coexist (p = n = 3000 and 5000),
+# and at 80 MB + 8 B * (1.1 p^2 + p n) while X and its Gram do (p = 3000
+# and 4000, n = 2p).  The sweep binds: at n = p and this cap it holds
+# 5.8 GB, which leaves about 1 GB of a 7 GB host to everything else.
 MAX_MATRIX_SIDE = 17600
 # Entries of X.  Drawing X peaks at 16 B per entry for the sweep at p = 2
 # (ru_maxrss at p * n = 1e7 and 2e7).  simulate costs 7.6 B an entry at
 # p = 64 and 11.4 B at p = 2, where rank_two_correction's one-row slab is
 # half of X, under every entry law.  So 5.8 GB at this cap, which binds;
 # with p <= MAX_MATRIX_SIDE the sweep's 1.1 p^2 + p n stays within 5.7 GB
-# and simulate's p^2 + p n within 5.4 GB.
+# and simulate's 1.06 max(p^2, p n) within 3.1 GB.
 MAX_DATA_ENTRIES = 360_000_000
 _DRAW_BLOCK = 2**19  # entries per index draw of a discrete entry law
 
@@ -159,36 +162,74 @@ def sample_data(
 # kernel matrices
 
 
-_SLAB_ROWS = 256  # rows per block in the blocked passes over a p x p matrix
+# Rows per block in the blocked passes over X and over a p x p matrix: the
+# Gram slabs of the kernel-matrix build (where a tail of fewer than half as
+# many rows joins the last slab), the mirror pass and spectrum's check.
+# The check's two temporaries of this many rows sit beside K at the solve.
+_SLAB_ROWS = 128
 # Gram entries per kernel tile: the Hermite sweep's buffers for one tile
 # stay in cache (8192 and 131072 were slower at n = p = 2000).
 _TILE_ENTRIES = 32768
 
 
-def _scaled_gram(X: np.ndarray) -> np.ndarray:
-    """sqrt(n) * Sigma_hat = X X^T / sqrt(n), scaled in place."""
-    p, n = X.shape
-    if p > MAX_MATRIX_SIDE:
-        raise SizeCapError(f"p={p} exceeds cap {MAX_MATRIX_SIDE}")
-    g = X @ X.T
-    g /= math.sqrt(n)
-    return g
+class _DisposableMapping(mmap.mmap):
+    """An anonymous mapping whose array _kernel_matrix gives back to the OS
+    as it reads it (see _mapped_empty)."""
 
 
-def _upper_tiles(p: int):
+def _mapped_empty(shape: tuple[int, int], disposable: bool = False) -> np.ndarray:
+    """An uninitialised float64 array over its own anonymous mapping, which
+    goes back to the OS when the last reference to the array is dropped.
+    glibc serves a large array from its heap once a freed one of that size
+    has raised its mmap threshold, and keeps the pages when the array is
+    freed, so a freed array would still count towards a later peak.  The
+    mapping is advised MADV_HUGEPAGE where the platform has it, as numpy
+    does for its own large arrays, so that filling it faults in huge pages,
+    not 4 KB ones.
+
+    A disposable array is one its owner hands to _kernel_matrix, which
+    gives its pages back to the OS as it reads them, so that it reads as
+    zeros after the build."""
+    count = math.prod(shape)
+    # private: pages given back from a shared mapping would stay in memory
+    buf = (_DisposableMapping if disposable else mmap.mmap)(-1, 8 * count, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
+
+
+def _disposable_mapping(X: np.ndarray) -> mmap.mmap | None:
+    """The mapping under X if X is all of a disposable _mapped_empty array,
+    else None."""
+    base = X.base
+    view = base.base if isinstance(base, np.ndarray) else None
+    if (
+        isinstance(view, memoryview)
+        and isinstance(view.obj, _DisposableMapping)
+        and X.flags.c_contiguous
+        and X.ctypes.data == base.ctypes.data
+        and X.nbytes == len(view.obj)
+    ):
+        return view.obj
+    return None
+
+
+def _upper_tiles(rows: int, cols: int | None = None):
     """(i0, i1) of the row slabs [i0:i1, i0:] of about _TILE_ENTRIES
-    entries that cover the upper triangle of a p x p matrix, each row
-    once."""
+    entries that cover the upper triangle of a rows x cols matrix (square
+    by default), each row once."""
+    cols = rows if cols is None else cols
     i0 = 0
-    while i0 < p:
-        i1 = min(p, i0 + max(1, _TILE_ENTRIES // (p - i0)))
+    while i0 < rows:
+        i1 = min(rows, i0 + max(1, _TILE_ENTRIES // (cols - i0)))
         yield i0, i1
         i0 = i1
 
 
 def _kernel_tiles(g: np.ndarray, kernel, n: int, out: np.ndarray) -> np.ndarray:
     """k(g) / sqrt(n) entrywise on the upper triangle of a scaled Gram g of
-    n samples, written into out (g itself, or a p x p buffer that keeps g
+    n samples, or of a slab of one whose diagonal starts at g[0, 0],
+    written into out (g itself, or a buffer of g's shape that keeps g
     intact for the next kernel) and returned.  The kernel runs on row slabs
     g[i0:i1, i0:] of about _TILE_ENTRIES entries, so out also gets the part
     of each slab's diagonal block below the diagonal, and the rest of its
@@ -199,34 +240,67 @@ def _kernel_tiles(g: np.ndarray, kernel, n: int, out: np.ndarray) -> np.ndarray:
     view of it leaves g intact when out is a separate buffer; when out is g,
     numpy buffers the overlap."""
     s = math.sqrt(n)
-    for i0, i1 in _upper_tiles(g.shape[0]):
+    for i0, i1 in _upper_tiles(*g.shape):
         tile = np.divide(_eval_on(kernel, g[i0:i1, i0:]), s, out=out[i0:i1, i0:])
         if not np.isfinite(tile).all():
             raise ConfigError("kernel matrix contains non-finite entries")
     return out
 
 
+def _gram_slabs(p: int):
+    """(i0, i1) of the row slabs of _SLAB_ROWS rows that cover p rows,
+    a tail of fewer than half a slab joined to the last one."""
+    i0 = 0
+    while i0 < p:
+        i1 = i0 + _SLAB_ROWS
+        if p - i1 < _SLAB_ROWS // 2:
+            i1 = p
+        yield i0, i1
+        i0 = i1
+
+
 def _kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
     """k(sqrt(n) * Sigma_hat) / sqrt(n) entrywise, exactly symmetric, the
-    diagonal included.  The kernel is written into the Gram in place, on
-    its upper triangle (_kernel_tiles), which is then mirrored into the
-    lower one, so the build holds one p x p array."""
-    g = _scaled_gram(X)
-    _kernel_tiles(g, kernel, X.shape[1], out=g)
-    p = g.shape[0]
+    diagonal included, in an array over its own mapping (_mapped_empty).
+
+    The Gram is formed in row slabs, X[i0:i1] @ X[i0:].T / sqrt(n), and
+    the kernel is written from each slab straight into K[i0:i1, i0:]
+    (_kernel_tiles); the upper triangle is then mirrored into the lower
+    one.  So besides X the build holds K and one slab.  No later slab
+    reads the rows of X before i1, so when X is all of a disposable
+    _mapped_empty array, the whole pages of those rows go back to the OS
+    after each slab, and X reads as zeros after the build; any other X is
+    left as it was."""
+    p, n = X.shape
+    if p > MAX_MATRIX_SIDE:
+        raise SizeCapError(f"p={p} exceeds cap {MAX_MATRIX_SIDE}")
+    K = _mapped_empty((p, p))
+    mapping = _disposable_mapping(X)
+    released = 0
+    for i0, i1 in _gram_slabs(p):
+        g = X[i0:i1] @ X[i0:].T
+        g /= math.sqrt(n)
+        _kernel_tiles(g, kernel, n, out=K[i0:i1, i0:])
+        if mapping is not None:
+            end = i1 * n * X.itemsize // mmap.PAGESIZE * mmap.PAGESIZE
+            if end > released:
+                mapping.madvise(mmap.MADV_DONTNEED, released, end - released)
+                released = end
+    del g
     for i0 in range(0, p, _SLAB_ROWS):
         i1 = min(i0 + _SLAB_ROWS, p)
-        g[i0:i1, :i0] = g[:i0, i0:i1].T
-        block = g[i0:i1, i0:i1]
+        K[i0:i1, :i0] = K[:i0, i0:i1].T
+        block = K[i0:i1, i0:i1]
         block[...] = np.triu(block) + np.triu(block, 1).T
-    g += 0.0  # -0.0 -> +0.0, as the sum of the two triangles gave
-    return g
+    K += 0.0  # -0.0 -> +0.0, as the sum of the two triangles gave
+    return K
 
 
 def build_kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
     """K(X)[i,i'] = k(sqrt(n) * Sigma_hat[i,i']) / sqrt(n) off-diagonal,
     exactly zero on the diagonal.  Built from the upper triangle so the
-    result is exactly symmetric."""
+    result is exactly symmetric.  X is left as it was, unless it is a
+    disposable _mapped_empty array (see _kernel_matrix)."""
     K = _kernel_matrix(X, kernel)
     np.fill_diagonal(K, 0.0)
     return K
@@ -277,9 +351,55 @@ def _checked_hermitian(m) -> np.ndarray:
     return m
 
 
-def spectrum(m: np.ndarray) -> SpectrumSummary:
-    """Full symmetric/Hermitian eigendecomposition, descending order."""
-    ev = np.linalg.eigvalsh(_checked_hermitian(m))
+@functools.cache
+def _lapacke_dsyevd():
+    """LAPACKE_dsyevd of the ILP64 OpenBLAS that numpy's linalg module
+    links, looked up through that module's handle under the name numpy's
+    wheels give it, or None where the library has no such symbol."""
+    from numpy.linalg import _umath_linalg
+
+    try:
+        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dsyevd64_
+    except (OSError, AttributeError):
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
+    fn.restype = i64
+    return fn
+
+
+def _eigvalsh_in_place(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a C-ordered float64 m, by LAPACK dsyevd
+    with JOBZ = 'N' working in m itself, which it leaves overwritten.  In
+    LAPACK's column-major order a C-ordered m is m.T, so UPLO = 'L' reads
+    m's upper triangle.  For an exactly symmetric m that is the triangle
+    np.linalg.eigvalsh reads, from its column-major copy, and the call is
+    the one it makes, so the eigenvalues have its bits.  Without the
+    LAPACKE symbol this is eigvalsh, which copies m."""
+    dsyevd = _lapacke_dsyevd()
+    if dsyevd is None:
+        return np.linalg.eigvalsh(m)
+    p = m.shape[0]
+    w = np.empty(p)
+    info = dsyevd(102, b"N", b"L", p, m.ctypes.data, p, w.ctypes.data)  # 102: column-major
+    if info:
+        raise ConsistencyError(f"LAPACK dsyevd failed at p={p} (info {info})")
+    return w
+
+
+def spectrum(m: np.ndarray, *, overwrite: bool = False) -> SpectrumSummary:
+    """Full symmetric/Hermitian eigendecomposition, descending order.
+
+    With overwrite=True a real, C-ordered, writeable float64 m is solved
+    in place, on its upper triangle, and left overwritten, so the solve
+    holds no copy of it; the eigenvalues are eigvalsh's when m is exactly
+    symmetric, as the kernel-matrix builder makes it.  Any other m is
+    solved by np.linalg.eigvalsh on a copy, and left as it was."""
+    m = _checked_hermitian(m)
+    if overwrite and m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable:
+        ev = _eigvalsh_in_place(m)
+    else:
+        ev = np.linalg.eigvalsh(m)
     return SpectrumSummary(eigenvalues=ev[::-1].copy())
 
 

@@ -127,10 +127,10 @@ def thresholded_covariance(X: np.ndarray, tau: float) -> np.ndarray:
 
 def _upper_gram(X: np.ndarray) -> np.ndarray:
     """X X^T / sqrt(n) for X (p x n) on the upper triangle of a C-ordered
-    p x p array, with _scaled_gram's bits there; the lower triangle holds
-    zeros.
+    p x p array, with the bits of numpy's X @ X.T / sqrt(n) there; the
+    lower triangle holds zeros.
 
-    The same Gram as _scaled_gram, built by scipy's BLAS dsyrk rather than
+    The same Gram as X @ X.T, built by scipy's BLAS dsyrk rather than
     numpy's: numpy and scipy each load their own OpenBLAS, with a thread
     pool each, and the sweep's dsymv products run on scipy's.  After a
     Gram on numpy's pool, numpy's threads still spin while scipy's wait for

@@ -331,24 +331,58 @@ def test_simulate_seed_override_changes_output(tmp_path):
 
 
 def test_simulate_frees_x_before_the_eigensolve(tmp_path, monkeypatch):
-    # X used to stay alive through spectrum, beside K and the eigensolver's
-    # copy of it
-    drawn = []
+    # X is gone when the solve starts, and the solve overwrites K in place,
+    # so no p x p array sits beside K there
+    drawn, solves = [], []
 
     def sample(*args, **kwargs):
         X = sample_data(*args, **kwargs)
         drawn.append(weakref.ref(X))
         return X
 
-    def solve(m):
+    def solve(m, **kwargs):
         assert drawn[-1]() is None, "X is alive at the eigensolve"
-        return spectrum(m)
+        solves.append(kwargs)
+        return spectrum(m, **kwargs)
 
     monkeypatch.setattr(cli_module, "sample_data", sample)
     monkeypatch.setattr(cli_module, "spectrum", solve)
     cfg = write_cfg(tmp_path, "s.cfg", kernel="h2+h3", n=60, p=40, trials=2)
     assert main(["simulate", cfg]) == 0
     assert len(drawn) == 2
+    assert solves == [{"overwrite": True}] * 2
+
+
+def test_simulate_peak_grows_by_about_one_p_by_p_array(tmp_path):
+    # a fresh interpreter warms up at p = n = 600, then runs three trials at
+    # p = n = 2000: X goes back to the OS as K fills, and the solve works in
+    # K, so the peak RSS grows by K and a slab (1.2 p^2 float64 entries on
+    # a 2-vCPU host; 2.1 when the solve copied K and the build held X and
+    # the full Gram).  A K on glibc's heap would show only from the third
+    # trial.  The peak is the process's VmHWM: ru_maxrss would start from
+    # the RSS of the test process that spawned it.
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs Linux's /proc/self/status")
+    p = 2000
+    runs = [write_cfg(tmp_path, f"{side}.cfg", kernel="h2+h3", n=side, p=side, trials=trials)
+            for side, trials in ((600, 1), (p, 3))]
+    script = (
+        "import contextlib, io, json\n"
+        "from kernelspectra.cli import main\n"
+        "peaks = []\n"
+        f"for cfg in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(['simulate', cfg]) == 0\n"
+        f"    with open({str(status)!r}) as fh:\n"
+        "        peaks.append(next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:')))\n"
+        "print(json.dumps(peaks))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_interpreter_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    warm, peak = json.loads(proc.stdout.splitlines()[-1])  # kB
+    assert (peak - warm) * 1024 < 1.4 * 8 * p * p
 
 
 def test_simulate_size_cap_exits_3(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -250,6 +251,60 @@ def test_component_matrix_semicircle_esd():
         assert ks_distance(s, LimitLawParams(0.0, 1.0, 1.0)) < 0.06
 
 
+def test_gram_slabs_cover_the_rows_once():
+    # slabs of _SLAB_ROWS rows, a tail under half a slab joined to the
+    # last one, so no slab but a lone one has fewer than half a slab's rows
+    for p in range(1, 700):
+        slabs = list(sim._gram_slabs(p))
+        assert [i0 for i0, _ in slabs] == [0] + [i1 for _, i1 in slabs[:-1]]
+        assert slabs[-1][1] == p
+        rows = [i1 - i0 for i0, i1 in slabs]
+        half = sim._SLAB_ROWS // 2
+        assert all(r == 2 * half for r in rows[:-1])
+        assert rows[-1] < 3 * half and (len(rows) == 1 or rows[-1] >= half)
+
+
+@pytest.mark.parametrize("p, n", [(257, 100), (600, 2000), (1000, 300)])
+def test_build_that_gives_x_back_matches_a_build_on_an_intact_copy(p, n):
+    cfg = DataMatrixConfig(n=n, p=p, seed=p + n)
+    X = sample_data(cfg, out=sim._mapped_empty((p, n), disposable=True))
+    copy = X.copy()
+    kernel = KernelSpec(evaluator=lambda y: hermite_eval(2, y) + hermite_eval(3, y))
+    K = build_kernel_matrix(X, kernel)
+    # the whole pages of every row went back to the OS, so they read as zeros
+    released = p * n * 8 // mmap.PAGESIZE * mmap.PAGESIZE // 8
+    assert released > 0 and not np.any(X.reshape(-1)[:released])
+    # the public builder leaves X as it was, on the heap or in a mapping
+    # that is not disposable
+    mapped = sample_data(cfg, out=sim._mapped_empty((p, n)))
+    assert np.array_equal(build_kernel_matrix(copy, kernel), K)
+    assert np.array_equal(build_kernel_matrix(mapped, kernel), K)
+    assert np.array_equal(copy, sample_data(cfg)) and np.array_equal(mapped, copy)
+    # a view of a disposable array is a caller's X too
+    view_source = sample_data(cfg, out=sim._mapped_empty((p, n), disposable=True))
+    build_kernel_matrix(view_source[1:], kernel)
+    assert np.array_equal(view_source, copy)
+
+
+@pytest.mark.parametrize("disposable", [False, True])
+def test_non_finite_entry_in_a_later_slab_raises(disposable):
+    # only the last row's diagonal Gram entry, in the last slab, passes the
+    # kernel's cut: every slab before it is built first
+    p, n = 300, 100
+    X = sample_data(DataMatrixConfig(n=n, p=p, seed=9), out=sim._mapped_empty((p, n), disposable))
+    X[-1] *= 10.0
+    assert len(list(sim._gram_slabs(p))) > 1
+    calls = []
+
+    def kernel(y):
+        calls.append(y.shape)
+        return np.where(y > 500.0, np.nan, y)
+
+    with pytest.raises(ConfigError, match="non-finite"):
+        build_kernel_matrix(X, kernel)
+    assert sum(rows for rows, _ in calls) == p
+
+
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -260,6 +315,52 @@ def test_spectrum_small_matrices():
     assert s.spectral_norm == 5.0
     assert s.lambda_max == 3.0
     assert np.allclose(spectrum(np.array([[0.0, 1.0], [1.0, 0.0]])).eigenvalues, [1, -1])
+
+
+def _builder_matrix(p: int) -> np.ndarray:
+    X = sample_data(DataMatrixConfig(n=max(p, 5), p=p, seed=p))
+    return build_kernel_matrix(X, lambda y: hermite_eval(2, y) + hermite_eval(3, y))
+
+
+@pytest.mark.parametrize("p", [2, 3, 50, 257, 600])
+def test_in_place_spectrum_matches_eigvalsh(p, monkeypatch):
+    K = _builder_matrix(p)
+    want = np.linalg.eigvalsh(K)[::-1]
+    m = K.copy()
+    assert np.array_equal(spectrum(m, overwrite=True).eigenvalues, want)
+    if sim._lapacke_dsyevd() is not None and p > 2:
+        assert not np.array_equal(m, K)  # solved in m itself
+    # without the LAPACKE symbol the solve is eigvalsh, with the same bits
+    monkeypatch.setattr(sim, "_lapacke_dsyevd", lambda: None)
+    m = K.copy()
+    assert np.array_equal(spectrum(m, overwrite=True).eigenvalues, want)
+    assert np.array_equal(m, K)
+
+
+def test_spectrum_leaves_m_as_it_was_unless_asked():
+    K = _builder_matrix(120)
+    m = K.copy()
+    want = spectrum(m).eigenvalues
+    assert np.array_equal(m, K)
+    # Fortran order, other dtypes, read-only and complex input are solved
+    # by eigvalsh on a copy, even when overwrite is asked for
+    fortran = np.asfortranarray(K)
+    assert np.array_equal(spectrum(fortran, overwrite=True).eigenvalues, want)
+    assert np.array_equal(fortran, K)
+    read_only = K.copy()
+    read_only.flags.writeable = False
+    assert np.array_equal(spectrum(read_only, overwrite=True).eigenvalues, want)
+    single = K.astype(np.float32)
+    assert np.allclose(spectrum(single, overwrite=True).eigenvalues, want, atol=1e-5)
+    assert np.array_equal(single, K.astype(np.float32))
+    gen = np.random.default_rng(0)
+    a = gen.standard_normal((40, 40)) + 1j * gen.standard_normal((40, 40))
+    h = (a + a.conj().T) / 2
+    before = h.copy()
+    ev = np.linalg.eigvalsh(h)[::-1]
+    for overwrite in (False, True):
+        assert np.array_equal(spectrum(h, overwrite=overwrite).eigenvalues, ev)
+        assert np.array_equal(h, before)
 
 
 def test_spectrum_rejects_asymmetric():
@@ -412,7 +513,8 @@ def test_sparse_check_rejects_bad_input(bad):
     # makes as it builds them: every kept value is finite
     from kernelspectra.sparse_pca import ThresholdFunction, _thresholded_sparse
 
-    g = sim._scaled_gram(sample_data(DataMatrixConfig(n=40, p=30, seed=7)))
+    X = sample_data(DataMatrixConfig(n=40, p=30, seed=7))
+    g = X @ X.T / math.sqrt(40)
     assert _thresholded_sparse(g, ThresholdFunction(0.5), 40, math.inf) is not None
     for cell in ((3, 20), (5, 5)):  # an off-diagonal and a diagonal entry
         bad_g = g.copy()

@@ -15,7 +15,6 @@ from kernelspectra.simulate import (
     DataMatrixConfig,
     _kernel_matrix,
     _kernel_tiles,
-    _scaled_gram,
     build_kernel_matrix,
     sample_data,
     spectrum,
@@ -62,11 +61,19 @@ def _reference_threshold(x, tau):
     return np.sign(x) * np.where(ax <= 0.8 * tau, 0.0, np.where(ax >= 1.2 * tau, ax - tau, quad))
 
 
+def _scaled_gram(X):
+    """The oracle Gram, X X^T / sqrt(n) by numpy's X @ X.T (a dsyrk), as
+    the kernel-matrix builder formed it before it went to row slabs."""
+    g = X @ X.T
+    g /= math.sqrt(X.shape[1])
+    return g
+
+
 def _reference_kernel_matrix(X, kernel, keep_diagonal):
     """The kernel matrix summed from its two triangles, as both builders
     formed it before they shared one in-place builder."""
     n = X.shape[1]
-    g = (X @ X.T) / math.sqrt(n)
+    g = _scaled_gram(X)
     vals = kernel(g) / math.sqrt(n)
     upper = np.triu(vals, 1)
     if keep_diagonal:
