@@ -41,18 +41,15 @@ from .limit_law import (
 )
 from .simulate import (
     DataMatrixConfig,
-    DeformedModelSample,
     EntryLaw,
     HermiteSumDecomposition,
     SpectrumSummary,
     SpikePrediction,
     build_kernel_matrix,
-    concentration_probe,
     decompose_hermite_sum,
     ks_distance,
     rank_two_correction,
     sample_data,
-    sample_deformed_model,
     spectrum,
 )
 from .sparse_pca import (

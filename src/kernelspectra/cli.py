@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, KernelSpectraError, SizeCapError, VerificationError
 from .hermite import (
-    ODD_TOL,
     KernelSpec,
     build_quadrature,
     check_projection_size,
@@ -389,6 +388,7 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
 
 
 _LAWS = {"gaussian": "standard_gaussian", "rademacher": "symmetric_rademacher"}
+ODD_TOL = 1e-10  # simulate's a_2 cut, relative to max(1, sqrt(nu))
 
 
 def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:

@@ -22,7 +22,6 @@ from .errors import ConfigError, DomainError, MeanNotZeroError, QuadratureError,
 DEFAULT_QUAD_ORDER = 200
 DEFAULT_DEGREE = 30
 MEAN_ZERO_TOL = 1e-8
-ODD_TOL = 1e-10  # scale-relative bound of is_odd, and of simulate's a_2 cut
 # Past degree ~280, most of E[h_d^2] lies where |x| > 37.5 and the N(0,1)
 # weights underflow, so no double-precision rule can project onto h_d:
 # at orders 504-4004, E[h_d^2] comes out within 1e-14 of 1 through d = 270
@@ -231,8 +230,8 @@ def build_quadrature(order: int) -> GaussHermiteRule:
 
 def _eval_on(f: Callable, x: np.ndarray) -> np.ndarray:
     """Evaluate a kernel on an array.  Callables that only take scalars are
-    looped over 1-D inputs (quadrature nodes, parity grids) but rejected on
-    matrices, where the loop would be one Python call per entry."""
+    looped over 1-D inputs (quadrature nodes) but rejected on matrices,
+    where the loop would be one Python call per entry."""
     try:
         vals = np.asarray(f(x), dtype=float)
         if vals.shape == x.shape:
@@ -246,7 +245,7 @@ def _eval_on(f: Callable, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel function, odd or not: is_odd measures which.
+    """A kernel function; parse_kernel builds one for each registry family.
 
     The evaluator must be a pure function R -> R; array-vectorized
     evaluators are used as-is, scalar ones are wrapped for 1-D inputs only.
@@ -256,14 +255,6 @@ class KernelSpec:
 
     def __call__(self, x):
         return _eval_on(self.evaluator, np.asarray(x, dtype=float))
-
-    def is_odd(self) -> bool:
-        """max|k(-x) + k(x)| / max(1, max|k(x)|) <= ODD_TOL over x in [0, 6]."""
-        grid = np.linspace(0.0, 6.0, 241)
-        with np.errstate(over="ignore", invalid="ignore"):
-            right = self(grid)
-            err = float(np.max(np.abs(self(-grid) + right)))
-        return err / max(1.0, float(np.max(np.abs(right)))) <= ODD_TOL
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ from .errors import ConfigError
 STREAM_DATA = 0x11
 STREAM_SPIKE_SUPPORT = 0x22
 STREAM_SPIKE_COEF = 0x23
-STREAM_GUE = 0x31
-STREAM_WISHART = 0x32
 STREAM_TRIAL = 0x41
 STREAM_SCALING = 0x51
 STREAM_LANCZOS = 0x61

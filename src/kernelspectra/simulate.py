@@ -2,9 +2,8 @@
 
 Covers: data-matrix sampling with symmetric entry laws, the kernel matrix
 K(X) with entries k(sqrt(n) * Sigma_hat) / sqrt(n) off the diagonal, the
-three-scale decomposition of Hermite polynomials of normalized sums, the
-rank-two spike correction for non-odd kernels, and the deformed-GUE
-comparison ensemble that shares the limit law.
+three-scale decomposition of Hermite polynomials of normalized sums, and
+the rank-two spike correction for non-odd kernels.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError, ConsistencyError, DomainError, SizeCapError
-from .hermite import KernelSpec, _eval_on, hermite_eval
+from .hermite import _eval_on, hermite_eval
 from .limit_law import LimitLawParams, cdf
 
 # Both caps are checked by simulate and by sparse-pca-sweep; peaks are
@@ -326,16 +325,17 @@ class SpectrumSummary:
 SYMMETRY_RTOL = 1e-10  # largest asymmetry spectrum accepts, relative to max|m|
 
 
-def _checked_hermitian(m) -> np.ndarray:
-    """m as an array, after spectrum's checks of a caller's matrix: square,
-    finite, and symmetric/Hermitian to 1e-10 of its largest entry.  Works
-    in row slabs, comparing each slab's upper part with its mirror, so it
+def _checked_symmetric(m) -> np.ndarray:
+    """m as an array, after spectrum's checks of a caller's matrix: real,
+    square, finite, and symmetric to 1e-10 of its largest entry.  Works in
+    row slabs, comparing each slab's upper part with its mirror, so it
     allocates no p x p temporary."""
     m = np.asarray(m)
+    if np.iscomplexobj(m):
+        raise ConfigError(f"expected a real matrix, got dtype {m.dtype}")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ConfigError(f"expected a non-empty square matrix, got shape {m.shape}")
     p = m.shape[0]
-    hermitian = np.iscomplexobj(m)
     scale, asym = 1.0, 0.0
     for i0 in range(0, p, _SLAB_ROWS):
         i1 = min(i0 + _SLAB_ROWS, p)
@@ -343,11 +343,10 @@ def _checked_hermitian(m) -> np.ndarray:
         if not math.isfinite(slab_max):
             raise ConfigError("matrix contains non-finite entries")
         scale = max(scale, slab_max)
-        mirror = m[i0:, i0:i1].T
-        diff = m[i0:i1, i0:] - (mirror.conj() if hermitian else mirror)
+        diff = m[i0:i1, i0:] - m[i0:, i0:i1].T
         asym = max(asym, float(np.max(np.abs(diff))))
     if asym > SYMMETRY_RTOL * scale:
-        raise ConfigError(f"matrix is not symmetric/Hermitian (max asymmetry {asym:.3e})")
+        raise ConfigError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     return m
 
 
@@ -388,14 +387,15 @@ def _eigvalsh_in_place(m: np.ndarray) -> np.ndarray:
 
 
 def spectrum(m: np.ndarray, *, overwrite: bool = False) -> SpectrumSummary:
-    """Full symmetric/Hermitian eigendecomposition, descending order.
+    """Full symmetric eigendecomposition, descending order.  A complex m
+    raises ConfigError, whatever overwrite is.
 
-    With overwrite=True a real, C-ordered, writeable float64 m is solved
+    With overwrite=True a C-ordered, writeable float64 m is solved
     in place, on its upper triangle, and left overwritten, so the solve
     holds no copy of it; the eigenvalues are eigvalsh's when m is exactly
     symmetric, as the kernel-matrix builder makes it.  Any other m is
     solved by np.linalg.eigvalsh on a copy, and left as it was."""
-    m = _checked_hermitian(m)
+    m = _checked_symmetric(m)
     if overwrite and m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable:
         ev = _eigvalsh_in_place(m)
     else:
@@ -404,17 +404,16 @@ def spectrum(m: np.ndarray, *, overwrite: bool = False) -> SpectrumSummary:
 
 
 # Restarts allowed to one ARPACK solve (eigsh's maxiter): about 10 products
-# each at the default ncv of 20, so about 3000 products.  The sweep's and
-# the probe's solves at n = p = 1000 and p <= 2000 needed at most 12.
+# each at the default ncv of 20, so about 3000 products.  The sweep's
+# solves at n = p = 1000 needed at most 12.
 ARPACK_MAX_RESTARTS = 300
 
 
-def _extreme_eigenvalue(m, which: str) -> float:
-    """The largest ("LA") or the largest-magnitude ("LM") eigenvalue of a
-    finite real symmetric m, dense or scipy.sparse: the sweep's M_tau cells
-    and the probe's K, which their builders make finite and symmetric, so
-    m is not checked here.  A dense m is read on its upper triangle only,
-    so its lower one may hold anything.
+def _extreme_eigenvalue(m) -> float:
+    """The largest eigenvalue of a finite real symmetric m, dense or
+    scipy.sparse: the sweep's M_tau cells, which their builder makes finite
+    and symmetric, so m is not checked here.  A dense m is read on its
+    upper triangle only, so its lower one may hold anything.
 
     ARPACK's implicitly restarted Lanczos (scipy.sparse.linalg.eigsh),
     started from a fixed Gaussian vector, so runs repeat: an all-ones start
@@ -441,7 +440,7 @@ def _extreme_eigenvalue(m, which: str) -> float:
     p = m.shape[0]
     if p <= 2:  # eigsh needs k = 1 < p
         ev = np.linalg.eigvalsh(m.toarray() if issparse(m) else m, UPLO="U")
-        return float(ev[-1] if which == "LA" else ev[np.argmax(np.abs(ev))])
+        return float(ev[-1])
     op = m
     if isinstance(m, np.ndarray):
         # m's upper triangle is the lower one of m.T, which for a C-ordered
@@ -453,7 +452,7 @@ def _extreme_eigenvalue(m, which: str) -> float:
     start = rngmod.derive_rng(0, rngmod.STREAM_LANCZOS, p).standard_normal(p)
     try:
         ev = eigsh(
-            op, k=1, which=which, v0=start, tol=0, maxiter=ARPACK_MAX_RESTARTS,
+            op, k=1, which="LA", v0=start, tol=0, maxiter=ARPACK_MAX_RESTARTS,
             return_eigenvectors=False,
         )
     except ArpackNoConvergence as exc:
@@ -610,89 +609,3 @@ def rank_two_correction(X: np.ndarray, a2: float, fourth_moment: float = 3.0) ->
     roots = tuple(sorted(((b - disc) / 2.0, (b + disc) / 2.0)))
     mag = abs(a2) * gamma * math.sqrt(max(fourth_moment - 1.0, 0.0) / 2.0)
     return SpikePrediction(locations=(-mag, mag), empirical=roots)
-
-
-# ---------------------------------------------------------------------------
-# deformed GUE comparison model
-
-
-@dataclass(frozen=True)
-class DeformedModelSample:
-    W: np.ndarray  # GUE, Hermitian complex
-    Z: np.ndarray  # real Gaussian p x n
-    V: np.ndarray  # Z Z^T with zero diagonal
-    M: np.ndarray  # sqrt(gamma (nu - a^2)/p) W + (a/n) V
-
-
-def sample_deformed_model(p_dim: int, n_dim: int, params: LimitLawParams, seed: int = 0) -> DeformedModelSample:
-    """Scaled GUE plus a zero-diagonal Wishart sharing the limit law.
-
-    GUE convention: diagonal entries N(0,1) real; off-diagonal real and
-    imaginary parts each of variance 1/2.
-    """
-    if params.nu < params.a**2:
-        raise ConfigError("need nu >= a^2 for a real GUE coefficient")
-    gen_w = rngmod.derive_rng(seed, rngmod.STREAM_GUE)
-    gen_z = rngmod.derive_rng(seed, rngmod.STREAM_WISHART)
-
-    diag = gen_w.standard_normal(p_dim)
-    re = gen_w.standard_normal((p_dim, p_dim)) / math.sqrt(2.0)
-    im = gen_w.standard_normal((p_dim, p_dim)) / math.sqrt(2.0)
-    upper = np.triu(re + 1j * im, 1)
-    W = upper + upper.conj().T + np.diag(diag).astype(complex)
-
-    Z = gen_z.standard_normal((p_dim, n_dim))
-    V = Z @ Z.T
-    np.fill_diagonal(V, 0.0)
-
-    M = math.sqrt(params.semicircle_variance / p_dim) * W + (params.a / n_dim) * V
-    return DeformedModelSample(W=W, Z=Z, V=V, M=M)
-
-
-# ---------------------------------------------------------------------------
-# concentration probe
-
-
-def concentration_probe(
-    kernel,
-    aspect_ratios: Sequence[float],
-    n: int,
-    trials: int = 3,
-    seed: int = 0,
-) -> list[dict]:
-    """Empirical ||K(X)|| over max(p/n, sqrt(p/n)) across aspect ratios.
-
-    The underlying bound holds for odd kernels only, so non-odd kernels
-    are rejected.  Returns one row per ratio with the median norm and the
-    normalized statistic; boundedness of the statistic across ratios is
-    the checkable content.
-    """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if not all(0 < ratio < math.inf for ratio in aspect_ratios):
-        raise ConfigError(f"aspect ratios must be finite and > 0, got {list(aspect_ratios)}")
-    kspec = kernel if isinstance(kernel, KernelSpec) else KernelSpec(evaluator=kernel)
-    if not kspec.is_odd():
-        raise ConfigError("concentration probe requires an odd kernel")
-    rows = []
-    for ridx, ratio in enumerate(aspect_ratios):
-        p_dim = max(2, int(round(ratio * n)))
-        norms = []
-        for t in range(trials):
-            cfg = DataMatrixConfig(n=n, p=p_dim, seed=seed)
-            X = sample_data(cfg, stream=(ridx, t))
-            # the builder's kernel matrix is finite and exactly symmetric
-            K = build_kernel_matrix(X, kspec)
-            norms.append(abs(_extreme_eigenvalue(K, "LM")))
-        med = float(np.median(norms))
-        scale = max(p_dim / n, math.sqrt(p_dim / n))
-        rows.append(
-            {
-                "ratio": p_dim / n,
-                "p": p_dim,
-                "n": n,
-                "median_norm": med,
-                "statistic": med / scale,
-            }
-        )
-    return rows

@@ -319,12 +319,12 @@ def sweep_tau(
                 if not dense:
                     sparse = _thresholded_sparse(g, thresholds[ti], cfg.n, max_sparse)
                     if sparse is not None:
-                        tops[t, ti] = _extreme_eigenvalue(sparse, "LA")
+                        tops[t, ti] = _extreme_eigenvalue(sparse)
                         continue
                     dense = True
                 # M_tau on the upper triangle only: the solve reads no other
                 _kernel_tiles(g, thresholds[ti], cfg.n, out=m)
-                tops[t, ti] = _extreme_eigenvalue(m, "LA")
+                tops[t, ti] = _extreme_eigenvalue(m)
             del g, m
     null_mean, null_se = np.array([_mean_se(col) for col in null_tops.T]).T
     spiked_mean, spiked_se = np.array([_mean_se(col) for col in spiked_tops.T]).T

@@ -30,7 +30,6 @@ from kernelspectra.limit_law import (
 from kernelspectra.simulate import (
     DataMatrixConfig,
     build_kernel_matrix,
-    concentration_probe,
     decompose_hermite_sum,
     ks_distance,
     rank_two_correction,
@@ -38,6 +37,8 @@ from kernelspectra.simulate import (
     spectrum,
 )
 from kernelspectra.sparse_pca import SpikedModelConfig, sweep_tau
+
+from oracles import concentration_probe
 
 H3 = hermite_sum_kernel([0.0, 0.0, 1.0])
 H2_PLUS_H3 = hermite_sum_kernel([0.0, 1.0, 1.0])

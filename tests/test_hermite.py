@@ -224,35 +224,6 @@ def test_mean_zero_gate_and_centering():
         project_kernel(lambda x: 1e12 * (x + 1e-6), degree=4)
 
 
-def test_parity_defect_against_one_bound():
-    # one defect, max|k(-x) + k(x)| / max(1, max|k|) on [0, 6], read against 1e-10
-    assert KernelSpec(evaluator=lambda x: x + 1e-12 * x**2).is_odd()  # defect 1.2e-11
-    assert not KernelSpec(evaluator=lambda x: x + 1e-9 * x**2).is_odd()  # 1.2e-9
-    assert KernelSpec(evaluator=np.tanh).is_odd()
-    assert KernelSpec(evaluator=math.tanh).is_odd()  # scalar-only, looped over the grid
-    assert not KernelSpec(evaluator=lambda x: x**2 - 1).is_odd()
-
-
-_odd_degrees = st.integers(1, 6).map(lambda m: 2 * m - 1)  # 1, 3, ..., 11
-_coefficients = st.floats(-100.0, 100.0, allow_nan=False).filter(lambda c: abs(c) >= 1e-3)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    odd=st.dictionaries(_odd_degrees, _coefficients, min_size=1),
-    even_degree=st.integers(1, 6).map(lambda m: 2 * m),
-    even_share=st.floats(1e-3, 1.0),
-)
-def test_hermite_sums_are_odd_exactly_when_their_even_coefficients_vanish(odd, even_degree, even_share):
-    coeffs = np.zeros(12)
-    for d, c in odd.items():
-        coeffs[d - 1] = c
-    assert hermite_sum_kernel(coeffs).is_odd()
-    # one even coefficient of at least 1e-3 of the largest |coefficient|
-    coeffs[even_degree - 1] = even_share * np.max(np.abs(coeffs))
-    assert not hermite_sum_kernel(coeffs).is_odd()
-
-
 def test_kernel_moments_examples():
     assert kernel_moments(lambda x: x) == pytest.approx((1.0, 1.0), abs=1e-12)
     # orthonormality: h_3 has a = <x, h_3> = 0 and nu = 1
