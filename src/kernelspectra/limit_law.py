@@ -28,10 +28,14 @@ from .cubic import solve_cubic_many
 from .errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 
 MAX_MOMENT_ORDER = 100
-# Points of `density` and `cdf`: their batched cubic solves peak at 500 B
-# per point (ru_maxrss at 2e5 and 1e6 points, alike for both), so 5.9 GB
-# at this cap, about 1 GB short of a 7 GB host.
-MAX_DENSITY_POINTS = 5_900_000_000 // 500
+# Points of `density` and `cdf`.  Their cubics are solved in blocks of
+# _GRID_BLOCK points, so what grows with the points is the line, m and the
+# results: ru_maxrss rose by 56 B a point for `density`, 88 B for `cdf`
+# and 96 B for the limit-law command with its CSV (fresh processes, 2e5 to
+# 2e6 points; 500 B for all three before the blocks).  So 5.9 GB at this
+# cap, about 1 GB short of a 7 GB host.
+MAX_DENSITY_POINTS = 5_900_000_000 // 96
+_GRID_BLOCK = 4096  # points per batched cubic solve in stieltjes_grid
 _MP_DEGENERACY_RTOL = 1e-12
 
 
@@ -108,14 +112,19 @@ def stieltjes_grid(zs: np.ndarray, p: LimitLawParams) -> np.ndarray:
 
     Selects, per point, the root with the largest imaginary part; the two
     spurious branches of the cubic lie in the closed lower half-plane up
-    to roundoff.
+    to roundoff.  The cubics are solved in blocks of _GRID_BLOCK points,
+    each point on its own, so the solver's temporaries stay the size of a
+    block and every point gets the bits of an unblocked solve.
     """
     zs = np.asarray(zs, dtype=complex)
     if not np.all(zs.imag > 0):
         raise DomainError("stieltjes_grid requires Im z > 0 everywhere")
-    roots = solve_cubic_many(*_cubic_coefficients(zs, p))
-    pick = np.argmax(roots.imag, axis=0)
-    m = np.take_along_axis(roots, pick[None, ...], axis=0)[0]
+    m = np.empty(zs.shape, dtype=complex)
+    flat_z, flat_m = zs.reshape(-1), m.reshape(-1)
+    for i0 in range(0, flat_z.size, _GRID_BLOCK):
+        roots = solve_cubic_many(*_cubic_coefficients(flat_z[i0:i0 + _GRID_BLOCK], p))
+        pick = np.argmax(roots.imag, axis=0)
+        flat_m[i0:i0 + _GRID_BLOCK] = np.take_along_axis(roots, pick[None, :], axis=0)[0]
     if not np.all(m.imag > 0):
         bad = zs[m.imag <= 0]
         raise ConsistencyError(f"no upper-half-plane root at {bad[:3]} ...")

@@ -27,18 +27,19 @@ from .limit_law import LimitLawParams, cdf
 # peaks at most at 47 MB + 8 B * 1.06 max(p^2, p n): 44 MB + 8 B * 1.06
 # p^2 at n <= p (p = n = 1500 to 5000, and p = 4000, n = 2000) and 46 MB
 # + 8 B * p n at n > p (p = 3000, n = 6000, and p = 2000, n = 8000).  The
-# sweep peaks at 74 MB + 8 B * 2.3 p^2 while its Gram, output buffer and a
-# CSR cell just under SPARSE_DENSITY_CUT coexist (p = n = 3000 and 5000),
-# and at 80 MB + 8 B * (1.1 p^2 + p n) while X and its Gram do (p = 3000
-# and 4000, n = 2p).  The sweep binds: at n = p and this cap it holds
-# 5.8 GB, which leaves about 1 GB of a 7 GB host to everything else.
-MAX_MATRIX_SIDE = 17600
+# sweep holds X or one p x p array, and a slab: it peaks at 70 MB + 8 B *
+# 1.44 p^2 while that array and a CSR cell just under SPARSE_DENSITY_CUT
+# coexist (p = n = 3000 to 5000), and at 72 MB + 8 B * (p n + 0.08 p^2)
+# while X is drawn and its Gram formed (p = 2000 and 3000, n = 2p).  The
+# sweep binds: at this cap it holds 5.8 GB, which leaves about 1 GB of a
+# 7 GB host to everything else.
+MAX_MATRIX_SIDE = 22300
 # Entries of X.  Drawing X peaks at 16 B per entry for the sweep at p = 2
 # (ru_maxrss at p * n = 1e7 and 2e7).  simulate costs 7.6 B an entry at
 # p = 64 and 11.4 B at p = 2, where rank_two_correction's one-row slab is
 # half of X, under every entry law.  So 5.8 GB at this cap, which binds;
-# with p <= MAX_MATRIX_SIDE the sweep's 1.1 p^2 + p n stays within 5.7 GB
-# and simulate's 1.06 max(p^2, p n) within 3.1 GB.
+# with p <= MAX_MATRIX_SIDE the sweep's p n + 0.08 p^2 stays within 3.2 GB
+# and simulate's 1.06 max(p^2, p n) within 4.3 GB.
 MAX_DATA_ENTRIES = 360_000_000
 _DRAW_BLOCK = 2**19  # entries per index draw of a discrete entry law
 
@@ -172,8 +173,8 @@ _TILE_ENTRIES = 32768
 
 
 class _DisposableMapping(mmap.mmap):
-    """An anonymous mapping whose array _kernel_matrix gives back to the OS
-    as it reads it (see _mapped_empty)."""
+    """An anonymous mapping whose array a Gram's slab pass gives back to the
+    OS as it reads it (see _mapped_empty)."""
 
 
 def _mapped_empty(shape: tuple[int, int], disposable: bool = False) -> np.ndarray:
@@ -186,9 +187,9 @@ def _mapped_empty(shape: tuple[int, int], disposable: bool = False) -> np.ndarra
     does for its own large arrays, so that filling it faults in huge pages,
     not 4 KB ones.
 
-    A disposable array is one its owner hands to _kernel_matrix, which
-    gives its pages back to the OS as it reads them, so that it reads as
-    zeros after the build."""
+    A disposable array is one its owner hands to a Gram's slab pass
+    (_released_slabs), which gives its pages back to the OS as it reads
+    them, so that it reads as zeros after the Gram."""
     count = math.prod(shape)
     # private: pages given back from a shared mapping would stay in memory
     buf = (_DisposableMapping if disposable else mmap.mmap)(-1, 8 * count, flags=mmap.MAP_PRIVATE)
@@ -225,24 +226,39 @@ def _upper_tiles(rows: int, cols: int | None = None):
         i0 = i1
 
 
+@functools.cache
+def _upper_mask(rows: int) -> np.ndarray:
+    """The upper triangle of a rows x rows block, diagonal included."""
+    mask = np.triu(np.ones((rows, rows), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def _kernel_tiles(g: np.ndarray, kernel, n: int, out: np.ndarray) -> np.ndarray:
     """k(g) / sqrt(n) entrywise on the upper triangle of a scaled Gram g of
     n samples, or of a slab of one whose diagonal starts at g[0, 0],
-    written into out (g itself, or a buffer of g's shape that keeps g
-    intact for the next kernel) and returned.  The kernel runs on row slabs
-    g[i0:i1, i0:] of about _TILE_ENTRIES entries, so out also gets the part
-    of each slab's diagonal block below the diagonal, and the rest of its
-    lower triangle is left as it was: only the upper triangle is k(g) /
-    sqrt(n), and a reader of it needs g's upper triangle only.  A non-finite
-    entry raises ConfigError.  Each tile's quotient is written into out,
-    never into the kernel's result, so a kernel that returns its input or a
-    view of it leaves g intact when out is a separate buffer; when out is g,
-    numpy buffers the overlap."""
+    written into the upper triangle of out (g itself, a buffer of g's
+    shape, or g.T: see sparse_pca.sweep_tau) and returned; the rest of out
+    is left as it was.  The kernel runs on row slabs g[i0:i1, i0:] of about
+    _TILE_ENTRIES entries, so it also sees the part of each slab's diagonal
+    block below the diagonal, and a reader of out needs g's upper triangle
+    only.  A non-finite kernel value in a slab raises ConfigError.  Each
+    tile's quotient is written into out, never into the kernel's result, so
+    a kernel that returns its input or a view of it leaves g intact when
+    out is a separate buffer; when out is g, numpy buffers the overlap."""
     s = math.sqrt(n)
     for i0, i1 in _upper_tiles(*g.shape):
-        tile = np.divide(_eval_on(kernel, g[i0:i1, i0:]), s, out=out[i0:i1, i0:])
-        if not np.isfinite(tile).all():
+        rows = i1 - i0
+        vals = _eval_on(kernel, g[i0:i1, i0:])
+        if not np.isfinite(vals).all():
             raise ConfigError("kernel matrix contains non-finite entries")
+        # transposed, so that for out = g.T numpy's inner loop runs along
+        # out's rows, which it writes contiguously, rather than down its
+        # columns (7.8 against 9.0 ms a dense M_tau at p = 2000); numpy
+        # loops over a C-ordered out in its own order either way
+        tile = out[i0:i1, i0:].T
+        np.divide(vals[:, rows:].T, s, out=tile[rows:])
+        np.divide(vals[:, :rows].T, s, out=tile[:rows], where=_upper_mask(rows).T)
     return out
 
 
@@ -258,6 +274,25 @@ def _gram_slabs(p: int):
         i0 = i1
 
 
+def _released_slabs(X: np.ndarray):
+    """_gram_slabs over the rows of X, for a Gram whose slab [i0:i1] reads
+    the rows of X from i0 on.  No later slab reads the rows before i1, so
+    when X is all of a disposable _mapped_empty array, the whole pages of
+    those rows go back to the OS once the caller asks for the next slab,
+    and X reads as zeros after the last one; any other X is left as it
+    was."""
+    p, n = X.shape
+    mapping = _disposable_mapping(X)
+    released = 0
+    for i0, i1 in _gram_slabs(p):
+        yield i0, i1
+        if mapping is not None:
+            end = i1 * n * X.itemsize // mmap.PAGESIZE * mmap.PAGESIZE
+            if end > released:
+                mapping.madvise(mmap.MADV_DONTNEED, released, end - released)
+                released = end
+
+
 def _kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
     """k(sqrt(n) * Sigma_hat) / sqrt(n) entrywise, exactly symmetric, the
     diagonal included, in an array over its own mapping (_mapped_empty).
@@ -265,26 +300,16 @@ def _kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
     The Gram is formed in row slabs, X[i0:i1] @ X[i0:].T / sqrt(n), and
     the kernel is written from each slab straight into K[i0:i1, i0:]
     (_kernel_tiles); the upper triangle is then mirrored into the lower
-    one.  So besides X the build holds K and one slab.  No later slab
-    reads the rows of X before i1, so when X is all of a disposable
-    _mapped_empty array, the whole pages of those rows go back to the OS
-    after each slab, and X reads as zeros after the build; any other X is
-    left as it was."""
+    one.  So besides X the build holds K and one slab, and a disposable X
+    goes back to the OS as the slabs pass it (_released_slabs)."""
     p, n = X.shape
     if p > MAX_MATRIX_SIDE:
         raise SizeCapError(f"p={p} exceeds cap {MAX_MATRIX_SIDE}")
     K = _mapped_empty((p, p))
-    mapping = _disposable_mapping(X)
-    released = 0
-    for i0, i1 in _gram_slabs(p):
+    for i0, i1 in _released_slabs(X):
         g = X[i0:i1] @ X[i0:].T
         g /= math.sqrt(n)
         _kernel_tiles(g, kernel, n, out=K[i0:i1, i0:])
-        if mapping is not None:
-            end = i1 * n * X.itemsize // mmap.PAGESIZE * mmap.PAGESIZE
-            if end > released:
-                mapping.madvise(mmap.MADV_DONTNEED, released, end - released)
-                released = end
     del g
     for i0 in range(0, p, _SLAB_ROWS):
         i1 = min(i0 + _SLAB_ROWS, p)
@@ -413,7 +438,9 @@ def _extreme_eigenvalue(m) -> float:
     """The largest eigenvalue of a finite real symmetric m, dense or
     scipy.sparse: the sweep's M_tau cells, which their builder makes finite
     and symmetric, so m is not checked here.  A dense m is read on its
-    upper triangle only, so its lower one may hold anything.
+    upper triangle only, so its lower one may hold anything: the sweep
+    passes the transposed view of an array whose lower triangle holds
+    M_tau and whose upper one holds the Gram.
 
     ARPACK's implicitly restarted Lanczos (scipy.sparse.linalg.eigsh),
     started from a fixed Gaussian vector, so runs repeat: an all-ones start
@@ -443,11 +470,13 @@ def _extreme_eigenvalue(m) -> float:
         return float(ev[-1])
     op = m
     if isinstance(m, np.ndarray):
-        # m's upper triangle is the lower one of m.T, which for a C-ordered
-        # float64 m is a Fortran-ordered view: dsymv copies nothing
-        upper = np.asfortranarray(m.T, dtype=np.float64)
+        # dsymv reads a Fortran-ordered float64 array in place: a
+        # Fortran-ordered m on its upper triangle, and a C-ordered one as
+        # the view m.T, whose lower triangle is m's upper one
+        lower = not m.flags.f_contiguous
+        a = np.asfortranarray(m.T if lower else m, dtype=np.float64)
         op = LinearOperator(
-            m.shape, matvec=lambda v: dsymv(1.0, upper, v, lower=1), dtype=np.float64
+            m.shape, matvec=lambda v: dsymv(1.0, a, v, lower=lower), dtype=np.float64
         )
     start = rngmod.derive_rng(0, rngmod.STREAM_LANCZOS, p).standard_normal(p)
     try:

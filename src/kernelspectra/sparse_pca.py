@@ -23,6 +23,8 @@ from .simulate import (
     _extreme_eigenvalue,
     _kernel_matrix,
     _kernel_tiles,
+    _mapped_empty,
+    _released_slabs,
     _upper_tiles,
     check_data_size,
     sample_data,
@@ -106,13 +108,16 @@ class SpikedModelConfig:
         return v
 
 
-def sample_spiked_data(cfg: SpikedModelConfig, stream: int | tuple[int, ...] = 0) -> np.ndarray:
+def sample_spiked_data(
+    cfg: SpikedModelConfig, stream: int | tuple[int, ...] = 0, out: np.ndarray | None = None
+) -> np.ndarray:
     """X (p x n) with i.i.d. columns N(0, Id + lam v v^T), generated as
     g + sqrt(lam) * w * v with independent standard normals g, w (exact
-    covariance, no matrix square root needed)."""
+    covariance, no matrix square root needed), into out (a C-ordered p x n
+    float64 array) if given, with the same bits."""
     gen = rngmod.derive_rng(cfg.seed, rngmod.STREAM_SPIKE_COEF, stream)
     v = cfg.spike_vector()
-    g = gen.standard_normal((cfg.p, cfg.n))
+    g = gen.standard_normal((cfg.p, cfg.n), out=out)
     w = gen.standard_normal(cfg.n)
     for r in np.flatnonzero(v):  # the spike's support; other rows stay g
         g[r] += math.sqrt(cfg.lam) * (v[r] * w)
@@ -125,26 +130,33 @@ def thresholded_covariance(X: np.ndarray, tau: float) -> np.ndarray:
     return _kernel_matrix(X, ThresholdFunction(tau))
 
 
-def _upper_gram(X: np.ndarray) -> np.ndarray:
-    """X X^T / sqrt(n) for X (p x n) on the upper triangle of a C-ordered
-    p x p array, with the bits of numpy's X @ X.T / sqrt(n) there; the
-    lower triangle holds zeros.
+def _slab_gram(X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """X X^T / sqrt(n) for X (p x n) on the upper triangle of out, a
+    C-ordered p x p array, diagonal included, and returned.  Formed in the
+    row slabs of _released_slabs, so a disposable X goes back to the OS as
+    the slabs pass it: each slab is a dsyrk on its diagonal block and a
+    dgemm beside it, and out also gets zeros below the diagonal of each
+    diagonal block.
 
-    The same Gram as X @ X.T, built by scipy's BLAS dsyrk rather than
-    numpy's: numpy and scipy each load their own OpenBLAS, with a thread
-    pool each, and the sweep's dsymv products run on scipy's.  After a
-    Gram on numpy's pool, numpy's threads still spin while scipy's wait for
-    a core.  In four benchmark sweep ops (n = p = 1000, 5 taus, 2 trials)
-    on a 2-vCPU host, dsymv products behind numpy's Gram took 0.71-0.74 s,
-    numpy's Gram and m @ v products 0.54-0.61 s, and this Gram with dsymv
-    0.41-0.45 s."""
-    from scipy.linalg.blas import dsyrk  # imported on first use, as in _thresholded_sparse
+    scipy's BLAS, not numpy's: numpy and scipy each load their own
+    OpenBLAS, with a thread pool each, and the sweep's dsymv products run
+    on scipy's.  After a Gram on numpy's pool, numpy's threads still spin
+    while scipy's wait for a core.  In four benchmark sweep ops (n = p =
+    1000, 5 taus, 2 trials) on a 2-vCPU host, dsymv products behind numpy's
+    Gram took 0.71-0.74 s, numpy's Gram and m @ v products 0.54-0.61 s, and
+    scipy's dsyrk Gram with dsymv 0.41-0.45 s."""
+    from scipy.linalg.blas import dgemm, dsyrk  # imported on first use, as in _thresholded_sparse
 
-    # dsyrk of X^T (Fortran-ordered, so not copied) fills the lower triangle
-    # of X X^T in Fortran order, which is the upper one of its C-ordered .T
-    c = dsyrk(1.0, X.T, trans=1, lower=1)
-    c /= math.sqrt(X.shape[1])
-    return c.T
+    p, n = X.shape
+    s = math.sqrt(n)
+    for i0, i1 in _released_slabs(X):
+        # X[i0:i1].T and X[i1:].T are Fortran-ordered views, so BLAS copies
+        # neither; each Fortran-ordered result is the C-ordered block's .T
+        rows = X[i0:i1].T
+        np.divide(dsyrk(1.0, rows, trans=1, lower=1).T, s, out=out[i0:i1, i0:i1])
+        if i1 < p:
+            np.divide(dgemm(1.0, X[i1:].T, rows, trans_a=1).T, s, out=out[i0:i1, i1:])
+    return out
 
 
 def _thresholded_sparse(g: np.ndarray, threshold: ThresholdFunction, n: int, max_entries: float):
@@ -259,8 +271,12 @@ def sweep_tau(
     standard error sqrt(null_se^2 + spiked_se^2) of their difference holds
     per tau, and the largest z over positively correlated rows exceeds a
     given level no more often than over independent rows: reading "z > 3
-    somewhere" stays conservative.  One Gram and one p x p output buffer
-    are held at a time, and each X is freed once its Gram exists.
+    somewhere" stays conservative.
+
+    One p x p array is held at a time.  Each X is drawn into an anonymous
+    mapping of its own, which goes back to the OS as the Gram's row slabs
+    pass it (_slab_gram).  The Gram fills the upper triangle of a mapped
+    p x p array, and its diagonal is also kept in a vector of length p.
 
     Each Gram visits the taus in descending order, so the supports of
     M_tau (the entries outside the zero set |g| <= INNER_FRACTION * tau)
@@ -268,14 +284,16 @@ def sweep_tau(
     upper triangle, M_tau is built as a CSR matrix and its lambda_max comes
     from the same eigsh solve, run on scipy's sparse product.  The first
     support past the cut abandons its sparse build, and from there on every
-    M_tau is written densely into the output buffer, on its upper triangle
-    only, and the solve reads that triangle alone.  The cut is the density
-    at which the two paths took equal time at p = 1000 and 2000.  The CSR
-    holds the dense matrix's bits, but its product sums in another order,
-    so lambda_max can differ from the dense solve's in the last bits.
+    M_tau is written densely into the array's lower triangle, diagonal
+    included, by the kernel tiles' divide pass, and the solve reads that
+    triangle alone.  The Gram's diagonal is put back from the vector before
+    each dense M_tau.  The cut is the density at which the two paths took
+    equal time at p = 1000 and 2000.  The CSR holds the dense matrix's
+    bits, but its product sums in another order, so lambda_max can differ
+    from the dense solve's in the last bits.
 
-    Every p x p BLAS call runs on one thread pool, scipy's: the Gram is
-    scipy's dsyrk (_upper_gram) and the dense products are scipy's dsymv.
+    Every p x p BLAS call runs on one thread pool, scipy's: the Gram's
+    slabs are scipy's dsyrk and dgemm and the dense products scipy's dsymv.
     numpy loads another OpenBLAS with its own threads, and BLAS work split
     between the two pools makes each wait on the other's spinning threads.
     """
@@ -300,6 +318,8 @@ def sweep_tau(
     # before any sampling: a tau whose null law has no support fails here
     prediction = np.asarray([null_prediction(tau, gamma, rule) for tau in taus])
 
+    p, n = null_cfg.p, null_cfg.n
+    max_sparse = SPARSE_DENSITY_CUT * p * (p + 1) / 2
     null_tops = np.empty((trials, len(taus)))
     spiked_tops = np.empty((trials, len(taus)))
     for t in range(trials):
@@ -307,25 +327,24 @@ def sweep_tau(
             (sample_data, null_cfg, null_tops),
             (sample_spiked_data, spiked_cfg, spiked_tops),
         ):
-            X = sampler(cfg, stream=t)
-            g = _upper_gram(X)
-            del X
-            max_sparse = SPARSE_DENSITY_CUT * cfg.p * (cfg.p + 1) / 2
-            # allocated before the sparse builds' temporaries, which would
-            # otherwise split the freed X's memory that the buffer reuses
-            m = np.empty_like(g)
+            X = sampler(cfg, stream=t, out=_mapped_empty((p, n), disposable=True))
+            shared = _slab_gram(X, out=_mapped_empty((p, p)))
+            del X  # its pages went back to the OS as the Gram's slabs passed them
+            diagonal = shared.diagonal().copy()
             dense = False  # set by the first support past the cut
             for ti in descending:
                 if not dense:
-                    sparse = _thresholded_sparse(g, thresholds[ti], cfg.n, max_sparse)
+                    sparse = _thresholded_sparse(shared, thresholds[ti], n, max_sparse)
                     if sparse is not None:
                         tops[t, ti] = _extreme_eigenvalue(sparse)
                         continue
                     dense = True
-                # M_tau on the upper triangle only: the solve reads no other
-                _kernel_tiles(g, thresholds[ti], cfg.n, out=m)
-                tops[t, ti] = _extreme_eigenvalue(m)
-            del g, m
+                # an earlier dense cell wrote its M_tau's diagonal over the Gram's
+                np.fill_diagonal(shared, diagonal)
+                # M_tau on the lower triangle, as the upper one of shared.T
+                _kernel_tiles(shared, thresholds[ti], n, out=shared.T)
+                tops[t, ti] = _extreme_eigenvalue(shared.T)
+            del shared
     null_mean, null_se = np.array([_mean_se(col) for col in null_tops.T]).T
     spiked_mean, spiked_se = np.array([_mean_se(col) for col in spiked_tops.T]).T
     return SweepResult(

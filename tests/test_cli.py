@@ -23,6 +23,8 @@ from kernelspectra.lgraphs import SimpleLabeling, enumerate_multilabelings
 from kernelspectra.limit_law import MAX_DENSITY_POINTS, MAX_MOMENT_ORDER, LimitLawParams, moment
 from kernelspectra.simulate import MAX_DATA_ENTRIES, MAX_MATRIX_SIDE, sample_data, spectrum
 
+from conftest import fresh_interpreter_env, peak_rss_after_each
+
 
 @pytest.fixture(autouse=True)
 def pinned_outputs(tmp_path, monkeypatch):
@@ -153,7 +155,7 @@ def test_non_finite_kernel_stderr_is_the_error_line_alone(tmp_path, kernel):
     # a fresh interpreter, since pytest would capture them itself
     cfg = write_cfg(tmp_path, "k.cfg", kernel=kernel)
     proc = subprocess.run([sys.executable, "-m", "kernelspectra.cli", "project-kernel", cfg],
-                          env=_fresh_interpreter_env(), capture_output=True, text=True,
+                          env=fresh_interpreter_env(), capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
@@ -365,29 +367,25 @@ def test_simulate_peak_grows_by_about_one_p_by_p_array(tmp_path):
     # K, so the peak RSS grows by K and a slab (1.2 p^2 float64 entries on
     # a 2-vCPU host; 2.1 when the solve copied K and the build held X and
     # the full Gram).  A K on glibc's heap would show only from the third
-    # trial.  The peak is the process's VmHWM: ru_maxrss would start from
-    # the RSS of the test process that spawned it.
-    status = Path("/proc/self/status")
-    if not status.exists():
-        pytest.skip("needs Linux's /proc/self/status")
+    # trial.
     p = 2000
     runs = [write_cfg(tmp_path, f"{side}.cfg", kernel="h2+h3", n=side, p=side, trials=trials)
             for side, trials in ((600, 1), (p, 3))]
-    script = (
-        "import contextlib, io, json\n"
-        "from kernelspectra.cli import main\n"
-        "peaks = []\n"
-        f"for cfg in {runs!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(['simulate', cfg]) == 0\n"
-        f"    with open({str(status)!r}) as fh:\n"
-        "        peaks.append(next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:')))\n"
-        "print(json.dumps(peaks))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_interpreter_env(),
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    warm, peak = json.loads(proc.stdout.splitlines()[-1])  # kB
+    warm, peak = peak_rss_after_each("simulate", runs)  # kB
+    assert (peak - warm) * 1024 < 1.4 * 8 * p * p
+
+
+def test_sweep_peak_grows_by_about_one_p_by_p_array(tmp_path):
+    # a fresh interpreter warms up at p = n = 600, then sweeps five taus at
+    # p = n = 2000: each X goes back to the OS as its Gram's slabs pass it,
+    # and every dense M_tau shares the Gram's array, so the peak RSS grows
+    # by that array, a slab and a sparse cell (1.07 p^2 float64 entries on
+    # a 2-vCPU host; 2.15 while X sat beside its Gram, and the Gram beside
+    # an output buffer)
+    p = 2000
+    runs = [write_cfg(tmp_path, f"{side}.cfg", n=side, taus="0.5:4.0:5", trials=1)
+            for side in (600, p)]
+    warm, peak = peak_rss_after_each("sparse-pca-sweep", runs)  # kB
     assert (peak - warm) * 1024 < 1.4 * 8 * p * p
 
 
@@ -768,6 +766,13 @@ def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
 # Both simulate summaries were re-recorded when simulate took a, nu = E[k^2]
 # and a2 off one degree-2 projection: a, nu, a2, the spikes and the KS
 # distances moved in their last bits, and no eigenvalue did.
+# Both sweep files were re-recorded when the sweep's Gram went from one
+# dsyrk to row slabs (a dsyrk per diagonal block, a dgemm beside it) and
+# its dense M_tau to the Gram's lower triangle, solved by dsymv on that
+# triangle: some Gram entries moved in their last bits, so every cell
+# moved, the sparse tau = 3 ones included.  The means moved by at most
+# 5.2e-16 relative, the standard errors by 5.0e-13 and max_null_gap by
+# 1.4e-14; the prediction column did not move.
 # A change to derive_rng's stream paths changes these bytes and must say
 # so.  Each key is the command, or the command and a label after a "/".
 CLI_OUTPUT_SHA256 = {
@@ -797,8 +802,8 @@ CLI_OUTPUT_SHA256 = {
     "sparse-pca-sweep": (
         {"n": 300, "taus": "1.0,2.0,3.0", "trials": 2},
         {
-            "sweep.csv": "158dd52618fc5cfd7808b544b12001455de498fb808a47386dc37fd9b0859bfb",
-            "sweep_summary.json": "31703728447a5597e16d22a23e59c1cdc6feed34cea3df20a19fcf6abb6e3654",
+            "sweep.csv": "8306e4d931cf99aa7a125398bd79c3769867633c89e79a6cbc05622d5bad5750",
+            "sweep_summary.json": "a09344e906476db9be3e0b025c81c89dbd36b112d0927ba06fe770ddfe5b0bc0",
         },
     ),
     "verify": (
@@ -810,19 +815,11 @@ CLI_OUTPUT_SHA256 = {
 }
 
 
-def _fresh_interpreter_env(**extra) -> dict[str, str]:
-    """os.environ with the package on PYTHONPATH, for a subprocess."""
-    src = str(Path(kernelspectra.__file__).parents[1])
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 @pytest.mark.parametrize("command", sorted(CLI_OUTPUT_SHA256))
 def test_cli_outputs_match_golden_hashes(tmp_path, command):
     keys, expected = CLI_OUTPUT_SHA256[command]
     cfg = write_cfg(tmp_path, "c.cfg", **keys)
-    env = _fresh_interpreter_env(
+    env = fresh_interpreter_env(
         SOURCE_DATE_EPOCH="0", OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2"
     )
     proc = subprocess.run([sys.executable, "-m", "kernelspectra.cli", command.split("/")[0], cfg],
@@ -938,7 +935,7 @@ def test_bad_source_date_epoch_exits_2(tmp_path, epoch):
     cfg = write_cfg(tmp_path, "l.cfg", a=0, nu=1, gamma=1)
     proc = subprocess.run(
         [sys.executable, "-m", "kernelspectra.cli", "limit-law", cfg],
-        env=_fresh_interpreter_env(SOURCE_DATE_EPOCH=epoch), capture_output=True, text=True,
+        env=fresh_interpreter_env(SOURCE_DATE_EPOCH=epoch), capture_output=True, text=True,
         timeout=60,
     )
     assert proc.returncode == 2, proc.stderr
@@ -962,7 +959,7 @@ def test_commands_but_the_sweep_import_no_scipy(tmp_path):
         f"codes = [main(args) for args in {runs!r}]\n"
         "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_interpreter_env(),
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_interpreter_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
 import kernelspectra.limit_law as limit_law
+from kernelspectra.cubic import solve_cubic_many
 from kernelspectra.errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 from kernelspectra.limit_law import (
     MAX_DENSITY_POINTS,
@@ -90,6 +91,21 @@ def test_grid_matches_scalar_path():
     for i in (0, 17, 50, 83, 100):
         roots = np.roots(_cubic_coefficients(zs[i], p))
         assert grid[i] == pytest.approx(roots[np.argmax(roots.imag)], abs=1e-10)
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, 10**6])
+def test_stieltjes_grid_in_blocks_keeps_the_bits_of_one_solve(block, monkeypatch):
+    # every point's cubic is solved on its own, so the block size changes
+    # no bit, on a line and on a 2-D grid with a ragged last block
+    law = LimitLawParams(a=1.0, nu=2.0, gamma=0.5)
+    xs = np.linspace(-4.0, 6.0, 10001)
+    zs = np.concatenate([xs + 1e-7j, xs[:999] + 0.5j]).reshape(11, 1000)
+    c3, c2, c1, c0 = _cubic_coefficients(zs, law)
+    roots = solve_cubic_many(c3, c2, c1, c0)
+    want = np.take_along_axis(roots, np.argmax(roots.imag, axis=0)[None], axis=0)[0]
+    monkeypatch.setattr(limit_law, "_GRID_BLOCK", block)
+    assert np.array_equal(stieltjes_grid(zs, law), want)
+    assert np.array_equal(stieltjes_grid(zs[0], law), want[0])
 
 
 def test_density_points_over_the_cap_raise_size_cap_error():

@@ -15,6 +15,7 @@ from kernelspectra.hermite import KernelSpec, hermite_eval
 from kernelspectra.lgraphs import exact_trace_moment, sample_trace_moment
 from kernelspectra.limit_law import LimitLawParams, cdf, support
 from kernelspectra.simulate import (
+    MAX_MATRIX_SIDE,
     DataMatrixConfig,
     EntryLaw,
     SpectrumSummary,
@@ -205,7 +206,7 @@ def test_elementary_symmetric_against_combinations(z, kmax, batch, rnd):
 
 def test_size_cap():
     with pytest.raises(SizeCapError):
-        DataMatrixConfig(n=10, p=20001, seed=0)
+        DataMatrixConfig(n=10, p=MAX_MATRIX_SIDE + 1, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from kernelspectra.simulate import (
     DataMatrixConfig,
     _kernel_matrix,
     _kernel_tiles,
+    _mapped_empty,
     build_kernel_matrix,
     sample_data,
     spectrum,
@@ -24,8 +26,8 @@ from kernelspectra.sparse_pca import (
     SpikedModelConfig,
     SweepResult,
     ThresholdFunction,
+    _slab_gram,
     _thresholded_sparse,
-    _upper_gram,
     null_prediction,
     sample_spiked_data,
     sweep_tau,
@@ -327,24 +329,72 @@ def _assert_means_of_full_spectra(res, null_cfg, spiked_cfg, taus, trials):
 
 def test_sweep_lambda_max_matches_full_spectrum(monkeypatch):
     # trial t's one draw per model serves every tau, on the dense path
-    # (tau = 0.5) and on the sparse one (tau = 3.5)
+    # (tau <= 2) and on the sparse one (tau = 3.5).  At p = 400 the Gram
+    # spans three slabs and each dense M_tau many tiles, and four dense
+    # cells per Gram each read the Gram's triangle and diagonal after the
+    # cell before wrote its M_tau beside them, so damage to either shows
     calls = _count_sweep_paths(monkeypatch)
-    n = 60
+    n = 400
     null_cfg = DataMatrixConfig(n=n, p=n, seed=12)
     spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, n=n, p=n, seed=13)
-    taus = [0.5, 2.0, 3.5]
+    taus = [0.5, 1.0, 1.5, 2.0, 3.5]
     res = sweep_tau(null_cfg, spiked_cfg, taus, trials=2)
-    assert calls["dense"] > 0 and calls["sparse"] > 0, calls
-    assert calls["dense"] + calls["sparse"] == 2 * 2 * len(taus)
+    assert calls == {"dense": 2 * 2 * 4, "sparse": 2 * 2}, calls
+    assert len(list(simulate._gram_slabs(n))) == 3
     _assert_means_of_full_spectra(res, null_cfg, spiked_cfg, taus, trials=2)
+
+
+def test_sweep_non_finite_kernel_value_in_a_later_tile_raises(monkeypatch):
+    # the dense cells' finiteness check covers every tile of the lower
+    # triangle the sweep writes, not just the first
+    import kernelspectra.sparse_pca as sp
+
+    tiles = []
+
+    class NaNInThirdTile(ThresholdFunction):
+        def __call__(self, x):
+            out = super().__call__(x)
+            if np.ndim(x) == 2:  # a dense tile; the CSR build evaluates 1-D
+                tiles.append(x.shape)
+                if len(tiles) == 3:
+                    out[-1, -1] = math.nan
+            return out
+
+    monkeypatch.setattr(sp, "ThresholdFunction", NaNInThirdTile)
+    null_cfg = DataMatrixConfig(n=300, p=300, seed=1)
+    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, n=300, p=300, seed=2)
+    with pytest.raises(ConfigError, match="non-finite"):
+        sweep_tau(null_cfg, spiked_cfg, [0.5], trials=1)
+    assert len(tiles) == 3
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_sweep_lambda_max_at_tiny_p(p, monkeypatch):
-    # at p <= 2 the solve is LAPACK's, which must read the upper triangle
-    # the sweep writes; at tau = 5 an M_tau is the zero CSR, which ARPACK
-    # rejects at p = 3, unless a diagonal entry |x|^2 / sqrt(p) passes 4
+    # at p <= 2 the solve is LAPACK's, which must read the triangle the
+    # sweep writes M_tau into; at tau = 5 an M_tau is the zero CSR, which
+    # ARPACK rejects at p = 3, unless a diagonal entry |x|^2 / sqrt(p)
+    # passes 4
+    import kernelspectra.sparse_pca as sp
+
     calls = _count_sweep_paths(monkeypatch)
+    grams, cell, dense_solves = [], {}, []
+
+    def gram(X, out):
+        grams.append(X.shape)
+        return _slab_gram(X, out)
+
+    def tiles(g, kernel, n, out, counted=sp._kernel_tiles):
+        cell["tau"] = kernel.tau
+        return counted(g, kernel, n, out)
+
+    def solve(m):
+        if isinstance(m, np.ndarray):  # the triangle the solve reads
+            dense_solves.append((len(grams) - 1, cell["tau"], np.triu(m)))
+        return simulate._extreme_eigenvalue(m)
+
+    monkeypatch.setattr(sp, "_slab_gram", gram)
+    monkeypatch.setattr(sp, "_kernel_tiles", tiles)
+    monkeypatch.setattr(sp, "_extreme_eigenvalue", solve)
     null_cfg = DataMatrixConfig(n=p, p=p, seed=12)
     spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=1, n=p, p=p, seed=13)
     taus = [0.01, 5.0]
@@ -352,18 +402,43 @@ def test_sweep_lambda_max_at_tiny_p(p, monkeypatch):
     assert calls["dense"] >= 4 and calls["sparse"] > 0, calls
     assert calls["dense"] + calls["sparse"] == 8
     _assert_means_of_full_spectra(res, null_cfg, spiked_cfg, taus, trials=2)
+    # every dense solve reads M_tau, not the Gram that shares its array;
+    # the Grams come in trial order, null before spiked
+    assert len(dense_solves) == calls["dense"]
+    for k, tau, got in dense_solves:
+        sampler, cfg = ((sample_data, null_cfg), (sample_spiked_data, spiked_cfg))[k % 2]
+        assert np.array_equal(got, np.triu(thresholded_covariance(sampler(cfg, stream=k // 2), tau)))
 
 
-@pytest.mark.parametrize("n, p", [(50, 120), (80, 80), (300, 70), (5, 2)])
+# the sweep's slab Gram sums each entry in another order than numpy's one
+# dsyrk, so some entries differ in their last bits (0.69 % of the upper
+# triangle at n = p = 1000, by at most 0.5 eps * sqrt(g_ii g_jj)); each
+# must lie within 4 eps times that Cauchy-Schwarz bound on |g_ij|
+@pytest.mark.parametrize("n, p", [(50, 120), (80, 80), (300, 70), (5, 2), (1000, 1000)])
 def test_sweep_gram_matches_the_numpy_gram(n, p):
-    # the sweep's dsyrk Gram has _scaled_gram's bits on the upper triangle
-    X = sample_data(DataMatrixConfig(n=n, p=p, seed=n + p))
-    g = _upper_gram(X)
-    want = _scaled_gram(X)
-    assert g.flags.c_contiguous and g.shape == (p, p)
+    cfg = DataMatrixConfig(n=n, p=p, seed=n + p)
+    want = _scaled_gram(sample_data(cfg))
     upper = np.triu_indices(p)
-    assert np.array_equal(g[upper], want[upper])
-    assert not np.any(g[np.tril_indices(p, -1)])
+    bound = 4 * np.finfo(float).eps * np.sqrt(np.outer(np.diag(want), np.diag(want)))[upper]
+    released_rows = p * n * 8 // mmap.PAGESIZE * mmap.PAGESIZE // (8 * n)
+    for disposable in (False, True):
+        X = sample_data(cfg, out=_mapped_empty((p, n), disposable=True) if disposable else None)
+        before = X.copy()
+        out = np.full((p, p), np.nan)
+        g = _slab_gram(X, out=out)
+        assert g is out
+        assert np.all(np.abs(g[upper] - want[upper]) <= bound)
+        # zeros below the diagonal of each slab's diagonal block; the rest
+        # of the lower triangle is left as it was
+        for i0, i1 in simulate._gram_slabs(p):
+            assert not np.any(np.tril(g[i0:i1, i0:i1], -1))
+            assert np.isnan(g[i1:, i0:i1]).all()
+        # a disposable X went back to the OS, in whole pages; any other X
+        # is left as it was
+        if disposable:
+            assert not np.any(X[:released_rows])
+        else:
+            assert np.array_equal(X, before)
 
 
 # eigsh takes 71 products at both taus: 21 to build ARPACK's first
@@ -433,8 +508,8 @@ def test_sweep_trial_streams_distinct_at_66_trials(monkeypatch):
     draws = {"null": [], "spiked": []}
 
     def recorder(kind, sampler):
-        def sample(cfg, stream=0):
-            X = sampler(cfg, stream=stream)
+        def sample(cfg, stream=0, out=None):
+            X = sampler(cfg, stream=stream, out=out)
             draws[kind].append(X.tobytes())
             return X
 
