@@ -47,6 +47,7 @@ from .limit_law import (
 )
 from .rng import STREAM_SCALING, derive_rng
 from .simulate import (
+    MAX_DATA_ENTRIES,
     DataMatrixConfig,
     _mapped_empty,
     build_kernel_matrix,
@@ -241,13 +242,11 @@ class Config:
 _REQUIRED = object()
 
 
-def _get_seed(cfg: Config, offset: int = 0) -> int:
-    """The seed key, checked before any work: the command draws streams
-    from master seeds seed to seed + offset, and each must fit in 64 bits."""
+def _get_seed(cfg: Config) -> int:
+    """The seed key, checked before any work: a master seed fits in 64 bits."""
     seed = cfg.get_int("seed", 0)
-    if not 0 <= seed < 2**64 - offset:
-        rule = f", as streams are also drawn from seed + {offset}" if offset else ""
-        raise ConfigError(f"config key 'seed' must be in [0, 2^64 - {offset + 1}]{rule}; got {seed}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"config key 'seed' must be in [0, 2^64 - 1], got {seed}")
     return seed
 
 
@@ -460,22 +459,16 @@ def cmd_sparse_pca_sweep(cfg: Config, raw: dict[str, str]) -> int:
     p = cfg.get_int("p", n)
     taus = cfg.get_floats("taus", [float(x) for x in np.linspace(0.5, 4.0, 25)])
     lam = cfg.get_float("lam", 0.9)
-    sparsity = cfg.get_int("sparsity", 0)
-    coeff = cfg.get_float("sparsity_coeff", 0.3)
+    sparsity = cfg.get_int("sparsity", None)
     trials = cfg.get_int("trials", 5)
-    seed = _get_seed(cfg, offset=1)  # the spiked model draws from seed + 1
+    seed = _get_seed(cfg)
     out = cfg.get_str("out", "sweep")
     cfg.reject_unknown()
-    if not (math.isfinite(coeff) and coeff > 0):
-        raise ConfigError(f"sparsity_coeff must be finite and > 0, got {coeff}")
-    if sparsity < 0:
-        raise ConfigError(f"sparsity must be >= 0 (0: floor(sparsity_coeff * sqrt(n))), got {sparsity}")
 
-    if sparsity == 0:
-        sparsity = max(1, math.floor(coeff * math.sqrt(n)))
-    null_cfg = DataMatrixConfig(n=n, p=p, seed=seed)
-    spiked_cfg = SpikedModelConfig(lam=lam, sparsity=sparsity, n=n, p=p, seed=seed + 1)
-    result = sweep_tau(null_cfg, spiked_cfg, taus, trials=trials)
+    if sparsity is None:  # an n outside these bounds fails the model's own checks
+        sparsity = max(1, math.floor(0.3 * math.sqrt(n))) if 2 <= n <= MAX_DATA_ENTRIES else 1
+    model = SpikedModelConfig(lam=lam, sparsity=sparsity, n=n, p=p, seed=seed)
+    result = sweep_tau(model, taus, trials=trials)
     write_csv(f"{out}.csv", result.CSV_COLUMNS, result.columns())
     payload = {
         "n": n,
@@ -506,8 +499,8 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
     if not all(nn.is_integer() for nn in scaling_ns):
         raise ConfigError(f"scaling_ns entries must be integers, got {scaling_ns}")
     scaling_ns = [int(nn) for nn in scaling_ns]
-    if any(nn < 1 for nn in scaling_ns):
-        raise ConfigError(f"scaling_ns entries must be >= 1, got {scaling_ns}")
+    if any(nn < 4 for nn in scaling_ns):  # decompose_hermite_sum needs n >= d, up to d = 4
+        raise ConfigError(f"scaling_ns entries must be >= 4, got {scaling_ns}")
     if len(set(scaling_ns)) < 2:
         raise ConfigError(f"scaling_ns needs at least two distinct values, got {scaling_ns}")
     if trace_trials < 2:
@@ -610,9 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("config", help="path to a key=value config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config key")
-    parser.add_argument("--seed", type=int, help="override the seed key")
-    parser.add_argument("--out", help="override the out key")
-    parser.add_argument("--trials", type=int, help="override the trials key")
     return parser
 
 
@@ -626,12 +616,6 @@ def main(argv=None) -> int:
             if not (eq and key.strip()):
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             values[key.strip()] = val.strip()
-        if args.seed is not None:
-            values["seed"] = str(args.seed)
-        if args.out is not None:
-            values["out"] = args.out
-        if args.trials is not None:
-            values["trials"] = str(args.trials)
         return COMMANDS[args.command](Config(values), values)
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -231,10 +231,13 @@ def support(p: LimitLawParams) -> SupportIntervals:
     bound = reach * (1.0 + 1e-6)
     with np.errstate(over="ignore", invalid="ignore"):
         quartic = _discriminant_polynomial(p)
-    if not np.all(np.isfinite(quartic)):
-        raise DomainError(f"the support discriminant of {p} overflows double precision")
-    # Leading terms below roundoff on the window only push np.roots off scale.
-    size = np.abs(quartic) * bound ** np.arange(len(quartic) - 1, -1, -1)
+        # Leading terms below roundoff on the window only push np.roots off
+        # scale.  A size is finite only where its coefficient is.
+        size = np.abs(quartic) * bound ** np.arange(len(quartic) - 1, -1, -1)
+    if not np.all(np.isfinite(size)):
+        raise DomainError(
+            f"the support discriminant of {p} overflows double precision on |x| < {bound}"
+        )
     quartic = quartic[np.argmax(size > np.finfo(float).eps * size.max()):]
     slope = np.polyder(quartic)
     roots = np.roots(quartic)
@@ -265,7 +268,14 @@ def free_cumulants(p: LimitLawParams, order: int) -> np.ndarray:
     if order >= 2:
         kap[1] = p.gamma * p.nu
     for l in range(3, order + 1):
-        kap[l - 1] = p.a**l * p.gamma ** (l - 1)
+        try:
+            kap[l - 1] = p.a**l * p.gamma ** (l - 1)
+        except OverflowError:  # a float power past double range raises; a product is inf
+            kap[l - 1] = math.inf
+    if not np.all(np.isfinite(kap)):
+        raise DomainError(
+            f"a free cumulant of {p} up to order {order}, or a power in one, overflows double precision"
+        )
     return kap
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, SizeCapError
+from .errors import ConfigError, KernelSpectraError, SizeCapError
 from .hermite import GaussHermiteRule, KernelSpec, build_quadrature, kernel_moments
 from .limit_law import LimitLawParams, support
 from .simulate import (
@@ -214,9 +214,14 @@ def null_prediction(
 
     The threshold kernel is odd and increasing, so a(tau) >= 0 and the top
     edge equals the spectral norm; max_edge + 1 and norm + 1 coincide.
+    A tau without a null law raises the error of the law's own check, of
+    the same type, with the tau in its message.
     """
-    a, nu = kernel_moments(KernelSpec(evaluator=ThresholdFunction(tau)), rule)
-    sup = support(LimitLawParams(a=a, nu=nu, gamma=gamma))
+    try:
+        a, nu = kernel_moments(KernelSpec(evaluator=ThresholdFunction(tau)), rule)
+        sup = support(LimitLawParams(a=a, nu=nu, gamma=gamma))
+    except KernelSpectraError as exc:
+        raise type(exc)(f"no null prediction at tau = {tau}: {exc}") from exc
     return sup.max_edge + 1.0
 
 
@@ -254,14 +259,15 @@ def _mean_se(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
-def sweep_tau(
-    null_cfg: DataMatrixConfig,
-    spiked_cfg: SpikedModelConfig,
-    taus: Sequence[float],
-    trials: int = 5,
-) -> SweepResult:
-    """Mean largest eigenvalue of M_tau over trials, per tau, under both
-    models, against the null prediction.
+def sweep_tau(model: SpikedModelConfig, taus: Sequence[float], trials: int = 5) -> SweepResult:
+    """Mean largest eigenvalue of M_tau over trials, per tau, under the
+    spiked model and its null, against the null prediction.
+
+    The null model is standard Gaussian data of the spiked model's shape,
+    DataMatrixConfig(n=model.n, p=model.p, seed=model.seed).  Both draw
+    from the one master seed: their stream tags (STREAM_DATA for the null,
+    STREAM_SPIKE_SUPPORT and STREAM_SPIKE_COEF for the spike) keep them
+    apart.
 
     Trial t draws one null X (stream t) and one spiked X (stream t), and
     each X's scaled Gram serves every tau: common random numbers across
@@ -304,28 +310,21 @@ def sweep_tau(
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if trials * taus.size > MAX_SWEEP_CELLS:
         raise SizeCapError(f"trials * len(taus) = {trials * taus.size} exceeds cap {MAX_SWEEP_CELLS}")
-    if null_cfg.entry_law != "standard_gaussian":
-        raise ConfigError("the null model of the sweep is standard Gaussian")
-    if (spiked_cfg.n, spiked_cfg.p) != (null_cfg.n, null_cfg.p):
-        raise ConfigError(
-            f"spiked model shape (n={spiked_cfg.n}, p={spiked_cfg.p}) differs from the "
-            f"null model's (n={null_cfg.n}, p={null_cfg.p})"
-        )
     thresholds = [ThresholdFunction(tau) for tau in taus]
     rule = build_quadrature(200)
-    gamma = null_cfg.p / null_cfg.n
     descending = np.argsort(-taus, kind="stable")
     # before any sampling: a tau whose null law has no support fails here
-    prediction = np.asarray([null_prediction(tau, gamma, rule) for tau in taus])
+    prediction = np.asarray([null_prediction(tau, model.gamma, rule) for tau in taus])
 
-    p, n = null_cfg.p, null_cfg.n
+    p, n = model.p, model.n
+    null = DataMatrixConfig(n=n, p=p, seed=model.seed)
     max_sparse = SPARSE_DENSITY_CUT * p * (p + 1) / 2
     null_tops = np.empty((trials, len(taus)))
     spiked_tops = np.empty((trials, len(taus)))
     for t in range(trials):
         for sampler, cfg, tops in (
-            (sample_data, null_cfg, null_tops),
-            (sample_spiked_data, spiked_cfg, spiked_tops),
+            (sample_data, null, null_tops),
+            (sample_spiked_data, model, spiked_tops),
         ):
             X = sampler(cfg, stream=t, out=_mapped_empty((p, n), disposable=True))
             shared = _slab_gram(X, out=_mapped_empty((p, p)))

@@ -306,11 +306,8 @@ def test_criterion_09_sparse_pca_null_tracking():
     t0 = time.time()
     n = 2000
     taus = [1.0, 1.5, 2.0, 2.5, 3.0]
-    null_cfg = DataMatrixConfig(n=n, p=n, seed=31)
-    spiked_cfg = SpikedModelConfig(
-        lam=0.9, sparsity=math.floor(0.3 * math.sqrt(n)), n=n, p=n, seed=32
-    )
-    res = sweep_tau(null_cfg, spiked_cfg, taus, trials=5)
+    model = SpikedModelConfig(lam=0.9, sparsity=math.floor(0.3 * math.sqrt(n)), n=n, p=n, seed=31)
+    res = sweep_tau(model, taus, trials=5)
     gaps = np.abs(res.null_mean - res.prediction)
     tracking_ok = bool(np.all(gaps < 0.1))
     pooled = np.sqrt(res.null_se**2 + res.spiked_se**2)

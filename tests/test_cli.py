@@ -261,6 +261,22 @@ def test_limit_law_discriminant_overflow_exits_2(tmp_path, capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+@given(
+    st.sampled_from([-1.0, 1.0]), st.floats(-300, 300), st.floats(-300, 300), st.floats(-300, 300),
+    st.integers(1, MAX_MOMENT_ORDER),
+)
+def test_limit_law_of_any_law_exits_0_2_or_3(sign, log_a, log_nu, log_gamma, lmax):
+    # laws log-uniform over 1e-300..1e300: a^l or gamma^(l-1) past double
+    # range, in the free cumulants, raised an OverflowError traceback for
+    # about one in six of them, and a support window past 1e77 a LinAlgError
+    cfg = Path(os.environ[cli_module.OUT_DIR_ENV]) / "l.cfg"
+    cfg.write_text(
+        f"a = {sign * 10**log_a!r}\nnu = {10**log_nu!r}\ngamma = {10**log_gamma!r}\n"
+        f"density_points = 3\nmoments_lmax = {lmax}\n"
+    )
+    assert main(["limit-law", str(cfg)]) in (0, 2, 3)
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "l.cfg", a=0, nu=1, gamma=1, typo_key=3)
     assert main(["limit-law", cfg]) == 2
@@ -334,7 +350,7 @@ def test_simulate_seed_override_changes_output(tmp_path):
     cfg = write_cfg(tmp_path, "s.cfg", kernel="h3", n=100, p=100, trials=1)
     assert main(["simulate", cfg]) == 0
     first = (tmp_path / "simulate_eigenvalues.csv").read_bytes()
-    assert main(["simulate", cfg, "--seed", "99"]) == 0
+    assert main(["simulate", cfg, "--set", "seed=99"]) == 0
     assert (tmp_path / "simulate_eigenvalues.csv").read_bytes() != first
 
 
@@ -418,6 +434,7 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
     [
         ("simulate", {"kernel": "h1", "n": MAX_DATA_ENTRIES // 2 + 1, "p": 2}),
         ("sparse-pca-sweep", {"n": MAX_DATA_ENTRIES // 2 + 1, "p": 2, "taus": "1.0"}),
+        ("sparse-pca-sweep", {"n": 10**400, "taus": "1.0"}),
         ("limit-law", {"a": 1, "nu": 2, "gamma": 0.5, "density_points": MAX_DENSITY_POINTS + 1}),
         ("verify", {"l_max": 2, "d_max": 1, "scaling_ns": "10,1000",
                     "scaling_trials": cli_module.MAX_SCALING_ENTRIES // 1000 + 1}),
@@ -431,12 +448,13 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
                       "trials": cli_module.MAX_SPECTRUM_ENTRIES // 4 + 1}),
         ("sparse-pca-sweep", {"n": 4, "taus": "1.0,2.0", "trials": sparse_pca.MAX_SWEEP_CELLS // 2 + 1}),
     ],
-    ids=["simulate-n", "sweep-n", "density-points", "scaling-entries", "trace-trials",
-         "projection-degree", "quadrature-order", "sweep-taus", "scaling-ns",
+    ids=["simulate-n", "sweep-n", "sweep-n-past-float", "density-points", "scaling-entries",
+         "trace-trials", "projection-degree", "quadrature-order", "sweep-taus", "scaling-ns",
          "simulate-trials", "sweep-trials"],
 )
 def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys, command, keys):
-    # these sizes used to end in numpy's _ArrayMemoryError traceback
+    # these sizes used to end in numpy's _ArrayMemoryError traceback, and an
+    # n past float range in an OverflowError one from the default sparsity
     def no_work(*args, **kwargs):
         raise AssertionError("started work past a size cap")
 
@@ -457,13 +475,11 @@ def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize(
     "keys, key",
     [
-        ({"sparsity_coeff": "nan"}, "sparsity_coeff"),
-        ({"sparsity_coeff": "inf"}, "sparsity_coeff"),
         ({"lam": "inf"}, "lambda"),
         ({"taus": "inf"}, "tau"),
         ({"taus": "1.0,inf"}, "tau"),
     ],
-    ids=["coeff-nan", "coeff-inf", "lam-inf", "tau-inf", "one-tau-inf"],
+    ids=["lam-inf", "tau-inf", "one-tau-inf"],
 )
 def test_sweep_non_finite_inputs_exit_2_before_sampling(tmp_path, monkeypatch, capsys, keys, key):
     # these used to end in a ValueError or OverflowError traceback, or to
@@ -481,11 +497,18 @@ def test_sweep_non_finite_inputs_exit_2_before_sampling(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize(
-    "keys", [{"sparsity": -5}, {"sparsity_coeff": -0.3}, {"sparsity_coeff": 0}],
-    ids=["sparsity-negative", "coeff-negative", "coeff-zero"],
+    "keys",
+    [{"sparsity": -5}, {"sparsity_coeff": -0.3}, {"sparsity_coeff": 0}, {"sparsity": 0},
+     {"sparsity": 41}, {"n": -5}],
+    ids=["sparsity-negative", "coeff-negative", "coeff-zero", "sparsity-zero", "sparsity-over-p",
+         "n-negative"],
 )
 def test_sweep_bad_sparsity_exits_2_before_sampling(tmp_path, monkeypatch, capsys, keys):
-    # these used to run and report "sparsity": 1
+    # a negative sparsity or sparsity_coeff used to run and report
+    # "sparsity": 1.  sparsity_coeff is no key now, so any value of it is an
+    # unknown key, and sparsity 0, once the default's sentinel, is outside
+    # [1, p].  The default, floor(0.3 sqrt(n)), took the root of a negative
+    # n in a ValueError traceback
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled data for a bad config")
 
@@ -499,14 +522,17 @@ def test_sweep_bad_sparsity_exits_2_before_sampling(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize(
-    "tau, message", [(30, "support intervals"), (35, "nu must be > 0")], ids=["30", "35"]
+    "tau, message",
+    [(30.0, "support intervals"), (35.0, "nu must be > 0"), (1e300, "nu must be > 0")],
+    ids=["30", "35", "1e300"],
 )
 def test_sweep_tau_without_a_null_law_exits_2_before_sampling(
     tmp_path, monkeypatch, capsys, tau, message
 ):
     # the null prediction used to fail only after every trial's eigensolves;
     # at tau = 30 the law (a, nu) = (2.5e-129, 4.9e-134) has no edges found,
-    # and from tau = 34.5 the zero set covers every quadrature node
+    # and from tau = 34.5 the zero set covers every quadrature node.  The
+    # message names the tau, which the law's own error did not
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled data for a tau without a null prediction")
 
@@ -515,14 +541,12 @@ def test_sweep_tau_without_a_null_law_exits_2_before_sampling(
     cfg = write_cfg(tmp_path, "c.cfg", n=40, taus=f"1.0,{tau}", trials=1)
     assert main(["sparse-pca-sweep", cfg]) == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert message in err and f"tau = {tau}:" in err and "Traceback" not in err
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
 
 
 def test_sweep_command(tmp_path):
-    cfg = write_cfg(
-        tmp_path, "w.cfg", n=150, taus="1.0,2.0", trials=1, lam=0.9, sparsity_coeff=0.3
-    )
+    cfg = write_cfg(tmp_path, "w.cfg", n=150, taus="1.0,2.0", trials=1, lam=0.9)
     assert main(["sparse-pca-sweep", cfg]) == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "tau,null_mean,null_se,spiked_mean,spiked_se,prediction"
@@ -576,6 +600,20 @@ def test_verify_nonpositive_scaling_n_exits_2(tmp_path, capsys, ns):
     )
     assert main(["verify", cfg]) == 2
     assert "scaling_ns" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("ns", ["2,3", "3,100"])
+def test_verify_scaling_n_below_the_largest_d_exits_2_before_any_work(
+    tmp_path, capsys, no_work, ns
+):
+    # the scaling decomposes n samples at d = 2, 3 and 4 and needs n >= d:
+    # "2,3" used to run the census and the d = 2 fit, then exit 3
+    cfg = write_cfg(
+        tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, trace_trials=100, scaling_ns=ns
+    )
+    assert main(["verify", cfg]) == 2
+    assert "scaling_ns entries must be >= 4" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
 
 
@@ -684,7 +722,7 @@ def test_verify_defaults_pass_on_a_seed_that_100_scaling_trials_failed(tmp_path)
     # at scaling_trials = 100 this seed's d = 3 remainder slope was -0.795,
     # over the -0.8 limit, though the true slope is -1
     cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1)
-    assert main(["verify", cfg, "--seed", "1949364979"]) == 0
+    assert main(["verify", cfg, "--set", "seed=1949364979"]) == 0
     payload = json.loads((tmp_path / "verify_report.json").read_text())["payload"]
     assert payload["ok"] is True
     assert [row["d"] for row in payload["remainder_scaling"]] == [2, 3, 4]
@@ -773,6 +811,9 @@ def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
 # moved, the sparse tau = 3 ones included.  The means moved by at most
 # 5.2e-16 relative, the standard errors by 5.0e-13 and max_null_gap by
 # 1.4e-14; the prediction column did not move.
+# sweep.csv was re-recorded again when the spiked model went from master
+# seed seed + 1 to seed: only spiked_mean and spiked_se moved, as
+# test_golden_sweep_null_columns_and_summary_hold shows.
 # A change to derive_rng's stream paths changes these bytes and must say
 # so.  Each key is the command, or the command and a label after a "/".
 CLI_OUTPUT_SHA256 = {
@@ -802,7 +843,7 @@ CLI_OUTPUT_SHA256 = {
     "sparse-pca-sweep": (
         {"n": 300, "taus": "1.0,2.0,3.0", "trials": 2},
         {
-            "sweep.csv": "8306e4d931cf99aa7a125398bd79c3769867633c89e79a6cbc05622d5bad5750",
+            "sweep.csv": "0f3b119d4e801297851caa3cff36a8d29ac3766f2874eeb7928bf00379547f05",
             "sweep_summary.json": "a09344e906476db9be3e0b025c81c89dbd36b112d0927ba06fe770ddfe5b0bc0",
         },
     ),
@@ -817,20 +858,41 @@ CLI_OUTPUT_SHA256 = {
 
 @pytest.mark.parametrize("command", sorted(CLI_OUTPUT_SHA256))
 def test_cli_outputs_match_golden_hashes(tmp_path, command):
-    keys, expected = CLI_OUTPUT_SHA256[command]
-    cfg = write_cfg(tmp_path, "c.cfg", **keys)
+    written = _golden_outputs(tmp_path, command)
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in written.items()} == (
+        CLI_OUTPUT_SHA256[command][1]
+    )
+
+
+def _golden_outputs(tmp_path, command) -> dict[str, bytes]:
+    """Each file the command writes on its CLI_OUTPUT_SHA256 config, run in
+    a fresh interpreter as the golden hashes were recorded."""
+    cfg = write_cfg(tmp_path, "c.cfg", **CLI_OUTPUT_SHA256[command][0])
     env = fresh_interpreter_env(
         SOURCE_DATE_EPOCH="0", OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2"
     )
     proc = subprocess.run([sys.executable, "-m", "kernelspectra.cli", command.split("/")[0], cfg],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    written = {
-        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-        for f in tmp_path.iterdir()
-        if f.name != "c.cfg"
-    }
-    assert written == expected
+    return {f.name: f.read_bytes() for f in tmp_path.iterdir() if f.name != "c.cfg"}
+
+
+def test_golden_sweep_null_columns_and_summary_hold(tmp_path):
+    # the spiked model moves only the spiked columns: sha256 of the golden
+    # sweep.csv's tau, null_mean, null_se and prediction columns, as CSV
+    # lines, and of its sweep_summary.json, whose max_null_gap reads only
+    # those.  Recorded before the spiked model's master seed went from
+    # seed + 1 to seed, which re-recorded the whole file's hash above
+    written = _golden_outputs(tmp_path, "sparse-pca-sweep")
+    rows = [line.split(",") for line in written["sweep.csv"].decode().splitlines()]
+    kept = [rows[0].index(name) for name in ("tau", "null_mean", "null_se", "prediction")]
+    null_columns = "".join(",".join(row[i] for i in kept) + "\n" for row in rows)
+    assert hashlib.sha256(null_columns.encode()).hexdigest() == (
+        "b81153eb9dee8323424cbc13f3be822e528c954cdf4543ad2e382cc867ccbbdb"
+    )
+    assert hashlib.sha256(written["sweep_summary.json"]).hexdigest() == (
+        "a09344e906476db9be3e0b025c81c89dbd36b112d0927ba06fe770ddfe5b0bc0"
+    )
 
 
 def _fail_if_called(*args, **kwargs):
@@ -855,18 +917,17 @@ def no_work(monkeypatch):
 )
 def test_out_of_range_seed_exits_2(tmp_path, capsys, no_work, command, keys, seed):
     cfg = write_cfg(tmp_path, "c.cfg", **keys)
-    assert main([command, cfg, "--seed", seed]) == 2
+    assert main([command, cfg, "--set", f"seed={seed}"]) == 2
     assert "seed" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
 
 
-def test_sweep_rejects_the_last_64_bit_seed_before_sampling(tmp_path, capsys, no_work):
-    # the spiked model draws from seed + 1, which must fit in 64 bits too
-    cfg = write_cfg(tmp_path, "c.cfg", n=20, taus="1.0", trials=1)
-    assert main(["sparse-pca-sweep", cfg, "--seed", str(2**64 - 1)]) == 2
-    err = capsys.readouterr().err
-    assert "'seed'" in err and "seed + 1" in err and str(2**64) not in err
-    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+def test_sweep_accepts_the_last_64_bit_seed(tmp_path):
+    # the null and spiked models draw from one master seed, apart by their
+    # stream tags; the spiked model drew from seed + 1, so 2^64 - 1 exited 2
+    cfg = write_cfg(tmp_path, "c.cfg", n=20, taus="1.0", trials=1, seed=2**64 - 1)
+    assert main(["sparse-pca-sweep", cfg]) == 0
+    assert (tmp_path / "sweep.csv").exists()
 
 
 def test_rng_streams_of_every_command_are_distinct(tmp_path, monkeypatch):
@@ -886,15 +947,14 @@ def test_rng_streams_of_every_command_are_distinct(tmp_path, monkeypatch):
 
     monkeypatch.setattr(rng, "derive_rng", recording)
     monkeypatch.setattr(cli_module, "derive_rng", recording)
-    seeds = [0, 1, 2**32 - 1, 2**64 - 2]
+    seeds = [0, 1, 2**32 - 1, 2**64 - 2, 2**64 - 1]
     runs = [
-        ("simulate", "trials", {"kernel": "h2+h3", "n": 6, "p": 5}, seeds + [2**64 - 1]),
-        ("sparse-pca-sweep", "trials", {"n": 6, "taus": "0.5,2.0"}, seeds),  # draws from seed + 1
-        ("verify", "scaling_trials", {"l_max": 2, "d_max": 1, "scaling_ns": "4,8", "trace_trials": 2},
-         seeds + [2**64 - 1]),
+        ("simulate", "trials", {"kernel": "h2+h3", "n": 6, "p": 5}),
+        ("sparse-pca-sweep", "trials", {"n": 6, "taus": "0.5,2.0"}),
+        ("verify", "scaling_trials", {"l_max": 2, "d_max": 1, "scaling_ns": "4,8", "trace_trials": 2}),
     ]
-    for command, trials_key, keys, command_seeds in runs:
-        for seed, trials in itertools.product(command_seeds, (1, 2, 3)):
+    for command, trials_key, keys in runs:
+        for seed, trials in itertools.product(seeds, (1, 2, 3)):
             cfg = write_cfg(tmp_path, "c.cfg", seed=seed, **{trials_key: trials}, **keys)
             # verify's remainder slope is noisy at a few trials and may exit 4;
             # the census checks streams, not verdicts
@@ -973,7 +1033,7 @@ def test_commands_but_the_sweep_import_no_scipy(tmp_path):
 )
 def test_zero_trials_exits_2_before_any_output(tmp_path, capsys, command, keys):
     cfg = write_cfg(tmp_path, "c.cfg", **keys)
-    assert main([command, cfg, "--trials", "0"]) == 2
+    assert main([command, cfg, "--set", "trials=0"]) == 2
     assert "trials" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
 

@@ -399,6 +399,17 @@ def test_semicircle_moments_are_catalan_to_the_cap():
 def test_moment_overflow_is_a_domain_error():
     with pytest.raises(DomainError):
         moment(LimitLawParams(1e3, 1e7, 1e3), MAX_MOMENT_ORDER)
+    # a^3 and gamma^2 as Python float powers raised an OverflowError
+    for law in (LimitLawParams(1e150, 1e300, 1.0), LimitLawParams(1.0, 2.0, 1e300)):
+        with pytest.raises(DomainError, match="overflows"):
+            moment(law, 3)
+
+
+def test_support_window_past_double_range_is_a_domain_error():
+    # |x| < 6.6e87: bound^4 overflowed, and np.roots raised a LinAlgError
+    law = LimitLawParams(-6.575849527924286e87, 3.877037770241302e265, 1.7823031552395505e-239)
+    with pytest.raises(DomainError, match="overflows"):
+        support(law)
 
 
 def test_moment_closed_forms():

@@ -1,5 +1,9 @@
+import inspect
 import re
+import shlex
 from pathlib import Path
+
+from kernelspectra import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +16,28 @@ def test_readme_python_blocks_run():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_readme_shell_examples_match_the_parser():
+    # a removed flag or config key used to linger in the README's examples:
+    # each kernelspectra line must parse, and each key its printf config
+    # file sets must be one its command reads
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.S | re.M)
+    configs: dict[str, list[str]] = {}
+    runs = 0
+    for line in "\n".join(blocks).splitlines():
+        written = re.fullmatch(r"printf '(.*)' > (\S+)", line.strip())
+        if written:
+            configs[written.group(2)] = [
+                item.split("=", 1)[0].strip() for item in written.group(1).split("\\n") if item
+            ]
+        elif line.startswith("kernelspectra "):
+            args = cli.build_parser().parse_args(shlex.split(line)[1:])
+            keys = configs[args.config] + [item.split("=", 1)[0] for item in args.set]
+            source = inspect.getsource(cli.COMMANDS[args.command])
+            read = set(re.findall(r'cfg\.get_\w+\("(\w+)"', source))
+            if "_get_seed(cfg)" in source:
+                read.add("seed")
+            assert set(keys) <= read, (line, set(keys) - read)
+            runs += 1
+    assert runs == len(cli.COMMANDS)

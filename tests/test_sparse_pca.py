@@ -277,10 +277,9 @@ def test_null_prediction_limits():
 
 def test_sweep_structure_and_signal():
     n = 500
-    null_cfg = DataMatrixConfig(n=n, p=n, seed=10)
-    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=int(0.3 * math.sqrt(n)), n=n, p=n, seed=11)
+    model = SpikedModelConfig(lam=0.9, sparsity=int(0.3 * math.sqrt(n)), n=n, p=n, seed=10)
     taus = [1.0, 1.5, 2.0]
-    res = sweep_tau(null_cfg, spiked_cfg, taus, trials=3)
+    res = sweep_tau(model, taus, trials=3)
     assert res.CSV_COLUMNS == ("tau", "null_mean", "null_se", "spiked_mean", "spiked_se", "prediction")
     columns = res.columns()
     assert len(columns) == 6 and all(len(c) == 3 for c in columns)
@@ -312,13 +311,18 @@ def _count_sweep_paths(monkeypatch) -> dict:
     return calls
 
 
-def _assert_means_of_full_spectra(res, null_cfg, spiked_cfg, taus, trials):
+def _null_model(model: SpikedModelConfig) -> DataMatrixConfig:
+    """The null model sweep_tau draws beside the spiked one."""
+    return DataMatrixConfig(n=model.n, p=model.p, seed=model.seed)
+
+
+def _assert_means_of_full_spectra(res, model, taus, trials):
     """Each sweep mean is the mean over trials of the full spectrum's
     lambda_max of thresholded_covariance, to 1e-12 relative."""
     for ti, tau in enumerate(taus):
         for sampler, cfg, means in (
-            (sample_data, null_cfg, res.null_mean),
-            (sample_spiked_data, spiked_cfg, res.spiked_mean),
+            (sample_data, _null_model(model), res.null_mean),
+            (sample_spiked_data, model, res.spiked_mean),
         ):
             tops = [
                 spectrum(thresholded_covariance(sampler(cfg, stream=t), tau)).lambda_max
@@ -335,13 +339,12 @@ def test_sweep_lambda_max_matches_full_spectrum(monkeypatch):
     # cell before wrote its M_tau beside them, so damage to either shows
     calls = _count_sweep_paths(monkeypatch)
     n = 400
-    null_cfg = DataMatrixConfig(n=n, p=n, seed=12)
-    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, n=n, p=n, seed=13)
+    model = SpikedModelConfig(lam=0.9, sparsity=3, n=n, p=n, seed=12)
     taus = [0.5, 1.0, 1.5, 2.0, 3.5]
-    res = sweep_tau(null_cfg, spiked_cfg, taus, trials=2)
+    res = sweep_tau(model, taus, trials=2)
     assert calls == {"dense": 2 * 2 * 4, "sparse": 2 * 2}, calls
     assert len(list(simulate._gram_slabs(n))) == 3
-    _assert_means_of_full_spectra(res, null_cfg, spiked_cfg, taus, trials=2)
+    _assert_means_of_full_spectra(res, model, taus, trials=2)
 
 
 def test_sweep_non_finite_kernel_value_in_a_later_tile_raises(monkeypatch):
@@ -361,10 +364,9 @@ def test_sweep_non_finite_kernel_value_in_a_later_tile_raises(monkeypatch):
             return out
 
     monkeypatch.setattr(sp, "ThresholdFunction", NaNInThirdTile)
-    null_cfg = DataMatrixConfig(n=300, p=300, seed=1)
-    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, n=300, p=300, seed=2)
+    model = SpikedModelConfig(lam=0.9, sparsity=3, n=300, p=300, seed=1)
     with pytest.raises(ConfigError, match="non-finite"):
-        sweep_tau(null_cfg, spiked_cfg, [0.5], trials=1)
+        sweep_tau(model, [0.5], trials=1)
     assert len(tiles) == 3
 
 
@@ -395,18 +397,17 @@ def test_sweep_lambda_max_at_tiny_p(p, monkeypatch):
     monkeypatch.setattr(sp, "_slab_gram", gram)
     monkeypatch.setattr(sp, "_kernel_tiles", tiles)
     monkeypatch.setattr(sp, "_extreme_eigenvalue", solve)
-    null_cfg = DataMatrixConfig(n=p, p=p, seed=12)
-    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=1, n=p, p=p, seed=13)
+    model = SpikedModelConfig(lam=0.9, sparsity=1, n=p, p=p, seed=12)
     taus = [0.01, 5.0]
-    res = sweep_tau(null_cfg, spiked_cfg, taus, trials=2)
+    res = sweep_tau(model, taus, trials=2)
     assert calls["dense"] >= 4 and calls["sparse"] > 0, calls
     assert calls["dense"] + calls["sparse"] == 8
-    _assert_means_of_full_spectra(res, null_cfg, spiked_cfg, taus, trials=2)
+    _assert_means_of_full_spectra(res, model, taus, trials=2)
     # every dense solve reads M_tau, not the Gram that shares its array;
     # the Grams come in trial order, null before spiked
     assert len(dense_solves) == calls["dense"]
     for k, tau, got in dense_solves:
-        sampler, cfg = ((sample_data, null_cfg), (sample_spiked_data, spiked_cfg))[k % 2]
+        sampler, cfg = ((sample_data, _null_model(model)), (sample_spiked_data, model))[k % 2]
         assert np.array_equal(got, np.triu(thresholded_covariance(sampler(cfg, stream=k // 2), tau)))
 
 
@@ -476,28 +477,29 @@ def test_spiked_model_size_caps():
 
 
 def test_sweep_rejects_empty_grid():
-    null_cfg = DataMatrixConfig(n=100, p=100, seed=0)
-    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, n=100, p=100, seed=1)
+    model = SpikedModelConfig(lam=0.9, sparsity=3, n=100, p=100, seed=0)
     with pytest.raises(ConfigError):
-        sweep_tau(null_cfg, spiked_cfg, [], trials=1)
+        sweep_tau(model, [], trials=1)
 
 
 @pytest.mark.parametrize("n, p", [(100, 50), (50, 100), (200, 200)])
-def test_sweep_rejects_a_spiked_model_of_another_shape(n, p, monkeypatch):
-    # its lambda_max used to be compared with the null prediction at the
-    # null model's gamma
+def test_sweep_null_model_has_the_spiked_models_shape(n, p, monkeypatch):
+    # the sweep builds its null model from the spiked one, so the two
+    # cannot differ in shape, and the null prediction is at the spiked
+    # model's gamma; a separate null config once could
     import kernelspectra.sparse_pca as sp
 
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled data for mismatched models")
+    drawn = []
 
-    monkeypatch.setattr(sp, "sample_data", no_sampling)
-    monkeypatch.setattr(sp, "sample_spiked_data", no_sampling)
-    null_cfg = DataMatrixConfig(n=100, p=100, seed=0)
-    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=3, n=n, p=p, seed=1)
-    assert spiked_cfg.gamma == p / n
-    with pytest.raises(ConfigError, match="shape"):
-        sweep_tau(null_cfg, spiked_cfg, [1.0], trials=1)
+    def recording(cfg, stream=0, out=None):
+        drawn.append(cfg)
+        return sample_data(cfg, stream=stream, out=out)
+
+    monkeypatch.setattr(sp, "sample_data", recording)
+    model = SpikedModelConfig(lam=0.9, sparsity=3, n=n, p=p, seed=2**64 - 1)
+    res = sweep_tau(model, [1.0], trials=2)
+    assert drawn == [_null_model(model)] * 2  # standard Gaussian, the default law
+    assert res.prediction[0] == null_prediction(1.0, p / n)
 
 
 def test_sweep_trial_streams_distinct_at_66_trials(monkeypatch):
@@ -517,11 +519,11 @@ def test_sweep_trial_streams_distinct_at_66_trials(monkeypatch):
 
     monkeypatch.setattr(sp, "sample_data", recorder("null", sp.sample_data))
     monkeypatch.setattr(sp, "sample_spiked_data", recorder("spiked", sp.sample_spiked_data))
-    null_cfg = DataMatrixConfig(n=4, p=4, seed=0)
-    spiked_cfg = SpikedModelConfig(lam=0.9, sparsity=1, n=4, p=4, seed=1)
-    sweep_tau(null_cfg, spiked_cfg, [1.0, 2.0], trials=66)
+    sweep_tau(SpikedModelConfig(lam=0.9, sparsity=1, n=4, p=4, seed=0), [1.0, 2.0], trials=66)
     for kind, seen in draws.items():
         assert len(seen) == 66 and len(set(seen)) == 66, kind
+    # both models draw from the one master seed, apart by their stream tags
+    assert not set(draws["null"]) & set(draws["spiked"])
 
 
 def test_apply_kernel_leaves_the_shared_gram_unchanged():
