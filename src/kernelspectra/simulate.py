@@ -27,19 +27,22 @@ from .limit_law import LimitLawParams, cdf
 # peaks at most at 47 MB + 8 B * 1.06 max(p^2, p n): 44 MB + 8 B * 1.06
 # p^2 at n <= p (p = n = 1500 to 5000, and p = 4000, n = 2000) and 46 MB
 # + 8 B * p n at n > p (p = 3000, n = 6000, and p = 2000, n = 8000).  The
-# sweep holds X or one p x p array, and a slab: it peaks at 70 MB + 8 B *
-# 1.44 p^2 while that array and a CSR cell just under SPARSE_DENSITY_CUT
-# coexist (p = n = 3000 to 5000), and at 72 MB + 8 B * (p n + 0.08 p^2)
-# while X is drawn and its Gram formed (p = 2000 and 3000, n = 2p).  The
-# sweep binds: at this cap it holds 5.8 GB, which leaves about 1 GB of a
-# 7 GB host to everything else.
-MAX_MATRIX_SIDE = 22300
+# sweep holds X or one p x p array, and a slab, a sparse cell and a
+# Lanczos basis: it peaks at 48 MB + 8 B * 1.07 p^2 while that array and
+# the cells' solves coexist (p = n = 3000 to 5000, bases of 160 to 216
+# rows), and at 43 MB + 8 B * (p n + 0.05 p^2) while X is drawn and its
+# Gram formed (p = 2000 and 3000, n = 2p).  A basis at the step cap adds
+# at most 8 B * 1512 p (LANCZOS_MAX_STEPS rows and the 512 it grew from),
+# 0.3 GB at this cap.  The sweep binds, at 5.7 GB with such a basis (5.4
+# GB without, and simulate's 5.4 GB), which leaves about 1 GB of a 7 GB
+# host to everything else.
+MAX_MATRIX_SIDE = 25000
 # Entries of X.  Drawing X peaks at 16 B per entry for the sweep at p = 2
 # (ru_maxrss at p * n = 1e7 and 2e7).  simulate costs 7.6 B an entry at
 # p = 64 and 11.4 B at p = 2, where rank_two_correction's one-row slab is
 # half of X, under every entry law.  So 5.8 GB at this cap, which binds;
-# with p <= MAX_MATRIX_SIDE the sweep's p n + 0.08 p^2 stays within 3.2 GB
-# and simulate's 1.06 max(p^2, p n) within 4.3 GB.
+# with p <= MAX_MATRIX_SIDE the sweep's p n + 0.05 p^2 stays within 3.2 GB
+# and simulate's 1.06 max(p^2, p n) within 5.4 GB.
 MAX_DATA_ENTRIES = 360_000_000
 _DRAW_BLOCK = 2**19  # entries per index draw of a discrete entry law
 
@@ -293,6 +296,19 @@ def _released_slabs(X: np.ndarray):
                 released = end
 
 
+def _scaled_gram_slabs(X: np.ndarray, out: np.ndarray | None = None):
+    """(i0, i1, g) over the _released_slabs of X (p x n), where g is the
+    slab X[i0:i1] @ X[i0:].T / sqrt(n) of the scaled Gram: rows i0:i1 from
+    column i0 on, diagonal block whole.  Each slab is a new array of
+    i1 - i0 rows, or the view out[i0:i1, i0:] of a C-ordered p x p out,
+    with the same bits; a disposable X goes back to the OS as they pass."""
+    s = math.sqrt(X.shape[1])
+    for i0, i1 in _released_slabs(X):
+        g = np.matmul(X[i0:i1], X[i0:].T, out=None if out is None else out[i0:i1, i0:])
+        g /= s
+        yield i0, i1, g
+
+
 def _kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
     """k(sqrt(n) * Sigma_hat) / sqrt(n) entrywise, exactly symmetric, the
     diagonal included, in an array over its own mapping (_mapped_empty).
@@ -306,9 +322,7 @@ def _kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
     if p > MAX_MATRIX_SIDE:
         raise SizeCapError(f"p={p} exceeds cap {MAX_MATRIX_SIDE}")
     K = _mapped_empty((p, p))
-    for i0, i1 in _released_slabs(X):
-        g = X[i0:i1] @ X[i0:].T
-        g /= math.sqrt(n)
+    for i0, i1, g in _scaled_gram_slabs(X):
         _kernel_tiles(g, kernel, n, out=K[i0:i1, i0:])
     del g
     for i0 in range(0, p, _SLAB_ROWS):
@@ -375,21 +389,47 @@ def _checked_symmetric(m) -> np.ndarray:
     return m
 
 
-@functools.cache
-def _lapacke_dsyevd():
-    """LAPACKE_dsyevd of the ILP64 OpenBLAS that numpy's linalg module
-    links, looked up through that module's handle under the name numpy's
-    wheels give it, or None where the library has no such symbol."""
+def _numpy_openblas(name: str, restype, *argtypes):
+    """The function `name` of the ILP64 OpenBLAS that numpy's linalg
+    module links, looked up through that module's handle under the name
+    numpy's wheels give it (scipy_..._64_), or None where the library has
+    no such symbol."""
     from numpy.linalg import _umath_linalg
 
     try:
-        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dsyevd64_
+        fn = getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_{name}64_")
     except (OSError, AttributeError):
         return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
-    fn.restype = i64
+    fn.argtypes = list(argtypes)
+    fn.restype = restype
     return fn
+
+
+_I64, _PTR, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+_INT, _DOUBLE = ctypes.c_int, ctypes.c_double
+
+
+@functools.cache
+def _lapacke_dsyevd():
+    """numpy's LAPACKE_dsyevd, or None (see _numpy_openblas)."""
+    return _numpy_openblas("LAPACKE_dsyevd", _I64, _INT, _CHAR, _CHAR, _I64, _PTR, _I64, _PTR)
+
+
+@functools.cache
+def _cblas_dsymv():
+    """numpy's cblas_dsymv, or None (see _numpy_openblas)."""
+    return _numpy_openblas(
+        "cblas_dsymv", None, _INT, _INT, _I64, _DOUBLE, _PTR, _I64, _PTR, _I64, _DOUBLE, _PTR, _I64
+    )
+
+
+@functools.cache
+def _lapacke_dstevr():
+    """numpy's LAPACKE_dstevr, or None (see _numpy_openblas)."""
+    return _numpy_openblas(
+        "LAPACKE_dstevr", _I64, _INT, _CHAR, _CHAR, _I64, _PTR, _PTR, _DOUBLE, _DOUBLE, _I64, _I64,
+        _DOUBLE, _PTR, _PTR, _PTR, _I64, _PTR,
+    )
 
 
 def _eigvalsh_in_place(m: np.ndarray) -> np.ndarray:
@@ -428,74 +468,147 @@ def spectrum(m: np.ndarray, *, overwrite: bool = False) -> SpectrumSummary:
     return SpectrumSummary(eigenvalues=ev[::-1].copy())
 
 
-# Restarts allowed to one ARPACK solve (eigsh's maxiter): about 10 products
-# each at the default ncv of 20, so about 3000 products.  The sweep's
-# solves at n = p = 1000 needed at most 12.
-ARPACK_MAX_RESTARTS = 300
+# Lanczos steps allowed to one _extreme_eigenvalue solve, and so rows of
+# its basis: 8 B * LANCZOS_MAX_STEPS a matrix row at the cap.  The sweep's
+# solves (taus 0.5:4.0:5) took at most 128, 144, 160, 184 and 216 steps at
+# n = p = 1000 to 5000, and 152 and 192 at n = 2p = 4000 and 6000.
+LANCZOS_MAX_STEPS = 1000
+_RITZ_CHECK_STEPS = 8  # steps between two Ritz checks of a Lanczos solve
+_DGKS_RATIO = 1 / math.sqrt(2)  # a Gram-Schmidt pass keeping more of |w| is the last
+_LAPACK_EPS = np.finfo(float).eps / 2  # dlamch('E'): ARPACK's tol at tol = 0
+
+
+def _symmetric_product(m: np.ndarray):
+    """v -> m v for a float64 m read on its upper triangle only: numpy's
+    cblas_dsymv on m's buffer, with no copy for a C- or Fortran-ordered
+    m.  Without the symbol, a symmetric copy of m's upper triangle and
+    m @ v products, which read the whole matrix: one p x p array more,
+    built with one more temporary, and a dense solve at p = 1000 took 36
+    ms against 19 ms.  The product is written into one buffer, which the
+    next product overwrites."""
+    dsymv = _cblas_dsymv()
+    if dsymv is None:
+        sym = np.triu(m)
+        sym += np.triu(sym, 1).T
+        return lambda v: sym @ v
+    # a Fortran-ordered float64 m is read column-major (102), any other m
+    # row-major (101), from a C-ordered float64 copy if it is not one;
+    # 121: the upper triangle
+    if m.dtype == np.float64 and m.flags.f_contiguous and not m.flags.c_contiguous:
+        layout = 102
+    else:
+        layout, m = 101, np.ascontiguousarray(m, dtype=np.float64)
+    p = m.shape[0]
+    x, y = np.empty(p), np.empty(p)
+    # data_as pointers hold their arrays, m's copy included
+    m_, x_, y_ = (a.ctypes.data_as(_PTR) for a in (m, x, y))
+
+    def product(v):
+        np.copyto(x, v)
+        dsymv(layout, 121, p, 1.0, m_, p, x_, 1, 0.0, y_, 1)
+        return y
+
+    return product
+
+
+def _top_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
+    """The largest eigenvalue of the symmetric tridiagonal matrix with
+    diagonal alpha and off-diagonal beta[:-1], and the last entry of its
+    unit eigenvector: numpy's LAPACKE_dstevr, by bisection and inverse
+    iteration on that one eigenvalue, O(k) for k = len(alpha): 26 us at
+    k = 32 and 41 us at k = 64.  Without the symbol, np.linalg.eigh of the
+    dense k x k matrix, O(k^3): a dense solve at p = 1000 (104 steps, 13
+    checks) took 25 ms against 19 ms, with two BLAS threads on a 2-vCPU
+    host."""
+    k = len(alpha)
+    dstevr = _lapacke_dstevr()
+    if dstevr is None:
+        t = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+        w, z = np.linalg.eigh(t)
+        return float(w[-1]), float(z[-1, -1])
+    d, e = alpha.copy(), beta.copy()  # dstevr overwrites both
+    w, z = np.empty(k), np.empty(k)
+    found, support = np.zeros(1, np.int64), np.empty(2, np.int64)
+    # 102: column-major; "I": eigenvalues il..iu (1-based, ascending)
+    info = dstevr(
+        102, b"V", b"I", k, d.ctypes.data, e.ctypes.data, 0.0, 0.0, k, k, 0.0,
+        found.ctypes.data, w.ctypes.data, z.ctypes.data, k, support.ctypes.data,
+    )
+    if info or found[0] != 1:
+        raise ConsistencyError(f"LAPACK dstevr failed at k={k} (info {info})")
+    return float(w[0]), float(z[-1])
 
 
 def _extreme_eigenvalue(m) -> float:
-    """The largest eigenvalue of a finite real symmetric m, dense or
-    scipy.sparse: the sweep's M_tau cells, which their builder makes finite
-    and symmetric, so m is not checked here.  A dense m is read on its
-    upper triangle only, so its lower one may hold anything: the sweep
-    passes the transposed view of an array whose lower triangle holds
-    M_tau and whose upper one holds the Gram.
+    """The largest eigenvalue of a finite real symmetric m: a dense array,
+    read on its upper triangle only, or an operator with a shape
+    and a matvec(v) method (the sweep's sparse cells).  These are the
+    sweep's M_tau cells, which their builder makes finite and symmetric,
+    so m is not checked here.  The sweep passes the transposed view of an
+    array whose lower triangle holds M_tau and whose upper one holds the
+    Gram, so a dense m's lower triangle may hold anything.
 
-    ARPACK's implicitly restarted Lanczos (scipy.sparse.linalg.eigsh),
+    Lanczos with full reorthogonalisation (the three-term recurrence, then
+    a classical Gram-Schmidt pass against the whole basis, and a second
+    where the first kept less than 1/sqrt(2) of |w|: the DGKS criterion),
     started from a fixed Gaussian vector, so runs repeat: an all-ones start
-    would be orthogonal to balanced +-1 spikes.  It stops when the Ritz
-    value's residual is at most machine epsilon times |Ritz value|.  A stop
-    on residual^2 / gap would come earlier, but returns the second
+    would be orthogonal to balanced +-1 spikes.  Every _RITZ_CHECK_STEPS
+    steps the top Ritz pair (theta, s) of the tridiagonal comes from
+    LAPACK dstevr, and the solve stops on ARPACK's tol = 0 test,
+    beta_k |s_k| <= eps max(eps^(2/3), |theta|), eps = 2^-53.  It also
+    stops on an invariant Krylov space, beta_k <= 1e-15 |m v_k| (what is
+    left of w is rounding; the zero matrix stops there at step 1, with
+    0.0), and at k = p steps, where the Krylov space is all of R^p.  A
+    solve that reaches LANCZOS_MAX_STEPS < p first raises ConsistencyError
+    rather than returning an unconverged value.
+
+    A stop on residual^2 / gap would come earlier, but returns the second
     eigenvalue when the top two are closer than the Krylov space resolves
-    and the start vector has the smaller part along the top one.  A solve
-    that runs out of restarts, or that ARPACK rejects, raises
-    ConsistencyError rather than returning an unconverged value.
+    and the start vector has the smaller part along the top one.
 
-    A dense m's products are BLAS dsymv calls on that triangle, which
-    read half the matrix: a median 0.08 ms against 0.18 ms for m @ v at
-    p = 1000, and 0.39 ms against 0.74 ms at p = 2000, with two BLAS
-    threads on a 2-vCPU Xeon.  They run on scipy's BLAS, whose thread pool
-    is not numpy's (see sparse_pca.sweep_tau).
+    A dense m's products are BLAS dsymv calls on its upper triangle
+    (_symmetric_product), which read half the matrix: a median 0.085 ms
+    against 0.20 ms for m @ v at p = 1000, and 0.43 ms against 0.72 ms at
+    p = 2000, with two BLAS threads on a 2-vCPU Xeon.  Every BLAS call is
+    numpy's OpenBLAS, whose thread pool the sweep's Gram also runs on.
     """
-    # imported on first use: of the CLI commands only the sweep gets here,
-    # and importing scipy would add to every other command's startup
-    from scipy.linalg.blas import dsymv
-    from scipy.sparse import issparse
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
-
     p = m.shape[0]
-    if p <= 2:  # eigsh needs k = 1 < p
-        ev = np.linalg.eigvalsh(m.toarray() if issparse(m) else m, UPLO="U")
-        return float(ev[-1])
-    op = m
-    if isinstance(m, np.ndarray):
-        # dsymv reads a Fortran-ordered float64 array in place: a
-        # Fortran-ordered m on its upper triangle, and a C-ordered one as
-        # the view m.T, whose lower triangle is m's upper one
-        lower = not m.flags.f_contiguous
-        a = np.asfortranarray(m.T if lower else m, dtype=np.float64)
-        op = LinearOperator(
-            m.shape, matvec=lambda v: dsymv(1.0, a, v, lower=lower), dtype=np.float64
-        )
+    product = _symmetric_product(m) if isinstance(m, np.ndarray) else m.matvec
+    steps = min(p, LANCZOS_MAX_STEPS)
+    # grown by doubling: most solves stop after tens of steps, far below p
+    basis = np.empty((min(steps, 64), p))
+    alpha, beta = np.empty(steps), np.empty(steps)
     start = rngmod.derive_rng(0, rngmod.STREAM_LANCZOS, p).standard_normal(p)
-    try:
-        ev = eigsh(
-            op, k=1, which="LA", v0=start, tol=0, maxiter=ARPACK_MAX_RESTARTS,
-            return_eigenvectors=False,
-        )
-    except ArpackNoConvergence as exc:
-        raise ConsistencyError(
-            f"ARPACK did not converge in {ARPACK_MAX_RESTARTS} restarts at p={p}"
-        ) from exc
-    except ArpackError as exc:
-        # the zero matrix maps every vector to 0, which ARPACK reports as
-        # error -9, a zero starting vector; checked only here, off the
-        # path of every converged solve, and on m, not on its operator
-        if not (m.count_nonzero() if issparse(m) else np.count_nonzero(np.triu(m))):
-            return 0.0
-        raise ConsistencyError(f"ARPACK failed at p={p}: {exc}") from exc
-    return float(ev[0])
+    basis[0] = start / math.sqrt(start @ start)
+    for k in range(steps):
+        v = basis[k]
+        w = product(v)
+        image_norm = math.sqrt(w @ w)
+        a = alpha[k] = v @ w
+        w -= a * v
+        if k:
+            w -= b * basis[k - 1]
+        done = basis[: k + 1]
+        before = math.sqrt(w @ w)
+        for _ in range(2):
+            w -= (done @ w) @ done
+            b = beta[k] = math.sqrt(w @ w)
+            if b > _DGKS_RATIO * before:
+                break
+            before = b
+        size = k + 1
+        invariant = b <= 1e-15 * image_norm
+        if invariant or size % _RITZ_CHECK_STEPS == 0 or size == steps:
+            theta, last = _top_ritz_pair(alpha[:size], beta[:size])
+            tol = _LAPACK_EPS * max(_LAPACK_EPS ** (2 / 3), abs(theta))
+            if invariant or size == p or b * abs(last) <= tol:
+                return theta
+        if size == steps:
+            break
+        if size == len(basis):
+            basis = np.concatenate([basis, np.empty((min(steps, 2 * size) - size, p))])
+        np.divide(w, b, out=basis[size])
+    raise ConsistencyError(f"Lanczos did not converge in {steps} steps at p={p}")
 
 
 def ks_distance(s: SpectrumSummary, p: LimitLawParams) -> float:

@@ -24,7 +24,7 @@ from .simulate import (
     _kernel_matrix,
     _kernel_tiles,
     _mapped_empty,
-    _released_slabs,
+    _scaled_gram_slabs,
     _upper_tiles,
     check_data_size,
     sample_data,
@@ -33,16 +33,22 @@ from .simulate import (
 INNER_FRACTION = 0.8
 OUTER_FRACTION = 1.2
 # Share of the upper triangle (diagonal included) outside the threshold's
-# zero set up to which sweep_tau builds M_tau sparse.  The sparse build,
-# a symmetry check since dropped, and eigsh took as long as the dense tile
-# pass and dsymv eigsh at 6% (p = 1000) and 6.5% (p = 2000), at n = p with
-# two BLAS threads.
-SPARSE_DENSITY_CUT = 0.06
+# zero set up to which sweep_tau builds M_tau sparse.  The sparse build and
+# its Lanczos solve on np.bincount products took as long as the dense tile
+# pass and the dsymv solve at 2%, at n = p = 1000 and 2000 with two BLAS
+# threads: a bincount product costs 7-10 ns a kept upper entry, against
+# 85 us (p = 1000) and 430 us (p = 2000) for dsymv.
+SPARSE_DENSITY_CUT = 0.02
 # Cells of a sweep, trials x len(taus).  sweep_tau keeps two float64 tables
 # of them, 16 B a cell, and the standard error of a column adds a temporary
 # as long as the column: ru_maxrss gave 15.2 B a cell over 1000 taus (5e6
 # to 2e7 cells) and 27 B at one tau (2e6 cells), so 5.9 GB at this cap.
 MAX_SWEEP_CELLS = 5_900_000_000 // 27
+# Triplets per block of a sparse cell's threshold pass and of its
+# product's np.bincount calls, whose temporaries stay near 0.3 MB: 2**16
+# took twice as long a product at p = n = 3000 (87k triplets), and held
+# 1 MB more
+_TRIPLET_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -130,77 +136,76 @@ def thresholded_covariance(X: np.ndarray, tau: float) -> np.ndarray:
     return _kernel_matrix(X, ThresholdFunction(tau))
 
 
-def _slab_gram(X: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """X X^T / sqrt(n) for X (p x n) on the upper triangle of out, a
-    C-ordered p x p array, diagonal included, and returned.  Formed in the
-    row slabs of _released_slabs, so a disposable X goes back to the OS as
-    the slabs pass it: each slab is a dsyrk on its diagonal block and a
-    dgemm beside it, and out also gets zeros below the diagonal of each
-    diagonal block.
+@dataclass(frozen=True)
+class _SparseSymmetric:
+    """A symmetric p x p matrix from its diagonal and the non-zero entries
+    of its strict upper triangle, (rows[i], cols[i], values[i]) with
+    rows < cols, in row order.  Its product v -> m v sums the triplets
+    with np.bincount, in blocks of _TRIPLET_BLOCK triplets, so that the
+    product's temporaries (the gathered v, and bincount's int64 copy of
+    the int32 indices) stay small beside the 16 B a triplet holds."""
 
-    scipy's BLAS, not numpy's: numpy and scipy each load their own
-    OpenBLAS, with a thread pool each, and the sweep's dsymv products run
-    on scipy's.  After a Gram on numpy's pool, numpy's threads still spin
-    while scipy's wait for a core.  In four benchmark sweep ops (n = p =
-    1000, 5 taus, 2 trials) on a 2-vCPU host, dsymv products behind numpy's
-    Gram took 0.71-0.74 s, numpy's Gram and m @ v products 0.54-0.61 s, and
-    scipy's dsyrk Gram with dsymv 0.41-0.45 s."""
-    from scipy.linalg.blas import dgemm, dsyrk  # imported on first use, as in _thresholded_sparse
+    diagonal: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
-    p, n = X.shape
-    s = math.sqrt(n)
-    for i0, i1 in _released_slabs(X):
-        # X[i0:i1].T and X[i1:].T are Fortran-ordered views, so BLAS copies
-        # neither; each Fortran-ordered result is the C-ordered block's .T
-        rows = X[i0:i1].T
-        np.divide(dsyrk(1.0, rows, trans=1, lower=1).T, s, out=out[i0:i1, i0:i1])
-        if i1 < p:
-            np.divide(dgemm(1.0, X[i1:].T, rows, trans_a=1).T, s, out=out[i0:i1, i1:])
-    return out
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.diagonal), len(self.diagonal))
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        p = len(self.diagonal)
+        y = self.diagonal * v
+        for b0 in range(0, len(self.values), _TRIPLET_BLOCK):
+            block = slice(b0, b0 + _TRIPLET_BLOCK)
+            rows, cols, values = self.rows[block], self.cols[block], self.values[block]
+            y += np.bincount(rows, weights=np.take(v, cols) * values, minlength=p)
+            y += np.bincount(cols, weights=np.take(v, rows) * values, minlength=p)
+        return y
 
 
 def _thresholded_sparse(g: np.ndarray, threshold: ThresholdFunction, n: int, max_entries: float):
-    """M_tau of a scaled Gram g of n samples as a CSR matrix, or None as
-    soon as more than max_entries entries of g's upper triangle (diagonal
-    included) lie outside the threshold's zero set |g| <= INNER_FRACTION *
-    tau.  The upper triangle is read in the kernel builder's tiles and the
-    kept entries are mirrored, so nothing p x p is allocated; each kept
-    entry gets the dense builder's bits, k_tau(g) / sqrt(n).  One value
-    array fills both triangles, so the CSR is exactly symmetric, and a
+    """M_tau of a scaled Gram g of n samples as a _SparseSymmetric, or None
+    as soon as more than max_entries entries of g's upper triangle
+    (diagonal included) lie outside the threshold's zero set |g| <=
+    INNER_FRACTION * tau.  Only g's upper triangle is read, in the kernel
+    builder's tiles, and each tile's kept entries go straight into int32
+    index and float64 value arrays of max_entries capacity, whose pages
+    are touched only as they fill, so nothing p x p is allocated; k_tau
+    then runs on the kept values in blocks of _TRIPLET_BLOCK.  Each kept
+    entry gets the dense builder's bits, k_tau(g) / sqrt(n), and a
     non-finite kept value raises ConfigError, as _kernel_tiles does."""
-    # imported on first use: importing scipy.sparse parses SOURCE_DATE_EPOCH,
-    # which the CLI must check first, and would add to the startup of every
-    # command but the sweep
-    from scipy.sparse import csr_array
-
     p = g.shape[0]
+    s = math.sqrt(n)
     zero_edge = INNER_FRACTION * threshold.tau
-    rows, cols = [], []
-    count = 0
+    diagonal = np.divide(threshold(g.diagonal()), s)
+    # "not <=" also keeps NaN, which the check at the end rejects
+    count = np.count_nonzero(~(np.abs(g.diagonal()) <= zero_edge))
+    capacity = int(min(max_entries - count, p * (p - 1) // 2))
+    if capacity < 0:
+        return None
+    rows, cols = np.empty(capacity, np.int32), np.empty(capacity, np.int32)
+    values = np.empty(capacity)
+    kept = 0
     for i0, i1 in _upper_tiles(p):
-        # "not <=" also keeps NaN, which the guard below rejects
-        r, c = np.divmod(np.flatnonzero(~(np.abs(g[i0:i1, i0:]) <= zero_edge)), p - i0)
-        upper = c >= r  # a tile's diagonal block reaches below the diagonal
-        count += np.count_nonzero(upper)
-        if count > max_entries:
+        tile = g[i0:i1, i0:]
+        r, c = np.divmod(np.flatnonzero(~(np.abs(tile) <= zero_edge)), p - i0)
+        strict = c > r  # a tile's diagonal block reaches the diagonal and below
+        r, c = r[strict], c[strict]
+        end = kept + len(r)
+        if end > capacity:
             return None
-        rows.append(r[upper] + i0)
-        cols.append(c[upper] + i0)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.divide(threshold(g[rows, cols]), math.sqrt(n))
-    if not np.isfinite(vals).all():
+        np.add(r, i0, out=rows[kept:end], casting="unsafe")
+        np.add(c, i0, out=cols[kept:end], casting="unsafe")
+        values[kept:end] = tile[r, c]
+        kept = end
+    for b0 in range(0, kept, _TRIPLET_BLOCK):
+        block = values[b0:min(kept, b0 + _TRIPLET_BLOCK)]
+        np.divide(threshold(block), s, out=block)
+    if not (np.isfinite(diagonal).all() and np.isfinite(values[:kept]).all()):
         raise ConfigError("kernel matrix contains non-finite entries")
-    off = rows != cols
-    # the mirrored lower triangle first: each row's columns then ascend, so
-    # the conversion to CSR needs no sort
-    return csr_array(
-        (
-            np.concatenate([vals[off], vals]),
-            (np.concatenate([cols[off], rows]), np.concatenate([rows[off], cols])),
-        ),
-        shape=(p, p),
-    )
+    return _SparseSymmetric(diagonal, rows[:kept], cols[:kept], values[:kept])
 
 
 def null_prediction(
@@ -281,27 +286,28 @@ def sweep_tau(model: SpikedModelConfig, taus: Sequence[float], trials: int = 5) 
 
     One p x p array is held at a time.  Each X is drawn into an anonymous
     mapping of its own, which goes back to the OS as the Gram's row slabs
-    pass it (_slab_gram).  The Gram fills the upper triangle of a mapped
+    pass it (simulate._scaled_gram_slabs, the product simulate's kernel
+    matrix is built from).  The Gram fills the upper triangle of a mapped
     p x p array, and its diagonal is also kept in a vector of length p.
 
     Each Gram visits the taus in descending order, so the supports of
     M_tau (the entries outside the zero set |g| <= INNER_FRACTION * tau)
     only grow.  While a support holds at most SPARSE_DENSITY_CUT of the
-    upper triangle, M_tau is built as a CSR matrix and its lambda_max comes
-    from the same eigsh solve, run on scipy's sparse product.  The first
+    upper triangle, M_tau is built sparse, as its diagonal and its strict
+    upper triangle's (row, col, value) triplets, and its lambda_max comes
+    from the same Lanczos solve, run on np.bincount products.  The first
     support past the cut abandons its sparse build, and from there on every
     M_tau is written densely into the array's lower triangle, diagonal
     included, by the kernel tiles' divide pass, and the solve reads that
     triangle alone.  The Gram's diagonal is put back from the vector before
     each dense M_tau.  The cut is the density at which the two paths took
-    equal time at p = 1000 and 2000.  The CSR holds the dense matrix's
-    bits, but its product sums in another order, so lambda_max can differ
-    from the dense solve's in the last bits.
+    equal time at p = 1000 and 2000.  The sparse cell holds the dense
+    matrix's bits, but its product sums in another order, so lambda_max
+    can differ from the dense solve's in the last bits.
 
-    Every p x p BLAS call runs on one thread pool, scipy's: the Gram's
-    slabs are scipy's dsyrk and dgemm and the dense products scipy's dsymv.
-    numpy loads another OpenBLAS with its own threads, and BLAS work split
-    between the two pools makes each wait on the other's spinning threads.
+    Every BLAS call runs on numpy's OpenBLAS and its one thread pool: the
+    Gram's slabs are numpy products, and the dense solve's products are
+    cblas_dsymv from the same library.  No scipy module is imported.
     """
     taus = np.asarray(list(taus), dtype=float)
     if taus.size == 0:
@@ -327,8 +333,12 @@ def sweep_tau(model: SpikedModelConfig, taus: Sequence[float], trials: int = 5) 
             (sample_spiked_data, model, spiked_tops),
         ):
             X = sampler(cfg, stream=t, out=_mapped_empty((p, n), disposable=True))
-            shared = _slab_gram(X, out=_mapped_empty((p, p)))
-            del X  # its pages went back to the OS as the Gram's slabs passed them
+            shared = _mapped_empty((p, p))
+            for slab in _scaled_gram_slabs(X, out=shared):
+                pass  # each slab is written in place
+            # X's pages went back to the OS as the slabs passed them; the
+            # last slab is a view of shared, which must go with shared
+            del X, slab
             diagonal = shared.diagonal().copy()
             dense = False  # set by the first support past the cut
             for ti in descending:
@@ -336,6 +346,7 @@ def sweep_tau(model: SpikedModelConfig, taus: Sequence[float], trials: int = 5) 
                     sparse = _thresholded_sparse(shared, thresholds[ti], n, max_sparse)
                     if sparse is not None:
                         tops[t, ti] = _extreme_eigenvalue(sparse)
+                        sparse = None  # not held while the next cell is built
                         continue
                     dense = True
                 # an earlier dense cell wrote its M_tau's diagonal over the Gram's

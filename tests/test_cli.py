@@ -387,7 +387,7 @@ def test_simulate_peak_grows_by_about_one_p_by_p_array(tmp_path):
     p = 2000
     runs = [write_cfg(tmp_path, f"{side}.cfg", kernel="h2+h3", n=side, p=side, trials=trials)
             for side, trials in ((600, 1), (p, 3))]
-    warm, peak = peak_rss_after_each("simulate", runs)  # kB
+    _, warm, peak = peak_rss_after_each("simulate", runs)  # kB
     assert (peak - warm) * 1024 < 1.4 * 8 * p * p
 
 
@@ -401,8 +401,21 @@ def test_sweep_peak_grows_by_about_one_p_by_p_array(tmp_path):
     p = 2000
     runs = [write_cfg(tmp_path, f"{side}.cfg", n=side, taus="0.5:4.0:5", trials=1)
             for side in (600, p)]
-    warm, peak = peak_rss_after_each("sparse-pca-sweep", runs)  # kB
+    _, warm, peak = peak_rss_after_each("sparse-pca-sweep", runs)  # kB
     assert (peak - warm) * 1024 < 1.4 * 8 * p * p
+
+
+def test_sweep_peak_at_the_benchmark_config(tmp_path):
+    # the benchmark's sweep op (n = p = 1000, five taus, two trials) in a
+    # fresh interpreter at two BLAS threads, as the benchmark runs it on a
+    # 2-vCPU host: the peak RSS grows by 17-18 MB past the RSS after the
+    # CLI's import, and grew by 43 MB while the sweep imported scipy (its
+    # modules and its own OpenBLAS) for CSR cells and an ARPACK solve
+    cfg = write_cfg(tmp_path, "b.cfg", n=1000, p=1000, taus="0.5:4.0:5", trials=2)
+    imported, peak = peak_rss_after_each(
+        "sparse-pca-sweep", [cfg], OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2"
+    )  # kB
+    assert (peak - imported) * 1024 < 30 * 2**20
 
 
 def test_simulate_size_cap_exits_3(tmp_path):
@@ -786,16 +799,15 @@ def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
 # by at most 1.7e-15 relative in lambda_max and the tau = 3 cells, still
 # CSR, not at all.  So the means moved by at most 6.6e-16 relative, the
 # standard errors by 5.0e-13 and max_null_gap by 9.4e-15.  They hold for
-# the numpy 2.4 wheel's OpenBLAS 0.3.31 build and scipy 1.17's OpenBLAS
-# 0.3.30, with their Haswell kernels, at two BLAS threads: the Gram's and
-# the eigensolver's rounding depend on the BLAS and on its thread count
-# (both sweep files already differed under OPENBLAS_NUM_THREADS=1 before
-# dsymv, whose sums also depend on the thread count).  So each command runs
-# in a fresh interpreter with both OpenBLAS pools pinned to two threads,
-# and the hashes hold on hosts with more cores (at one thread the sweep's
-# files hash to f4f798... and dbf234... instead).  They still depend on the CPU
-# kernel OpenBLAS picks, and they cannot hold on a 1-CPU host, where
-# OpenBLAS runs one thread whatever it is asked for.
+# the numpy 2.4 wheel's OpenBLAS 0.3.31 build, with its Haswell kernels,
+# at two BLAS threads: the Gram's and the eigensolver's rounding depend on
+# the BLAS and on its thread count (both sweep files already differed
+# under OPENBLAS_NUM_THREADS=1 before dsymv, whose sums also depend on the
+# thread count).  So each command runs in a fresh interpreter with the
+# OpenBLAS pool pinned to two threads, and the hashes hold on hosts with
+# more cores.  They still depend on the CPU kernel OpenBLAS picks, and they
+# cannot hold on a 1-CPU host, where OpenBLAS runs one thread whatever it
+# is asked for.
 # verify's report was re-recorded when its census went from every class
 # record of every (l, d) to class counts and a key digest per l; only
 # lemma_census moved.
@@ -814,6 +826,14 @@ def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
 # sweep.csv was re-recorded again when the spiked model went from master
 # seed seed + 1 to seed: only spiked_mean and spiked_se moved, as
 # test_golden_sweep_null_columns_and_summary_hold shows.
+# Both sweep files were re-recorded when the sweep left scipy: its Gram
+# slabs became numpy's X[i0:i1] @ X[i0:].T, simulate's product, and
+# lambda_max a Lanczos solve with full reorthogonalisation on numpy's
+# cblas_dsymv (dense cells) and np.bincount products (sparse cells) in
+# place of ARPACK's eigsh on scipy's dsymv and CSR products.  Each cell's
+# lambda_max moved in its last bits: the means by at most 8.7e-16
+# relative, the standard errors by 4.8e-14 and max_null_gap by 2.3e-14;
+# the prediction column did not move.
 # A change to derive_rng's stream paths changes these bytes and must say
 # so.  Each key is the command, or the command and a label after a "/".
 CLI_OUTPUT_SHA256 = {
@@ -843,8 +863,8 @@ CLI_OUTPUT_SHA256 = {
     "sparse-pca-sweep": (
         {"n": 300, "taus": "1.0,2.0,3.0", "trials": 2},
         {
-            "sweep.csv": "0f3b119d4e801297851caa3cff36a8d29ac3766f2874eeb7928bf00379547f05",
-            "sweep_summary.json": "a09344e906476db9be3e0b025c81c89dbd36b112d0927ba06fe770ddfe5b0bc0",
+            "sweep.csv": "e9e446ad559d0836c9ad71439f82e9197f5f6d5b87a4e91254838c516848e13d",
+            "sweep_summary.json": "977dfb32630be2008712a0c8b926b03ac754724c7f155e922613f6d8fe1b7f03",
         },
     ),
     "verify": (
@@ -882,16 +902,17 @@ def test_golden_sweep_null_columns_and_summary_hold(tmp_path):
     # sweep.csv's tau, null_mean, null_se and prediction columns, as CSV
     # lines, and of its sweep_summary.json, whose max_null_gap reads only
     # those.  Recorded before the spiked model's master seed went from
-    # seed + 1 to seed, which re-recorded the whole file's hash above
+    # seed + 1 to seed, which re-recorded the whole file's hash above, and
+    # re-recorded with both files when the sweep left scipy (see above)
     written = _golden_outputs(tmp_path, "sparse-pca-sweep")
     rows = [line.split(",") for line in written["sweep.csv"].decode().splitlines()]
     kept = [rows[0].index(name) for name in ("tau", "null_mean", "null_se", "prediction")]
     null_columns = "".join(",".join(row[i] for i in kept) + "\n" for row in rows)
     assert hashlib.sha256(null_columns.encode()).hexdigest() == (
-        "b81153eb9dee8323424cbc13f3be822e528c954cdf4543ad2e382cc867ccbbdb"
+        "4cd871bce8f83e4608afd064e477ac911b32d5b8ab537b41b360fc214a168e4e"
     )
     assert hashlib.sha256(written["sweep_summary.json"]).hexdigest() == (
-        "a09344e906476db9be3e0b025c81c89dbd36b112d0927ba06fe770ddfe5b0bc0"
+        "977dfb32630be2008712a0c8b926b03ac754724c7f155e922613f6d8fe1b7f03"
     )
 
 
@@ -1003,9 +1024,11 @@ def test_bad_source_date_epoch_exits_2(tmp_path, epoch):
     assert not (tmp_path / "limit_law_summary.json").exists()
 
 
-def test_commands_but_the_sweep_import_no_scipy(tmp_path):
-    # scipy costs a quarter of a second to import; only the sweep needs it
+def test_no_command_imports_scipy(tmp_path):
+    # scipy costs a quarter of a second and 26 MB to import, and numpy's
+    # OpenBLAS serves every command; scipy is a test-only dependency
     configs = {
+        "sparse-pca-sweep": {"n": 40, "taus": "0.5,3.0", "trials": 1},
         "simulate": {"kernel": "h1+0.5*h2", "n": 30, "p": 20},
         "project-kernel": {"kernel": "soft_threshold(1.5)", "degree": 6},
         "limit-law": {"a": 1, "nu": 2, "gamma": 0.5, "density_points": 101, "moments_lmax": 3},
@@ -1023,7 +1046,7 @@ def test_commands_but_the_sweep_import_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0]
     assert scipy_modules == []
 
 

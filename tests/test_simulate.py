@@ -1,15 +1,16 @@
 import itertools
 import math
 import mmap
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.sparse import csr_array
 
 import kernelspectra.simulate as sim
+from conftest import sparse_form
 from kernelspectra.errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 from kernelspectra.hermite import KernelSpec, hermite_eval
 from kernelspectra.lgraphs import exact_trace_moment, sample_trace_moment
@@ -425,11 +426,11 @@ def test_top_eigenvalue_matches_eigvalsh(p, seed, kind):
     ev = np.linalg.eigvalsh(m)
     norm = max(abs(ev[0]), abs(ev[-1]))
     # the top and, through -m, the bottom eigenvalue (as the concentration
-    # oracle reads ||K||) on a dense m, and on a CSR, as the sweep's sparse
-    # path solves it
-    for form in (m, csr_array(m)):
-        assert abs(sim._extreme_eigenvalue(form) - ev[-1]) <= 1e-12 * max(1.0, norm)
-        assert abs(-sim._extreme_eigenvalue(-form) - ev[0]) <= 1e-12 * max(1.0, norm)
+    # oracle reads ||K||) on a dense m, and on the sweep's sparse form
+    for form in (m, -m):
+        want = ev[-1] if form is m else -ev[0]
+        for solved in (form, sparse_form(form)):
+            assert abs(sim._extreme_eigenvalue(solved) - want) <= 1e-12 * max(1.0, norm)
 
 
 def test_top_eigenvalue_is_repeatable():
@@ -441,18 +442,52 @@ def test_top_eigenvalue_is_repeatable():
 
 
 def test_top_eigenvalue_raises_when_not_converged(monkeypatch):
-    monkeypatch.setattr(sim, "ARPACK_MAX_RESTARTS", 1)
+    monkeypatch.setattr(sim, "LANCZOS_MAX_STEPS", 5)
     with pytest.raises(ConsistencyError, match="converge"):
         sim._extreme_eigenvalue(_test_matrix("dense", 60, 1))
 
 
 @pytest.mark.parametrize("p", [3, 50])
-@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_extreme_eigenvalue_of_the_zero_matrix_is_zero(p, sparse):
-    # ARPACK rejects the zero matrix with its error -9
-    m = csr_array((p, p)) if sparse else np.zeros((p, p))
-    assert sim._extreme_eigenvalue(m) == 0.0
-    assert -sim._extreme_eigenvalue(-m) == 0.0
+    # m v_1 = 0: the Krylov space is invariant at the first step
+    for m in (np.zeros((p, p)), -np.zeros((p, p))):
+        assert sim._extreme_eigenvalue(sparse_form(m) if sparse else m) == 0.0
+
+
+@pytest.mark.parametrize("missing", ["_cblas_dsymv", "_lapacke_dstevr"])
+@pytest.mark.parametrize("kind", ["dense", "balanced_spike", "tiny_gap", "zero"])
+def test_top_eigenvalue_without_an_openblas_symbol(monkeypatch, missing, kind):
+    # without dsymv, products of a symmetric copy of the upper triangle;
+    # without dstevr, Ritz pairs from eigh of the dense tridiagonal
+    m = _test_matrix(kind, 60, 25)
+    ev = np.linalg.eigvalsh(m)
+    m[np.tril_indices(60, -1)] = np.nan  # neither path reads the lower triangle
+    monkeypatch.setattr(sim, missing, lambda: None)
+    for form in (m, np.asfortranarray(m)):  # row- and column-major
+        top = sim._extreme_eigenvalue(form)
+        assert abs(top - ev[-1]) <= 1e-12 * max(1.0, abs(ev[0]), abs(ev[-1]))
+
+
+@settings(max_examples=100)
+@given(
+    p=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 1.0),
+    block=st.sampled_from([1, 7, 2**16]),
+)
+def test_sparse_product_matches_the_dense_product(p, seed, density, block):
+    # the bincount sums of the strict upper triangle's triplets, in blocks
+    # of any size, and the diagonal, against m @ v
+    import kernelspectra.sparse_pca as sp
+
+    gen = np.random.default_rng(seed)
+    m = _test_matrix("dense", p, seed) * (gen.random((p, p)) < density)
+    m = np.triu(m) + np.triu(m, 1).T
+    v = gen.standard_normal(p)
+    with mock.patch.object(sp, "_TRIPLET_BLOCK", block):
+        got = sparse_form(m).matvec(v)
+    assert np.max(np.abs(got - m @ v)) <= 1e-13 * np.linalg.norm(m, 2)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 50])
@@ -465,17 +500,6 @@ def test_extreme_eigenvalue_reads_the_upper_triangle_only(p, kind):
     m[np.tril_indices(p, -1)] = np.nan
     assert abs(sim._extreme_eigenvalue(m) - ev[-1]) <= 1e-12 * max(1.0, norm)
     assert abs(-sim._extreme_eigenvalue(-m) - ev[0]) <= 1e-12 * max(1.0, norm)
-
-
-def test_arpack_errors_raise_consistency_error(monkeypatch):
-    import scipy.sparse.linalg
-
-    def failing(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackError(-8)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
-    with pytest.raises(ConsistencyError, match="ARPACK"):
-        sim._extreme_eigenvalue(_test_matrix("dense", 20, 1))
 
 
 # a caller reads lambda_max of its own matrix as spectrum(m).lambda_max,

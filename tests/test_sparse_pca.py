@@ -3,10 +3,10 @@ import mmap
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import LinearOperator
 
+from conftest import dense_form
 from kernelspectra import rng as rngmod
-from kernelspectra import simulate
+from kernelspectra import simulate, sparse_pca
 from kernelspectra.errors import ConfigError, SizeCapError
 from kernelspectra.hermite import KernelSpec, hermite_sum_kernel, kernel_moments
 from kernelspectra.limit_law import LimitLawParams, support
@@ -26,7 +26,6 @@ from kernelspectra.sparse_pca import (
     SpikedModelConfig,
     SweepResult,
     ThresholdFunction,
-    _slab_gram,
     _thresholded_sparse,
     null_prediction,
     sample_spiked_data,
@@ -124,21 +123,31 @@ def test_kernel_matrix_builder_matches_reference(p, n, keep_diagonal, monkeypatc
 
 @pytest.mark.parametrize("p, n", [(600, 300), (97, 150)])
 def test_sparse_threshold_builder_matches_reference(p, n, monkeypatch):
-    # the CSR holds every tile's entries, their mirror and the diagonal with
-    # the dense builder's bits, at any tiling, and is abandoned only for a
-    # support past the density cut
+    # the sparse cell holds every tile's strict-upper entries, in row
+    # order, and the diagonal with the dense builder's bits, at any tiling,
+    # and is abandoned only for a support past the density cut
     X = sample_data(DataMatrixConfig(n=n, p=p, seed=p))
     g = _scaled_gram(X)
     max_sparse = SPARSE_DENSITY_CUT * p * (p + 1) / 2
-    cases = [(0.5, False), (2.0, False), (3.0, True), (3.5, True)]  # (tau, below the cut)
+    # (tau, below the cut): supports of 69, 11, 4.9, 0.87 and 0.48% of the
+    # upper triangle at p = 600; at p = 97 the diagonal alone, 2 / (p + 1)
+    # of it, is past the cut
+    taus = (0.5, 2.0, 2.5, 3.5, 4.0)
+    cases = list(zip(taus, (False, False, False, True, True) if p == 600 else [False] * 5))
     expected = [thresholded_covariance(X, tau) for tau, _ in cases]
-    for tile_entries in (simulate._TILE_ENTRIES, 1, 64, 1000):
+    # tiles of the Gram, and blocks of the kept values' threshold pass
+    defaults = (simulate._TILE_ENTRIES, sparse_pca._TRIPLET_BLOCK)
+    for tile_entries, block in (defaults, (1, 1), (64, 7), (1000, 1000)):
         monkeypatch.setattr(simulate, "_TILE_ENTRIES", tile_entries)
+        monkeypatch.setattr(sparse_pca, "_TRIPLET_BLOCK", block)
         for (tau, below_cut), want in zip(cases, expected):
-            csr = _thresholded_sparse(g, ThresholdFunction(tau), n, math.inf)
-            assert np.array_equal(csr.toarray(), want), (tile_entries, tau)
-            assert csr.nnz == np.count_nonzero(want)
-            assert (csr != csr.T).nnz == 0, (tile_entries, tau)  # no runtime check
+            cell = _thresholded_sparse(g, ThresholdFunction(tau), n, math.inf)
+            assert np.array_equal(dense_form(cell), want), (tile_entries, tau)
+            assert np.array_equal(cell.diagonal, np.diag(want))
+            assert 2 * len(cell.values) == np.count_nonzero(want - np.diag(np.diag(want)))
+            assert cell.rows.dtype == cell.cols.dtype == np.int32
+            order = cell.rows.astype(np.int64) * p + cell.cols
+            assert np.all(cell.rows < cell.cols) and np.all(np.diff(order) > 0)
             within_cut = _thresholded_sparse(g, ThresholdFunction(tau), n, max_sparse)
             assert (within_cut is not None) == below_cut, (tile_entries, tau)
 
@@ -291,9 +300,9 @@ def test_sweep_structure_and_signal():
 
 
 def _count_sweep_paths(monkeypatch) -> dict:
-    """Counts of the sweep's dense and CSR cells, by the call that builds
-    each cell's M_tau: _kernel_tiles for a dense cell, a CSR returned by
-    _thresholded_sparse for a sparse one."""
+    """Counts of the sweep's dense and sparse cells, by the call that
+    builds each cell's M_tau: _kernel_tiles for a dense cell, a cell
+    returned by _thresholded_sparse for a sparse one."""
     import kernelspectra.sparse_pca as sp
 
     calls = {"dense": 0, "sparse": 0}
@@ -357,7 +366,7 @@ def test_sweep_non_finite_kernel_value_in_a_later_tile_raises(monkeypatch):
     class NaNInThirdTile(ThresholdFunction):
         def __call__(self, x):
             out = super().__call__(x)
-            if np.ndim(x) == 2:  # a dense tile; the CSR build evaluates 1-D
+            if np.ndim(x) == 2:  # a dense tile; the sparse build evaluates 1-D
                 tiles.append(x.shape)
                 if len(tiles) == 3:
                     out[-1, -1] = math.nan
@@ -372,18 +381,18 @@ def test_sweep_non_finite_kernel_value_in_a_later_tile_raises(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_sweep_lambda_max_at_tiny_p(p, monkeypatch):
-    # at p <= 2 the solve is LAPACK's, which must read the triangle the
-    # sweep writes M_tau into; at tau = 5 an M_tau is the zero CSR, which
-    # ARPACK rejects at p = 3, unless a diagonal entry |x|^2 / sqrt(p)
-    # passes 4
+    # at p <= 2 the Lanczos solve ends at k = p steps, and must still read
+    # only the triangle the sweep writes M_tau into; at tau = 5 an M_tau
+    # is the zero matrix, whose Krylov space is invariant at the first
+    # step, unless a diagonal entry |x|^2 / sqrt(p) passes 4
     import kernelspectra.sparse_pca as sp
 
     calls = _count_sweep_paths(monkeypatch)
     grams, cell, dense_solves = [], {}, []
 
-    def gram(X, out):
+    def gram(X, out, slabs=sp._scaled_gram_slabs):
         grams.append(X.shape)
-        return _slab_gram(X, out)
+        yield from slabs(X, out=out)
 
     def tiles(g, kernel, n, out, counted=sp._kernel_tiles):
         cell["tau"] = kernel.tau
@@ -394,7 +403,7 @@ def test_sweep_lambda_max_at_tiny_p(p, monkeypatch):
             dense_solves.append((len(grams) - 1, cell["tau"], np.triu(m)))
         return simulate._extreme_eigenvalue(m)
 
-    monkeypatch.setattr(sp, "_slab_gram", gram)
+    monkeypatch.setattr(sp, "_scaled_gram_slabs", gram)
     monkeypatch.setattr(sp, "_kernel_tiles", tiles)
     monkeypatch.setattr(sp, "_extreme_eigenvalue", solve)
     model = SpikedModelConfig(lam=0.9, sparsity=1, n=p, p=p, seed=12)
@@ -411,29 +420,26 @@ def test_sweep_lambda_max_at_tiny_p(p, monkeypatch):
         assert np.array_equal(got, np.triu(thresholded_covariance(sampler(cfg, stream=k // 2), tau)))
 
 
-# the sweep's slab Gram sums each entry in another order than numpy's one
-# dsyrk, so some entries differ in their last bits (0.69 % of the upper
-# triangle at n = p = 1000, by at most 0.5 eps * sqrt(g_ii g_jj)); each
-# must lie within 4 eps times that Cauchy-Schwarz bound on |g_ij|
+# a Gram slab, X[i0:i1] @ X[i0:].T, sums each entry in another order than
+# numpy's one dsyrk, so some entries differ in their last bits (by at most
+# 0.5 eps * sqrt(g_ii g_jj)); each must lie within 4 eps times that
+# Cauchy-Schwarz bound on |g_ij|
 @pytest.mark.parametrize("n, p", [(50, 120), (80, 80), (300, 70), (5, 2), (1000, 1000)])
 def test_sweep_gram_matches_the_numpy_gram(n, p):
     cfg = DataMatrixConfig(n=n, p=p, seed=n + p)
     want = _scaled_gram(sample_data(cfg))
-    upper = np.triu_indices(p)
-    bound = 4 * np.finfo(float).eps * np.sqrt(np.outer(np.diag(want), np.diag(want)))[upper]
+    bound = 4 * np.finfo(float).eps * np.sqrt(np.outer(np.diag(want), np.diag(want)))
     released_rows = p * n * 8 // mmap.PAGESIZE * mmap.PAGESIZE // (8 * n)
     for disposable in (False, True):
         X = sample_data(cfg, out=_mapped_empty((p, n), disposable=True) if disposable else None)
         before = X.copy()
-        out = np.full((p, p), np.nan)
-        g = _slab_gram(X, out=out)
-        assert g is out
-        assert np.all(np.abs(g[upper] - want[upper]) <= bound)
-        # zeros below the diagonal of each slab's diagonal block; the rest
-        # of the lower triangle is left as it was
-        for i0, i1 in simulate._gram_slabs(p):
-            assert not np.any(np.tril(g[i0:i1, i0:i1], -1))
-            assert np.isnan(g[i1:, i0:i1]).all()
+        slabs = []
+        for i0, i1, g in simulate._scaled_gram_slabs(X):
+            # rows i0:i1 from column i0 on, the diagonal block whole
+            assert g.shape == (i1 - i0, p - i0)
+            assert np.all(np.abs(g - want[i0:i1, i0:]) <= bound[i0:i1, i0:])
+            slabs.append((i0, i1))
+        assert slabs == list(simulate._gram_slabs(p))
         # a disposable X went back to the OS, in whole pages; any other X
         # is left as it was
         if disposable:
@@ -442,30 +448,35 @@ def test_sweep_gram_matches_the_numpy_gram(n, p):
             assert np.array_equal(X, before)
 
 
-# eigsh takes 71 products at both taus: 21 to build ARPACK's first
-# Lanczos factorisation at its default ncv of 20, then 10 a restart
-@pytest.mark.parametrize("tau, sparse", [(0.5, False), (2.0, True)], ids=["dense", "csr"])
+# The Lanczos solve takes 72 products at both taus, 8 between two Ritz
+# checks; ARPACK's eigsh took 71: 21 to build its first Lanczos
+# factorisation at its default ncv of 20, then 10 a restart
+@pytest.mark.parametrize("tau, sparse", [(0.5, False), (2.0, True)], ids=["dense", "sparse"])
 def test_sweep_lanczos_matvecs(tau, sparse):
     # a null M_tau at n = p = 400, on both of the sweep's paths: dense at
-    # tau = 0.5 (69% non-zero), CSR at tau = 2.0 (11%; past the density
+    # tau = 0.5 (69% non-zero), sparse at tau = 2.0 (11%; past the density
     # cut, so the sweep itself would build this one dense)
     X = sample_data(DataMatrixConfig(n=400, p=400, seed=0))
     if sparse:
-        m = _thresholded_sparse(_scaled_gram(X), ThresholdFunction(tau), 400, math.inf)
-        expected = np.linalg.eigvalsh(m.toarray())[-1]
+        cell = _thresholded_sparse(_scaled_gram(X), ThresholdFunction(tau), 400, math.inf)
+        expected = np.linalg.eigvalsh(dense_form(cell))[-1]
+        product = cell.matvec
     else:
         m = thresholded_covariance(X, tau)
         expected = np.linalg.eigvalsh(m)[-1]
+        product = m.__matmul__
     products = 0
 
-    def matvec(v):
-        nonlocal products
-        products += 1
-        return m @ v
+    class Counted:
+        shape = (400, 400)
 
-    counted = LinearOperator(m.shape, matvec=matvec, dtype=m.dtype)
-    assert simulate._extreme_eigenvalue(counted) == pytest.approx(expected, rel=1e-12)
-    assert products <= 71
+        def matvec(self, v):
+            nonlocal products
+            products += 1
+            return product(v)
+
+    assert simulate._extreme_eigenvalue(Counted()) == pytest.approx(expected, rel=1e-12)
+    assert products <= 72
 
 
 def test_spiked_model_size_caps():
