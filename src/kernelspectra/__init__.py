@@ -15,7 +15,6 @@ from .errors import (
     ConsistencyError,
     DomainError,
     KernelSpectraError,
-    MeanNotZeroError,
     QuadratureError,
     SizeCapError,
     VerificationError,

@@ -22,13 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, KernelSpectraError, SizeCapError, VerificationError
-from .hermite import (
-    KernelSpec,
-    build_quadrature,
-    check_projection_size,
-    hermite_sum_kernel,
-    project_kernel,
-)
+from .hermite import KernelSpec, check_projection_size, hermite_sum_kernel, project_kernel
 from .lgraphs import (
     MAX_CYCLE_LEN,
     enumerate_multilabelings,
@@ -113,16 +107,12 @@ def parse_kernel(spec: str) -> KernelSpec:
             raise ConfigError(f"kernel: bad odd_poly coefficients {m.group(1)!r}") from exc
         if not cs:
             raise ConfigError("kernel: odd_poly needs at least one coefficient")
-        odd = cs
-
-        def evaluate(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            for i, c in enumerate(odd):
-                out += c * x ** (2 * i + 1)
-            return out
-
-        return KernelSpec(evaluator=evaluate)
+        # x^k = sum_j k! / (j! (k-2j)! 2^j) He_{k-2j}, and He_m = sqrt(m!) h_m
+        power = np.zeros(2 * len(cs))
+        power[1::2] = cs
+        with np.errstate(over="ignore", invalid="ignore"):
+            he = np.polynomial.hermite_e.poly2herme(power)
+            return hermite_sum_kernel(he[1:] * np.cumprod(np.sqrt(np.arange(1.0, len(he)))))
     coeffs: dict[int, float] = {}
     pos = 0
     for tm in _TERM_RE.finditer(text):
@@ -205,16 +195,6 @@ class Config:
             return float(v)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r} must be a number, got {v!r}") from exc
-
-    def get_bool(self, key: str, default=None) -> bool:
-        v = self._fetch(key, default)
-        if isinstance(v, bool) or v is None:
-            return v
-        if v.lower() in ("1", "true", "yes", "on"):
-            return True
-        if v.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key {key!r} must be a boolean, got {v!r}")
 
     def get_floats(self, key: str, default=None) -> list[float]:
         v = self._fetch(key, default)
@@ -317,14 +297,11 @@ def write_json(name: str, doc: dict) -> Path:
 def cmd_project_kernel(cfg: Config, raw: dict[str, str]) -> int:
     kernel = parse_kernel(cfg.get_str("kernel", _REQUIRED))
     degree = cfg.get_int("degree", 30)
-    order = cfg.get_int("order", max(200, 2 * degree + 4))
-    center = cfg.get_bool("center", False)
     out = cfg.get_str("out", "kernel_expansion.json")
     cfg.reject_unknown()
-    check_projection_size(degree, order)
+    check_projection_size(degree)
 
-    rule = build_quadrature(order)
-    exp = project_kernel(kernel, degree=degree, rule=rule, center=center)
+    exp = project_kernel(kernel, degree=degree)
     payload = {
         "coefficients": [float(c) for c in exp.coefficients],
         "a": exp.a,
@@ -332,7 +309,6 @@ def cmd_project_kernel(cfg: Config, raw: dict[str, str]) -> int:
         "a2": exp.a2,
         "degree": exp.degree,
         "truncation_residual": exp.residual,
-        "centered_by": exp.centered_by,
     }
     path = write_json(out, envelope(raw, payload))
     print(f"wrote {path}")
@@ -387,7 +363,6 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
 
 
 _LAWS = {"gaussian": "standard_gaussian", "rademacher": "symmetric_rademacher"}
-ODD_TOL = 1e-10  # simulate's a_2 cut, relative to max(1, sqrt(nu))
 
 
 def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
@@ -410,7 +385,6 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
     exp = project_kernel(kernel, degree=2)  # a, a2 and nu = E[k^2]
     gamma = p / n
     params = LimitLawParams(a=exp.a, nu=exp.nu, gamma=gamma) if exp.nu > 0 else None
-    a2 = exp.a2 if abs(exp.a2) > ODD_TOL * max(1.0, math.sqrt(exp.nu)) else 0.0
 
     eigenvalues = []
     trial_summaries = []
@@ -418,7 +392,7 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
         # one p x p-sized array at a time, and a slab: the build gives X's
         # pages back as it fills K, and the solve overwrites K
         X = sample_data(data_cfg, stream=t, out=_mapped_empty((p, n), disposable=True))
-        spikes = rank_two_correction(X, a2, fourth_moment=data_cfg.fourth_moment)
+        spikes = rank_two_correction(X, exp.a2, fourth_moment=data_cfg.fourth_moment)
         K = build_kernel_matrix(X, kernel)
         del X
         summ = spectrum(K, overwrite=True)

@@ -17,11 +17,6 @@ class SizeCapError(KernelSpectraError):
     """A requested computation exceeds a hard size cap."""
 
 
-class MeanNotZeroError(ConfigError):
-    """Kernel has E[k(xi)] significantly different from zero and centering was
-    not requested."""
-
-
 class QuadratureError(KernelSpectraError):
     """Gauss-Hermite rule construction failed its self-checks."""
 

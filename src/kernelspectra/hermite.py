@@ -1,6 +1,6 @@
-"""Hermite basis machinery: orthonormal polynomial evaluation,
-Gauss-Hermite quadrature against the standard normal weight, and
-projection of kernel functions onto the basis.
+"""Hermite basis machinery: orthonormal polynomial evaluation, kernels
+that carry their exact Hermite expansions, and a Gauss-Hermite rule
+against the standard normal weight, which no command builds.
 
 Conventions.  h_d denotes the orthonormal polynomials with respect to
 <f, g> = E[f(xi) g(xi)], xi ~ N(0,1), so h_0 = 1, h_1 = x,
@@ -17,20 +17,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MeanNotZeroError, QuadratureError, SizeCapError
+from .errors import ConfigError, DomainError, QuadratureError, SizeCapError
 
-DEFAULT_QUAD_ORDER = 200
-DEFAULT_DEGREE = 30
-MEAN_ZERO_TOL = 1e-8
-# Past degree ~280, most of E[h_d^2] lies where |x| > 37.5 and the N(0,1)
-# weights underflow, so no double-precision rule can project onto h_d:
-# at orders 504-4004, E[h_d^2] comes out within 1e-14 of 1 through d = 270
-# and 0.6 at d = 500.
+# Keeps a payload short, and sparse_pca's h_m(x) below 2e185 through
+# m = 247 at x <= 55.6, the largest 1.2 tau with a normal nu
 MAX_DEGREE = 250
-# build_quadrature takes O(order^2) time and O(order) memory: 0.72 s and
-# 1.2 MB of peak RSS at this cap on a 2-vCPU host.  With degree <=
-# MAX_DEGREE the projection table adds at most 251 x 8 B per kept node:
-# 6 MB here, where 3130 of the 20000 nodes are kept.
+# build_quadrature takes O(order^2) time: 0.72 s and 1.2 MB at this cap, 2 vCPUs
 MAX_QUAD_ORDER = 20_000
 NEWTON_TOL = math.sqrt(np.finfo(float).eps)
 NEWTON_MAX_PASSES = 10
@@ -88,12 +80,10 @@ class GaussHermiteRule:
     weights: np.ndarray
 
 
-def check_projection_size(degree: int = 0, order: int = 0) -> None:
-    """Reject a projection degree or a quadrature order over its cap."""
+def check_projection_size(degree: int) -> None:
+    """Reject a projection degree over its cap."""
     if degree > MAX_DEGREE:
         raise SizeCapError(f"projection degree {degree} exceeds cap {MAX_DEGREE}")
-    if order > MAX_QUAD_ORDER:
-        raise SizeCapError(f"quadrature order {order} exceeds cap {MAX_QUAD_ORDER}")
 
 
 def _airy_zeros(k: np.ndarray) -> np.ndarray:
@@ -198,7 +188,8 @@ def build_quadrature(order: int) -> GaussHermiteRule:
     fewer than `order` nodes, and the mass they carry is below 1e-300."""
     if order < 1:
         raise ConfigError(f"quadrature order must be >= 1, got {order}")
-    check_projection_size(order=order)
+    if order > MAX_QUAD_ORDER:
+        raise SizeCapError(f"quadrature order {order} exceeds cap {MAX_QUAD_ORDER}")
     order = int(order)
     half = order // 2
     middle = 4**half / (order * math.comb(2 * half, half)) if order % 2 else 0.0
@@ -229,48 +220,48 @@ def build_quadrature(order: int) -> GaussHermiteRule:
 
 
 def _eval_on(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate a kernel on an array.  Callables that only take scalars are
-    looped over 1-D inputs (quadrature nodes) but rejected on matrices,
-    where the loop would be one Python call per entry."""
+    """Evaluate a kernel on an array; a callable that only takes scalars is
+    rejected, where a loop would be one Python call per entry."""
     try:
         vals = np.asarray(f(x), dtype=float)
         if vals.shape == x.shape:
             return vals
     except (TypeError, ValueError):
         pass
-    if x.ndim > 1:
-        raise ConfigError("kernel evaluator must vectorize over arrays")
-    return np.asarray([float(f(float(t))) for t in np.ravel(x)]).reshape(x.shape)
+    raise ConfigError("kernel evaluator must vectorize over arrays")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel function; parse_kernel builds one for each registry family.
-
-    The evaluator must be a pure function R -> R; array-vectorized
-    evaluators are used as-is, scalar ones are wrapped for 1-D inputs only.
-    """
+    The evaluator must be a pure, array-vectorized function R -> R, and
+    carry its exact Hermite expansion for project_kernel."""
 
     evaluator: Callable
 
     def __call__(self, x):
         return _eval_on(self.evaluator, np.asarray(x, dtype=float))
 
+    def expansion(self, degree: int) -> KernelExpansion:
+        return project_kernel(self.evaluator, degree)
+
 
 @dataclass(frozen=True)
 class KernelExpansion:
-    """Hermite coefficients a_1..a_D of a mean-zero kernel.
-
-    `residual` is E[k^2] - sum(a_d^2), the L2 mass the degree-D truncation
-    leaves out, and `nu` is E[k^2], both as the projection quadrature measures.
-    """
+    """Hermite coefficients a_1..a_D of a mean-zero kernel, and nu = E[k^2].
+    Without a nu it is the finite sum sum_d a_d h_d, whose nu is sum(a_d^2);
+    `residual`, nu - sum(a_d^2), is the mass a truncation leaves out."""
 
     coefficients: np.ndarray  # index d-1 holds a_d
-    residual: float = 0.0
-    centered_by: float = 0.0
+    nu: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
+        coeffs = np.asarray(self.coefficients, dtype=float)
+        if not np.isfinite(coeffs).all():
+            raise ConfigError("kernel: a Hermite coefficient is not finite")
+        object.__setattr__(self, "coefficients", coeffs)
+        if self.nu is None:
+            object.__setattr__(self, "nu", self._squares())
 
     @property
     def degree(self) -> int:
@@ -284,9 +275,17 @@ class KernelExpansion:
     def a2(self) -> float:
         return float(self.coefficients[1]) if self.degree >= 2 else 0.0
 
+    def _squares(self) -> float:  # in increasing d, so trailing zeros keep its bits
+        return sum((c * c for c in self.coefficients.tolist()), 0.0)
+
     @property
-    def nu(self) -> float:
-        return float(np.dot(self.coefficients, self.coefficients)) + self.residual
+    def residual(self) -> float:
+        return max(0.0, self.nu - self._squares())
+
+    def expansion(self, degree: int) -> KernelExpansion:
+        """a_1..a_degree, its own bits padded with zeros, and its nu."""
+        coeffs = np.pad(self.coefficients[:degree], (0, max(0, degree - self.degree)))
+        return KernelExpansion(coefficients=coeffs, nu=self.nu)
 
     def __call__(self, x):
         """sum_d a_d h_d(x), accumulated in increasing d during one sweep of
@@ -301,71 +300,25 @@ class KernelExpansion:
         return out if out.ndim else float(out)
 
 
-def project_kernel(
-    kernel,
-    degree: int = DEFAULT_DEGREE,
-    rule: GaussHermiteRule | None = None,
-    center: bool = False,
-) -> KernelExpansion:
-    """Project a kernel onto h_1..h_D by quadrature.
-
-    The constant coefficient a_0 = E[k(xi)] must vanish (the limit-law
-    theory assumes a mean-zero kernel).  If |a_0| exceeds MEAN_ZERO_TOL *
-    max(1, sqrt(E[k^2])), a tolerance that grows with the kernel as the
-    quadrature's rounding does, the call fails unless `center=True`, in
-    which case the kernel is replaced by k - a_0 and the shift is recorded
-    on the result.
-    """
+def project_kernel(kernel, degree: int) -> KernelExpansion:
+    """a_1..a_degree and nu = E[k(xi)^2] of a mean-zero kernel, read off the
+    exact expansion it carries as `kernel.expansion(degree)`.  A kernel
+    without one raises ConfigError, one whose E[k^2] overflows DomainError."""
     if degree < 1:
         raise ConfigError(f"degree must be >= 1, got {degree}")
-    check_projection_size(degree=degree)
-    if rule is None:
-        rule = build_quadrature(max(DEFAULT_QUAD_ORDER, 2 * degree + 4))
-    if rule.order < 2 * degree + 4:
-        raise ConfigError(
-            f"quadrature order {rule.order} too small for degree {degree} (need >= {2 * degree + 4})"
-        )
-    # overflow and NaN surface as the typed errors of the finiteness checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _eval_on(kernel, rule.nodes)
-        if not np.isfinite(vals).all():
-            raise ConfigError("kernel is not finite at every quadrature node")
-        table = np.empty((degree + 1, len(rule.nodes)))
-        for row, h in zip(table, _hermite_sweep(rule.nodes, degree)):
-            row[:] = h
-        wvals = rule.weights * vals
-        a0 = float(np.dot(rule.weights, vals))
-        nu_quad = float(np.dot(rule.weights, vals * vals))
-        tol = MEAN_ZERO_TOL * max(1.0, math.sqrt(nu_quad))
-        shifted = abs(a0) > tol
-        if shifted:
-            if not center:
-                raise MeanNotZeroError(
-                    f"kernel has E[k(xi)] = {a0:.3e} (tolerance {tol:.3e}); "
-                    "pass center=True to subtract it"
-                )
-            vals = vals - a0
-            wvals = rule.weights * vals
-            nu_quad = float(np.dot(rule.weights, vals * vals))
-        coeffs = table[1:] @ wvals
-        captured = float(np.dot(coeffs, coeffs))
-    if not (math.isfinite(nu_quad) and math.isfinite(captured)):
-        raise DomainError(f"E[k(xi)^2] or a Hermite coefficient overflows (E[k^2] = {nu_quad})")
-    residual = max(0.0, nu_quad - captured)
-    return KernelExpansion(
-        coefficients=coeffs,
-        residual=residual,
-        centered_by=a0 if shifted else 0.0,
-    )
+    check_projection_size(degree)
+    expand = getattr(kernel, "expansion", None)
+    if expand is None:
+        raise ConfigError(f"kernel {kernel!r} carries no exact Hermite expansion")
+    exp = expand(degree)
+    if not math.isfinite(exp.nu):
+        raise DomainError(f"E[k(xi)^2] or a Hermite coefficient overflows (E[k^2] = {exp.nu})")
+    return exp
 
 
-def kernel_moments(kernel, rule: GaussHermiteRule | None = None) -> tuple[float, float]:
-    """(a, nu) = (E[xi k(xi)], E[k(xi)^2]) from the degree-1 projection.
-
-    Applies project_kernel's mean-zero gate: a nonzero constant component
-    would silently shift the limit law.
-    """
-    e = project_kernel(kernel, 1, rule)
+def kernel_moments(kernel) -> tuple[float, float]:
+    """(a, nu) = (E[xi k(xi)], E[k(xi)^2]) from the kernel's exact expansion."""
+    e = project_kernel(kernel, 1)
     return e.a, e.nu
 
 

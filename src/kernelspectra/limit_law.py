@@ -260,17 +260,24 @@ def support(p: LimitLawParams) -> SupportIntervals:
 
 
 def free_cumulants(p: LimitLawParams, order: int) -> np.ndarray:
-    """kappa_1..kappa_order, with kappa_l at index l-1: kappa_1 = 0,
-    kappa_2 = gamma*nu, and kappa_l = a^l gamma^(l-1) for l >= 3."""
+    """kappa_1..kappa_order at index l-1: 0, gamma*nu, then a^l gamma^(l-1),
+    which is one product in the log domain, base 2, where a power leaves the
+    normal doubles: the mantissas' powers times 2 to the exponents' sum."""
     if order < 1:
         raise ConfigError(f"order must be >= 1, got {order}")
     kap = np.zeros(order)
     if order >= 2:
         kap[1] = p.gamma * p.nu
+    (ma, ea), (mg, eg) = math.frexp(p.a), math.frexp(p.gamma)
     for l in range(3, order + 1):
+        try:  # a float power past double range raises; a product is inf
+            pa, pg = p.a**l, p.gamma ** (l - 1)
+        except OverflowError:
+            pa = pg = 0.0
         try:
-            kap[l - 1] = p.a**l * p.gamma ** (l - 1)
-        except OverflowError:  # a float power past double range raises; a product is inf
+            in_range = p.a == 0.0 or min(abs(pa), pg) >= np.finfo(float).tiny
+            kap[l - 1] = pa * pg if in_range else math.ldexp(ma**l * mg ** (l - 1), l * ea + (l - 1) * eg)
+        except OverflowError:
             kap[l - 1] = math.inf
     if not np.all(np.isfinite(kap)):
         raise DomainError(

@@ -8,6 +8,7 @@ compared against the analytic null prediction ||mu|| + 1 over a tau grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, KernelSpectraError, SizeCapError
-from .hermite import GaussHermiteRule, KernelSpec, build_quadrature, kernel_moments
+from .errors import ConfigError, DomainError, KernelSpectraError, SizeCapError
+from .hermite import KernelExpansion, _hermite_sweep, kernel_moments
 from .limit_law import LimitLawParams, support
 from .simulate import (
     DataMatrixConfig,
@@ -49,6 +50,40 @@ MAX_SWEEP_CELLS = 5_900_000_000 // 27
 # took twice as long a product at p = n = 3000 (87k triplets), and held
 # 1 MB more
 _TRIPLET_BLOCK = 2**14
+# J differences from band start u = _J_SPLIT on; J_n by a continued fraction
+# of _CF_TERMS terms from y = _CF_FROM on (3e-16; upward lost 1e-12 near 3)
+_J_SPLIT, _CF_FROM, _CF_TERMS = 3.0, 1.0, 400
+
+
+def _gaussian(x: float) -> float:
+    """phi(x) to a few ulp at x >= 0, where exp(-x^2/2) has condition number
+    x^2: x = hi + lo with a 26-bit hi, whose square is exact (0 from 39 on)."""
+    x = min(x, 39.0)
+    m, e = math.frexp(x)
+    hi = math.ldexp(math.floor(math.ldexp(m, 26)), e - 26)
+    return math.exp(-0.5 * hi * hi) * math.exp(-0.5 * (x - hi) * (x + hi)) / math.sqrt(2.0 * math.pi)
+
+
+def _tail_moments(y: float, top: int) -> list[float]:
+    """J_n(y) = int_0^inf t^n exp(-y t - t^2/2) dt = int_y^inf (x - y)^n phi / phi(y),
+    n <= top, y >= 0: below _CF_FROM by erfc and J_{n+1} = n J_{n-1} - y J_n (J_1 =
+    1 - y J_0), from it on by r_n = J_n / J_{n-1} = n / (y + r_{n+1}), J_0 = 1 / (y + r_1)."""
+    if y < _CF_FROM:
+        j = [math.sqrt(0.5 * math.pi) * math.exp(0.5 * y * y) * math.erfc(y / math.sqrt(2.0))]
+        for n in range(top):
+            j.append((n * j[n - 1] if n else 1.0) - y * j[n])
+        return j
+    r = [0.0] * (_CF_TERMS + 2)
+    for n in range(_CF_TERMS, 0, -1):
+        r[n] = n / (y + r[n + 1])
+    return np.cumprod([1.0 / (y + r[1])] + r[1:top + 1]).tolist()
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 30-point Gauss-Legendre rule on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(30)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 @dataclass(frozen=True)
@@ -78,6 +113,48 @@ class ThresholdFunction:
         np.put(out, band, quad)
         np.copysign(out, x, out=out)
         return out if out.ndim else float(out)
+
+    def expansion(self, degree: int) -> KernelExpansion:
+        """a_1..a_degree and nu = E[k_tau(xi)^2] in closed form.  With u, v
+        the breakpoints as the evaluator rounds them, w = v - u, c = v - tau
+        (both exact), B_n = int_u^v (x - u)^n phi and I_m = int_u^v h_m phi:
+
+            a = E[k_tau'] = 2 ((2.5/tau) B_1 + phi(v) J_0(v)),
+            nu = 2 ((1.25/tau)^2 B_4 + phi(v) (J_2 + 2c J_1 + c^2 J_0)(v)),
+            a_d = (5/tau) I_{d-2} / sqrt(d (d-1)) for odd d >= 3, else 0,
+
+        the last by Stein's identity E[f h_d] = E[f' h_{d-1}] / sqrt(d) twice,
+        k_tau'' being 2.5/tau on (u, v), 0 elsewhere on x > 0.  From u = _J_SPLIT
+        on, B_n = phi(u) J_n(u) - phi(v) sum_k C(n, k) w^(n-k) J_k(v) and
+        I_m = ((h_{m-1} phi)(u) - (h_{m-1} phi)(v)) / sqrt(m); below, where these
+        cancel, a 30-point Gauss-Legendre rule on [u, v] (w < 1.5) gives both to
+        rounding through h_MAX_DEGREE.  A nu below the normal doubles (past
+        tau = 46.3) raises DomainError."""
+        tau = float(self.tau)  # Python floats: past double range they raise no warning
+        u, v = INNER_FRACTION * tau, OUTER_FRACTION * tau
+        w, c = v - u, v - tau
+        fu, fv, jv = _gaussian(u), _gaussian(v), _tail_moments(v, 4)
+        if u < _J_SPLIT:
+            s, g = _legendre_rule()
+            x = u + w * s
+            band = (w / math.sqrt(2.0 * math.pi)) * g * np.exp(-0.5 * x * x)
+            b1, b4 = float(band @ (w * s)), float(band @ (w * s) ** 4)
+            integrals = enumerate(float(band @ h) for h in _hermite_sweep(x, degree - 2))
+        else:  # the generators run only past the check on nu below
+            ju = _tail_moments(u, 4)
+            tail4 = jv[4] + w * (4 * jv[3] + w * (6 * jv[2] + w * (4 * jv[1] + w * jv[0])))
+            b1, b4 = fu * ju[1] - fv * (jv[1] + w * jv[0]), fu * ju[4] - fv * tail4
+            ends = enumerate(_hermite_sweep(np.array([u, v]), degree - 3), 1)
+            integrals = ((m, (h[0] * fu - h[1] * fv) / math.sqrt(m)) for m, h in ends)
+        a = 2.0 * ((2.5 / tau) * b1 + fv * jv[0])
+        nu = 2.0 * ((1.25 / tau) * ((1.25 / tau) * b4) + fv * (jv[2] + c * (2.0 * jv[1] + c * jv[0])))
+        if not nu >= np.finfo(float).tiny:
+            raise DomainError(f"E[k_tau(xi)^2] underflows double precision at tau = {tau}")
+        coeffs = np.array([a] + [0.0] * (degree - 1))
+        for m, integral in integrals:
+            if m % 2 and m + 2 <= degree:
+                coeffs[m + 1] = (5.0 / tau) * integral / math.sqrt((m + 2) * (m + 1))
+        return KernelExpansion(coefficients=coeffs, nu=nu)
 
 
 @dataclass(frozen=True)
@@ -208,11 +285,7 @@ def _thresholded_sparse(g: np.ndarray, threshold: ThresholdFunction, n: int, max
     return _SparseSymmetric(diagonal, rows[:kept], cols[:kept], values[:kept])
 
 
-def null_prediction(
-    tau: float,
-    gamma: float,
-    rule: GaussHermiteRule | None = None,
-) -> float:
+def null_prediction(tau: float, gamma: float) -> float:
     """Asymptotic largest eigenvalue of M_tau(X) under the null: the top
     support edge of the limit law for (a(tau), nu(tau), gamma), plus 1 for
     the preserved unit diagonal.
@@ -223,7 +296,7 @@ def null_prediction(
     the same type, with the tau in its message.
     """
     try:
-        a, nu = kernel_moments(KernelSpec(evaluator=ThresholdFunction(tau)), rule)
+        a, nu = kernel_moments(ThresholdFunction(tau))
         sup = support(LimitLawParams(a=a, nu=nu, gamma=gamma))
     except KernelSpectraError as exc:
         raise type(exc)(f"no null prediction at tau = {tau}: {exc}") from exc
@@ -317,10 +390,9 @@ def sweep_tau(model: SpikedModelConfig, taus: Sequence[float], trials: int = 5) 
     if trials * taus.size > MAX_SWEEP_CELLS:
         raise SizeCapError(f"trials * len(taus) = {trials * taus.size} exceeds cap {MAX_SWEEP_CELLS}")
     thresholds = [ThresholdFunction(tau) for tau in taus]
-    rule = build_quadrature(200)
     descending = np.argsort(-taus, kind="stable")
     # before any sampling: a tau whose null law has no support fails here
-    prediction = np.asarray([null_prediction(tau, model.gamma, rule) for tau in taus])
+    prediction = np.asarray([null_prediction(tau, model.gamma) for tau in taus])
 
     p, n = model.p, model.n
     null = DataMatrixConfig(n=n, p=p, seed=model.seed)

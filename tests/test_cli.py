@@ -8,6 +8,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ import kernelspectra.cli as cli_module
 from kernelspectra import lgraphs, sparse_pca
 from kernelspectra.cli import main, parse_kernel
 from kernelspectra.errors import ConfigError
-from kernelspectra.hermite import MAX_DEGREE, MAX_QUAD_ORDER, KernelSpec, kernel_moments
+from kernelspectra.hermite import MAX_DEGREE, KernelSpec, hermite_eval, kernel_moments
 from kernelspectra.lgraphs import SimpleLabeling, enumerate_multilabelings
 from kernelspectra.limit_law import MAX_DENSITY_POINTS, MAX_MOMENT_ORDER, LimitLawParams, moment
 from kernelspectra.simulate import MAX_DATA_ENTRIES, MAX_MATRIX_SIDE, sample_data, spectrum
@@ -91,11 +92,85 @@ def test_project_kernel_command(tmp_path, capsys):
     assert main(["project-kernel", cfg]) == 0
     doc = json.loads((tmp_path / "kernel_expansion.json").read_text())
     payload = doc["payload"]
-    assert payload["a"] == pytest.approx(0.0, abs=1e-10)
-    assert payload["nu"] == pytest.approx(2.0, abs=1e-10)
-    assert payload["a2"] == pytest.approx(1.0, abs=1e-10)
+    assert (payload["a"], payload["a2"], payload["nu"]) == (0.0, 1.0, 2.0)
+    assert sorted(payload) == ["a", "a2", "coefficients", "degree", "nu", "truncation_residual"]
     assert doc["tool"] == "kernelspectra"
     assert doc["timestamp"] == "2023-11-14T22:13:20Z"
+
+
+@given(st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=12))
+@settings(max_examples=30, deadline=None)
+def test_project_kernel_reads_a_hermite_sum_bit_for_bit(coeffs):
+    # the coefficients of a projection by quadrature depended on the degree
+    # in their last bits; a Hermite sum's are its own at every degree
+    spec = "+".join(f"{c!r}*h{d}" for d, c in enumerate(coeffs, start=1)).replace("+-", "-")
+    out = Path(os.environ["KERNELSPECTRA_OUT_DIR"])
+    for degree in (1, 2, 12, 30, MAX_DEGREE):
+        cfg = write_cfg(out, "k.cfg", kernel=spec, degree=degree)
+        assert main(["project-kernel", cfg]) == 0
+        payload = json.loads((out / "kernel_expansion.json").read_text())["payload"]
+        own = (coeffs + [0.0] * degree)[:degree]
+        assert payload["coefficients"] == own
+        assert payload["nu"] == sum(c * c for c in coeffs)
+
+
+def test_no_command_builds_a_quadrature(tmp_path, monkeypatch):
+    # every registry kernel carries its exact expansion; build_quadrature is
+    # replaced at each module binding, as the benchmark tracer wraps it
+    def no_rule(*args, **kwargs):
+        raise AssertionError("built a Gauss-Hermite rule")
+
+    from kernelspectra.hermite import build_quadrature
+
+    for name, module in list(sys.modules.items()):
+        if name == "kernelspectra" or name.startswith("kernelspectra."):
+            for binding, value in list(vars(module).items()):
+                if value is build_quadrature:
+                    monkeypatch.setattr(module, binding, no_rule)
+    runs = [("simulate", {"kernel": "h2+h3", "n": 40, "p": 30}),
+            ("sparse-pca-sweep", {"n": 40, "taus": "0.5,2.0", "trials": 1})]
+    runs += [("project-kernel", {"kernel": k}) for k in ("0.5*h1-2*h3", "odd_poly(1,0.5)", "soft_threshold(2)")]
+    for command, keys in runs:
+        assert main([command, write_cfg(tmp_path, "c.cfg", **keys)]) == 0, command
+
+
+@pytest.mark.parametrize("key", ["order", "center"])
+def test_quadrature_keys_exit_2_as_unknown(tmp_path, capsys, key):
+    cfg = write_cfg(tmp_path, "k.cfg", kernel="h1", **{key: 200 if key == "order" else "false"})
+    assert main(["project-kernel", cfg]) == 2
+    assert f"unknown config key(s): {key}" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.json"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+    x=st.floats(-8.0, 8.0, allow_subnormal=False),
+)
+def test_odd_poly_is_its_hermite_sum(cs, x):
+    # x^k = sum_j F(k, j) He_{k-2j}, F(k, j) = k! / (j! (k-2j)! 2^j), and
+    # He_m = sqrt(m!) h_m.  Each term's scale is |c_k F(k, j)| sqrt(m!) in a
+    # coefficient and |c_k F(k, j) He_m(x)| in a value; the Hermite form
+    # cancels where the monomials do not, so sum_k |c_k x^k| bounds neither
+    kernel = parse_kernel(f"odd_poly({','.join(map(repr, cs))})")
+    coeffs = kernel.evaluator.coefficients  # trailing zeros trimmed
+    coeffs = np.concatenate([coeffs, np.zeros(2 * len(cs) - 1 - len(coeffs))])
+    exact, coeff_scale = [mpmath.mpf(0)] * len(coeffs), [0.0] * len(coeffs)
+    value_scale = 0.0
+    for i, c in enumerate(cs):
+        k = 2 * i + 1
+        for j in range(i + 1):
+            m = k - 2 * j
+            term = mpmath.mpf(c) * math.comb(k, 2 * j) * mpmath.fac2(2 * j - 1)
+            exact[m - 1] += term * mpmath.sqrt(mpmath.factorial(m))
+            coeff_scale[m - 1] += abs(float(term)) * math.sqrt(math.factorial(m))
+            value_scale += abs(float(term) * hermite_eval(m, x)) * math.sqrt(math.factorial(m))
+    assert not np.any(coeffs[1::2])
+    for got, want, scale in zip(coeffs, exact, coeff_scale):
+        assert abs(got - float(want)) <= 1e-15 * scale + np.finfo(float).tiny
+    monomial = sum(mpmath.mpf(c) * mpmath.mpf(x) ** (2 * i + 1) for i, c in enumerate(cs))
+    # below the normal doubles, rounding is absolute
+    assert abs(kernel(x) - float(monomial)) <= 1e-14 * value_scale + np.finfo(float).tiny
 
 
 def test_soft_threshold_projection_command(tmp_path):
@@ -107,20 +182,25 @@ def test_soft_threshold_projection_command(tmp_path):
 
 
 @pytest.mark.parametrize("kernel", ["1e12*h3", "odd_poly(0,1e9)"])
-def test_scaled_mean_zero_kernels_pass_the_mean_gate(tmp_path, kernel):
-    # E[k] = 0 exactly, but the quadrature's rounding grows with the kernel:
-    # an absolute 1e-8 gate exited 2 here, at E[k] = -2.2e-5 and 3.0e-8
+def test_scaled_kernels_project_exactly(tmp_path, kernel):
+    # the quadrature's rounding grew with the kernel, so a mean gate had to
+    # as well; an exact expansion has E[k] = 0 and odd a_d = 0 to the bit
     cfg = write_cfg(tmp_path, "k.cfg", kernel=kernel)
     assert main(["project-kernel", cfg]) == 0
     payload = json.loads((tmp_path / "kernel_expansion.json").read_text())["payload"]
-    assert payload["centered_by"] == 0.0
+    assert payload["coefficients"][1::2] == [0.0] * 15
+    assert payload["coefficients"][:3] == ([0.0, 0.0, 1e12] if kernel == "1e12*h3" else
+                                           [3e9, 0.0, 1e9 * (math.sqrt(2) * math.sqrt(3))])
+    assert payload["truncation_residual"] == 0.0
 
 
 def test_kernel_with_a_constant_part_exits_2(tmp_path, monkeypatch, capsys):
+    # it used to fail the quadrature's mean gate; a Hermite expansion has
+    # no constant term, and a kernel that carries none fails before any work
     monkeypatch.setattr(cli_module, "parse_kernel", lambda spec: KernelSpec(lambda x: x + 1e-3))
     cfg = write_cfg(tmp_path, "k.cfg", kernel="h1")
     assert main(["project-kernel", cfg]) == 2
-    assert "E[k(xi)]" in capsys.readouterr().err
+    assert "carries no exact Hermite expansion" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.json"))
 
 
@@ -294,12 +374,14 @@ def test_simulate_command_odd_kernel_no_spikes(tmp_path):
 
 @pytest.mark.parametrize("kernel", ["1e12*h3", "1e8*h1+1e8*h3"])
 def test_simulate_scaled_odd_kernel_no_spikes(tmp_path, kernel):
-    # a2 is quadrature rounding here (6.4e-6 and 4.4e-10 at degree 30,
+    # a2 was quadrature rounding here (6.4e-6 and 4.4e-10 at degree 30,
     # -4.5e-5 and 5.5e-9 at degree 2), which an absolute 1e-10 cut took for
-    # spikes
+    # spikes; the exact expansion's a2 is 0
     cfg = write_cfg(tmp_path, "s.cfg", kernel=kernel, n=100, p=80)
     assert main(["simulate", cfg]) == 0
-    trial = json.loads((tmp_path / "simulate_summary.json").read_text())["payload"]["trials"][0]
+    payload = json.loads((tmp_path / "simulate_summary.json").read_text())["payload"]
+    assert payload["a2"] == 0.0
+    trial = payload["trials"][0]
     assert trial["spike_locations"] == [] and trial["spike_empirical"] == []
 
 
@@ -452,8 +534,7 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
         ("verify", {"l_max": 2, "d_max": 1, "scaling_ns": "10,1000",
                     "scaling_trials": cli_module.MAX_SCALING_ENTRIES // 1000 + 1}),
         ("verify", {"l_max": 2, "d_max": 1, "trace_trials": cli_module.MAX_TRACE_TRIALS + 1}),
-        ("project-kernel", {"kernel": "h1", "degree": MAX_DEGREE + 1, "order": 20}),
-        ("project-kernel", {"kernel": "h1", "degree": 1, "order": MAX_QUAD_ORDER + 1}),
+        ("project-kernel", {"kernel": "h1", "degree": MAX_DEGREE + 1}),
         ("sparse-pca-sweep", {"n": 50, "taus": f"0.5:4.0:{cli_module.MAX_LIST_ENTRIES + 1}"}),
         ("verify", {"l_max": 2, "d_max": 1,
                     "scaling_ns": f"10:1000:{cli_module.MAX_LIST_ENTRIES + 1}"}),
@@ -462,7 +543,7 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
         ("sparse-pca-sweep", {"n": 4, "taus": "1.0,2.0", "trials": sparse_pca.MAX_SWEEP_CELLS // 2 + 1}),
     ],
     ids=["simulate-n", "sweep-n", "sweep-n-past-float", "density-points", "scaling-entries",
-         "trace-trials", "projection-degree", "quadrature-order", "sweep-taus", "scaling-ns",
+         "trace-trials", "projection-degree", "sweep-taus", "scaling-ns",
          "simulate-trials", "sweep-trials"],
 )
 def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys, command, keys):
@@ -473,8 +554,7 @@ def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, cap
 
     for module, names in (
         (cli_module, ("sample_data", "moment", "support", "density", "enumerate_multilabelings",
-                      "decompose_hermite_sum", "sample_trace_moment", "build_quadrature",
-                      "project_kernel")),
+                      "decompose_hermite_sum", "sample_trace_moment", "project_kernel")),
         (sparse_pca, ("sample_data", "sample_spiked_data")),
     ):
         for name in names:
@@ -536,16 +616,17 @@ def test_sweep_bad_sparsity_exits_2_before_sampling(tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize(
     "tau, message",
-    [(30.0, "support intervals"), (35.0, "nu must be > 0"), (1e300, "nu must be > 0")],
-    ids=["30", "35", "1e300"],
+    [(30.0, "support intervals"), (50.0, "underflows"), (1e300, "underflows")],
+    ids=["30", "50", "1e300"],
 )
 def test_sweep_tau_without_a_null_law_exits_2_before_sampling(
     tmp_path, monkeypatch, capsys, tau, message
 ):
     # the null prediction used to fail only after every trial's eigensolves;
-    # at tau = 30 the law (a, nu) = (2.5e-129, 4.9e-134) has no edges found,
-    # and from tau = 34.5 the zero set covers every quadrature node.  The
-    # message names the tau, which the law's own error did not
+    # at tau = 30 the law (a, nu) = (9.6e-130, 3.4e-134) has no edges found,
+    # and past tau = 46.3 nu is no normal double (an order-200 rule read 0
+    # from tau = 34.5, where its zero set covered every node).  The message
+    # names the tau, which the law's own error did not
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled data for a tau without a null prediction")
 
@@ -834,6 +915,14 @@ def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
 # lambda_max moved in its last bits: the means by at most 8.7e-16
 # relative, the standard errors by 4.8e-14 and max_null_gap by 2.3e-14;
 # the prediction column did not move.
+# Both simulate summaries and both sweep files were re-recorded when every
+# registry kernel came to carry its exact Hermite expansion, in place of an
+# order-200 Gauss-Hermite rule: simulate's a, nu and a2 for h2+h3 became
+# exactly 0, 2 and 1 (from 1.4e-16, 2 + 4.4e-16 and 1 + 8.9e-16), so the
+# spikes moved by at most 8.9e-16 relative and the KS distances by 3.4e-15;
+# the sweep's prediction column moved by -3.1e-4, +6.9e-5 and -3.8e-6 at
+# tau = 1, 2 and 3, the rule's bias on the C^1 threshold kernel, and
+# max_null_gap by -6.9e-5.  No eigenvalue and no null or spiked column moved.
 # A change to derive_rng's stream paths changes these bytes and must say
 # so.  Each key is the command, or the command and a label after a "/".
 CLI_OUTPUT_SHA256 = {
@@ -850,21 +939,21 @@ CLI_OUTPUT_SHA256 = {
         {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2},
         {
             "simulate_eigenvalues.csv": "65362b0ff84d53f58a7b816f65a1b6eeec7a018c71ef477be257bc7f767f6043",
-            "simulate_summary.json": "25fb7bdb91b8d7873ac850044e916b321c1f372c36f579488f2faf5eb99f55b1",
+            "simulate_summary.json": "9e1b8e702afca62efa7518f800c6359392ebb5c0a10a2a7ee0d68c153e29e943",
         },
     ),
     "simulate/rademacher": (
         {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2, "law": "rademacher"},
         {
             "simulate_eigenvalues.csv": "581df261c0da32c6faaf2653da7a9f93809132c0751543291ca5c036d8dc9f4e",
-            "simulate_summary.json": "3f140f85ed5b3b20e7e73f69fc112910bae0ffa87e99581f2e17782396d469f0",
+            "simulate_summary.json": "7a1e6229f04255c920506ebac0bea41e5755ffc0d8761dcc4d209b10d5e52ced",
         },
     ),
     "sparse-pca-sweep": (
         {"n": 300, "taus": "1.0,2.0,3.0", "trials": 2},
         {
-            "sweep.csv": "e9e446ad559d0836c9ad71439f82e9197f5f6d5b87a4e91254838c516848e13d",
-            "sweep_summary.json": "977dfb32630be2008712a0c8b926b03ac754724c7f155e922613f6d8fe1b7f03",
+            "sweep.csv": "8f8a060fac70358f62fe3b7ec25cd55c26d354422bf2cd11c4cbbba53754bbe0",
+            "sweep_summary.json": "21579e7d05e3bf832af06b22e5f31827a65823b3ee9fc6ef0723d6699c277fa6",
         },
     ),
     "verify": (
@@ -903,16 +992,17 @@ def test_golden_sweep_null_columns_and_summary_hold(tmp_path):
     # lines, and of its sweep_summary.json, whose max_null_gap reads only
     # those.  Recorded before the spiked model's master seed went from
     # seed + 1 to seed, which re-recorded the whole file's hash above, and
-    # re-recorded with both files when the sweep left scipy (see above)
+    # re-recorded with both files when the sweep left scipy and when the
+    # null prediction became exact (see above)
     written = _golden_outputs(tmp_path, "sparse-pca-sweep")
     rows = [line.split(",") for line in written["sweep.csv"].decode().splitlines()]
     kept = [rows[0].index(name) for name in ("tau", "null_mean", "null_se", "prediction")]
     null_columns = "".join(",".join(row[i] for i in kept) + "\n" for row in rows)
     assert hashlib.sha256(null_columns.encode()).hexdigest() == (
-        "4cd871bce8f83e4608afd064e477ac911b32d5b8ab537b41b360fc214a168e4e"
+        "ff8433d497453724f257dc906c94d51724f46d74d4526ebc6efc7ead76e64bbb"
     )
     assert hashlib.sha256(written["sweep_summary.json"]).hexdigest() == (
-        "977dfb32630be2008712a0c8b926b03ac754724c7f155e922613f6d8fe1b7f03"
+        "21579e7d05e3bf832af06b22e5f31827a65823b3ee9fc6ef0723d6699c277fa6"
     )
 
 
@@ -1066,7 +1156,7 @@ def test_public_surface_is_pinned():
     assert kernelspectra.__all__ == [
         "ConfigError", "ConsistencyError", "DataMatrixConfig", "DomainError", "EntryLaw",
         "GaussHermiteRule", "HermiteSumDecomposition", "KernelExpansion", "KernelSpec",
-        "KernelSpectraError", "LimitLawParams", "MeanNotZeroError", "MultiLabeling",
+        "KernelSpectraError", "LimitLawParams", "MultiLabeling",
         "QuadratureError", "SimpleLabeling", "SizeCapError", "SpectrumSummary", "SpikePrediction",
         "SpikedModelConfig", "SupportIntervals", "SweepResult", "ThresholdFunction",
         "VerificationError", "build_kernel_matrix", "build_quadrature", "cdf", "cubic",

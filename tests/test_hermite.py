@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kernelspectra.errors import ConfigError, MeanNotZeroError, QuadratureError, SizeCapError
+from kernelspectra.cli import parse_kernel
+from kernelspectra.errors import ConfigError, SizeCapError
 from kernelspectra.hermite import (
     MAX_DEGREE,
     MAX_QUAD_ORDER,
@@ -169,10 +170,10 @@ def test_quadrature_and_projection_caps():
         build_quadrature(MAX_QUAD_ORDER + 1)
     with pytest.raises(SizeCapError, match="cap"):
         project_kernel(lambda x: x, degree=MAX_DEGREE + 1)
-    # at the degree cap the default rule still integrates h_d^2 to 1
+    # at the degree cap a Hermite sum still reads its own coefficient
     exp = project_kernel(hermite_sum_kernel([0.0] * (MAX_DEGREE - 1) + [1.0]), degree=MAX_DEGREE)
-    assert exp.coefficients[MAX_DEGREE - 1] == pytest.approx(1.0, abs=1e-13)
-    assert exp.residual < 1e-13
+    assert exp.coefficients[MAX_DEGREE - 1] == 1.0
+    assert exp.residual == 0.0
 
 
 def test_orthonormality_matrix():
@@ -183,53 +184,34 @@ def test_orthonormality_matrix():
 
 
 def test_project_linear_kernel():
-    exp = project_kernel(lambda x: x, degree=5)
-    assert exp.a == pytest.approx(1.0, abs=1e-12)
-    assert exp.nu == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(exp.coefficients[1:])) < 1e-12
+    exp = project_kernel(hermite_sum_kernel([1.0]), degree=5)
+    assert (exp.a, exp.nu, exp.residual) == (1.0, 1.0, 0.0)
+    assert list(exp.coefficients) == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_project_cubic_kernel():
     # x^3 = 3*h_1 + sqrt(6)*h_3 since x^3 - 3x = sqrt(6) h_3
-    exp = project_kernel(lambda x: x**3, degree=5, rule=build_quadrature(40))
-    assert exp.coefficients[0] == pytest.approx(3.0, abs=1e-10)
-    assert exp.coefficients[2] == pytest.approx(math.sqrt(6), abs=1e-10)
-    assert exp.nu == pytest.approx(15.0, abs=1e-9)
-    assert abs(exp.coefficients[1]) < 1e-10 and abs(exp.coefficients[3]) < 1e-10
+    exp = project_kernel(parse_kernel("odd_poly(0,1)"), degree=5)
+    assert exp.coefficients[0] == 3.0
+    assert exp.coefficients[2] == pytest.approx(math.sqrt(6), rel=1e-15)
+    assert exp.nu == pytest.approx(15.0, rel=1e-15)
+    assert exp.coefficients[1] == exp.coefficients[3] == exp.coefficients[4] == 0.0
 
 
 def test_project_h2_plus_h3():
     exp = project_kernel(hermite_sum_kernel([0.0, 1.0, 1.0]), degree=8)
-    assert exp.a == pytest.approx(0.0, abs=1e-10)
-    assert exp.a2 == pytest.approx(1.0, abs=1e-10)
-    assert exp.nu == pytest.approx(2.0, abs=1e-10)
+    assert (exp.a, exp.a2, exp.nu) == (0.0, 1.0, 2.0)
 
 
 def test_project_odd_kernel_has_no_even_coefficients():
     exp = project_kernel(KernelSpec(evaluator=ThresholdFunction(1.5)), degree=20)
-    for d in range(2, 21, 2):
-        assert abs(exp.coefficients[d - 1]) < 1e-8
-
-
-def test_mean_zero_gate_and_centering():
-    with pytest.raises(MeanNotZeroError):
-        project_kernel(lambda x: x + 0.5, degree=4)
-    exp = project_kernel(lambda x: x + 0.5, degree=4, center=True)
-    assert exp.centered_by == pytest.approx(0.5, abs=1e-12)
-    assert exp.a == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(MeanNotZeroError):
-        kernel_moments(lambda x: x + 0.5)
-    # the bound grows with sqrt(E[k^2]), so a scaled shift is still caught
-    with pytest.raises(MeanNotZeroError):
-        project_kernel(lambda x: 1e12 * (x + 1e-6), degree=4)
+    assert not np.any(exp.coefficients[1::2])
 
 
 def test_kernel_moments_examples():
-    assert kernel_moments(lambda x: x) == pytest.approx((1.0, 1.0), abs=1e-12)
+    assert kernel_moments(hermite_sum_kernel([1.0])) == (1.0, 1.0)
     # orthonormality: h_3 has a = <x, h_3> = 0 and nu = 1
-    a, nu = kernel_moments(hermite_sum_kernel([0.0, 0.0, 1.0]))
-    assert a == pytest.approx(0.0, abs=1e-12)
-    assert nu == pytest.approx(1.0, abs=1e-12)
+    assert kernel_moments(hermite_sum_kernel([0.0, 0.0, 1.0])) == (0.0, 1.0)
 
 
 def test_threshold_moments_match_monte_carlo():
@@ -256,24 +238,22 @@ def test_parseval_residual_for_smooth_threshold():
     assert exp.nu == pytest.approx(nu, rel=1e-14, abs=0)
 
 
-def test_projection_requires_adequate_rule():
-    with pytest.raises(ConfigError):
-        project_kernel(lambda x: x, degree=30, rule=build_quadrature(20))
-
-
-def test_scalar_only_evaluator_is_looped_on_vectors():
-    # math.tanh takes one float, so a node vector goes through the scalar loop
-    spec = KernelSpec(evaluator=math.tanh)
-    xs = np.linspace(-3, 3, 13)
-    assert np.allclose(spec(xs), np.tanh(xs), atol=1e-15)
-    a, nu = kernel_moments(spec)
-    assert 0.0 < a < 1.0 and 0.0 < nu < 1.0
+def test_projection_requires_an_expansion():
+    # no quadrature stands in for a kernel that carries no expansion
+    for kernel in (lambda x: x, np.tanh, KernelSpec(evaluator=np.tanh)):
+        with pytest.raises(ConfigError, match="expansion"):
+            project_kernel(kernel, degree=30)
+        with pytest.raises(ConfigError, match="expansion"):
+            kernel_moments(kernel)
 
 
 def test_scalar_only_evaluator_is_rejected_on_matrices():
+    # math.tanh takes one float: a vector or a matrix would be one Python
+    # call per entry
     spec = KernelSpec(evaluator=math.tanh)
-    with pytest.raises(ConfigError, match="vectorize"):
-        spec(np.zeros((3, 3)))
+    for shape in ((13,), (3, 3)):
+        with pytest.raises(ConfigError, match="vectorize"):
+            spec(np.zeros(shape))
     X = sample_data(DataMatrixConfig(n=20, p=10, seed=3))
     with pytest.raises(ConfigError, match="vectorize"):
         build_kernel_matrix(X, spec)

@@ -405,6 +405,20 @@ def test_moment_overflow_is_a_domain_error():
             moment(law, 3)
 
 
+def test_cumulants_in_range_with_powers_out_of_range():
+    # gamma^3 overflows and a^4 underflows, while kappa_4 ~ 1e-567 is 0.0
+    # in double: the product a**l * gamma**(l-1) raised "overflows"
+    law = LimitLawParams(2.7e-235, 1.0, 8.6e123)
+    kap = free_cumulants(law, 6)
+    assert list(kap[2:]) == [0.0, 0.0, 0.0, 0.0]
+    assert moment(law, 4) == pytest.approx(2 * (8.6e123) ** 2, rel=1e-15)
+    # a power that underflows while the cumulant is a normal double
+    law = LimitLawParams(1e-110, 1.0, 1e100)
+    assert law.a**3 == 0.0
+    assert free_cumulants(law, 3)[2] == pytest.approx(1e-130, rel=1e-15)
+    assert free_cumulants(LimitLawParams(-1e-110, 1.0, 1e100), 3)[2] == pytest.approx(-1e-130, rel=1e-15)
+
+
 def test_support_window_past_double_range_is_a_domain_error():
     # |x| < 6.6e87: bound^4 overflowed, and np.roots raised a LinAlgError
     law = LimitLawParams(-6.575849527924286e87, 3.877037770241302e265, 1.7823031552395505e-239)

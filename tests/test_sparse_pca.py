@@ -1,14 +1,24 @@
 import math
 import mmap
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_form
+from oracles import threshold_expansion
 from kernelspectra import rng as rngmod
 from kernelspectra import simulate, sparse_pca
-from kernelspectra.errors import ConfigError, SizeCapError
-from kernelspectra.hermite import KernelSpec, hermite_sum_kernel, kernel_moments
+from kernelspectra.errors import ConfigError, DomainError, SizeCapError
+from kernelspectra.hermite import (
+    KernelSpec,
+    build_quadrature,
+    hermite_eval,
+    hermite_sum_kernel,
+    kernel_moments,
+)
 from kernelspectra.limit_law import LimitLawParams, support
 from kernelspectra.simulate import (
     MAX_DATA_ENTRIES,
@@ -196,6 +206,60 @@ def test_threshold_moments_nonnegative_a_and_edge_equals_norm():
         assert a >= 0.0
         sup = support(LimitLawParams(a=a, nu=nu, gamma=1.0))
         assert sup.max_edge == pytest.approx(sup.norm, abs=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.05, 45.0))
+@example(0.05)
+@example(0.8 * sparse_pca._J_SPLIT / sparse_pca.INNER_FRACTION)  # where the band's method changes
+@example(45.0)
+def test_threshold_expansion_matches_the_mpmath_oracle(tau):
+    # the order-200 Gauss-Hermite rule was off by 1.3e-4 to 1.2e-2 relative
+    # in a and nu at tau = 0.5 to 10, since k_tau is only C^1
+    exp = ThresholdFunction(tau).expansion(30)
+    a, nu, coeffs = threshold_expansion(tau, 30)
+    assert exp.a == pytest.approx(float(a), rel=1e-13, abs=0)
+    assert exp.nu == pytest.approx(float(nu), rel=1e-13, abs=0)
+    # 1e-13 relative, or, where a_d is near a zero, 1e-13 sqrt(nu) absolute
+    for got, want in zip(exp.coefficients, coeffs):
+        err = abs(got - float(want))
+        assert err <= 1e-13 * abs(float(want)) or err <= 1e-13 * math.sqrt(float(nu))
+    assert not np.any(exp.coefficients[1::2])  # k_tau is odd
+
+
+def test_threshold_expansion_agrees_with_a_fine_quadrature():
+    # the order-20000 rule converges algebraically on the C^1 kernel, more
+    # slowly as the kinks at 0.8 tau and 1.2 tau move out to its sparser
+    # nodes: in a its error is 6.0e-9 at tau = 0.5, 5.4e-8 at 2 and 1.6e-5
+    # at 10, in nu 2.0e-8 to 6.5e-8, and in each a_d at most 1.6e-6 sqrt(nu)
+    rule = build_quadrature(20000)
+    for tau, bound in ((0.5, 5e-8), (2.0, 2e-7), (10.0, 5e-5)):
+        exp = ThresholdFunction(tau).expansion(30)
+        k = ThresholdFunction(tau)(rule.nodes)
+        assert float(rule.weights @ (k * rule.nodes)) == pytest.approx(exp.a, rel=bound)
+        assert float(rule.weights @ (k * k)) == pytest.approx(exp.nu, rel=bound)
+        for d, c in enumerate(exp.coefficients, start=1):
+            assert float(rule.weights @ (k * hermite_eval(d, rule.nodes))) == pytest.approx(
+                c, rel=0, abs=bound * math.sqrt(exp.nu))
+
+
+def test_threshold_expansion_at_degree_250_is_finite():
+    # the recurrence on h_m(x) phi(x) stays in range at the largest tau with
+    # a normal nu, and the Gauss-Legendre band at the smallest
+    for tau in (1e-8, 3.7, 3.8, 46.3):
+        exp = ThresholdFunction(tau).expansion(250)
+        assert np.isfinite(exp.coefficients).all() and exp.nu >= np.finfo(float).tiny
+        assert exp.residual <= exp.nu
+
+
+@pytest.mark.parametrize("tau", [46.4, 50.0, 1e300])
+def test_threshold_nu_underflow_names_tau(tau):
+    # nu(tau) < 2.2e-308 past tau = 46.3; taus from 34.5 on used to exit 2
+    # with "nu must be > 0" from the law's own check
+    with pytest.raises(DomainError, match=re.escape(f"underflows double precision at tau = {tau}")):
+        ThresholdFunction(tau).expansion(1)
+    with pytest.raises(DomainError, match=re.escape(f"no null prediction at tau = {tau}")):
+        null_prediction(tau, 1.0)
 
 
 def test_spiked_config_validation():
