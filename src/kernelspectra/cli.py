@@ -22,7 +22,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, KernelSpectraError, SizeCapError, VerificationError
-from .hermite import KernelSpec, check_projection_size, hermite_sum_kernel, project_kernel
+from .hermite import (
+    KernelSpec, OddPolynomial, check_projection_size, hermite_sum_kernel, project_kernel,
+)
 from .lgraphs import (
     MAX_CYCLE_LEN,
     enumerate_multilabelings,
@@ -107,12 +109,7 @@ def parse_kernel(spec: str) -> KernelSpec:
             raise ConfigError(f"kernel: bad odd_poly coefficients {m.group(1)!r}") from exc
         if not cs:
             raise ConfigError("kernel: odd_poly needs at least one coefficient")
-        # x^k = sum_j k! / (j! (k-2j)! 2^j) He_{k-2j}, and He_m = sqrt(m!) h_m
-        power = np.zeros(2 * len(cs))
-        power[1::2] = cs
-        with np.errstate(over="ignore", invalid="ignore"):
-            he = np.polynomial.hermite_e.poly2herme(power)
-            return hermite_sum_kernel(he[1:] * np.cumprod(np.sqrt(np.arange(1.0, len(he)))))
+        return KernelSpec(evaluator=OddPolynomial(tuple(cs)))
     coeffs: dict[int, float] = {}
     pos = 0
     for tm in _TERM_RE.finditer(text):
@@ -127,9 +124,7 @@ def parse_kernel(spec: str) -> KernelSpec:
         coeffs[deg] = coeffs.get(deg, 0.0) + (-coef if tm.group("sign") == "-" else coef)
     if not coeffs or pos != len(text):
         raise ConfigError(f"kernel: cannot parse term {text[pos:]!r} in {spec!r}")
-    top = max(coeffs)
-    vec = [coeffs.get(d, 0.0) for d in range(1, top + 1)]
-    return hermite_sum_kernel(vec)
+    return hermite_sum_kernel([coeffs.get(d, 0.0) for d in range(1, max(coeffs) + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +173,20 @@ class Config:
         v = self._fetch(key, default)
         return v
 
-    def get_int(self, key: str, default=None) -> int:
+    def _typed(self, key: str, default, kind: type, noun: str):
         v = self._fetch(key, default)
-        if isinstance(v, int) or v is None:
+        if isinstance(v, kind) or v is None:
             return v
         try:
-            return int(v)
+            return kind(v)
         except ValueError as exc:
-            raise ConfigError(f"config key {key!r} must be an integer, got {v!r}") from exc
+            raise ConfigError(f"config key {key!r} must be {noun}, got {v!r}") from exc
+
+    def get_int(self, key: str, default=None) -> int:
+        return self._typed(key, default, int, "an integer")
 
     def get_float(self, key: str, default=None) -> float:
-        v = self._fetch(key, default)
-        if isinstance(v, float) or v is None:
-            return v
-        try:
-            return float(v)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r} must be a number, got {v!r}") from exc
+        return self._typed(key, default, float, "a number")
 
     def get_floats(self, key: str, default=None) -> list[float]:
         v = self._fetch(key, default)
@@ -341,11 +333,7 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
     xs = np.linspace(sup.min_edge - 1.0, sup.max_edge + 1.0, points)
     write_csv(f"{prefix}_density.csv", ("x", "density"), (xs, density(params, xs, epsilon=eps)))
     edges = np.array(sup.intervals, dtype=float).reshape(-1, 2)
-    write_csv(
-        f"{prefix}_support.csv",
-        ("interval", "lo", "hi"),
-        (np.arange(len(edges)), edges[:, 0], edges[:, 1]),
-    )
+    write_csv(f"{prefix}_support.csv", ("interval", "lo", "hi"), (np.arange(len(edges)), *edges.T))
     write_csv(f"{prefix}_moments.csv", ("l", "moment"), (orders, moments))
     below, above = cdf(params, [sup.min_edge - 1.0, sup.max_edge + 1.0], epsilon=eps)
     payload = {
@@ -525,14 +513,11 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
             med_s.append(float(np.median(np.abs(dec.s))))
         nonzero = [(math.log(nn), math.log(mv)) for nn, mv in zip(scaling_ns, med_s) if mv > 1e-12]
         if len(nonzero) >= 2:
-            xs = np.array([t[0] for t in nonzero])
-            ys = np.array([t[1] for t in nonzero])
-            slope = float(np.polyfit(xs, ys, 1)[0])
+            slope = float(np.polyfit(*np.array(nonzero).T, 1)[0])
         else:
             slope = float("-inf")  # identically-zero remainder: maximal decay
         scaling.append({"d": d, "n": scaling_ns, "median_abs_s": med_s, "slope": slope})
-        if not slope <= -0.8:
-            ok = False
+        ok = ok and slope <= -0.8
     report["remainder_scaling"] = scaling
 
     # 3. trace-moment oracle
@@ -547,13 +532,10 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
         "monte_carlo_se": mc_se,
         "ok": oracle_ok,
     }
-    if not oracle_ok:
-        ok = False
-
-    report["ok"] = ok
+    report["ok"] = ok and oracle_ok
     path = write_json(out, envelope(raw, report))
     print(f"wrote {path}")
-    if not ok:
+    if not report["ok"]:
         raise VerificationError("verification report contains failures; see " + str(path))
     return 0
 
@@ -591,15 +573,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             values[key.strip()] = val.strip()
         return COMMANDS[args.command](Config(values), values)
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except KernelSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

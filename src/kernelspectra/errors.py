@@ -1,12 +1,14 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes, so library code should raise
-the most specific type that applies rather than bare ValueError.
+The CLI exits with the `exit_code` of the type it catches, so library code
+should raise the most specific type that applies rather than bare ValueError.
 """
 
 
 class KernelSpectraError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class ConfigError(KernelSpectraError):
@@ -15,6 +17,8 @@ class ConfigError(KernelSpectraError):
 
 class SizeCapError(KernelSpectraError):
     """A requested computation exceeds a hard size cap."""
+
+    exit_code = 3
 
 
 class QuadratureError(KernelSpectraError):
@@ -32,3 +36,5 @@ class ConsistencyError(KernelSpectraError):
 class VerificationError(KernelSpectraError):
     """A machine verification (lemma census, oracle comparison) reported a
     mismatch."""
+
+    exit_code = 4

@@ -242,9 +242,6 @@ class KernelSpec:
     def __call__(self, x):
         return _eval_on(self.evaluator, np.asarray(x, dtype=float))
 
-    def expansion(self, degree: int) -> KernelExpansion:
-        return project_kernel(self.evaluator, degree)
-
 
 @dataclass(frozen=True)
 class KernelExpansion:
@@ -300,13 +297,34 @@ class KernelExpansion:
         return out if out.ndim else float(out)
 
 
+@dataclass(frozen=True)
+class OddPolynomial:
+    """c_1 x + c_3 x^3 + ..., evaluated by Horner in x^2.  `expansion` reads
+    its Hermite sum, from x^k = sum_j k!/(j!(k-2j)!2^j) He_{k-2j} and He_m =
+    sqrt(m!) h_m: exact, but it cancels in value where the monomials do not."""
+
+    odd: tuple[float, ...]  # c_1, c_3, ...
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return x * np.polynomial.polynomial.polyval(x * x, self.odd)
+
+    def expansion(self, degree: int) -> KernelExpansion:
+        power = np.column_stack([np.zeros(len(self.odd)), self.odd]).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            he = np.polynomial.hermite_e.poly2herme(power)
+            he = he[1:] * np.cumprod(np.sqrt(np.arange(1.0, len(he))))
+        return KernelExpansion(coefficients=he).expansion(degree)
+
+
 def project_kernel(kernel, degree: int) -> KernelExpansion:
-    """a_1..a_degree and nu = E[k(xi)^2] of a mean-zero kernel, read off the
-    exact expansion it carries as `kernel.expansion(degree)`.  A kernel
-    without one raises ConfigError, one whose E[k^2] overflows DomainError."""
+    """a_1..a_degree and nu = E[k(xi)^2] of a mean-zero kernel (a KernelSpec's
+    evaluator), read off its exact `expansion(degree)`.  A kernel without one
+    raises ConfigError, one whose E[k^2] overflows DomainError."""
     if degree < 1:
         raise ConfigError(f"degree must be >= 1, got {degree}")
     check_projection_size(degree)
+    kernel = getattr(kernel, "evaluator", kernel)  # a KernelSpec's own
     expand = getattr(kernel, "expansion", None)
     if expand is None:
         raise ConfigError(f"kernel {kernel!r} carries no exact Hermite expansion")

@@ -318,9 +318,8 @@ class SweepResult:
     CSV_COLUMNS = ("tau", "null_mean", "null_se", "spiked_mean", "spiked_se", "prediction")
 
     def __post_init__(self):
-        k = len(self.taus)
-        for name in ("null_mean", "null_se", "spiked_mean", "spiked_se", "prediction"):
-            if len(getattr(self, name)) != k:
+        for name in self.CSV_COLUMNS[1:]:
+            if len(getattr(self, name)) != len(self.taus):
                 raise ConfigError(f"SweepResult column {name} has mismatched length")
         if not np.all(np.isfinite(self.prediction)) or np.any(self.prediction <= 0):
             raise ConfigError("predictions must be finite and positive")

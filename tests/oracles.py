@@ -90,19 +90,19 @@ def concentration_probe(kernel, ratios, n: int, trials: int, seed: int) -> list[
     return rows
 
 
-def threshold_expansion(tau: float, degree: int, dps: int = 30, level: int = 4):
+def threshold_expansion(tau: float, degree: int):
     """a = E[xi k(xi)], nu = E[k(xi)^2] and a_1..a_degree of the soft
-    threshold k_tau, as mpmath numbers at dps digits, with no closed form:
+    threshold k_tau, as mpmath numbers at 30 digits, with no closed form:
     twice the integrals over x > 0, by Gauss-Legendre rules of
-    3 * 2^(level - 1) nodes in mpmath on the band [u, v] and on the tail
+    3 * 2^3 nodes (level 4) in mpmath on the band [u, v] and on the tail
     [v, v + T], T where the weight falls to e^-200.  u and v are the
     evaluator's double breakpoints.  Each piece is x = s + t over t >= 0
-    from its start s, cut where the widths, doubling from 1/s, reach 2.  At
-    dps 30, level 4 agrees with dps 40, level 6 to 2e-30 relative in a and
-    nu, and to 1e-30 sqrt(nu) in every a_d, d <= 30, at ten tau from 0.05
-    to 45."""
+    from its start s, cut where the widths, doubling from 1/s, reach 2.
+    These agree with 40 digits and level 6 (96 nodes a piece) to 2e-30
+    relative in a and nu, and to 1e-30 sqrt(nu) in every a_d, d <= 30, at
+    ten tau from 0.05 to 45."""
     rule = GaussLegendre(mpmath.mp)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(30):
         t_, u, v = mpmath.mpf(tau), mpmath.mpf(INNER_FRACTION * tau), mpmath.mpf(OUTER_FRACTION * tau)
         norm = 1 / mpmath.sqrt(2 * mpmath.pi)
         nu, moments = mpmath.mpf(0), [mpmath.mpf(0)] * (degree + 1)  # E[k He_d] / 2
@@ -113,7 +113,7 @@ def threshold_expansion(tau: float, degree: int, dps: int = 30, level: int = 4):
                 cuts.append(min(length, cuts[-1] + width))
                 width = min(2 * width, mpmath.mpf(2))
             for lo, hi in zip(cuts, cuts[1:]):
-                for t, w in rule.get_nodes(lo, hi, level, mpmath.mp.prec):
+                for t, w in rule.get_nodes(lo, hi, 4, mpmath.mp.prec):
                     x = s + t
                     weight = w * norm * mpmath.exp(-x * x / 2)
                     nu += weight * k(t) ** 2

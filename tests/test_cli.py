@@ -19,7 +19,7 @@ import kernelspectra.cli as cli_module
 from kernelspectra import lgraphs, sparse_pca
 from kernelspectra.cli import main, parse_kernel
 from kernelspectra.errors import ConfigError
-from kernelspectra.hermite import MAX_DEGREE, KernelSpec, hermite_eval, kernel_moments
+from kernelspectra.hermite import MAX_DEGREE, KernelSpec, kernel_moments, project_kernel
 from kernelspectra.lgraphs import SimpleLabeling, enumerate_multilabelings
 from kernelspectra.limit_law import MAX_DENSITY_POINTS, MAX_MOMENT_ORDER, LimitLawParams, moment
 from kernelspectra.simulate import MAX_DATA_ENTRIES, MAX_MATRIX_SIDE, sample_data, spectrum
@@ -147,30 +147,29 @@ def test_quadrature_keys_exit_2_as_unknown(tmp_path, capsys, key):
     cs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
     x=st.floats(-8.0, 8.0, allow_subnormal=False),
 )
-def test_odd_poly_is_its_hermite_sum(cs, x):
-    # x^k = sum_j F(k, j) He_{k-2j}, F(k, j) = k! / (j! (k-2j)! 2^j), and
-    # He_m = sqrt(m!) h_m.  Each term's scale is |c_k F(k, j)| sqrt(m!) in a
-    # coefficient and |c_k F(k, j) He_m(x)| in a value; the Hermite form
-    # cancels where the monomials do not, so sum_k |c_k x^k| bounds neither
+def test_odd_poly_is_its_monomials_and_its_hermite_sum(cs, x):
     kernel = parse_kernel(f"odd_poly({','.join(map(repr, cs))})")
-    coeffs = kernel.evaluator.coefficients  # trailing zeros trimmed
-    coeffs = np.concatenate([coeffs, np.zeros(2 * len(cs) - 1 - len(coeffs))])
-    exact, coeff_scale = [mpmath.mpf(0)] * len(coeffs), [0.0] * len(coeffs)
-    value_scale = 0.0
-    for i, c in enumerate(cs):
-        k = 2 * i + 1
-        for j in range(i + 1):
-            m = k - 2 * j
-            term = mpmath.mpf(c) * math.comb(k, 2 * j) * mpmath.fac2(2 * j - 1)
-            exact[m - 1] += term * mpmath.sqrt(mpmath.factorial(m))
-            coeff_scale[m - 1] += abs(float(term)) * math.sqrt(math.factorial(m))
-            value_scale += abs(float(term) * hermite_eval(m, x)) * math.sqrt(math.factorial(m))
-    assert not np.any(coeffs[1::2])
-    for got, want, scale in zip(coeffs, exact, coeff_scale):
-        assert abs(got - float(want)) <= 1e-15 * scale + np.finfo(float).tiny
-    monomial = sum(mpmath.mpf(c) * mpmath.mpf(x) ** (2 * i + 1) for i, c in enumerate(cs))
-    # below the normal doubles, rounding is absolute
-    assert abs(kernel(x) - float(monomial)) <= 1e-14 * value_scale + np.finfo(float).tiny
+    coeffs = project_kernel(kernel, 2 * len(cs) - 1).coefficients
+    with mpmath.workdps(30):
+        # its values are the monomial form's, to rounding
+        monomial = sum(mpmath.mpf(c) * mpmath.mpf(x) ** (2 * i + 1) for i, c in enumerate(cs))
+        scale = sum(abs(c) * abs(x) ** (2 * i + 1) for i, c in enumerate(cs))
+        # below the normal doubles, rounding is absolute
+        assert abs(kernel(x) - float(monomial)) <= 1e-14 * scale + np.finfo(float).tiny
+        # x^k = sum_j F(k, j) He_{k-2j}, F(k, j) = k! / (j! (k-2j)! 2^j), and
+        # He_m = sqrt(m!) h_m.  The expansion sums these terms, so its
+        # rounding is of their size, |c_k F(k, j)| sqrt(m!) for a_m
+        exact, coeff_scale = [mpmath.mpf(0)] * len(coeffs), [0.0] * len(coeffs)
+        for i, c in enumerate(cs):
+            k = 2 * i + 1
+            for j in range(i + 1):
+                m = k - 2 * j
+                term = mpmath.mpf(c) * math.comb(k, 2 * j) * mpmath.fac2(2 * j - 1)
+                exact[m - 1] += term * mpmath.sqrt(mpmath.factorial(m))
+                coeff_scale[m - 1] += abs(float(term)) * math.sqrt(math.factorial(m))
+        assert not np.any(coeffs[1::2])
+        for got, want, bound in zip(coeffs, exact, coeff_scale):
+            assert abs(got - float(want)) <= 1e-15 * bound + np.finfo(float).tiny
 
 
 def test_soft_threshold_projection_command(tmp_path):

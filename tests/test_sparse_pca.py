@@ -208,10 +208,21 @@ def test_threshold_moments_nonnegative_a_and_edge_equals_norm():
         assert sup.max_edge == pytest.approx(sup.norm, abs=1e-9)
 
 
+def _largest_tau_below_the_split() -> float:
+    """The largest tau whose band runs on the Gauss-Legendre rule."""
+    tau = sparse_pca._J_SPLIT / sparse_pca.INNER_FRACTION
+    while sparse_pca.INNER_FRACTION * tau >= sparse_pca._J_SPLIT:
+        tau = math.nextafter(tau, 0.0)
+    return tau
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.05, 45.0))
 @example(0.05)
-@example(0.8 * sparse_pca._J_SPLIT / sparse_pca.INNER_FRACTION)  # where the band's method changes
+# u = _J_SPLIT, where the J differences take their widest band, and the
+# Gauss-Legendre band just below it
+@example(sparse_pca._J_SPLIT / sparse_pca.INNER_FRACTION)
+@example(_largest_tau_below_the_split())
 @example(45.0)
 def test_threshold_expansion_matches_the_mpmath_oracle(tau):
     # the order-200 Gauss-Hermite rule was off by 1.3e-4 to 1.2e-2 relative
