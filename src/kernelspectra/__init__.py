@@ -64,7 +64,6 @@ from .lgraphs import (
     MultiLabeling,
     SimpleLabeling,
     enumerate_multilabelings,
-    exact_trace_moment,
     label_simplifying_map,
     verify_lemmas,
 )

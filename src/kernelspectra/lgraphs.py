@@ -7,9 +7,8 @@ of distinct labels) and of the deformed-GUE comparison model
 (simple labelings: one label or the empty label per n-vertex).  This
 module enumerates the multi-labeling equivalence classes at small cycle
 length, computes their combinatorial statistics, applies the label-simplifying
-map between the two families, machine-checks the counting lemmas the
-moment comparison rests on, and evaluates small trace moments exactly as
-an independent oracle.
+map between the two families, and machine-checks the counting lemmas the
+moment comparison rests on.
 
 Vertex s (0-based, s < l) denotes the n-vertex between p-vertex s and
 p-vertex (s+1) mod l.  Tuple order within an n-vertex is not a class
@@ -35,9 +34,6 @@ MAX_CYCLE_LEN = 6  # enumeration is exhaustive; growth beyond this is untested
 STATE_CAP = 10**6  # search states of one call: (6, 3) visits 256 322, (6, 4) 5 064 733
 
 TRACE_L_CAP = 4
-TRACE_N_CAP = 6
-TRACE_P_CAP = 6
-TRACE_D_CAP = 3
 
 
 # ---------------------------------------------------------------------------
@@ -433,77 +429,7 @@ def label_simplifying_map(ml: MultiLabeling) -> SimpleLabeling:
 
 
 # ---------------------------------------------------------------------------
-# exact trace moments (oracle)
-
-
-def exact_trace_moment(l: int, n: int, p: int, coeffs, entry_law="standard_gaussian") -> float:
-    """E[Tr Q(X)^l] for the dominant (distinct-index) matrix Q of the
-    kernel sum_d coeffs[d-1] h_d, evaluated exactly.
-
-    The expectation is the labeled-cycle sum; it is evaluated by dynamic
-    programming over data columns (independence factorizes the entry-
-    moment products column by column), which reorganizes the sum over all
-    index tuples without approximation.  Tiny sizes only.
-    """
-    coeffs = [float(c) for c in coeffs]
-    D = len(coeffs)
-    if not 2 <= l <= TRACE_L_CAP:
-        raise SizeCapError(f"l must be in [2, {TRACE_L_CAP}], got {l}")
-    if not 2 <= n <= TRACE_N_CAP or not 2 <= p <= TRACE_P_CAP:
-        raise SizeCapError(f"(n, p) must be within ({TRACE_N_CAP}, {TRACE_P_CAP}), got {(n, p)}")
-    if not 1 <= D <= TRACE_D_CAP:
-        raise SizeCapError(f"need 1 <= len(coeffs) <= {TRACE_D_CAP}, got {D}")
-    mom = EntryLaw(entry_law).moment
-
-    total = 0.0
-    for pattern in _canonical_p_sequences(l, min(l, p)):
-        r = len(set(pattern))
-        multiplicity = 1.0
-        for t in range(r):
-            multiplicity *= p - t
-
-        # per-column subset weights: T is the set of cycle positions whose
-        # tuple picks up the column's label
-        weights = []
-        for mask in range(2**l):
-            T = [s for s in range(l) if mask >> s & 1]
-            rows: dict[int, int] = {}
-            for s in T:
-                for i in (pattern[s], pattern[(s + 1) % l]):
-                    rows[i] = rows.get(i, 0) + 1
-            w = 1.0
-            for count in rows.values():
-                w *= mom(count)
-                if w == 0.0:
-                    break
-            if w != 0.0:
-                weights.append((tuple(T), w))
-
-        state = {(0,) * l: 1.0}
-        for _ in range(n):
-            new_state: dict[tuple[int, ...], float] = {}
-            for sizes, acc in state.items():
-                for T, w in weights:
-                    grown = list(sizes)
-                    ok = True
-                    for s in T:
-                        grown[s] += 1
-                        if grown[s] > D:
-                            ok = False
-                            break
-                    if ok:
-                        key = tuple(grown)
-                        new_state[key] = new_state.get(key, 0.0) + acc * w
-            state = new_state
-
-        for sizes, acc in state.items():
-            if any(d == 0 for d in sizes):
-                continue
-            coef = 1.0
-            for d in sizes:
-                coef *= coeffs[d - 1] * math.sqrt(math.factorial(d)) * n ** (-(d + 1) / 2.0)
-            total += multiplicity * coef * acc
-    return total
+# Monte Carlo trace moments
 
 
 def first_order_matrix(X: np.ndarray, coeffs) -> np.ndarray:
@@ -542,8 +468,7 @@ def sample_trace_moment(
     trials: int = 10**5,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Monte Carlo (mean, standard error) of Tr Q(X)^l; cross-checks
-    exact_trace_moment."""
+    """Monte Carlo (mean, standard error) of Tr Q(X)^l."""
     if not 2 <= l <= TRACE_L_CAP:
         raise SizeCapError(f"l must be in [2, {TRACE_L_CAP}], got {l}")
     if trials < 2:

@@ -223,11 +223,12 @@ def support(p: LimitLawParams) -> SupportIntervals:
         return SupportIntervals(intervals=(cont,))
 
     # The support lies within the Minkowski sum of the Marcenko-Pastur part
-    # (atom included) and the semicircle; roots past this bound are spurious
-    # (a small a puts two of them near (nu - a^2) / a).  At a = 0 the edges
-    # lie on the sum's own edges, so the bound keeps a relative margin.
+    # (with its atom at -a, which exists only at gamma > 1) and the
+    # semicircle; roots past this bound are spurious (a small a puts two of
+    # them near (nu - a^2) / a).  At a = 0 the edges lie on the sum's own
+    # edges, so the bound keeps a relative margin.
     g = p.gamma
-    reach = abs(p.a) * (g + 2.0 * math.sqrt(g) + 1.0) + 2.0 * math.sqrt(p.semicircle_variance)
+    reach = abs(p.a) * (g + 2.0 * math.sqrt(g) + (g > 1.0)) + 2.0 * math.sqrt(p.semicircle_variance)
     bound = reach * (1.0 + 1e-6)
     with np.errstate(over="ignore", invalid="ignore"):
         quartic = _discriminant_polynomial(p)

@@ -560,7 +560,10 @@ def _extreme_eigenvalue(m) -> float:
     left of w is rounding; the zero matrix stops there at step 1, with
     0.0), and at k = p steps, where the Krylov space is all of R^p.  A
     solve that reaches LANCZOS_MAX_STEPS < p first raises ConsistencyError
-    rather than returning an unconverged value.
+    rather than returning an unconverged value.  A product whose norm
+    overflows (|m v| past about 1.3e154, where |m v|^2 leaves the doubles)
+    raises DomainError: an inf norm would pass the invariance test, and
+    the first Ritz value would come back.
 
     A stop on residual^2 / gap would come earlier, but returns the second
     eigenvalue when the top two are closer than the Krylov space resolves
@@ -580,34 +583,37 @@ def _extreme_eigenvalue(m) -> float:
     alpha, beta = np.empty(steps), np.empty(steps)
     start = rngmod.derive_rng(0, rngmod.STREAM_LANCZOS, p).standard_normal(p)
     basis[0] = start / math.sqrt(start @ start)
-    for k in range(steps):
-        v = basis[k]
-        w = product(v)
-        image_norm = math.sqrt(w @ w)
-        a = alpha[k] = v @ w
-        w -= a * v
-        if k:
-            w -= b * basis[k - 1]
-        done = basis[: k + 1]
-        before = math.sqrt(w @ w)
-        for _ in range(2):
-            w -= (done @ w) @ done
-            b = beta[k] = math.sqrt(w @ w)
-            if b > _DGKS_RATIO * before:
+    with np.errstate(over="ignore"):  # an overflowing |m v| raises below
+        for k in range(steps):
+            v = basis[k]
+            w = product(v)
+            image_norm = math.sqrt(w @ w)
+            if not math.isfinite(image_norm):
+                raise DomainError(f"|m v| overflows double precision at Lanczos step {k} at p={p}")
+            a = alpha[k] = v @ w
+            w -= a * v
+            if k:
+                w -= b * basis[k - 1]
+            done = basis[: k + 1]
+            before = math.sqrt(w @ w)
+            for _ in range(2):
+                w -= (done @ w) @ done
+                b = beta[k] = math.sqrt(w @ w)
+                if b > _DGKS_RATIO * before:
+                    break
+                before = b
+            size = k + 1
+            invariant = b <= 1e-15 * image_norm
+            if invariant or size % _RITZ_CHECK_STEPS == 0 or size == steps:
+                theta, last = _top_ritz_pair(alpha[:size], beta[:size])
+                tol = _LAPACK_EPS * max(_LAPACK_EPS ** (2 / 3), abs(theta))
+                if invariant or size == p or b * abs(last) <= tol:
+                    return theta
+            if size == steps:
                 break
-            before = b
-        size = k + 1
-        invariant = b <= 1e-15 * image_norm
-        if invariant or size % _RITZ_CHECK_STEPS == 0 or size == steps:
-            theta, last = _top_ritz_pair(alpha[:size], beta[:size])
-            tol = _LAPACK_EPS * max(_LAPACK_EPS ** (2 / 3), abs(theta))
-            if invariant or size == p or b * abs(last) <= tol:
-                return theta
-        if size == steps:
-            break
-        if size == len(basis):
-            basis = np.concatenate([basis, np.empty((min(steps, 2 * size) - size, p))])
-        np.divide(w, b, out=basis[size])
+            if size == len(basis):
+                basis = np.concatenate([basis, np.empty((min(steps, 2 * size) - size, p))])
+            np.divide(w, b, out=basis[size])
     raise ConsistencyError(f"Lanczos did not converge in {steps} steps at p={p}")
 
 

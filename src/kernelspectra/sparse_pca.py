@@ -318,11 +318,13 @@ class SweepResult:
     CSV_COLUMNS = ("tau", "null_mean", "null_se", "spiked_mean", "spiked_se", "prediction")
 
     def __post_init__(self):
-        for name in self.CSV_COLUMNS[1:]:
-            if len(getattr(self, name)) != len(self.taus):
+        for name, column in zip(self.CSV_COLUMNS, self.columns()):
+            if len(column) != len(self.taus):
                 raise ConfigError(f"SweepResult column {name} has mismatched length")
-        if not np.all(np.isfinite(self.prediction)) or np.any(self.prediction <= 0):
-            raise ConfigError("predictions must be finite and positive")
+            if not np.all(np.isfinite(column)):
+                raise DomainError(f"SweepResult column {name} is not finite")
+        if np.any(self.prediction <= 0):
+            raise ConfigError("predictions must be positive")
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The CSV_COLUMNS, in order."""

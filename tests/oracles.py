@@ -1,8 +1,9 @@
 """Test oracles: the paper's proof devices, the deformed-GUE comparison
-model, which shares the limit law of the kernel matrices, and the
-norm-concentration probe of odd kernels; and the soft threshold's Hermite
-expansion in extended precision.  No command uses them, so none checks
-its input: the tests call them with valid arguments only.
+model, which shares the limit law of the kernel matrices, the
+norm-concentration probe of odd kernels and the exact trace moments of the
+dominant matrix; and the soft threshold's Hermite expansion in extended
+precision.  No command uses them, so none checks its input: the tests call
+them with valid arguments only.
 """
 
 import math
@@ -12,10 +13,12 @@ import mpmath
 import numpy as np
 from mpmath.calculus.quadrature import GaussLegendre
 
+from kernelspectra.lgraphs import _canonical_p_sequences
 from kernelspectra.limit_law import LimitLawParams
 from kernelspectra.rng import derive_rng
 from kernelspectra.simulate import (
     DataMatrixConfig,
+    EntryLaw,
     _extreme_eigenvalue,
     build_kernel_matrix,
     sample_data,
@@ -88,6 +91,70 @@ def concentration_probe(kernel, ratios, n: int, trials: int, seed: int) -> list[
             }
         )
     return rows
+
+
+def exact_trace_moment(l: int, n: int, p: int, coeffs, entry_law="standard_gaussian") -> float:
+    """E[Tr Q(X)^l] for the dominant (distinct-index) matrix Q of the
+    kernel sum_d coeffs[d-1] h_d, evaluated exactly.
+
+    The expectation is the labeled-cycle sum; it is evaluated by dynamic
+    programming over data columns (independence factorizes the entry-
+    moment products column by column), which reorganizes the sum over all
+    index tuples without approximation.  Tiny sizes only.
+    """
+    coeffs = [float(c) for c in coeffs]
+    D = len(coeffs)
+    mom = EntryLaw(entry_law).moment
+
+    total = 0.0
+    for pattern in _canonical_p_sequences(l, min(l, p)):
+        r = len(set(pattern))
+        multiplicity = 1.0
+        for t in range(r):
+            multiplicity *= p - t
+
+        # per-column subset weights: T is the set of cycle positions whose
+        # tuple picks up the column's label
+        weights = []
+        for mask in range(2**l):
+            T = [s for s in range(l) if mask >> s & 1]
+            rows: dict[int, int] = {}
+            for s in T:
+                for i in (pattern[s], pattern[(s + 1) % l]):
+                    rows[i] = rows.get(i, 0) + 1
+            w = 1.0
+            for count in rows.values():
+                w *= mom(count)
+                if w == 0.0:
+                    break
+            if w != 0.0:
+                weights.append((tuple(T), w))
+
+        state = {(0,) * l: 1.0}
+        for _ in range(n):
+            new_state: dict[tuple[int, ...], float] = {}
+            for sizes, acc in state.items():
+                for T, w in weights:
+                    grown = list(sizes)
+                    ok = True
+                    for s in T:
+                        grown[s] += 1
+                        if grown[s] > D:
+                            ok = False
+                            break
+                    if ok:
+                        key = tuple(grown)
+                        new_state[key] = new_state.get(key, 0.0) + acc * w
+            state = new_state
+
+        for sizes, acc in state.items():
+            if any(d == 0 for d in sizes):
+                continue
+            coef = 1.0
+            for d in sizes:
+                coef *= coeffs[d - 1] * math.sqrt(math.factorial(d)) * n ** (-(d + 1) / 2.0)
+            total += multiplicity * coef * acc
+    return total
 
 
 def threshold_expansion(tau: float, degree: int):

@@ -15,7 +15,6 @@ import pytest
 from kernelspectra.hermite import hermite_sum_kernel
 from kernelspectra.lgraphs import (
     enumerate_multilabelings,
-    exact_trace_moment,
     label_simplifying_map,
     sample_trace_moment,
     verify_lemmas,
@@ -38,7 +37,7 @@ from kernelspectra.simulate import (
 )
 from kernelspectra.sparse_pca import SpikedModelConfig, sweep_tau
 
-from oracles import concentration_probe
+from oracles import concentration_probe, exact_trace_moment
 
 H3 = hermite_sum_kernel([0.0, 0.0, 1.0])
 H2_PLUS_H3 = hermite_sum_kernel([0.0, 1.0, 1.0])

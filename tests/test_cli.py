@@ -53,7 +53,8 @@ def test_parse_kernel_registry():
     assert soft(4.0) == pytest.approx(2.0)
     poly = parse_kernel("odd_poly(1, 0.5)")
     assert poly(2.0) == pytest.approx(2.0 + 0.5 * 8.0)
-    for bad in ("wat", "h0", "h1+", "h1h2", "h1-", "1e*h1", "", "soft_threshold(two)", "odd_poly()"):
+    for bad in ("wat", "h0", "h1+", "h1h2", "h1-", "1e*h1", "", "soft_threshold(two)", "odd_poly()",
+                "odd_poly(1,,3)", "odd_poly(,1)", "odd_poly(1,)"):
         with pytest.raises(ConfigError):
             parse_kernel(bad)
 
@@ -115,29 +116,40 @@ def test_project_kernel_reads_a_hermite_sum_bit_for_bit(coeffs):
 
 
 def test_no_command_builds_a_quadrature(tmp_path, monkeypatch):
-    # every registry kernel carries its exact expansion; build_quadrature is
-    # replaced at each module binding, as the benchmark tracer wraps it
-    def no_rule(*args, **kwargs):
-        raise AssertionError("built a Gauss-Hermite rule")
+    # every registry kernel carries its exact expansion, and verify runs no
+    # trace-moment oracle; build_quadrature and the Monte Carlo trace moments
+    # are replaced at each module binding, as the benchmark tracer wraps them
+    def no_call(*args, **kwargs):
+        raise AssertionError("built a Gauss-Hermite rule or sampled a trace moment")
 
     from kernelspectra.hermite import build_quadrature
 
+    unused = (build_quadrature, lgraphs.sample_trace_moment, lgraphs.first_order_matrix)
     for name, module in list(sys.modules.items()):
         if name == "kernelspectra" or name.startswith("kernelspectra."):
             for binding, value in list(vars(module).items()):
-                if value is build_quadrature:
-                    monkeypatch.setattr(module, binding, no_rule)
+                if any(value is f for f in unused):
+                    monkeypatch.setattr(module, binding, no_call)
     runs = [("simulate", {"kernel": "h2+h3", "n": 40, "p": 30}),
-            ("sparse-pca-sweep", {"n": 40, "taus": "0.5,2.0", "trials": 1})]
+            ("sparse-pca-sweep", {"n": 40, "taus": "0.5,2.0", "trials": 1}),
+            ("verify", {"l_max": 3, "d_max": 2})]
     runs += [("project-kernel", {"kernel": k}) for k in ("0.5*h1-2*h3", "odd_poly(1,0.5)", "soft_threshold(2)")]
     for command, keys in runs:
         assert main([command, write_cfg(tmp_path, "c.cfg", **keys)]) == 0, command
 
 
-@pytest.mark.parametrize("key", ["order", "center"])
-def test_quadrature_keys_exit_2_as_unknown(tmp_path, capsys, key):
-    cfg = write_cfg(tmp_path, "k.cfg", kernel="h1", **{key: 200 if key == "order" else "false"})
-    assert main(["project-kernel", cfg]) == 2
+@pytest.mark.parametrize(
+    "command, key, keys",
+    [("project-kernel", "order", {"kernel": "h1", "order": 200}),
+     ("project-kernel", "center", {"kernel": "h1", "center": "false"}),
+     ("verify", "trace_trials", {"l_max": 2, "d_max": 1, "trace_trials": 100})],
+    ids=["order", "center", "trace_trials"],
+)
+def test_quadrature_keys_exit_2_as_unknown(tmp_path, capsys, command, key, keys):
+    # the keys of the knobs that went with the Gauss-Hermite rule and with
+    # verify's fixed trace-moment oracle
+    cfg = write_cfg(tmp_path, "k.cfg", **keys)
+    assert main([command, cfg]) == 2
     assert f"unknown config key(s): {key}" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.json"))
 
@@ -532,7 +544,6 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
         ("limit-law", {"a": 1, "nu": 2, "gamma": 0.5, "density_points": MAX_DENSITY_POINTS + 1}),
         ("verify", {"l_max": 2, "d_max": 1, "scaling_ns": "10,1000",
                     "scaling_trials": cli_module.MAX_SCALING_ENTRIES // 1000 + 1}),
-        ("verify", {"l_max": 2, "d_max": 1, "trace_trials": cli_module.MAX_TRACE_TRIALS + 1}),
         ("project-kernel", {"kernel": "h1", "degree": MAX_DEGREE + 1}),
         ("sparse-pca-sweep", {"n": 50, "taus": f"0.5:4.0:{cli_module.MAX_LIST_ENTRIES + 1}"}),
         ("verify", {"l_max": 2, "d_max": 1,
@@ -542,7 +553,7 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
         ("sparse-pca-sweep", {"n": 4, "taus": "1.0,2.0", "trials": sparse_pca.MAX_SWEEP_CELLS // 2 + 1}),
     ],
     ids=["simulate-n", "sweep-n", "sweep-n-past-float", "density-points", "scaling-entries",
-         "trace-trials", "projection-degree", "sweep-taus", "scaling-ns",
+         "projection-degree", "sweep-taus", "scaling-ns",
          "simulate-trials", "sweep-trials"],
 )
 def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys, command, keys):
@@ -553,7 +564,7 @@ def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, cap
 
     for module, names in (
         (cli_module, ("sample_data", "moment", "support", "density", "enumerate_multilabelings",
-                      "decompose_hermite_sum", "sample_trace_moment", "project_kernel")),
+                      "decompose_hermite_sum", "project_kernel")),
         (sparse_pca, ("sample_data", "sample_spiked_data")),
     ):
         for name in names:
@@ -648,28 +659,24 @@ def test_sweep_command(tmp_path):
     assert payload["sparsity"] == math.floor(0.3 * math.sqrt(150))
 
 
+@pytest.mark.parametrize("lam, trials", [(1e300, 1), (1e200, 2)])
+def test_sweep_with_an_overflowing_lambda_max_exits_2(tmp_path, capsys, lam, trials):
+    # |M v|^2 overflowed in the Lanczos solve, and its inf norm passed the
+    # invariant-Krylov-space test: exit 0, with the first Ritz value, 1.5e297,
+    # as spiked_mean at lam = 1e300, and spiked_se written as inf at 1e200
+    cfg = write_cfg(tmp_path, "w.cfg", n=20, taus="1", trials=trials, lam=lam)
+    assert main(["sparse-pca-sweep", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "overflows" in err and "Traceback" not in err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
 def test_verify_command(tmp_path):
-    cfg = write_cfg(
-        tmp_path, "v.cfg", l_max=3, d_max=2, scaling_trials=25, trace_trials=4000,
-        scaling_ns="100,400",
-    )
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=3, d_max=2, scaling_trials=25, scaling_ns="100,400")
     assert main(["verify", cfg]) == 0
     payload = json.loads((tmp_path / "verify_report.json").read_text())["payload"]
     assert payload["ok"] is True
-    assert payload["trace_oracle"]["ok"] is True
     assert all(not row["violations"] for row in payload["lemma_census"])
-
-
-def test_verify_detects_injected_oracle_mismatch(tmp_path, monkeypatch, capsys):
-    import kernelspectra.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "exact_trace_moment", lambda *a, **k: 17.0)
-    cfg = write_cfg(
-        tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=10, trace_trials=2000,
-        scaling_ns="100,200",
-    )
-    assert main(["verify", cfg]) == 4
-    assert "verification" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -679,7 +686,7 @@ def test_verify_detects_injected_oracle_mismatch(tmp_path, monkeypatch, capsys):
 )
 def test_verify_without_a_scaling_fit_exits_2(tmp_path, capsys, keys):
     # with nothing to fit, the -inf fallback slope used to pass the check
-    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, trace_trials=100, **keys)
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, **keys)
     assert main(["verify", cfg]) == 2
     assert "scaling_" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
@@ -688,9 +695,7 @@ def test_verify_without_a_scaling_fit_exits_2(tmp_path, capsys, keys):
 @pytest.mark.parametrize("ns", ["-5,10", "0,100"])
 def test_verify_nonpositive_scaling_n_exits_2(tmp_path, capsys, ns):
     # a negative n used to end in numpy's "negative dimensions" ValueError
-    cfg = write_cfg(
-        tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, trace_trials=100, scaling_ns=ns
-    )
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, scaling_ns=ns)
     assert main(["verify", cfg]) == 2
     assert "scaling_ns" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
@@ -702,9 +707,7 @@ def test_verify_scaling_n_below_the_largest_d_exits_2_before_any_work(
 ):
     # the scaling decomposes n samples at d = 2, 3 and 4 and needs n >= d:
     # "2,3" used to run the census and the d = 2 fit, then exit 3
-    cfg = write_cfg(
-        tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, trace_trials=100, scaling_ns=ns
-    )
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, scaling_ns=ns)
     assert main(["verify", cfg]) == 2
     assert "scaling_ns entries must be >= 4" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
@@ -713,9 +716,7 @@ def test_verify_scaling_n_below_the_largest_d_exits_2_before_any_work(
 @pytest.mark.parametrize("ns", ["100.7,400.2", "100,inf", "nan,100"])
 def test_verify_non_integer_scaling_n_exits_2(tmp_path, capsys, ns):
     # int() used to truncate 100.7 to 100 without a word
-    cfg = write_cfg(
-        tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, trace_trials=100, scaling_ns=ns
-    )
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, scaling_ns=ns)
     assert main(["verify", cfg]) == 2
     assert "scaling_ns" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
@@ -724,10 +725,7 @@ def test_verify_non_integer_scaling_n_exits_2(tmp_path, capsys, ns):
 def test_verify_reports_an_invalid_map_image_and_exits_4(tmp_path, monkeypatch, capsys):
     # a failing image check used to raise out of the census: exit 2, no report
     monkeypatch.setattr(SimpleLabeling, "validate", lambda self: ["planted problem"])
-    cfg = write_cfg(
-        tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=10, trace_trials=2000,
-        scaling_ns="100,200",
-    )
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=10, scaling_ns="100,200")
     assert main(["verify", cfg]) == 4
     assert "verification" in capsys.readouterr().err
     payload = json.loads((tmp_path / "verify_report.json").read_text())["payload"]
@@ -754,7 +752,7 @@ def test_verify_census_bounds_fail_before_any_work(tmp_path, monkeypatch, capsys
     def no_work(*args, **kwargs):
         raise AssertionError("started work on a census out of bounds")
 
-    for name in ("enumerate_multilabelings", "decompose_hermite_sum", "sample_trace_moment"):
+    for name in ("enumerate_multilabelings", "decompose_hermite_sum"):
         monkeypatch.setattr(cli_module, name, no_work)
     cfg = write_cfg(tmp_path, "v.cfg", **{"l_max": 2, "d_max": 1, **keys})
     assert main(["verify", cfg]) == code
@@ -771,7 +769,7 @@ def test_verify_census_past_the_state_cap_exits_3_before_any_lemma_check(tmp_pat
 
     monkeypatch.setattr(lgraphs, "STATE_CAP", 1000)
     monkeypatch.setattr(cli_module, "verify_lemmas", no_check)
-    cfg = write_cfg(tmp_path, "v.cfg", l_max=5, d_max=3, scaling_trials=5, trace_trials=100)
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=5, d_max=3, scaling_trials=5)
     assert main(["verify", cfg]) == 3
     assert not (tmp_path / "verify_report.json").exists()
 
@@ -800,17 +798,6 @@ def test_verify_census_deeper_than_the_recursion_limit_exits_0(tmp_path, capsys)
     assert sum(census[0]["classes_by_max_tuple_size"]) == 2000
 
 
-@pytest.mark.parametrize("trace_trials", [0, 1])
-def test_verify_too_few_trace_trials_exits_2(tmp_path, capsys, trace_trials):
-    # one trial has no standard error: the oracle summary used to read NaN
-    cfg = write_cfg(
-        tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, trace_trials=trace_trials
-    )
-    assert main(["verify", cfg]) == 2
-    assert "trace_trials" in capsys.readouterr().err
-    assert not (tmp_path / "verify_report.json").exists()
-
-
 def test_verify_defaults_pass_on_a_seed_that_100_scaling_trials_failed(tmp_path):
     # at scaling_trials = 100 this seed's d = 3 remainder slope was -0.795,
     # over the -0.8 limit, though the true slope is -1
@@ -827,9 +814,11 @@ def test_verify_defaults_pass_on_a_seed_that_100_scaling_trials_failed(tmp_path)
 # went from one entry per (l, d) with every class record to one entry per
 # l with class counts and a key digest: only lemma_census moved, as
 # VERIFY_CHECKS_SHA256 below shows, and its violation lists stayed empty.
+# Re-recorded with VERIFY_CHECKS_SHA256 when the payload lost its
+# trace_oracle entry: every other byte is the earlier payload's.
 VERIFY_PAYLOAD_SHA256 = {
-    0: "b44f808c400e980bed50c5f54d3d94a08de95cecf96b90bae3b4d0cfb3c3306e",
-    7: "2e83faf6e3c0c3bb5ff6fb077ff1ffea85b1de64038b25af1ad6962494bafd1e",
+    0: "35741f3b4c6a9a52287b5f6886e17cbd765f2573440b624d6ca84008928a069d",
+    7: "27dd59442c499bb8a27b90b84fa52d3cda85550229a07d93e9bac892f3746b11",
 }
 
 
@@ -842,11 +831,11 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_PAYLOAD_SHA256[seed]
 
 
-# the same payload hash without lemma_census: the remainder-scaling fit,
-# the trace oracle and ok, whatever form the census report takes
+# the same payload hash without lemma_census: the remainder-scaling fit
+# and ok, whatever form the census report takes
 VERIFY_CHECKS_SHA256 = {
-    0: "0f242000bc14bb0f5d3450d1b41f95ab9c0139e979abf0c933ed7f51625d7b1a",
-    7: "b2f68f9b37cc135fc6ecbe72e36af0c2857b5294f8988697c79f4435f1364b82",
+    0: "5670c2fab9a1afc3caf233865f4c8aa5e6df8d1b3ce7d30fe9900c81f5446bea",
+    7: "22dff6d8649eba5907bb9eb24968ab3c98ce51e2880199881af87f21045f417d",
 }
 
 
@@ -922,6 +911,9 @@ def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
 # the sweep's prediction column moved by -3.1e-4, +6.9e-5 and -3.8e-6 at
 # tau = 1, 2 and 3, the rule's bias on the C^1 threshold kernel, and
 # max_null_gap by -6.9e-5.  No eigenvalue and no null or spiked column moved.
+# verify's report was re-recorded when it lost its trace_oracle entry, the
+# fixed Monte Carlo check of the exact trace moment at (l, n, p) = (2, 6, 6);
+# every other byte of the file stayed.
 # A change to derive_rng's stream paths changes these bytes and must say
 # so.  Each key is the command, or the command and a label after a "/".
 CLI_OUTPUT_SHA256 = {
@@ -958,7 +950,7 @@ CLI_OUTPUT_SHA256 = {
     "verify": (
         {"l_max": 5, "d_max": 3},
         {
-            "verify_report.json": "b535bbd3956339be2ea8cf35e30104596b91ba02b2c6b9419f36e9c71f8fc328",
+            "verify_report.json": "58f664a6d00c06258db16abab5d4e926a34c39616abb4dd74bdd56a1a0ade5ab",
         },
     ),
 }
@@ -1021,7 +1013,7 @@ def no_work(monkeypatch):
     "command, keys",
     [
         ("simulate", {"kernel": "h1", "n": 20, "p": 20}),
-        ("verify", {"l_max": 6, "d_max": 3, "scaling_trials": 5, "trace_trials": 100}),
+        ("verify", {"l_max": 6, "d_max": 3, "scaling_trials": 5}),
         ("sparse-pca-sweep", {"n": 20, "taus": "1.0", "trials": 1}),
     ],
 )
@@ -1061,7 +1053,7 @@ def test_rng_streams_of_every_command_are_distinct(tmp_path, monkeypatch):
     runs = [
         ("simulate", "trials", {"kernel": "h2+h3", "n": 6, "p": 5}),
         ("sparse-pca-sweep", "trials", {"n": 6, "taus": "0.5,2.0"}),
-        ("verify", "scaling_trials", {"l_max": 2, "d_max": 1, "scaling_ns": "4,8", "trace_trials": 2}),
+        ("verify", "scaling_trials", {"l_max": 2, "d_max": 1, "scaling_ns": "4,8"}),
     ]
     for command, trials_key, keys in runs:
         for seed, trials in itertools.product(seeds, (1, 2, 3)):
@@ -1121,8 +1113,7 @@ def test_no_command_imports_scipy(tmp_path):
         "simulate": {"kernel": "h1+0.5*h2", "n": 30, "p": 20},
         "project-kernel": {"kernel": "soft_threshold(1.5)", "degree": 6},
         "limit-law": {"a": 1, "nu": 2, "gamma": 0.5, "density_points": 101, "moments_lmax": 3},
-        "verify": {"l_max": 3, "d_max": 2, "scaling_trials": 25, "trace_trials": 4000,
-                   "scaling_ns": "100,400"},
+        "verify": {"l_max": 3, "d_max": 2, "scaling_trials": 25, "scaling_ns": "100,400"},
     }
     runs = [[command, write_cfg(tmp_path, f"{command}.cfg", **keys)] for command, keys in configs.items()]
     script = (
@@ -1160,7 +1151,7 @@ def test_public_surface_is_pinned():
         "SpikedModelConfig", "SupportIntervals", "SweepResult", "ThresholdFunction",
         "VerificationError", "build_kernel_matrix", "build_quadrature", "cdf", "cubic",
         "decompose_hermite_sum", "density", "enumerate_multilabelings", "errors",
-        "exact_trace_moment", "free_cumulants", "hermite", "hermite_eval", "hermite_sum_kernel",
+        "free_cumulants", "hermite", "hermite_eval", "hermite_sum_kernel",
         "kernel_moments", "ks_distance", "label_simplifying_map", "lgraphs", "limit_law", "moment",
         "null_prediction", "project_kernel", "rank_two_correction", "rng", "sample_data",
         "sample_spiked_data", "simulate", "sparse_pca", "spectrum", "support", "sweep_tau",

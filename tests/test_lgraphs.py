@@ -16,12 +16,12 @@ from kernelspectra.lgraphs import (
     SimpleLabeling,
     _canonical_p_sequences,
     enumerate_multilabelings,
-    exact_trace_moment,
     first_order_matrix,
     label_simplifying_map,
     sample_trace_moment,
     verify_lemmas,
 )
+from oracles import exact_trace_moment
 
 # a labeling with 3 distinct p-labels, tuple sizes (3,3,1,1), 4 distinct
 # n-labels, and zero excess: a good pair carrying labels {1,2,3} plus two
@@ -629,14 +629,3 @@ def test_trace_moment_matches_the_sign_matrix_average(l, shape, coeffs):
 def test_sample_trace_moment_needs_two_trials(trials):
     with pytest.raises(ConfigError, match="trials"):
         sample_trace_moment(2, 4, 4, [1.0], trials=trials)
-
-
-def test_trace_moment_size_caps():
-    with pytest.raises(SizeCapError):
-        exact_trace_moment(5, 4, 4, [1.0])
-    with pytest.raises(SizeCapError):
-        exact_trace_moment(2, 7, 4, [1.0])
-    with pytest.raises(SizeCapError):
-        exact_trace_moment(2, 4, 7, [1.0])
-    with pytest.raises(SizeCapError):
-        exact_trace_moment(2, 4, 4, [1.0, 0.0, 0.0, 1.0])

@@ -175,6 +175,13 @@ def test_support_single_interval_when_gamma_at_most_one():
         nu = a * a + rng.uniform(0.01, 2.0)
         gamma = rng.uniform(0.05, 1.0)
         assert len(support(LimitLawParams(a, nu, gamma)).intervals) == 1
+    # there is no atom at -a for gamma <= 1: counting |a| = 6.6e87 for it in
+    # the root window made the window overflow, a DomainError.  The
+    # Marcenko-Pastur part is about 5.6e-32 wide, so the edges are the
+    # semicircle's, +-2 sqrt(gamma (nu - a^2)) = +-5.2574e13
+    law = LimitLawParams(-6.575849527924286e87, 3.877037770241302e265, 1.7823031552395505e-239)
+    edge = 2 * math.sqrt(law.semicircle_variance)
+    assert support(law).intervals == ((pytest.approx(-edge, rel=1e-12), pytest.approx(edge, rel=1e-12)),)
 
 
 def test_support_two_intervals_near_degeneracy():
@@ -420,8 +427,9 @@ def test_cumulants_in_range_with_powers_out_of_range():
 
 
 def test_support_window_past_double_range_is_a_domain_error():
-    # |x| < 6.6e87: bound^4 overflowed, and np.roots raised a LinAlgError
-    law = LimitLawParams(-6.575849527924286e87, 3.877037770241302e265, 1.7823031552395505e-239)
+    # |x| < 5.7e88: bound^4 overflowed, and np.roots raised a LinAlgError.
+    # At gamma = 2 the atom at -a = 6.6e87 is part of the support
+    law = LimitLawParams(-6.575849527924286e87, 2 * 6.575849527924286e87**2, 2.0)
     with pytest.raises(DomainError, match="overflows"):
         support(law)
 

@@ -13,7 +13,7 @@ import kernelspectra.simulate as sim
 from conftest import sparse_form
 from kernelspectra.errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 from kernelspectra.hermite import KernelSpec, hermite_eval
-from kernelspectra.lgraphs import exact_trace_moment, sample_trace_moment
+from kernelspectra.lgraphs import sample_trace_moment
 from kernelspectra.limit_law import LimitLawParams, cdf, support
 from kernelspectra.simulate import (
     MAX_MATRIX_SIDE,
@@ -29,7 +29,7 @@ from kernelspectra.simulate import (
     spectrum,
 )
 
-from oracles import concentration_probe, sample_deformed_model
+from oracles import concentration_probe, exact_trace_moment, sample_deformed_model
 
 
 def h3(y):
@@ -445,6 +445,15 @@ def test_top_eigenvalue_raises_when_not_converged(monkeypatch):
     monkeypatch.setattr(sim, "LANCZOS_MAX_STEPS", 5)
     with pytest.raises(ConsistencyError, match="converge"):
         sim._extreme_eigenvalue(_test_matrix("dense", 60, 1))
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_top_eigenvalue_past_double_range_raises(sparse):
+    # |m v|^2 overflowed to inf, which passed the invariance test
+    # beta <= 1e-15 |m v|, so the first Ritz value came back
+    m = 1e160 * _test_matrix("dense", 50, 1)
+    with pytest.raises(DomainError, match="overflows"):
+        sim._extreme_eigenvalue(sparse_form(m) if sparse else m)
 
 
 @pytest.mark.parametrize("p", [3, 50])

@@ -568,6 +568,16 @@ def test_sweep_rejects_empty_grid():
         sweep_tau(model, [], trials=1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", SweepResult.CSV_COLUMNS)
+def test_sweep_result_columns_must_be_finite(name, bad):
+    # only the prediction was checked: an inf spiked_se reached the CSV
+    columns = {column: np.array([1.0, 2.0]) for column in SweepResult.CSV_COLUMNS}
+    columns[name][1] = bad
+    with pytest.raises(DomainError, match=f"column {name} is not finite"):
+        SweepResult(*columns.values())
+
+
 @pytest.mark.parametrize("n, p", [(100, 50), (50, 100), (200, 200)])
 def test_sweep_null_model_has_the_spiked_models_shape(n, p, monkeypatch):
     # the sweep builds its null model from the spiked one, so the two
