@@ -39,13 +39,14 @@ from .rng import STREAM_SCALING, derive_rng
 from .simulate import (
     MAX_DATA_ENTRIES,
     DataMatrixConfig,
+    SpectrumSummary,
+    _eigvalsh_in_place,
+    _kernel_triangle,
     _mapped_empty,
-    build_kernel_matrix,
     decompose_hermite_sum,
     ks_distance,
     rank_two_correction,
     sample_data,
-    spectrum,
 )
 from .sparse_pca import SpikedModelConfig, ThresholdFunction, sweep_tau
 
@@ -366,12 +367,15 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
     trial_summaries = []
     for t in range(trials):
         # one p x p-sized array at a time, and a slab: the build gives X's
-        # pages back as it fills K, and the solve overwrites K
+        # pages back as it fills K's upper triangle, and the solve reads
+        # that triangle alone and overwrites K.  The build checked every
+        # entry for finiteness, and K is symmetric by construction, so the
+        # solve needs neither the mirror nor spectrum's checks.
         X = sample_data(data_cfg, stream=t, out=_mapped_empty((p, n), disposable=True))
         spikes = rank_two_correction(X, exp.a2, fourth_moment=data_cfg.fourth_moment)
-        K = build_kernel_matrix(X, kernel)
+        K = _kernel_triangle(X, kernel)
         del X
-        summ = spectrum(K, overwrite=True)
+        summ = SpectrumSummary(eigenvalues=_eigvalsh_in_place(K)[::-1].copy())
         del K
         eigenvalues.append(summ.eigenvalues)
         entry = {

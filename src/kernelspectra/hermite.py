@@ -10,6 +10,7 @@ h_2 = (x^2 - 1)/sqrt(2), h_3 = (x^3 - 3x)/sqrt(6).  The monic
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -22,6 +23,11 @@ from .errors import ConfigError, DomainError, QuadratureError, SizeCapError
 # Keeps a payload short, and sparse_pca's h_m(x) below 2e185 through
 # m = 247 at x <= 55.6, the largest 1.2 tau with a normal nu
 MAX_DEGREE = 250
+# Hermite sums up to this degree, the kernel registry's cap, are evaluated
+# by Horner's rule on their monomial coefficients.  Longer ones keep the
+# recurrence: He_d's monomial coefficients pass 7e12 at d = 24 and 2e251
+# at d = 250, so a monomial sum would cancel away its digits, or overflow.
+HORNER_MAX_DEGREE = 12
 # build_quadrature takes O(order^2) time: 0.72 s and 1.2 MB at this cap, 2 vCPUs
 MAX_QUAD_ORDER = 20_000
 NEWTON_TOL = math.sqrt(np.finfo(float).eps)
@@ -284,17 +290,55 @@ class KernelExpansion:
         coeffs = np.pad(self.coefficients[:degree], (0, max(0, degree - self.degree)))
         return KernelExpansion(coefficients=coeffs, nu=self.nu)
 
+    @functools.cached_property
+    def _monomials(self) -> list[float] | None:
+        """m_0..m_D with sum_d a_d h_d(x) = sum_j m_j x^j, from herme2poly of
+        a_d / sqrt(d!), or None for the zero sum, past HORNER_MAX_DEGREE or
+        where an m_j is not finite."""
+        coeffs = np.trim_zeros(self.coefficients, "b")
+        if not 0 < len(coeffs) <= HORNER_MAX_DEGREE:
+            return None
+        scale = [math.sqrt(math.factorial(d)) for d in range(1, len(coeffs) + 1)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mono = np.polynomial.hermite_e.herme2poly(np.concatenate([[0.0], coeffs / scale]))
+        return mono.tolist() if np.isfinite(mono).all() else None
+
     def __call__(self, x):
+        """sum_d a_d h_d(x): _horner's value up to HORNER_MAX_DEGREE where it
+        is finite, else _swept's, which stays finite where the monomials
+        overflow."""
+        x = np.asarray(x, dtype=float)
+        out = self._horner(x)
+        if out is None or not np.isfinite(out).all():
+            out = self._swept(x)
+        return out if out.ndim else float(out)
+
+    def _horner(self, x: np.ndarray) -> np.ndarray | None:
+        """Horner's rule on the monomial coefficients (_monomials), two array
+        passes a degree, or None without them.  Within gamma_{2D} sum_j |m_j|
+        |x|^j of the exact monomial sum of degree D, gamma_k = k u / (1 - k
+        u), u = 2^-53; overflow gives inf or NaN, not a warning."""
+        mono = self._monomials
+        if mono is None:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.multiply(x, mono[-1])
+            out += mono[-2]
+            for m in reversed(mono[:-2]):
+                out *= x
+                out += m
+        return out
+
+    def _swept(self, x: np.ndarray) -> np.ndarray:
         """sum_d a_d h_d(x), accumulated in increasing d during one sweep of
         the recurrence up to the last nonzero coefficient."""
-        x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         term = np.empty_like(x)
         coeffs = np.trim_zeros(self.coefficients, "b")
         for c, h in zip(coeffs, islice(_hermite_sweep(x, len(coeffs), scratch=term), 1, None)):
             if c != 0.0:
                 out += np.multiply(c, h, out=term)
-        return out if out.ndim else float(out)
+        return out
 
 
 @dataclass(frozen=True)

@@ -167,8 +167,9 @@ def sample_data(
 
 # Rows per block in the blocked passes over X and over a p x p matrix: the
 # Gram slabs of the kernel-matrix build (where a tail of fewer than half as
-# many rows joins the last slab), the mirror pass and spectrum's check.
-# The check's two temporaries of this many rows sit beside K at the solve.
+# many rows joins the last slab), the full kernel matrix's mirror pass and
+# spectrum's check, whose two temporaries of this many rows are freed
+# before its solve.
 _SLAB_ROWS = 128
 # Gram entries per kernel tile: the Hermite sweep's buffers for one tile
 # stay in cache (8192 and 131072 were slower at n = p = 2000).
@@ -237,6 +238,15 @@ def _upper_mask(rows: int) -> np.ndarray:
     return mask
 
 
+def _non_finite_error(g: np.ndarray) -> ConfigError:
+    """The error for a non-finite kernel value computed from the scaled
+    Gram entries g: it names the Gram where g itself is not finite (an
+    entry of X X^T overflowed), and the kernel matrix otherwise."""
+    if np.isfinite(g).all():
+        return ConfigError("kernel matrix contains non-finite entries")
+    return ConfigError("the Gram matrix X X^T / sqrt(n) of the data contains non-finite entries")
+
+
 def _kernel_tiles(g: np.ndarray, kernel, n: int, out: np.ndarray) -> np.ndarray:
     """k(g) / sqrt(n) entrywise on the upper triangle of a scaled Gram g of
     n samples, or of a slab of one whose diagonal starts at g[0, 0],
@@ -245,16 +255,17 @@ def _kernel_tiles(g: np.ndarray, kernel, n: int, out: np.ndarray) -> np.ndarray:
     is left as it was.  The kernel runs on row slabs g[i0:i1, i0:] of about
     _TILE_ENTRIES entries, so it also sees the part of each slab's diagonal
     block below the diagonal, and a reader of out needs g's upper triangle
-    only.  A non-finite kernel value in a slab raises ConfigError.  Each
-    tile's quotient is written into out, never into the kernel's result, so
-    a kernel that returns its input or a view of it leaves g intact when
-    out is a separate buffer; when out is g, numpy buffers the overlap."""
+    only.  A non-finite kernel value in a slab raises ConfigError, which
+    names the Gram where the slab of g is itself not finite.  Each tile's
+    quotient is written into out, never into the kernel's result, so a
+    kernel that returns its input or a view of it leaves g intact when out
+    is a separate buffer; when out is g, numpy buffers the overlap."""
     s = math.sqrt(n)
     for i0, i1 in _upper_tiles(*g.shape):
         rows = i1 - i0
         vals = _eval_on(kernel, g[i0:i1, i0:])
         if not np.isfinite(vals).all():
-            raise ConfigError("kernel matrix contains non-finite entries")
+            raise _non_finite_error(g[i0:i1, i0:])
         # transposed, so that for out = g.T numpy's inner loop runs along
         # out's rows, which it writes contiguously, rather than down its
         # columns (7.8 against 9.0 ms a dense M_tau at p = 2000); numpy
@@ -304,33 +315,48 @@ def _scaled_gram_slabs(X: np.ndarray, out: np.ndarray | None = None):
     with the same bits; a disposable X goes back to the OS as they pass."""
     s = math.sqrt(X.shape[1])
     for i0, i1 in _released_slabs(X):
-        g = np.matmul(X[i0:i1], X[i0:].T, out=None if out is None else out[i0:i1, i0:])
-        g /= s
+        # an overflowing entry is reported by the kernel's finiteness check
+        with np.errstate(over="ignore"):
+            g = np.matmul(X[i0:i1], X[i0:].T, out=None if out is None else out[i0:i1, i0:])
+            g /= s
         yield i0, i1, g
 
 
-def _kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
-    """k(sqrt(n) * Sigma_hat) / sqrt(n) entrywise, exactly symmetric, the
-    diagonal included, in an array over its own mapping (_mapped_empty).
+def _kernel_triangle(X: np.ndarray, kernel, diagonal: bool = False) -> np.ndarray:
+    """The upper triangle of k(sqrt(n) * Sigma_hat) / sqrt(n), its diagonal
+    zero unless `diagonal`, in an array over its own mapping
+    (_mapped_empty) whose strict lower triangle reads as zeros.
 
     The Gram is formed in row slabs, X[i0:i1] @ X[i0:].T / sqrt(n), and
     the kernel is written from each slab straight into K[i0:i1, i0:]
-    (_kernel_tiles); the upper triangle is then mirrored into the lower
-    one.  So besides X the build holds K and one slab, and a disposable X
-    goes back to the OS as the slabs pass it (_released_slabs)."""
+    (_kernel_tiles).  So besides X the build holds K and one slab, and a
+    disposable X goes back to the OS as the slabs pass it
+    (_released_slabs).  Each slab's -0.0 entries become +0.0: LAPACK's
+    Householder reflections take the sign of a zero, so dsyevd's
+    eigenvalues depend on it."""
     p, n = X.shape
     if p > MAX_MATRIX_SIDE:
         raise SizeCapError(f"p={p} exceeds cap {MAX_MATRIX_SIDE}")
     K = _mapped_empty((p, p))
     for i0, i1, g in _scaled_gram_slabs(X):
         _kernel_tiles(g, kernel, n, out=K[i0:i1, i0:])
-    del g
+        K[i0:i1, i0:] += 0.0  # -0.0 -> +0.0
+    if not diagonal:
+        np.fill_diagonal(K, 0.0)
+    return K
+
+
+def _kernel_matrix(X: np.ndarray, kernel, diagonal: bool = True) -> np.ndarray:
+    """k(sqrt(n) * Sigma_hat) / sqrt(n) entrywise, exactly symmetric, the
+    diagonal included unless not `diagonal`: _kernel_triangle, whose upper
+    triangle is then mirrored into its lower one."""
+    K = _kernel_triangle(X, kernel, diagonal)
+    p = len(K)
     for i0 in range(0, p, _SLAB_ROWS):
         i1 = min(i0 + _SLAB_ROWS, p)
         K[i0:i1, :i0] = K[:i0, i0:i1].T
         block = K[i0:i1, i0:i1]
-        block[...] = np.triu(block) + np.triu(block, 1).T
-    K += 0.0  # -0.0 -> +0.0, as the sum of the two triangles gave
+        block += np.triu(block, 1).T  # onto the zeros below the diagonal
     return K
 
 
@@ -338,10 +364,8 @@ def build_kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
     """K(X)[i,i'] = k(sqrt(n) * Sigma_hat[i,i']) / sqrt(n) off-diagonal,
     exactly zero on the diagonal.  Built from the upper triangle so the
     result is exactly symmetric.  X is left as it was, unless it is a
-    disposable _mapped_empty array (see _kernel_matrix)."""
-    K = _kernel_matrix(X, kernel)
-    np.fill_diagonal(K, 0.0)
-    return K
+    disposable _mapped_empty array (see _kernel_triangle)."""
+    return _kernel_matrix(X, kernel, diagonal=False)
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +457,21 @@ def _lapacke_dstevr():
 
 
 def _eigvalsh_in_place(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a C-ordered float64 m, by LAPACK dsyevd
-    with JOBZ = 'N' working in m itself, which it leaves overwritten.  In
-    LAPACK's column-major order a C-ordered m is m.T, so UPLO = 'L' reads
-    m's upper triangle.  For an exactly symmetric m that is the triangle
-    np.linalg.eigvalsh reads, from its column-major copy, and the call is
-    the one it makes, so the eigenvalues have its bits.  Without the
-    LAPACKE symbol this is eigvalsh, which copies m."""
+    """Ascending eigenvalues of the symmetric matrix whose upper triangle
+    is that of a C-ordered float64 m (the lower one is not read), by
+    LAPACK dsyevd with JOBZ = 'N' working in m itself, which it leaves
+    overwritten.  In LAPACK's column-major order a C-ordered m is m.T, so
+    UPLO = 'L' reads m's upper triangle.  For an exactly symmetric m that
+    triangle holds the values np.linalg.eigvalsh reads, from its
+    column-major copy, and the call is the one it makes, so the eigenvalues
+    have its bits.  Without the LAPACKE symbol this is eigvalsh of m.T,
+    which copies m and reads the same triangle."""
+    if not (m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable
+            and m.ndim == 2 and m.shape[0] == m.shape[1]):
+        raise ConsistencyError("the in-place solve needs a writeable C-ordered square float64 array")
     dsyevd = _lapacke_dsyevd()
     if dsyevd is None:
-        return np.linalg.eigvalsh(m)
+        return np.linalg.eigvalsh(m.T)
     p = m.shape[0]
     w = np.empty(p)
     info = dsyevd(102, b"N", b"L", p, m.ctypes.data, p, w.ctypes.data)  # 102: column-major
@@ -451,21 +480,13 @@ def _eigvalsh_in_place(m: np.ndarray) -> np.ndarray:
     return w
 
 
-def spectrum(m: np.ndarray, *, overwrite: bool = False) -> SpectrumSummary:
-    """Full symmetric eigendecomposition, descending order.  A complex m
-    raises ConfigError, whatever overwrite is.
-
-    With overwrite=True a C-ordered, writeable float64 m is solved
-    in place, on its upper triangle, and left overwritten, so the solve
-    holds no copy of it; the eigenvalues are eigvalsh's when m is exactly
-    symmetric, as the kernel-matrix builder makes it.  Any other m is
-    solved by np.linalg.eigvalsh on a copy, and left as it was."""
-    m = _checked_symmetric(m)
-    if overwrite and m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable:
-        ev = _eigvalsh_in_place(m)
-    else:
-        ev = np.linalg.eigvalsh(m)
-    return SpectrumSummary(eigenvalues=ev[::-1].copy())
+def spectrum(m: np.ndarray) -> SpectrumSummary:
+    """Full symmetric eigendecomposition, descending order, of a caller's
+    matrix, after _checked_symmetric's checks: np.linalg.eigvalsh on a copy
+    of m, which is left as it was.  (The simulate command solves the kernel
+    matrix it built itself in place, on its upper triangle alone: see
+    _kernel_triangle and _eigvalsh_in_place.)"""
+    return SpectrumSummary(eigenvalues=np.linalg.eigvalsh(_checked_symmetric(m))[::-1].copy())
 
 
 # Lanczos steps allowed to one _extreme_eigenvalue solve, and so rows of

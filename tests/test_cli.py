@@ -22,7 +22,16 @@ from kernelspectra.errors import ConfigError
 from kernelspectra.hermite import MAX_DEGREE, KernelSpec, kernel_moments, project_kernel
 from kernelspectra.lgraphs import SimpleLabeling, enumerate_multilabelings
 from kernelspectra.limit_law import MAX_DENSITY_POINTS, MAX_MOMENT_ORDER, LimitLawParams, moment
-from kernelspectra.simulate import MAX_DATA_ENTRIES, MAX_MATRIX_SIDE, sample_data, spectrum
+from kernelspectra.simulate import (
+    MAX_DATA_ENTRIES,
+    MAX_MATRIX_SIDE,
+    DataMatrixConfig,
+    _eigvalsh_in_place,
+    _lapacke_dsyevd,
+    build_kernel_matrix,
+    sample_data,
+    spectrum,
+)
 
 from conftest import fresh_interpreter_env, peak_rss_after_each
 
@@ -457,17 +466,46 @@ def test_simulate_frees_x_before_the_eigensolve(tmp_path, monkeypatch):
         drawn.append(weakref.ref(X))
         return X
 
-    def solve(m, **kwargs):
+    def solve(m):
         assert drawn[-1]() is None, "X is alive at the eigensolve"
-        solves.append(kwargs)
-        return spectrum(m, **kwargs)
+        before = m.copy()
+        ev = _eigvalsh_in_place(m)
+        # the solve reads K's upper triangle; nothing mirrored it
+        solves.append((m.shape, np.array_equal(before, np.triu(before)), np.array_equal(m, before)))
+        return ev
 
     monkeypatch.setattr(cli_module, "sample_data", sample)
-    monkeypatch.setattr(cli_module, "spectrum", solve)
+    monkeypatch.setattr(cli_module, "_eigvalsh_in_place", solve)
     cfg = write_cfg(tmp_path, "s.cfg", kernel="h2+h3", n=60, p=40, trials=2)
     assert main(["simulate", cfg]) == 0
     assert len(drawn) == 2
-    assert solves == [{"overwrite": True}] * 2
+    # one solve of each trial's K, which it overwrites where LAPACKE is found
+    left_as_it_was = _lapacke_dsyevd() is None
+    assert solves == [((40, 40), True, left_as_it_was)] * 2
+
+
+@pytest.mark.parametrize(
+    "kernel, n, p",
+    [
+        ("soft_threshold(1.0)", 300, 700),
+        ("soft_threshold(1.0)", 500, 500),
+        ("soft_threshold(1.0)", 1200, 400),
+        ("h1+h3", 300, 700),
+        ("odd_poly(1,0.5)", 300, 700),
+    ],
+)
+def test_simulate_solves_the_triangle_with_the_full_matrix_bits(tmp_path, kernel, n, p):
+    # simulate solves its kernel matrix's upper triangle in place, with the
+    # bits of spectrum on the mirrored matrix, which holds no -0.0: a -0.0
+    # left in the triangle moves dsyevd's eigenvalues (soft_threshold(1.0)
+    # at n = 300, p = 700 has such entries)
+    cfg = write_cfg(tmp_path, "s.cfg", kernel=kernel, n=n, p=p, seed=3)
+    assert main(["simulate", cfg]) == 0
+    with open(tmp_path / "simulate_eigenvalues.csv") as fh:
+        got = np.loadtxt(fh, delimiter=",", skiprows=1)[:, 2]
+    K = build_kernel_matrix(sample_data(DataMatrixConfig(n=n, p=p, seed=3)), parse_kernel(kernel))
+    assert not np.signbit(K[K == 0.0]).any()
+    assert np.array_equal(got, spectrum(K).eigenvalues)
 
 
 def test_simulate_peak_grows_by_about_one_p_by_p_array(tmp_path):
@@ -668,6 +706,20 @@ def test_sweep_with_an_overflowing_lambda_max_exits_2(tmp_path, capsys, lam, tri
     assert main(["sparse-pca-sweep", cfg]) == 2
     err = capsys.readouterr().err
     assert "overflows" in err and "Traceback" not in err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
+def test_sweep_with_an_overflowing_gram_writes_one_error_line(tmp_path):
+    # numpy's "overflow encountered in matmul" warning and its source line
+    # reached stderr first, and the error blamed the kernel; run in a fresh
+    # interpreter, since pytest would capture the warning itself
+    cfg = write_cfg(tmp_path, "w.cfg", n=20, taus="1", trials=2, lam=1e308)
+    proc = subprocess.run([sys.executable, "-m", "kernelspectra.cli", "sparse-pca-sweep", cfg],
+                          env=fresh_interpreter_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "Gram" in lines[0] and "non-finite" in lines[0]
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
 
 
@@ -914,6 +966,12 @@ def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
 # verify's report was re-recorded when it lost its trace_oracle entry, the
 # fixed Monte Carlo check of the exact trace moment at (l, n, p) = (2, 6, 6);
 # every other byte of the file stayed.
+# Both simulate entries were re-recorded when Hermite sums of degree <= 12
+# came to be evaluated by Horner's rule on their monomial coefficients, in
+# place of the recurrence: 373 of each 400 eigenvalues moved, by at most
+# 4.8e-15 (Gaussian) and 2.8e-15 (Rademacher) of the largest, and with them
+# the norms and KS distances in their last bits.  Solving the kernel
+# matrix's upper triangle in place, unmirrored, moved no byte.
 # A change to derive_rng's stream paths changes these bytes and must say
 # so.  Each key is the command, or the command and a label after a "/".
 CLI_OUTPUT_SHA256 = {
@@ -929,15 +987,15 @@ CLI_OUTPUT_SHA256 = {
     "simulate": (
         {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2},
         {
-            "simulate_eigenvalues.csv": "65362b0ff84d53f58a7b816f65a1b6eeec7a018c71ef477be257bc7f767f6043",
-            "simulate_summary.json": "9e1b8e702afca62efa7518f800c6359392ebb5c0a10a2a7ee0d68c153e29e943",
+            "simulate_eigenvalues.csv": "70e85540894914f84809143115a0912cc8c83ba9da83db68d4abf65ef54518a5",
+            "simulate_summary.json": "2a96cc59ed2e575441064fddb3ca4e27aa133ff62d873b80f87a5204b50c6981",
         },
     ),
     "simulate/rademacher": (
         {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2, "law": "rademacher"},
         {
-            "simulate_eigenvalues.csv": "581df261c0da32c6faaf2653da7a9f93809132c0751543291ca5c036d8dc9f4e",
-            "simulate_summary.json": "7a1e6229f04255c920506ebac0bea41e5755ffc0d8761dcc4d209b10d5e52ced",
+            "simulate_eigenvalues.csv": "a54ffd5fc4a0a82a0566150d25952d812eea729e87dc788db73a1fb9f7bda617",
+            "simulate_summary.json": "e33c43fab0921e3d5b2785952bc3296c1abbb7a3cd20b4ecea34d74522ff95d2",
         },
     ),
     "sparse-pca-sweep": (

@@ -1,6 +1,7 @@
 import math
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from kernelspectra.cli import parse_kernel
 from kernelspectra.errors import ConfigError, SizeCapError
 from kernelspectra.hermite import (
+    HORNER_MAX_DEGREE,
     MAX_DEGREE,
     MAX_QUAD_ORDER,
     KernelExpansion,
@@ -271,12 +273,101 @@ _entries = st.floats(-20.0, 20.0, allow_nan=False)
     ),
 )
 def test_expansion_sweep_matches_per_degree_sum(coeffs, x):
-    # reference: one hermite_eval per nonzero degree, summed in increasing d
+    # reference: one hermite_eval per nonzero degree, summed in increasing d;
+    # a sum past HORNER_MAX_DEGREE is evaluated by that sweep alone
     expected = np.zeros_like(np.asarray(x, dtype=float))
     for d, c in enumerate(coeffs, start=1):
         if c != 0.0:
             expected += c * hermite_eval(d, x)
-    got = KernelExpansion(coefficients=coeffs)(x)
-    assert np.array_equal(got, expected)
+    k = KernelExpansion(coefficients=coeffs)
+    assert np.array_equal(k._swept(np.asarray(x, dtype=float)), expected)
+    got = k(x)
+    if len(np.trim_zeros(coeffs, "b")) > HORNER_MAX_DEGREE:
+        assert np.array_equal(got, expected)
     if np.ndim(x) == 0:
         assert type(got) is float
+
+
+def _exact_monomial_sum(mono, x):
+    """sum_j m_j x^j and sum_j |m_j| |x|^j, in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        terms = [mpmath.mpf(m) * mpmath.mpf(x) ** j for j, m in enumerate(mono)]
+        return mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+
+
+def _away_from_underflow(lo, hi):
+    """Floats in [lo, hi] that are 0 or at least 2^-30 in magnitude."""
+    return st.floats(lo, hi).filter(lambda v: v == 0.0 or abs(v) >= 2.0**-30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(
+        _away_from_underflow(-10.0, 10.0), min_size=1, max_size=HORNER_MAX_DEGREE
+    ).filter(any),
+    x=hnp.arrays(float, st.integers(1, 16), elements=_away_from_underflow(-8.0, 8.0)),
+)
+def test_horner_is_within_its_a_priori_bound(coeffs, x):
+    # Horner's rule on the cached monomial coefficients m_j of degree D errs
+    # by at most gamma_{2D} sum_j |m_j| |x|^j, gamma_k = k u / (1 - k u),
+    # where no product underflows
+    k = KernelExpansion(coefficients=coeffs)
+    mono = k._monomials
+    assert mono is not None and len(mono) == len(np.trim_zeros(coeffs, "b")) + 1
+    # the m_j are those of sum_d a_d He_d / sqrt(d!), He_d's integer
+    # coefficients from He_{d+1} = x He_d - d He_{d-1}
+    he = [[1], [0, 1]]
+    while len(he) < len(mono):
+        d = len(he) - 1
+        he.append([0] + he[d])  # x He_d
+        for j, c in enumerate(he[d - 1]):
+            he[-1][j] -= d * c
+    with mpmath.workdps(60):
+        exact, scale = [mpmath.mpf(0)] * len(mono), [mpmath.mpf(0)] * len(mono)
+        for d, a in enumerate(coeffs[: len(mono) - 1], start=1):
+            weight = mpmath.mpf(a) / mpmath.sqrt(math.factorial(d))
+            for j, c in enumerate(he[d]):
+                exact[j] += weight * c
+                scale[j] += abs(weight * c)
+        for m, e, sc in zip(mono, exact, scale):
+            assert abs(m - e) <= 1e-13 * sc
+    got = k(x)
+    u = 2.0**-53
+    gamma = 2 * (len(mono) - 1) * u / (1 - 2 * (len(mono) - 1) * u)
+    for xi, gi in zip(x.tolist(), got.tolist()):
+        exact, scale = _exact_monomial_sum(mono, xi)
+        assert abs(mpmath.mpf(gi) - exact) <= gamma * scale, (xi, gi)
+
+
+def test_horner_falls_back_to_the_recurrence():
+    x = np.linspace(-8.0, 8.0, 1601)
+    # m_1 = 1e308 (1 + 3 / sqrt(6)) overflows, so there is no Horner path
+    k = KernelExpansion(coefficients=[1e308, 0.0, -1e308])
+    assert k._monomials is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, swept = k(x), k._swept(x)
+    assert np.array_equal(got, swept, equal_nan=True)
+    assert np.count_nonzero(np.isfinite(got)) == 219
+    # finite monomials, but Horner overflows on 56 points the sweep keeps
+    coeffs = [5.263363882340643e298, -9.795448837990968e307, -9.301858827142853e303,
+              8.940585132305832e304, 4.697646258579759e294]
+    k = KernelExpansion(coefficients=coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        horner = np.polynomial.polynomial.polyval(x, k._monomials)
+        got, swept = k(x), k._swept(x)
+    assert k._monomials is not None
+    assert np.count_nonzero(~np.isfinite(horner) & np.isfinite(got)) == 56
+    assert np.array_equal(got, swept, equal_nan=True)
+
+
+def test_max_degree_sum_evaluates_by_the_recurrence():
+    coeffs = [1.0 / d for d in range(1, MAX_DEGREE + 1)]
+    k = hermite_sum_kernel(coeffs)
+    x = np.linspace(-8.0, 8.0, 801)
+    got = k(x)
+    assert k.evaluator._monomials is None
+    assert np.isfinite(got).all()
+    expected = np.zeros_like(x)
+    for d, c in enumerate(coeffs, start=1):
+        expected += c * hermite_eval(d, x)
+    assert np.array_equal(got, expected)

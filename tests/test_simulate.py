@@ -319,41 +319,58 @@ def test_spectrum_small_matrices():
     assert np.allclose(spectrum(np.array([[0.0, 1.0], [1.0, 0.0]])).eigenvalues, [1, -1])
 
 
-def _builder_matrix(p: int) -> np.ndarray:
+def _builder_matrix(p: int, builder=build_kernel_matrix) -> np.ndarray:
     X = sample_data(DataMatrixConfig(n=max(p, 5), p=p, seed=p))
-    return build_kernel_matrix(X, lambda y: hermite_eval(2, y) + hermite_eval(3, y))
+    return builder(X, lambda y: hermite_eval(2, y) + hermite_eval(3, y))
 
 
 @pytest.mark.parametrize("p", [2, 3, 50, 257, 600])
 def test_in_place_spectrum_matches_eigvalsh(p, monkeypatch):
+    # the simulate command's solve: dsyevd in the builder's upper triangle,
+    # with eigvalsh's bits on the mirrored matrix
     K = _builder_matrix(p)
-    want = np.linalg.eigvalsh(K)[::-1]
-    m = K.copy()
-    assert np.array_equal(spectrum(m, overwrite=True).eigenvalues, want)
+    want = np.linalg.eigvalsh(K)
+    upper = _builder_matrix(p, sim._kernel_triangle)
+    assert np.array_equal(upper, np.triu(K))
+    m = upper.copy()
+    assert np.array_equal(sim._eigvalsh_in_place(m), want)
     if sim._lapacke_dsyevd() is not None and p > 2:
-        assert not np.array_equal(m, K)  # solved in m itself
+        assert not np.array_equal(m, upper)  # solved in m itself
     # without the LAPACKE symbol the solve is eigvalsh, with the same bits
     monkeypatch.setattr(sim, "_lapacke_dsyevd", lambda: None)
-    m = K.copy()
-    assert np.array_equal(spectrum(m, overwrite=True).eigenvalues, want)
-    assert np.array_equal(m, K)
+    for full in (False, True):
+        m = (K if full else upper).copy()
+        assert np.array_equal(sim._eigvalsh_in_place(m), want)
+        assert np.array_equal(m, K if full else upper)
+
+
+def test_in_place_solve_rejects_a_layout_it_cannot_work_in():
+    # dsyevd gets a bare pointer, so anything but a writeable, C-ordered,
+    # square float64 array is refused before the call
+    K = _builder_matrix(50)
+    read_only = K.copy()
+    read_only.flags.writeable = False
+    for m in (np.asfortranarray(K), K.astype(np.float32), K[:, :49].copy(), K[::2, ::2], read_only):
+        with pytest.raises(ConsistencyError):
+            sim._eigvalsh_in_place(m)
 
 
 def test_spectrum_leaves_m_as_it_was_unless_asked():
+    # named for the removed overwrite keyword: spectrum solves a copy of
+    # any m, C- or Fortran-ordered, read-only or float32
     K = _builder_matrix(120)
     m = K.copy()
     want = spectrum(m).eigenvalues
     assert np.array_equal(m, K)
-    # Fortran order, other dtypes and read-only input are solved by
-    # eigvalsh on a copy, even when overwrite is asked for
+    assert np.array_equal(want, np.linalg.eigvalsh(K)[::-1])
     fortran = np.asfortranarray(K)
-    assert np.array_equal(spectrum(fortran, overwrite=True).eigenvalues, want)
+    assert np.array_equal(spectrum(fortran).eigenvalues, want)
     assert np.array_equal(fortran, K)
     read_only = K.copy()
     read_only.flags.writeable = False
-    assert np.array_equal(spectrum(read_only, overwrite=True).eigenvalues, want)
+    assert np.array_equal(spectrum(read_only).eigenvalues, want)
     single = K.astype(np.float32)
-    assert np.allclose(spectrum(single, overwrite=True).eigenvalues, want, atol=1e-5)
+    assert np.allclose(spectrum(single).eigenvalues, want, atol=1e-5)
     assert np.array_equal(single, K.astype(np.float32))
 
 
@@ -511,11 +528,21 @@ def test_extreme_eigenvalue_reads_the_upper_triangle_only(p, kind):
     assert abs(-sim._extreme_eigenvalue(-m) - ev[0]) <= 1e-12 * max(1.0, norm)
 
 
+def _spectrum_leaving_m(m):
+    """spectrum(m), which must leave m as it was, also when it rejects m."""
+    before = np.array(m, copy=True)
+    try:
+        return spectrum(m)
+    finally:
+        assert np.array_equal(m, before, equal_nan=True)
+
+
 # a caller reads lambda_max of its own matrix as spectrum(m).lambda_max,
-# under spectrum's checks
+# under spectrum's checks; "overwrite" is named for the removed keyword,
+# whose cases now pin that a rejected m is left as it was
 @pytest.mark.parametrize(
     "solver",
-    [spectrum, lambda m: spectrum(m).lambda_max, lambda m: spectrum(m, overwrite=True)],
+    [spectrum, lambda m: spectrum(m).lambda_max, _spectrum_leaving_m],
     ids=["spectrum", "top_eigenvalue", "overwrite"],
 )
 @pytest.mark.parametrize(
