@@ -294,14 +294,14 @@ class KernelExpansion:
     def _monomials(self) -> list[float] | None:
         """m_0..m_D with sum_d a_d h_d(x) = sum_j m_j x^j, from herme2poly of
         a_d / sqrt(d!), or None for the zero sum, past HORNER_MAX_DEGREE or
-        where an m_j is not finite."""
+        where an m_j is not finite or every a_d / sqrt(d!) underflows."""
         coeffs = np.trim_zeros(self.coefficients, "b")
         if not 0 < len(coeffs) <= HORNER_MAX_DEGREE:
             return None
         scale = [math.sqrt(math.factorial(d)) for d in range(1, len(coeffs) + 1)]
         with np.errstate(over="ignore", invalid="ignore"):
             mono = np.polynomial.hermite_e.herme2poly(np.concatenate([[0.0], coeffs / scale]))
-        return mono.tolist() if np.isfinite(mono).all() else None
+        return mono.tolist() if len(mono) > 1 and np.isfinite(mono).all() else None
 
     def __call__(self, x):
         """sum_d a_d h_d(x): _horner's value up to HORNER_MAX_DEGREE where it

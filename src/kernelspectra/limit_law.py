@@ -122,7 +122,11 @@ def stieltjes_grid(zs: np.ndarray, p: LimitLawParams) -> np.ndarray:
     m = np.empty(zs.shape, dtype=complex)
     flat_z, flat_m = zs.reshape(-1), m.reshape(-1)
     for i0 in range(0, flat_z.size, _GRID_BLOCK):
-        roots = solve_cubic_many(*_cubic_coefficients(flat_z[i0:i0 + _GRID_BLOCK], p))
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = _cubic_coefficients(flat_z[i0:i0 + _GRID_BLOCK], p)
+        if not all(np.isfinite(c).all() for c in coeffs):
+            raise DomainError(f"the cubic in m(z) of {p} overflows double precision on this grid")
+        roots = solve_cubic_many(*coeffs)
         pick = np.argmax(roots.imag, axis=0)
         flat_m[i0:i0 + _GRID_BLOCK] = np.take_along_axis(roots, pick[None, :], axis=0)[0]
     if not np.all(m.imag > 0):
@@ -160,11 +164,14 @@ def cdf(p: LimitLawParams, xs: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
     has H' = m(z) = integral of dmu(t)/(t - z), and Im H(x + i*eps)/pi is
     the smoothed mass below x.  m stays in the upper half-plane and
     1 + a*g*m off the negative axis, so the principal logs are continuous
-    along the line, and Im H -> 0 as x -> -inf.
+    along the line, and Im H -> 0 as x -> -inf; a non-finite Im H raises.
     """
     zs, m = _stieltjes_line(p, xs, epsilon)
     g, c = p.gamma, p.semicircle_variance
-    h = zs * m + np.log(m) + p.a * m - np.log1p(p.a * g * m) / g + 0.5 * c * m * m
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = zs * m + np.log(m) + p.a * m - np.log1p(p.a * g * m) / g + 0.5 * c * m * m
+    if not np.all(np.isfinite(h.imag)):
+        raise DomainError(f"the CDF of {p} is not finite in double precision")
     return h.imag / np.pi
 
 

@@ -737,6 +737,17 @@ def decompose_hermite_sum(z: Sequence[float] | np.ndarray, d: int) -> HermiteSum
     return HermiteSumDecomposition(d=d, q=q, r=r, s=s, h_value=h_value)
 
 
+def remainder_variance(d: int, n: int) -> float:
+    """E[s^2] of decompose_hermite_sum(z, d), n >= d iid standard normal z,
+    rounded once from integers: 1 - E[q^2] - E[r^2], as the parts of h_d(S)
+    for the index-multiplicity patterns of d are orthogonal.  q is 1^d, with
+    E[q^2] = d! C(n, d)/n^d, and r is 2 1^(d-2), with E[r^2] = (d!/2) n
+    C(n-1, d-2)/n^d: 0 for d <= 2, 1/n^2 at d = 3, (7n^2 - 6n)/n^4 at d = 4."""
+    q = math.factorial(d) * math.comb(n, d)
+    r = math.factorial(d) // 2 * n * math.comb(n - 1, d - 2) if d >= 2 else 0
+    return (n**d - q - r) / n**d
+
+
 # ---------------------------------------------------------------------------
 # rank-two spike correction
 

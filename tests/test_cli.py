@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -29,6 +30,8 @@ from kernelspectra.simulate import (
     _eigvalsh_in_place,
     _lapacke_dsyevd,
     build_kernel_matrix,
+    decompose_hermite_sum,
+    remainder_variance,
     sample_data,
     spectrum,
 )
@@ -42,6 +45,14 @@ def pinned_outputs(tmp_path, monkeypatch):
     monkeypatch.setenv("KERNELSPECTRA_OUT_DIR", str(tmp_path))
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     return tmp_path
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 JSON lacks."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON number {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def write_cfg(tmp_path, name, **kv):
@@ -151,12 +162,13 @@ def test_no_command_builds_a_quadrature(tmp_path, monkeypatch):
     "command, key, keys",
     [("project-kernel", "order", {"kernel": "h1", "order": 200}),
      ("project-kernel", "center", {"kernel": "h1", "center": "false"}),
-     ("verify", "trace_trials", {"l_max": 2, "d_max": 1, "trace_trials": 100})],
-    ids=["order", "center", "trace_trials"],
+     ("verify", "trace_trials", {"l_max": 2, "d_max": 1, "trace_trials": 100}),
+     ("verify", "scaling_ns", {"l_max": 2, "d_max": 1, "scaling_ns": "100,400"})],
+    ids=["order", "center", "trace_trials", "scaling_ns"],
 )
 def test_quadrature_keys_exit_2_as_unknown(tmp_path, capsys, command, key, keys):
-    # the keys of the knobs that went with the Gauss-Hermite rule and with
-    # verify's fixed trace-moment oracle
+    # the keys of the knobs that went with the Gauss-Hermite rule, with
+    # verify's fixed trace-moment oracle and with its remainder-slope fit
     cfg = write_cfg(tmp_path, "k.cfg", **keys)
     assert main([command, cfg]) == 2
     assert f"unknown config key(s): {key}" in capsys.readouterr().err
@@ -355,6 +367,29 @@ def test_limit_law_mass_of_a_narrow_law(tmp_path, a, nu, gamma):
     assert payload["density_mass"] == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize(
+    "command, keys, words",
+    [
+        ("limit-law", {"a": -2.5, "nu": 7, "gamma": 3, "epsilon": 1e308}, "cubic in m(z)"),
+        ("limit-law", {"a": 1, "nu": 2, "gamma": 1e-310}, "CDF"),
+        ("sparse-pca-sweep", {"n": 20, "taus": "inf:1:3"}, "'taus' needs finite lo:hi ends, got 'inf:1:3'"),
+    ],
+    ids=["limit-law-epsilon-1e308", "limit-law-gamma-1e-310", "sweep-taus-inf-end"],
+)
+def test_non_finite_intermediates_exit_2_with_one_error_line(tmp_path, command, keys, words):
+    # these ended in a LinAlgError traceback from the cubic solver; in exit
+    # 0 with "density_mass": NaN after two RuntimeWarnings; and in two numpy
+    # RuntimeWarnings from linspace before "got nan".  Run in a fresh
+    # interpreter, since pytest would capture the warnings itself
+    cfg = write_cfg(tmp_path, "c.cfg", **keys)
+    proc = subprocess.run([sys.executable, "-m", "kernelspectra.cli", command, cfg],
+                          env=fresh_interpreter_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and words in lines[0], proc.stderr
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
 def test_limit_law_discriminant_overflow_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "l.cfg", a=1, nu=1e103, gamma=1, moments_lmax=1)
     assert main(["limit-law", cfg]) == 2
@@ -403,6 +438,15 @@ def test_simulate_scaled_odd_kernel_no_spikes(tmp_path, kernel):
     assert payload["a2"] == 0.0
     trial = payload["trials"][0]
     assert trial["spike_locations"] == [] and trial["spike_empirical"] == []
+
+
+def test_simulate_with_an_underflowing_kernel_exits_0(tmp_path):
+    # a_3 / sqrt(3!) underflows to 0, and herme2poly's monomials [0.] ended
+    # in an IndexError traceback from Horner's rule
+    cfg = write_cfg(tmp_path, "s.cfg", kernel="-5e-324*h3", n=4, p=2)
+    assert main(["simulate", cfg]) == 0
+    payload = strict_json((tmp_path / "simulate_summary.json").read_text())["payload"]
+    assert payload["mean_spectral_norm"] == 0.0
 
 
 def test_simulate_rejects_a_degree_key(tmp_path, capsys):
@@ -580,18 +624,16 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
         ("sparse-pca-sweep", {"n": MAX_DATA_ENTRIES // 2 + 1, "p": 2, "taus": "1.0"}),
         ("sparse-pca-sweep", {"n": 10**400, "taus": "1.0"}),
         ("limit-law", {"a": 1, "nu": 2, "gamma": 0.5, "density_points": MAX_DENSITY_POINTS + 1}),
-        ("verify", {"l_max": 2, "d_max": 1, "scaling_ns": "10,1000",
-                    "scaling_trials": cli_module.MAX_SCALING_ENTRIES // 1000 + 1}),
+        ("verify", {"l_max": 2, "d_max": 1,
+                    "scaling_trials": cli_module.MAX_SCALING_ENTRIES // cli_module.SCALING_NS[-1] + 1}),
         ("project-kernel", {"kernel": "h1", "degree": MAX_DEGREE + 1}),
         ("sparse-pca-sweep", {"n": 50, "taus": f"0.5:4.0:{cli_module.MAX_LIST_ENTRIES + 1}"}),
-        ("verify", {"l_max": 2, "d_max": 1,
-                    "scaling_ns": f"10:1000:{cli_module.MAX_LIST_ENTRIES + 1}"}),
         ("simulate", {"kernel": "h1", "n": 4, "p": 4,
                       "trials": cli_module.MAX_SPECTRUM_ENTRIES // 4 + 1}),
         ("sparse-pca-sweep", {"n": 4, "taus": "1.0,2.0", "trials": sparse_pca.MAX_SWEEP_CELLS // 2 + 1}),
     ],
     ids=["simulate-n", "sweep-n", "sweep-n-past-float", "density-points", "scaling-entries",
-         "projection-degree", "sweep-taus", "scaling-ns",
+         "projection-degree", "sweep-taus",
          "simulate-trials", "sweep-trials"],
 )
 def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys, command, keys):
@@ -724,60 +766,26 @@ def test_sweep_with_an_overflowing_gram_writes_one_error_line(tmp_path):
 
 
 def test_verify_command(tmp_path):
-    cfg = write_cfg(tmp_path, "v.cfg", l_max=3, d_max=2, scaling_trials=25, scaling_ns="100,400")
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=3, d_max=2, scaling_trials=25)
     assert main(["verify", cfg]) == 0
     payload = json.loads((tmp_path / "verify_report.json").read_text())["payload"]
     assert payload["ok"] is True
     assert all(not row["violations"] for row in payload["lemma_census"])
 
 
-@pytest.mark.parametrize(
-    "keys",
-    [{"scaling_trials": 0}, {"scaling_ns": "100"}, {"scaling_ns": "100,100"}],
-    ids=["no-trials", "one-n", "repeated-n"],
-)
+@pytest.mark.parametrize("keys", [{"scaling_trials": 0}], ids=["no-trials"])
 def test_verify_without_a_scaling_fit_exits_2(tmp_path, capsys, keys):
-    # with nothing to fit, the -inf fallback slope used to pass the check
+    # with no trials there is no remainder to check, and nothing would fail
     cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, **keys)
     assert main(["verify", cfg]) == 2
-    assert "scaling_" in capsys.readouterr().err
-    assert not (tmp_path / "verify_report.json").exists()
-
-
-@pytest.mark.parametrize("ns", ["-5,10", "0,100"])
-def test_verify_nonpositive_scaling_n_exits_2(tmp_path, capsys, ns):
-    # a negative n used to end in numpy's "negative dimensions" ValueError
-    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, scaling_ns=ns)
-    assert main(["verify", cfg]) == 2
-    assert "scaling_ns" in capsys.readouterr().err
-    assert not (tmp_path / "verify_report.json").exists()
-
-
-@pytest.mark.parametrize("ns", ["2,3", "3,100"])
-def test_verify_scaling_n_below_the_largest_d_exits_2_before_any_work(
-    tmp_path, capsys, no_work, ns
-):
-    # the scaling decomposes n samples at d = 2, 3 and 4 and needs n >= d:
-    # "2,3" used to run the census and the d = 2 fit, then exit 3
-    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, scaling_ns=ns)
-    assert main(["verify", cfg]) == 2
-    assert "scaling_ns entries must be >= 4" in capsys.readouterr().err
-    assert not (tmp_path / "verify_report.json").exists()
-
-
-@pytest.mark.parametrize("ns", ["100.7,400.2", "100,inf", "nan,100"])
-def test_verify_non_integer_scaling_n_exits_2(tmp_path, capsys, ns):
-    # int() used to truncate 100.7 to 100 without a word
-    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5, scaling_ns=ns)
-    assert main(["verify", cfg]) == 2
-    assert "scaling_ns" in capsys.readouterr().err
+    assert "scaling_trials" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
 
 
 def test_verify_reports_an_invalid_map_image_and_exits_4(tmp_path, monkeypatch, capsys):
     # a failing image check used to raise out of the census: exit 2, no report
     monkeypatch.setattr(SimpleLabeling, "validate", lambda self: ["planted problem"])
-    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=10, scaling_ns="100,200")
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=10)
     assert main(["verify", cfg]) == 4
     assert "verification" in capsys.readouterr().err
     payload = json.loads((tmp_path / "verify_report.json").read_text())["payload"]
@@ -852,13 +860,47 @@ def test_verify_census_deeper_than_the_recursion_limit_exits_0(tmp_path, capsys)
 
 def test_verify_defaults_pass_on_a_seed_that_100_scaling_trials_failed(tmp_path):
     # at scaling_trials = 100 this seed's d = 3 remainder slope was -0.795,
-    # over the -0.8 limit, though the true slope is -1
+    # over the -0.8 limit of the slope fit, though the true slope is -1; at
+    # d = 2 that fit wrote -Infinity
     cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1)
     assert main(["verify", cfg, "--set", "seed=1949364979"]) == 0
-    payload = json.loads((tmp_path / "verify_report.json").read_text())["payload"]
+    payload = strict_json((tmp_path / "verify_report.json").read_text())["payload"]
     assert payload["ok"] is True
-    assert [row["d"] for row in payload["remainder_scaling"]] == [2, 3, 4]
-    assert all(row["slope"] <= -0.8 for row in payload["remainder_scaling"])
+    rows = payload["remainder_scaling"]
+    assert [row["d"] for row in rows] == [2, 3, 4]
+    for row in rows:
+        assert set(row) == {"d", "n", "mean_s2", "exact_s2"} and row["n"] == [100, 400, 1600]
+        assert row["exact_s2"] == [remainder_variance(row["d"], n) for n in row["n"]]
+    assert max(rows[0]["mean_s2"]) < cli_module.ZERO_REMAINDER_TOL**2
+    assert all(0 < m <= e * (1 + cli_module.REMAINDER_K / math.sqrt(200))
+               for row in rows[1:] for m, e in zip(row["mean_s2"], row["exact_s2"]))
+
+
+@pytest.mark.parametrize("trials", [5, 200])
+def test_verify_exits_4_when_r_is_half_its_size(tmp_path, monkeypatch, capsys, trials):
+    # s + r/2 in place of s at d = 3, 4 (at d = 2 the zero-remainder check
+    # would catch it alone): its mean square exceeds E[s^2] by E[r^2]/4, and
+    # on each of 10000 seeds measured some cell passed the bound
+    def half_r(z, d):
+        dec = decompose_hermite_sum(z, d)
+        return dataclasses.replace(dec, r=dec.r / 2, s=dec.s + dec.r / 2) if d > 2 else dec
+
+    monkeypatch.setattr(cli_module, "decompose_hermite_sum", half_r)
+    for seed in range(3):
+        cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=trials, seed=seed)
+        assert main(["verify", cfg]) == 4
+    assert "verification" in capsys.readouterr().err
+
+
+def test_verify_exits_4_on_a_d2_remainder_past_rounding(tmp_path, monkeypatch):
+    # E[s^2] = 0 at d = 2, so any |s| past rounding fails, however small
+    def shifted(z, d):
+        dec = decompose_hermite_sum(z, d)
+        return dataclasses.replace(dec, s=dec.s + (10 * cli_module.ZERO_REMAINDER_TOL if d == 2 else 0.0))
+
+    monkeypatch.setattr(cli_module, "decompose_hermite_sum", shifted)
+    cfg = write_cfg(tmp_path, "v.cfg", l_max=2, d_max=1, scaling_trials=5)
+    assert main(["verify", cfg]) == 4
 
 
 # sha256 of json.dumps(payload, indent=2, sort_keys=True) for verify at
@@ -868,9 +910,12 @@ def test_verify_defaults_pass_on_a_seed_that_100_scaling_trials_failed(tmp_path)
 # VERIFY_CHECKS_SHA256 below shows, and its violation lists stayed empty.
 # Re-recorded with VERIFY_CHECKS_SHA256 when the payload lost its
 # trace_oracle entry: every other byte is the earlier payload's.
+# Re-recorded with VERIFY_CHECKS_SHA256 when remainder_scaling went from a
+# log-log slope of median |s| to mean s^2 beside the exact E[s^2] per n, on
+# the same draws; lemma_census kept its bytes.
 VERIFY_PAYLOAD_SHA256 = {
-    0: "35741f3b4c6a9a52287b5f6886e17cbd765f2573440b624d6ca84008928a069d",
-    7: "27dd59442c499bb8a27b90b84fa52d3cda85550229a07d93e9bac892f3746b11",
+    0: "b415f5a385f28d85479330b28e29eecb208a86fcc9829e08e6aeb58f99a02cce",
+    7: "a7413d6a935bdad7e261ee615480c482c33cfeaccf2ff5c278bac261244e2b5e",
 }
 
 
@@ -878,16 +923,16 @@ VERIFY_PAYLOAD_SHA256 = {
 def test_verify_payload_matches_golden_hash(tmp_path, seed):
     cfg = write_cfg(tmp_path, "v.cfg", l_max=5, d_max=3, scaling_trials=200, seed=seed)
     assert main(["verify", cfg]) == 0
-    payload = json.loads((tmp_path / "verify_report.json").read_text())["payload"]
+    payload = strict_json((tmp_path / "verify_report.json").read_text())["payload"]
     text = json.dumps(payload, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_PAYLOAD_SHA256[seed]
 
 
-# the same payload hash without lemma_census: the remainder-scaling fit
-# and ok, whatever form the census report takes
+# the same payload hash without lemma_census: the remainder check and ok,
+# whatever form the census report takes
 VERIFY_CHECKS_SHA256 = {
-    0: "5670c2fab9a1afc3caf233865f4c8aa5e6df8d1b3ce7d30fe9900c81f5446bea",
-    7: "22dff6d8649eba5907bb9eb24968ab3c98ce51e2880199881af87f21045f417d",
+    0: "c66e4960d7e6f3a1e61c9dfc176448c53193571eb34e691bee366581651141c7",
+    7: "3c2c5d9154978fbb4d7713b78c8ac075673be893cf5ca0725673a4bb75eb5308",
 }
 
 
@@ -966,6 +1011,9 @@ def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
 # verify's report was re-recorded when it lost its trace_oracle entry, the
 # fixed Monte Carlo check of the exact trace moment at (l, n, p) = (2, 6, 6);
 # every other byte of the file stayed.
+# verify's report was re-recorded when remainder_scaling went from a slope
+# fit of median |s| (with "slope": -Infinity at d = 2) to mean s^2 beside
+# the exact E[s^2] per n, on the same draws; lemma_census kept its bytes.
 # Both simulate entries were re-recorded when Hermite sums of degree <= 12
 # came to be evaluated by Horner's rule on their monomial coefficients, in
 # place of the recurrence: 373 of each 400 eigenvalues moved, by at most
@@ -1008,7 +1056,7 @@ CLI_OUTPUT_SHA256 = {
     "verify": (
         {"l_max": 5, "d_max": 3},
         {
-            "verify_report.json": "58f664a6d00c06258db16abab5d4e926a34c39616abb4dd74bdd56a1a0ade5ab",
+            "verify_report.json": "fa97dd1de667722d8f8950d9c2b00d775797f8bb58ac81247853714e772a66b4",
         },
     ),
 }
@@ -1017,6 +1065,9 @@ CLI_OUTPUT_SHA256 = {
 @pytest.mark.parametrize("command", sorted(CLI_OUTPUT_SHA256))
 def test_cli_outputs_match_golden_hashes(tmp_path, command):
     written = _golden_outputs(tmp_path, command)
+    for name, data in written.items():  # verify's slope fit wrote -Infinity at d = 2
+        if name.endswith(".json"):
+            strict_json(data)
     assert {name: hashlib.sha256(data).hexdigest() for name, data in written.items()} == (
         CLI_OUTPUT_SHA256[command][1]
     )
@@ -1111,12 +1162,11 @@ def test_rng_streams_of_every_command_are_distinct(tmp_path, monkeypatch):
     runs = [
         ("simulate", "trials", {"kernel": "h2+h3", "n": 6, "p": 5}),
         ("sparse-pca-sweep", "trials", {"n": 6, "taus": "0.5,2.0"}),
-        ("verify", "scaling_trials", {"l_max": 2, "d_max": 1, "scaling_ns": "4,8"}),
+        ("verify", "scaling_trials", {"l_max": 2, "d_max": 1}),
     ]
     for command, trials_key, keys in runs:
         for seed, trials in itertools.product(seeds, (1, 2, 3)):
             cfg = write_cfg(tmp_path, "c.cfg", seed=seed, **{trials_key: trials}, **keys)
-            # verify's remainder slope is noisy at a few trials and may exit 4;
             # the census checks streams, not verdicts
             assert main([command, cfg]) in (0, 4)
     states = {tuple(np.random.SeedSequence(list(path)).generate_state(4)) for path in paths}
@@ -1171,7 +1221,7 @@ def test_no_command_imports_scipy(tmp_path):
         "simulate": {"kernel": "h1+0.5*h2", "n": 30, "p": 20},
         "project-kernel": {"kernel": "soft_threshold(1.5)", "degree": 6},
         "limit-law": {"a": 1, "nu": 2, "gamma": 0.5, "density_points": 101, "moments_lmax": 3},
-        "verify": {"l_max": 3, "d_max": 2, "scaling_trials": 25, "scaling_ns": "100,400"},
+        "verify": {"l_max": 3, "d_max": 2, "scaling_trials": 25},
     }
     runs = [[command, write_cfg(tmp_path, f"{command}.cfg", **keys)] for command, keys in configs.items()]
     script = (

@@ -1,6 +1,8 @@
 import itertools
 import math
 import mmap
+from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -25,6 +27,7 @@ from kernelspectra.simulate import (
     elementary_symmetric,
     ks_distance,
     rank_two_correction,
+    remainder_variance,
     sample_data,
     spectrum,
 )
@@ -687,6 +690,52 @@ def test_decomposition_scale_separation_quick():
     assert abs(slope(med["q"])) < 0.3
     assert -0.3 > slope(med["r"]) > -0.7
     assert -0.75 > slope(med["s"]) > -2.0
+
+
+def partitions(d, largest=None):
+    """The integer partitions of d, parts in non-increasing order."""
+    if d == 0:
+        yield ()
+    for k in range(min(d, largest or d), 0, -1):
+        for rest in partitions(d - k, k):
+            yield (k, *rest)
+
+
+def chaos_parts(d, n):
+    """E[part^2] for each index-multiplicity pattern lam of d in h_d(S),
+    S = sum(z)/sqrt(n): #(multisets of pattern lam) d! / (prod lam_i! n^d)."""
+    parts = {}
+    for lam in partitions(d):
+        multisets = math.perm(n, len(lam)) // math.prod(map(math.factorial, Counter(lam).values()))
+        parts[lam] = Fraction(multisets * math.factorial(d), math.prod(map(math.factorial, lam)) * n**d)
+    return parts
+
+
+@pytest.mark.parametrize("n", [6, 7, 10, 100, 1600])
+def test_remainder_variance_is_the_chaos_sum_past_q_and_r(n):
+    # each value is the exact rational, rounded once
+    assert remainder_variance(3, n) == float(Fraction(1, n**2))
+    assert remainder_variance(4, n) == float(Fraction(7 * n**2 - 6 * n, n**4))
+    for d in range(1, 7):
+        parts = chaos_parts(d, n)
+        assert sum(parts.values()) == 1  # E[h_d(S)^2]
+        q, r = parts.pop((1,) * d), parts.pop((2,) + (1,) * (d - 2), 0)
+        assert remainder_variance(d, n) == float(sum(parts.values())) == float(1 - q - r)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_decomposition_mean_squares_match_the_chaos_parts(d):
+    # the mean squares of q, r and s over 20000 draws, each within 5 of its
+    # standard errors of the exact value
+    n = 12
+    parts = chaos_parts(d, n)
+    exact = {"q": parts.pop((1,) * d), "r": parts.pop((2,) + (1,) * (d - 2), 0),
+             "s": remainder_variance(d, n)}
+    dec = decompose_hermite_sum(np.random.default_rng(60 + d).standard_normal((20000, n)), d)
+    for name, value in exact.items():
+        sq = getattr(dec, name) ** 2
+        se = sq.std() / math.sqrt(sq.size)
+        assert abs(sq.mean() - float(value)) <= 5 * se + 1e-28, (name, sq.mean(), float(value))
 
 
 def test_decomposition_size_error():
