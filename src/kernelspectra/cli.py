@@ -22,9 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, KernelSpectraError, SizeCapError, VerificationError
-from .hermite import (
-    KernelSpec, OddPolynomial, check_projection_size, hermite_sum_kernel, project_kernel,
-)
+from .hermite import KernelSpec, OddPolynomial, hermite_sum_kernel, project_kernel
 from .lgraphs import MAX_CYCLE_LEN, enumerate_multilabelings, verify_lemmas
 from .limit_law import (
     MAX_DENSITY_POINTS,
@@ -67,6 +65,13 @@ ZERO_REMAINDER_TOL = 1e-12
 # 1e7 and 2e7 entries), so 5.9 GB at this cap, about 1 GB short of a 7 GB
 # host.
 MAX_SCALING_ENTRIES = 5_900_000_000 // 25
+# verify's d_max, which STATE_CAP does not bound.  At l = 2 and 3 the class
+# of k chosen sets holds l k-tuples, and all censuses are held at once: 96 B
+# per d_max^2 (ru_maxrss at d_max = 1000 and 2000, l_max = 3).  From l = 4 on
+# a d_max past about 12 ends the walk at STATE_CAP states, of up to 2 d_max
+# sets each: 13 MB per d_max (at d_max = 80 and 160, l_max = 4, 5 or 6).
+MAX_TUPLE_SIZE = math.isqrt(5_900_000_000 // 96)
+MAX_WALK_TUPLE_SIZE = 5_900_000_000 // 13_000_000
 # Entries of a lo:hi:count list.  Parsing one holds 48 B per entry (ru_maxrss
 # at 2e6-8e6 entries), and a one-trial sweep over that many taus 390 B
 # (ru_maxrss at n = p = 4 with 8000 and 16000 taus), so 5.9 GB at this cap.
@@ -258,6 +263,8 @@ def _out_path(name: str) -> Path:
     path = Path(name)
     if base and not path.is_absolute():
         path = Path(base) / path
+    if path.is_dir():  # as the empty name is
+        raise ConfigError(f"output {name!r} names a directory, not a file")
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -293,7 +300,6 @@ def cmd_project_kernel(cfg: Config, raw: dict[str, str]) -> int:
     degree = cfg.get_int("degree", 30)
     out = cfg.get_str("out", "kernel_expansion.json")
     cfg.reject_unknown()
-    check_projection_size(degree)
 
     exp = project_kernel(kernel, degree=degree)
     payload = {
@@ -467,6 +473,9 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
         raise ConfigError(f"verify needs l_max >= 2 and d_max >= 1, got {l_max} and {d_max}")
     if l_max > MAX_CYCLE_LEN:
         raise SizeCapError(f"l_max={l_max} exceeds cap {MAX_CYCLE_LEN}")
+    d_cap = MAX_TUPLE_SIZE if l_max <= 3 else MAX_WALK_TUPLE_SIZE
+    if d_max > d_cap:
+        raise SizeCapError(f"d_max={d_max} exceeds cap {d_cap} at l_max={l_max}")
 
     ok = True
 

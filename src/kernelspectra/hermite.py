@@ -86,12 +86,6 @@ class GaussHermiteRule:
     weights: np.ndarray
 
 
-def check_projection_size(degree: int) -> None:
-    """Reject a projection degree over its cap."""
-    if degree > MAX_DEGREE:
-        raise SizeCapError(f"projection degree {degree} exceeds cap {MAX_DEGREE}")
-
-
 def _airy_zeros(k: np.ndarray) -> np.ndarray:
     """|a_k| for the k-th zero a_k of the Airy function Ai: tabulated
     through k = 10, past it the large-k expansion (error 1.5e-13 at k = 10)."""
@@ -367,7 +361,8 @@ def project_kernel(kernel, degree: int) -> KernelExpansion:
     raises ConfigError, one whose E[k^2] overflows DomainError."""
     if degree < 1:
         raise ConfigError(f"degree must be >= 1, got {degree}")
-    check_projection_size(degree)
+    if degree > MAX_DEGREE:
+        raise SizeCapError(f"projection degree {degree} exceeds cap {MAX_DEGREE}")
     kernel = getattr(kernel, "evaluator", kernel)  # a KernelSpec's own
     expand = getattr(kernel, "expansion", None)
     if expand is None:

@@ -302,14 +302,14 @@ def verify_lemmas(classes: list[MultiLabeling]) -> list[dict]:
     """Machine-check the counting lemmas over an enumerated class census.
 
     The classes are taken as enumerate_multilabelings returns them, each
-    already checked with validate(max_tuple_size), and are not validated
-    again; an invalid one raises ConfigError from label_simplifying_map's
-    entry check.  Checks, per class: the label-count bound (excess >= 0);
-    the bound sum_{b_ij > 2} b_ij <= 12 * excess; that every n-label
-    appears on at least two n-vertices; and that the label-simplifying
-    image is a valid simple labeling with excess >= 0 (the simple-labeling
-    label-count bound).  Violations are returned as data, one dict per
-    failure.
+    already checked with validate(max_tuple_size).  label_simplifying_map's
+    entry check, the map's public input check, validates each one again
+    and raises ConfigError on an invalid one.  Checks, per class: the
+    label-count bound (excess >= 0); the bound sum_{b_ij > 2} b_ij <= 12 *
+    excess; that every n-label appears on at least two n-vertices; and that
+    the label-simplifying image is a valid simple labeling with excess >= 0
+    (the simple-labeling label-count bound).  Violations are returned as
+    data, one dict per failure.
     """
     violations = []
     for ml in classes:
@@ -381,8 +381,9 @@ def label_simplifying_map(ml: MultiLabeling) -> SimpleLabeling:
     preserved.  The image is not validated here: `verify_lemmas` checks it
     and reports a failure as an `image_validity` violation.
     """
-    if ml.validate():
-        raise ConfigError(f"label-simplifying map needs a valid labeling: {ml.validate()}")
+    problems = ml.validate()
+    if problems:
+        raise ConfigError(f"label-simplifying map needs a valid labeling: {problems}")
     tags = _classify(ml)
     # the 2l-cycle: place 2s holds p-vertex s's label, place 2s + 1 n-vertex s's index
     cycle = [x for s, i in enumerate(ml.p_labels) for x in (i, s)]

@@ -668,14 +668,12 @@ class HermiteSumDecomposition:
     h_value: float | np.ndarray
 
 
-def elementary_symmetric(
-    terms, kmax: int, shape: tuple[int, ...] = (), dtype=np.float64
-) -> np.ndarray:
+def elementary_symmetric(terms, kmax: int, shape: tuple[int, ...] = ()) -> np.ndarray:
     """Elementary symmetric polynomials e_0..e_kmax of the terms z_j, by the
     recurrence e_k += z_j e_{k-1}.  The terms are the first axis of an
     array, or any iterable of arrays of the given shape (so the caller need
     not hold all of them at once); e[k] has that shape."""
-    e = np.zeros((kmax + 1, *shape), dtype=dtype)
+    e = np.zeros((kmax + 1, *shape))
     e[0] = 1.0
     for zj in terms:
         for k in range(kmax, 0, -1):
@@ -692,11 +690,14 @@ def decompose_hermite_sum(z: Sequence[float] | np.ndarray, d: int) -> HermiteSum
     r = sqrt(d!)/(2 n^{d/2}) * sum_j (z_j^2 - 1) e_{d-2}(z with j removed),
     using that the ordered distinct-tuple sum with one marked slot equals
     (d-2)! times the leave-one-out symmetric polynomial; and r = 0, s = 0
-    identically for d = 1 (and s = 0 for d = 2).
+    identically for d = 1 (and s = 0 for d = 2).  As e_k(z with j removed)
+    = sum_i (-1)^i z_j^i e_{k-i}(z), the sum over j is, at k = d - 2,
+    sum_{i<=k} (-1)^i e_{k-i}(z) (P_{i+2} - P_i), P_i = sum_j z_j^i, P_0 = n.
 
     z has shape (..., n): the leading axes are a batch, and every field of
-    the result has the batch shape (floats for a 1-D z).  The loops over
-    the n samples run once for the whole batch, and each batch entry sees
+    the result has the batch shape (floats for a 1-D z).  The e_k
+    recurrence runs once over the n samples for the whole batch, and the
+    power sums are pairwise sums along each row, so each batch entry sees
     exactly the floating-point operations of its own 1-D call.
     """
     if d < 1:
@@ -709,28 +710,19 @@ def decompose_hermite_sum(z: Sequence[float] | np.ndarray, d: int) -> HermiteSum
     if n < d:
         raise SizeCapError(f"need at least d={d} samples, got n={n}")
 
-    # compensated path: higher degrees on long vectors lose digits to
-    # cancellation in the e_k recurrences
-    work_dtype = np.longdouble if (n >= 10_000 and d >= 5) else np.float64
-    zz = np.ascontiguousarray(np.moveaxis(z, -1, 0), dtype=work_dtype)  # samples first
+    e = elementary_symmetric(np.moveaxis(z, -1, 0), d, shape=tuple(batch))
+    q = math.sqrt(math.factorial(d) / float(n) ** d) * e[d]
 
-    e = elementary_symmetric(zz, d, shape=tuple(batch), dtype=work_dtype)
-    q = math.sqrt(math.factorial(d) / float(n) ** d) * e[d].astype(float)
+    power = [float(n), z.sum(axis=-1)]  # P_0 = n and P_1
+    zi = z.copy()
+    for _ in range(d - 1):
+        zi *= z
+        power.append(zi.sum(axis=-1))
+    acc = sum(((-1) ** i * e[d - 2 - i] * (power[i + 2] - power[i]) for i in range(d - 1)),
+              np.zeros(batch))
+    r = math.sqrt(math.factorial(d)) / (2.0 * float(n) ** (d / 2.0)) * acc
 
-    if d == 1:
-        r = np.zeros(batch)
-    else:
-        kmax = d - 2
-        acc = np.zeros(batch, dtype=work_dtype)
-        eloo = np.zeros((kmax + 1, *batch), dtype=work_dtype)
-        for zj in zz:
-            eloo[0] = 1.0
-            for k in range(1, kmax + 1):
-                eloo[k] = e[k] - zj * eloo[k - 1]
-            acc += (zj * zj - 1.0) * eloo[kmax]
-        r = math.sqrt(math.factorial(d)) / (2.0 * float(n) ** (d / 2.0)) * acc.astype(float)
-
-    h_value = np.asarray(hermite_eval(d, z.sum(axis=-1) / math.sqrt(n)))
+    h_value = np.asarray(hermite_eval(d, power[1] / math.sqrt(n)))
     s = np.zeros(batch) if d == 1 else h_value - q - r
     if not batch:
         q, r, s, h_value = float(q), float(r), float(s), float(h_value)

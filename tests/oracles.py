@@ -6,8 +6,10 @@ precision.  No command uses them, so none checks its input: the tests call
 them with valid arguments only.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -155,6 +157,54 @@ def exact_trace_moment(l: int, n: int, p: int, coeffs, entry_law="standard_gauss
                 coef *= coeffs[d - 1] * math.sqrt(math.factorial(d)) * n ** (-(d + 1) / 2.0)
             total += multiplicity * coef * acc
     return total
+
+
+def tuple_sums(z, d: int) -> tuple[Fraction, Fraction]:
+    """e_d(z) and sum_j (z_j^2 - 1) e_{d-2}(z without j), the sums behind
+    decompose_hermite_sum's q and r, exactly: each float z_j is a dyadic
+    rational, and the sums run over the index tuples themselves."""
+    zf = [Fraction(x) for x in z]
+    ed = sum(map(math.prod, itertools.combinations(zf, d)), Fraction(0))
+    if d < 2:
+        return ed, Fraction(0)
+    loo = sum(((zj * zj - 1) * math.prod(c) for j, zj in enumerate(zf)
+               for c in itertools.combinations(zf[:j] + zf[j + 1:], d - 2)), Fraction(0))
+    return ed, loo
+
+
+def recurrence_sums(z, d: int) -> tuple[Fraction, Fraction]:
+    """The same two sums, exactly, for z too long for its tuples: by the
+    e_k recurrence and the leave-one-out one, e_k(z without j) = e_k(z) -
+    z_j e_{k-1}(z without j), on the integers z_j * den, den the common
+    power-of-two denominator."""
+    den = max(x.as_integer_ratio()[1] for x in z)
+    m = [int(Fraction(x) * den) for x in z]
+    e = [1] + [0] * d
+    for mj in m:
+        for k in range(d, 0, -1):
+            e[k] += mj * e[k - 1]
+    loo = 0
+    for mj in m:
+        eloo = 1
+        for k in range(1, d - 1):
+            eloo = e[k] - mj * eloo
+        loo += (mj * mj - den * den) * eloo
+    return Fraction(e[d], den**d), Fraction(loo if d >= 2 else 0, den**d)
+
+
+def exact_hermite_split(z, d: int, sums=tuple_sums) -> tuple[float, float, float]:
+    """q, r and s of decompose_hermite_sum(z, d), from the exact sums and
+    the exact n^{d/2} He_d(S) = sum_m (-1)^m d!/(m! (d-2m)! 2^m)
+    P_1^{d-2m} n^m, S = P_1/sqrt(n): each rounded once, then scaled by
+    its irrational factor 1/(n^{d/2} sqrt(d!))."""
+    n, f = len(z), math.factorial(d)
+    ed, loo = sums(z, d)
+    p1 = sum(map(Fraction, z))
+    he = sum((-1) ** m * Fraction(f, math.factorial(m) * math.factorial(d - 2 * m) * 2**m)
+             * p1 ** (d - 2 * m) * n**m for m in range(d // 2 + 1))
+    scale = 1.0 / (n ** (d / 2) * math.sqrt(f))
+    return (float(f * ed) * scale, float(f * loo / 2) * scale,
+            float(he - f * ed - f * loo / 2) * scale)
 
 
 def threshold_expansion(tau: float, degree: int):

@@ -5,7 +5,6 @@ The heavy ensembles (the p = 10000 spike runs, the h3 norm table) are
 computed once in module-scoped fixtures and shared across criteria.
 """
 
-import itertools
 import math
 import time
 
@@ -37,7 +36,7 @@ from kernelspectra.simulate import (
 )
 from kernelspectra.sparse_pca import SpikedModelConfig, sweep_tau
 
-from oracles import concentration_probe, exact_trace_moment
+from oracles import concentration_probe, exact_hermite_split, exact_trace_moment
 
 H3 = hermite_sum_kernel([0.0, 0.0, 1.0])
 H2_PLUS_H3 = hermite_sum_kernel([0.0, 1.0, 1.0])
@@ -236,8 +235,7 @@ def test_criterion_06_decomposition_scaling():
         n = int(rng2.integers(max(4, d), 11))
         z = rng2.standard_normal(n)
         dec = decompose_hermite_sum(z, d)
-        zz = list(map(float, z))
-        q_ref, r_ref = _brute_force_qr(zz, d)
+        q_ref, r_ref, _ = exact_hermite_split(z.tolist(), d)
         worst = max(worst, abs(dec.q - q_ref), abs(dec.r - r_ref))
     oracle_ok = worst < 1e-10
 
@@ -246,18 +244,6 @@ def test_criterion_06_decomposition_scaling():
                   f"q/r vs brute-force tuple sums: worst dev {worst:.1e} (< 1e-10)")
     assert slopes_ok
     assert oracle_ok
-
-
-def _brute_force_qr(z, d):
-    n = len(z)
-    q = sum(math.prod(z[i] for i in tup) for tup in itertools.permutations(range(n), d))
-    q *= math.sqrt(1.0 / (n**d * math.factorial(d)))
-    r = 0.0
-    if d >= 2:
-        for tup in itertools.permutations(range(n), d - 1):
-            r += (z[tup[0]] ** 2 - 1.0) * math.prod(z[i] for i in tup[1:])
-        r *= math.sqrt(1.0 / (n**d * math.factorial(d))) * math.comb(d, 2)
-    return q, r
 
 
 def test_criterion_07_combinatorial_lemmas():

@@ -1,13 +1,17 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -20,7 +24,7 @@ import kernelspectra.cli as cli_module
 from kernelspectra import lgraphs, sparse_pca
 from kernelspectra.cli import main, parse_kernel
 from kernelspectra.errors import ConfigError
-from kernelspectra.hermite import MAX_DEGREE, KernelSpec, kernel_moments, project_kernel
+from kernelspectra.hermite import MAX_DEGREE, KernelExpansion, KernelSpec, kernel_moments, project_kernel
 from kernelspectra.lgraphs import SimpleLabeling, enumerate_multilabelings
 from kernelspectra.limit_law import MAX_DENSITY_POINTS, MAX_MOMENT_ORDER, LimitLawParams, moment
 from kernelspectra.simulate import (
@@ -644,8 +648,9 @@ def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, cap
 
     for module, names in (
         (cli_module, ("sample_data", "moment", "support", "density", "enumerate_multilabelings",
-                      "decompose_hermite_sum", "project_kernel")),
+                      "decompose_hermite_sum")),
         (sparse_pca, ("sample_data", "sample_spiked_data")),
+        (KernelExpansion, ("expansion",)),  # project_kernel checks its degree first
     ):
         for name in names:
             monkeypatch.setattr(module, name, no_work)
@@ -803,12 +808,17 @@ def test_verify_reports_an_invalid_map_image_and_exits_4(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize(
     "keys, code",
-    [({"l_max": 1}, 2), ({"l_max": -3}, 2), ({"d_max": 0}, 2), ({"l_max": 7}, 3)],
-    ids=["l_max-1", "l_max-negative", "d_max-0", "l_max-over-cap"],
+    [({"l_max": 1}, 2), ({"l_max": -3}, 2), ({"d_max": 0}, 2), ({"l_max": 7}, 3),
+     ({"d_max": cli_module.MAX_TUPLE_SIZE + 1}, 3),
+     ({"l_max": 4, "d_max": cli_module.MAX_WALK_TUPLE_SIZE + 1}, 3)],
+    ids=["l_max-1", "l_max-negative", "d_max-0", "l_max-over-cap", "d_max-over-cap",
+         "d_max-over-the-walk-cap"],
 )
 def test_verify_census_bounds_fail_before_any_work(tmp_path, monkeypatch, capsys, keys, code):
     # l_max = 1 or d_max = 0 used to check nothing and pass; l_max = 7 used
-    # to exit 3 only after every smaller census had run
+    # to exit 3 only after every smaller census had run; a d_max past its
+    # cap ran a census quadratic in d_max, or a walk of STATE_CAP states
+    # each linear in it, out of memory
     def no_work(*args, **kwargs):
         raise AssertionError("started work on a census out of bounds")
 
@@ -903,6 +913,64 @@ def test_verify_exits_4_on_a_d2_remainder_past_rounding(tmp_path, monkeypatch):
     assert main(["verify", cfg]) == 4
 
 
+@pytest.mark.parametrize("out", ["", ".", "sub"])
+@pytest.mark.parametrize("command, keys", [("verify", {"l_max": 2, "d_max": 1, "scaling_trials": 1}),
+                                           ("project-kernel", {"kernel": "h1"})])
+def test_an_out_naming_a_directory_exits_2(tmp_path, capsys, command, keys, out):
+    # the write used to end in an IsADirectoryError traceback
+    (tmp_path / "sub").mkdir()
+    cfg = write_cfg(tmp_path, "c.cfg", out=out, **keys)
+    assert main([command, cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "directory" in err and "Traceback" not in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["c.cfg", "sub"]
+
+
+# values that broke commands before: subnormals, overflow, non-finite and
+# non-numeric words, the empty value and integers past 64 bits
+ADVERSARIAL_VALUES = ["0", "-0.0", "5e-324", "2e-310", "1e200", "1e-200", "1e308", "inf", "-inf",
+                      "nan", "1e999", "", "x", str(2**63), str(2**64)]
+
+
+@given(
+    st.fixed_dictionaries(
+        {"scaling_trials": st.sampled_from(["1", "5"])},
+        optional={"l_max": st.sampled_from(["2", "3", "4"]), "d_max": st.sampled_from(["1", "2", "3"]),
+                  "seed": st.sampled_from(["0", "7", str(2**64 - 1)]), "out": st.just("r.json")},
+    ),
+    st.dictionaries(st.sampled_from(["l_max", "d_max", "scaling_trials", "seed", "out"]),
+                    st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2),
+)
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_verify_config_fuzz(small, adversarial):
+    # every config of verify's keys either runs, on small sizes only, or
+    # fails typed: one error line, no warning, no traceback.  A size past
+    # the small ones must stop before any census or remainder draw.
+    def census(l, max_tuple_size):
+        assert l <= 4 and max_tuple_size <= 3, "a census past the small sizes ran"
+        return enumerate_multilabelings(l, max_tuple_size)
+
+    def decompose(z, d):
+        assert z.shape[0] <= 5, "a remainder draw past the small sizes ran"
+        return decompose_hermite_sum(z, d)
+
+    keys = {**small, **adversarial}
+    out = Path(os.environ[cli_module.OUT_DIR_ENV])
+    cfg = write_cfg(out, "v.cfg", **keys)
+    err = io.StringIO()
+    with (mock.patch.object(cli_module, "enumerate_multilabelings", census),
+          mock.patch.object(cli_module, "decompose_hermite_sum", decompose),
+          warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        code = main(["verify", cfg])
+    assert code in (0, 2, 3, 4)
+    assert not caught, [str(w.message) for w in caught]
+    assert err.getvalue().count("error:") <= 1 and "Traceback" not in err.getvalue()
+    if code == 0:
+        assert strict_json((out / keys.get("out", "verify_report.json")).read_text())["payload"]["ok"]
+
+
 # sha256 of json.dumps(payload, indent=2, sort_keys=True) for verify at
 # l_max = 5, d_max = 3, scaling_trials = 200.  Re-recorded when the census
 # went from one entry per (l, d) with every class record to one entry per
@@ -913,9 +981,13 @@ def test_verify_exits_4_on_a_d2_remainder_past_rounding(tmp_path, monkeypatch):
 # Re-recorded with VERIFY_CHECKS_SHA256 when remainder_scaling went from a
 # log-log slope of median |s| to mean s^2 beside the exact E[s^2] per n, on
 # the same draws; lemma_census kept its bytes.
+# Re-recorded with VERIFY_CHECKS_SHA256 when r came from power sums in
+# place of a leave-one-out recurrence: only mean_s2 moved, by at most
+# 1.4e-14 relative at d = 3, 4 and by at most 1.4e-32 at d = 2, where s is
+# rounding alone.
 VERIFY_PAYLOAD_SHA256 = {
-    0: "b415f5a385f28d85479330b28e29eecb208a86fcc9829e08e6aeb58f99a02cce",
-    7: "a7413d6a935bdad7e261ee615480c482c33cfeaccf2ff5c278bac261244e2b5e",
+    0: "4ca4da3f8d5f0ff1b8cbc67c26c58e7f39af4d6fddbe929f10dcdb6cf712054a",
+    7: "1347806eaa948f3d8ce164b314c047a8d8d12076a27f3b4a51186aeb095db658",
 }
 
 
@@ -930,9 +1002,10 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
 
 # the same payload hash without lemma_census: the remainder check and ok,
 # whatever form the census report takes
+# Re-recorded when r came from power sums: only mean_s2 moved.
 VERIFY_CHECKS_SHA256 = {
-    0: "c66e4960d7e6f3a1e61c9dfc176448c53193571eb34e691bee366581651141c7",
-    7: "3c2c5d9154978fbb4d7713b78c8ac075673be893cf5ca0725673a4bb75eb5308",
+    0: "20d2fad8c3328a2702f140504db66677c7d336b24c05cc11e5f456058d505afa",
+    7: "25de7ce0b35f00153739bab666f39f697d64da30a0449af2537bcc47b6f3993a",
 }
 
 
@@ -1014,6 +1087,9 @@ def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
 # verify's report was re-recorded when remainder_scaling went from a slope
 # fit of median |s| (with "slope": -Infinity at d = 2) to mean s^2 beside
 # the exact E[s^2] per n, on the same draws; lemma_census kept its bytes.
+# verify's report was re-recorded when r came from power sums and the
+# e_k(z) in place of a leave-one-out recurrence: only mean_s2 moved, in its
+# last bits at d = 3, 4.
 # Both simulate entries were re-recorded when Hermite sums of degree <= 12
 # came to be evaluated by Horner's rule on their monomial coefficients, in
 # place of the recurrence: 373 of each 400 eigenvalues moved, by at most
@@ -1056,7 +1132,7 @@ CLI_OUTPUT_SHA256 = {
     "verify": (
         {"l_max": 5, "d_max": 3},
         {
-            "verify_report.json": "fa97dd1de667722d8f8950d9c2b00d775797f8bb58ac81247853714e772a66b4",
+            "verify_report.json": "100a131223b5deafa994feae0611c10310ae242d8d0e5c5e9f47b4cdb6e8a102",
         },
     ),
 }

@@ -32,7 +32,13 @@ from kernelspectra.simulate import (
     spectrum,
 )
 
-from oracles import concentration_probe, exact_trace_moment, sample_deformed_model
+from oracles import (
+    concentration_probe,
+    exact_hermite_split,
+    exact_trace_moment,
+    recurrence_sums,
+    sample_deformed_model,
+)
 
 
 def h3(y):
@@ -617,24 +623,6 @@ def test_ks_rejects_atomic_law():
 # three-scale decomposition
 
 
-def brute_force_q(z, d):
-    n = len(z)
-    total = 0.0
-    for tup in itertools.permutations(range(n), d):
-        total += math.prod(z[i] for i in tup)
-    return math.sqrt(1.0 / (n**d * math.factorial(d))) * total
-
-
-def brute_force_r(z, d):
-    if d == 1:
-        return 0.0
-    n = len(z)
-    total = 0.0
-    for tup in itertools.permutations(range(n), d - 1):
-        total += (z[tup[0]] ** 2 - 1.0) * math.prod(z[i] for i in tup[1:])
-    return math.sqrt(1.0 / (n**d * math.factorial(d))) * math.comb(d, 2) * total
-
-
 def test_decomposition_special_cases():
     z = np.random.default_rng(9).standard_normal(50)
     d1 = decompose_hermite_sum(z, 1)
@@ -652,19 +640,31 @@ def test_decomposition_identity_is_exact():
         assert dec.h_value == pytest.approx(dec.q + dec.r + dec.s, abs=1e-12)
 
 
-def test_decomposition_against_brute_force():
-    rng = np.random.default_rng(11)
-    checked = 0
-    for trial in range(100):
-        d = 1 + trial % 4
-        n = int(rng.integers(max(4, d), 11))
-        z = rng.standard_normal(n)
-        dec = decompose_hermite_sum(z, d)
-        zz = list(map(float, z))
-        assert dec.q == pytest.approx(brute_force_q(zz, d), abs=1e-10)
-        assert dec.r == pytest.approx(brute_force_r(zz, d), abs=1e-10)
-        checked += 1
-    assert checked == 100
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=200, derandomize=True)
+def test_decomposition_against_brute_force(d, data):
+    # q and r against their exact tuple sums, within 1e-12 of the forward-
+    # error scale of their float sums: e_d(|z|) for q, and for r the closed
+    # form's sum_i e_{d-2-i}(|z|) (P_{i+2} + P_i) in power sums P_i of |z|
+    n = data.draw(st.integers(d, 8))
+    z = data.draw(st.lists(st.integers(-2**22, 2**22).map(lambda m: m / 2**20), min_size=n, max_size=n))
+    dec = decompose_hermite_sum(z, d)
+    q, r, _ = exact_hermite_split(z, d)
+    a = np.abs(z)
+    e, power = elementary_symmetric(a, d), [math.fsum(a**i) for i in range(d + 1)]
+    c = math.sqrt(math.factorial(d)) / n ** (d / 2)
+    assert abs(dec.q - q) <= 1e-12 * c * e[d]
+    assert abs(dec.r - r) <= 1e-12 * c / 2 * sum(e[d - 2 - i] * (power[i + 2] + power[i])
+                                                  for i in range(d - 1))
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_remainder_on_a_long_vector_matches_exact_arithmetic(d):
+    # s, about n^-1 of h_d(S), stays within 1e-10 of its exact value at
+    # n = 10000 on the float64 recurrence and power sums
+    z = np.random.default_rng(13).standard_normal(10_000)
+    s = exact_hermite_split(z.tolist(), d, recurrence_sums)[2]
+    assert abs(decompose_hermite_sum(z, d).s - s) <= 1e-10 * abs(s)
 
 
 def test_decomposition_scale_separation_quick():
@@ -760,23 +760,19 @@ def assert_batch_matches_rows(Z, d):
             assert batched.tobytes() == np.float64(getattr(row, f)).tobytes(), (f, idx)
 
 
-@given(
-    st.integers(1, 6),
-    st.integers(0, 40),
-    st.lists(st.integers(1, 3), min_size=1, max_size=2),
-    st.data(),
-)
-def test_batched_decomposition_equals_row_calls(d, extra, batch, data):
-    Z = data.draw(
-        hnp.arrays(float, (*batch, d + extra), elements=st.floats(-4.0, 4.0, width=64))
-    )
-    assert_batch_matches_rows(Z, d)
+@st.composite
+def decomposition_batches(draw):
+    """A batch of one or two axes of 1-3 rows, of d to d + 40 samples each,
+    and the degree d."""
+    d = draw(st.integers(1, 6))
+    shape = (*draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)), d + draw(st.integers(0, 40)))
+    return draw(hnp.arrays(float, shape, elements=st.floats(-4.0, 4.0, width=64))), d
 
 
-def test_batched_decomposition_on_the_longdouble_path():
-    # n >= 10000 and d >= 5 run the recurrences in long double
-    Z = np.random.default_rng(13).standard_normal((2, 10_000))
-    assert_batch_matches_rows(Z, 5)
+@given(decomposition_batches())
+@example((np.random.default_rng(13).standard_normal((2, 10_000)), 5))
+def test_batched_decomposition_equals_row_calls(case):
+    assert_batch_matches_rows(*case)
 
 
 # ---------------------------------------------------------------------------
