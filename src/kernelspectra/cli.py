@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, KernelSpectraError, SizeCapError, VerificationError
 from .hermite import KernelSpec, OddPolynomial, hermite_sum_kernel, project_kernel
-from .lgraphs import MAX_CYCLE_LEN, enumerate_multilabelings, verify_lemmas
+from .lgraphs import MAX_TUPLE_SIZES, enumerate_multilabelings, verify_lemmas
 from .limit_law import (
     MAX_DENSITY_POINTS,
     MAX_MOMENT_ORDER,
@@ -65,13 +65,6 @@ ZERO_REMAINDER_TOL = 1e-12
 # 1e7 and 2e7 entries), so 5.9 GB at this cap, about 1 GB short of a 7 GB
 # host.
 MAX_SCALING_ENTRIES = 5_900_000_000 // 25
-# verify's d_max, which STATE_CAP does not bound.  At l = 2 and 3 the class
-# of k chosen sets holds l k-tuples, and all censuses are held at once: 96 B
-# per d_max^2 (ru_maxrss at d_max = 1000 and 2000, l_max = 3).  From l = 4 on
-# a d_max past about 12 ends the walk at STATE_CAP states, of up to 2 d_max
-# sets each: 13 MB per d_max (at d_max = 80 and 160, l_max = 4, 5 or 6).
-MAX_TUPLE_SIZE = math.isqrt(5_900_000_000 // 96)
-MAX_WALK_TUPLE_SIZE = 5_900_000_000 // 13_000_000
 # Entries of a lo:hi:count list.  Parsing one holds 48 B per entry (ru_maxrss
 # at 2e6-8e6 entries), and a one-trial sweep over that many taus 390 B
 # (ru_maxrss at n = p = 4 with 8000 and 16000 taus), so 5.9 GB at this cap.
@@ -259,33 +252,47 @@ def envelope(values: dict[str, str], payload: dict) -> dict:
 
 
 def _out_path(name: str) -> Path:
+    """Where output `name` goes, checked before a command's work and
+    without touching the disk: a name that is a directory, holds a NUL or
+    lies under a file raises ConfigError."""
     base = os.environ.get(OUT_DIR_ENV)
     path = Path(name)
     if base and not path.is_absolute():
         path = Path(base) / path
     if path.is_dir():  # as the empty name is
         raise ConfigError(f"output {name!r} names a directory, not a file")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if "\0" in name:  # os calls raise ValueError on it
+        raise ConfigError(f"output {name!r} holds a NUL character")
+    ancestor = next(d for d in path.parents if d.exists())
+    if not ancestor.is_dir():
+        raise ConfigError(f"output {name!r} lies under {str(ancestor)!r}, which is not a directory")
     return path
 
 
-def write_csv(name: str, header: tuple[str, ...], columns) -> Path:
+def _create(path: Path):
+    """path opened for writing, in new directories as needed; an OSError raises ConfigError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {str(path)!r}: {exc.strerror or exc}") from exc
+
+
+def write_csv(path: Path, header: tuple[str, ...], columns) -> Path:
     """CSV of equal-length columns with LF terminators: integer columns as
     integers, the others with 17 significant digits (lossless float
     round-trips), byte-stable across runs.  Each row is one %-format over
     Python scalars."""
     columns = [np.asarray(c) for c in columns]
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    path = _out_path(name)
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
     return path
 
 
-def write_json(name: str, doc: dict) -> Path:
-    path = _out_path(name)
-    with open(path, "w", newline="\n") as fh:
+def write_json(path: Path, doc: dict) -> Path:
+    with _create(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -298,7 +305,7 @@ def write_json(name: str, doc: dict) -> Path:
 def cmd_project_kernel(cfg: Config, raw: dict[str, str]) -> int:
     kernel = parse_kernel(cfg.get_str("kernel", _REQUIRED))
     degree = cfg.get_int("degree", 30)
-    out = cfg.get_str("out", "kernel_expansion.json")
+    path = _out_path(cfg.get_str("out", "kernel_expansion.json"))
     cfg.reject_unknown()
 
     exp = project_kernel(kernel, degree=degree)
@@ -310,7 +317,7 @@ def cmd_project_kernel(cfg: Config, raw: dict[str, str]) -> int:
         "degree": exp.degree,
         "truncation_residual": exp.residual,
     }
-    path = write_json(out, envelope(raw, payload))
+    write_json(path, envelope(raw, payload))
     print(f"wrote {path}")
     return 0
 
@@ -326,6 +333,7 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
     lmax = cfg.get_int("moments_lmax", 8)
     prefix = cfg.get_str("out", "limit_law")
     cfg.reject_unknown()
+    out = {k: _out_path(f"{prefix}_{k}") for k in ("density.csv", "support.csv", "moments.csv", "summary.json")}
     if points < 2:
         raise ConfigError(f"density_points must be >= 2, got {points}")
     if points > MAX_DENSITY_POINTS:
@@ -341,10 +349,10 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
     sup = support(params)
     xs = np.linspace(sup.min_edge - 1.0, sup.max_edge + 1.0, points)
     below, above = cdf(params, [sup.min_edge - 1.0, sup.max_edge + 1.0], epsilon=eps)
-    write_csv(f"{prefix}_density.csv", ("x", "density"), (xs, density(params, xs, epsilon=eps)))
+    write_csv(out["density.csv"], ("x", "density"), (xs, density(params, xs, epsilon=eps)))
     edges = np.array(sup.intervals, dtype=float).reshape(-1, 2)
-    write_csv(f"{prefix}_support.csv", ("interval", "lo", "hi"), (np.arange(len(edges)), *edges.T))
-    write_csv(f"{prefix}_moments.csv", ("l", "moment"), (orders, moments))
+    write_csv(out["support.csv"], ("interval", "lo", "hi"), (np.arange(len(edges)), *edges.T))
+    write_csv(out["moments.csv"], ("l", "moment"), (orders, moments))
     payload = {
         "support": [[lo, hi] for lo, hi in sup.intervals],
         "norm": sup.norm,
@@ -354,7 +362,7 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
         "atom_mass": sup.atom_mass,
         "density_mass": float(above - below - (sup.atom_mass or 0.0)),
     }
-    path = write_json(f"{prefix}_summary.json", envelope(raw, payload))
+    path = write_json(out["summary.json"], envelope(raw, payload))
     print(f"wrote {path}")
     return 0
 
@@ -371,6 +379,7 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
     trials = cfg.get_int("trials", 1)
     prefix = cfg.get_str("out", "simulate")
     cfg.reject_unknown()
+    out = {name: _out_path(f"{prefix}_{name}") for name in ("eigenvalues.csv", "summary.json")}
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if trials * p > MAX_SPECTRUM_ENTRIES:
@@ -410,7 +419,7 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
         trial_summaries.append(entry)
 
     write_csv(
-        f"{prefix}_eigenvalues.csv",
+        out["eigenvalues.csv"],
         ("trial", "index", "eigenvalue"),
         (np.repeat(np.arange(trials), p), np.tile(np.arange(p), trials), np.concatenate(eigenvalues)),
     )
@@ -423,7 +432,7 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
         "mean_spectral_norm": float(np.mean([t["spectral_norm"] for t in trial_summaries])),
         "trials": trial_summaries,
     }
-    path = write_json(f"{prefix}_summary.json", envelope(raw, payload))
+    path = write_json(out["summary.json"], envelope(raw, payload))
     print(f"wrote {path}")
     return 0
 
@@ -436,14 +445,15 @@ def cmd_sparse_pca_sweep(cfg: Config, raw: dict[str, str]) -> int:
     sparsity = cfg.get_int("sparsity", None)
     trials = cfg.get_int("trials", 5)
     seed = _get_seed(cfg)
-    out = cfg.get_str("out", "sweep")
+    prefix = cfg.get_str("out", "sweep")
     cfg.reject_unknown()
+    out = {name: _out_path(f"{prefix}{name}") for name in (".csv", "_summary.json")}
 
     if sparsity is None:  # an n outside these bounds fails the model's own checks
         sparsity = max(1, math.floor(0.3 * math.sqrt(n))) if 2 <= n <= MAX_DATA_ENTRIES else 1
     model = SpikedModelConfig(lam=lam, sparsity=sparsity, n=n, p=p, seed=seed)
     result = sweep_tau(model, taus, trials=trials)
-    write_csv(f"{out}.csv", result.CSV_COLUMNS, result.columns())
+    write_csv(out[".csv"], result.CSV_COLUMNS, result.columns())
     payload = {
         "n": n,
         "p": p,
@@ -452,7 +462,7 @@ def cmd_sparse_pca_sweep(cfg: Config, raw: dict[str, str]) -> int:
         "trials": trials,
         "max_null_gap": float(np.max(np.abs(result.null_mean - result.prediction))),
     }
-    path = write_json(f"{out}_summary.json", envelope(raw, payload))
+    path = write_json(out["_summary.json"], envelope(raw, payload))
     print(f"wrote {path}")
     return 0
 
@@ -462,7 +472,7 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
     d_max = cfg.get_int("d_max", 3)
     scaling_trials = cfg.get_int("scaling_trials", 200)
     seed = _get_seed(cfg)
-    out = cfg.get_str("out", "verify_report.json")
+    path = _out_path(cfg.get_str("out", "verify_report.json"))
     cfg.reject_unknown()
     if scaling_trials < 1:
         raise ConfigError(f"scaling_trials must be >= 1, got {scaling_trials}")
@@ -471,18 +481,14 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
             f"scaling_trials={scaling_trials} exceeds cap {MAX_SCALING_ENTRIES // SCALING_NS[-1]}")
     if l_max < 2 or d_max < 1:
         raise ConfigError(f"verify needs l_max >= 2 and d_max >= 1, got {l_max} and {d_max}")
-    if l_max > MAX_CYCLE_LEN:
-        raise SizeCapError(f"l_max={l_max} exceeds cap {MAX_CYCLE_LEN}")
-    d_cap = MAX_TUPLE_SIZE if l_max <= 3 else MAX_WALK_TUPLE_SIZE
-    if d_max > d_cap:
-        raise SizeCapError(f"d_max={d_max} exceeds cap {d_cap} at l_max={l_max}")
+    if d_max > MAX_TUPLE_SIZES.get(l_max, 0):  # the table falls with l: its least entry up to l_max
+        raise SizeCapError(f"d_max={d_max} at l_max={l_max} is past the census table {MAX_TUPLE_SIZES}")
 
     ok = True
 
-    # 1. labeled-cycle lemma census.  Every census runs before any check, so
-    # one past the state cap exits 3 first.  The census at d < d_max is the
-    # d_max census's classes with no tuple over d, so each class is checked
-    # once and counted by its largest tuple.
+    # 1. labeled-cycle lemma census.  Every census runs before any check.
+    # The census at d < d_max is the d_max census's classes with no tuple
+    # over d, so each class is checked once and counted by its largest tuple.
     censuses = {l: enumerate_multilabelings(l, d_max) for l in range(2, l_max + 1)}
     census = []
     for l, classes in censuses.items():
@@ -516,7 +522,7 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
         scaling.append({"d": d, "n": list(SCALING_NS), "mean_s2": mean_s2, "exact_s2": exact_s2})
 
     report = {"lemma_census": census, "remainder_scaling": scaling, "ok": ok}
-    path = write_json(out, envelope(raw, report))
+    write_json(path, envelope(raw, report))
     print(f"wrote {path}")
     if not ok:
         raise VerificationError("verification report contains failures; see " + str(path))

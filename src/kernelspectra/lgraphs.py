@@ -30,8 +30,13 @@ from . import rng as rngmod
 from .errors import ConfigError, ConsistencyError, SizeCapError
 from .simulate import EntryLaw, elementary_symmetric
 
-MAX_CYCLE_LEN = 6  # enumeration is exhaustive; growth beyond this is untested
-STATE_CAP = 10**6  # search states of one call: (6, 3) visits 256 322, (6, 4) 5 064 733
+# By l, the largest max_tuple_size whose census finishes; it falls with l.
+# From l = 4 on, the largest d whose walk stays within 10^6 states: (4, 15)
+# visits 990 342 and (4, 16) 1 462 184, (5, 11) 798 862 and (5, 12)
+# 1 320 108, (6, 3) 256 322 and (6, 4) 5 064 733.  At l = 2, 3 the walk has
+# d + 1 states, but verify holds every census at once, and the class of k
+# sets holds l k-tuples: 96 B per d^2 (ru_maxrss at d = 1000, 2000), 5.9 GB at 7839.
+MAX_TUPLE_SIZES = {2: 7839, 3: 7839, 4: 15, 5: 11, 6: 3}
 
 TRACE_L_CAP = 4
 
@@ -250,17 +255,16 @@ def enumerate_multilabelings(l: int, max_tuple_size: int) -> list[MultiLabeling]
     covers all of them is emitted, and a branch ends once no set left
     holds the lowest uncovered n-vertex.
 
-    A search state is one node of this walk, one multiset.  SizeCapError is
-    raised past STATE_CAP states, before any class is built.  The classes
-    are built once every walk has ended, and ConsistencyError is raised
-    when one fails MultiLabeling.validate(max_tuple_size).
+    SizeCapError is raised before any walk when max_tuple_size is past
+    MAX_TUPLE_SIZES[l], or l has no entry, so every walk that starts ends.
+    The classes are built once every walk has ended, and ConsistencyError
+    is raised when one fails MultiLabeling.validate(max_tuple_size).
     """
-    if not 2 <= l <= MAX_CYCLE_LEN:
-        raise SizeCapError(f"cycle length must be in [2, {MAX_CYCLE_LEN}], got {l}")
+    if l not in MAX_TUPLE_SIZES or max_tuple_size > MAX_TUPLE_SIZES[l]:
+        raise SizeCapError(f"max_tuple_size={max_tuple_size} at l={l} is past the census table {MAX_TUPLE_SIZES}")
     if max_tuple_size < 1:
         raise ConfigError(f"max_tuple_size must be >= 1, got {max_tuple_size}")
     keys: list[tuple] = []
-    states = 0
     for pseq in _canonical_p_sequences(l, l):
         em = [(1 << pseq[s]) | (1 << pseq[(s + 1) % l]) for s in range(l)]
         subsets = (S for r in range(1, l + 1) for S in itertools.combinations(range(l), r))
@@ -271,12 +275,6 @@ def enumerate_multilabelings(l: int, max_tuple_size: int) -> list[MultiLabeling]
         stack = [(0, (), [0] * l)]
         while stack:
             start, chosen, cover = stack.pop()
-            states += 1
-            if states > STATE_CAP:
-                raise SizeCapError(
-                    f"enumeration exceeded the state cap {STATE_CAP} at "
-                    f"l={l}, max_tuple_size={max_tuple_size}"
-                )
             low = (*cover, 0).index(0)  # the lowest uncovered n-vertex, or l
             if low == l:
                 keys.append((pseq, chosen))

@@ -192,7 +192,7 @@ def _mapped_empty(shape: tuple[int, int], disposable: bool = False) -> np.ndarra
     not 4 KB ones.
 
     A disposable array is one its owner hands to a Gram's slab pass
-    (_released_slabs), which gives its pages back to the OS as it reads
+    (_scaled_gram_slabs), which gives its pages back to the OS as it reads
     them, so that it reads as zeros after the Gram."""
     count = math.prod(shape)
     # private: pages given back from a shared mapping would stay in memory
@@ -288,38 +288,30 @@ def _gram_slabs(p: int):
         i0 = i1
 
 
-def _released_slabs(X: np.ndarray):
-    """_gram_slabs over the rows of X, for a Gram whose slab [i0:i1] reads
-    the rows of X from i0 on.  No later slab reads the rows before i1, so
+def _scaled_gram_slabs(X: np.ndarray, out: np.ndarray | None = None):
+    """(i0, i1, g) over the _gram_slabs of X (p x n), where g is the slab
+    X[i0:i1] @ X[i0:].T / sqrt(n) of the scaled Gram: rows i0:i1 from
+    column i0 on, diagonal block whole.  Each slab is a new array of
+    i1 - i0 rows, or the view out[i0:i1, i0:] of a C-ordered p x p out,
+    with the same bits.  No later slab reads the rows of X before i1, so
     when X is all of a disposable _mapped_empty array, the whole pages of
     those rows go back to the OS once the caller asks for the next slab,
     and X reads as zeros after the last one; any other X is left as it
     was."""
     p, n = X.shape
+    s = math.sqrt(n)
     mapping = _disposable_mapping(X)
     released = 0
     for i0, i1 in _gram_slabs(p):
-        yield i0, i1
-        if mapping is not None:
-            end = i1 * n * X.itemsize // mmap.PAGESIZE * mmap.PAGESIZE
-            if end > released:
-                mapping.madvise(mmap.MADV_DONTNEED, released, end - released)
-                released = end
-
-
-def _scaled_gram_slabs(X: np.ndarray, out: np.ndarray | None = None):
-    """(i0, i1, g) over the _released_slabs of X (p x n), where g is the
-    slab X[i0:i1] @ X[i0:].T / sqrt(n) of the scaled Gram: rows i0:i1 from
-    column i0 on, diagonal block whole.  Each slab is a new array of
-    i1 - i0 rows, or the view out[i0:i1, i0:] of a C-ordered p x p out,
-    with the same bits; a disposable X goes back to the OS as they pass."""
-    s = math.sqrt(X.shape[1])
-    for i0, i1 in _released_slabs(X):
         # an overflowing entry is reported by the kernel's finiteness check
         with np.errstate(over="ignore"):
             g = np.matmul(X[i0:i1], X[i0:].T, out=None if out is None else out[i0:i1, i0:])
             g /= s
         yield i0, i1, g
+        end = i1 * n * X.itemsize // mmap.PAGESIZE * mmap.PAGESIZE
+        if mapping is not None and end > released:
+            mapping.madvise(mmap.MADV_DONTNEED, released, end - released)
+            released = end
 
 
 def _kernel_triangle(X: np.ndarray, kernel, diagonal: bool = False) -> np.ndarray:
@@ -331,7 +323,7 @@ def _kernel_triangle(X: np.ndarray, kernel, diagonal: bool = False) -> np.ndarra
     the kernel is written from each slab straight into K[i0:i1, i0:]
     (_kernel_tiles).  So besides X the build holds K and one slab, and a
     disposable X goes back to the OS as the slabs pass it
-    (_released_slabs).  Each slab's -0.0 entries become +0.0: LAPACK's
+    (_scaled_gram_slabs).  Each slab's -0.0 entries become +0.0: LAPACK's
     Householder reflections take the sign of a zero, so dsyevd's
     eigenvalues depend on it."""
     p, n = X.shape

@@ -25,6 +25,7 @@ from .simulate import (
     _kernel_matrix,
     _kernel_tiles,
     _mapped_empty,
+    _non_finite_error,
     _scaled_gram_slabs,
     _upper_tiles,
     check_data_size,
@@ -252,7 +253,8 @@ def _thresholded_sparse(g: np.ndarray, threshold: ThresholdFunction, n: int, max
     are touched only as they fill, so nothing p x p is allocated; k_tau
     then runs on the kept values in blocks of _TRIPLET_BLOCK.  Each kept
     entry gets the dense builder's bits, k_tau(g) / sqrt(n), and a
-    non-finite kept value raises ConfigError, as _kernel_tiles does."""
+    non-finite kept value raises _kernel_tiles' ConfigError, which names
+    the Gram where g is itself not finite."""
     p = g.shape[0]
     s = math.sqrt(n)
     zero_edge = INNER_FRACTION * threshold.tau
@@ -281,7 +283,8 @@ def _thresholded_sparse(g: np.ndarray, threshold: ThresholdFunction, n: int, max
         block = values[b0:min(kept, b0 + _TRIPLET_BLOCK)]
         np.divide(threshold(block), s, out=block)
     if not (np.isfinite(diagonal).all() and np.isfinite(values[:kept]).all()):
-        raise ConfigError("kernel matrix contains non-finite entries")
+        # a non-finite entry of g is kept, so the kept entries tell whether g is
+        raise _non_finite_error(np.concatenate((g.diagonal(), g[rows[:kept], cols[:kept]])))
     return _SparseSymmetric(diagonal, rows[:kept], cols[:kept], values[:kept])
 
 

@@ -770,6 +770,20 @@ def test_sweep_with_an_overflowing_gram_writes_one_error_line(tmp_path):
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
 
 
+def test_sweep_with_an_overflowing_gram_in_a_sparse_cell_names_the_gram(tmp_path, monkeypatch, capsys):
+    # the sparse cell's own check blamed the kernel matrix, where a dense
+    # cell on the same fault names the Gram
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a dense cell was built")
+
+    monkeypatch.setattr(sparse_pca, "_kernel_tiles", no_dense)
+    cfg = write_cfg(tmp_path, "w.cfg", n=4, p=2000, lam=1e308, taus=4.0, sparsity=1)
+    assert main(["sparse-pca-sweep", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Gram" in err and "non-finite" in err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
 def test_verify_command(tmp_path):
     cfg = write_cfg(tmp_path, "v.cfg", l_max=3, d_max=2, scaling_trials=25)
     assert main(["verify", cfg]) == 0
@@ -809,16 +823,19 @@ def test_verify_reports_an_invalid_map_image_and_exits_4(tmp_path, monkeypatch, 
 @pytest.mark.parametrize(
     "keys, code",
     [({"l_max": 1}, 2), ({"l_max": -3}, 2), ({"d_max": 0}, 2), ({"l_max": 7}, 3),
-     ({"d_max": cli_module.MAX_TUPLE_SIZE + 1}, 3),
-     ({"l_max": 4, "d_max": cli_module.MAX_WALK_TUPLE_SIZE + 1}, 3)],
+     ({"d_max": lgraphs.MAX_TUPLE_SIZES[2] + 1}, 3),
+     ({"l_max": 4, "d_max": lgraphs.MAX_TUPLE_SIZES[4] + 1}, 3),
+     ({"l_max": 5, "d_max": 12}, 3), ({"l_max": 6, "d_max": 4}, 3), ({"l_max": 4, "d_max": 453}, 3),
+     ({"l_max": 3, "d_max": 7840}, 3)],
     ids=["l_max-1", "l_max-negative", "d_max-0", "l_max-over-cap", "d_max-over-cap",
-         "d_max-over-the-walk-cap"],
+         "d_max-over-the-walk-cap", "5-12", "6-4", "4-453", "3-7840"],
 )
 def test_verify_census_bounds_fail_before_any_work(tmp_path, monkeypatch, capsys, keys, code):
     # l_max = 1 or d_max = 0 used to check nothing and pass; l_max = 7 used
     # to exit 3 only after every smaller census had run; a d_max past its
-    # cap ran a census quadratic in d_max, or a walk of STATE_CAP states
-    # each linear in it, out of memory
+    # cap ran a census quadratic in d_max out of memory; from l_max = 4 on,
+    # a d_max up to 453 walked toward 10^6 states, at up to 5.9 GB, before
+    # it exited 3
     def no_work(*args, **kwargs):
         raise AssertionError("started work on a census out of bounds")
 
@@ -827,7 +844,7 @@ def test_verify_census_bounds_fail_before_any_work(tmp_path, monkeypatch, capsys
     cfg = write_cfg(tmp_path, "v.cfg", **{"l_max": 2, "d_max": 1, **keys})
     assert main(["verify", cfg]) == code
     err = capsys.readouterr().err
-    assert next(iter(keys)) in err and "Traceback" not in err
+    assert err.count("error:") == 1 and next(iter(keys)) in err and "Traceback" not in err
     assert not (tmp_path / "verify_report.json").exists()
 
 
@@ -837,7 +854,7 @@ def test_verify_census_past_the_state_cap_exits_3_before_any_lemma_check(tmp_pat
     def no_check(classes):
         raise AssertionError("checked the lemmas before every census had run")
 
-    monkeypatch.setattr(lgraphs, "STATE_CAP", 1000)
+    monkeypatch.setitem(lgraphs.MAX_TUPLE_SIZES, 5, 2)
     monkeypatch.setattr(cli_module, "verify_lemmas", no_check)
     cfg = write_cfg(tmp_path, "v.cfg", l_max=5, d_max=3, scaling_trials=5)
     assert main(["verify", cfg]) == 3
@@ -926,17 +943,74 @@ def test_an_out_naming_a_directory_exits_2(tmp_path, capsys, command, keys, out)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["c.cfg", "sub"]
 
 
+@pytest.mark.parametrize("out, words", [("c.cfg/x", "'c.cfg/x"), ("a\0b", "NUL")], ids=["under-a-file", "nul"])
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("project-kernel", {"kernel": "h1"}),
+        ("limit-law", {"a": 0, "nu": 1, "gamma": 1}),
+        ("simulate", {"kernel": "h1", "n": 20, "p": 20}),
+        ("sparse-pca-sweep", {"n": 20, "taus": "1.0", "trials": 1}),
+        ("verify", {"l_max": 2, "d_max": 1, "scaling_trials": 1}),
+    ],
+)
+def test_an_unwritable_out_exits_2_before_any_work(tmp_path, capsys, no_work, command, keys, out, words):
+    # after the command's work, mkdir raised a FileExistsError traceback
+    # for an out under a file, and open a ValueError for an embedded NUL
+    cfg = write_cfg(tmp_path, "c.cfg", out=out, **keys)
+    assert main([command, cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and words in err and "Traceback" not in err
+    assert [f.name for f in tmp_path.iterdir()] == ["c.cfg"]
+
+
+def test_an_output_the_os_refuses_exits_2(tmp_path, monkeypatch, capsys):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    cfg = write_cfg(tmp_path, "c.cfg", kernel="h1", out="sub/x.json")
+    assert main(["project-kernel", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "x.json" in err and "Permission denied" in err
+
+
 # values that broke commands before: subnormals, overflow, non-finite and
 # non-numeric words, the empty value and integers past 64 bits
 ADVERSARIAL_VALUES = ["0", "-0.0", "5e-324", "2e-310", "1e200", "1e-200", "1e308", "inf", "-inf",
                       "nan", "1e999", "", "x", str(2**63), str(2**64)]
 
 
+def run_fuzzed(command: str, keys: dict, json_files=(), csv_files=()) -> int:
+    """Run command in process on a config of keys, and check that it ran
+    or failed typed: exit 0, 2, 3 or 4, no warning, at most one error line
+    and no traceback.  At exit 0 every JSON file parses with no NaN or
+    Infinity, and every number of every CSV file is finite."""
+    out = Path(os.environ[cli_module.OUT_DIR_ENV])
+    cfg = write_cfg(out, "c.cfg", **keys)
+    err = io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        code = main([command, cfg])
+    assert code in (0, 2, 3, 4)
+    assert not caught, [str(w.message) for w in caught]
+    assert err.getvalue().count("error:") <= 1 and "Traceback" not in err.getvalue()
+    if code == 0:
+        for name in json_files:
+            strict_json((out / name).read_text())
+        for name in csv_files:
+            rows = (out / name).read_text().splitlines()[1:]
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+    return code
+
+
 @given(
     st.fixed_dictionaries(
         {"scaling_trials": st.sampled_from(["1", "5"])},
         optional={"l_max": st.sampled_from(["2", "3", "4"]), "d_max": st.sampled_from(["1", "2", "3"]),
-                  "seed": st.sampled_from(["0", "7", str(2**64 - 1)]), "out": st.just("r.json")},
+                  "seed": st.sampled_from(["0", "7", str(2**64 - 1)]),
+                  "out": st.sampled_from(["r.json", "c.cfg/x"])},
     ),
     st.dictionaries(st.sampled_from(["l_max", "d_max", "scaling_trials", "seed", "out"]),
                     st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2),
@@ -955,20 +1029,42 @@ def test_verify_config_fuzz(small, adversarial):
         return decompose_hermite_sum(z, d)
 
     keys = {**small, **adversarial}
-    out = Path(os.environ[cli_module.OUT_DIR_ENV])
-    cfg = write_cfg(out, "v.cfg", **keys)
-    err = io.StringIO()
+    report = keys.get("out", "verify_report.json")
     with (mock.patch.object(cli_module, "enumerate_multilabelings", census),
-          mock.patch.object(cli_module, "decompose_hermite_sum", decompose),
-          warnings.catch_warnings(record=True) as caught,
-          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
-        warnings.simplefilter("always")
-        code = main(["verify", cfg])
-    assert code in (0, 2, 3, 4)
-    assert not caught, [str(w.message) for w in caught]
-    assert err.getvalue().count("error:") <= 1 and "Traceback" not in err.getvalue()
+          mock.patch.object(cli_module, "decompose_hermite_sum", decompose)):
+        code = run_fuzzed("verify", keys, json_files=[report])
     if code == 0:
-        assert strict_json((out / keys.get("out", "verify_report.json")).read_text())["payload"]["ok"]
+        out = Path(os.environ[cli_module.OUT_DIR_ENV])
+        assert strict_json((out / report).read_text())["payload"]["ok"]
+
+
+@given(
+    st.sampled_from([(1.0, 2.0, 0.5), (-1.0, 1.1, 0.25), (0.0, 1.0, 1.0), (1.0, 1.05, 0.3), (1.5, 2.5, 3.0)]),
+    st.fixed_dictionaries(
+        {},
+        optional={"density_points": st.sampled_from(["2", "3", "201"]),
+                  "moments_lmax": st.sampled_from(["1", "2", "11"]),
+                  "epsilon": st.sampled_from(["1e-6", "1e-2"]), "out": st.sampled_from(["law", "c.cfg/x"])},
+    ),
+    st.dictionaries(st.sampled_from(["a", "nu", "gamma", "density_points", "epsilon", "moments_lmax", "out"]),
+                    st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2),
+)
+@settings(max_examples=1500, derandomize=True, deadline=None)
+def test_limit_law_config_fuzz(law, small, adversarial):
+    # every config of limit-law's keys, from one of the benchmark's laws on
+    # a grid of at most 201 points, either runs or fails typed
+    keys = {"a": law[0], "nu": law[1], "gamma": law[2], "density_points": "201", "moments_lmax": "11",
+            **small, **adversarial}
+    prefix = keys.get("out", "limit_law")
+    run_fuzzed("limit-law", keys, json_files=[f"{prefix}_summary.json"],
+               csv_files=[f"{prefix}_{name}.csv" for name in ("density", "support", "moments")])
+
+
+def test_limit_law_rounded_fuzz_catch_exits_2():
+    # a random fuzz drew this law, rounded here, with a LinAlgError from
+    # non-finite cubic coefficients; the rounded figures have nu < a^2
+    keys = {"a": -35.39, "nu": 1252.43, "gamma": 2.1e238, "moments_lmax": 1}
+    assert run_fuzzed("limit-law", keys) == 2
 
 
 # sha256 of json.dumps(payload, indent=2, sort_keys=True) for verify at
@@ -1188,8 +1284,8 @@ def _fail_if_called(*args, **kwargs):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Make every census, projection and sampling entry of the CLI fail."""
-    for name in ("enumerate_multilabelings", "project_kernel", "sample_data", "sweep_tau"):
+    """Make every census, moment, projection and sampling entry of the CLI fail."""
+    for name in ("enumerate_multilabelings", "moment", "project_kernel", "sample_data", "sweep_tau"):
         monkeypatch.setattr(cli_module, name, _fail_if_called)
 
 

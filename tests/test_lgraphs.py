@@ -118,11 +118,30 @@ def test_enumeration_is_complete_for_l2_brute_force():
 
 
 def test_enumeration_respects_state_cap(monkeypatch):
+    # MAX_TUPLE_SIZES holds, by l, the largest d whose walk stays within
+    # the state cap: a census past its entry is not walked
     with pytest.raises(SizeCapError):
         enumerate_multilabelings(7, 1)
-    monkeypatch.setattr(lgraphs, "STATE_CAP", 10)
+    monkeypatch.setitem(lgraphs.MAX_TUPLE_SIZES, 4, 2)
     with pytest.raises(SizeCapError):
         enumerate_multilabelings(4, 3)
+
+
+@pytest.mark.parametrize("l, d", [(4, 16), (5, 12), (6, 4), (2, 7840), (3, 7840), (7, 1), (1, 1)])
+def test_a_census_past_the_size_table_raises_before_any_walk(monkeypatch, l, d):
+    # (6, 4) used to walk 10^6 states, about 5 s, before it raised
+    def no_walk(*args):
+        raise AssertionError("a walk started past the size table")
+
+    monkeypatch.setattr(lgraphs, "_canonical_p_sequences", no_walk)
+    with pytest.raises(SizeCapError, match="past the census table"):
+        enumerate_multilabelings(l, d)
+
+
+def test_the_size_table_falls_with_the_cycle_length():
+    # so verify reads the cap of every l <= l_max at l_max alone
+    sizes = [lgraphs.MAX_TUPLE_SIZES[l] for l in range(2, 7)]
+    assert sizes == sorted(sizes, reverse=True) and sorted(lgraphs.MAX_TUPLE_SIZES) == list(range(2, 7))
 
 
 def test_enumeration_walks_past_the_recursion_limit():
@@ -229,13 +248,13 @@ def test_censuses_nest(l, top):
 
 def test_state_cap_trips_before_any_class_is_built(monkeypatch):
     # (5, 3) emits classes within its first thousand states; none is built
-    # until every walk has ended inside the cap
+    # when the size table does not admit the census
     def build(cls, p_key, n_key):
         raise AssertionError("a class was built before the state cap tripped")
 
-    monkeypatch.setattr(lgraphs, "STATE_CAP", 1000)
+    monkeypatch.setitem(lgraphs.MAX_TUPLE_SIZES, 5, 2)
     monkeypatch.setattr(MultiLabeling, "_from_key", classmethod(build))
-    with pytest.raises(SizeCapError, match="state cap 1000"):
+    with pytest.raises(SizeCapError, match="max_tuple_size=3 at l=5"):
         enumerate_multilabelings(5, 3)
 
 

@@ -1,4 +1,7 @@
+import ast
+import importlib
 import inspect
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -41,3 +44,21 @@ def test_readme_shell_examples_match_the_parser():
             assert set(keys) <= read, (line, set(keys) - read)
             runs += 1
     assert runs == len(cli.COMMANDS)
+
+
+def test_readme_cap_values_match_the_package():
+    # a cap the README states used to drift from the code, or outlive it.
+    # A constant is a name of two or more capitals before its first
+    # underscore, so `P_0 = n` is not one
+    import kernelspectra
+
+    defined = {
+        name: value
+        for info in pkgutil.iter_modules(kernelspectra.__path__)
+        for name, value in vars(importlib.import_module(f"kernelspectra.{info.name}")).items()
+    }
+    stated = re.findall(r"`([A-Z]{2,}_[A-Z0-9_]*) =\s+([^`]+)`", README.read_text())
+    assert len(stated) >= 10
+    for name, value in stated:
+        assert name in defined, f"the README states {name}, which the package does not define"
+        assert defined[name] == ast.literal_eval(value.strip()), (name, defined[name])
