@@ -38,14 +38,14 @@ from .simulate import (
     MAX_DATA_ENTRIES,
     DataMatrixConfig,
     SpectrumSummary,
+    _data_blocks,
     _eigvalsh_in_place,
     _kernel_triangle,
-    _mapped_empty,
+    _rank_two_spikes,
+    _tallied,
     decompose_hermite_sum,
     ks_distance,
-    rank_two_correction,
     remainder_variance,
-    sample_data,
 )
 from .sparse_pca import SpikedModelConfig, ThresholdFunction, sweep_tau
 
@@ -395,15 +395,17 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
     eigenvalues = []
     trial_summaries = []
     for t in range(trials):
-        # one p x p-sized array at a time, and a slab: the build gives X's
-        # pages back as it fills K's upper triangle, and the solve reads
-        # that triangle alone and overwrites K.  The build checked every
-        # entry for finiteness, and K is symmetric by construction, so the
-        # solve needs neither the mirror nor spectrum's checks.
-        X = sample_data(data_cfg, stream=t, out=_mapped_empty((p, n), disposable=True))
-        spikes = rank_two_correction(X, exp.a2, fourth_moment=data_cfg.fourth_moment)
-        K = _kernel_triangle(X, kernel)
-        del X
+        # X is never held: its blocks of samples are drawn one at a time,
+        # each adding its share to the Gram in K's upper triangle (and its
+        # x^2 - 1 to the spike's row sums), and the kernel, the diagonal and
+        # the solve touch that triangle alone, which the solve overwrites.
+        # The build checked every entry for finiteness, and K is symmetric
+        # by construction, so the solve needs neither the mirror nor
+        # spectrum's checks.
+        sums = np.zeros(p)
+        blocks = _data_blocks(data_cfg, stream=t)
+        K = _kernel_triangle(_tallied(blocks, sums) if exp.a2 else blocks, p, n, kernel)
+        spikes = _rank_two_spikes(sums, n, exp.a2, data_cfg.fourth_moment)
         summ = SpectrumSummary(eigenvalues=_eigvalsh_in_place(K)[::-1].copy())
         del K
         eigenvalues.append(summ.eigenvalues)

@@ -237,22 +237,28 @@ def support(p: LimitLawParams) -> SupportIntervals:
     g = p.gamma
     reach = abs(p.a) * (g + 2.0 * math.sqrt(g) + (g > 1.0)) + 2.0 * math.sqrt(p.semicircle_variance)
     bound = reach * (1.0 + 1e-6)
+    overflow = DomainError(f"the support discriminant of {p} overflows double precision on |x| < {bound}")
     with np.errstate(over="ignore", invalid="ignore"):
         quartic = _discriminant_polynomial(p)
         # Leading terms below roundoff on the window only push np.roots off
         # scale.  A size is finite only where its coefficient is.
         size = np.abs(quartic) * bound ** np.arange(len(quartic) - 1, -1, -1)
     if not np.all(np.isfinite(size)):
-        raise DomainError(
-            f"the support discriminant of {p} overflows double precision on |x| < {bound}"
-        )
+        raise overflow
     quartic = quartic[np.argmax(size > np.finfo(float).eps * size.max()):]
     slope = np.polyder(quartic)
     roots = np.roots(quartic)
     xs = roots.real[(np.abs(roots.imag) <= 1e-6 * bound) & (np.abs(roots.real) < bound)]
-    for _ in range(6):
-        d = np.polyval(slope, xs)
-        xs = xs - np.where(d != 0, _support_discriminant(xs, p) / np.where(d == 0, 1.0, d), 0.0)
+    # The discriminant's direct form squares and multiplies its
+    # coefficients, so it can leave the doubles on the window where the
+    # coefficients' sizes did not, and a Newton step from a double root can
+    # throw an iterate far past the window; either would drop a root.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(6):
+            d, f = np.polyval(slope, xs), _support_discriminant(xs, p)
+            xs = xs - np.where(d != 0, f / np.where(d == 0, 1.0, d), 0.0)
+            if not (np.isfinite(d).all() and np.isfinite(f).all() and np.isfinite(xs).all()):
+                raise overflow
     # Roots closer than roundoff are one root; the discriminant's sign
     # between neighbouring roots and past the outer ones picks the edges.
     xs = np.sort(xs[np.abs(xs) < bound])
@@ -260,7 +266,11 @@ def support(p: LimitLawParams) -> SupportIntervals:
     if not xs.size:
         raise ConsistencyError(f"no support edge of {p} within |x| < {bound}")
     probes = np.concatenate(([-bound], 0.5 * (xs[1:] + xs[:-1]), [bound]))
-    inside = _support_discriminant(probes, p) < 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_probes = _support_discriminant(probes, p)
+    if not np.isfinite(at_probes).all():
+        raise overflow
+    inside = at_probes < 0
     edges = xs[inside[1:] != inside[:-1]]
     if inside[0] or inside[-1] or not 2 <= len(edges) <= 4:
         raise ConsistencyError(f"expected 1 or 2 support intervals for {p}, found edges {edges}")

@@ -23,26 +23,24 @@ from .hermite import _eval_on, hermite_eval
 from .limit_law import LimitLawParams, cdf
 
 # Both caps are checked by simulate and by sparse-pca-sweep; peaks are
-# ru_maxrss in a fresh process.  simulate holds X or K, and a slab, and
-# peaks at most at 47 MB + 8 B * 1.06 max(p^2, p n): 44 MB + 8 B * 1.06
-# p^2 at n <= p (p = n = 1500 to 5000, and p = 4000, n = 2000) and 46 MB
-# + 8 B * p n at n > p (p = 3000, n = 6000, and p = 2000, n = 8000).  The
-# sweep holds X or one p x p array, and a slab, a sparse cell and a
-# Lanczos basis: it peaks at 48 MB + 8 B * 1.07 p^2 while that array and
+# ru_maxrss in a fresh process.  Neither command holds X, only one block
+# of its samples at a time.  simulate holds the upper triangle of K, in
+# 4 KB pages, and peaks at about 44 MB + 8 B * p^2 / 2 + 4 KB * p (the
+# pages the diagonal cuts): 88 MB at p = n = 3000 and 118 MB at p = 4000,
+# n = 2000, whatever n (63 MB at p = 2000, n = 8000), so 2.6 GB at this
+# cap.  The sweep holds one p x p array with huge pages, a sparse cell and
+# a Lanczos basis: it peaks at 48 MB + 8 B * 1.07 p^2 while that array and
 # the cells' solves coexist (p = n = 3000 to 5000, bases of 160 to 216
-# rows), and at 43 MB + 8 B * (p n + 0.05 p^2) while X is drawn and its
-# Gram formed (p = 2000 and 3000, n = 2p).  A basis at the step cap adds
-# at most 8 B * 1512 p (LANCZOS_MAX_STEPS rows and the 512 it grew from),
-# 0.3 GB at this cap.  The sweep binds, at 5.7 GB with such a basis (5.4
-# GB without, and simulate's 5.4 GB), which leaves about 1 GB of a 7 GB
-# host to everything else.
+# rows).  A basis at the step cap adds at most 8 B * 1512 p
+# (LANCZOS_MAX_STEPS rows and the 512 it grew from), 0.3 GB at this cap.
+# The sweep binds, at 5.7 GB with such a basis (5.4 GB without), which
+# leaves about 1 GB of a 7 GB host to everything else.
 MAX_MATRIX_SIDE = 25000
-# Entries of X.  Drawing X peaks at 16 B per entry for the sweep at p = 2
-# (ru_maxrss at p * n = 1e7 and 2e7).  simulate costs 7.6 B an entry at
-# p = 64 and 11.4 B at p = 2, where rank_two_correction's one-row slab is
-# half of X, under every entry law.  So 5.8 GB at this cap, which binds;
-# with p <= MAX_MATRIX_SIDE the sweep's p n + 0.05 p^2 stays within 3.2 GB
-# and simulate's 1.06 max(p^2, p n) within 5.4 GB.
+# Entries of X.  The commands read X in blocks of samples and never hold
+# it, so this caps their draws, not their memory: simulate at p = 2 and
+# n = 1.8e8, the cap, ran 12.6 s and peaked at 40 MB, the sweep 42 MB at
+# p = 2, n = 1e7.  sample_data, which assembles X for a caller, holds 8 B
+# an entry, 2.9 GB at this cap.
 MAX_DATA_ENTRIES = 360_000_000
 _DRAW_BLOCK = 2**19  # entries per index draw of a discrete entry law
 
@@ -151,81 +149,123 @@ class DataMatrixConfig:
         return self.law.moment(4)
 
 
+# Samples per block of a draw: at least _MIN_BLOCK_SAMPLES, and otherwise
+# about _BLOCK_ENTRIES entries, so a block depends on (p, n) alone.  Each
+# block's dsyrk adds its share to the Gram's upper triangle, so a narrow
+# block reads and writes that triangle more often: into 4 KB pages, the
+# Gram took 110, 101 and 103 ms at p = n = 2000 in blocks of 64, 128 and
+# 256 samples, and 385, 341 and 333 ms at p = 4000, n = 2000, against 99
+# and 358 ms for the row slabs it replaced, which held X whole and wrote
+# huge pages (medians of 9, two BLAS threads on a 2-vCPU host).  A block
+# sits beside K's triangle: simulate at p = n = 2000 peaked at 64.0 MB in
+# blocks of 65 samples and 65.9 MB in blocks of 128, in the same ops' time.
+_MIN_BLOCK_SAMPLES = 64
+_BLOCK_ENTRIES = 2**17
+
+
+def _column_blocks(p: int, n: int):
+    """(j0, j1) of the blocks of samples (columns of a p x n X) that a
+    draw is made and read in, in order, each of the same width but the
+    last."""
+    width = max(_MIN_BLOCK_SAMPLES, _BLOCK_ENTRIES // p)
+    for j0 in range(0, n, width):
+        yield j0, min(n, j0 + width)
+
+
+def _data_blocks(cfg: DataMatrixConfig, stream: int | tuple[int, ...] = 0):
+    """The _column_blocks of X, drawn one after the other from the stream
+    of cfg.seed (and an optional extra stream index, or tuple of indices,
+    for independent trials): each a new C-ordered (w, p) float64 array
+    whose rows are w samples, that is X[:, j0:j1].T.  The generator holds
+    no block while it draws the next, so a caller that drops each block
+    before it asks for the next never holds two."""
+    gen = rngmod.derive_rng(cfg.seed, rngmod.STREAM_DATA, stream)
+    for j0, j1 in _column_blocks(cfg.p, cfg.n):
+        yield cfg.law.sample(gen, (j1 - j0, cfg.p))
+
+
+def _assembled(blocks, p: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The p x n matrix whose columns the (w, p) blocks hold, in order,
+    written into out if given."""
+    X = np.empty((p, n)) if out is None else out
+    j0 = 0
+    for block in blocks:
+        X[:, j0:j0 + len(block)] = block.T
+        j0 += len(block)
+    return X
+
+
 def sample_data(
     cfg: DataMatrixConfig, stream: int | tuple[int, ...] = 0, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Draw X (p x n), reproducibly from cfg.seed (and an optional extra
     stream index, or tuple of indices, for independent trials), into out
-    (a C-ordered p x n float64 array) if given."""
-    gen = rngmod.derive_rng(cfg.seed, rngmod.STREAM_DATA, stream)
-    return cfg.law.sample(gen, (cfg.p, cfg.n), out=out)
+    (a C-ordered p x n float64 array) if given: the blocks of _data_blocks,
+    assembled.  The commands read those blocks and never hold X."""
+    return _assembled(_data_blocks(cfg, stream), cfg.p, cfg.n, out)
+
+
+def _blocks_of(X: np.ndarray):
+    """The _column_blocks of a caller's p x n X, each copied out as the
+    C-ordered (w, p) float64 array of its samples that a sampler yields,
+    so a build from X has the bits of a build from the draw that made X."""
+    p, n = X.shape
+    for j0, j1 in _column_blocks(p, n):
+        yield np.ascontiguousarray(X[:, j0:j1].T, dtype=np.float64)
+
+
+def _tallied(blocks, sums: np.ndarray):
+    """The blocks, passed on, with each block's sum over its w samples of
+    x^2, less w, added into sums: once every block has passed, sums[i] is
+    sum_j (x_ij^2 - 1), the row sums of rank_two_correction.  einsum sums
+    the squares with no temporary of the block's size.  No block is held
+    while the next is drawn."""
+    for block in blocks:
+        sums += np.einsum("ji,ji->i", block, block)
+        sums -= len(block)
+        yield block
+        del block
 
 
 # ---------------------------------------------------------------------------
 # kernel matrices
 
 
-# Rows per block in the blocked passes over X and over a p x p matrix: the
-# Gram slabs of the kernel-matrix build (where a tail of fewer than half as
-# many rows joins the last slab), the full kernel matrix's mirror pass and
-# spectrum's check, whose two temporaries of this many rows are freed
-# before its solve.
+# Rows per block of the full kernel matrix's mirror pass, of spectrum's
+# check, whose two temporaries of this many rows are freed before its
+# solve, and of rank_two_correction's pass over a caller's X.
 _SLAB_ROWS = 128
 # Gram entries per kernel tile: the Hermite sweep's buffers for one tile
 # stay in cache (8192 and 131072 were slower at n = p = 2000).
 _TILE_ENTRIES = 32768
 
 
-class _DisposableMapping(mmap.mmap):
-    """An anonymous mapping whose array a Gram's slab pass gives back to the
-    OS as it reads it (see _mapped_empty)."""
-
-
-def _mapped_empty(shape: tuple[int, int], disposable: bool = False) -> np.ndarray:
-    """An uninitialised float64 array over its own anonymous mapping, which
-    goes back to the OS when the last reference to the array is dropped.
-    glibc serves a large array from its heap once a freed one of that size
-    has raised its mmap threshold, and keeps the pages when the array is
-    freed, so a freed array would still count towards a later peak.  The
-    mapping is advised MADV_HUGEPAGE where the platform has it, as numpy
-    does for its own large arrays, so that filling it faults in huge pages,
-    not 4 KB ones.
-
-    A disposable array is one its owner hands to a Gram's slab pass
-    (_scaled_gram_slabs), which gives its pages back to the OS as it reads
-    them, so that it reads as zeros after the Gram."""
+def _mapped_empty(shape: tuple[int, int], huge_pages: bool = True) -> np.ndarray:
+    """A float64 array over its own private anonymous mapping, which reads
+    as zeros until written and goes back to the OS when the last reference
+    to the array is dropped.  glibc serves a large array from its heap once
+    a freed one of that size has raised its mmap threshold, and keeps the
+    pages when the array is freed, so a freed array would still count
+    towards a later peak.  The mapping is advised MADV_HUGEPAGE where the
+    platform has it, as numpy does for its own large arrays, so that
+    filling it faults in huge pages, not 4 KB ones; or, unless
+    `huge_pages`, MADV_NOHUGEPAGE, so that only the 4 KB pages its owner
+    touches take memory."""
     count = math.prod(shape)
-    # private: pages given back from a shared mapping would stay in memory
-    buf = (_DisposableMapping if disposable else mmap.mmap)(-1, 8 * count, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buf.madvise(mmap.MADV_HUGEPAGE)
+    buf = mmap.mmap(-1, 8 * count, flags=mmap.MAP_PRIVATE)
+    advice = "MADV_HUGEPAGE" if huge_pages else "MADV_NOHUGEPAGE"
+    if hasattr(mmap, advice):
+        buf.madvise(getattr(mmap, advice))
     return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
 
 
-def _disposable_mapping(X: np.ndarray) -> mmap.mmap | None:
-    """The mapping under X if X is all of a disposable _mapped_empty array,
-    else None."""
-    base = X.base
-    view = base.base if isinstance(base, np.ndarray) else None
-    if (
-        isinstance(view, memoryview)
-        and isinstance(view.obj, _DisposableMapping)
-        and X.flags.c_contiguous
-        and X.ctypes.data == base.ctypes.data
-        and X.nbytes == len(view.obj)
-    ):
-        return view.obj
-    return None
-
-
-def _upper_tiles(rows: int, cols: int | None = None):
+def _upper_tiles(p: int):
     """(i0, i1) of the row slabs [i0:i1, i0:] of about _TILE_ENTRIES
-    entries that cover the upper triangle of a rows x cols matrix (square
-    by default), each row once."""
-    cols = rows if cols is None else cols
+    entries that cover the upper triangle of a p x p matrix, each row
+    once."""
     i0 = 0
-    while i0 < rows:
-        i1 = min(rows, i0 + max(1, _TILE_ENTRIES // (cols - i0)))
+    while i0 < p:
+        i1 = min(p, i0 + max(1, _TILE_ENTRIES // (p - i0)))
         yield i0, i1
         i0 = i1
 
@@ -249,19 +289,18 @@ def _non_finite_error(g: np.ndarray) -> ConfigError:
 
 def _kernel_tiles(g: np.ndarray, kernel, n: int, out: np.ndarray) -> np.ndarray:
     """k(g) / sqrt(n) entrywise on the upper triangle of a scaled Gram g of
-    n samples, or of a slab of one whose diagonal starts at g[0, 0],
-    written into the upper triangle of out (g itself, a buffer of g's
-    shape, or g.T: see sparse_pca.sweep_tau) and returned; the rest of out
-    is left as it was.  The kernel runs on row slabs g[i0:i1, i0:] of about
-    _TILE_ENTRIES entries, so it also sees the part of each slab's diagonal
-    block below the diagonal, and a reader of out needs g's upper triangle
-    only.  A non-finite kernel value in a slab raises ConfigError, which
-    names the Gram where the slab of g is itself not finite.  Each tile's
-    quotient is written into out, never into the kernel's result, so a
-    kernel that returns its input or a view of it leaves g intact when out
-    is a separate buffer; when out is g, numpy buffers the overlap."""
+    n samples, written into the upper triangle of out (g itself, a buffer
+    of g's shape, or g.T: see sparse_pca.sweep_tau) and returned; the rest
+    of out is left as it was.  The kernel runs on row slabs g[i0:i1, i0:] of
+    about _TILE_ENTRIES entries, so it also sees the part of each slab's
+    diagonal block below the diagonal, and a reader of out needs g's upper
+    triangle only.  A non-finite kernel value in a slab raises ConfigError,
+    which names the Gram where the slab of g is itself not finite.  Each
+    tile's quotient is written into out, never into the kernel's result, so
+    a kernel that returns its input or a view of it leaves g intact when
+    out is a separate buffer; when out is g, numpy buffers the overlap."""
     s = math.sqrt(n)
-    for i0, i1 in _upper_tiles(*g.shape):
+    for i0, i1 in _upper_tiles(len(g)):
         rows = i1 - i0
         vals = _eval_on(kernel, g[i0:i1, i0:])
         if not np.isfinite(vals).all():
@@ -276,63 +315,51 @@ def _kernel_tiles(g: np.ndarray, kernel, n: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_slabs(p: int):
-    """(i0, i1) of the row slabs of _SLAB_ROWS rows that cover p rows,
-    a tail of fewer than half a slab joined to the last one."""
-    i0 = 0
-    while i0 < p:
-        i1 = i0 + _SLAB_ROWS
-        if p - i1 < _SLAB_ROWS // 2:
-            i1 = p
-        yield i0, i1
-        i0 = i1
-
-
-def _scaled_gram_slabs(X: np.ndarray, out: np.ndarray | None = None):
-    """(i0, i1, g) over the _gram_slabs of X (p x n), where g is the slab
-    X[i0:i1] @ X[i0:].T / sqrt(n) of the scaled Gram: rows i0:i1 from
-    column i0 on, diagonal block whole.  Each slab is a new array of
-    i1 - i0 rows, or the view out[i0:i1, i0:] of a C-ordered p x p out,
-    with the same bits.  No later slab reads the rows of X before i1, so
-    when X is all of a disposable _mapped_empty array, the whole pages of
-    those rows go back to the OS once the caller asks for the next slab,
-    and X reads as zeros after the last one; any other X is left as it
-    was."""
-    p, n = X.shape
-    s = math.sqrt(n)
-    mapping = _disposable_mapping(X)
-    released = 0
-    for i0, i1 in _gram_slabs(p):
-        # an overflowing entry is reported by the kernel's finiteness check
-        with np.errstate(over="ignore"):
-            g = np.matmul(X[i0:i1], X[i0:].T, out=None if out is None else out[i0:i1, i0:])
-            g /= s
-        yield i0, i1, g
-        end = i1 * n * X.itemsize // mmap.PAGESIZE * mmap.PAGESIZE
-        if mapping is not None and end > released:
-            mapping.madvise(mmap.MADV_DONTNEED, released, end - released)
-            released = end
-
-
-def _kernel_triangle(X: np.ndarray, kernel, diagonal: bool = False) -> np.ndarray:
-    """The upper triangle of k(sqrt(n) * Sigma_hat) / sqrt(n), its diagonal
-    zero unless `diagonal`, in an array over its own mapping
-    (_mapped_empty) whose strict lower triangle reads as zeros.
-
-    The Gram is formed in row slabs, X[i0:i1] @ X[i0:].T / sqrt(n), and
-    the kernel is written from each slab straight into K[i0:i1, i0:]
-    (_kernel_tiles).  So besides X the build holds K and one slab, and a
-    disposable X goes back to the OS as the slabs pass it
-    (_scaled_gram_slabs).  Each slab's -0.0 entries become +0.0: LAPACK's
-    Householder reflections take the sign of a zero, so dsyevd's
-    eigenvalues depend on it."""
-    p, n = X.shape
+def _scaled_gram(blocks, p: int, n: int, huge_pages: bool = True) -> np.ndarray:
+    """X X^T / sqrt(n) on the upper triangle of a p x p array over its own
+    mapping (_mapped_empty), for the p x n X whose columns the blocks hold:
+    C-ordered (w, p) float64 arrays of w samples each, in order, as
+    _data_blocks yields them.  Each block's share B^T B / sqrt(n) is added
+    in place by numpy's cblas_dsyrk, which writes the upper triangle alone,
+    so the strict lower triangle reads as zeros and, unless `huge_pages`,
+    takes no memory.  Without the symbol, numpy products over the upper
+    triangle's tiles (_upper_tiles), which also write the part of each
+    tile's diagonal block below the diagonal.  Each block is dropped
+    before the next is drawn.  An entry that overflows is left for the
+    kernel's finiteness check."""
     if p > MAX_MATRIX_SIDE:
         raise SizeCapError(f"p={p} exceeds cap {MAX_MATRIX_SIDE}")
-    K = _mapped_empty((p, p))
-    for i0, i1, g in _scaled_gram_slabs(X):
-        _kernel_tiles(g, kernel, n, out=K[i0:i1, i0:])
-        K[i0:i1, i0:] += 0.0  # -0.0 -> +0.0
+    G = _mapped_empty((p, p), huge_pages)
+    dsyrk = _cblas_dsyrk()
+    scale = 1.0 / math.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            if block.shape[1:] != (p,) or not block.flags.c_contiguous or block.dtype != np.float64:
+                raise ConsistencyError(f"a Gram block must be a C-ordered (w, {p}) float64 array")
+            if dsyrk is None:
+                for i0, i1 in _upper_tiles(p):
+                    G[i0:i1, i0:] += scale * (block[:, i0:i1].T @ block[:, i0:])
+            else:
+                # 101, 121, 112: row-major, upper triangle, G += scale B^T B
+                dsyrk(101, 121, 112, p, len(block), scale, block.ctypes.data, p, 1.0, G.ctypes.data, p)
+            del block  # not held while the next block is drawn
+    return G
+
+
+def _kernel_triangle(blocks, p: int, n: int, kernel, diagonal: bool = False) -> np.ndarray:
+    """The upper triangle of k(sqrt(n) * Sigma_hat) / sqrt(n) for the X
+    whose columns the blocks hold (see _scaled_gram), its diagonal zero
+    unless `diagonal`, in place of the Gram of a 4 KB-page mapping: the
+    Gram, the kernel's tiles (_kernel_tiles) and the diagonal touch only
+    the upper triangle's pages, about half of the array's, and leave the
+    strict lower triangle as the Gram did.  So the build holds one block of
+    X at a time, never X, and half of K."""
+    K = _scaled_gram(blocks, p, n, huge_pages=False)
+    _kernel_tiles(K, kernel, n, out=K)
+    for i0, i1 in _upper_tiles(p):
+        # -0.0 -> +0.0: LAPACK's Householder reflections take the sign of
+        # a zero, so dsyevd's eigenvalues depend on it
+        K[i0:i1, i0:] += 0.0
     if not diagonal:
         np.fill_diagonal(K, 0.0)
     return K
@@ -340,23 +367,22 @@ def _kernel_triangle(X: np.ndarray, kernel, diagonal: bool = False) -> np.ndarra
 
 def _kernel_matrix(X: np.ndarray, kernel, diagonal: bool = True) -> np.ndarray:
     """k(sqrt(n) * Sigma_hat) / sqrt(n) entrywise, exactly symmetric, the
-    diagonal included unless not `diagonal`: _kernel_triangle, whose upper
-    triangle is then mirrored into its lower one."""
-    K = _kernel_triangle(X, kernel, diagonal)
+    diagonal included unless not `diagonal`: _kernel_triangle on X's
+    blocks, whose upper triangle is then mirrored into its lower one."""
+    K = _kernel_triangle(_blocks_of(X), *X.shape, kernel, diagonal)
     p = len(K)
     for i0 in range(0, p, _SLAB_ROWS):
         i1 = min(i0 + _SLAB_ROWS, p)
         K[i0:i1, :i0] = K[:i0, i0:i1].T
         block = K[i0:i1, i0:i1]
-        block += np.triu(block, 1).T  # onto the zeros below the diagonal
+        block[...] = np.triu(block) + np.triu(block, 1).T
     return K
 
 
 def build_kernel_matrix(X: np.ndarray, kernel) -> np.ndarray:
     """K(X)[i,i'] = k(sqrt(n) * Sigma_hat[i,i']) / sqrt(n) off-diagonal,
     exactly zero on the diagonal.  Built from the upper triangle so the
-    result is exactly symmetric.  X is left as it was, unless it is a
-    disposable _mapped_empty array (see _kernel_triangle)."""
+    result is exactly symmetric.  X is left as it was."""
     return _kernel_matrix(X, kernel, diagonal=False)
 
 
@@ -436,6 +462,14 @@ def _cblas_dsymv():
     """numpy's cblas_dsymv, or None (see _numpy_openblas)."""
     return _numpy_openblas(
         "cblas_dsymv", None, _INT, _INT, _I64, _DOUBLE, _PTR, _I64, _PTR, _I64, _DOUBLE, _PTR, _I64
+    )
+
+
+@functools.cache
+def _cblas_dsyrk():
+    """numpy's cblas_dsyrk, or None (see _numpy_openblas)."""
+    return _numpy_openblas(
+        "cblas_dsyrk", None, _INT, _INT, _INT, _I64, _I64, _DOUBLE, _PTR, _I64, _DOUBLE, _PTR, _I64
     )
 
 
@@ -750,21 +784,32 @@ def rank_two_correction(X: np.ndarray, a2: float, fourth_moment: float = 3.0) ->
     (a2/(n*sqrt(2))) * (v 1^T + 1 v^T), v_i = sum_j (x_ij^2 - 1)/sqrt(n),
     from its characteristic quadratic, plus the asymptotic prediction.
 
-    With a2 = 0 the correction vanishes and no spikes are returned.
+    With a2 = 0 the correction vanishes and no spikes are returned.  The
+    simulate command, which never holds X, adds the sums up over the blocks
+    its Gram reads (_tallied) and passes them to _rank_two_spikes.
     """
     if a2 == 0.0:
         return SpikePrediction(locations=(), empirical=())
     p, n = X.shape
-    gamma = p / n
     # row slabs of (x_ij^2 - 1) of at most 2^19 entries (one row if n is
     # larger): each row sums as it would in one pass over X, with a
     # temporary of a few MB, not of X
     rows = max(1, min(_SLAB_ROWS, 2**19 // n))
-    v = np.empty(p)
+    sums = np.empty(p)
     for i0 in range(0, p, rows):
         slab = X[i0:i0 + rows]
-        v[i0:i0 + rows] = (slab * slab - 1.0).sum(axis=1)
-    v /= math.sqrt(n)
+        sums[i0:i0 + rows] = (slab * slab - 1.0).sum(axis=1)
+    return _rank_two_spikes(sums, n, a2, fourth_moment)
+
+
+def _rank_two_spikes(sums: np.ndarray, n: int, a2: float, fourth_moment: float) -> SpikePrediction:
+    """rank_two_correction from the row sums sum_j (x_ij^2 - 1) of X's n
+    samples."""
+    if a2 == 0.0:
+        return SpikePrediction(locations=(), empirical=())
+    p = len(sums)
+    gamma = p / n
+    v = sums / math.sqrt(n)
     v1 = float(v.sum())
     vv = float(np.dot(v, v))
     b = a2 * math.sqrt(2.0) / n * v1

@@ -21,15 +21,16 @@ from .hermite import KernelExpansion, _hermite_sweep, kernel_moments
 from .limit_law import LimitLawParams, support
 from .simulate import (
     DataMatrixConfig,
+    _assembled,
+    _column_blocks,
+    _data_blocks,
     _extreme_eigenvalue,
     _kernel_matrix,
     _kernel_tiles,
-    _mapped_empty,
     _non_finite_error,
-    _scaled_gram_slabs,
+    _scaled_gram,
     _upper_tiles,
     check_data_size,
-    sample_data,
 )
 
 INNER_FRACTION = 0.8
@@ -192,20 +193,31 @@ class SpikedModelConfig:
         return v
 
 
+def _spiked_blocks(cfg: SpikedModelConfig, stream: int | tuple[int, ...] = 0):
+    """The _column_blocks of a spiked X (see sample_spiked_data), drawn one
+    after the other from one stream: each a new C-ordered (w, p) float64
+    array of w samples, for which the stream gives the normals g of the
+    block, then the w normals w of its samples.  The generator holds no
+    block while it draws the next."""
+    gen = rngmod.derive_rng(cfg.seed, rngmod.STREAM_SPIKE_COEF, stream)
+    v = cfg.spike_vector()
+    support = np.flatnonzero(v)  # the spike's columns; the others stay g
+    for j0, j1 in _column_blocks(cfg.p, cfg.n):
+        g = gen.standard_normal((j1 - j0, cfg.p))
+        w = gen.standard_normal(j1 - j0)
+        g[:, support] += math.sqrt(cfg.lam) * (w[:, None] * v[support])
+        yield g
+        del g
+
+
 def sample_spiked_data(
     cfg: SpikedModelConfig, stream: int | tuple[int, ...] = 0, out: np.ndarray | None = None
 ) -> np.ndarray:
     """X (p x n) with i.i.d. columns N(0, Id + lam v v^T), generated as
     g + sqrt(lam) * w * v with independent standard normals g, w (exact
     covariance, no matrix square root needed), into out (a C-ordered p x n
-    float64 array) if given, with the same bits."""
-    gen = rngmod.derive_rng(cfg.seed, rngmod.STREAM_SPIKE_COEF, stream)
-    v = cfg.spike_vector()
-    g = gen.standard_normal((cfg.p, cfg.n), out=out)
-    w = gen.standard_normal(cfg.n)
-    for r in np.flatnonzero(v):  # the spike's support; other rows stay g
-        g[r] += math.sqrt(cfg.lam) * (v[r] * w)
-    return g
+    float64 array) if given: the blocks of _spiked_blocks, assembled."""
+    return _assembled(_spiked_blocks(cfg, stream), cfg.p, cfg.n, out)
 
 
 def thresholded_covariance(X: np.ndarray, tau: float) -> np.ndarray:
@@ -361,11 +373,12 @@ def sweep_tau(model: SpikedModelConfig, taus: Sequence[float], trials: int = 5) 
     given level no more often than over independent rows: reading "z > 3
     somewhere" stays conservative.
 
-    One p x p array is held at a time.  Each X is drawn into an anonymous
-    mapping of its own, which goes back to the OS as the Gram's row slabs
-    pass it (simulate._scaled_gram_slabs, the product simulate's kernel
-    matrix is built from).  The Gram fills the upper triangle of a mapped
-    p x p array, and its diagonal is also kept in a vector of length p.
+    One p x p array is held at a time, and X never is.  X is drawn in
+    blocks of samples, each of which adds its share to the Gram's upper
+    triangle in a mapped p x p array as it comes (simulate._scaled_gram,
+    the product simulate's kernel matrix is built from), and the Gram's
+    diagonal is also kept in a vector of length p.  The array keeps its
+    huge pages: its lower triangle takes the dense M_tau.
 
     Each Gram visits the taus in descending order, so the supports of
     M_tau (the entries outside the zero set |g| <= INNER_FRACTION * tau)
@@ -383,7 +396,7 @@ def sweep_tau(model: SpikedModelConfig, taus: Sequence[float], trials: int = 5) 
     can differ from the dense solve's in the last bits.
 
     Every BLAS call runs on numpy's OpenBLAS and its one thread pool: the
-    Gram's slabs are numpy products, and the dense solve's products are
+    Gram's blocks are its cblas_dsyrk, and the dense solve's products are
     cblas_dsymv from the same library.  No scipy module is imported.
     """
     taus = np.asarray(list(taus), dtype=float)
@@ -405,16 +418,10 @@ def sweep_tau(model: SpikedModelConfig, taus: Sequence[float], trials: int = 5) 
     spiked_tops = np.empty((trials, len(taus)))
     for t in range(trials):
         for sampler, cfg, tops in (
-            (sample_data, null, null_tops),
-            (sample_spiked_data, model, spiked_tops),
+            (_data_blocks, null, null_tops),
+            (_spiked_blocks, model, spiked_tops),
         ):
-            X = sampler(cfg, stream=t, out=_mapped_empty((p, n), disposable=True))
-            shared = _mapped_empty((p, p))
-            for slab in _scaled_gram_slabs(X, out=shared):
-                pass  # each slab is written in place
-            # X's pages went back to the OS as the slabs passed them; the
-            # last slab is a view of shared, which must go with shared
-            del X, slab
+            shared = _scaled_gram(sampler(cfg, stream=t), p, n)
             diagonal = shared.diagonal().copy()
             dense = False  # set by the first support past the cut
             for ti in descending:

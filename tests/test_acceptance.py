@@ -322,8 +322,18 @@ def test_criterion_10_sign_property_grid():
 
 
 def test_criterion_11_convergence_trend_and_concentration(h3_norm_table):
-    medians = [float(np.median([abs(v - 2.0) for v in h3_norm_table[n]]))
-               for n in (250, 500, 1000, 2000)]
+    # the trend reads ten seeds a size: the table's five and 1005-1009.
+    # h3's heavy tail puts an outlier eigenvalue past the edge in many
+    # draws at n <= 500, and over 80 seeds a size the medians of five seeds
+    # fell at every doubling in only 80% of draws (two of eight disjoint
+    # seed sets failed on the row-major draws, one of eight on the blocks
+    # of samples, seeds 1000-1004 among them); medians of ten fell in 94%
+    errors = {}
+    for n in (250, 500, 1000, 2000):
+        extra = [spectrum(build_kernel_matrix(sample_data(DataMatrixConfig(n=n, p=n, seed=seed)), H3))
+                 for seed in range(1005, 1010)]
+        errors[n] = [abs(v - 2.0) for v in h3_norm_table[n]] + [abs(s.spectral_norm - 2.0) for s in extra]
+    medians = [float(np.median(errors[n])) for n in (250, 500, 1000, 2000)]
     trend_ok = all(a > b for a, b in zip(medians, medians[1:]))
 
     rows = concentration_probe(
@@ -334,7 +344,7 @@ def test_criterion_11_convergence_trend_and_concentration(h3_norm_table):
     probe_ok = spread < 3.0
 
     ok = trend_ok and probe_ok
-    record(11, ok, f"h3 median norm errors over n=250..2000: "
+    record(11, ok, f"h3 median norm errors over n=250..2000, ten seeds each: "
                    f"{[round(m, 4) for m in medians]} (decreasing); "
                    f"concentration statistic spread across p/n in "
                    f"{{0.25,1,4,16}}: {spread:.2f}x (< 3x)")

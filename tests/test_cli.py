@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import kernelspectra
 import kernelspectra.cli as cli_module
+import kernelspectra.simulate as sim
 from kernelspectra import lgraphs, sparse_pca
 from kernelspectra.cli import main, parse_kernel
 from kernelspectra.errors import ConfigError
@@ -258,7 +259,7 @@ def test_non_finite_kernel_moments_exit_2_before_sampling(
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled data for a kernel without finite moments")
 
-    monkeypatch.setattr(cli_module, "sample_data", no_sampling)
+    monkeypatch.setattr(cli_module, "_data_blocks", no_sampling)
     cfg = write_cfg(tmp_path, "k.cfg", kernel=kernel, **keys)
     assert main([command, cfg]) == 2
     assert message in capsys.readouterr().err
@@ -505,28 +506,41 @@ def test_simulate_seed_override_changes_output(tmp_path):
 
 
 def test_simulate_frees_x_before_the_eigensolve(tmp_path, monkeypatch):
-    # X is gone when the solve starts, and the solve overwrites K in place,
-    # so no p x p array sits beside K there
-    drawn, solves = [], []
+    # simulate never holds X: it draws X in blocks of samples, and every
+    # array the sampler hands to the Gram (and to the spike's row sums) has
+    # at most one block's columns and is dropped before the next block is
+    # drawn.  The solve overwrites K in place, so no p x p array sits beside
+    # K there.  Blocks of 16 samples make each trial's draw four blocks.
+    monkeypatch.setattr(sim, "_MIN_BLOCK_SAMPLES", 16)
+    monkeypatch.setattr(sim, "_BLOCK_ENTRIES", 0)
+    live, shapes, solves = [], [], []
 
-    def sample(*args, **kwargs):
-        X = sample_data(*args, **kwargs)
-        drawn.append(weakref.ref(X))
-        return X
+    def blocks(*args, **kwargs):
+        source = sim._data_blocks(*args, **kwargs)
+        while True:
+            assert all(ref() is None for ref in live), "a block is alive as the next is drawn"
+            block = next(source, None)
+            if block is None:
+                return
+            live.append(weakref.ref(block))
+            shapes.append(block.shape)
+            yield block
+            del block
 
     def solve(m):
-        assert drawn[-1]() is None, "X is alive at the eigensolve"
+        assert all(ref() is None for ref in live), "a block is alive at the eigensolve"
         before = m.copy()
         ev = _eigvalsh_in_place(m)
         # the solve reads K's upper triangle; nothing mirrored it
         solves.append((m.shape, np.array_equal(before, np.triu(before)), np.array_equal(m, before)))
         return ev
 
-    monkeypatch.setattr(cli_module, "sample_data", sample)
+    monkeypatch.setattr(cli_module, "_data_blocks", blocks)
     monkeypatch.setattr(cli_module, "_eigvalsh_in_place", solve)
+    # h2 + h3 has a2 = 1, so the spike's row sums read every block too
     cfg = write_cfg(tmp_path, "s.cfg", kernel="h2+h3", n=60, p=40, trials=2)
     assert main(["simulate", cfg]) == 0
-    assert len(drawn) == 2
+    assert shapes == [(16, 40), (16, 40), (16, 40), (12, 40)] * 2
     # one solve of each trial's K, which it overwrites where LAPACKE is found
     left_as_it_was = _lapacke_dsyevd() is None
     assert solves == [((40, 40), True, left_as_it_was)] * 2
@@ -558,25 +572,28 @@ def test_simulate_solves_the_triangle_with_the_full_matrix_bits(tmp_path, kernel
 
 def test_simulate_peak_grows_by_about_one_p_by_p_array(tmp_path):
     # a fresh interpreter warms up at p = n = 600, then runs three trials at
-    # p = n = 2000: X goes back to the OS as K fills, and the solve works in
-    # K, so the peak RSS grows by K and a slab (1.2 p^2 float64 entries on
-    # a 2-vCPU host; 2.1 when the solve copied K and the build held X and
-    # the full Gram).  A K on glibc's heap would show only from the third
-    # trial.
+    # p = n = 2000: X is never held, and the build and the solve touch only
+    # the upper triangle's 4 KB pages of K, so the peak RSS grows by that
+    # half of K, the partly touched pages along its diagonal and a block of
+    # samples: 0.70 p^2 float64 entries on a 2-vCPU host (1.21 when X went
+    # back to the OS as a K with huge pages filled; 2.1 when the solve copied
+    # K and the build held X and the full Gram).  A K on glibc's heap would
+    # show only from the third trial.
     p = 2000
     runs = [write_cfg(tmp_path, f"{side}.cfg", kernel="h2+h3", n=side, p=side, trials=trials)
             for side, trials in ((600, 1), (p, 3))]
     _, warm, peak = peak_rss_after_each("simulate", runs)  # kB
-    assert (peak - warm) * 1024 < 1.4 * 8 * p * p
+    assert (peak - warm) * 1024 < 0.85 * 8 * p * p
 
 
 def test_sweep_peak_grows_by_about_one_p_by_p_array(tmp_path):
     # a fresh interpreter warms up at p = n = 600, then sweeps five taus at
-    # p = n = 2000: each X goes back to the OS as its Gram's slabs pass it,
+    # p = n = 2000: X is never held, only a block of its samples at a time,
     # and every dense M_tau shares the Gram's array, so the peak RSS grows
-    # by that array, a slab and a sparse cell (1.07 p^2 float64 entries on
-    # a 2-vCPU host; 2.15 while X sat beside its Gram, and the Gram beside
-    # an output buffer)
+    # by that array, a block and a sparse cell (1.07 p^2 float64 entries on
+    # a 2-vCPU host while X went back to the OS as the Gram's row slabs
+    # passed it; 2.15 while X sat beside its Gram, and the Gram beside an
+    # output buffer)
     p = 2000
     runs = [write_cfg(tmp_path, f"{side}.cfg", n=side, taus="0.5:4.0:5", trials=1)
             for side in (600, p)]
@@ -614,8 +631,8 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
         raise AssertionError("sampled data past the size cap")
 
     for module in (cli_module, sparse_pca):
-        monkeypatch.setattr(module, "sample_data", no_sampling)
-    monkeypatch.setattr(sparse_pca, "sample_spiked_data", no_sampling)
+        monkeypatch.setattr(module, "_data_blocks", no_sampling)
+    monkeypatch.setattr(sparse_pca, "_spiked_blocks", no_sampling)
     cfg = write_cfg(tmp_path, "c.cfg", **keys)
     assert main([command, cfg]) == 3
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
@@ -647,9 +664,9 @@ def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, cap
         raise AssertionError("started work past a size cap")
 
     for module, names in (
-        (cli_module, ("sample_data", "moment", "support", "density", "enumerate_multilabelings",
+        (cli_module, ("_data_blocks", "moment", "support", "density", "enumerate_multilabelings",
                       "decompose_hermite_sum")),
-        (sparse_pca, ("sample_data", "sample_spiked_data")),
+        (sparse_pca, ("_data_blocks", "_spiked_blocks")),
         (KernelExpansion, ("expansion",)),  # project_kernel checks its degree first
     ):
         for name in names:
@@ -675,8 +692,8 @@ def test_sweep_non_finite_inputs_exit_2_before_sampling(tmp_path, monkeypatch, c
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled data for a bad config")
 
-    monkeypatch.setattr(sparse_pca, "sample_data", no_sampling)
-    monkeypatch.setattr(sparse_pca, "sample_spiked_data", no_sampling)
+    monkeypatch.setattr(sparse_pca, "_data_blocks", no_sampling)
+    monkeypatch.setattr(sparse_pca, "_spiked_blocks", no_sampling)
     cfg = write_cfg(tmp_path, "c.cfg", **{"n": 50, "taus": "1.0", "trials": 1, **keys})
     assert main(["sparse-pca-sweep", cfg]) == 2
     err = capsys.readouterr().err
@@ -700,8 +717,8 @@ def test_sweep_bad_sparsity_exits_2_before_sampling(tmp_path, monkeypatch, capsy
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled data for a bad config")
 
-    monkeypatch.setattr(sparse_pca, "sample_data", no_sampling)
-    monkeypatch.setattr(sparse_pca, "sample_spiked_data", no_sampling)
+    monkeypatch.setattr(sparse_pca, "_data_blocks", no_sampling)
+    monkeypatch.setattr(sparse_pca, "_spiked_blocks", no_sampling)
     cfg = write_cfg(tmp_path, "c.cfg", **{"n": 40, "taus": "1.0", "trials": 1, **keys})
     assert main(["sparse-pca-sweep", cfg]) == 2
     err = capsys.readouterr().err
@@ -725,8 +742,8 @@ def test_sweep_tau_without_a_null_law_exits_2_before_sampling(
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled data for a tau without a null prediction")
 
-    monkeypatch.setattr(sparse_pca, "sample_data", no_sampling)
-    monkeypatch.setattr(sparse_pca, "sample_spiked_data", no_sampling)
+    monkeypatch.setattr(sparse_pca, "_data_blocks", no_sampling)
+    monkeypatch.setattr(sparse_pca, "_spiked_blocks", no_sampling)
     cfg = write_cfg(tmp_path, "c.cfg", n=40, taus=f"1.0,{tau}", trials=1)
     assert main(["sparse-pca-sweep", cfg]) == 2
     err = capsys.readouterr().err
@@ -1067,6 +1084,61 @@ def test_limit_law_rounded_fuzz_catch_exits_2():
     assert run_fuzzed("limit-law", keys) == 2
 
 
+@pytest.mark.parametrize("epsilon", [{"epsilon": "1e10"}, {}], ids=["epsilon-1e10", "default-epsilon"])
+def test_limit_law_with_an_overflowing_support_discriminant_exits_2(epsilon, capsys):
+    # a random fuzz drew this law, whose mass sits within 1e-17 of 0: the
+    # discriminant's direct form overflowed under a Newton step from the
+    # double root there, and the run exited 0, with two RuntimeWarnings and
+    # the support [-6.78e41, -6.78e41] of the law's far piece alone
+    keys = {"a": "-2.1510262889885042e-247", "nu": "5e-324", "gamma": "3.1504061651249494e288",
+            "density_points": "11", **epsilon}
+    assert run_fuzzed("limit-law", keys) == 2
+    out = Path(os.environ[cli_module.OUT_DIR_ENV])
+    assert [f.name for f in out.iterdir()] == ["c.cfg"]
+
+
+def _block_sides():
+    """(p, n) for the simulate fuzz: small sides, with n at and around the
+    width of a block of samples at that p."""
+    sides = []
+    for p in (2, 5, 64):
+        width = max(sim._MIN_BLOCK_SAMPLES, sim._BLOCK_ENTRIES // p)
+        sides += [(p, n) for n in (2, 7, width - 1, width, width + 1)]
+    return sides
+
+
+@given(
+    st.sampled_from(_block_sides()),
+    st.fixed_dictionaries(
+        {"kernel": st.sampled_from(["h1", "h2+h3", "soft_threshold(1.0)", "odd_poly(1,0.5)", "0.5*h1-h2"])},
+        optional={"law": st.sampled_from(["gaussian", "rademacher"]),
+                  "trials": st.sampled_from(["1", "2"]),
+                  "seed": st.sampled_from(["0", "7", str(2**64 - 1)]),
+                  "out": st.sampled_from(["sim", "c.cfg/x"])},
+    ),
+    st.dictionaries(st.sampled_from(["kernel", "n", "p", "law", "seed", "trials", "out"]),
+                    st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2),
+)
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_simulate_config_fuzz(sides, small, adversarial):
+    # every config of simulate's keys, from small sides at and around a
+    # block's width under both entry laws, either runs or fails typed.  A
+    # side past the small ones must stop before any sampling.
+    def blocks(cfg, stream=0):
+        assert cfg.p <= 64 and cfg.n <= 2**16 + 1, "sampled past the small sides"
+        return sim._data_blocks(cfg, stream=stream)
+
+    keys = {"p": sides[0], "n": sides[1], **small, **adversarial}
+    prefix = keys.get("out", "simulate")
+    with mock.patch.object(cli_module, "_data_blocks", blocks):
+        code = run_fuzzed("simulate", keys, json_files=[f"{prefix}_summary.json"],
+                          csv_files=[f"{prefix}_eigenvalues.csv"])
+    if code == 0:
+        out = Path(os.environ[cli_module.OUT_DIR_ENV])
+        rows = (out / f"{prefix}_eigenvalues.csv").read_text().splitlines()[1:]
+        assert len(rows) == int(keys.get("trials", 1)) * int(keys["p"])
+
+
 # sha256 of json.dumps(payload, indent=2, sort_keys=True) for verify at
 # l_max = 5, d_max = 3, scaling_trials = 200.  Re-recorded when the census
 # went from one entry per (l, d) with every class record to one entry per
@@ -1081,9 +1153,12 @@ def test_limit_law_rounded_fuzz_catch_exits_2():
 # place of a leave-one-out recurrence: only mean_s2 moved, by at most
 # 1.4e-14 relative at d = 3, 4 and by at most 1.4e-32 at d = 2, where s is
 # rounding alone.
+# Re-recorded with VERIFY_CHECKS_SHA256 when derive_rng came to encode the
+# path's length: the remainder draws are new, so mean_s2 moved; ok stayed
+# true and lemma_census kept its bytes.
 VERIFY_PAYLOAD_SHA256 = {
-    0: "4ca4da3f8d5f0ff1b8cbc67c26c58e7f39af4d6fddbe929f10dcdb6cf712054a",
-    7: "1347806eaa948f3d8ce164b314c047a8d8d12076a27f3b4a51186aeb095db658",
+    0: "e808e54e56655c781b70ea783961ad25735945b92494005ead098db8ad6be518",
+    7: "1af542b898e5ac3fb6d2c67e1ac310c8d59b1b382be3ab1d7886b8fcc9c4658b",
 }
 
 
@@ -1098,10 +1173,11 @@ def test_verify_payload_matches_golden_hash(tmp_path, seed):
 
 # the same payload hash without lemma_census: the remainder check and ok,
 # whatever form the census report takes
-# Re-recorded when r came from power sums: only mean_s2 moved.
+# Re-recorded when r came from power sums: only mean_s2 moved.  Re-recorded
+# when derive_rng came to encode the path's length: new draws.
 VERIFY_CHECKS_SHA256 = {
-    0: "20d2fad8c3328a2702f140504db66677c7d336b24c05cc11e5f456058d505afa",
-    7: "25de7ce0b35f00153739bab666f39f697d64da30a0449af2537bcc47b6f3993a",
+    0: "57a2e038b78e70824221ffe79e3f2f7aabfde9eae88fd217b5e30c4d253efb1c",
+    7: "c08415b76e97d34db3a3823756ede0d7564187e2b065054d3536c82a3a267c73",
 }
 
 
@@ -1192,6 +1268,14 @@ def test_verify_payload_besides_the_census_matches_golden_hash(tmp_path, seed):
 # 4.8e-15 (Gaussian) and 2.8e-15 (Rademacher) of the largest, and with them
 # the norms and KS distances in their last bits.  Solving the kernel
 # matrix's upper triangle in place, unmirrored, moved no byte.
+# Every simulate, sweep and verify file was re-recorded when derive_rng came
+# to encode the seed and each path word in two 32-bit words after the
+# path's length, so every stream moved, and when simulate and the sweep
+# came to draw X in blocks of samples, each a (w, p) draw from the trial's
+# stream, whose shares B^T B / sqrt(n) dsyrk sums into the Gram: new draws,
+# so every eigenvalue, spike, KS distance, sweep cell, null column, verify
+# remainder draw and max_null_gap moved.  The prediction column and
+# verify's lemma_census did not; limit-law's files kept their bytes.
 # A change to derive_rng's stream paths changes these bytes and must say
 # so.  Each key is the command, or the command and a label after a "/".
 CLI_OUTPUT_SHA256 = {
@@ -1207,28 +1291,28 @@ CLI_OUTPUT_SHA256 = {
     "simulate": (
         {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2},
         {
-            "simulate_eigenvalues.csv": "70e85540894914f84809143115a0912cc8c83ba9da83db68d4abf65ef54518a5",
-            "simulate_summary.json": "2a96cc59ed2e575441064fddb3ca4e27aa133ff62d873b80f87a5204b50c6981",
+            "simulate_eigenvalues.csv": "be7b160abb995187487ce75a954b24c7a0c5c1c28c36b4ca7c459b87d780775c",
+            "simulate_summary.json": "f4fc269a2ad17159c9d8e90e13e13a860e441d330c9e9fd2026cd953999d5ba6",
         },
     ),
     "simulate/rademacher": (
         {"kernel": "h2+h3", "n": 300, "p": 200, "trials": 2, "law": "rademacher"},
         {
-            "simulate_eigenvalues.csv": "a54ffd5fc4a0a82a0566150d25952d812eea729e87dc788db73a1fb9f7bda617",
-            "simulate_summary.json": "e33c43fab0921e3d5b2785952bc3296c1abbb7a3cd20b4ecea34d74522ff95d2",
+            "simulate_eigenvalues.csv": "b05f159da06fe3a279d725047e888de8d41909761ffd978785c595007fa02658",
+            "simulate_summary.json": "e3332d8ab9d42daba1d849211a8de5a1bb45b4456a460a9472a97b67f3dc1816",
         },
     ),
     "sparse-pca-sweep": (
         {"n": 300, "taus": "1.0,2.0,3.0", "trials": 2},
         {
-            "sweep.csv": "8f8a060fac70358f62fe3b7ec25cd55c26d354422bf2cd11c4cbbba53754bbe0",
-            "sweep_summary.json": "21579e7d05e3bf832af06b22e5f31827a65823b3ee9fc6ef0723d6699c277fa6",
+            "sweep.csv": "293e3d10095cd9f13eccd8299c0e228264490081ed5cd751ea9b36a83753706f",
+            "sweep_summary.json": "1b7a2e5b3365d40c6d8f5a3d8ab996f860d27cd5e90d4095c6e59b86c798906a",
         },
     ),
     "verify": (
         {"l_max": 5, "d_max": 3},
         {
-            "verify_report.json": "100a131223b5deafa994feae0611c10310ae242d8d0e5c5e9f47b4cdb6e8a102",
+            "verify_report.json": "6c9c0b382b3fd7588f9f194d15b23e879ecd56f71cceb44cf6c50eab08b8af95",
         },
     ),
 }
@@ -1264,17 +1348,18 @@ def test_golden_sweep_null_columns_and_summary_hold(tmp_path):
     # lines, and of its sweep_summary.json, whose max_null_gap reads only
     # those.  Recorded before the spiked model's master seed went from
     # seed + 1 to seed, which re-recorded the whole file's hash above, and
-    # re-recorded with both files when the sweep left scipy and when the
-    # null prediction became exact (see above)
+    # re-recorded with both files when the sweep left scipy, when the
+    # null prediction became exact and when the draws moved to blocks of
+    # samples from length-coded streams (see above)
     written = _golden_outputs(tmp_path, "sparse-pca-sweep")
     rows = [line.split(",") for line in written["sweep.csv"].decode().splitlines()]
     kept = [rows[0].index(name) for name in ("tau", "null_mean", "null_se", "prediction")]
     null_columns = "".join(",".join(row[i] for i in kept) + "\n" for row in rows)
     assert hashlib.sha256(null_columns.encode()).hexdigest() == (
-        "ff8433d497453724f257dc906c94d51724f46d74d4526ebc6efc7ead76e64bbb"
+        "637ba7416c14e2efdba1f29efc19baa4f601a03bde8aea6cdcd429da5bc50d57"
     )
     assert hashlib.sha256(written["sweep_summary.json"]).hexdigest() == (
-        "21579e7d05e3bf832af06b22e5f31827a65823b3ee9fc6ef0723d6699c277fa6"
+        "1b7a2e5b3365d40c6d8f5a3d8ab996f860d27cd5e90d4095c6e59b86c798906a"
     )
 
 
@@ -1285,7 +1370,7 @@ def _fail_if_called(*args, **kwargs):
 @pytest.fixture
 def no_work(monkeypatch):
     """Make every census, moment, projection and sampling entry of the CLI fail."""
-    for name in ("enumerate_multilabelings", "moment", "project_kernel", "sample_data", "sweep_tau"):
+    for name in ("enumerate_multilabelings", "moment", "project_kernel", "_data_blocks", "sweep_tau"):
         monkeypatch.setattr(cli_module, name, _fail_if_called)
 
 
@@ -1317,20 +1402,26 @@ def test_rng_streams_of_every_command_are_distinct(tmp_path, monkeypatch):
     # a census of every (seed, *path) that simulate, the sweep and verify
     # draw from, at 1 to 3 trials and edge seeds: distinct paths must give
     # distinct SeedSequence states (SeedSequence pads short entropy with
-    # zeros, so a path and its zero-extension would share a stream)
+    # zeros, so a path and its zero-extension would share a stream, and it
+    # splits a seed past 2^32 into two words, which a shorter seed and a
+    # longer path could match).  Blocks of 4 samples make each draw two
+    # blocks: both come from their trial's one stream, derived once
     from kernelspectra import rng
 
+    monkeypatch.setattr(sim, "_MIN_BLOCK_SAMPLES", 4)
+    monkeypatch.setattr(sim, "_BLOCK_ENTRIES", 0)
     derive = rng.derive_rng
-    paths = set()
+    paths, derived = set(), []
 
     def recording(master_seed, *path):
         words = (x for part in path for x in (part if isinstance(part, tuple) else (part,)))
         paths.add((master_seed, *map(int, words)))
+        derived.append(path[0])
         return derive(master_seed, *path)
 
     monkeypatch.setattr(rng, "derive_rng", recording)
     monkeypatch.setattr(cli_module, "derive_rng", recording)
-    seeds = [0, 1, 2**32 - 1, 2**64 - 2, 2**64 - 1]
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 2, 2**64 - 1]
     runs = [
         ("simulate", "trials", {"kernel": "h2+h3", "n": 6, "p": 5}),
         ("sparse-pca-sweep", "trials", {"n": 6, "taus": "0.5,2.0"}),
@@ -1338,10 +1429,14 @@ def test_rng_streams_of_every_command_are_distinct(tmp_path, monkeypatch):
     ]
     for command, trials_key, keys in runs:
         for seed, trials in itertools.product(seeds, (1, 2, 3)):
+            derived.clear()
             cfg = write_cfg(tmp_path, "c.cfg", seed=seed, **{trials_key: trials}, **keys)
             # the census checks streams, not verdicts
             assert main([command, cfg]) in (0, 4)
-    states = {tuple(np.random.SeedSequence(list(path)).generate_state(4)) for path in paths}
+            if command != "verify":  # one stream per trial and model, not per block
+                assert derived.count(rng.STREAM_DATA) == trials
+                assert derived.count(rng.STREAM_SPIKE_COEF) == (trials if command != "simulate" else 0)
+    states = {tuple(derive(*path).bit_generator.seed_seq.generate_state(4)) for path in paths}
     assert len(paths) > 50 and len(states) == len(paths)
 
 

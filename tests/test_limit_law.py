@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -432,6 +433,19 @@ def test_support_window_past_double_range_is_a_domain_error():
     law = LimitLawParams(-6.575849527924286e87, 2 * 6.575849527924286e87**2, 2.0)
     with pytest.raises(DomainError, match="overflows"):
         support(law)
+
+
+def test_support_whose_newton_iterate_leaves_the_doubles_is_a_domain_error():
+    # the window reaches the Marcenko-Pastur piece at a gamma = -6.8e41,
+    # while the law's mass sits within 1e-17 of 0; a Newton step from the
+    # double root there threw an iterate to -3.4e56, where the direct form
+    # of the discriminant overflowed, and support returned the far piece
+    # alone, [-6.78e41, -6.78e41], with two RuntimeWarnings
+    law = LimitLawParams(-2.1510262889885042e-247, 5e-324, 3.1504061651249494e288)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            support(law)
 
 
 def test_moment_closed_forms():

@@ -1,6 +1,5 @@
 import itertools
 import math
-import mmap
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -262,49 +261,49 @@ def test_component_matrix_semicircle_esd():
         assert ks_distance(s, LimitLawParams(0.0, 1.0, 1.0)) < 0.06
 
 
-def test_gram_slabs_cover_the_rows_once():
-    # slabs of _SLAB_ROWS rows, a tail under half a slab joined to the
-    # last one, so no slab but a lone one has fewer than half a slab's rows
-    for p in range(1, 700):
-        slabs = list(sim._gram_slabs(p))
-        assert [i0 for i0, _ in slabs] == [0] + [i1 for _, i1 in slabs[:-1]]
-        assert slabs[-1][1] == p
-        rows = [i1 - i0 for i0, i1 in slabs]
-        half = sim._SLAB_ROWS // 2
-        assert all(r == 2 * half for r in rows[:-1])
-        assert rows[-1] < 3 * half and (len(rows) == 1 or rows[-1] >= half)
+def test_column_blocks_cover_the_samples_once():
+    # blocks of samples whose width depends on p alone: at least
+    # _MIN_BLOCK_SAMPLES, and about _BLOCK_ENTRIES entries, the last one
+    # ragged
+    for p, n in itertools.product((2, 3, 64, 1000, 2047, 2048, 2049, 25000), (2, 63, 64, 65, 3000)):
+        blocks = list(sim._column_blocks(p, n))
+        width = max(sim._MIN_BLOCK_SAMPLES, sim._BLOCK_ENTRIES // p)
+        assert [j0 for j0, _ in blocks] == [0] + [j1 for _, j1 in blocks[:-1]]
+        assert blocks[-1][1] == n
+        assert all(j1 - j0 == width for j0, j1 in blocks[:-1])
+        assert 0 < blocks[-1][1] - blocks[-1][0] <= width
 
 
 @pytest.mark.parametrize("p, n", [(257, 100), (600, 2000), (1000, 300)])
 def test_build_that_gives_x_back_matches_a_build_on_an_intact_copy(p, n):
+    # simulate builds from the draw, one block of samples at a time, each
+    # given back before the next is drawn; the public builder reads a
+    # caller's X in the same blocks, copied out, and leaves X as it was.
+    # One block at (257, 100), 10 at (600, 2000) and 3 at (1000, 300)
     cfg = DataMatrixConfig(n=n, p=p, seed=p + n)
-    X = sample_data(cfg, out=sim._mapped_empty((p, n), disposable=True))
-    copy = X.copy()
     kernel = KernelSpec(evaluator=lambda y: hermite_eval(2, y) + hermite_eval(3, y))
+    streamed = sim._kernel_triangle(sim._data_blocks(cfg), p, n, kernel)
+    X = sample_data(cfg)
+    copy = X.copy()
     K = build_kernel_matrix(X, kernel)
-    # the whole pages of every row went back to the OS, so they read as zeros
-    released = p * n * 8 // mmap.PAGESIZE * mmap.PAGESIZE // 8
-    assert released > 0 and not np.any(X.reshape(-1)[:released])
-    # the public builder leaves X as it was, on the heap or in a mapping
-    # that is not disposable
-    mapped = sample_data(cfg, out=sim._mapped_empty((p, n)))
-    assert np.array_equal(build_kernel_matrix(copy, kernel), K)
-    assert np.array_equal(build_kernel_matrix(mapped, kernel), K)
-    assert np.array_equal(copy, sample_data(cfg)) and np.array_equal(mapped, copy)
-    # a view of a disposable array is a caller's X too
-    view_source = sample_data(cfg, out=sim._mapped_empty((p, n), disposable=True))
-    build_kernel_matrix(view_source[1:], kernel)
-    assert np.array_equal(view_source, copy)
+    assert np.array_equal(streamed, np.triu(K))
+    assert np.array_equal(X, copy)
+    # a strided view of X is a caller's X too
+    wide = np.zeros((p, 2 * n))
+    wide[:, ::2] = X
+    assert np.array_equal(build_kernel_matrix(wide[:, ::2], kernel), K)
 
 
-@pytest.mark.parametrize("disposable", [False, True])
-def test_non_finite_entry_in_a_later_slab_raises(disposable):
+@pytest.mark.parametrize("dsyrk_found", [False, True])
+def test_non_finite_entry_in_a_later_slab_raises(dsyrk_found, monkeypatch):
     # only the last row's diagonal Gram entry, in the last slab, passes the
-    # kernel's cut: every slab before it is built first
+    # kernel's cut: every slab before it is built first, from the Gram of
+    # numpy's cblas_dsyrk or of its fallback
+    if not dsyrk_found:
+        monkeypatch.setattr(sim, "_cblas_dsyrk", lambda: None)
     p, n = 300, 100
-    X = sample_data(DataMatrixConfig(n=n, p=p, seed=9), out=sim._mapped_empty((p, n), disposable))
+    X = sample_data(DataMatrixConfig(n=n, p=p, seed=9))
     X[-1] *= 10.0
-    assert len(list(sim._gram_slabs(p))) > 1
     calls = []
 
     def kernel(y):
@@ -313,7 +312,37 @@ def test_non_finite_entry_in_a_later_slab_raises(disposable):
 
     with pytest.raises(ConfigError, match="non-finite"):
         build_kernel_matrix(X, kernel)
-    assert sum(rows for rows, _ in calls) == p
+    assert len(calls) > 1 and sum(rows for rows, _ in calls) == p
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (97, 150), (300, 700), (700, 130)])
+def test_gram_without_dsyrk_matches_the_dsyrk_gram(p, n, monkeypatch):
+    # without numpy's cblas_dsyrk the Gram's blocks go through numpy
+    # products over the upper triangle's tiles; both forms agree with
+    # numpy's X @ X.T within the rounding of a sum of n products (see
+    # test_sweep_gram_matches_the_numpy_gram)
+    cfg = DataMatrixConfig(n=n, p=p, seed=p)
+    want = sample_data(cfg) @ sample_data(cfg).T / math.sqrt(n)
+    bound = np.finfo(float).eps * math.sqrt(n) * np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    upper = np.triu(np.ones((p, p), dtype=bool))
+    found = sim._scaled_gram(sim._data_blocks(cfg), p, n)
+    monkeypatch.setattr(sim, "_cblas_dsyrk", lambda: None)
+    fallback = sim._scaled_gram(sim._data_blocks(cfg), p, n)
+    for G in (found, fallback):
+        assert np.all(np.abs(G - want)[upper] <= bound[upper])
+    assert not np.any(found[~upper])  # dsyrk writes the upper triangle alone
+    # the fallback also writes below the diagonal of each tile's diagonal
+    # block, which the full matrix's mirror pass overwrites
+    K = build_kernel_matrix(sample_data(cfg), lambda y: y)
+    assert np.array_equal(K, K.T) and not np.any(np.diag(K))
+    assert np.array_equal(np.triu(K, 1), np.triu(fallback, 1) / math.sqrt(n))
+
+
+def test_gram_blocks_must_be_sample_rows():
+    with pytest.raises(ConsistencyError, match="C-ordered"):
+        sim._scaled_gram(iter([np.ones((4, 3))]), 4, 3)  # a p x w block
+    with pytest.raises(ConsistencyError, match="C-ordered"):
+        sim._scaled_gram(iter([np.ones((8, 4))[::2]]), 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +362,18 @@ def _builder_matrix(p: int, builder=build_kernel_matrix) -> np.ndarray:
     return builder(X, lambda y: hermite_eval(2, y) + hermite_eval(3, y))
 
 
+def _triangle_of(X, kernel):
+    """simulate's kernel triangle, from a caller's X."""
+    return sim._kernel_triangle(sim._blocks_of(X), *X.shape, kernel)
+
+
 @pytest.mark.parametrize("p", [2, 3, 50, 257, 600])
 def test_in_place_spectrum_matches_eigvalsh(p, monkeypatch):
     # the simulate command's solve: dsyevd in the builder's upper triangle,
     # with eigvalsh's bits on the mirrored matrix
     K = _builder_matrix(p)
     want = np.linalg.eigvalsh(K)
-    upper = _builder_matrix(p, sim._kernel_triangle)
+    upper = _builder_matrix(p, _triangle_of)
     assert np.array_equal(upper, np.triu(K))
     m = upper.copy()
     assert np.array_equal(sim._eigvalsh_in_place(m), want)
@@ -814,6 +848,25 @@ def test_rank_two_correction_on_row_slabs_keeps_the_one_pass_bits(p, n):
     assert rank_two_correction(X, 1.0).empirical == ((b - disc) / 2.0, (b + disc) / 2.0)
 
 
+@pytest.mark.parametrize("p, n", [(3, 200000), (300, 1000), (257, 4099)])
+def test_rank_two_sums_tallied_over_the_blocks_match_the_one_pass_form(p, n):
+    # simulate adds sum_j (x_ij^2 - 1) up over the blocks its Gram reads;
+    # each block's sum is in another order than a row's one pass, so the
+    # spikes agree to rounding
+    cfg = DataMatrixConfig(n=n, p=p, seed=p)
+    sums = np.zeros(p)
+    for block in sim._tallied(sim._data_blocks(cfg), sums):
+        assert block.shape[1] == p
+    X = sample_data(cfg)
+    assert len(list(sim._column_blocks(p, n))) > 1
+    assert np.allclose(sums, (X * X - 1.0).sum(axis=1), rtol=1e-12, atol=1e-9 * math.sqrt(n))
+    want = rank_two_correction(X, 1.0, fourth_moment=3.0)
+    got = sim._rank_two_spikes(sums, n, 1.0, 3.0)
+    assert got.locations == want.locations
+    assert got.empirical == pytest.approx(want.empirical, rel=1e-9, abs=1e-12)
+    assert sim._rank_two_spikes(sums, n, 0.0, 3.0).empirical == ()
+
+
 def test_rank_two_roots_match_eigendecomposition():
     X = sample_data(DataMatrixConfig(n=200, p=200, seed=14))
     sp = rank_two_correction(X, 1.0)
@@ -891,10 +944,15 @@ def test_concentration_probe_norm_matches_full_spectrum():
 
 
 def test_concentration_probe_stable_in_n():
+    # the statistic does not grow with n: at most 10% from n = 300 to 600.
+    # It falls, as h3's outlier eigenvalues past the edge thin out: the
+    # median norm over 120 draws went 2.50 -> 2.33, and 1% of ratios of
+    # medians of three fell below 0.77, so it may fall by up to 30%.  A
+    # two-sided 10% band failed 32% of such ratios on correct code
     rows_a = concentration_probe(h3, [1.0], n=300, trials=3, seed=21)
     rows_b = concentration_probe(h3, [1.0], n=600, trials=3, seed=22)
     a, b = rows_a[0]["statistic"], rows_b[0]["statistic"]
-    assert abs(a - b) / a < 0.10
+    assert 0.7 < b / a < 1.1
 
 
 def test_component_sum_matches_free_convolution():

@@ -1,5 +1,4 @@
 import math
-import mmap
 import re
 
 import numpy as np
@@ -26,7 +25,6 @@ from kernelspectra.simulate import (
     DataMatrixConfig,
     _kernel_matrix,
     _kernel_tiles,
-    _mapped_empty,
     build_kernel_matrix,
     sample_data,
     spectrum,
@@ -73,11 +71,11 @@ def _reference_threshold(x, tau):
 
 
 def _scaled_gram(X):
-    """The oracle Gram, X X^T / sqrt(n) by numpy's X @ X.T (a dsyrk), as
-    the kernel-matrix builder formed it before it went to row slabs."""
-    g = X @ X.T
-    g /= math.sqrt(X.shape[1])
-    return g
+    """The builders' Gram of X, X X^T / sqrt(n) summed over X's blocks of
+    samples (simulate._scaled_gram), mirrored into a full matrix; its
+    agreement with numpy's X @ X.T is test_sweep_gram_matches_the_numpy_gram's."""
+    g = np.triu(simulate._scaled_gram(simulate._blocks_of(X), *X.shape))
+    return g + np.triu(g, 1).T
 
 
 def _reference_kernel_matrix(X, kernel, keep_diagonal):
@@ -309,12 +307,15 @@ def test_spiked_data_covariance_along_spike():
     "sparsity, gamma, n", [(1, 0.5, 40), (7, 2.0, 50), (9, 1.0, 300), (20, 0.5, 40)]
 )
 def test_spiked_data_matches_full_outer_product(sparsity, gamma, n, stream):
-    # the row-by-row spike gives the bits of both outer-product forms, at
-    # sparsity = p too
+    # the spike added to the support's columns of each block gives the bits
+    # of both outer-product forms, at sparsity = p too.  Each block of
+    # samples draws its normals g, then its samples' w, from the one stream
     cfg = SpikedModelConfig(lam=0.9, sparsity=sparsity, n=n, p=round(gamma * n), seed=5)
     gen = rngmod.derive_rng(cfg.seed, rngmod.STREAM_SPIKE_COEF, stream)
-    g = gen.standard_normal((cfg.p, cfg.n))
-    w = gen.standard_normal(cfg.n)
+    g, w = np.empty((cfg.p, cfg.n)), np.empty(cfg.n)
+    for j0, j1 in simulate._column_blocks(cfg.p, cfg.n):
+        g[:, j0:j1] = gen.standard_normal((j1 - j0, cfg.p)).T
+        w[j0:j1] = gen.standard_normal(j1 - j0)
     v = cfg.spike_vector()
     expected = g + math.sqrt(cfg.lam) * np.outer(v, w)
     X = sample_spiked_data(cfg, stream=stream)
@@ -346,7 +347,13 @@ def test_thresholded_covariance_large_tau_kills_offdiagonal():
     assert np.max(np.abs(M[off])) == 0.0
     lam_max = spectrum(M).lambda_max
     assert lam_max == pytest.approx(np.max(np.diag(M)), abs=1e-12)
-    assert lam_max == pytest.approx(1.0 - 10.0 / math.sqrt(500), abs=0.2)
+    # each diagonal entry is past the band (|x_i|^2 / sqrt(n) > 1.2 tau),
+    # where k_tau(g) = g - tau: M_ii = |x_i|^2 / n - tau / sqrt(n) exactly,
+    # up to rounding.  The largest of the 200 excesses |x_i|^2 / n - 1, each
+    # of standard deviation sqrt(2 / n) = 0.063, lies below 6 of them
+    excess = np.max(np.sum(X * X, axis=1)) / 500 - 1.0
+    assert lam_max == pytest.approx(1.0 - 10.0 / math.sqrt(500) + excess, abs=1e-12)
+    assert 0.0 < excess < 6 * math.sqrt(2 / 500)
 
 
 def test_null_prediction_limits():
@@ -363,7 +370,9 @@ def test_sweep_structure_and_signal():
     n = 500
     model = SpikedModelConfig(lam=0.9, sparsity=int(0.3 * math.sqrt(n)), n=n, p=n, seed=10)
     taus = [1.0, 1.5, 2.0]
-    res = sweep_tau(model, taus, trials=3)
+    # six trials: at three, 6 of 40 seeds (15%) missed z > 3 on correct
+    # code, and 3 of 20 on the row-major draws; at six, none of 40
+    res = sweep_tau(model, taus, trials=6)
     assert res.CSV_COLUMNS == ("tau", "null_mean", "null_se", "spiked_mean", "spiked_se", "prediction")
     columns = res.columns()
     assert len(columns) == 6 and all(len(c) == 3 for c in columns)
@@ -418,7 +427,7 @@ def _assert_means_of_full_spectra(res, model, taus, trials):
 def test_sweep_lambda_max_matches_full_spectrum(monkeypatch):
     # trial t's one draw per model serves every tau, on the dense path
     # (tau <= 2) and on the sparse one (tau = 3.5).  At p = 400 the Gram
-    # spans three slabs and each dense M_tau many tiles, and four dense
+    # sums two blocks of samples and each dense M_tau spans many tiles, and four dense
     # cells per Gram each read the Gram's triangle and diagonal after the
     # cell before wrote its M_tau beside them, so damage to either shows
     calls = _count_sweep_paths(monkeypatch)
@@ -427,7 +436,7 @@ def test_sweep_lambda_max_matches_full_spectrum(monkeypatch):
     taus = [0.5, 1.0, 1.5, 2.0, 3.5]
     res = sweep_tau(model, taus, trials=2)
     assert calls == {"dense": 2 * 2 * 4, "sparse": 2 * 2}, calls
-    assert len(list(simulate._gram_slabs(n))) == 3
+    assert len(list(simulate._column_blocks(n, n))) == 2
     _assert_means_of_full_spectra(res, model, taus, trials=2)
 
 
@@ -465,9 +474,9 @@ def test_sweep_lambda_max_at_tiny_p(p, monkeypatch):
     calls = _count_sweep_paths(monkeypatch)
     grams, cell, dense_solves = [], {}, []
 
-    def gram(X, out, slabs=sp._scaled_gram_slabs):
-        grams.append(X.shape)
-        yield from slabs(X, out=out)
+    def gram(blocks, p, n, scaled=sp._scaled_gram):
+        grams.append((p, n))
+        return scaled(blocks, p, n)
 
     def tiles(g, kernel, n, out, counted=sp._kernel_tiles):
         cell["tau"] = kernel.tau
@@ -478,7 +487,7 @@ def test_sweep_lambda_max_at_tiny_p(p, monkeypatch):
             dense_solves.append((len(grams) - 1, cell["tau"], np.triu(m)))
         return simulate._extreme_eigenvalue(m)
 
-    monkeypatch.setattr(sp, "_scaled_gram_slabs", gram)
+    monkeypatch.setattr(sp, "_scaled_gram", gram)
     monkeypatch.setattr(sp, "_kernel_tiles", tiles)
     monkeypatch.setattr(sp, "_extreme_eigenvalue", solve)
     model = SpikedModelConfig(lam=0.9, sparsity=1, n=p, p=p, seed=12)
@@ -495,32 +504,26 @@ def test_sweep_lambda_max_at_tiny_p(p, monkeypatch):
         assert np.array_equal(got, np.triu(thresholded_covariance(sampler(cfg, stream=k // 2), tau)))
 
 
-# a Gram slab, X[i0:i1] @ X[i0:].T, sums each entry in another order than
-# numpy's one dsyrk, so some entries differ in their last bits (by at most
-# 0.5 eps * sqrt(g_ii g_jj)); each must lie within 4 eps times that
-# Cauchy-Schwarz bound on |g_ij|
+# the Gram sums each entry over blocks of samples, in another order than
+# numpy's one dsyrk, and scales each block's share by 1 / sqrt(n).  Two
+# orders of a sum of n products differ by at most (n - 1) eps times the sum
+# of their sizes, itself at most the Cauchy-Schwarz bound sqrt(g_ii g_jj);
+# rounding errors that do not correlate grow like sqrt(n), so each entry
+# must lie within eps sqrt(n) times that bound (at most 5.9 eps times it
+# was seen, at n = 700, p = 300 in two blocks and n = p = 1000 in eight)
 @pytest.mark.parametrize("n, p", [(50, 120), (80, 80), (300, 70), (5, 2), (1000, 1000)])
 def test_sweep_gram_matches_the_numpy_gram(n, p):
     cfg = DataMatrixConfig(n=n, p=p, seed=n + p)
-    want = _scaled_gram(sample_data(cfg))
-    bound = 4 * np.finfo(float).eps * np.sqrt(np.outer(np.diag(want), np.diag(want)))
-    released_rows = p * n * 8 // mmap.PAGESIZE * mmap.PAGESIZE // (8 * n)
-    for disposable in (False, True):
-        X = sample_data(cfg, out=_mapped_empty((p, n), disposable=True) if disposable else None)
-        before = X.copy()
-        slabs = []
-        for i0, i1, g in simulate._scaled_gram_slabs(X):
-            # rows i0:i1 from column i0 on, the diagonal block whole
-            assert g.shape == (i1 - i0, p - i0)
-            assert np.all(np.abs(g - want[i0:i1, i0:]) <= bound[i0:i1, i0:])
-            slabs.append((i0, i1))
-        assert slabs == list(simulate._gram_slabs(p))
-        # a disposable X went back to the OS, in whole pages; any other X
-        # is left as it was
-        if disposable:
-            assert not np.any(X[:released_rows])
-        else:
-            assert np.array_equal(X, before)
+    X = sample_data(cfg)
+    want = X @ X.T / math.sqrt(n)
+    bound = np.finfo(float).eps * math.sqrt(n) * np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    upper = np.triu(np.ones((p, p), dtype=bool))
+    for blocks in (sparse_pca._data_blocks(cfg), simulate._blocks_of(X)):
+        g = simulate._scaled_gram(blocks, p, n)
+        assert np.all(np.abs(g - want)[upper] <= bound[upper])
+        assert not np.any(g[~upper])  # the strict lower triangle is never written
+    # the draw's blocks and the assembled X's give the same bits
+    assert np.array_equal(g, simulate._scaled_gram(sparse_pca._data_blocks(cfg), p, n))
 
 
 # The Lanczos solve takes 72 products at both taus, 8 between two Ritz
@@ -587,11 +590,11 @@ def test_sweep_null_model_has_the_spiked_models_shape(n, p, monkeypatch):
 
     drawn = []
 
-    def recording(cfg, stream=0, out=None):
+    def recording(cfg, stream=0):
         drawn.append(cfg)
-        return sample_data(cfg, stream=stream, out=out)
+        return simulate._data_blocks(cfg, stream=stream)
 
-    monkeypatch.setattr(sp, "sample_data", recording)
+    monkeypatch.setattr(sp, "_data_blocks", recording)
     model = SpikedModelConfig(lam=0.9, sparsity=3, n=n, p=p, seed=2**64 - 1)
     res = sweep_tau(model, [1.0], trials=2)
     assert drawn == [_null_model(model)] * 2  # standard Gaussian, the default law
@@ -606,15 +609,15 @@ def test_sweep_trial_streams_distinct_at_66_trials(monkeypatch):
     draws = {"null": [], "spiked": []}
 
     def recorder(kind, sampler):
-        def sample(cfg, stream=0, out=None):
-            X = sampler(cfg, stream=stream, out=out)
-            draws[kind].append(X.tobytes())
-            return X
+        def sample(cfg, stream=0):
+            blocks = list(sampler(cfg, stream=stream))
+            draws[kind].append(b"".join(block.tobytes() for block in blocks))
+            return iter(blocks)
 
         return sample
 
-    monkeypatch.setattr(sp, "sample_data", recorder("null", sp.sample_data))
-    monkeypatch.setattr(sp, "sample_spiked_data", recorder("spiked", sp.sample_spiked_data))
+    monkeypatch.setattr(sp, "_data_blocks", recorder("null", sp._data_blocks))
+    monkeypatch.setattr(sp, "_spiked_blocks", recorder("spiked", sp._spiked_blocks))
     sweep_tau(SpikedModelConfig(lam=0.9, sparsity=1, n=4, p=4, seed=0), [1.0, 2.0], trials=66)
     for kind, seen in draws.items():
         assert len(seen) == 66 and len(set(seen)) == 66, kind
@@ -647,7 +650,8 @@ def test_apply_kernel_leaves_the_shared_gram_unchanged():
         assert np.array_equal(np.triu(in_place), np.triu(m))
         # _kernel_matrix mirrors that upper triangle with the diagonal kept;
         # build_kernel_matrix then zeroes the diagonal
-        sym = _scaled_gram(X)
+        # as the builders hold it: the Gram's upper triangle, zeros below
+        sym = np.triu(_scaled_gram(X))
         upper = np.triu(_kernel_tiles(sym, kernel, 40, out=np.empty_like(sym)))
         if keep_diagonal:
             built = _kernel_matrix(X, kernel)
