@@ -403,8 +403,7 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
         # by construction, so the solve needs neither the mirror nor
         # spectrum's checks.
         sums = np.zeros(p)
-        blocks = _data_blocks(data_cfg, stream=t)
-        K = _kernel_triangle(_tallied(blocks, sums) if exp.a2 else blocks, p, n, kernel)
+        K = _kernel_triangle(_tallied(_data_blocks(data_cfg, stream=t), sums), p, n, kernel)
         spikes = _rank_two_spikes(sums, n, exp.a2, data_cfg.fourth_moment)
         summ = SpectrumSummary(eigenvalues=_eigvalsh_in_place(K)[::-1].copy())
         del K

@@ -231,9 +231,9 @@ def _tallied(blocks, sums: np.ndarray):
 # kernel matrices
 
 
-# Rows per block of the full kernel matrix's mirror pass, of spectrum's
+# Rows per block of the full kernel matrix's mirror pass and of spectrum's
 # check, whose two temporaries of this many rows are freed before its
-# solve, and of rank_two_correction's pass over a caller's X.
+# solve.
 _SLAB_ROWS = 128
 # Gram entries per kernel tile: the Hermite sweep's buffers for one tile
 # stay in cache (8192 and 131072 were slower at n = p = 2000).
@@ -785,21 +785,15 @@ def rank_two_correction(X: np.ndarray, a2: float, fourth_moment: float = 3.0) ->
     from its characteristic quadratic, plus the asymptotic prediction.
 
     With a2 = 0 the correction vanishes and no spikes are returned.  The
-    simulate command, which never holds X, adds the sums up over the blocks
-    its Gram reads (_tallied) and passes them to _rank_two_spikes.
+    row sums sum_j (x_ij^2 - 1) add up over X's blocks of samples, as
+    simulate's Gram reads them (_tallied), so the spikes of X have the bits
+    of simulate's from the draw that made X.
     """
-    if a2 == 0.0:
-        return SpikePrediction(locations=(), empirical=())
-    p, n = X.shape
-    # row slabs of (x_ij^2 - 1) of at most 2^19 entries (one row if n is
-    # larger): each row sums as it would in one pass over X, with a
-    # temporary of a few MB, not of X
-    rows = max(1, min(_SLAB_ROWS, 2**19 // n))
-    sums = np.empty(p)
-    for i0 in range(0, p, rows):
-        slab = X[i0:i0 + rows]
-        sums[i0:i0 + rows] = (slab * slab - 1.0).sum(axis=1)
-    return _rank_two_spikes(sums, n, a2, fourth_moment)
+    sums = np.zeros(X.shape[0])
+    if a2 != 0.0:
+        for _ in _tallied(_blocks_of(X), sums):
+            pass
+    return _rank_two_spikes(sums, X.shape[1], a2, fourth_moment)
 
 
 def _rank_two_spikes(sums: np.ndarray, n: int, a2: float, fourth_moment: float) -> SpikePrediction:

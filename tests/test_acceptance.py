@@ -55,12 +55,12 @@ def record(num, ok, detail):
 @pytest.fixture(scope="module")
 def h3_norm_table():
     """Spectral norms of the cubic-Hermite kernel matrix over a size ladder,
-    5 seeds each; target norm is 2 (gamma = nu = 1)."""
+    seeds 1000-1019 each; target norm is 2 (gamma = nu = 1)."""
     table = {}
     t0 = time.time()
     for n in (250, 500, 1000, 2000):
         norms = []
-        for seed in range(1000, 1005):
+        for seed in range(1000, 1020):
             X = sample_data(DataMatrixConfig(n=n, p=n, seed=seed))
             norms.append(spectrum(build_kernel_matrix(X, H3)).spectral_norm)
         table[n] = norms
@@ -94,7 +94,7 @@ def spike_runs():
 
 
 def test_criterion_01_semicircle_norm(h3_norm_table):
-    errs = [abs(v - 2.0) for v in h3_norm_table[2000]]
+    errs = [abs(v - 2.0) for v in h3_norm_table[2000][:5]]  # seeds 1000-1004
     mean_err = float(np.mean(errs))
     ok = mean_err < 0.15 and h3_norm_table["elapsed"] < 120
     record(1, ok, f"h3 norm at n=p=2000: mean |norm - 2| = {mean_err:.4f} "
@@ -322,18 +322,12 @@ def test_criterion_10_sign_property_grid():
 
 
 def test_criterion_11_convergence_trend_and_concentration(h3_norm_table):
-    # the trend reads ten seeds a size: the table's five and 1005-1009.
-    # h3's heavy tail puts an outlier eigenvalue past the edge in many
-    # draws at n <= 500, and over 80 seeds a size the medians of five seeds
-    # fell at every doubling in only 80% of draws (two of eight disjoint
-    # seed sets failed on the row-major draws, one of eight on the blocks
-    # of samples, seeds 1000-1004 among them); medians of ten fell in 94%
-    errors = {}
-    for n in (250, 500, 1000, 2000):
-        extra = [spectrum(build_kernel_matrix(sample_data(DataMatrixConfig(n=n, p=n, seed=seed)), H3))
-                 for seed in range(1005, 1010)]
-        errors[n] = [abs(v - 2.0) for v in h3_norm_table[n]] + [abs(s.spectral_norm - 2.0) for s in extra]
-    medians = [float(np.median(errors[n])) for n in (250, 500, 1000, 2000)]
+    # the trend reads the table's twenty seeds a size.  h3's heavy tail
+    # puts an outlier eigenvalue past the edge in many draws at n <= 500:
+    # over 80 seeds a size, bootstrapped medians fell at every doubling in
+    # 80% of draws of five seeds, 93% of ten and 98% of twenty
+    medians = [float(np.median([abs(v - 2.0) for v in h3_norm_table[n]]))
+               for n in (250, 500, 1000, 2000)]
     trend_ok = all(a > b for a, b in zip(medians, medians[1:]))
 
     rows = concentration_probe(
@@ -344,7 +338,7 @@ def test_criterion_11_convergence_trend_and_concentration(h3_norm_table):
     probe_ok = spread < 3.0
 
     ok = trend_ok and probe_ok
-    record(11, ok, f"h3 median norm errors over n=250..2000, ten seeds each: "
+    record(11, ok, f"h3 median norm errors over n=250..2000, twenty seeds each: "
                    f"{[round(m, 4) for m in medians]} (decreasing); "
                    f"concentration statistic spread across p/n in "
                    f"{{0.25,1,4,16}}: {spread:.2f}x (< 3x)")

@@ -70,11 +70,29 @@ def _reference_threshold(x, tau):
     return np.sign(x) * np.where(ax <= 0.8 * tau, 0.0, np.where(ax >= 1.2 * tau, ax - tau, quad))
 
 
+# the Gram sums each entry over blocks of samples, in another order than
+# numpy's one dsyrk, and scales each block's share by 1 / sqrt(n).  Two
+# orders of a sum of n products differ by at most (n - 1) eps times the sum
+# of their sizes, itself at most the Cauchy-Schwarz bound sqrt(g_ii g_jj);
+# rounding errors that do not correlate grow like sqrt(n), so each entry
+# must lie within eps sqrt(n) times that bound (at most 5.9 eps times it
+# was seen, at n = 700, p = 300 in two blocks and n = p = 1000 in eight)
+def _assert_near_the_numpy_gram(g, X):
+    """g's upper triangle lies within rounding of numpy's X @ X.T / sqrt(n)."""
+    p, n = X.shape
+    want = X @ X.T / math.sqrt(n)
+    bound = np.finfo(float).eps * math.sqrt(n) * np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    upper = np.triu(np.ones((p, p), dtype=bool))
+    assert np.all(np.abs(g - want)[upper] <= bound[upper])
+
+
 def _scaled_gram(X):
     """The builders' Gram of X, X X^T / sqrt(n) summed over X's blocks of
-    samples (simulate._scaled_gram), mirrored into a full matrix; its
-    agreement with numpy's X @ X.T is test_sweep_gram_matches_the_numpy_gram's."""
+    samples (simulate._scaled_gram), mirrored into a full matrix, once it
+    is checked against numpy's, so that a fault in the Gram cannot pass
+    into both sides of an exact-bit comparison."""
     g = np.triu(simulate._scaled_gram(simulate._blocks_of(X), *X.shape))
+    _assert_near_the_numpy_gram(g, X)
     return g + np.triu(g, 1).T
 
 
@@ -504,23 +522,14 @@ def test_sweep_lambda_max_at_tiny_p(p, monkeypatch):
         assert np.array_equal(got, np.triu(thresholded_covariance(sampler(cfg, stream=k // 2), tau)))
 
 
-# the Gram sums each entry over blocks of samples, in another order than
-# numpy's one dsyrk, and scales each block's share by 1 / sqrt(n).  Two
-# orders of a sum of n products differ by at most (n - 1) eps times the sum
-# of their sizes, itself at most the Cauchy-Schwarz bound sqrt(g_ii g_jj);
-# rounding errors that do not correlate grow like sqrt(n), so each entry
-# must lie within eps sqrt(n) times that bound (at most 5.9 eps times it
-# was seen, at n = 700, p = 300 in two blocks and n = p = 1000 in eight)
 @pytest.mark.parametrize("n, p", [(50, 120), (80, 80), (300, 70), (5, 2), (1000, 1000)])
 def test_sweep_gram_matches_the_numpy_gram(n, p):
     cfg = DataMatrixConfig(n=n, p=p, seed=n + p)
     X = sample_data(cfg)
-    want = X @ X.T / math.sqrt(n)
-    bound = np.finfo(float).eps * math.sqrt(n) * np.sqrt(np.outer(np.diag(want), np.diag(want)))
     upper = np.triu(np.ones((p, p), dtype=bool))
     for blocks in (sparse_pca._data_blocks(cfg), simulate._blocks_of(X)):
         g = simulate._scaled_gram(blocks, p, n)
-        assert np.all(np.abs(g - want)[upper] <= bound[upper])
+        _assert_near_the_numpy_gram(g, X)
         assert not np.any(g[~upper])  # the strict lower triangle is never written
     # the draw's blocks and the assembled X's give the same bits
     assert np.array_equal(g, simulate._scaled_gram(sparse_pca._data_blocks(cfg), p, n))
