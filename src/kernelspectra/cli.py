@@ -37,15 +37,10 @@ from .rng import STREAM_SCALING, derive_rng
 from .simulate import (
     MAX_DATA_ENTRIES,
     DataMatrixConfig,
-    SpectrumSummary,
-    _data_blocks,
-    _eigvalsh_in_place,
-    _kernel_triangle,
-    _rank_two_spikes,
-    _tallied,
     decompose_hermite_sum,
     ks_distance,
     remainder_variance,
+    trial,
 )
 from .sparse_pca import SpikedModelConfig, ThresholdFunction, sweep_tau
 
@@ -302,7 +297,7 @@ def write_json(path: Path, doc: dict) -> Path:
 # commands
 
 
-def cmd_project_kernel(cfg: Config, raw: dict[str, str]) -> int:
+def cmd_project_kernel(cfg: Config) -> int:
     kernel = parse_kernel(cfg.get_str("kernel", _REQUIRED))
     degree = cfg.get_int("degree", 30)
     path = _out_path(cfg.get_str("out", "kernel_expansion.json"))
@@ -317,12 +312,12 @@ def cmd_project_kernel(cfg: Config, raw: dict[str, str]) -> int:
         "degree": exp.degree,
         "truncation_residual": exp.residual,
     }
-    write_json(path, envelope(raw, payload))
+    write_json(path, envelope(cfg.values, payload))
     print(f"wrote {path}")
     return 0
 
 
-def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
+def cmd_limit_law(cfg: Config) -> int:
     params = LimitLawParams(
         a=cfg.get_float("a", _REQUIRED),
         nu=cfg.get_float("nu", _REQUIRED),
@@ -347,8 +342,13 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
     orders = range(1, lmax + 1)
     moments = [moment(params, l) for l in orders]
     sup = support(params)
-    xs = np.linspace(sup.min_edge - 1.0, sup.max_edge + 1.0, points)
-    below, above = cdf(params, [sup.min_edge - 1.0, sup.max_edge + 1.0], epsilon=eps)
+    # the grid's margin around the support: 1, or 2^-40 of the norm where that
+    # is more, at least 2^12 ulps of the edges (from |edge| = 2^53 on, edge +- 1
+    # rounds to the edge, where cdf's mass would be read at the edges themselves)
+    margin = max(1.0, 2.0**-40 * sup.norm)
+    lo, hi = sup.min_edge - margin, sup.max_edge + margin
+    xs = np.linspace(lo, hi, points)
+    below, above = cdf(params, [lo, hi], epsilon=eps)
     write_csv(out["density.csv"], ("x", "density"), (xs, density(params, xs, epsilon=eps)))
     edges = np.array(sup.intervals, dtype=float).reshape(-1, 2)
     write_csv(out["support.csv"], ("interval", "lo", "hi"), (np.arange(len(edges)), *edges.T))
@@ -362,7 +362,7 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
         "atom_mass": sup.atom_mass,
         "density_mass": float(above - below - (sup.atom_mass or 0.0)),
     }
-    path = write_json(out["summary.json"], envelope(raw, payload))
+    path = write_json(out["summary.json"], envelope(cfg.values, payload))
     print(f"wrote {path}")
     return 0
 
@@ -370,7 +370,7 @@ def cmd_limit_law(cfg: Config, raw: dict[str, str]) -> int:
 _LAWS = {"gaussian": "standard_gaussian", "rademacher": "symmetric_rademacher"}
 
 
-def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
+def cmd_simulate(cfg: Config) -> int:
     kernel = parse_kernel(cfg.get_str("kernel", _REQUIRED))
     n = cfg.get_int("n", _REQUIRED)
     p = cfg.get_int("p", _REQUIRED)
@@ -395,18 +395,7 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
     eigenvalues = []
     trial_summaries = []
     for t in range(trials):
-        # X is never held: its blocks of samples are drawn one at a time,
-        # each adding its share to the Gram in K's upper triangle (and its
-        # x^2 - 1 to the spike's row sums), and the kernel, the diagonal and
-        # the solve touch that triangle alone, which the solve overwrites.
-        # The build checked every entry for finiteness, and K is symmetric
-        # by construction, so the solve needs neither the mirror nor
-        # spectrum's checks.
-        sums = np.zeros(p)
-        K = _kernel_triangle(_tallied(_data_blocks(data_cfg, stream=t), sums), p, n, kernel)
-        spikes = _rank_two_spikes(sums, n, exp.a2, data_cfg.fourth_moment)
-        summ = SpectrumSummary(eigenvalues=_eigvalsh_in_place(K)[::-1].copy())
-        del K
+        summ, spikes = trial(data_cfg, kernel, exp.a2, stream=t)
         eigenvalues.append(summ.eigenvalues)
         entry = {
             "trial": t,
@@ -433,12 +422,12 @@ def cmd_simulate(cfg: Config, raw: dict[str, str]) -> int:
         "mean_spectral_norm": float(np.mean([t["spectral_norm"] for t in trial_summaries])),
         "trials": trial_summaries,
     }
-    path = write_json(out["summary.json"], envelope(raw, payload))
+    path = write_json(out["summary.json"], envelope(cfg.values, payload))
     print(f"wrote {path}")
     return 0
 
 
-def cmd_sparse_pca_sweep(cfg: Config, raw: dict[str, str]) -> int:
+def cmd_sparse_pca_sweep(cfg: Config) -> int:
     n = cfg.get_int("n", _REQUIRED)
     p = cfg.get_int("p", n)
     taus = cfg.get_floats("taus", [float(x) for x in np.linspace(0.5, 4.0, 25)])
@@ -463,12 +452,12 @@ def cmd_sparse_pca_sweep(cfg: Config, raw: dict[str, str]) -> int:
         "trials": trials,
         "max_null_gap": float(np.max(np.abs(result.null_mean - result.prediction))),
     }
-    path = write_json(out["_summary.json"], envelope(raw, payload))
+    path = write_json(out["_summary.json"], envelope(cfg.values, payload))
     print(f"wrote {path}")
     return 0
 
 
-def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
+def cmd_verify(cfg: Config) -> int:
     l_max = cfg.get_int("l_max", 4)
     d_max = cfg.get_int("d_max", 3)
     scaling_trials = cfg.get_int("scaling_trials", 200)
@@ -523,7 +512,7 @@ def cmd_verify(cfg: Config, raw: dict[str, str]) -> int:
         scaling.append({"d": d, "n": list(SCALING_NS), "mean_s2": mean_s2, "exact_s2": exact_s2})
 
     report = {"lemma_census": census, "remainder_scaling": scaling, "ok": ok}
-    write_json(path, envelope(raw, report))
+    write_json(path, envelope(cfg.values, report))
     print(f"wrote {path}")
     if not ok:
         raise VerificationError("verification report contains failures; see " + str(path))
@@ -562,7 +551,7 @@ def main(argv=None) -> int:
             if not (eq and key.strip()):
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             values[key.strip()] = val.strip()
-        return COMMANDS[args.command](Config(values), values)
+        return COMMANDS[args.command](Config(values))
     except KernelSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -42,15 +42,6 @@ MAX_MATRIX_SIDE = 25000
 # p = 2, n = 1e7.  sample_data, which assembles X for a caller, holds 8 B
 # an entry, 2.9 GB at this cap.
 MAX_DATA_ENTRIES = 360_000_000
-_DRAW_BLOCK = 2**19  # entries per index draw of a discrete entry law
-
-
-def check_data_size(p: int, n: int) -> None:
-    """SizeCapError unless a p x n data matrix is within both caps."""
-    if p > MAX_MATRIX_SIDE:
-        raise SizeCapError(f"p={p} exceeds cap {MAX_MATRIX_SIDE}")
-    if p * n > MAX_DATA_ENTRIES:
-        raise SizeCapError(f"p * n = {p * n} data entries exceeds cap {MAX_DATA_ENTRIES}")
 
 
 # ---------------------------------------------------------------------------
@@ -91,23 +82,17 @@ class EntryLaw:
     def _atoms(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.spec[1], dtype=float), np.asarray(self.spec[2], dtype=float)
 
-    def sample(self, gen: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
-        """An array of the given shape of i.i.d. draws from gen, written
-        into out (a C-ordered float64 array of that shape) if given.  The
-        draws and their bits do not depend on out."""
+    def sample(self, gen: np.random.Generator, shape) -> np.ndarray:
+        """A new float64 array of the given shape of i.i.d. draws from gen.
+        A discrete law draws one int64 index an entry beside it: the
+        commands draw one block of samples at a time (_data_blocks)."""
         if self.spec == "standard_gaussian":
-            return gen.standard_normal(shape, out=out)
+            return gen.standard_normal(shape)
         if self.spec == "symmetric_rademacher":
             values, probs = np.array([-1.0, 1.0]), None  # choice(2) draws integers(0, 2)
         else:
             values, probs = self._atoms()
-        out = np.empty(shape) if out is None else out
-        # blocks of the int64 index draw give the one-draw stream and never sit
-        # beside all of out; "clip" never acts (every index is in range) and
-        # spares the copy of each block that the default mode buffers through
-        for block in np.split(out.reshape(-1), range(_DRAW_BLOCK, out.size, _DRAW_BLOCK)):
-            np.take(values, gen.choice(len(values), block.size, p=probs), out=block, mode="clip")
-        return out
+        return np.take(values, gen.choice(len(values), shape, p=probs))
 
     def moment(self, k: int) -> float:
         """E[x^k] for an integer k >= 0; exactly 0.0 for odd k, since every
@@ -141,7 +126,10 @@ class DataMatrixConfig:
     def __post_init__(self):
         if self.n < 2 or self.p < 2:
             raise ConfigError(f"need n, p >= 2, got n={self.n}, p={self.p}")
-        check_data_size(self.p, self.n)
+        if self.p > MAX_MATRIX_SIDE:
+            raise SizeCapError(f"p={self.p} exceeds cap {MAX_MATRIX_SIDE}")
+        if self.p * self.n > MAX_DATA_ENTRIES:
+            raise SizeCapError(f"p * n = {self.p * self.n} data entries exceeds cap {MAX_DATA_ENTRIES}")
         object.__setattr__(self, "law", EntryLaw(self.entry_law))
 
     @property
@@ -184,10 +172,9 @@ def _data_blocks(cfg: DataMatrixConfig, stream: int | tuple[int, ...] = 0):
         yield cfg.law.sample(gen, (j1 - j0, cfg.p))
 
 
-def _assembled(blocks, p: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The p x n matrix whose columns the (w, p) blocks hold, in order,
-    written into out if given."""
-    X = np.empty((p, n)) if out is None else out
+def _assembled(blocks, p: int, n: int) -> np.ndarray:
+    """The p x n matrix whose columns the (w, p) blocks hold, in order."""
+    X = np.empty((p, n))
     j0 = 0
     for block in blocks:
         X[:, j0:j0 + len(block)] = block.T
@@ -195,14 +182,12 @@ def _assembled(blocks, p: int, n: int, out: np.ndarray | None = None) -> np.ndar
     return X
 
 
-def sample_data(
-    cfg: DataMatrixConfig, stream: int | tuple[int, ...] = 0, out: np.ndarray | None = None
-) -> np.ndarray:
+def sample_data(cfg: DataMatrixConfig, stream: int | tuple[int, ...] = 0) -> np.ndarray:
     """Draw X (p x n), reproducibly from cfg.seed (and an optional extra
-    stream index, or tuple of indices, for independent trials), into out
-    (a C-ordered p x n float64 array) if given: the blocks of _data_blocks,
-    assembled.  The commands read those blocks and never hold X."""
-    return _assembled(_data_blocks(cfg, stream), cfg.p, cfg.n, out)
+    stream index, or tuple of indices, for independent trials): the blocks
+    of _data_blocks, assembled.  The commands read those blocks and never
+    hold X."""
+    return _assembled(_data_blocks(cfg, stream), cfg.p, cfg.n)
 
 
 def _blocks_of(X: np.ndarray):
@@ -231,12 +216,9 @@ def _tallied(blocks, sums: np.ndarray):
 # kernel matrices
 
 
-# Rows per block of the full kernel matrix's mirror pass and of spectrum's
-# check, whose two temporaries of this many rows are freed before its
-# solve.
-_SLAB_ROWS = 128
-# Gram entries per kernel tile: the Hermite sweep's buffers for one tile
-# stay in cache (8192 and 131072 were slower at n = p = 2000).
+# Entries per tile of the upper triangle (_upper_tiles): the Hermite
+# sweep's buffers for one kernel tile stay in cache (8192 and 131072 were
+# slower at n = p = 2000).
 _TILE_ENTRIES = 32768
 
 
@@ -298,7 +280,10 @@ def _kernel_tiles(g: np.ndarray, kernel, n: int, out: np.ndarray) -> np.ndarray:
     which names the Gram where the slab of g is itself not finite.  Each
     tile's quotient is written into out, never into the kernel's result, so
     a kernel that returns its input or a view of it leaves g intact when
-    out is a separate buffer; when out is g, numpy buffers the overlap."""
+    out is a separate buffer; when out is g, numpy buffers the overlap.
+    Each -0.0 written is made +0.0 in the tile's pass: LAPACK's Householder
+    reflections take the sign of a zero, so dsyevd's eigenvalues depend on
+    it (a signed zero added to a dsymv sum leaves the sum as it was)."""
     s = math.sqrt(n)
     for i0, i1 in _upper_tiles(len(g)):
         rows = i1 - i0
@@ -310,8 +295,11 @@ def _kernel_tiles(g: np.ndarray, kernel, n: int, out: np.ndarray) -> np.ndarray:
         # columns (7.8 against 9.0 ms a dense M_tau at p = 2000); numpy
         # loops over a C-ordered out in its own order either way
         tile = out[i0:i1, i0:].T
+        upper = _upper_mask(rows).T
         np.divide(vals[:, rows:].T, s, out=tile[rows:])
-        np.divide(vals[:, :rows].T, s, out=tile[:rows], where=_upper_mask(rows).T)
+        np.divide(vals[:, :rows].T, s, out=tile[:rows], where=upper)
+        tile[rows:] += 0.0  # -0.0 -> +0.0
+        np.add(tile[:rows], 0.0, out=tile[:rows], where=upper)
     return out
 
 
@@ -356,10 +344,6 @@ def _kernel_triangle(blocks, p: int, n: int, kernel, diagonal: bool = False) -> 
     X at a time, never X, and half of K."""
     K = _scaled_gram(blocks, p, n, huge_pages=False)
     _kernel_tiles(K, kernel, n, out=K)
-    for i0, i1 in _upper_tiles(p):
-        # -0.0 -> +0.0: LAPACK's Householder reflections take the sign of
-        # a zero, so dsyevd's eigenvalues depend on it
-        K[i0:i1, i0:] += 0.0
     if not diagonal:
         np.fill_diagonal(K, 0.0)
     return K
@@ -370,10 +354,8 @@ def _kernel_matrix(X: np.ndarray, kernel, diagonal: bool = True) -> np.ndarray:
     diagonal included unless not `diagonal`: _kernel_triangle on X's
     blocks, whose upper triangle is then mirrored into its lower one."""
     K = _kernel_triangle(_blocks_of(X), *X.shape, kernel, diagonal)
-    p = len(K)
-    for i0 in range(0, p, _SLAB_ROWS):
-        i1 = min(i0 + _SLAB_ROWS, p)
-        K[i0:i1, :i0] = K[:i0, i0:i1].T
+    for i0, i1 in _upper_tiles(len(K)):
+        K[i1:, i0:i1] = K[i0:i1, i1:].T
         block = K[i0:i1, i0:i1]
         block[...] = np.triu(block) + np.triu(block, 1).T
     return K
@@ -409,8 +391,8 @@ SYMMETRY_RTOL = 1e-10  # largest asymmetry spectrum accepts, relative to max|m|
 def _checked_symmetric(m) -> np.ndarray:
     """m as an array, after spectrum's checks of a caller's matrix: real,
     square, finite, and symmetric to 1e-10 of its largest entry.  Works in
-    row slabs, comparing each slab's upper part with its mirror, so it
-    allocates no p x p temporary."""
+    the row slabs of _upper_tiles, comparing each slab's upper part with
+    its mirror, so it allocates no p x p temporary."""
     m = np.asarray(m)
     if np.iscomplexobj(m):
         raise ConfigError(f"expected a real matrix, got dtype {m.dtype}")
@@ -418,8 +400,7 @@ def _checked_symmetric(m) -> np.ndarray:
         raise ConfigError(f"expected a non-empty square matrix, got shape {m.shape}")
     p = m.shape[0]
     scale, asym = 1.0, 0.0
-    for i0 in range(0, p, _SLAB_ROWS):
-        i1 = min(i0 + _SLAB_ROWS, p)
+    for i0, i1 in _upper_tiles(p):
         slab_max = float(np.max(np.abs(m[i0:i1])))
         if not math.isfinite(slab_max):
             raise ConfigError("matrix contains non-finite entries")
@@ -511,8 +492,25 @@ def spectrum(m: np.ndarray) -> SpectrumSummary:
     matrix, after _checked_symmetric's checks: np.linalg.eigvalsh on a copy
     of m, which is left as it was.  (The simulate command solves the kernel
     matrix it built itself in place, on its upper triangle alone: see
-    _kernel_triangle and _eigvalsh_in_place.)"""
+    trial.)"""
     return SpectrumSummary(eigenvalues=np.linalg.eigvalsh(_checked_symmetric(m))[::-1].copy())
+
+
+def trial(cfg: DataMatrixConfig, kernel, a2: float,
+          stream: int | tuple[int, ...] = 0) -> tuple[SpectrumSummary, SpikePrediction]:
+    """One trial of the simulate command: the spectrum of K(X), zero on the
+    diagonal, and the rank-two spike prediction for a2, for the X of cfg's
+    stream (see _data_blocks).  X is never held: its blocks of samples are
+    drawn one at a time, each adding its share to the Gram in K's upper
+    triangle (and its x^2 - 1 to the spike's row sums), and the kernel, the
+    diagonal and the solve touch that triangle alone, which the solve
+    overwrites.  The build checked every entry for finiteness, and K is
+    symmetric by construction, so the solve needs neither the mirror nor
+    spectrum's checks."""
+    sums = np.zeros(cfg.p)
+    K = _kernel_triangle(_tallied(_data_blocks(cfg, stream), sums), cfg.p, cfg.n, kernel)
+    spikes = _rank_two_spikes(sums, cfg.n, a2, cfg.fourth_moment)
+    return SpectrumSummary(eigenvalues=_eigvalsh_in_place(K)[::-1].copy()), spikes
 
 
 # Lanczos steps allowed to one _extreme_eigenvalue solve, and so rows of

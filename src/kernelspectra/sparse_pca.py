@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ from .simulate import (
     _non_finite_error,
     _scaled_gram,
     _upper_tiles,
-    check_data_size,
 )
 
 INNER_FRACTION = 0.8
@@ -162,20 +161,20 @@ class ThresholdFunction:
 @dataclass(frozen=True)
 class SpikedModelConfig:
     """Spiked covariance Id + lambda v v^T with ||v||_0 = sparsity nonzero
-    entries of value +-1/sqrt(sparsity) at uniformly random positions."""
+    entries of value +-1/sqrt(sparsity) at uniformly random positions.
+    `null` is its null model, whose construction checks the shape."""
 
     lam: float
     sparsity: int
     n: int
     p: int
     seed: int = 0
+    null: DataMatrixConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
             raise ConfigError(f"spike strength lambda must be finite and > 0, got {self.lam}")
-        if self.n < 2 or self.p < 2:
-            raise ConfigError(f"need n, p >= 2, got n={self.n}, p={self.p}")
-        check_data_size(self.p, self.n)
+        object.__setattr__(self, "null", DataMatrixConfig(n=self.n, p=self.p, seed=self.seed))
         if not 1 <= self.sparsity <= self.p:
             raise ConfigError(f"sparsity must be in [1, p={self.p}], got {self.sparsity}")
 
@@ -210,14 +209,12 @@ def _spiked_blocks(cfg: SpikedModelConfig, stream: int | tuple[int, ...] = 0):
         del g
 
 
-def sample_spiked_data(
-    cfg: SpikedModelConfig, stream: int | tuple[int, ...] = 0, out: np.ndarray | None = None
-) -> np.ndarray:
+def sample_spiked_data(cfg: SpikedModelConfig, stream: int | tuple[int, ...] = 0) -> np.ndarray:
     """X (p x n) with i.i.d. columns N(0, Id + lam v v^T), generated as
     g + sqrt(lam) * w * v with independent standard normals g, w (exact
-    covariance, no matrix square root needed), into out (a C-ordered p x n
-    float64 array) if given: the blocks of _spiked_blocks, assembled."""
-    return _assembled(_spiked_blocks(cfg, stream), cfg.p, cfg.n, out)
+    covariance, no matrix square root needed): the blocks of
+    _spiked_blocks, assembled."""
+    return _assembled(_spiked_blocks(cfg, stream), cfg.p, cfg.n)
 
 
 def thresholded_covariance(X: np.ndarray, tau: float) -> np.ndarray:
@@ -358,7 +355,7 @@ def sweep_tau(model: SpikedModelConfig, taus: Sequence[float], trials: int = 5) 
     spiked model and its null, against the null prediction.
 
     The null model is standard Gaussian data of the spiked model's shape,
-    DataMatrixConfig(n=model.n, p=model.p, seed=model.seed).  Both draw
+    model.null = DataMatrixConfig(n=model.n, p=model.p, seed=model.seed).  Both draw
     from the one master seed: their stream tags (STREAM_DATA for the null,
     STREAM_SPIKE_SUPPORT and STREAM_SPIKE_COEF for the spike) keep them
     apart.
@@ -412,13 +409,12 @@ def sweep_tau(model: SpikedModelConfig, taus: Sequence[float], trials: int = 5) 
     prediction = np.asarray([null_prediction(tau, model.gamma) for tau in taus])
 
     p, n = model.p, model.n
-    null = DataMatrixConfig(n=n, p=p, seed=model.seed)
     max_sparse = SPARSE_DENSITY_CUT * p * (p + 1) / 2
     null_tops = np.empty((trials, len(taus)))
     spiked_tops = np.empty((trials, len(taus)))
     for t in range(trials):
         for sampler, cfg, tops in (
-            (_data_blocks, null, null_tops),
+            (_data_blocks, model.null, null_tops),
             (_spiked_blocks, model, spiked_tops),
         ):
             shared = _scaled_gram(sampler(cfg, stream=t), p, n)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -259,7 +260,7 @@ def test_non_finite_kernel_moments_exit_2_before_sampling(
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled data for a kernel without finite moments")
 
-    monkeypatch.setattr(cli_module, "_data_blocks", no_sampling)
+    monkeypatch.setattr(sim, "_data_blocks", no_sampling)
     cfg = write_cfg(tmp_path, "k.cfg", kernel=kernel, **keys)
     assert main([command, cfg]) == 2
     assert message in capsys.readouterr().err
@@ -514,9 +515,10 @@ def test_simulate_frees_x_before_the_eigensolve(tmp_path, monkeypatch):
     monkeypatch.setattr(sim, "_MIN_BLOCK_SAMPLES", 16)
     monkeypatch.setattr(sim, "_BLOCK_ENTRIES", 0)
     live, shapes, solves = [], [], []
+    draw = sim._data_blocks
 
     def blocks(*args, **kwargs):
-        source = sim._data_blocks(*args, **kwargs)
+        source = draw(*args, **kwargs)
         while True:
             assert all(ref() is None for ref in live), "a block is alive as the next is drawn"
             block = next(source, None)
@@ -535,8 +537,8 @@ def test_simulate_frees_x_before_the_eigensolve(tmp_path, monkeypatch):
         solves.append((m.shape, np.array_equal(before, np.triu(before)), np.array_equal(m, before)))
         return ev
 
-    monkeypatch.setattr(cli_module, "_data_blocks", blocks)
-    monkeypatch.setattr(cli_module, "_eigvalsh_in_place", solve)
+    monkeypatch.setattr(sim, "_data_blocks", blocks)
+    monkeypatch.setattr(sim, "_eigvalsh_in_place", solve)
     # h2 + h3 has a2 = 1, so the spike's row sums read every block too
     cfg = write_cfg(tmp_path, "s.cfg", kernel="h2+h3", n=60, p=40, trials=2)
     assert main(["simulate", cfg]) == 0
@@ -630,7 +632,7 @@ def test_matrix_side_over_the_cap_exits_3_before_sampling(tmp_path, monkeypatch,
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled data past the size cap")
 
-    for module in (cli_module, sparse_pca):
+    for module in (sim, sparse_pca):
         monkeypatch.setattr(module, "_data_blocks", no_sampling)
     monkeypatch.setattr(sparse_pca, "_spiked_blocks", no_sampling)
     cfg = write_cfg(tmp_path, "c.cfg", **keys)
@@ -664,8 +666,8 @@ def test_sizes_over_their_caps_exit_3_before_any_work(tmp_path, monkeypatch, cap
         raise AssertionError("started work past a size cap")
 
     for module, names in (
-        (cli_module, ("_data_blocks", "moment", "support", "density", "enumerate_multilabelings",
-                      "decompose_hermite_sum")),
+        (cli_module, ("moment", "support", "density", "enumerate_multilabelings", "decompose_hermite_sum")),
+        (sim, ("_data_blocks",)),
         (sparse_pca, ("_data_blocks", "_spiked_blocks")),
         (KernelExpansion, ("expansion",)),  # project_kernel checks its degree first
     ):
@@ -1097,6 +1099,54 @@ def test_limit_law_with_an_overflowing_support_discriminant_exits_2(epsilon, cap
     assert [f.name for f in out.iterdir()] == ["c.cfg"]
 
 
+def test_limit_law_margin_past_an_ulp_of_the_edges_keeps_the_mass():
+    # a random fuzz drew this law, whose support is +-1.578e33: there the
+    # grid's margin of 1 around the edges was below an ulp of them, so cdf
+    # was read at the edges themselves, and the run exited 0 with a
+    # density_mass of 351.5.  The margin is now 2^-40 of the norm there
+    keys = {"a": "-2.4066436495596064e-111", "nu": "3.787635310032867e131",
+            "gamma": "1.644340398847891e-66", "density_points": "11", "moments_lmax": "2"}
+    assert run_fuzzed("limit-law", keys, json_files=["limit_law_summary.json"]) == 0
+    out = Path(os.environ[cli_module.OUT_DIR_ENV])
+    payload = strict_json((out / "limit_law_summary.json").read_text())["payload"]
+    assert payload["atom_mass"] is None and abs(payload["density_mass"] - 1.0) < 1e-3
+    xs = [float(row.split(",")[0]) for row in (out / "limit_law_density.csv").read_text().splitlines()[1:]]
+    assert xs[0] < payload["min_edge"] and xs[-1] > payload["max_edge"]
+
+
+@given(
+    st.fixed_dictionaries(
+        {"kernel": st.one_of(
+            st.sampled_from(["h1", "h2+h3", "0.5*h1-2*h3", "soft_threshold(2)", "odd_poly(1,0.5)"]),
+            st.builds(str.format, st.sampled_from(["soft_threshold({})", "odd_poly(1,{})", "{}*h1+h3"]),
+                      st.sampled_from(ADVERSARIAL_VALUES)),
+        )},
+        optional={"degree": st.sampled_from(["1", "12", "250"]), "out": st.sampled_from(["pk.json", "c.cfg/x"])},
+    ),
+    st.dictionaries(st.sampled_from(["kernel", "degree", "out"]),
+                    st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2),
+)
+@settings(max_examples=600, derandomize=True, deadline=None)
+def test_project_kernel_config_fuzz(small, adversarial):
+    # every config of project-kernel's keys, from registry kernels (some
+    # with an adversarial value inside) at degrees up to the cap, either
+    # runs or fails typed
+    keys = {**small, **adversarial}
+    run_fuzzed("project-kernel", keys, json_files=[keys.get("out", "kernel_expansion.json")])
+
+
+def test_cli_imports_no_private_name_of_the_package():
+    # the commands reach the package through its public functions alone:
+    # how a trial is drawn, built and solved is simulate's own business
+    tree = ast.parse(Path(cli_module.__file__).read_text())
+    private = [
+        f"{node.module}.{alias.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("kernelspectra"))
+        for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
+
+
 def _block_sides():
     """(p, n) for the simulate fuzz: small sides, with n at and around the
     width of a block of samples at that p."""
@@ -1124,13 +1174,15 @@ def test_simulate_config_fuzz(sides, small, adversarial):
     # every config of simulate's keys, from small sides at and around a
     # block's width under both entry laws, either runs or fails typed.  A
     # side past the small ones must stop before any sampling.
+    draw = sim._data_blocks
+
     def blocks(cfg, stream=0):
         assert cfg.p <= 64 and cfg.n <= 2**16 + 1, "sampled past the small sides"
-        return sim._data_blocks(cfg, stream=stream)
+        return draw(cfg, stream=stream)
 
     keys = {"p": sides[0], "n": sides[1], **small, **adversarial}
     prefix = keys.get("out", "simulate")
-    with mock.patch.object(cli_module, "_data_blocks", blocks):
+    with mock.patch.object(sim, "_data_blocks", blocks):
         code = run_fuzzed("simulate", keys, json_files=[f"{prefix}_summary.json"],
                           csv_files=[f"{prefix}_eigenvalues.csv"])
     if code == 0:
@@ -1370,8 +1422,9 @@ def _fail_if_called(*args, **kwargs):
 @pytest.fixture
 def no_work(monkeypatch):
     """Make every census, moment, projection and sampling entry of the CLI fail."""
-    for name in ("enumerate_multilabelings", "moment", "project_kernel", "_data_blocks", "sweep_tau"):
+    for name in ("enumerate_multilabelings", "moment", "project_kernel", "sweep_tau"):
         monkeypatch.setattr(cli_module, name, _fail_if_called)
+    monkeypatch.setattr(sim, "_data_blocks", _fail_if_called)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

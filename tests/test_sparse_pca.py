@@ -687,6 +687,28 @@ def test_kernel_tiles_reject_non_finite_entries(bad):
         build_kernel_matrix(X, lambda y: np.where(y > 2.0, bad, y))
 
 
+def test_kernel_tiles_write_no_negative_zero_and_only_the_upper_triangle():
+    # k_tau applies copysign in its zero zone, so half its zeros are -0.0;
+    # every writer of the tiles (in place, a buffer, the sweep's g.T) gets
+    # +0.0 in what it writes, and the rest of out keeps its bits
+    X = sample_data(DataMatrixConfig(n=40, p=30, seed=7))
+    g = _scaled_gram(X)
+    threshold = ThresholdFunction(1.0)
+    zeros = threshold(g[np.triu_indices(30)])
+    assert np.signbit(zeros[zeros == 0.0]).any()
+    upper = np.triu(np.ones((30, 30), dtype=bool))
+    in_place, shared = g.copy(), g.copy()
+    for source, out in ((in_place, in_place), (g, np.full((30, 30), -0.0)), (shared, shared.T)):
+        before = out.copy()
+        m = _kernel_tiles(source, threshold, 40, out=out)
+        written = m[upper]
+        assert np.array_equal(written, threshold(g[upper]) / math.sqrt(40))
+        assert not np.signbit(written[written == 0.0]).any()
+        # below the diagonal, out is as it was, -0.0 included
+        assert np.array_equal(np.signbit(m[~upper]), np.signbit(before[~upper]))
+        assert np.array_equal(m[~upper], before[~upper])
+
+
 def test_mean_se_scaling():
     # the reported standard error carries the 1/sqrt(trials) factor
     from kernelspectra.sparse_pca import _mean_se
