@@ -440,7 +440,7 @@ def cmd_sparse_pca_sweep(cfg: Config) -> int:
     out = {name: _out_path(f"{prefix}{name}") for name in (".csv", "_summary.json")}
 
     if sparsity is None:  # an n outside these bounds fails the model's own checks
-        sparsity = max(1, math.floor(0.3 * math.sqrt(n))) if 2 <= n <= MAX_DATA_ENTRIES else 1
+        sparsity = max(1, min(p, math.floor(0.3 * math.sqrt(n)))) if 2 <= n <= MAX_DATA_ENTRIES else 1
     model = SpikedModelConfig(lam=lam, sparsity=sparsity, n=n, p=p, seed=seed)
     result = sweep_tau(model, taus, trials=trials)
     write_csv(out[".csv"], result.CSV_COLUMNS, result.columns())

@@ -25,9 +25,10 @@ from .limit_law import LimitLawParams, cdf
 # Both caps are checked by simulate and by sparse-pca-sweep; peaks are
 # ru_maxrss in a fresh process.  Neither command holds X, only one block
 # of its samples at a time.  simulate holds the upper triangle of K, in
-# 4 KB pages, and peaks at about 44 MB + 8 B * p^2 / 2 + 4 KB * p (the
-# pages the diagonal cuts): 88 MB at p = n = 3000 and 118 MB at p = 4000,
-# n = 2000, whatever n (63 MB at p = 2000, n = 8000), so 2.6 GB at this
+# 4 KB pages, each row's upper part starting on a page (_mapped_empty), and
+# peaks at about 42 MB + 8 B * p^2 / 2 + 2 KB * p (half a page a row, for
+# each row's last page): 81 MB at p = n = 3000 and 111 MB at p = 4000,
+# n = 2000, whatever n (59 MB at p = 2000, n = 8000), so 2.6 GB at this
 # cap.  The sweep holds one p x p array with huge pages, a sparse cell and
 # a Lanczos basis: it peaks at 48 MB + 8 B * 1.07 p^2 while that array and
 # the cells' solves coexist (p = n = 3000 to 5000, bases of 160 to 216
@@ -231,14 +232,23 @@ def _mapped_empty(shape: tuple[int, int], huge_pages: bool = True) -> np.ndarray
     towards a later peak.  The mapping is advised MADV_HUGEPAGE where the
     platform has it, as numpy does for its own large arrays, so that
     filling it faults in huge pages, not 4 KB ones; or, unless
-    `huge_pages`, MADV_NOHUGEPAGE, so that only the 4 KB pages its owner
-    touches take memory."""
-    count = math.prod(shape)
-    buf = mmap.mmap(-1, 8 * count, flags=mmap.MAP_PRIVATE)
+    `huge_pages`, MADV_NOHUGEPAGE, so that only the pages its owner
+    touches take memory.  Such an array is the (rows, cols) view of a
+    (rows, s) mapping, s the least stride >= cols with (s + 1) * 8 a
+    multiple of the page size (2047 at cols = 2000 and 4 KB pages), so
+    that each row's upper part [i, i:] starts on a page boundary: a square
+    array's upper triangle then leaves half a page a row unused, not about
+    a whole one."""
+    rows, cols = shape
+    stride = cols
+    if not huge_pages:
+        per_page = mmap.PAGESIZE // 8
+        stride = -(-(cols + 1) // per_page) * per_page - 1
+    buf = mmap.mmap(-1, 8 * rows * stride, flags=mmap.MAP_PRIVATE)
     advice = "MADV_HUGEPAGE" if huge_pages else "MADV_NOHUGEPAGE"
     if hasattr(mmap, advice):
         buf.madvise(getattr(mmap, advice))
-    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
+    return np.frombuffer(buf, dtype=np.float64, count=rows * stride).reshape(rows, stride)[:, :cols]
 
 
 def _upper_tiles(p: int):
@@ -310,14 +320,16 @@ def _scaled_gram(blocks, p: int, n: int, huge_pages: bool = True) -> np.ndarray:
     _data_blocks yields them.  Each block's share B^T B / sqrt(n) is added
     in place by numpy's cblas_dsyrk, which writes the upper triangle alone,
     so the strict lower triangle reads as zeros and, unless `huge_pages`,
-    takes no memory.  Without the symbol, numpy products over the upper
-    triangle's tiles (_upper_tiles), which also write the part of each
-    tile's diagonal block below the diagonal.  Each block is dropped
-    before the next is drawn.  An entry that overflows is left for the
-    kernel's finiteness check."""
+    takes no memory; its leading dimension is the array's row stride,
+    which exceeds p unless `huge_pages` (see _mapped_empty).  Without the
+    symbol, numpy products over the upper triangle's tiles (_upper_tiles),
+    which also write the part of each tile's diagonal block below the
+    diagonal.  Each block is dropped before the next is drawn.  An entry
+    that overflows is left for the kernel's finiteness check."""
     if p > MAX_MATRIX_SIDE:
         raise SizeCapError(f"p={p} exceeds cap {MAX_MATRIX_SIDE}")
     G = _mapped_empty((p, p), huge_pages)
+    ldg = G.strides[0] // 8
     dsyrk = _cblas_dsyrk()
     scale = 1.0 / math.sqrt(n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -329,7 +341,7 @@ def _scaled_gram(blocks, p: int, n: int, huge_pages: bool = True) -> np.ndarray:
                     G[i0:i1, i0:] += scale * (block[:, i0:i1].T @ block[:, i0:])
             else:
                 # 101, 121, 112: row-major, upper triangle, G += scale B^T B
-                dsyrk(101, 121, 112, p, len(block), scale, block.ctypes.data, p, 1.0, G.ctypes.data, p)
+                dsyrk(101, 121, 112, p, len(block), scale, block.ctypes.data, p, 1.0, G.ctypes.data, ldg)
             del block  # not held while the next block is drawn
     return G
 
@@ -337,11 +349,14 @@ def _scaled_gram(blocks, p: int, n: int, huge_pages: bool = True) -> np.ndarray:
 def _kernel_triangle(blocks, p: int, n: int, kernel, diagonal: bool = False) -> np.ndarray:
     """The upper triangle of k(sqrt(n) * Sigma_hat) / sqrt(n) for the X
     whose columns the blocks hold (see _scaled_gram), its diagonal zero
-    unless `diagonal`, in place of the Gram of a 4 KB-page mapping: the
-    Gram, the kernel's tiles (_kernel_tiles) and the diagonal touch only
-    the upper triangle's pages, about half of the array's, and leave the
-    strict lower triangle as the Gram did.  So the build holds one block of
-    X at a time, never X, and half of K."""
+    unless `diagonal`, in place of the Gram of a 4 KB-page mapping whose
+    rows are padded so that each row's upper part K[i, i:] starts on a
+    page (_mapped_empty): the Gram, the kernel's tiles (_kernel_tiles) and
+    the diagonal touch only the upper triangle's pages, which hold its
+    entries and half a page a row more, and leave the strict lower
+    triangle as the Gram did.  So the build holds one block of X at a
+    time, never X, and half of K.  K is a view with a row stride past p,
+    so its buffer is not C-ordered."""
     K = _scaled_gram(blocks, p, n, huge_pages=False)
     _kernel_tiles(K, kernel, n, out=K)
     if not diagonal:
@@ -465,23 +480,27 @@ def _lapacke_dstevr():
 
 def _eigvalsh_in_place(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric matrix whose upper triangle
-    is that of a C-ordered float64 m (the lower one is not read), by
-    LAPACK dsyevd with JOBZ = 'N' working in m itself, which it leaves
-    overwritten.  In LAPACK's column-major order a C-ordered m is m.T, so
-    UPLO = 'L' reads m's upper triangle.  For an exactly symmetric m that
-    triangle holds the values np.linalg.eigvalsh reads, from its
+    is that of a float64 square m with unit column stride and a row stride
+    of at least its side, such as the padded K of _kernel_triangle (the
+    lower triangle is not read), by LAPACK dsyevd with JOBZ = 'N' working
+    in m itself, which it leaves overwritten.  In LAPACK's column-major
+    order such an m is m.T with the row stride as its leading dimension,
+    so UPLO = 'L' reads m's upper triangle.  For an exactly symmetric m
+    that triangle holds the values np.linalg.eigvalsh reads, from its
     column-major copy, and the call is the one it makes, so the eigenvalues
     have its bits.  Without the LAPACKE symbol this is eigvalsh of m.T,
     which copies m and reads the same triangle."""
-    if not (m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable
-            and m.ndim == 2 and m.shape[0] == m.shape[1]):
-        raise ConsistencyError("the in-place solve needs a writeable C-ordered square float64 array")
+    if not (m.dtype == np.float64 and m.flags.writeable and m.ndim == 2 and m.shape[0] == m.shape[1]
+            and m.strides[1] == 8 and m.strides[0] % 8 == 0 and m.strides[0] >= 8 * m.shape[0]):
+        raise ConsistencyError(
+            "the in-place solve needs a writeable square float64 array with unit column stride")
     dsyevd = _lapacke_dsyevd()
     if dsyevd is None:
         return np.linalg.eigvalsh(m.T)
     p = m.shape[0]
     w = np.empty(p)
-    info = dsyevd(102, b"N", b"L", p, m.ctypes.data, p, w.ctypes.data)  # 102: column-major
+    # 102: column-major, with the row stride as the leading dimension
+    info = dsyevd(102, b"N", b"L", p, m.ctypes.data, m.strides[0] // 8, w.ctypes.data)
     if info:
         raise ConsistencyError(f"LAPACK dsyevd failed at p={p} (info {info})")
     return w

@@ -87,6 +87,17 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
+def _per_tau(k: float, x, tau: float):
+    """(k / tau) * x, or k * (x / tau) where k / tau overflows (tau below
+    about 1e-308): there x, a band integral or a square on the band, is of
+    order tau^2 or less, so the product is of order tau, not inf or
+    inf * 0.  x is a float or an array; tau is read as a Python float,
+    whose division overflows to inf without a warning."""
+    tau = float(tau)
+    scale = k / tau
+    return scale * x if scale < math.inf else k * (x / tau)
+
+
 @dataclass(frozen=True)
 class ThresholdFunction:
     """The smoothed soft-threshold k_tau, an odd C^1 function: 0 for
@@ -108,7 +119,7 @@ class ThresholdFunction:
         quad = np.take(out, band)
         quad -= INNER_FRACTION * tau
         np.square(quad, out=quad)
-        quad *= 1.25 / tau
+        quad = _per_tau(1.25, quad, tau)
         out -= tau
         np.maximum(out, 0.0, out=out)  # zeroes the inner zone, where |x| - tau < 0
         np.put(out, band, quad)
@@ -147,14 +158,15 @@ class ThresholdFunction:
             b1, b4 = fu * ju[1] - fv * (jv[1] + w * jv[0]), fu * ju[4] - fv * tail4
             ends = enumerate(_hermite_sweep(np.array([u, v]), degree - 3), 1)
             integrals = ((m, (h[0] * fu - h[1] * fv) / math.sqrt(m)) for m, h in ends)
-        a = 2.0 * ((2.5 / tau) * b1 + fv * jv[0])
-        nu = 2.0 * ((1.25 / tau) * ((1.25 / tau) * b4) + fv * (jv[2] + c * (2.0 * jv[1] + c * jv[0])))
+        a = 2.0 * (_per_tau(2.5, b1, tau) + fv * jv[0])
+        tail = fv * (jv[2] + c * (2.0 * jv[1] + c * jv[0]))
+        nu = 2.0 * (_per_tau(1.25, _per_tau(1.25, b4, tau), tau) + tail)
         if not nu >= np.finfo(float).tiny:
             raise DomainError(f"E[k_tau(xi)^2] underflows double precision at tau = {tau}")
         coeffs = np.array([a] + [0.0] * (degree - 1))
         for m, integral in integrals:
             if m % 2 and m + 2 <= degree:
-                coeffs[m + 1] = (5.0 / tau) * integral / math.sqrt((m + 2) * (m + 1))
+                coeffs[m + 1] = _per_tau(5.0, integral, tau) / math.sqrt((m + 2) * (m + 1))
         return KernelExpansion(coefficients=coeffs, nu=nu)
 
 

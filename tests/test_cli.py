@@ -1191,6 +1191,78 @@ def test_simulate_config_fuzz(sides, small, adversarial):
         assert len(rows) == int(keys.get("trials", 1)) * int(keys["p"])
 
 
+@given(
+    st.sampled_from([(2, 2), (2, 7), (3, 200), (5, 40), (40, 40), (40, 7), (2, 2**16 + 1)]),
+    st.fixed_dictionaries(
+        # grids that reach the sparse cells (large tau) and the dense ones
+        {"taus": st.sampled_from(["1.0", "0.5:4.0:5", "4.0,0.5", "1e-308,2.0", "5e-324", "1e-200:3.0:3"])},
+        optional={"lam": st.sampled_from(["0.9", "4"]),
+                  "sparsity": st.sampled_from(["1", "2"]),
+                  "trials": st.sampled_from(["1", "2"]),
+                  "seed": st.sampled_from(["0", "7", str(2**64 - 1)]),
+                  "out": st.sampled_from(["sw", "c.cfg/x"])},
+    ),
+    st.one_of(st.just({}),
+              st.dictionaries(st.sampled_from(["n", "p", "taus", "lam", "sparsity", "trials", "seed", "out"]),
+                              st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2)),
+)
+@settings(max_examples=600, derandomize=True, deadline=None)
+def test_sparse_pca_sweep_config_fuzz(sides, small, adversarial):
+    # every config of sparse-pca-sweep's keys, from small sides (n at and
+    # past a block's width at p = 2) and tau grids that reach the sparse
+    # and the dense cells, either runs or fails typed; a config of small
+    # values alone runs.  A side past the small ones must stop before any
+    # sampling.
+    def stub(draw):
+        def blocks(cfg, stream=0):
+            assert cfg.p <= 40 and cfg.n <= 2**16 + 1, "sampled past the small sides"
+            return draw(cfg, stream=stream)
+        return blocks
+
+    keys = {"p": sides[0], "n": sides[1], **small, **adversarial}
+    prefix = keys.get("out", "sweep")
+    with (mock.patch.object(sparse_pca, "_data_blocks", stub(sparse_pca._data_blocks)),
+          mock.patch.object(sparse_pca, "_spiked_blocks", stub(sparse_pca._spiked_blocks))):
+        code = run_fuzzed("sparse-pca-sweep", keys, json_files=[f"{prefix}_summary.json"],
+                          csv_files=[f"{prefix}.csv"])
+    if not adversarial and prefix != "c.cfg/x":
+        assert code == 0
+
+
+def test_sparse_pca_sweep_default_sparsity_stays_within_p():
+    # floor(0.3 sqrt(200)) = 4 > p = 3: the default sparsity exited 2 with
+    # "sparsity must be in [1, p=3], got 4" on a config that never set it
+    assert run_fuzzed("sparse-pca-sweep", {"n": 200, "p": 3, "taus": "1.0", "trials": 1},
+                      json_files=["sweep_summary.json"]) == 0
+    out = Path(os.environ[cli_module.OUT_DIR_ENV])
+    assert strict_json((out / "sweep_summary.json").read_text())["payload"]["sparsity"] == 3
+
+
+@pytest.mark.parametrize("tau", ["1e-308", "5e-309", "5e-324"])
+def test_sparse_pca_sweep_at_a_tau_below_the_normal_doubles_runs(tau):
+    # 2.5 / tau and 5 / tau overflowed in the expansion, and inf times a band
+    # integral near 0 gave inf or NaN: the sweep exited 2 with "a Hermite
+    # coefficient is not finite" or "E[k_tau(xi)^2] underflows double
+    # precision".  There a = nu = 1, as at tau = 1e-300
+    assert run_fuzzed("sparse-pca-sweep", {"n": 20, "p": 20, "taus": f"{tau},1e-300", "trials": 1},
+                      json_files=["sweep_summary.json"], csv_files=["sweep.csv"]) == 0
+    out = Path(os.environ[cli_module.OUT_DIR_ENV])
+    rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert rows[0][-1] == rows[1][-1]  # the same null prediction
+
+
+@pytest.mark.parametrize("tau", ["1e-308", "5e-309", "5e-324"])
+def test_project_kernel_soft_threshold_below_the_normal_doubles_runs(tau):
+    # soft_threshold(1e-308) exited 2 with "a Hermite coefficient is not
+    # finite"; its expansion is h1 alone to rounding, with a = nu = 1
+    assert run_fuzzed("project-kernel", {"kernel": f"soft_threshold({tau})", "degree": 12},
+                      json_files=["kernel_expansion.json"]) == 0
+    out = Path(os.environ[cli_module.OUT_DIR_ENV])
+    payload = strict_json((out / "kernel_expansion.json").read_text())["payload"]
+    assert payload["a"] == payload["nu"] == 1.0
+    assert payload["coefficients"] == [1.0] + [0.0] * 11
+
+
 # sha256 of json.dumps(payload, indent=2, sort_keys=True) for verify at
 # l_max = 5, d_max = 3, scaling_trials = 200.  Re-recorded when the census
 # went from one entry per (l, d) with every class record to one entry per

@@ -1,5 +1,8 @@
+import gc
 import itertools
 import math
+import mmap
+import os
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -373,14 +376,81 @@ def test_in_place_spectrum_matches_eigvalsh(p, monkeypatch):
 
 
 def test_in_place_solve_rejects_a_layout_it_cannot_work_in():
-    # dsyevd gets a bare pointer, so anything but a writeable, C-ordered,
-    # square float64 array is refused before the call
+    # dsyevd gets a bare pointer and a leading dimension, so anything but a
+    # writeable, square float64 array with unit column stride and a row
+    # stride of at least its side is refused before the call
     K = _builder_matrix(50)
+    triangle = _builder_matrix(50, _triangle_of)
     read_only = K.copy()
     read_only.flags.writeable = False
-    for m in (np.asfortranarray(K), K.astype(np.float32), K[:, :49].copy(), K[::2, ::2], read_only):
+    for m in (np.asfortranarray(K), K.astype(np.float32), K[:, :49].copy(), K[::2, ::2], read_only,
+              triangle.T, triangle[:25, ::2], triangle[::-1], np.lib.stride_tricks.as_strided(K, strides=(8, 8))):
         with pytest.raises(ConsistencyError):
             sim._eigvalsh_in_place(m)
+
+
+def _padded_stride(p: int) -> int:
+    """The least s >= p with (s + 1) * 8 a multiple of the page size."""
+    return next(s for s in itertools.count(p) if (s + 1) * 8 % mmap.PAGESIZE == 0)
+
+
+@pytest.mark.parametrize("p", [2, 511, 512, 513, 600])
+def test_kernel_triangle_rows_start_on_a_page(p):
+    # each row's upper part K[i, i:] starts on a page boundary, from the
+    # least padded stride that puts it there; the sweep's huge-page array
+    # keeps stride p, since both of its triangles are used
+    K = _builder_matrix(p, _triangle_of)
+    assert K.shape == (p, p) and K.strides == (8 * _padded_stride(p), 8)
+    assert all(K[i, i:].ctypes.data % mmap.PAGESIZE == 0 for i in range(p))
+    assert sim._mapped_empty((p, p)).strides == (8 * p, 8)
+
+
+def _mapping_rss(address: int) -> tuple[int, int, int]:
+    """(start, end, Rss in bytes) of the mapping of this process that holds
+    address, from /proc/self/smaps."""
+    with open("/proc/self/smaps") as smaps:
+        found = None
+        for line in smaps:
+            head = line.split()[0]
+            if not head.endswith(":"):  # a mapping's first line: start-end perms ...
+                start, end = (int(x, 16) for x in head.split("-"))
+                found = (start, end) if start <= address < end else None
+            elif found and head == "Rss:":
+                return (*found, int(line.split()[1]) * 1024)
+    raise AssertionError(f"no mapping holds {address:#x}")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+@pytest.mark.skipif(not hasattr(mmap, "MADV_NOHUGEPAGE"), reason="needs 4 KB pages on request")
+@pytest.mark.parametrize("p", [2, 511, 513, 600, 1000])
+def test_kernel_triangle_takes_the_pages_its_stride_predicts(p):
+    # K's own mapping holds the pages of its rows' upper parts and no
+    # other: ceil((p - i) / entries a page) pages for row i, half a page a
+    # row past the entries, where stride p took about a whole one (6.71
+    # against 5.81 MiB at p = 1000).  dsyrk writes the upper triangle
+    # alone; its fallback writes below the diagonal of each tile's block
+    if sim._cblas_dsyrk() is None:
+        pytest.skip("the Gram's fallback writes below the diagonal")
+    gc.collect()  # no earlier K's mapping lies beside this one
+    K = _builder_matrix(p, _triangle_of)
+    start, end, rss = _mapping_rss(K.ctypes.data)
+    per_page = mmap.PAGESIZE // 8
+    assert start == K.ctypes.data
+    assert end - start == -(-8 * p * _padded_stride(p) // mmap.PAGESIZE) * mmap.PAGESIZE
+    assert rss == sum(-(-(p - i) // per_page) for i in range(p)) * mmap.PAGESIZE
+
+
+@pytest.mark.parametrize("p", [2, 3, 50, 257, 600])
+def test_in_place_spectrum_of_the_padded_triangle_has_eigvalsh_bits(p, monkeypatch):
+    # dsyevd reads the padded triangle with its row stride as the leading
+    # dimension, and gives eigvalsh's bits on a C-ordered symmetric copy;
+    # without the LAPACKE symbol eigvalsh reads the view itself
+    want = np.linalg.eigvalsh(np.ascontiguousarray(_builder_matrix(p)))
+    K = _builder_matrix(p, _triangle_of)
+    assert not K.flags.c_contiguous
+    assert np.array_equal(sim._eigvalsh_in_place(K), want)
+    monkeypatch.setattr(sim, "_lapacke_dsyevd", lambda: None)
+    assert np.array_equal(sim._eigvalsh_in_place(_builder_matrix(p, _triangle_of)), want)
 
 
 def test_spectrum_leaves_m_as_it_was_unless_asked():
