@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import solve_cubic_many
 from .errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 
 MAX_MOMENT_ORDER = 100
@@ -45,6 +44,7 @@ class LimitLawParams:
 
     For laws derived from a kernel, a = E[xi k(xi)] and nu = E[k(xi)^2],
     so nu >= a^2 by Cauchy-Schwarz; gamma is the row/column aspect limit.
+    All three are stored as Python floats, which overflow with no warning.
     """
 
     a: float
@@ -52,6 +52,8 @@ class LimitLawParams:
     gamma: float
 
     def __post_init__(self):
+        for name in ("a", "nu", "gamma"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not all(math.isfinite(v) for v in (self.a, self.nu, self.gamma)):
             raise ConfigError(f"a, nu and gamma must be finite, got {self}")
         if not (self.gamma > 0):
@@ -97,14 +99,34 @@ class SupportIntervals:
 
 
 def _cubic_coefficients(z, p: LimitLawParams):
-    """Coefficients (c3, c2, c1, c0) of the polynomial in m; c2, c1 follow
-    the shape of z."""
+    """Coefficients (c3, c2, c1) of the cubic in m, whose constant term is
+    1; c3 is a float, and c2, c1 follow the shape of z."""
     b = p.a * p.gamma
     c = p.semicircle_variance
-    c3 = b * c
-    c2 = (z + p.a) * b + c
-    c1 = z + b
-    return c3, c2, c1, 1.0
+    return b * c, (z + p.a) * b + c, z + b
+
+
+def _solve_cubic(c3, c2, c1) -> np.ndarray:
+    """All three roots of c3*m^3 + c2*m^2 + c1*m + 1 = 0, c2 and c1 of one
+    shape and c3 a number, as an array of shape (3,) + that shape: the
+    reciprocals of the (backward stable) companion eigenvalues of the
+    reversed cubic w^3 + c1*w^2 + c2*w + c3, so nothing is divided by a
+    small c3, and c3 = 0 gives w = 0, a root at inf (as does a root too
+    large for the polish to evaluate).  Three Newton steps on the cubic
+    then take each finite root to a residual at machine-precision level."""
+    c2, c1 = np.asarray(c2, dtype=complex), np.asarray(c1, dtype=complex)
+    companion = np.zeros(c1.shape + (3, 3), dtype=complex)
+    companion[..., 0, 0], companion[..., 0, 1], companion[..., 0, 2] = -c1, -c2, -c3
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    w = np.moveaxis(np.linalg.eigvals(companion), -1, 0)
+    finite = w != 0
+    roots = 1.0 / np.where(finite, w, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge roots overflow f and df
+        for _ in range(3):  # Newton polish on the cubic itself
+            f = ((c3 * roots + c2) * roots + c1) * roots + 1.0
+            df = (3.0 * c3 * roots + 2.0 * c2) * roots + c1
+            roots = roots - np.where(df != 0, f / np.where(df == 0, 1.0, df), 0.0)
+    return np.where(finite & np.isfinite(roots), roots, np.inf)
 
 
 def stieltjes_grid(zs: np.ndarray, p: LimitLawParams) -> np.ndarray:
@@ -126,7 +148,7 @@ def stieltjes_grid(zs: np.ndarray, p: LimitLawParams) -> np.ndarray:
             coeffs = _cubic_coefficients(flat_z[i0:i0 + _GRID_BLOCK], p)
         if not all(np.isfinite(c).all() for c in coeffs):
             raise DomainError(f"the cubic in m(z) of {p} overflows double precision on this grid")
-        roots = solve_cubic_many(*coeffs)
+        roots = _solve_cubic(*coeffs)
         pick = np.argmax(roots.imag, axis=0)
         flat_m[i0:i0 + _GRID_BLOCK] = np.take_along_axis(roots, pick[None, :], axis=0)[0]
     if not np.all(m.imag > 0):
@@ -180,21 +202,15 @@ def _support_discriminant(x: np.ndarray, p: LimitLawParams) -> np.ndarray:
     the support (a negative discriminant means a complex-conjugate root
     pair, i.e. an imaginary solution branch)."""
     x = np.asarray(x, dtype=float)
-    c3, c2, c1, c0 = _cubic_coefficients(x, p)
+    c3, c2, c1 = _cubic_coefficients(x, p)
     if c3 != 0.0:
-        return (
-            18.0 * c3 * c2 * c1 * c0
-            - 4.0 * c2**3 * c0
-            + c2**2 * c1**2
-            - 4.0 * c3 * c1**3
-            - 27.0 * c3**2 * c0**2
-        )
-    return c1 * c1 - 4.0 * c2 * c0
+        return 18.0 * c3 * c2 * c1 - 4.0 * c2**3 + c2**2 * c1**2 - 4.0 * c3 * c1**3 - 27.0 * c3**2
+    return c1 * c1 - 4.0 * c2
 
 
 def _discriminant_polynomial(p: LimitLawParams) -> np.ndarray:
     """_support_discriminant as a polynomial in x, highest power first: c2
-    and c1 are linear in x and c3, c0 constant, so it has degree <= 4."""
+    and c1 are linear in x and c3 constant, so it has degree <= 4."""
     b, c = p.a * p.gamma, p.semicircle_variance
     c3 = b * c
     c2 = np.array([b, p.a * b + c])
@@ -206,6 +222,14 @@ def _discriminant_polynomial(p: LimitLawParams) -> np.ndarray:
     disc = np.polyadd(disc, np.polymul(c22, c11))
     disc = np.polyadd(disc, -4.0 * c3 * np.polymul(c11, c1))
     return np.polyadd(disc, [-27.0 * c3 * c3])
+
+
+def _reach(p: LimitLawParams) -> float:
+    """A bound on |x| over the support: the support lies within the
+    Minkowski sum of the Marcenko-Pastur part (with its atom at -a, which
+    exists only at gamma > 1) and the semicircle."""
+    g = p.gamma
+    return abs(p.a) * (g + 2.0 * math.sqrt(g) + (g > 1.0)) + 2.0 * math.sqrt(p.semicircle_variance)
 
 
 def support(p: LimitLawParams) -> SupportIntervals:
@@ -229,17 +253,31 @@ def support(p: LimitLawParams) -> SupportIntervals:
             )
         return SupportIntervals(intervals=(cont,))
 
-    # The support lies within the Minkowski sum of the Marcenko-Pastur part
-    # (with its atom at -a, which exists only at gamma > 1) and the
-    # semicircle; roots past this bound are spurious (a small a puts two of
-    # them near (nu - a^2) / a).  At a = 0 the edges lie on the sum's own
-    # edges, so the bound keeps a relative margin.
-    g = p.gamma
-    reach = abs(p.a) * (g + 2.0 * math.sqrt(g) + (g > 1.0)) + 2.0 * math.sqrt(p.semicircle_variance)
+    # A reach outside [2^-64, 2^64] is brought into [1, 2) by 2^-k: the law
+    # (a 2^-k, nu 4^-k, gamma) is solved, whose discriminant stays in the
+    # doubles (the sweep's null law at tau = 30, of reach 3.7e-67, had it
+    # underflow), and its edges are scaled back exactly.  It is not checked
+    # again, since the check's absolute slack does not scale.  A law keeps
+    # its scale where its reach is 0 or inf, or where a 2^-k or nu 4^-k
+    # would not be a normal double (as at a gamma past 1e200 or below 1e-200).
+    reach = _reach(p)
+    k = math.frexp(reach)[1] - 1
+    exponents = [math.frexp(p.nu)[1] - 2 * k] + ([math.frexp(p.a)[1] - k] if p.a else [])
+    if 2.0**-64 <= reach <= 2.0**64 or not 0 < reach < math.inf or not all(-1021 <= e <= 1024 for e in exponents):
+        k = 0
+    q, scale = p, 2.0**k
+    if k:
+        q = object.__new__(LimitLawParams)
+        q.__dict__.update(a=math.ldexp(p.a, -k), nu=math.ldexp(p.nu, -2 * k), gamma=p.gamma)
+        reach = _reach(q)
+    # Roots past the reach are spurious (a small a puts two of them near
+    # (nu - a^2) / a).  At a = 0 the edges lie on the reach itself, so the
+    # bound keeps a relative margin.
     bound = reach * (1.0 + 1e-6)
-    overflow = DomainError(f"the support discriminant of {p} overflows double precision on |x| < {bound}")
+    window = f"|x| < {bound * scale}"
+    overflow = DomainError(f"the support discriminant of {p} overflows double precision on {window}")
     with np.errstate(over="ignore", invalid="ignore"):
-        quartic = _discriminant_polynomial(p)
+        quartic = _discriminant_polynomial(q)
         # Leading terms below roundoff on the window only push np.roots off
         # scale.  A size is finite only where its coefficient is.
         size = np.abs(quartic) * bound ** np.arange(len(quartic) - 1, -1, -1)
@@ -255,7 +293,7 @@ def support(p: LimitLawParams) -> SupportIntervals:
     # throw an iterate far past the window; either would drop a root.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(6):
-            d, f = np.polyval(slope, xs), _support_discriminant(xs, p)
+            d, f = np.polyval(slope, xs), _support_discriminant(xs, q)
             xs = xs - np.where(d != 0, f / np.where(d == 0, 1.0, d), 0.0)
             if not (np.isfinite(d).all() and np.isfinite(f).all() and np.isfinite(xs).all()):
                 raise overflow
@@ -264,14 +302,15 @@ def support(p: LimitLawParams) -> SupportIntervals:
     xs = np.sort(xs[np.abs(xs) < bound])
     xs = xs[np.diff(xs, prepend=-np.inf) > 1e-13 * bound]
     if not xs.size:
-        raise ConsistencyError(f"no support edge of {p} within |x| < {bound}")
+        raise ConsistencyError(f"no support edge of {p} within {window}")
     probes = np.concatenate(([-bound], 0.5 * (xs[1:] + xs[:-1]), [bound]))
     with np.errstate(over="ignore", invalid="ignore"):
-        at_probes = _support_discriminant(probes, p)
-    if not np.isfinite(at_probes).all():
+        at_probes = _support_discriminant(probes, q)
+        edges = xs * scale
+    if not (np.isfinite(at_probes).all() and np.isfinite(edges).all()):
         raise overflow
     inside = at_probes < 0
-    edges = xs[inside[1:] != inside[:-1]]
+    edges = edges[inside[1:] != inside[:-1]]
     if inside[0] or inside[-1] or not 2 <= len(edges) <= 4:
         raise ConsistencyError(f"expected 1 or 2 support intervals for {p}, found edges {edges}")
     return SupportIntervals(intervals=tuple(zip(edges[::2].tolist(), edges[1::2].tolist())))

@@ -544,32 +544,37 @@ _LAPACK_EPS = np.finfo(float).eps / 2  # dlamch('E'): ARPACK's tol at tol = 0
 
 def _symmetric_product(m: np.ndarray):
     """v -> m v for a float64 m read on its upper triangle only: numpy's
-    cblas_dsymv on m's buffer, with no copy for a C- or Fortran-ordered
-    m.  Without the symbol, a symmetric copy of m's upper triangle and
-    m @ v products, which read the whole matrix: one p x p array more,
-    built with one more temporary, and a dense solve at p = 1000 took 36
-    ms against 19 ms.  The product is written into one buffer, which the
-    next product overwrites."""
+    cblas_dsymv on m's buffer, with no copy for a float64 m with unit
+    stride along one axis, such as the padded views of K that
+    _mapped_empty makes.  Without the symbol, a symmetric copy of m's
+    upper triangle and m @ v products, which read the whole matrix: one
+    p x p array more, built with one more temporary, and a dense solve at
+    p = 1000 took 36 ms against 19 ms.  The product is written into one
+    buffer, which the next product overwrites."""
     dsymv = _cblas_dsymv()
     if dsymv is None:
         sym = np.triu(m)
         sym += np.triu(sym, 1).T
         return lambda v: sym @ v
-    # a Fortran-ordered float64 m is read column-major (102), any other m
-    # row-major (101), from a C-ordered float64 copy if it is not one;
-    # 121: the upper triangle
-    if m.dtype == np.float64 and m.flags.f_contiguous and not m.flags.c_contiguous:
-        layout = 102
-    else:
-        layout, m = 101, np.ascontiguousarray(m, dtype=np.float64)
+    # m is read row-major (101) where its rows have unit stride, with the
+    # row stride as leading dimension, or column-major (102) where its
+    # columns have, with the column stride; any other m from a C-ordered
+    # float64 copy.  121: the upper triangle
     p = m.shape[0]
+    rows, cols = (s // 8 for s in m.strides) if m.dtype == np.float64 and m.flags.aligned else (0, 0)
+    if cols == 1 and rows >= p:
+        layout, lda = 101, rows
+    elif rows == 1 and cols >= p:
+        layout, lda = 102, cols
+    else:
+        layout, lda, m = 101, p, np.ascontiguousarray(m, dtype=np.float64)
     x, y = np.empty(p), np.empty(p)
     # data_as pointers hold their arrays, m's copy included
     m_, x_, y_ = (a.ctypes.data_as(_PTR) for a in (m, x, y))
 
     def product(v):
         np.copyto(x, v)
-        dsymv(layout, 121, p, 1.0, m_, p, x_, 1, 0.0, y_, 1)
+        dsymv(layout, 121, p, 1.0, m_, lda, x_, 1, 0.0, y_, 1)
         return y
 
     return product
@@ -713,14 +718,14 @@ class HermiteSumDecomposition:
 
 def elementary_symmetric(terms, kmax: int, shape: tuple[int, ...] = ()) -> np.ndarray:
     """Elementary symmetric polynomials e_0..e_kmax of the terms z_j, by the
-    recurrence e_k += z_j e_{k-1}.  The terms are the first axis of an
-    array, or any iterable of arrays of the given shape (so the caller need
-    not hold all of them at once); e[k] has that shape."""
+    recurrence e_k += z_j e_{k-1}, one array operation per term: every
+    product is formed from the e before the term.  The terms are the first
+    axis of an array, or any iterable of arrays of the given shape (so the
+    caller need not hold all of them at once); e[k] has that shape."""
     e = np.zeros((kmax + 1, *shape))
     e[0] = 1.0
     for zj in terms:
-        for k in range(kmax, 0, -1):
-            e[k] += zj * e[k - 1]
+        e[1:] += zj * e[:-1]
     return e
 
 

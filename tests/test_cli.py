@@ -397,9 +397,22 @@ def test_non_finite_intermediates_exit_2_with_one_error_line(tmp_path, command, 
 
 
 def test_limit_law_discriminant_overflow_exits_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "l.cfg", a=1, nu=1e103, gamma=1, moments_lmax=1)
+    # support solves a law whose window is past 2^64 at the window's scale
+    # where it can; at gamma = 1e300, nu would leave the doubles there
+    cfg = write_cfg(tmp_path, "l.cfg", a=1, nu=2, gamma=1e300, moments_lmax=1)
     assert main(["limit-law", cfg]) == 2
     assert "overflows" in capsys.readouterr().err
+
+
+def test_limit_law_of_a_law_past_the_unit_scale_band_runs(tmp_path):
+    # nu = 1e103 overflowed the support discriminant, and the run exited 2;
+    # at its window's scale the law is a semicircle of radius 2 sqrt(nu)
+    cfg = write_cfg(tmp_path, "l.cfg", a=1, nu=1e103, gamma=1, moments_lmax=1)
+    assert main(["limit-law", cfg]) == 0
+    payload = strict_json((tmp_path / "limit_law_summary.json").read_text())["payload"]
+    edge = 2 * 1e103**0.5
+    assert payload["support"] == [[-edge, edge]] and edge == 6.324555320336759e51
+    assert abs(payload["density_mass"] - 1.0) < 1e-3
 
 
 @given(
@@ -730,17 +743,16 @@ def test_sweep_bad_sparsity_exits_2_before_sampling(tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize(
     "tau, message",
-    [(30.0, "support intervals"), (50.0, "underflows"), (1e300, "underflows")],
-    ids=["30", "50", "1e300"],
+    [(50.0, "underflows"), (1e300, "underflows")],
+    ids=["50", "1e300"],
 )
 def test_sweep_tau_without_a_null_law_exits_2_before_sampling(
     tmp_path, monkeypatch, capsys, tau, message
 ):
     # the null prediction used to fail only after every trial's eigensolves;
-    # at tau = 30 the law (a, nu) = (9.6e-130, 3.4e-134) has no edges found,
-    # and past tau = 46.3 nu is no normal double (an order-200 rule read 0
-    # from tau = 34.5, where its zero set covered every node).  The message
-    # names the tau, which the law's own error did not
+    # past tau = 46.3 nu is no normal double (an order-200 rule read 0 from
+    # tau = 34.5, where its zero set covered every node).  The message names
+    # the tau, which the law's own error did not
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled data for a tau without a null prediction")
 
@@ -751,6 +763,17 @@ def test_sweep_tau_without_a_null_law_exits_2_before_sampling(
     err = capsys.readouterr().err
     assert message in err and f"tau = {tau}:" in err and "Traceback" not in err
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("tau", ["27", "30", "33"])
+def test_sparse_pca_sweep_at_a_tau_whose_null_law_is_far_below_unit_scale_runs(tau):
+    # at tau = 30 the null law (a, nu) = (9.6e-130, 3.4e-134) has c3^2 below
+    # the doubles, and the sweep exited 2 with "no null prediction ... found
+    # edges []" from tau = 26.6 to 33.4; its support is +-2 sqrt(nu)
+    assert run_fuzzed("sparse-pca-sweep", {"n": 200, "p": 200, "taus": tau, "trials": 1},
+                      json_files=["sweep_summary.json"], csv_files=["sweep.csv"]) == 0
+    out = Path(os.environ[cli_module.OUT_DIR_ENV])
+    assert (out / "sweep.csv").read_text().splitlines()[1].split(",")[-1] == "1"
 
 
 def test_sweep_command(tmp_path):
@@ -1031,14 +1054,16 @@ def run_fuzzed(command: str, keys: dict, json_files=(), csv_files=()) -> int:
                   "seed": st.sampled_from(["0", "7", str(2**64 - 1)]),
                   "out": st.sampled_from(["r.json", "c.cfg/x"])},
     ),
-    st.dictionaries(st.sampled_from(["l_max", "d_max", "scaling_trials", "seed", "out"]),
-                    st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2),
+    st.one_of(st.just({}),
+              st.dictionaries(st.sampled_from(["l_max", "d_max", "scaling_trials", "seed", "out"]),
+                              st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2)),
 )
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_verify_config_fuzz(small, adversarial):
     # every config of verify's keys either runs, on small sizes only, or
-    # fails typed: one error line, no warning, no traceback.  A size past
-    # the small ones must stop before any census or remainder draw.
+    # fails typed: one error line, no warning, no traceback; a config of
+    # small values alone runs.  A size past the small ones must stop before
+    # any census or remainder draw.
     def census(l, max_tuple_size):
         assert l <= 4 and max_tuple_size <= 3, "a census past the small sizes ran"
         return enumerate_multilabelings(l, max_tuple_size)
@@ -1052,6 +1077,8 @@ def test_verify_config_fuzz(small, adversarial):
     with (mock.patch.object(cli_module, "enumerate_multilabelings", census),
           mock.patch.object(cli_module, "decompose_hermite_sum", decompose)):
         code = run_fuzzed("verify", keys, json_files=[report])
+    if not adversarial and report != "c.cfg/x":
+        assert code == 0
     if code == 0:
         out = Path(os.environ[cli_module.OUT_DIR_ENV])
         assert strict_json((out / report).read_text())["payload"]["ok"]
@@ -1065,18 +1092,23 @@ def test_verify_config_fuzz(small, adversarial):
                   "moments_lmax": st.sampled_from(["1", "2", "11"]),
                   "epsilon": st.sampled_from(["1e-6", "1e-2"]), "out": st.sampled_from(["law", "c.cfg/x"])},
     ),
-    st.dictionaries(st.sampled_from(["a", "nu", "gamma", "density_points", "epsilon", "moments_lmax", "out"]),
-                    st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2),
+    st.one_of(st.just({}),
+              st.dictionaries(st.sampled_from(["a", "nu", "gamma", "density_points", "epsilon", "moments_lmax",
+                                               "out"]),
+                              st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2)),
 )
 @settings(max_examples=1500, derandomize=True, deadline=None)
 def test_limit_law_config_fuzz(law, small, adversarial):
     # every config of limit-law's keys, from one of the benchmark's laws on
-    # a grid of at most 201 points, either runs or fails typed
+    # a grid of at most 201 points, either runs or fails typed; a config of
+    # small values alone runs
     keys = {"a": law[0], "nu": law[1], "gamma": law[2], "density_points": "201", "moments_lmax": "11",
             **small, **adversarial}
     prefix = keys.get("out", "limit_law")
-    run_fuzzed("limit-law", keys, json_files=[f"{prefix}_summary.json"],
-               csv_files=[f"{prefix}_{name}.csv" for name in ("density", "support", "moments")])
+    code = run_fuzzed("limit-law", keys, json_files=[f"{prefix}_summary.json"],
+                      csv_files=[f"{prefix}_{name}.csv" for name in ("density", "support", "moments")])
+    if not adversarial and prefix != "c.cfg/x":
+        assert code == 0
 
 
 def test_limit_law_rounded_fuzz_catch_exits_2():
@@ -1114,25 +1146,37 @@ def test_limit_law_margin_past_an_ulp_of_the_edges_keeps_the_mass():
     assert xs[0] < payload["min_edge"] and xs[-1] > payload["max_edge"]
 
 
+# the kernels whose parameter is one of ADVERSARIAL_VALUES; those with a
+# zero or tiny one are valid, but for a threshold of 0
+PARAMETRIZED_KERNELS = ["soft_threshold({})", "odd_poly(1,{})", "{}*h1+h3"]
+VALID_KERNELS = {"h1", "h2+h3", "0.5*h1-2*h3", "soft_threshold(2)", "odd_poly(1,0.5)"} | {
+    form.format(v) for form in PARAMETRIZED_KERNELS for v in ("0", "-0.0", "5e-324", "2e-310", "1e-200")
+    if not (form.startswith("soft_threshold") and float(v) == 0.0)
+}
+
+
 @given(
     st.fixed_dictionaries(
         {"kernel": st.one_of(
             st.sampled_from(["h1", "h2+h3", "0.5*h1-2*h3", "soft_threshold(2)", "odd_poly(1,0.5)"]),
-            st.builds(str.format, st.sampled_from(["soft_threshold({})", "odd_poly(1,{})", "{}*h1+h3"]),
-                      st.sampled_from(ADVERSARIAL_VALUES)),
+            st.builds(str.format, st.sampled_from(PARAMETRIZED_KERNELS), st.sampled_from(ADVERSARIAL_VALUES)),
         )},
         optional={"degree": st.sampled_from(["1", "12", "250"]), "out": st.sampled_from(["pk.json", "c.cfg/x"])},
     ),
-    st.dictionaries(st.sampled_from(["kernel", "degree", "out"]),
-                    st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2),
+    st.one_of(st.just({}),
+              st.dictionaries(st.sampled_from(["kernel", "degree", "out"]),
+                              st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2)),
 )
 @settings(max_examples=600, derandomize=True, deadline=None)
 def test_project_kernel_config_fuzz(small, adversarial):
     # every config of project-kernel's keys, from registry kernels (some
     # with an adversarial value inside) at degrees up to the cap, either
-    # runs or fails typed
+    # runs or fails typed; a config of valid values alone runs
     keys = {**small, **adversarial}
-    run_fuzzed("project-kernel", keys, json_files=[keys.get("out", "kernel_expansion.json")])
+    out = keys.get("out", "kernel_expansion.json")
+    code = run_fuzzed("project-kernel", keys, json_files=[out])
+    if not adversarial and out != "c.cfg/x" and keys["kernel"] in VALID_KERNELS:
+        assert code == 0
 
 
 def test_cli_imports_no_private_name_of_the_package():
@@ -1166,14 +1210,16 @@ def _block_sides():
                   "seed": st.sampled_from(["0", "7", str(2**64 - 1)]),
                   "out": st.sampled_from(["sim", "c.cfg/x"])},
     ),
-    st.dictionaries(st.sampled_from(["kernel", "n", "p", "law", "seed", "trials", "out"]),
-                    st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2),
+    st.one_of(st.just({}),
+              st.dictionaries(st.sampled_from(["kernel", "n", "p", "law", "seed", "trials", "out"]),
+                              st.sampled_from(ADVERSARIAL_VALUES), min_size=1, max_size=2)),
 )
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_simulate_config_fuzz(sides, small, adversarial):
     # every config of simulate's keys, from small sides at and around a
-    # block's width under both entry laws, either runs or fails typed.  A
-    # side past the small ones must stop before any sampling.
+    # block's width under both entry laws, either runs or fails typed; a
+    # config of small values alone runs.  A side past the small ones must
+    # stop before any sampling.
     draw = sim._data_blocks
 
     def blocks(cfg, stream=0):
@@ -1185,6 +1231,8 @@ def test_simulate_config_fuzz(sides, small, adversarial):
     with mock.patch.object(sim, "_data_blocks", blocks):
         code = run_fuzzed("simulate", keys, json_files=[f"{prefix}_summary.json"],
                           csv_files=[f"{prefix}_eigenvalues.csv"])
+    if not adversarial and prefix != "c.cfg/x":
+        assert code == 0
     if code == 0:
         out = Path(os.environ[cli_module.OUT_DIR_ENV])
         rows = (out / f"{prefix}_eigenvalues.csv").read_text().splitlines()[1:]
@@ -1649,7 +1697,7 @@ def test_public_surface_is_pinned():
         "KernelSpectraError", "LimitLawParams", "MultiLabeling",
         "QuadratureError", "SimpleLabeling", "SizeCapError", "SpectrumSummary", "SpikePrediction",
         "SpikedModelConfig", "SupportIntervals", "SweepResult", "ThresholdFunction",
-        "VerificationError", "build_kernel_matrix", "build_quadrature", "cdf", "cubic",
+        "VerificationError", "build_kernel_matrix", "build_quadrature", "cdf",
         "decompose_hermite_sum", "density", "enumerate_multilabelings", "errors",
         "free_cumulants", "hermite", "hermite_eval", "hermite_sum_kernel",
         "kernel_moments", "ks_distance", "label_simplifying_map", "lgraphs", "limit_law", "moment",

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
 import kernelspectra.limit_law as limit_law
-from kernelspectra.cubic import solve_cubic_many
 from kernelspectra.errors import ConfigError, ConsistencyError, DomainError, SizeCapError
 from kernelspectra.limit_law import (
     MAX_DENSITY_POINTS,
     MAX_MOMENT_ORDER,
     LimitLawParams,
     _cubic_coefficients,
+    _solve_cubic,
     _support_discriminant,
     cdf,
     density,
@@ -33,8 +33,8 @@ def stieltjes(z, p):
     """m(z) at one point, from stieltjes_grid, and the residual of the
     defining cubic at m."""
     m = complex(stieltjes_grid(np.array([z]), p)[0])
-    c3, c2, c1, c0 = _cubic_coefficients(complex(z), p)
-    return m, abs(((c3 * m + c2) * m + c1) * m + c0)
+    c3, c2, c1 = _cubic_coefficients(complex(z), p)
+    return m, abs(((c3 * m + c2) * m + c1) * m + 1.0)
 
 
 def r_transform(z, p):
@@ -90,7 +90,7 @@ def test_grid_matches_scalar_path():
     zs = np.linspace(-6, 6, 101) + 1e-5j
     grid = stieltjes_grid(zs, p)
     for i in (0, 17, 50, 83, 100):
-        roots = np.roots(_cubic_coefficients(zs[i], p))
+        roots = np.roots([*_cubic_coefficients(zs[i], p), 1.0])
         assert grid[i] == pytest.approx(roots[np.argmax(roots.imag)], abs=1e-10)
 
 
@@ -101,8 +101,7 @@ def test_stieltjes_grid_in_blocks_keeps_the_bits_of_one_solve(block, monkeypatch
     law = LimitLawParams(a=1.0, nu=2.0, gamma=0.5)
     xs = np.linspace(-4.0, 6.0, 10001)
     zs = np.concatenate([xs + 1e-7j, xs[:999] + 0.5j]).reshape(11, 1000)
-    c3, c2, c1, c0 = _cubic_coefficients(zs, law)
-    roots = solve_cubic_many(c3, c2, c1, c0)
+    roots = _solve_cubic(*_cubic_coefficients(zs, law))
     want = np.take_along_axis(roots, np.argmax(roots.imag, axis=0)[None], axis=0)[0]
     monkeypatch.setattr(limit_law, "_GRID_BLOCK", block)
     assert np.array_equal(stieltjes_grid(zs, law), want)
@@ -253,6 +252,18 @@ def test_norm_continuity_away_from_degeneracy():
     for da, dnu, dg in itertools.product((-1e-4, 1e-4), repeat=3):
         got = support(LimitLawParams(base.a + da, base.nu + dnu, base.gamma + dg)).norm
         assert abs(got - ref) < 1e-3
+
+
+def test_params_from_numpy_scalars_fail_typed_without_a_warning():
+    # a * a of two numpy floats warned of an overflow in the check before
+    # it raised; the three are stored as Python floats
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="no kernel realizes"):
+            LimitLawParams(np.float64(1e200), np.float64(1e300), 1.0)
+    law = LimitLawParams(np.float64(0.5), np.float32(2.0), np.int64(3))
+    assert [type(v) for v in (law.a, law.nu, law.gamma)] == [float] * 3
+    assert (law.a, law.nu, law.gamma) == (0.5, 2.0, 3.0)
 
 
 def test_params_validation():
@@ -428,11 +439,58 @@ def test_cumulants_in_range_with_powers_out_of_range():
 
 
 def test_support_window_past_double_range_is_a_domain_error():
-    # |x| < 5.7e88: bound^4 overflowed, and np.roots raised a LinAlgError.
-    # At gamma = 2 the atom at -a = 6.6e87 is part of the support
-    law = LimitLawParams(-6.575849527924286e87, 2 * 6.575849527924286e87**2, 2.0)
+    # |x| < 1e300: bound^4 overflows, where np.roots raised a LinAlgError.
+    # The law cannot be solved at the window's scale, where nu would leave
+    # the doubles
+    law = LimitLawParams(-1.0, 2.0, 1e300)
     with pytest.raises(DomainError, match="overflows"):
         support(law)
+
+
+# laws of unit scale: a Marcenko-Pastur law with its atom, a law of two
+# intervals, a semicircle and three broad laws
+UNIT_SCALE_LAWS = [
+    (0.5, 0.25, 2.0), (0.5, 0.2501, 4.0), (0.5, 0.2625, 0.3), (0.0, 0.7, 1.0), (0.3, 0.5, 2.0), (-0.2, 0.3, 0.5),
+]
+
+
+@pytest.mark.parametrize("k", [-500, -400, -221, -80, 80, 221, 400, 500])
+def test_support_past_the_unit_scale_band_obeys_the_scaling_law(k):
+    # (a 2^k, nu 4^k, gamma) has the support of (a, nu, gamma) times 2^k:
+    # at tau = 30 the sweep's null law, near k = -221, found no edge, and a
+    # law near k = 293 overflowed its window.  Past 2^64 either way the
+    # support is solved at the scale of its window, so scales 2^k and
+    # 2^(k+1) give the same edges to the bit, and those of the law at unit
+    # scale to rounding
+    for a, nu, gamma in UNIT_SCALE_LAWS:
+        want = support(LimitLawParams(a, nu, gamma))
+        got, twice = (
+            support(LimitLawParams(math.ldexp(a, j), math.ldexp(nu, 2 * j), gamma)) for j in (k, k + 1)
+        )
+        assert twice.intervals == tuple((2.0 * lo, 2.0 * hi) for lo, hi in got.intervals)
+        assert [math.ldexp(x, -k) for iv in got.intervals for x in iv] == pytest.approx(
+            [x for iv in want.intervals for x in iv], rel=1e-15, abs=0.0
+        )
+        assert got.atom_location == (None if want.atom_location is None else math.ldexp(want.atom_location, k))
+        assert got.atom_mass == twice.atom_mass == want.atom_mass
+
+
+def test_support_of_the_sweeps_null_law_at_tau_30():
+    # c3 = a gamma^2 (nu - a^2) = 3.3e-263, whose square underflowed: no
+    # edge was found.  The law is a semicircle of radius 2 sqrt(nu) to the bit
+    law = LimitLawParams(9.622262125283604e-130, 3.409394119483274e-134, 1.0)
+    edge = 2.0 * math.sqrt(law.nu)
+    assert support(law).intervals == ((-edge, edge),)
+    assert edge == 3.69290894525347e-67
+
+
+def test_support_of_a_law_past_2_to_the_64():
+    # |x| < 5.7e88: bound^4 overflowed, so support raised DomainError.  At
+    # gamma = 2 the atom at -a = 6.6e87 is part of the support
+    a = -6.575849527924286e87
+    sup = support(LimitLawParams(a, 2 * a * a, 2.0))
+    assert sup.intervals == ((-3.5533717366511235e88, 2.2382018310662686e88),)
+    assert sup.atom_location is None
 
 
 def test_support_whose_newton_iterate_leaves_the_doubles_is_a_domain_error():

@@ -626,6 +626,32 @@ def test_extreme_eigenvalue_reads_the_upper_triangle_only(p, kind):
     assert abs(-sim._extreme_eigenvalue(-m) - ev[0]) <= 1e-12 * max(1.0, norm)
 
 
+@pytest.mark.parametrize("transposed", [False, True], ids=["rows", "columns"])
+@pytest.mark.parametrize("p", [1, 2, 600])
+def test_extreme_eigenvalue_reads_a_padded_view_in_place(p, transposed):
+    # the padded view of K that build_kernel_matrix returns (or its
+    # transpose) is read with its stride as leading dimension: the bits of
+    # the solve of its contiguous copy in the same order (C, or Fortran for
+    # the transpose), and no p x p copy during the solve
+    import tracemalloc
+
+    if sim._cblas_dsymv() is None:
+        pytest.skip("numpy's BLAS has no cblas_dsymv")
+    m = sim._mapped_empty((p, p), huge_pages=False)
+    m[:] = _test_matrix("dense", p, p)
+    m = m.T if transposed else m
+    assert m.strides[0 if transposed else 1] == 8 and max(m.strides) > 8 * p
+    want = sim._extreme_eigenvalue(np.array(m, order="K"))
+    tracemalloc.start()
+    try:
+        got = sim._extreme_eigenvalue(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 8 * p * p or p < 100
+
+
 def _spectrum_leaving_m(m):
     """spectrum(m), which must leave m as it was, also when it rejects m."""
     before = np.array(m, copy=True)
